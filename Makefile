@@ -42,7 +42,7 @@ bench:
 	go run ./cmd/mermaid-benchjson -o BENCH_1.json < bench_real.txt
 	go run ./cmd/mermaid-benchjson -validate BENCH_1.json
 	@rm -f bench_real.txt
-	go test -run '^$$' -bench 'SimKernel1024Hosts|BusInvalidation|SwitchedInvalidation' -benchmem . > bench_scale.txt
+	go test -run '^$$' -bench 'SimKernel1024Hosts|SimProcHandoff|BusInvalidation|SwitchedInvalidation' -benchmem . > bench_scale.txt
 	go run ./cmd/mermaid-benchjson -o BENCH_2.json < bench_scale.txt
 	go run ./cmd/mermaid-benchjson -validate BENCH_2.json
 	@rm -f bench_scale.txt

@@ -43,6 +43,26 @@ func BenchmarkSimKernel1024Hosts(b *testing.B) {
 	b.ReportMetric(events/b.Elapsed().Seconds(), "events/s")
 }
 
+// BenchmarkSimProcHandoff measures one process activation — the kernel
+// switching into a process and the process switching back at its next
+// park — with an event heap of two: two processes alternating Sleep, so
+// ns/op is the cost of a simulated context switch and little else.
+func BenchmarkSimProcHandoff(b *testing.B) {
+	k := sim.NewKernel(1)
+	for i := 0; i < 2; i++ {
+		k.Spawn("sleeper", func(p *sim.Proc) {
+			for j := 0; j < b.N/2+1; j++ {
+				p.Sleep(time.Nanosecond)
+			}
+		})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	k.Run()
+	b.StopTimer()
+	k.Shutdown()
+}
+
 // BenchmarkBusInvalidation measures the broadcast-invalidation
 // delivery path at 1024 hosts on the one-segment bus: one sender
 // broadcasts frames, every other interface drains them — the netsim

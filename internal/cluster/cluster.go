@@ -325,6 +325,11 @@ func (c *Cluster) Run(mainHost HostID, main func(p *sim.Proc, h *Host)) sim.Dura
 	return c.K.Now().Sub(start)
 }
 
+// Close shuts the cluster's kernel down, unwinding every server loop
+// still parked so their stacks and page frames can be collected. Read
+// results first; the cluster must not be used afterwards.
+func (c *Cluster) Close() { c.K.Shutdown() }
+
 // TotalDSMStats sums DSM statistics across hosts.
 func (c *Cluster) TotalDSMStats() dsm.Stats {
 	var total dsm.Stats

@@ -46,6 +46,7 @@ func runSyncStyle(rounds int, spinlock bool) (float64, int) {
 	if err != nil {
 		panic(err)
 	}
+	defer c.Close()
 	const (
 		semDone  = 1
 		semMutex = 2
@@ -152,6 +153,7 @@ func ManagerPlacement() ManagerPlacementResult {
 		if err != nil {
 			panic(err)
 		}
+		defer c.Close()
 		var storm sim.Duration
 		c.Run(0, func(p *sim.Proc, h0 *cluster.Host) {
 			const per = 256 // ints per 1 KB page
@@ -227,6 +229,7 @@ func InvalidationScaling(sizes []int) []InvalidationRow {
 		if err != nil {
 			panic(err)
 		}
+		defer c.Close()
 		var ms float64
 		var frames int
 		c.Run(0, func(p *sim.Proc, h0 *cluster.Host) {

@@ -63,6 +63,7 @@ func AlgorithmChoice() []AlgorithmChoiceRow {
 			start := c.K.Now()
 			w.run(c)
 			secs := c.K.Now().Sub(start).Seconds()
+			c.Close()
 			switch pol {
 			case dsm.PolicyMRSW:
 				row.MRSWS = secs

@@ -99,6 +99,7 @@ func runDirectoryScheme(name string, dir dsm.Directory) DirectorySchemeRow {
 	if err != nil {
 		panic(err)
 	}
+	defer c.Close()
 	var elapsed sim.Duration
 	c.Run(0, func(p *sim.Proc, h0 *cluster.Host) {
 		addr, err := h0.DSM.Alloc(p, conv.Int32, per*pages)

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -34,7 +35,13 @@ func TestTable3WithinTolerance(t *testing.T) {
 }
 
 func TestTable4ShapeHolds(t *testing.T) {
+	before := runtime.NumGoroutine()
 	rows := Table4()
+	// Every measurement closes its cluster: 24 of them leave nothing
+	// parked behind.
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("%d goroutines after Table4, %d before: a cluster was not closed", after, before)
+	}
 	byKey := make(map[string]float64)
 	worst := 0.0
 	for _, r := range rows {

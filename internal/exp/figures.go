@@ -55,6 +55,7 @@ func runMMChunked(hosts []cluster.HostSpec, master cluster.HostID, slaves []clus
 	if err != nil {
 		panic(err)
 	}
+	defer c.Close()
 	r := matmul.Register(c)
 	res, err := r.Run(matmul.Config{
 		N: MMSize, Master: master, Slaves: slaves,
@@ -191,6 +192,7 @@ func Figure5(maxThreads int) []Figure5Point {
 			},
 			Speedup: seqSeconds / res.Elapsed.Seconds(),
 		})
+		c.Close()
 	}
 	return out
 }
@@ -342,6 +344,7 @@ func Thrashing(threadCounts []int, seeds []int64) []ThrashingResult {
 			panic(err)
 		}
 		res.SequentialS = matmul.Register(c).Sequential(arch.Firefly, MMSize).Seconds()
+		c.Close()
 		out = append(out, res)
 	}
 	return out
@@ -383,6 +386,7 @@ func runMMPolicy(hosts []cluster.HostSpec, master cluster.HostID, slaves []clust
 	if err != nil {
 		panic(err)
 	}
+	defer c.Close()
 	r := matmul.Register(c)
 	res, err := r.Run(matmul.Config{
 		N: MMSize, Master: master, Slaves: slaves,
@@ -498,6 +502,7 @@ func SingleThreadOverhead() []OverheadResult {
 	if err != nil {
 		panic(err)
 	}
+	defer c.Close()
 	mr := matmul.Register(c)
 	seq := mr.Sequential(arch.Firefly, MMSize).Seconds()
 	res, err := mr.Run(matmul.Config{N: MMSize, Master: 0, Slaves: []cluster.HostID{0}})
@@ -515,6 +520,7 @@ func SingleThreadOverhead() []OverheadResult {
 	if err != nil {
 		panic(err)
 	}
+	defer c2.Close()
 	pr := pcb.Register(c2)
 	seqP := pr.Sequential(arch.Sun, PCBWidth, PCBHeight, 5).Seconds()
 	resP, err := pr.Run(pcb.Config{W: PCBWidth, H: PCBHeight, Master: 0, Slaves: []cluster.HostID{0}, Seed: 5, Overlap: 1})
@@ -565,6 +571,7 @@ func AblationSameKindSource() AblationResult {
 		if err != nil {
 			panic(err)
 		}
+		defer c.Close()
 		r := matmul.Register(c)
 		res, err := r.Run(matmul.Config{
 			N: MMSize, Master: 0,

@@ -162,6 +162,7 @@ func PartitionAvailability() []PartitionAvailabilityRow {
 			}
 		})
 		rows = append(rows, row)
+		c.Close()
 	}
 	return rows
 }

@@ -105,6 +105,7 @@ func runDirectoryScale(n int, topoName string, topo *netsim.Topology, scheme str
 	if err != nil {
 		panic(err)
 	}
+	defer c.Close()
 	var elapsed sim.Duration
 	c.Run(0, func(p *sim.Proc, h0 *cluster.Host) {
 		addr, err := h0.DSM.Alloc(p, conv.Int32, per*pages)

@@ -106,6 +106,7 @@ func Table2() []Table2Row {
 // measureTransfer times one bulk page movement between two fresh hosts.
 func measureTransfer(from, to arch.Kind, size int) float64 {
 	k := sim.NewKernel(1)
+	defer k.Shutdown()
 	params := model.Default()
 	net := netsim.New(k, &params)
 	ifc0, _ := net.Attach(0)
@@ -318,6 +319,7 @@ func measureFaultDelay(reqKind, ownKind arch.Kind, scenario string, write bool) 
 	if err != nil {
 		panic(err)
 	}
+	defer c.Close()
 	var delayMS float64
 	c.Run(0, func(p *sim.Proc, h *cluster.Host) {
 		var addr dsm.Addr

@@ -219,7 +219,9 @@ func (ifc *Interface) Send(p *sim.Proc, f Frame) error {
 		// without touching the cable.
 		return nil
 	}
-	n.freeze()
+	if !n.frozen {
+		n.freeze()
+	}
 	seg := n.segs[n.segOf(f.From)]
 	tx := n.wireTime(f.Size, seg.bps)
 	seg.medium.Acquire(p)

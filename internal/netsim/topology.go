@@ -168,11 +168,10 @@ type treeEdge struct {
 // freeze resolves the topology into runtime tables: per-segment member
 // lists, next-hop routes, and per-source broadcast spanning trees. It
 // runs once, at the first transmission; later Attach calls only extend
-// the member lists.
+// the member lists. Send tests n.frozen itself before calling: this
+// function's large frame would cost every fresh process a stack growth
+// just to reach an early return.
 func (n *Network) freeze() {
-	if n.frozen {
-		return
-	}
 	n.frozen = true
 	if err := n.topo.validate(); err != nil {
 		panic(err)

@@ -9,6 +9,7 @@ package remoteop
 import (
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 
 	"repro/internal/bufpool"
@@ -21,18 +22,17 @@ import (
 // retransmissions are spent on a peer known to have crashed.
 var ErrPeerDead = errors.New("remoteop: peer host is down")
 
-// checksum is the FNV-1a hash guarding each fragment's wire bytes. The
+// castagnoli is the CRC-32C table; the stdlib computes that polynomial
+// with the CPU's CRC instructions where it has them.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// checksum is the CRC-32C guarding each fragment's wire bytes. The
 // sender stamps it at fragmentation time; the receiver verifies before
 // reassembly, so a corrupted fragment is dropped (and retransmitted by
-// the sender's timeout machinery) instead of being installed.
-func checksum(b []byte) uint32 {
-	h := uint32(2166136261)
-	for _, c := range b {
-		h ^= uint32(c)
-		h *= 16777619
-	}
-	return h
-}
+// the sender's timeout machinery) instead of being installed. A CRC
+// detects every error burst of up to 32 bits, so no single corrupted
+// byte slips through.
+func checksum(b []byte) uint32 { return crc32.Checksum(b, castagnoli) }
 
 // cloneFragment deep-copies a fragment for an extra (duplicate) or
 // altered (corrupt) delivery. The copy owns GC-managed memory only: it

@@ -12,7 +12,7 @@ import (
 )
 
 func TestChecksumDetectsEveryCorruptedFragment(t *testing.T) {
-	// Corrupt every fragment for the first 20 ms. The receiver's FNV
+	// Corrupt every fragment for the first 20 ms. The receiver's CRC-32C
 	// checksum must drop each damaged fragment before reassembly; the
 	// sender's retransmissions after the window closes complete the
 	// call with the payload intact. Detection rate must be 100%: every

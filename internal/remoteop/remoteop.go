@@ -99,7 +99,7 @@ type fragment struct {
 	total   int
 	bulk    bool
 	chunk   []byte
-	// sum is the FNV-1a checksum of chunk, stamped at send time and
+	// sum is the CRC-32C checksum of chunk, stamped at send time and
 	// verified on receive, so in-flight corruption is detected.
 	sum    uint32
 	owner  *encOwner

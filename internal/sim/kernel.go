@@ -1,18 +1,22 @@
+//go:build go1.23
+
 // Package sim implements a deterministic discrete-event simulation kernel.
 //
 // A Kernel owns a virtual clock and a set of processes. Exactly one
-// process executes at any moment: the kernel and the running process hand
-// control back and forth over channels, so no locking is needed anywhere
-// in simulation code and runs are fully deterministic for a given seed.
+// process executes at any moment: each process is a runtime coroutine
+// (iter.Pull) that the kernel switches into and that switches back when
+// it parks, so no locking is needed anywhere in simulation code and runs
+// are fully deterministic for a given seed.
 //
-// Processes are ordinary functions running on goroutines. They interact
-// with virtual time exclusively through their *Proc handle: Sleep, Park,
-// and the synchronization primitives in this package (Semaphore, Queue,
+// Processes are ordinary functions. They interact with virtual time
+// exclusively through their *Proc handle: Sleep, Park, and the
+// synchronization primitives in this package (Semaphore, Queue,
 // Resource, Event, Barrier). Wall-clock time never enters the simulation.
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"math/rand"
 	"sort"
 	"time"
@@ -175,7 +179,6 @@ type Kernel struct {
 	now     Time
 	seq     uint64
 	events  eventHeap
-	yield   chan yieldMsg
 	procs   map[int]*proc
 	nextID  int
 	rng     *rand.Rand
@@ -184,25 +187,10 @@ type Kernel struct {
 	free    []*event // dispatched event records, recycled by newEvent
 }
 
-type yieldKind int
-
-const (
-	yieldParked yieldKind = iota + 1
-	yieldDone
-	yieldPanic
-)
-
-type yieldMsg struct {
-	kind yieldKind
-	p    *proc
-	pval any // panic value for yieldPanic
-}
-
 // NewKernel creates a kernel whose random source is seeded with seed.
 // The same seed and the same program produce the same execution.
 func NewKernel(seed int64) *Kernel {
 	return &Kernel{
-		yield: make(chan yieldMsg),
 		procs: make(map[int]*proc),
 		rng:   rand.New(rand.NewSource(seed)),
 	}
@@ -297,33 +285,33 @@ func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 // SpawnAt is Spawn with an explicit start time.
 func (k *Kernel) SpawnAt(at Time, name string, fn func(p *Proc)) *Proc {
 	k.nextID++
-	pr := &proc{
-		k:      k,
-		id:     k.nextID,
-		name:   name,
-		resume: make(chan WakeReason),
-	}
+	pr := &proc{k: k, id: k.nextID, name: name}
 	k.procs[pr.id] = pr
 	public := &Proc{pr}
-	go func() {
-		<-pr.resume
-		defer func() {
-			if r := recover(); r != nil {
-				if _, kill := r.(killSentinel); !kill {
-					k.yield <- yieldMsg{kind: yieldPanic, p: pr, pval: r} // vet:ignore chan-send — kernel⇄process rendezvous
-					return
-				}
-			}
-			k.yield <- yieldMsg{kind: yieldDone, p: pr} // vet:ignore chan-send — kernel⇄process rendezvous
-		}()
-		if pr.killed {
-			return
-		}
+	pr.next, pr.stop = iter.Pull(func(yield func(struct{}) bool) {
+		pr.yield = yield
+		defer pr.exit()
 		fn(public)
-	}()
+	})
 	pr.wakePending = true
 	k.scheduleWake(at, pr, pr.epoch, WakeSignal)
 	return public
+}
+
+// exit is the process body's outermost deferred call: it records the
+// completion and turns the unwinding panic, if any, into the process's
+// outcome. killSentinel is a clean exit and a panic during teardown is
+// swallowed (the simulation's outcome was decided before Shutdown); any
+// other panic continues, wrapped with the process name, out of the next
+// call that resumed the process — into the caller of Run or Step.
+func (p *proc) exit() {
+	p.done = true
+	delete(p.k.procs, p.id)
+	if r := recover(); r != nil {
+		if _, kill := r.(killSentinel); !kill && !p.killed {
+			panic(fmt.Sprintf("sim: process %q panicked: %v", p.name, r))
+		}
+	}
 }
 
 // Run executes events until none remain, then returns. Processes still
@@ -480,33 +468,25 @@ func (k *Kernel) dispatch(e *event) {
 	}
 	p.wakePending = false
 	p.epoch++
-	p.resume <- e.reason // vet:ignore chan-send — kernel⇄process rendezvous
-	msg := <-k.yield
-	switch msg.kind {
-	case yieldParked:
-		// The process registered its next wake condition before parking.
-	case yieldDone:
-		msg.p.done = true
-		delete(k.procs, msg.p.id)
-	case yieldPanic:
-		msg.p.done = true
-		delete(k.procs, msg.p.id)
-		panic(fmt.Sprintf("sim: process %q panicked: %v", msg.p.name, msg.pval))
-	}
+	p.reason = e.reason
+	// Returns when the process parks (having registered its next wake
+	// condition) or finishes; its panic, if any, comes out of this call.
+	p.next()
 }
 
 // killSentinel is the panic value that unwinds a process being killed by
-// Shutdown; the spawn wrapper recognizes it and reports a normal exit.
+// Shutdown; the process's exit handler recognizes it and reports a normal
+// exit.
 type killSentinel struct{}
 
 // Shutdown force-terminates every process still parked, releasing their
-// goroutines, and discards all pending events. It must only be called
+// coroutines, and discards all pending events. It must only be called
 // outside Run — after it returned, or after recovering the panic it
 // re-raised. The kernel must not be used afterwards.
 //
-// Without Shutdown every parked server loop pins its goroutine for the
-// life of the Go process; a model checker executing thousands of short
-// simulations per second needs them reclaimed.
+// Without Shutdown every parked server loop pins its stack and whatever
+// it references for the life of the Go process; a model checker executing
+// thousands of short simulations per second needs them reclaimed.
 func (k *Kernel) Shutdown() {
 	k.events = nil
 	for len(k.procs) > 0 {
@@ -516,7 +496,7 @@ func (k *Kernel) Shutdown() {
 		}
 		sort.Ints(ids)
 		for _, id := range ids {
-			if p, ok := k.procs[id]; ok && !p.done {
+			if p, ok := k.procs[id]; ok {
 				k.kill(p)
 			}
 		}
@@ -524,26 +504,17 @@ func (k *Kernel) Shutdown() {
 	k.events = nil // deferred cleanups may have scheduled wakes
 }
 
-// kill resumes one parked process with its killed flag set, making park
-// unwind it via killSentinel, and drains its yields until it exits.
-// Deferred cleanups run; one that parks again is prodded again.
+// kill stops one process. Parked, its pending park returns into the
+// killed flag and unwinds via killSentinel: deferred cleanups run, and
+// one that parks again unwinds again at once. Never started, its body
+// simply never runs. The epoch moves on first, so a cleanup's V or Put
+// skips the dying process's own waiter entry.
 func (k *Kernel) kill(p *proc) {
 	p.killed = true
-	for !p.done {
-		p.epoch++
-		p.wakePending = false
-		p.resume <- WakeSignal // vet:ignore chan-send — kernel⇄process rendezvous
-		msg := <-k.yield
-		switch msg.kind {
-		case yieldParked:
-			// A deferred cleanup parked again; keep prodding.
-		case yieldDone, yieldPanic:
-			// Panics during teardown are swallowed: the simulation's
-			// outcome was decided before Shutdown was called.
-			msg.p.done = true
-			delete(k.procs, msg.p.id)
-		}
-	}
+	p.epoch++
+	p.stop()
+	p.done = true
+	delete(k.procs, p.id)
 }
 
 // Stalled returns the names of processes that are still parked. After Run
@@ -563,7 +534,10 @@ type proc struct {
 	k           *Kernel
 	id          int
 	name        string
-	resume      chan WakeReason
+	next        func() (struct{}, bool) // switch into the process until it parks or ends
+	stop        func()                  // end the process: a pending park returns false
+	yield       func(struct{}) bool     // switch back to the kernel; set when the body starts
+	reason      WakeReason              // why the kernel last resumed the process
 	epoch       uint64
 	wakePending bool
 	done        bool
@@ -571,7 +545,7 @@ type proc struct {
 }
 
 // Proc is the handle a process function uses to interact with virtual
-// time. It is valid only inside the process's own goroutine.
+// time. It is valid only inside the process's own function.
 type Proc struct {
 	p *proc
 }
@@ -592,12 +566,11 @@ func (pp *Proc) park() WakeReason {
 	if p.killed {
 		panic(killSentinel{})
 	}
-	p.k.yield <- yieldMsg{kind: yieldParked, p: p} // vet:ignore chan-send — kernel⇄process rendezvous
-	r := <-p.resume
+	p.yield(struct{}{})
 	if p.killed {
 		panic(killSentinel{})
 	}
-	return r
+	return p.reason
 }
 
 // Exit terminates the calling process immediately as a normal

@@ -1,3 +1,5 @@
+//go:build go1.23
+
 package sim
 
 // This file provides the synchronization primitives used by simulated

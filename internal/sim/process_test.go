@@ -1,0 +1,220 @@
+package sim
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"runtime"
+	"testing"
+	"time"
+)
+
+// These tests pin the process life cycle: how a process's panic, exit
+// and forced termination look from outside the kernel.
+
+// recovered runs f and returns the value it panicked with, or nil.
+func recovered(f func()) (r any) {
+	defer func() { r = recover() }()
+	f()
+	return nil
+}
+
+func TestProcessPanicIsWrappedWithItsName(t *testing.T) {
+	drivers := map[string]func(k *Kernel){
+		"Run": (*Kernel).Run,
+		"Step": func(k *Kernel) {
+			for k.Step() {
+			}
+		},
+	}
+	for name, drive := range drivers {
+		k := NewKernel(1)
+		k.Spawn("bystander", func(p *Proc) { p.Park() })
+		k.Spawn("boom", func(p *Proc) {
+			p.Sleep(time.Millisecond)
+			panic("bang")
+		})
+		got := recovered(func() { drive(k) })
+		if want := `sim: process "boom" panicked: bang`; got != want {
+			t.Errorf("%s re-raised %#v, want %q", name, got, want)
+		}
+		// The panicked process is finished, not stalled, and the kernel
+		// can still be shut down.
+		if s := k.Stalled(); len(s) != 1 || s[0] != "bystander" {
+			t.Errorf("%s: stalled %v after the panic, want [bystander]", name, s)
+		}
+		k.Shutdown()
+		if s := k.Stalled(); len(s) != 0 {
+			t.Errorf("%s: stalled %v after Shutdown", name, s)
+		}
+	}
+}
+
+func TestCallbackPanicSurfacesOnCaller(t *testing.T) {
+	k := NewKernel(1)
+	k.After(time.Millisecond, func() { panic("callback bang") })
+	if got := recovered(k.Run); got != "callback bang" {
+		t.Fatalf("Run re-raised %#v, want the callback's own value", got)
+	}
+}
+
+func TestExitIsCleanCompletion(t *testing.T) {
+	k := NewKernel(1)
+	var cleaned, after bool
+	k.Spawn("quitter", func(p *Proc) {
+		defer func() { cleaned = true }()
+		p.Sleep(time.Millisecond)
+		p.Exit()
+		after = true
+	})
+	k.Run() // must not panic
+	if !cleaned || after {
+		t.Fatalf("deferred ran=%v, code after Exit ran=%v; want true, false", cleaned, after)
+	}
+	if s := k.Stalled(); len(s) != 0 {
+		t.Fatalf("stalled %v after Exit", s)
+	}
+}
+
+func TestGoexitInProcessEndsTheCaller(t *testing.T) {
+	// t.Fatal inside a process body is a Goexit on the process; it must
+	// end the goroutine that is driving the kernel, as it would have had
+	// the body been called directly.
+	returned := false
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		k := NewKernel(1)
+		k.Spawn("fatal", func(p *Proc) {
+			p.Sleep(time.Millisecond)
+			runtime.Goexit()
+		})
+		k.Run()
+		returned = true
+	}()
+	<-done
+	if returned {
+		t.Fatal("Run returned normally after a process called Goexit")
+	}
+}
+
+func TestShutdownNeverRunsUnstartedBody(t *testing.T) {
+	k := NewKernel(1)
+	ran := false
+	k.SpawnAt(Time(time.Hour), "late", func(p *Proc) { ran = true })
+	k.RunFor(time.Second)
+	k.Shutdown()
+	if ran {
+		t.Fatal("Shutdown ran the body of a process that had not started")
+	}
+	if s := k.Stalled(); len(s) != 0 {
+		t.Fatalf("stalled %v after Shutdown", s)
+	}
+}
+
+func TestShutdownUnwindsCleanupThatParks(t *testing.T) {
+	k := NewKernel(1)
+	sem := NewSemaphore(k, 0)
+	var steps []string
+	k.Spawn("server", func(p *Proc) {
+		defer func() { steps = append(steps, "outer cleanup") }()
+		defer func() {
+			steps = append(steps, "cleanup parks")
+			sem.P(p) // unwinds at once: the process is being killed
+			steps = append(steps, "unreachable")
+		}()
+		sem.P(p)
+		steps = append(steps, "unreachable")
+	})
+	k.Run()
+	k.Shutdown()
+	want := []string{"cleanup parks", "outer cleanup"}
+	if !reflect.DeepEqual(steps, want) {
+		t.Fatalf("teardown steps %q, want %q", steps, want)
+	}
+}
+
+func TestShutdownReleasesEveryProcess(t *testing.T) {
+	before := runtime.NumGoroutine()
+	k := NewKernel(1)
+	q := NewQueue(k)
+	for i := 0; i < 50; i++ {
+		k.Spawn("server", func(p *Proc) {
+			for {
+				q.Get(p)
+			}
+		})
+	}
+	k.SpawnAt(Time(time.Hour), "late", func(p *Proc) {})
+	k.Spawn("client", func(p *Proc) {
+		for i := 0; i < 200; i++ {
+			q.Put(i)
+			p.Sleep(time.Microsecond)
+		}
+	})
+	k.RunFor(time.Second)
+	during := runtime.NumGoroutine()
+	k.Shutdown()
+	after := runtime.NumGoroutine()
+	// The previous test's goroutine may still be exiting, so the counts
+	// are compared by inequality: none may be left, and the 51 live
+	// processes (50 parked, one never started) must all have gone.
+	if after > before {
+		t.Fatalf("%d goroutines after Shutdown, %d before the run", after, before)
+	}
+	if during-after < 51 {
+		t.Fatalf("Shutdown released %d goroutines (%d → %d), want the 51 live processes", during-after, during, after)
+	}
+}
+
+// scriptChooser replays a recorded choice sequence, or, with no script,
+// draws choices from a seeded source and records them.
+type scriptChooser struct {
+	rng    *rand.Rand
+	script []int
+	made   []int
+}
+
+func (c *scriptChooser) Choose(_ Time, n int, _ func(int) string) int {
+	var idx int
+	if c.rng != nil {
+		idx = c.rng.Intn(n)
+	} else {
+		idx = c.script[len(c.made)]
+	}
+	c.made = append(c.made, idx)
+	return idx
+}
+
+func TestChooserRunReplaysBitIdentically(t *testing.T) {
+	run := func(c *scriptChooser) []string {
+		k := NewKernel(7)
+		k.SetChooser(c)
+		var log []string
+		sem := NewSemaphore(k, 1)
+		for i := 0; i < 4; i++ {
+			name := fmt.Sprintf("w%d", i)
+			k.Spawn(name, func(p *Proc) {
+				for r := 0; r < 3; r++ {
+					sem.P(p)
+					log = append(log, fmt.Sprintf("%s@%v#%d", name, p.Now(), k.Choose(3, "pick")))
+					p.Sleep(time.Millisecond)
+					sem.V()
+					p.Yield()
+				}
+			})
+		}
+		k.Run()
+		k.Shutdown()
+		return log
+	}
+	rec := &scriptChooser{rng: rand.New(rand.NewSource(3))}
+	first := run(rec)
+	if len(rec.made) < 10 {
+		t.Fatalf("only %d choice points; the workload does not exercise the chooser", len(rec.made))
+	}
+	rep := &scriptChooser{script: rec.made}
+	if again := run(rep); !reflect.DeepEqual(first, again) || !reflect.DeepEqual(rec.made, rep.made) {
+		t.Fatalf("replay diverged:\n first %v\n again %v", first, again)
+	}
+}

@@ -27,9 +27,8 @@
 //   - chan-send: a bare channel send in simulation packages hands
 //     control to whatever goroutine the Go runtime picks, bypassing
 //     the kernel's deterministic scheduler (and with it the model
-//     checker's Chooser). The kernel's own park/resume rendezvous
-//     points — where exactly one receiver can be ready — carry a
-//     `vet:ignore chan-send` comment.
+//     checker's Chooser). The kernel itself switches processes as
+//     coroutines and sends on no channel.
 //   - select-default: `select` with a `default` clause in simulation
 //     packages is non-blocking channel polling; whether a communication
 //     is ready when the poll runs depends on real-time goroutine
