@@ -1,9 +1,9 @@
 # The check target runs exactly what CI runs (.github/workflows/ci.yml);
 # keep the two in lockstep.
 
-.PHONY: check build vet fmt test race mermaid-vet bench-files mc-smoke mc-deep chaos-smoke chaos-deep bench bench-smoke scale-smoke scale-deep
+.PHONY: check build vet fmt test benchmark-check race mermaid-vet bench-files mc-smoke mc-deep chaos-smoke chaos-deep bench bench-smoke scale-smoke scale-deep
 
-check: build vet fmt test race mermaid-vet bench-files mc-smoke chaos-smoke scale-smoke
+check: build vet fmt test benchmark-check race mermaid-vet bench-files mc-smoke chaos-smoke scale-smoke
 
 build:
 	go build ./...
@@ -21,6 +21,12 @@ fmt:
 
 test:
 	go test ./...
+
+# benchmark/ is a module of its own, so the root `go test ./...` never
+# sees its smoke test: BENCHMARK.json against the code, all four
+# workloads at -quick scale, and the flipped-shadow self-check.
+benchmark-check:
+	cd benchmark && go test ./...
 
 race:
 	go test -race ./internal/sim/... ./internal/dsm/... ./internal/dsync/... ./internal/threads/...
@@ -42,7 +48,7 @@ bench:
 	go run ./cmd/mermaid-benchjson -o BENCH_1.json < bench_real.txt
 	go run ./cmd/mermaid-benchjson -validate BENCH_1.json
 	@rm -f bench_real.txt
-	go test -run '^$$' -bench 'SimKernel1024Hosts|SimProcHandoff|BusInvalidation|SwitchedInvalidation' -benchmem . > bench_scale.txt
+	go test -run '^$$' -bench 'SimKernel1024Hosts|SimProcHandoff|SimSpawnExit|MCDFSBasic|ClusterStateHash|BusInvalidation|SwitchedInvalidation' -benchmem . > bench_scale.txt
 	go run ./cmd/mermaid-benchjson -o BENCH_2.json < bench_scale.txt
 	go run ./cmd/mermaid-benchjson -validate BENCH_2.json
 	@rm -f bench_scale.txt

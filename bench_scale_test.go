@@ -8,9 +8,15 @@ package mermaid
 // table in EXPERIMENTS.md ("Wall-clock performance") via BENCH_2.json.
 
 import (
+	"hash/fnv"
 	"testing"
 	"time"
 
+	"repro/internal/arch"
+	"repro/internal/cluster"
+	"repro/internal/conv"
+	"repro/internal/dsm"
+	"repro/internal/mc"
 	"repro/internal/model"
 	"repro/internal/netsim"
 	"repro/internal/sim"
@@ -62,6 +68,95 @@ func BenchmarkSimProcHandoff(b *testing.B) {
 	b.StopTimer()
 	k.Shutdown()
 }
+
+// BenchmarkSimSpawnExit measures a short-lived process's whole life —
+// Spawn, first activation, return — the shape of a remoteop message
+// handler: one parent spawns children one at a time, each returning at
+// once, so a child after the first runs on its predecessor's recycled
+// coroutine.
+func BenchmarkSimSpawnExit(b *testing.B) {
+	k := sim.NewKernel(1)
+	k.Spawn("parent", func(p *sim.Proc) {
+		for i := 0; i < b.N; i++ {
+			k.Spawn("child", func(*sim.Proc) {})
+			p.Yield()
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	k.Run()
+	b.StopTimer()
+	k.Shutdown()
+}
+
+// BenchmarkMCDFSBasic is the model checker's inner loop end to end: 150
+// schedules of pruned DFS on the 2-host "basic" workload per op, each a
+// cluster built, chooser-driven, fingerprinted where the strategy
+// compares, oracle-checked and shut down.
+func BenchmarkMCDFSBasic(b *testing.B) {
+	const schedules = 150
+	w, err := mc.Lookup("basic")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rep, err := mc.RunDFS(w, dsm.MutNone, mc.DFSOpts{MaxSchedules: schedules})
+		if err != nil || rep.Violating != nil || rep.Schedules != schedules {
+			b.Fatalf("DFS on basic: %v, %s", err, rep)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(schedules*b.N)/b.Elapsed().Seconds(), "schedules/s")
+}
+
+// BenchmarkClusterStateHash is one state fingerprint as mc and chaos
+// take it: every host's DSM and dsync state of a 3-host cluster folded
+// into one FNV-64, with four full 8 KB pages resident on every host.
+func BenchmarkClusterStateHash(b *testing.B) {
+	const pages = 4
+	params := model.Default()
+	c, err := cluster.New(cluster.Config{
+		Hosts:     []cluster.HostSpec{{Kind: arch.Sun}, {Kind: arch.Firefly}, {Kind: arch.Sun}},
+		PageSize:  8192,
+		SpaceSize: 2 * pages * 8192,
+		Params:    &params,
+		Seed:      1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	c.Run(0, func(p *sim.Proc, h *cluster.Host) {
+		vals := make([]int32, pages*8192/4)
+		for i := range vals {
+			vals[i] = int32(i * 40503)
+		}
+		addr, err := h.DSM.Alloc(p, conv.Int32, len(vals))
+		if err != nil {
+			panic(err)
+		}
+		h.DSM.WriteInt32s(p, addr, vals)
+		for _, reader := range c.Hosts[1:] {
+			reader.DSM.ReadInt32s(p, addr, vals)
+		}
+	})
+	b.ReportAllocs()
+	b.SetBytes(3 * pages * 8192)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h := fnv.New64a()
+		for _, host := range c.Hosts {
+			host.DSM.WriteStateHash(h)
+			host.Sync.WriteStateHash(h)
+		}
+		benchSink += h.Sum64()
+	}
+}
+
+// benchSink keeps measured results live.
+var benchSink uint64
 
 // BenchmarkBusInvalidation measures the broadcast-invalidation
 // delivery path at 1024 hosts on the one-segment bus: one sender

@@ -197,7 +197,7 @@ func BenchmarkRealVaxGRoundTrip(b *testing.B) {
 
 func BenchmarkRealQuickstartScenario(b *testing.B) {
 	// Wall-clock cost of a complete small simulation: build a cluster,
-	// run a cross-architecture round trip.
+	// run a cross-architecture round trip, close it.
 	for i := 0; i < b.N; i++ {
 		c, err := New(Config{
 			Hosts: []HostSpec{{Kind: Sun}, {Kind: Firefly, CPUs: 4}},
@@ -223,6 +223,7 @@ func BenchmarkRealQuickstartScenario(b *testing.B) {
 				b.Fatal("wrong result")
 			}
 		})
+		c.Close()
 	}
 }
 

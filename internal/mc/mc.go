@@ -116,8 +116,12 @@ type Result struct {
 	Choices []int
 	// Widths is the number of alternatives at each choice point.
 	Widths []int
-	// Hashes is the cluster state fingerprint at each choice point
-	// (only collected when the strategy prunes).
+	// Hashes is the cluster state fingerprint at each choice point the
+	// strategy compares: nil unless the strategy prunes, otherwise one
+	// entry per choice point, zero inside the forced prefix (a replayed
+	// prefix was fingerprinted by the run that discovered it) and at or
+	// beyond the DFS depth cap, where RunDFS — the only reader — never
+	// looks.
 	Hashes []uint64
 	// Steps is the number of kernel events dispatched.
 	Steps int
@@ -137,8 +141,10 @@ type execOpts struct {
 	rng *rand.Rand
 	// maxSteps bounds dispatched events (livelock detection).
 	maxSteps int
-	// hashes collects the per-choice-point state fingerprint.
-	hashes bool
+	// hashes collects the state fingerprint at choice points beyond
+	// the forced prefix and, when hashDepth is positive, below it.
+	hashes    bool
+	hashDepth int
 	// transcript collects human-readable choice-point lines.
 	transcript bool
 }
@@ -164,7 +170,7 @@ func execute(w *Workload, mut dsm.Mutation, o execOpts) (*Result, error) {
 	var invs []dsm.Violation
 	c.Check.SetFailHandler(func(v dsm.Violation) { invs = append(invs, v) })
 
-	ch := &runChooser{forced: o.forced, rng: o.rng, transcript: o.transcript}
+	ch := &runChooser{forced: o.forced, rng: o.rng, transcript: o.transcript, hashDepth: o.hashDepth}
 	if o.hashes {
 		ch.hashFn = func(n int, label func(int) string) uint64 { return stateHash(c, n, label) }
 	}
@@ -247,7 +253,10 @@ type runChooser struct {
 	widths  []int
 	hashes  []uint64
 	lines   []string
-	hashFn  func(n int, label func(int) string) uint64
+	// hashFn, when set, fingerprints the choice points the strategy will
+	// read: index ≥ len(forced) and, with hashDepth > 0, < hashDepth.
+	hashFn    func(n int, label func(int) string) uint64
+	hashDepth int
 }
 
 // Choose implements sim.Chooser.
@@ -269,7 +278,11 @@ func (c *runChooser) Choose(now sim.Time, n int, label func(i int) string) int {
 	c.choices = append(c.choices, pick)
 	c.widths = append(c.widths, n)
 	if c.hashFn != nil {
-		c.hashes = append(c.hashes, c.hashFn(n, label))
+		var h uint64
+		if i >= len(c.forced) && (c.hashDepth <= 0 || i < c.hashDepth) {
+			h = c.hashFn(n, label)
+		}
+		c.hashes = append(c.hashes, h)
 	}
 	if c.transcript {
 		alts := make([]string, n)

@@ -83,7 +83,7 @@ func RunDFS(w *Workload, mut dsm.Mutation, o DFSOpts) (*Report, error) {
 	for len(stack) > 0 && rep.Schedules < o.MaxSchedules {
 		prefix := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		res, err := execute(w, mut, execOpts{forced: prefix, maxSteps: o.MaxSteps, hashes: !o.NoPrune})
+		res, err := execute(w, mut, execOpts{forced: prefix, maxSteps: o.MaxSteps, hashes: !o.NoPrune, hashDepth: o.MaxDepth})
 		if err != nil {
 			return nil, err
 		}

@@ -173,6 +173,15 @@ type Endpoint struct {
 	ifc     *netsim.Interface
 	params  *model.Params
 	handler map[proto.Kind]Handler
+	// handlerName and resendName cache the names dispatch gives the
+	// processes it spawns ("handler-<host>-<kind>", "resend-<host>"),
+	// each formatted at first use: dispatch runs per message, and a name
+	// per registered kind up front would cost a small cluster's set-up
+	// more than its whole run saves. The strings are part of recorded
+	// schedules — they label the process's wake events at model-checker
+	// choice points.
+	handlerName map[proto.Kind]string
+	resendName  string
 
 	pending map[uint32]*pendingCall
 	nextReq uint32
@@ -203,16 +212,17 @@ const dedupCap = 2048
 func New(k *sim.Kernel, ifc *netsim.Interface, kind arch.Kind, params *model.Params) *Endpoint {
 	registerFaultHooks(ifc.Network())
 	return &Endpoint{
-		k:        k,
-		id:       ifc.ID(),
-		kind:     kind,
-		ifc:      ifc,
-		params:   params,
-		handler:  make(map[proto.Kind]Handler),
-		pending:  make(map[uint32]*pendingCall),
-		reasm:    make(map[reasmKey]*reasmBuf),
-		dedup:    make(map[dedupKey]*dedupEntry),
-		kindSent: make(map[proto.Kind]int),
+		k:           k,
+		id:          ifc.ID(),
+		kind:        kind,
+		ifc:         ifc,
+		params:      params,
+		handler:     make(map[proto.Kind]Handler),
+		handlerName: make(map[proto.Kind]string),
+		pending:     make(map[uint32]*pendingCall),
+		reasm:       make(map[reasmKey]*reasmBuf),
+		dedup:       make(map[dedupKey]*dedupEntry),
+		kindSent:    make(map[proto.Kind]int),
 	}
 }
 
@@ -383,7 +393,10 @@ func (e *Endpoint) dispatch(m *proto.Message) {
 		if ent.done && ent.reply != nil {
 			// Answer the retransmission from the reply cache.
 			reply, dst := ent.reply, ent.to
-			e.k.Spawn(fmt.Sprintf("resend-%d", e.id), func(p *sim.Proc) {
+			if e.resendName == "" {
+				e.resendName = fmt.Sprintf("resend-%d", e.id)
+			}
+			e.k.Spawn(e.resendName, func(p *sim.Proc) {
 				e.send(p, dst, reply)
 			})
 		}
@@ -395,7 +408,12 @@ func (e *Endpoint) dispatch(m *proto.Message) {
 		bufpool.Put(m.TakeWire())
 		return // no handler: request vanishes, requester times out
 	}
-	e.k.Spawn(fmt.Sprintf("handler-%d-%s", e.id, m.Kind), func(p *sim.Proc) {
+	name, ok := e.handlerName[m.Kind]
+	if !ok {
+		name = fmt.Sprintf("handler-%d-%s", e.id, m.Kind)
+		e.handlerName[m.Kind] = name
+	}
+	e.k.Spawn(name, func(p *sim.Proc) {
 		h(p, m)
 	})
 }

@@ -183,8 +183,9 @@ type Kernel struct {
 	nextID  int
 	rng     *rand.Rand
 	chooser Chooser
-	elig    []*event // scratch buffer for same-instant alternatives
-	free    []*event // dispatched event records, recycled by newEvent
+	elig    []*event     // scratch buffer for same-instant alternatives
+	free    []*event     // dispatched event records, recycled by newEvent
+	idle    []*coroutine // coroutines whose process finished cleanly, recycled by SpawnAt
 }
 
 // NewKernel creates a kernel whose random source is seeded with seed.
@@ -285,20 +286,68 @@ func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 // SpawnAt is Spawn with an explicit start time.
 func (k *Kernel) SpawnAt(at Time, name string, fn func(p *Proc)) *Proc {
 	k.nextID++
-	pr := &proc{k: k, id: k.nextID, name: name}
+	pr := &proc{k: k, id: k.nextID, name: name, fn: fn}
+	pr.handle.p = pr
 	k.procs[pr.id] = pr
-	public := &Proc{pr}
-	pr.next, pr.stop = iter.Pull(func(yield func(struct{}) bool) {
-		pr.yield = yield
-		defer pr.exit()
-		fn(public)
-	})
+	if n := len(k.idle); n > 0 {
+		pr.co = k.idle[n-1]
+		k.idle[n-1] = nil
+		k.idle = k.idle[:n-1]
+		pr.co.tenant = pr
+	} else {
+		pr.co = k.newCoroutine(pr)
+	}
 	pr.wakePending = true
 	k.scheduleWake(at, pr, pr.epoch, WakeSignal)
-	return public
+	return &pr.handle
 }
 
-// exit is the process body's outermost deferred call: it records the
+// coroutine is one runtime coroutine (iter.Pull) and the process it is
+// running. It outlives a process that finishes cleanly: it then waits on
+// the kernel's idle list for SpawnAt to bind the next process to it, so
+// a short-lived process — a message handler, most often — costs neither
+// a coroutine creation nor the regrowth of its stack. A coroutine whose
+// process panicked, called runtime.Goexit or was killed ends with it and
+// is never reused: the first two unwind through the loop below, and a
+// stopped coroutine cannot be resumed.
+type coroutine struct {
+	next   func() (struct{}, bool) // switch into the coroutine until its process parks or ends
+	stop   func()                  // end the coroutine: a pending yield returns false
+	yield  func(struct{}) bool     // switch back to the kernel; set when the coroutine starts
+	tenant *proc                   // the process bound to it; nil while idle
+}
+
+func (k *Kernel) newCoroutine(first *proc) *coroutine {
+	co := &coroutine{tenant: first}
+	co.next, co.stop = iter.Pull(func(yield func(struct{}) bool) {
+		co.yield = yield
+		for {
+			p := co.tenant
+			p.run()
+			if p.killed {
+				return
+			}
+			co.tenant = nil
+			k.idle = append(k.idle, co)
+			// Back to the kernel, as the finished process's last switch;
+			// resumed by the next tenant's first wake, or stopped.
+			if !yield(struct{}{}) {
+				return
+			}
+		}
+	})
+	return co
+}
+
+// run executes the process body on the calling coroutine.
+func (p *proc) run() {
+	defer p.exit()
+	fn := p.fn
+	p.fn = nil
+	fn(&p.handle)
+}
+
+// exit is run's deferred call, outermost of the process: it records the
 // completion and turns the unwinding panic, if any, into the process's
 // outcome. killSentinel is a clean exit and a panic during teardown is
 // swallowed (the simulation's outcome was decided before Shutdown); any
@@ -471,7 +520,7 @@ func (k *Kernel) dispatch(e *event) {
 	p.reason = e.reason
 	// Returns when the process parks (having registered its next wake
 	// condition) or finishes; its panic, if any, comes out of this call.
-	p.next()
+	p.co.next()
 }
 
 // killSentinel is the panic value that unwinds a process being killed by
@@ -480,9 +529,9 @@ func (k *Kernel) dispatch(e *event) {
 type killSentinel struct{}
 
 // Shutdown force-terminates every process still parked, releasing their
-// coroutines, and discards all pending events. It must only be called
-// outside Run — after it returned, or after recovering the panic it
-// re-raised. The kernel must not be used afterwards.
+// coroutines and the idle ones, and discards all pending events. It must
+// only be called outside Run — after it returned, or after recovering
+// the panic it re-raised. The kernel must not be used afterwards.
 //
 // Without Shutdown every parked server loop pins its stack and whatever
 // it references for the life of the Go process; a model checker executing
@@ -502,17 +551,21 @@ func (k *Kernel) Shutdown() {
 		}
 	}
 	k.events = nil // deferred cleanups may have scheduled wakes
+	for _, co := range k.idle {
+		co.stop()
+	}
+	k.idle = nil
 }
 
-// kill stops one process. Parked, its pending park returns into the
-// killed flag and unwinds via killSentinel: deferred cleanups run, and
-// one that parks again unwinds again at once. Never started, its body
-// simply never runs. The epoch moves on first, so a cleanup's V or Put
-// skips the dying process's own waiter entry.
+// kill stops one process, and its coroutine with it. Parked, its pending
+// park returns into the killed flag and unwinds via killSentinel:
+// deferred cleanups run, and one that parks again unwinds again at once.
+// Never started, its body simply never runs. The epoch moves on first,
+// so a cleanup's V or Put skips the dying process's own waiter entry.
 func (k *Kernel) kill(p *proc) {
 	p.killed = true
 	p.epoch++
-	p.stop()
+	p.co.stop()
 	p.done = true
 	delete(k.procs, p.id)
 }
@@ -534,10 +587,10 @@ type proc struct {
 	k           *Kernel
 	id          int
 	name        string
-	next        func() (struct{}, bool) // switch into the process until it parks or ends
-	stop        func()                  // end the process: a pending park returns false
-	yield       func(struct{}) bool     // switch back to the kernel; set when the body starts
-	reason      WakeReason              // why the kernel last resumed the process
+	fn          func(*Proc) // the body; cleared when it starts
+	handle      Proc        // the public handle, allocated with the process
+	co          *coroutine  // the coroutine the process runs on
+	reason      WakeReason  // why the kernel last resumed the process
 	epoch       uint64
 	wakePending bool
 	done        bool
@@ -566,7 +619,7 @@ func (pp *Proc) park() WakeReason {
 	if p.killed {
 		panic(killSentinel{})
 	}
-	p.yield(struct{}{})
+	p.co.yield(struct{}{})
 	if p.killed {
 		panic(killSentinel{})
 	}

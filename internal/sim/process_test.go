@@ -218,3 +218,154 @@ func TestChooserRunReplaysBitIdentically(t *testing.T) {
 		t.Fatalf("replay diverged:\n first %v\n again %v", first, again)
 	}
 }
+
+// The tests below pin coroutine reuse: a process that finishes cleanly
+// leaves its coroutine on the kernel's idle list for the next Spawn.
+
+func TestFinishedCoroutineIsRecycled(t *testing.T) {
+	before := runtime.NumGoroutine()
+	k := NewKernel(1)
+	// Twenty processes one after another, each spawned a microsecond
+	// after the previous one finished.
+	var spawn func(i int)
+	spawn = func(i int) {
+		if i == 20 {
+			return
+		}
+		k.Spawn(fmt.Sprintf("short-%d", i), func(p *Proc) {
+			defer k.After(time.Microsecond, func() { spawn(i + 1) })
+			p.Sleep(time.Microsecond)
+			if i%2 == 1 {
+				p.Exit() // a clean completion too
+			}
+		})
+	}
+	spawn(0)
+	k.Run()
+	if len(k.idle) != 1 {
+		t.Fatalf("%d idle coroutines after 20 sequential processes, want the 1 they shared", len(k.idle))
+	}
+	if s := k.Stalled(); len(s) != 0 {
+		t.Fatalf("stalled %v: a finished process is still registered", s)
+	}
+	during := runtime.NumGoroutine()
+	k.Shutdown()
+	after := runtime.NumGoroutine()
+	// By inequality, as above: an earlier test's goroutines may still be
+	// exiting when this one starts counting.
+	if after > before {
+		t.Fatalf("%d goroutines after Shutdown, %d before the run: idle coroutines leaked", after, before)
+	}
+	if during-after < 1 {
+		t.Fatalf("Shutdown released %d goroutines (%d → %d), want the idle coroutine", during-after, during, after)
+	}
+}
+
+func TestRecycledCoroutineRunsItsOwnTenant(t *testing.T) {
+	// The second tenant of a coroutine must see its own name and its own
+	// wake reason, not what the first left behind.
+	k := NewKernel(1)
+	var got []string
+	k.Spawn("first", func(p *Proc) {
+		got = append(got, fmt.Sprintf("%s:%d", p.Name(), p.ParkTimeout(time.Millisecond)))
+	})
+	k.After(2*time.Millisecond, func() {
+		var w Waiter
+		k.Spawn("second", func(p *Proc) {
+			w = p.PrepareWait()
+			got = append(got, fmt.Sprintf("%s:%d", p.Name(), p.Park()))
+		})
+		if len(k.idle) != 0 {
+			t.Errorf("%d idle coroutines after the respawn, want first's to be taken", len(k.idle))
+		}
+		k.After(time.Millisecond, func() { k.Wake(w, WakeSignal) })
+	})
+	k.Run()
+	k.Shutdown()
+	want := []string{
+		fmt.Sprintf("first:%d", WakeTimeout),
+		fmt.Sprintf("second:%d", WakeSignal),
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("tenants saw %q, want %q", got, want)
+	}
+}
+
+func TestPanickedCoroutineIsNotReused(t *testing.T) {
+	k := NewKernel(1)
+	k.Spawn("boom", func(p *Proc) {
+		p.Sleep(time.Millisecond)
+		panic("bang")
+	})
+	if got, want := recovered(k.Run), `sim: process "boom" panicked: bang`; got != want {
+		t.Fatalf("Run re-raised %#v, want %q", got, want)
+	}
+	if len(k.idle) != 0 {
+		t.Fatalf("the panicked process's coroutine went onto the idle list")
+	}
+	// The kernel is still usable: the next process gets a fresh
+	// coroutine and runs to completion under its own name.
+	ran := ""
+	k.Spawn("next", func(p *Proc) {
+		p.Sleep(time.Millisecond)
+		ran = p.Name()
+	})
+	k.Run()
+	if ran != "next" {
+		t.Fatalf("process spawned after the panic ran as %q", ran)
+	}
+	k.Shutdown()
+}
+
+func TestShutdownKillsUnstartedTenantOfRecycledCoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	k := NewKernel(1)
+	k.Spawn("first", func(p *Proc) {})
+	k.Run()
+	ran := false
+	k.SpawnAt(Time(time.Hour), "late", func(p *Proc) { ran = true })
+	k.Shutdown()
+	if ran {
+		t.Fatal("Shutdown ran the body of a process that had not started")
+	}
+	if s := k.Stalled(); len(s) != 0 {
+		t.Fatalf("stalled %v after Shutdown", s)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("%d goroutines after Shutdown, %d before the run", after, before)
+	}
+}
+
+func TestChooserReplayWithRecycledCoroutines(t *testing.T) {
+	// Which coroutine a process lands on must not reach the schedule:
+	// waves of short-lived workers, each wave reusing the last one's
+	// coroutines, replay bit-identically from the recorded choices.
+	run := func(c *scriptChooser) []string {
+		k := NewKernel(7)
+		k.SetChooser(c)
+		var log []string
+		for wave := 0; wave < 3; wave++ {
+			k.After(Duration(wave)*time.Millisecond, func() {
+				for i := 0; i < 4; i++ {
+					k.Spawn(fmt.Sprintf("w%d.%d", wave, i), func(p *Proc) {
+						log = append(log, fmt.Sprintf("%s@%v#%d", p.Name(), p.Now(), k.Choose(3, "pick")))
+						p.Yield()
+						log = append(log, p.Name()+" done")
+					})
+				}
+			})
+		}
+		k.Run()
+		if len(k.idle) != 4 {
+			t.Errorf("%d idle coroutines after three waves of four, want 4", len(k.idle))
+		}
+		k.Shutdown()
+		return log
+	}
+	rec := &scriptChooser{rng: rand.New(rand.NewSource(3))}
+	first := run(rec)
+	rep := &scriptChooser{script: rec.made}
+	if again := run(rep); !reflect.DeepEqual(first, again) || !reflect.DeepEqual(rec.made, rep.made) {
+		t.Fatalf("replay diverged:\n first %v\n again %v", first, again)
+	}
+}

@@ -302,6 +302,14 @@ func (c *Cluster) Run(host HostID, main func(e *Env)) time.Duration {
 	})
 }
 
+// Close ends the simulation: every server process still parked is
+// unwound and the kernel's coroutines — live and idle — are released.
+// Without it they, and the page frames they reference, stay for the
+// life of the Go process, which only matters to a program that builds
+// many clusters. Read results first; the cluster must not be used
+// afterwards.
+func (c *Cluster) Close() { c.c.Close() }
+
 // StatsOf returns one host's DSM counters.
 func (c *Cluster) StatsOf(h HostID) DSMStats { return c.c.Hosts[h].DSM.Stats() }
 

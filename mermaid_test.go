@@ -1,6 +1,7 @@
 package mermaid
 
 import (
+	"runtime"
 	"testing"
 	"time"
 )
@@ -51,6 +52,38 @@ func TestQuickstartPattern(t *testing.T) {
 	}
 	if elapsed <= 0 {
 		t.Fatal("no virtual time elapsed")
+	}
+}
+
+// TestCloseReleasesTheCluster: after Close no goroutine of the cluster
+// is left — neither a parked server loop nor the coroutine a finished
+// thread or message handler left idle for reuse.
+func TestCloseReleasesTheCluster(t *testing.T) {
+	before := runtime.NumGoroutine()
+	c := twoKindCluster(t, nil)
+	c.DefineSemaphore(1, 0, 0)
+	worker := c.MustRegisterFunc(func(e *Env, args []uint32) {
+		e.WriteInt32(Addr(args[0]), 2*e.ReadInt32(Addr(args[0])))
+		e.V(1)
+	})
+	c.Run(0, func(e *Env) {
+		addr := e.MustAlloc(Int32, 1)
+		e.WriteInt32(addr, 21)
+		if _, err := e.CreateThread(1, worker, uint32(addr)); err != nil {
+			t.Error(err)
+			return
+		}
+		e.P(1)
+	})
+	during := runtime.NumGoroutine()
+	c.Close()
+	after := runtime.NumGoroutine()
+	// By inequality: an earlier test's goroutines may still be exiting.
+	if after > before {
+		t.Fatalf("%d goroutines after Close, %d before the cluster was built", after, before)
+	}
+	if during-after < 3 {
+		t.Fatalf("Close released %d goroutines (%d → %d), want at least the three hosts' server loops", during-after, during, after)
 	}
 }
 
