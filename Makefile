@@ -1,9 +1,9 @@
 # The check target runs exactly what CI runs (.github/workflows/ci.yml);
 # keep the two in lockstep.
 
-.PHONY: check build vet fmt test benchmark-check race mermaid-vet bench-files mc-smoke mc-deep chaos-smoke chaos-deep bench bench-smoke scale-smoke scale-deep
+.PHONY: check build vet fmt test benchmark-check race mermaid-vet mc-smoke mc-deep chaos-smoke chaos-deep bench bench-smoke scale-smoke scale-deep
 
-check: build vet fmt test benchmark-check race mermaid-vet bench-files mc-smoke chaos-smoke scale-smoke
+check: build vet fmt test benchmark-check race mermaid-vet mc-smoke chaos-smoke scale-smoke
 
 build:
 	go build ./...
@@ -39,38 +39,16 @@ mermaid-vet:
 	go run ./cmd/mermaid-vet ./...
 	go run ./cmd/mermaid-vet -json -max-elapsed-ms=5000 ./... > mermaid-vet.json
 
-# Wall-clock benchmark harness: run the Real* micro-benchmarks and
-# freeze the numbers into BENCH_1.json via mermaid-benchjson. The
-# intermediate text file keeps parse failures distinguishable from
-# benchmark failures.
+# Wall-clock benchmark harness: run the Real* micro-benchmarks, the
+# 1024-host kernel/fabric ones, the quorum fan-out and the RC twin/diff
+# ones in one invocation and freeze the numbers into BENCH.json via
+# mermaid-benchjson. The intermediate text file keeps parse failures
+# distinguishable from benchmark failures.
 bench:
-	go test -run '^$$' -bench Real -benchmem . > bench_real.txt
-	go run ./cmd/mermaid-benchjson -o BENCH_1.json < bench_real.txt
-	go run ./cmd/mermaid-benchjson -validate BENCH_1.json
+	go test -run '^$$' -bench 'Real|SimKernel1024Hosts|SimProcHandoff|SimSpawnExit|MCDFSBasic|ClusterStateHash|BusInvalidation|SwitchedInvalidation|QuorumFanout|RCDiffEncode|RCMerge' -benchmem . > bench_real.txt
+	go run ./cmd/mermaid-benchjson -o BENCH.json < bench_real.txt
+	go run ./cmd/mermaid-benchjson -validate BENCH.json
 	@rm -f bench_real.txt
-	go test -run '^$$' -bench 'SimKernel1024Hosts|SimProcHandoff|SimSpawnExit|MCDFSBasic|ClusterStateHash|BusInvalidation|SwitchedInvalidation' -benchmem . > bench_scale.txt
-	go run ./cmd/mermaid-benchjson -o BENCH_2.json < bench_scale.txt
-	go run ./cmd/mermaid-benchjson -validate BENCH_2.json
-	@rm -f bench_scale.txt
-	go test -run '^$$' -bench QuorumFanout -benchmem . > bench_quorum.txt
-	go run ./cmd/mermaid-benchjson -o BENCH_3.json < bench_quorum.txt
-	go run ./cmd/mermaid-benchjson -validate BENCH_3.json
-	@rm -f bench_quorum.txt
-	go test -run '^$$' -bench 'RCDiffEncode|RCMerge' -benchmem . > bench_rc.txt
-	go run ./cmd/mermaid-benchjson -o BENCH_4.json < bench_rc.txt
-	go run ./cmd/mermaid-benchjson -validate BENCH_4.json
-	@rm -f bench_rc.txt
-
-# Every frozen BENCH_N.json this Makefile regenerates must be checked
-# in: a bench step added without committing its baseline looks green
-# locally and silently ships no reference numbers (BENCH_3 did exactly
-# that for one release).
-bench-files:
-	@missing=0; \
-	for f in $$(grep -oh 'BENCH_[0-9]*\.json' Makefile | sort -u); do \
-		if [ ! -f "$$f" ]; then echo "missing frozen benchmark $$f (referenced by Makefile)" >&2; missing=1; fi; \
-	done; \
-	exit $$missing
 
 # CI variant: a handful of iterations only — proves the harness and the
 # JSON pipeline work without burning minutes on stable numbers.
@@ -80,105 +58,39 @@ bench-smoke:
 	go run ./cmd/mermaid-benchjson -validate bench_smoke.json
 	@rm -f bench_smoke.txt bench_smoke.json
 
-# Bounded model-checking smoke: exhaustive DFS over the 2-host smoke
-# workload (must stay clean) plus one representative mutation per
-# oracle family (must be killed). Budgeted to finish well under a
-# minute; the full sweep is mc-deep.
+# Bounded model-checking smoke, two processes: an exhaustive DFS over
+# the four engine/directory workloads (each must stay clean), then the
+# mutation-kill suite at the smoke budget (each of the 14 injected bugs
+# must be killed on its planned workload). Budgeted to finish in
+# seconds; the full sweep is mc-deep. `go test ./internal/mc` performs
+# the same runs (TestDFSClean, TestKillSuite).
 mc-smoke:
-	go run ./cmd/mermaid-mc -workload=basic -strategy=dfs -max-schedules=1200
-	go run ./cmd/mermaid-mc -workload=basic -mutation=skip-invalidation -max-schedules=100
-	go run ./cmd/mermaid-mc -workload=basic -mutation=skip-conversion -max-schedules=100
-	go run ./cmd/mermaid-mc -workload=dynamic -strategy=dfs -max-schedules=1200
-	go run ./cmd/mermaid-mc -workload=dynamic -mutation=stale-probable-owner -max-schedules=100
-	go run ./cmd/mermaid-mc -workload=quorum -strategy=dfs -max-schedules=1200
-	go run ./cmd/mermaid-mc -workload=quorum -mutation=stale-quorum-read -max-schedules=100
-	go run ./cmd/mermaid-mc -workload=quorum -mutation=split-brain-write -max-schedules=100
-	go run ./cmd/mermaid-mc -workload=rc -strategy=dfs -max-schedules=1200
-	go run ./cmd/mermaid-mc -workload=rc -mutation=lost-diff -max-schedules=100
-	go run ./cmd/mermaid-mc -workload=rc -mutation=stale-twin-merge -max-schedules=100
+	go run ./cmd/mermaid-mc -workload=basic,dynamic,quorum,rc -strategy=dfs -max-schedules=1200
+	go run ./cmd/mermaid-mc -kill -kill-budget=100
 
-# Chaos smoke: one seed per workload × fault class (24 campaigns).
-# Every run must survive its fault schedule — a violation prints a
-# replay token and fails the build. Budgeted for CI; chaos-deep widens
-# the seed range and double-runs everything for determinism.
+# Chaos smoke: one seed per workload × fault class (28 campaigns), one
+# process. Every run must survive its fault schedule — a violation
+# prints a replay token and fails the build. Budgeted for CI; chaos-deep
+# widens the seed range and double-runs everything for determinism.
 chaos-smoke:
-	go run ./cmd/mermaid-chaos -workload=slots -class=drop -seed=1 -runs=1
-	go run ./cmd/mermaid-chaos -workload=slots -class=partition -seed=1 -runs=1
-	go run ./cmd/mermaid-chaos -workload=slots -class=crash -seed=1 -runs=1
-	go run ./cmd/mermaid-chaos -workload=slots -class=mix -seed=1 -runs=1
-	go run ./cmd/mermaid-chaos -workload=counter -class=drop -seed=1 -runs=1
-	go run ./cmd/mermaid-chaos -workload=counter -class=partition -seed=1 -runs=1
-	go run ./cmd/mermaid-chaos -workload=counter -class=crash -seed=1 -runs=1
-	go run ./cmd/mermaid-chaos -workload=counter -class=mix -seed=1 -runs=1
-	go run ./cmd/mermaid-chaos -workload=handoff -class=drop -seed=1 -runs=1
-	go run ./cmd/mermaid-chaos -workload=handoff -class=partition -seed=1 -runs=1
-	go run ./cmd/mermaid-chaos -workload=handoff -class=crash -seed=1 -runs=1
-	go run ./cmd/mermaid-chaos -workload=handoff -class=mix -seed=1 -runs=1
-	go run ./cmd/mermaid-chaos -workload=forward -class=drop -seed=1 -runs=1
-	go run ./cmd/mermaid-chaos -workload=forward -class=partition -seed=1 -runs=1
-	go run ./cmd/mermaid-chaos -workload=forward -class=crash -seed=1 -runs=1
-	go run ./cmd/mermaid-chaos -workload=forward -class=mix -seed=1 -runs=1
-	go run ./cmd/mermaid-chaos -workload=switched -class=drop -seed=1 -runs=1
-	go run ./cmd/mermaid-chaos -workload=switched -class=partition -seed=1 -runs=1
-	go run ./cmd/mermaid-chaos -workload=switched -class=crash -seed=1 -runs=1
-	go run ./cmd/mermaid-chaos -workload=switched -class=mix -seed=1 -runs=1
-	go run ./cmd/mermaid-chaos -workload=quorum -class=drop -seed=1 -runs=1
-	go run ./cmd/mermaid-chaos -workload=quorum -class=partition -seed=1 -runs=1
-	go run ./cmd/mermaid-chaos -workload=quorum -class=crash -seed=1 -runs=1
-	go run ./cmd/mermaid-chaos -workload=quorum -class=mix -seed=1 -runs=1
-	go run ./cmd/mermaid-chaos -workload=rc -class=drop -seed=1 -runs=1
-	go run ./cmd/mermaid-chaos -workload=rc -class=partition -seed=1 -runs=1
-	go run ./cmd/mermaid-chaos -workload=rc -class=crash -seed=1 -runs=1
-	go run ./cmd/mermaid-chaos -workload=rc -class=mix -seed=1 -runs=1
+	go run ./cmd/mermaid-chaos -workload=all -class=all -seed=1 -runs=1
 
 # Nightly-depth chaos: 25 seeds per workload × class with a
-# determinism double-run (-verify) on every campaign.
+# determinism double-run (-verify) on every campaign, then the three
+# engine mutations the chaos oracles must kill.
 chaos-deep:
-	go run ./cmd/mermaid-chaos -workload=slots -class=drop -seed=1 -runs=25 -verify
-	go run ./cmd/mermaid-chaos -workload=slots -class=partition -seed=1 -runs=25 -verify
-	go run ./cmd/mermaid-chaos -workload=slots -class=crash -seed=1 -runs=25 -verify
-	go run ./cmd/mermaid-chaos -workload=slots -class=mix -seed=1 -runs=25 -verify
-	go run ./cmd/mermaid-chaos -workload=counter -class=drop -seed=1 -runs=25 -verify
-	go run ./cmd/mermaid-chaos -workload=counter -class=partition -seed=1 -runs=25 -verify
-	go run ./cmd/mermaid-chaos -workload=counter -class=crash -seed=1 -runs=25 -verify
-	go run ./cmd/mermaid-chaos -workload=counter -class=mix -seed=1 -runs=25 -verify
-	go run ./cmd/mermaid-chaos -workload=handoff -class=drop -seed=1 -runs=25 -verify
-	go run ./cmd/mermaid-chaos -workload=handoff -class=partition -seed=1 -runs=25 -verify
-	go run ./cmd/mermaid-chaos -workload=handoff -class=crash -seed=1 -runs=25 -verify
-	go run ./cmd/mermaid-chaos -workload=handoff -class=mix -seed=1 -runs=25 -verify
-	go run ./cmd/mermaid-chaos -workload=forward -class=drop -seed=1 -runs=25 -verify
-	go run ./cmd/mermaid-chaos -workload=forward -class=partition -seed=1 -runs=25 -verify
-	go run ./cmd/mermaid-chaos -workload=forward -class=crash -seed=1 -runs=25 -verify
-	go run ./cmd/mermaid-chaos -workload=forward -class=mix -seed=1 -runs=25 -verify
-	go run ./cmd/mermaid-chaos -workload=switched -class=drop -seed=1 -runs=25 -verify
-	go run ./cmd/mermaid-chaos -workload=switched -class=partition -seed=1 -runs=25 -verify
-	go run ./cmd/mermaid-chaos -workload=switched -class=crash -seed=1 -runs=25 -verify
-	go run ./cmd/mermaid-chaos -workload=switched -class=mix -seed=1 -runs=25 -verify
-	go run ./cmd/mermaid-chaos -workload=quorum -class=drop -seed=1 -runs=25 -verify
-	go run ./cmd/mermaid-chaos -workload=quorum -class=partition -seed=1 -runs=25 -verify
-	go run ./cmd/mermaid-chaos -workload=quorum -class=crash -seed=1 -runs=25 -verify
-	go run ./cmd/mermaid-chaos -workload=quorum -class=mix -seed=1 -runs=25 -verify
-	go run ./cmd/mermaid-chaos -workload=rc -class=drop -seed=1 -runs=25 -verify
-	go run ./cmd/mermaid-chaos -workload=rc -class=partition -seed=1 -runs=25 -verify
-	go run ./cmd/mermaid-chaos -workload=rc -class=crash -seed=1 -runs=25 -verify
-	go run ./cmd/mermaid-chaos -workload=rc -class=mix -seed=1 -runs=25 -verify
+	go run ./cmd/mermaid-chaos -workload=all -class=all -seed=1 -runs=25 -verify
 	go run ./cmd/mermaid-chaos -workload=quorum -class=mix -seed=1 -runs=5 -mutation=stale-quorum-read
 	go run ./cmd/mermaid-chaos -workload=quorum -class=mix -seed=1 -runs=5 -mutation=split-brain-write
 	go run ./cmd/mermaid-chaos -workload=rc -class=drop -seed=1 -runs=5 -mutation=lost-diff
 
 # Full mutation-kill suite plus a deeper clean sweep of every workload —
-# the nightly-depth run.
+# the nightly-depth run. -workload=all includes crash (failure detection
+# on, ≈9 s at this budget), which this target skipped while it spelled
+# its workloads out.
 mc-deep:
 	go run ./cmd/mermaid-mc -kill -kill-budget=500
-	go run ./cmd/mermaid-mc -workload=basic -strategy=dfs -max-schedules=5000
-	go run ./cmd/mermaid-mc -workload=matmul -strategy=dfs -max-schedules=5000
-	go run ./cmd/mermaid-mc -workload=ring -strategy=dfs -max-schedules=5000
-	go run ./cmd/mermaid-mc -workload=sem -strategy=dfs -max-schedules=5000
-	go run ./cmd/mermaid-mc -workload=barrier -strategy=dfs -max-schedules=5000
-	go run ./cmd/mermaid-mc -workload=update -strategy=dfs -max-schedules=5000
-	go run ./cmd/mermaid-mc -workload=dynamic -strategy=dfs -max-schedules=5000
-	go run ./cmd/mermaid-mc -workload=quorum -strategy=dfs -max-schedules=5000
-	go run ./cmd/mermaid-mc -workload=rc -strategy=dfs -max-schedules=5000
+	go run ./cmd/mermaid-mc -workload=all -strategy=dfs -max-schedules=5000
 	go run ./cmd/mermaid-mc -workload=basic -strategy=random -runs=2000
 	go run ./cmd/mermaid-mc -workload=matmul -strategy=delay -delays=3 -max-schedules=5000
 

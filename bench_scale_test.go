@@ -5,7 +5,7 @@ package mermaid
 // cluster is two orders of magnitude bigger than the paper's (1024
 // hosts instead of 5). These are wall-clock benchmarks of the
 // simulator; the events/s and frames/s metrics feed the before/after
-// table in EXPERIMENTS.md ("Wall-clock performance") via BENCH_2.json.
+// table in EXPERIMENTS.md ("Wall-clock performance") via BENCH.json.
 
 import (
 	"hash/fnv"

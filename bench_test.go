@@ -286,7 +286,7 @@ func BenchmarkQuorumFanout5Hosts(b *testing.B) { benchQuorumFanout(b, 5) }
 //
 // Wall-clock cost of the twin/diff machinery on the release path
 // (BenchmarkRCDiffEncode) and of the vector-timestamp payload merge on
-// the grant path (BenchmarkRCMerge). Frozen into BENCH_4.json by
+// the grant path (BenchmarkRCMerge). Frozen into BENCH.json by
 // `make bench`.
 
 func BenchmarkRCDiffEncode(b *testing.B) {

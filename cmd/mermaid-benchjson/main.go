@@ -3,8 +3,8 @@
 //
 // Usage:
 //
-//	go test -run '^$' -bench Real -benchmem . | mermaid-benchjson -o BENCH_1.json
-//	mermaid-benchjson -validate BENCH_1.json
+//	go test -run '^$' -bench Real -benchmem . | mermaid-benchjson -o BENCH.json
+//	mermaid-benchjson -validate BENCH.json
 //
 // The emitted JSON is deliberately timestamp-free so that re-running
 // the harness on unchanged code produces a minimal diff: only the

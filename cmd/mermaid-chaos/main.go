@@ -4,6 +4,7 @@
 //	go run ./cmd/mermaid-chaos -list
 //	go run ./cmd/mermaid-chaos -workload=slots -class=crash -seed=1 -runs=10
 //	go run ./cmd/mermaid-chaos -workload=counter -class=mix -seed=7 -verify
+//	go run ./cmd/mermaid-chaos -workload=all -class=drop,mix -seed=1
 //	go run ./cmd/mermaid-chaos -replay=chaos1:slots:crash:3
 //
 // Every run derives its fault schedule (burst loss, duplication,
@@ -20,6 +21,7 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/dsm"
+	"repro/internal/namelist"
 )
 
 func main() {
@@ -29,14 +31,14 @@ func main() {
 func run() int {
 	var (
 		list     = flag.Bool("list", false, "list workloads and schedule classes, then exit")
-		workload = flag.String("workload", "slots", "workload to torment (see -list)")
-		class    = flag.String("class", "crash", "fault schedule class: drop, partition, crash, mix")
+		workload = flag.String("workload", "slots", "workloads to torment: a name, a comma list, or all (see -list)")
+		class    = flag.String("class", "crash", "fault schedule classes: drop, partition, crash, mix; a comma list, or all")
 		seed     = flag.Int64("seed", 1, "base seed; run i uses seed+i")
 		runs     = flag.Int("runs", 1, "number of consecutive seeds to run")
 		verify   = flag.Bool("verify", false, "run each seed twice and require bit-identical outcomes")
 		replay   = flag.String("replay", "", "replay a chaos1:... token and print its fault plan and outcome")
 		maxSteps = flag.Int("max-steps", 0, "per-run event budget (0 = default; exceeding it is reported as hung)")
-		mutation = flag.String("mutation", "", "inject a named DSM protocol bug and require the campaign to catch it (exit 2 if it survives every run)")
+		mutation = flag.String("mutation", "none", "inject a named DSM protocol bug and require the campaign to catch it (exit 2 if it survives every run)")
 	)
 	flag.Parse()
 
@@ -53,23 +55,14 @@ func run() int {
 	}
 
 	opts := chaos.Opts{MaxSteps: *maxSteps}
-	if *mutation != "" {
-		if *verify || *replay != "" {
-			fmt.Fprintln(os.Stderr, "mermaid-chaos: -mutation cannot be combined with -verify or -replay")
-			return 1
-		}
-		found := false
-		for _, m := range dsm.Mutations() {
-			if m != dsm.MutNone && m.String() == *mutation {
-				opts.Mut = m
-				found = true
-				break
-			}
-		}
-		if !found {
-			fmt.Fprintf(os.Stderr, "mermaid-chaos: unknown mutation %q\n", *mutation)
-			return 1
-		}
+	var err error
+	if opts.Mut, err = dsm.ParseMutation(*mutation); err != nil {
+		fmt.Fprintln(os.Stderr, "mermaid-chaos:", err)
+		return 1
+	}
+	if opts.Mut != dsm.MutNone && (*verify || *replay != "") {
+		fmt.Fprintln(os.Stderr, "mermaid-chaos: -mutation cannot be combined with -verify or -replay")
+		return 1
 	}
 
 	if *replay != "" {
@@ -93,41 +86,66 @@ func run() int {
 		return 0
 	}
 
-	w, err := chaos.Lookup(*workload)
+	workloads, err := namelist.Resolve(*workload, chaos.All(), chaos.Lookup)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mermaid-chaos:", err)
 		return 1
 	}
-	cl, err := chaos.ParseClass(*class)
+	classes, err := namelist.Resolve(*class, chaos.Classes(), chaos.ParseClass)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mermaid-chaos:", err)
+		return 1
+	}
+	if *runs < 1 {
+		// Zero campaigns would print survived=0/0 and exit green.
+		fmt.Fprintf(os.Stderr, "mermaid-chaos: -runs=%d: need at least one run\n", *runs)
 		return 1
 	}
 
+	// Every workload × class cell runs in this process; the exit status
+	// is the worst cell's.
+	cell := sweep
 	if *verify {
-		bad := 0
-		for i := 0; i < *runs; i++ {
-			res, err := chaos.Verify(w, cl, *seed+int64(i), opts)
+		cell = sweepVerified
+	}
+	code := 0
+	for _, w := range workloads {
+		for _, cl := range classes {
+			c, err := cell(w, cl, *seed, *runs, opts)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "mermaid-chaos:", err)
 				return 1
 			}
-			fmt.Printf("%s %s (verified deterministic)\n", res.Token, res.Outcome)
-			if res.Outcome != chaos.OK {
-				fmt.Printf("  %s\n  replay: %s\n", res.Detail, res.Token)
-				bad++
-			}
+			code = max(code, c)
 		}
-		if bad > 0 {
-			return 2
-		}
-		return 0
 	}
+	return code
+}
 
-	series, err := chaos.RunSeries(w, cl, *seed, *runs, opts)
+// sweepVerified runs each seed of one cell twice and requires
+// bit-identical outcomes.
+func sweepVerified(w *chaos.Workload, cl chaos.Class, seed int64, runs int, opts chaos.Opts) (int, error) {
+	code := 0
+	for i := 0; i < runs; i++ {
+		res, err := chaos.Verify(w, cl, seed+int64(i), opts)
+		if err != nil {
+			return 0, err
+		}
+		fmt.Printf("%s %s (verified deterministic)\n", res.Token, res.Outcome)
+		if res.Outcome != chaos.OK {
+			fmt.Printf("  %s\n  replay: %s\n", res.Detail, res.Token)
+			code = 2
+		}
+	}
+	return code, nil
+}
+
+// sweep runs one cell's seed series and reports it: campaign by
+// campaign, or as a kill verdict when a mutation is injected.
+func sweep(w *chaos.Workload, cl chaos.Class, seed int64, runs int, opts chaos.Opts) (int, error) {
+	series, err := chaos.RunSeries(w, cl, seed, runs, opts)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "mermaid-chaos:", err)
-		return 1
+		return 0, err
 	}
 	if opts.Mut != dsm.MutNone {
 		// Kill semantics: the campaign hunts an injected bug, so at
@@ -135,11 +153,11 @@ func run() int {
 		// have a blind spot.
 		if len(series.Violations) > 0 {
 			fmt.Printf("mutation %s KILLED: caught in %d/%d run(s), first by %s\n",
-				opts.Mut, len(series.Violations), *runs, series.Violations[0])
-			return 0
+				opts.Mut, len(series.Violations), runs, series.Violations[0])
+			return 0, nil
 		}
-		fmt.Printf("mutation %s SURVIVED %d run(s)\n", opts.Mut, *runs)
-		return 2
+		fmt.Printf("mutation %s SURVIVED %d run(s) of %s/%s\n", opts.Mut, runs, w.Name, cl)
+		return 2, nil
 	}
 	for _, res := range series.Results {
 		fmt.Printf("%s %s", res.Token, res.Outcome)
@@ -157,7 +175,7 @@ func run() int {
 	}
 	fmt.Println(series)
 	if len(series.Violations) > 0 {
-		return 2
+		return 2, nil
 	}
-	return 0
+	return 0, nil
 }

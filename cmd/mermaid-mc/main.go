@@ -3,6 +3,7 @@
 //
 //	go run ./cmd/mermaid-mc -list
 //	go run ./cmd/mermaid-mc -workload=basic -strategy=dfs
+//	go run ./cmd/mermaid-mc -workload=basic,dynamic,quorum,rc -max-schedules=1200
 //	go run ./cmd/mermaid-mc -workload=basic -mutation=skip-invalidation
 //	go run ./cmd/mermaid-mc -replay=mc1:basic:skip-invalidation:0.2.1
 //	go run ./cmd/mermaid-mc -kill
@@ -24,6 +25,7 @@ import (
 
 	"repro/internal/dsm"
 	"repro/internal/mc"
+	"repro/internal/namelist"
 )
 
 func main() {
@@ -33,7 +35,7 @@ func main() {
 func run() int {
 	var (
 		list         = flag.Bool("list", false, "list workloads and mutations, then exit")
-		workload     = flag.String("workload", "basic", "workload to explore (see -list)")
+		workload     = flag.String("workload", "basic", "workloads to explore: a name, a comma list, or all (see -list)")
 		strategy     = flag.String("strategy", "dfs", "exploration strategy: dfs, random, or delay")
 		mutation     = flag.String("mutation", "none", "protocol mutation to inject (see -list)")
 		maxSchedules = flag.Int("max-schedules", 2000, "schedule budget for dfs/delay strategies")
@@ -99,7 +101,7 @@ func run() int {
 		return 0
 	}
 
-	w, err := mc.Lookup(*workload)
+	workloads, err := namelist.Resolve(*workload, mc.All(), mc.Lookup)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mermaid-mc:", err)
 		return 1
@@ -110,37 +112,42 @@ func run() int {
 		return 1
 	}
 
-	var rep *mc.Report
-	switch *strategy {
-	case "dfs":
-		rep, err = mc.RunDFS(w, mut, mc.DFSOpts{
-			MaxSchedules: *maxSchedules, MaxSteps: *maxSteps, MaxDepth: *depth, NoPrune: *noPrune,
-		})
-	case "random":
-		rep, err = mc.RunRandom(w, mut, mc.RandomOpts{Runs: *runs, Seed: *seed, MaxSteps: *maxSteps})
-	case "delay":
-		rep, err = mc.RunDelayBounded(w, mut, mc.DelayOpts{
-			MaxDelays: *delays, MaxSchedules: *maxSchedules, MaxSteps: *maxSteps,
-		})
-	default:
-		fmt.Fprintf(os.Stderr, "mermaid-mc: unknown strategy %q (dfs, random, delay)\n", *strategy)
-		return 1
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "mermaid-mc:", err)
-		return 1
-	}
-	fmt.Println(rep)
+	// Every listed workload is explored in this process; the exit status
+	// is the worst verdict.
+	code := 0
+	for _, w := range workloads {
+		var rep *mc.Report
+		switch *strategy {
+		case "dfs":
+			rep, err = mc.RunDFS(w, mut, mc.DFSOpts{
+				MaxSchedules: *maxSchedules, MaxSteps: *maxSteps, MaxDepth: *depth, NoPrune: *noPrune,
+			})
+		case "random":
+			rep, err = mc.RunRandom(w, mut, mc.RandomOpts{Runs: *runs, Seed: *seed, MaxSteps: *maxSteps})
+		case "delay":
+			rep, err = mc.RunDelayBounded(w, mut, mc.DelayOpts{
+				MaxDelays: *delays, MaxSchedules: *maxSchedules, MaxSteps: *maxSteps,
+			})
+		default:
+			fmt.Fprintf(os.Stderr, "mermaid-mc: unknown strategy %q (dfs, random, delay)\n", *strategy)
+			return 1
+		}
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "mermaid-mc:", err)
+			return 1
+		}
+		fmt.Println(rep)
 
-	// The verdict: a correct protocol must survive every schedule; a
-	// mutated one must not survive the exploration.
-	if mut == dsm.MutNone && rep.Violating != nil {
-		fmt.Fprintln(os.Stderr, "mermaid-mc: violation on the unmutated protocol")
-		return 2
+		// The verdict: a correct protocol must survive every schedule; a
+		// mutated one must not survive the exploration.
+		if mut == dsm.MutNone && rep.Violating != nil {
+			fmt.Fprintf(os.Stderr, "mermaid-mc: %s: violation on the unmutated protocol\n", w.Name)
+			code = 2
+		}
+		if mut != dsm.MutNone && rep.Violating == nil {
+			fmt.Fprintf(os.Stderr, "mermaid-mc: %s: mutation %s not detected within budget\n", w.Name, mut)
+			code = 2
+		}
 	}
-	if mut != dsm.MutNone && rep.Violating == nil {
-		fmt.Fprintf(os.Stderr, "mermaid-mc: mutation %s not detected within budget\n", mut)
-		return 2
-	}
-	return 0
+	return code
 }

@@ -76,10 +76,11 @@ func TestPlanGeneration(t *testing.T) {
 }
 
 // TestSmokeSeedsClean is the committed smoke matrix: every workload ×
-// every class across the CI seeds must pass every oracle. These are
-// the exact runs `make chaos-smoke` executes; a failure here is either
-// a protocol bug (the token reproduces it) or a workload assertion
-// that is stricter than crash-stop semantics allow.
+// every class across the CI seeds must pass every oracle. Seed 1 of
+// the grid is exactly what `make chaos-smoke` runs (one process,
+// -workload=all -class=all); a failure here is either a protocol bug
+// (the token reproduces it) or a workload assertion that is stricter
+// than crash-stop semantics allow.
 func TestSmokeSeedsClean(t *testing.T) {
 	seeds := []int64{1, 2, 3}
 	if testing.Short() {

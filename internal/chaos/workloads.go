@@ -88,95 +88,40 @@ const (
 	chaosSemSlot = 4 // +w: the rc workload's per-worker interval brackets
 )
 
-// buildChaosCluster assembles the standard chaos cluster: calibrated
-// cost model, central manager on never-crashed host 0, failure
-// detection, invariant checker and SC recorder attached.
-func buildChaosCluster(seed int64, kinds []arch.Kind, plan *netsim.FaultPlan, mut dsm.Mutation) (*cluster.Cluster, *sctrace.Recorder, *traceLog, error) {
+// newInstance assembles the standard chaos cluster — calibrated cost
+// model, central manager on never-crashed host 0, failure detection,
+// invariant checker and SC recorder attached — and hands the config to
+// tune (nil for the standard cluster) for the one or two fields a
+// workload's engine, directory or topology changes. The caller sets
+// Main.
+func newInstance(seed int64, kinds []arch.Kind, plan *netsim.FaultPlan, mut dsm.Mutation, tune func(*cluster.Config)) (*Instance, error) {
 	hosts := make([]cluster.HostSpec, len(kinds))
 	for i, k := range kinds {
 		hosts[i] = cluster.HostSpec{Kind: k}
 	}
-	rec := sctrace.NewRecorder()
-	tl := &traceLog{}
-	c, err := cluster.New(cluster.Config{
+	inst := &Instance{Rec: sctrace.NewRecorder(), Trace: &traceLog{}}
+	cfg := cluster.Config{
 		Hosts:            hosts,
 		PageSize:         chaosPageSize,
 		SpaceSize:        chaosSpaceSize,
 		Seed:             seed,
-		CentralManager:   true,
+		Directory:        dsm.DirCentral,
 		FailureDetection: true,
 		InvariantChecks:  true,
-		SCTrace:          rec,
+		SCTrace:          inst.Rec,
 		FaultPlan:        plan,
-		Trace:            tl.observe,
+		Trace:            inst.Trace.observe,
 		Mutation:         mut,
-	})
+	}
+	if tune != nil {
+		tune(&cfg)
+	}
+	c, err := cluster.New(cfg)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
-	return c, rec, tl, nil
-}
-
-// buildSwitchedChaosCluster is buildChaosCluster on a switched
-// multi-segment topology instead of the shared bus, so fault windows
-// land on cross-segment protocol exchanges and broadcasts expand along
-// the multicast tree.
-func buildSwitchedChaosCluster(seed int64, kinds []arch.Kind, topo *netsim.Topology, plan *netsim.FaultPlan, mut dsm.Mutation) (*cluster.Cluster, *sctrace.Recorder, *traceLog, error) {
-	hosts := make([]cluster.HostSpec, len(kinds))
-	for i, k := range kinds {
-		hosts[i] = cluster.HostSpec{Kind: k}
-	}
-	rec := sctrace.NewRecorder()
-	tl := &traceLog{}
-	c, err := cluster.New(cluster.Config{
-		Hosts:            hosts,
-		PageSize:         chaosPageSize,
-		SpaceSize:        chaosSpaceSize,
-		Seed:             seed,
-		Topology:         topo,
-		CentralManager:   true,
-		FailureDetection: true,
-		InvariantChecks:  true,
-		SCTrace:          rec,
-		FaultPlan:        plan,
-		Trace:            tl.observe,
-		Mutation:         mut,
-	})
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return c, rec, tl, nil
-}
-
-// buildDynChaosCluster is buildChaosCluster under the dynamic
-// distributed directory (Li & Hudak probable-owner forwarding) instead
-// of the central manager: ownership requests chase hint chains, so
-// crashes and partitions land mid-forward and exercise the dynamic
-// directory's lazy chain repair.
-func buildDynChaosCluster(seed int64, kinds []arch.Kind, plan *netsim.FaultPlan, mut dsm.Mutation) (*cluster.Cluster, *sctrace.Recorder, *traceLog, error) {
-	hosts := make([]cluster.HostSpec, len(kinds))
-	for i, k := range kinds {
-		hosts[i] = cluster.HostSpec{Kind: k}
-	}
-	rec := sctrace.NewRecorder()
-	tl := &traceLog{}
-	c, err := cluster.New(cluster.Config{
-		Hosts:            hosts,
-		PageSize:         chaosPageSize,
-		SpaceSize:        chaosSpaceSize,
-		Seed:             seed,
-		Directory:        dsm.DirDynamic,
-		FailureDetection: true,
-		InvariantChecks:  true,
-		SCTrace:          rec,
-		FaultPlan:        plan,
-		Trace:            tl.observe,
-		Mutation:         mut,
-	})
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return c, rec, tl, nil
+	inst.C = c
+	return inst, nil
 }
 
 // anyDead reports whether host 0's detector has declared any peer dead.
@@ -229,878 +174,609 @@ func All() []*Workload {
 }
 
 func init() {
-	register(slotsWorkload())
-	register(counterWorkload())
-	register(handoffWorkload())
-	register(forwardWorkload())
-	register(switchedWorkload())
-	register(quorumWorkload())
-	register(rcWorkload())
+	for _, s := range []*stampPattern{slotsWorkload, switchedWorkload, quorumWorkload, rcWorkload, forwardWorkload} {
+		register(s.workload())
+	}
+	for _, s := range []*lockedPattern{counterWorkload, handoffWorkload} {
+		register(s.workload())
+	}
 }
 
-// buildRCChaosCluster is buildChaosCluster under the lazy-release
-// policy. The central manager puts every page's home on never-crashed
-// host 0, so the diff log — the only authoritative copy of released
-// intervals — survives every fault the plans inject: RC has no copyset
-// recovery to run, and a crashed host only takes its own unreleased
-// intervals to the grave, which release consistency says never existed.
-func buildRCChaosCluster(seed int64, kinds []arch.Kind, plan *netsim.FaultPlan, mut dsm.Mutation) (*cluster.Cluster, *sctrace.Recorder, *traceLog, error) {
-	hosts := make([]cluster.HostSpec, len(kinds))
-	for i, k := range kinds {
-		hosts[i] = cluster.HostSpec{Kind: k}
-	}
-	rec := sctrace.NewRecorder()
-	tl := &traceLog{}
-	c, err := cluster.New(cluster.Config{
-		Hosts:            hosts,
-		PageSize:         chaosPageSize,
-		SpaceSize:        chaosSpaceSize,
-		Seed:             seed,
-		Policy:           dsm.PolicyRC,
-		CentralManager:   true,
-		FailureDetection: true,
-		InvariantChecks:  true,
-		SCTrace:          rec,
-		FaultPlan:        plan,
-		Trace:            tl.observe,
-		Mutation:         mut,
-	})
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return c, rec, tl, nil
+// stampPattern is the scenario five of the workloads share, stated
+// once: three writers each stamp their own slot with a monotone
+// sequence number, mirrored in a second word of the same access (so a
+// recovered slot is either a complete snapshot or wrong); the
+// coordinator polls every slot while they run; after the settle phase
+// a list of final probes must read each slot back mirrored and no newer
+// than its writer's last completed stamp — exact when nobody died and
+// no writer stopped. The fields are the decision points: a workload is
+// a literal stating where it differs.
+type stampPattern struct {
+	name, desc string
+	// kinds lists the hosts' architectures; host 0 is the coordinator.
+	kinds []arch.Kind
+	// tune edits the standard cluster config (see newInstance).
+	tune func(*cluster.Config)
+	// prepare edits the generated fault plan before the cluster is built.
+	prepare func(seed int64, plan *netsim.FaultPlan)
+	// writers places writer w on a host; procName (one %d) names its
+	// simulated process.
+	writers  [3]int
+	procName string
+	rounds   int32
+	// onePage packs the three slots into one page as disjoint pairs
+	// instead of giving each writer a page of its own.
+	onePage bool
+	// Writer w sleeps dwell + w·stagger between stamps.
+	dwell, stagger time.Duration
+	// bracket wraps every stamp in the writer's own acquire/release
+	// pair, and makes exactness wait for the writer to have finished.
+	bracket bool
+	// lossless engines keep every page through every fault the plans
+	// inject, so a final read may never fail; the others tolerate
+	// ErrPageLost once a host died (tolerableLost).
+	lossless bool
+	// slack is how far past the writer's last completed stamp a slot
+	// may legitimately read.
+	slack int32
+	// probes lists the final reads, in order, once the run has settled.
+	probes func(c *cluster.Cluster) []probe
+	// judge, when set, checks the completion times of the coordinator's
+	// successful polls against the fault plan.
+	judge func(plan *netsim.FaultPlan, completions []sim.Time) error
 }
 
-// rcWorkload runs the slots pattern under lazy release consistency:
-// each worker stamps its private page with a mirrored pair inside its
-// own acquire/release bracket, so every round pushes one interval's
-// diff to the home on host 0. The coordinator polls without acquiring —
-// legal under RC (an unsynchronized read is concurrent with every
-// interval it did not acquire) and never torn, because an interval's
-// diff is applied to the home image atomically. A worker whose release
-// cannot reach home retires with the error: release consistency has no
-// quietly-degraded mode — an interval is pushed or it never happened.
-// Final assertions: the coordinator reads the home image directly and a
-// surviving witness host fetches it fresh; both must see each slot
-// mirrored and no newer than the writer's last completed stamp, exact
-// when nobody died and every worker finished.
-func rcWorkload() *Workload {
-	const rounds = 6
+// probe is one final read: reader loads slot.
+type probe struct {
+	reader *cluster.Host
+	slot   int
+}
+
+func (s *stampPattern) workload() *Workload {
 	return &Workload{
-		Name:  "rc",
-		Desc:  "3 hosts, lazy release consistency: per-worker interval stamps + unsynchronized polling coordinator",
-		Hosts: 3,
+		Name:  s.name,
+		Desc:  s.desc,
+		Hosts: len(s.kinds),
 		Build: func(seed int64, plan *netsim.FaultPlan, mut dsm.Mutation) (*Instance, error) {
-			c, rec, tl, err := buildRCChaosCluster(seed, []arch.Kind{arch.Sun, arch.Firefly, arch.Firefly}, plan, mut)
+			if s.prepare != nil {
+				s.prepare(seed, plan)
+			}
+			inst, err := newInstance(seed, s.kinds, plan, mut, s.tune)
 			if err != nil {
 				return nil, err
 			}
-			for w := 0; w < 3; w++ {
-				c.DefineSemaphore(chaosSemSlot+uint32(w), 0, 1)
+			if s.bracket {
+				for w := range s.writers {
+					inst.C.DefineSemaphore(chaosSemSlot+uint32(w), 0, 1)
+				}
 			}
-			main := func(p *sim.Proc, c *cluster.Cluster) error {
-				h0 := c.Hosts[0]
-				var pages [3]dsm.Addr
-				for i := range pages {
-					if pages[i], err = h0.DSM.Alloc(p, conv.Int32, chaosPageInts); err != nil {
-						return err
-					}
-				}
-				var last [3]int32
-				var stopped [3]error
-				var finished [3]bool
-				for w := 0; w < 3; w++ {
-					w := w
-					host := c.Hosts[w]
-					sem := chaosSemSlot + uint32(w)
-					c.K.Spawn(fmt.Sprintf("rc-writer%d", w), func(wp *sim.Proc) {
-						for i := int32(1); i <= rounds; i++ {
-							if err := host.Sync.PE(wp, sem); err != nil {
-								stopped[w] = err
-								return
-							}
-							if err := host.DSM.WriteInt32sE(wp, pages[w], []int32{i, i}); err != nil {
-								stopped[w] = err
-								host.Sync.VE(wp, sem) // best-effort close before retiring
-								return
-							}
-							last[w] = i
-							// The V both releases the bracket and pushes the
-							// interval's diff home; a push the fabric swallows
-							// surfaces here.
-							if err := host.Sync.VE(wp, sem); err != nil {
-								stopped[w] = err
-								return
-							}
-							wp.Sleep(2*workPeriod + time.Duration(w)*17*time.Millisecond)
-						}
-						finished[w] = true
-					})
-				}
-				// Poll without acquiring: the first read faults each page in
-				// from home, and host 0's copy IS the home image, updated in
-				// place as diffs arrive — so the poll watches the intervals
-				// land. A torn pair here means a diff applied non-atomically.
-				for c.K.Now() < sim.Time(activePhase) {
-					for w := 0; w < 3; w++ {
-						var pair [2]int32
-						if err := h0.DSM.ReadInt32sE(p, pages[w], pair[:]); err == nil && pair[0] != pair[1] {
-							return fmt.Errorf("poll saw torn slot %d: %v", w, pair)
-						}
-					}
-					p.Sleep(pollPeriod)
-				}
-				p.Sleep(settlePhase)
-
-				died := anyDead(c)
-				strict := !died
-				for w := 0; w < 3; w++ {
-					// A retransmission-delayed straggler can still be mid-round
-					// at judgment time with nothing stopped; exactness needs
-					// the worker to have pushed its final interval.
-					if stopped[w] != nil || !finished[w] {
-						strict = false
-					}
-				}
-				// A witness that never touched the pages fetches them fresh
-				// from home — the cross-host proof that released intervals
-				// survived the fault horizon. Worker hosts only ever fault
-				// their own page, so host 2 is a fresh reader for slots 0
-				// and 1, host 1 for slot 2.
-				for w := 0; w < 3; w++ {
-					witness := c.Hosts[2-w/2]
-					readers := []*cluster.Host{h0}
-					if !h0.Detect.Dead(witness.ID) {
-						readers = append(readers, witness)
-					}
-					for _, reader := range readers {
-						var pair [2]int32
-						if err := reader.DSM.ReadInt32sE(p, pages[w], pair[:]); err != nil {
-							// Homes never crash, so RC never loses a page: a
-							// final read may not fail.
-							return fmt.Errorf("host %d: slot %d unreadable after settle: %w", reader.ID, w, err)
-						}
-						if pair[0] != pair[1] {
-							return fmt.Errorf("host %d: slot %d torn after settle: %v", reader.ID, w, pair)
-						}
-						if pair[0] < 0 || pair[0] > last[w] {
-							return fmt.Errorf("host %d: slot %d = %d, never released (writer completed %d)", reader.ID, w, pair[0], last[w])
-						}
-						if strict && pair[0] != rounds {
-							return fmt.Errorf("host %d: slot %d = %d, want %d with every host alive", reader.ID, w, pair[0], rounds)
-						}
-					}
-				}
-				return nil
-			}
-			return &Instance{C: c, Rec: rec, Trace: tl, Main: main}, nil
+			inst.Main = func(p *sim.Proc, c *cluster.Cluster) error { return s.run(p, c, plan) }
+			return inst, nil
 		},
 	}
 }
 
-// buildQuorumChaosCluster is buildChaosCluster under the SC-ABD quorum
-// policy: every page is replicated at every host and every operation
-// completes at a majority, so this is the one cluster whose workload
-// can demand *progress during* a partition, not just after it heals.
-func buildQuorumChaosCluster(seed int64, kinds []arch.Kind, plan *netsim.FaultPlan, mut dsm.Mutation) (*cluster.Cluster, *sctrace.Recorder, *traceLog, error) {
-	hosts := make([]cluster.HostSpec, len(kinds))
-	for i, k := range kinds {
-		hosts[i] = cluster.HostSpec{Kind: k}
+// stamp is one writer round: the mirrored pair i, inside the writer's
+// bracket when the pattern has one.
+func (s *stampPattern) stamp(wp *sim.Proc, host *cluster.Host, sem uint32, slot dsm.Addr, i int32, last *int32) error {
+	if s.bracket {
+		if err := host.Sync.PE(wp, sem); err != nil {
+			return err
+		}
 	}
-	rec := sctrace.NewRecorder()
-	tl := &traceLog{}
-	c, err := cluster.New(cluster.Config{
-		Hosts:            hosts,
-		PageSize:         chaosPageSize,
-		SpaceSize:        chaosSpaceSize,
-		Seed:             seed,
-		Policy:           dsm.PolicyQuorum,
-		CentralManager:   true,
-		FailureDetection: true,
-		InvariantChecks:  true,
-		SCTrace:          rec,
-		FaultPlan:        plan,
-		Trace:            tl.observe,
-		Mutation:         mut,
-	})
-	if err != nil {
-		return nil, nil, nil, err
+	if err := host.DSM.WriteInt32sE(wp, slot, []int32{i, i}); err != nil {
+		if s.bracket {
+			host.Sync.VE(wp, sem) // best-effort close before retiring
+		}
+		return err
 	}
-	return c, rec, tl, nil
+	*last = i
+	if s.bracket {
+		// The V both releases the bracket and pushes the interval's diff
+		// home; a push the fabric swallows surfaces here.
+		return host.Sync.VE(wp, sem)
+	}
+	return nil
 }
 
-// quorumWorkload runs the slots pattern under SC-ABD majority quorum on
-// five hosts, with the availability oracle the quorum engine exists
-// for: the coordinator records the completion time of every successful
-// poll, and for each sufficiently long partition window the run FAILS
-// unless some poll completed *while the partition was open* — the
-// majority side must keep computing, not merely recover after the
-// heal. Five hosts make every generated plan majority-preserving once
-// the partitions are re-aimed at a single victim (below): one host cut
-// plus one host crashed still leaves host 0 in a three-host component,
-// and a majority of three is a quorum of five. Quorum replication has
-// no sole-owner data loss, so unlike the MRSW workloads the final reads
-// must succeed even after a crash — ErrPageLost is never tolerable.
-func quorumWorkload() *Workload {
-	const rounds = 12
-	// livenessWindow is the shortest partition the progress oracle
-	// judges: the coordinator polls every pollPeriod, so a window this
-	// long sees several whole poll rounds even if frame loss costs a
-	// round a retransmission timeout or two.
-	const livenessWindow = 500 * time.Millisecond
-	return &Workload{
-		Name:  "quorum",
-		Desc:  "5 hosts, SC-ABD majority quorum: per-host writers + polling coordinator (progress during partitions)",
-		Hosts: 5,
-		Build: func(seed int64, plan *netsim.FaultPlan, mut dsm.Mutation) (*Instance, error) {
-			// The generator cuts one host per partition window, but two
-			// windows may overlap on different victims; together with the
-			// mix class's crash that could strand host 0 in a two-host
-			// component — below any quorum. Re-aim every window at the
-			// first victim: the same windows in time, never more than one
-			// host cut at once, majority component guaranteed.
-			for i := 1; i < len(plan.Partitions); i++ {
-				plan.Partitions[i].Group = plan.Partitions[0].Group
-			}
-			kinds := []arch.Kind{arch.Sun, arch.Firefly, arch.Sun, arch.Firefly, arch.Sun}
-			c, rec, tl, err := buildQuorumChaosCluster(seed, kinds, plan, mut)
-			if err != nil {
-				return nil, err
-			}
-			main := func(p *sim.Proc, c *cluster.Cluster) error {
-				h0 := c.Hosts[0]
-				var pages [3]dsm.Addr
-				for i := range pages {
-					if pages[i], err = h0.DSM.Alloc(p, conv.Int32, chaosPageInts); err != nil {
-						return err
-					}
-				}
-				var last [3]int32
-				var stopped [3]error
-				for w := 0; w < 3; w++ {
-					w := w
-					host := c.Hosts[w+1]
-					c.K.Spawn(fmt.Sprintf("quorum-writer%d", w), func(wp *sim.Proc) {
-						for i := int32(1); i <= rounds; i++ {
-							if err := host.DSM.WriteInt32sE(wp, pages[w], []int32{i, i}); err != nil {
-								stopped[w] = err
-								return
-							}
-							last[w] = i
-							wp.Sleep(2*workPeriod + time.Duration(w)*17*time.Millisecond)
-						}
-					})
-				}
-				// Poll while the writers run, recording when each success
-				// completed — the raw material for the partition-progress
-				// oracle. Host 0 is never cut, so it is always in the
-				// majority component and its reads must keep completing.
-				var completions []sim.Time
-				for c.K.Now() < sim.Time(activePhase) {
-					for w := 0; w < 3; w++ {
-						var pair [2]int32
-						if err := h0.DSM.ReadInt32sE(p, pages[w], pair[:]); err == nil {
-							if pair[0] != pair[1] {
-								return fmt.Errorf("poll saw torn slot %d: %v", w, pair)
-							}
-							completions = append(completions, c.K.Now())
-						}
-					}
-					p.Sleep(pollPeriod)
-				}
-				p.Sleep(settlePhase)
-
-				// Liveness under partition: for every long-enough window,
-				// some coordinator poll must have completed while the cut
-				// was open. The guarantee is partition-tolerance — prompt
-				// delivery among the majority — so windows overlapped by a
-				// loss or corruption burst are exempt: with the quorum cut
-				// to the bare majority, every dropped frame costs a full
-				// request timeout, and that stall is the burst's doing,
-				// not the partition's.
-				for _, pt := range plan.Partitions {
-					if pt.Until-pt.From < sim.Time(livenessWindow) {
-						continue
-					}
-					lossy := false
-					for _, b := range append(append([]netsim.Burst{}, plan.Loss...), plan.Corrupt...) {
-						until := b.Until
-						if until == 0 {
-							until = sim.Time(activePhase + settlePhase)
-						}
-						if b.From < pt.Until && until > pt.From {
-							lossy = true
-							break
-						}
-					}
-					if lossy {
-						continue
-					}
-					progressed := false
-					for _, t := range completions {
-						if t >= pt.From && t < pt.Until {
-							progressed = true
-							break
-						}
-					}
-					if !progressed {
-						return fmt.Errorf("no coordinator op completed during partition [%v, %v): the majority component stalled",
-							time.Duration(pt.From), time.Duration(pt.Until))
-					}
-				}
-
-				died := anyDead(c)
-				strict := !died
-				for w := 0; w < 3; w++ {
-					if stopped[w] != nil {
-						strict = false
-					}
-				}
-				// A witness on a surviving non-coordinator host forces a
-				// second quorum assembly for each page.
-				witness := h0
-				for h := 1; h < len(c.Hosts); h++ {
-					if !h0.Detect.Dead(cluster.HostID(h)) {
-						witness = c.Hosts[h]
-						break
-					}
-				}
-				for _, reader := range []*cluster.Host{h0, witness} {
-					for w := 0; w < 3; w++ {
-						var pair [2]int32
-						if err := reader.DSM.ReadInt32sE(p, pages[w], pair[:]); err != nil {
-							// Majority replication tolerates every fault the
-							// plans inject: a final read may never fail.
-							return fmt.Errorf("host %d: slot %d unreadable after settle: %w", reader.ID, w, err)
-						}
-						if pair[0] != pair[1] {
-							return fmt.Errorf("host %d: slot %d torn after settle: %v", reader.ID, w, pair)
-						}
-						// +1: a writer killed mid-operation records nothing,
-						// but its in-flight write may still have reached
-						// enough replicas for a later read to adopt and
-						// write back — ABD's interrupted writes linearize,
-						// they do not roll back like an MRSW owner's.
-						if pair[0] < 0 || pair[0] > last[w]+1 {
-							return fmt.Errorf("host %d: slot %d = %d, never written (writer completed %d)", reader.ID, w, pair[0], last[w])
-						}
-						if strict && pair[0] != rounds {
-							return fmt.Errorf("host %d: slot %d = %d, want %d with every host alive", reader.ID, w, pair[0], rounds)
-						}
-					}
-				}
-				return nil
-			}
-			return &Instance{C: c, Rec: rec, Trace: tl, Main: main}, nil
-		},
+func (s *stampPattern) run(p *sim.Proc, c *cluster.Cluster, plan *netsim.FaultPlan) error {
+	noun, verb := "slot", "written"
+	if s.onePage {
+		noun = "pair"
 	}
+	if s.bracket {
+		verb = "released"
+	}
+	h0 := c.Hosts[0]
+	var slots [3]dsm.Addr
+	for w := range slots {
+		if s.onePage && w > 0 {
+			slots[w] = slots[0] + dsm.Addr(8*w)
+			continue
+		}
+		var err error
+		if slots[w], err = h0.DSM.Alloc(p, conv.Int32, chaosPageInts); err != nil {
+			return err
+		}
+	}
+	var last [3]int32
+	var stopped [3]error
+	var finished [3]bool
+	for w := range slots {
+		host := c.Hosts[s.writers[w]]
+		c.K.Spawn(fmt.Sprintf(s.procName, w), func(wp *sim.Proc) {
+			for i := int32(1); i <= s.rounds; i++ {
+				// A writer that hits a fault retires with the error.
+				if stopped[w] = s.stamp(wp, host, chaosSemSlot+uint32(w), slots[w], i, &last[w]); stopped[w] != nil {
+					return
+				}
+				wp.Sleep(s.dwell + time.Duration(w)*s.stagger)
+			}
+			finished[w] = true
+		})
+	}
+	// Poll while the writers run: transient errors during fault windows
+	// are the fabric's business, but every successful read refreshes
+	// this host's replica — the copy recovery runs on — and its
+	// completion time is the raw material for judge.
+	var completions []sim.Time
+	for c.K.Now() < sim.Time(activePhase) {
+		for w := range slots {
+			var pair [2]int32
+			if err := h0.DSM.ReadInt32sE(p, slots[w], pair[:]); err == nil {
+				if pair[0] != pair[1] {
+					return fmt.Errorf("poll saw torn %s %d: %v", noun, w, pair)
+				}
+				completions = append(completions, c.K.Now())
+			}
+		}
+		p.Sleep(pollPeriod)
+	}
+	p.Sleep(settlePhase)
+	if s.judge != nil {
+		if err := s.judge(plan, completions); err != nil {
+			return err
+		}
+	}
+
+	died := anyDead(c)
+	strict := !died
+	for w := range slots {
+		// Under a bracket a retransmission-delayed straggler can still
+		// be mid-round at judgment time with nothing stopped; exactness
+		// needs the worker to have pushed its final interval.
+		if stopped[w] != nil || s.bracket && !finished[w] {
+			strict = false
+		}
+	}
+	for _, pr := range s.probes(c) {
+		reader, w := pr.reader, pr.slot
+		var pair [2]int32
+		err := reader.DSM.ReadInt32sE(p, slots[w], pair[:])
+		switch {
+		case err == nil:
+			if pair[0] != pair[1] {
+				return fmt.Errorf("host %d: %s %d torn after settle: %v", reader.ID, noun, w, pair)
+			}
+			if pair[0] < 0 || pair[0] > last[w]+s.slack {
+				return fmt.Errorf("host %d: %s %d = %d, never %s (writer completed %d)", reader.ID, noun, w, pair[0], verb, last[w])
+			}
+			if strict && pair[0] != s.rounds {
+				return fmt.Errorf("host %d: %s %d = %d, want %d with every host alive", reader.ID, noun, w, pair[0], s.rounds)
+			}
+		case !s.lossless && tolerableLost(err, died):
+			// Sole owner died holding the only copy.
+		default:
+			return fmt.Errorf("host %d: %s %d unreadable after settle: %w", reader.ID, noun, w, err)
+		}
+	}
+	return nil
+}
+
+// survivorProbes has the coordinator, then a witness, read every slot.
+// The coordinator's own replica could satisfy its read without a fault;
+// a witness on another surviving host has no copy, so its read must go
+// through the manager — the end-to-end proof that pages still *serve*
+// after recovery.
+func survivorProbes(c *cluster.Cluster) []probe {
+	h0 := c.Hosts[0]
+	witness := h0
+	for h := 1; h < len(c.Hosts); h++ {
+		if !h0.Detect.Dead(cluster.HostID(h)) {
+			witness = c.Hosts[h]
+			break
+		}
+	}
+	var out []probe
+	for _, reader := range []*cluster.Host{h0, witness} {
+		for w := 0; w < 3; w++ {
+			out = append(out, probe{reader, w})
+		}
+	}
+	return out
+}
+
+// slotsWorkload gives each host a private page it stamps. Each
+// coordinator poll leaves a read replica in the page's copyset, which
+// is exactly what makes the page recoverable when its owner dies.
+var slotsWorkload = &stampPattern{
+	name:     "slots",
+	desc:     "3 hosts, per-host monotone writers + polling coordinator (recovery rollback bounds)",
+	kinds:    []arch.Kind{arch.Sun, arch.Firefly, arch.Firefly},
+	writers:  [3]int{0, 1, 2},
+	procName: "slot-writer%d",
+	rounds:   12,
+	// Dwell two poll periods between stamps so the coordinator's replica
+	// usually postdates the last write — that replica is what recovery
+	// runs on.
+	dwell:   2 * workPeriod,
+	stagger: 17 * time.Millisecond,
+	probes:  survivorProbes,
 }
 
 // switchedWorkload is the slots pattern stretched across a switched
-// 3-segment star (two hosts per segment): the writers live on three
-// different segments, so every coordinator poll and every recovery
-// exchange crosses inter-segment links. On top of the class's fault
-// plan, Build severs one of the star's uplinks for a fixed window —
-// the switched fabric's native partition, with no host list to
-// enumerate — kept shorter than the failure detector's death
-// threshold, so the protocol must ride the cut out with retries.
-func switchedWorkload() *Workload {
-	const rounds = 12
+// 3-segment star (two hosts per segment), so fault windows land on
+// cross-segment protocol exchanges and broadcasts expand along the
+// multicast tree: the writers live on three different segments, so
+// every coordinator poll and every recovery exchange crosses
+// inter-segment links (each successful poll leaves a replica on segment
+// 0 that recovery can run on, and the witness forces the final reads
+// back across the star). On top of the class's fault plan, prepare
+// severs one of the star's uplinks for a fixed window — the switched
+// fabric's native partition, with no host list to enumerate — kept
+// shorter than the failure detector's death threshold, so the protocol
+// must ride the cut out with retries.
+var switchedWorkload = &stampPattern{
+	name:  "switched",
+	desc:  "6 hosts on 3 switched segments, cross-segment writers + polling coordinator (inter-segment link cut)",
+	kinds: []arch.Kind{arch.Sun, arch.Firefly, arch.Firefly, arch.Firefly, arch.Firefly, arch.Firefly},
+	tune:  func(cfg *cluster.Config) { cfg.Topology = netsim.SwitchedStar(3, 2) },
+	prepare: func(seed int64, plan *netsim.FaultPlan) {
+		// Sever the uplink to leaf segment 1 or 2, by seed. The 900 ms
+		// window stays under the 1200 ms partition bound. Mix plans
+		// already layer loss, a partition and a crash; stacking the cut
+		// on top pushes a live host's total unreachability past what the
+		// failure detector and the retry budget are calibrated for, so
+		// those runs keep the class's own faults only.
+		if len(plan.Partitions) == 0 || len(plan.Crashes) == 0 {
+			plan.LinkCuts = append(plan.LinkCuts, netsim.LinkCut{
+				Window: netsim.Window{
+					From:  sim.Time(400 * time.Millisecond),
+					Until: sim.Time(1300 * time.Millisecond),
+				},
+				A: 0,
+				B: 1 + int(seed&1),
+			})
+		}
+	},
 	// One writer per segment (host h lives on segment h/2).
-	writers := [3]int{1, 3, 5}
-	return &Workload{
-		Name:  "switched",
-		Desc:  "6 hosts on 3 switched segments, cross-segment writers + polling coordinator (inter-segment link cut)",
-		Hosts: 6,
-		Build: func(seed int64, plan *netsim.FaultPlan, mut dsm.Mutation) (*Instance, error) {
-			topo := netsim.SwitchedStar(3, 2)
-			// Sever the uplink to leaf segment 1 or 2, by seed. The
-			// 900 ms window stays under the 1200 ms partition bound.
-			// Mix plans already layer loss, a partition and a crash;
-			// stacking the cut on top pushes a live host's total
-			// unreachability past what the failure detector and the
-			// retry budget are calibrated for, so those runs keep the
-			// class's own faults only.
-			if len(plan.Partitions) == 0 || len(plan.Crashes) == 0 {
-				plan.LinkCuts = append(plan.LinkCuts, netsim.LinkCut{
-					Window: netsim.Window{
-						From:  sim.Time(400 * time.Millisecond),
-						Until: sim.Time(1300 * time.Millisecond),
-					},
-					A: 0,
-					B: 1 + int(seed&1),
-				})
+	writers:  [3]int{1, 3, 5},
+	procName: "seg-writer%d",
+	rounds:   12,
+	dwell:    2 * workPeriod,
+	stagger:  17 * time.Millisecond,
+	probes:   survivorProbes,
+}
+
+// quorumWorkload runs the slots pattern under SC-ABD majority quorum on
+// five hosts: every page is replicated at every host and every
+// operation completes at a majority, so this is the one cluster whose
+// workload can demand *progress during* a partition, not just after it
+// heals — the availability oracle the quorum engine exists for
+// (quorumProgress). Five hosts make every generated plan
+// majority-preserving once the partitions are re-aimed at a single
+// victim (prepare): one host cut plus one host crashed still leaves
+// host 0 in a three-host component, and a majority of three is a quorum
+// of five. Quorum replication has no sole-owner data loss, so unlike
+// the MRSW workloads the final reads must succeed even after a crash —
+// ErrPageLost is never tolerable — and the witness forces a second
+// quorum assembly for each page.
+var quorumWorkload = &stampPattern{
+	name:  "quorum",
+	desc:  "5 hosts, SC-ABD majority quorum: per-host writers + polling coordinator (progress during partitions)",
+	kinds: []arch.Kind{arch.Sun, arch.Firefly, arch.Sun, arch.Firefly, arch.Sun},
+	tune:  func(cfg *cluster.Config) { cfg.Policy = dsm.PolicyQuorum },
+	prepare: func(_ int64, plan *netsim.FaultPlan) {
+		// The generator cuts one host per partition window, but two
+		// windows may overlap on different victims; together with the
+		// mix class's crash that could strand host 0 in a two-host
+		// component — below any quorum. Re-aim every window at the
+		// first victim: the same windows in time, never more than one
+		// host cut at once, majority component guaranteed.
+		for i := 1; i < len(plan.Partitions); i++ {
+			plan.Partitions[i].Group = plan.Partitions[0].Group
+		}
+	},
+	writers:  [3]int{1, 2, 3},
+	procName: "quorum-writer%d",
+	rounds:   12,
+	dwell:    2 * workPeriod,
+	stagger:  17 * time.Millisecond,
+	lossless: true,
+	// +1: a writer killed mid-operation records nothing, but its
+	// in-flight write may still have reached enough replicas for a later
+	// read to adopt and write back — ABD's interrupted writes linearize,
+	// they do not roll back like an MRSW owner's.
+	slack:  1,
+	probes: survivorProbes,
+	judge:  quorumProgress,
+}
+
+// livenessWindow is the shortest partition quorumProgress judges: the
+// coordinator polls every pollPeriod, so a window this long sees
+// several whole poll rounds even if frame loss costs a round a
+// retransmission timeout or two.
+const livenessWindow = 500 * time.Millisecond
+
+// quorumProgress is liveness under partition: for every long-enough
+// window, some coordinator poll must have completed *while the cut was
+// open* — the majority side must keep computing, not merely recover
+// after the heal. Host 0 is never cut, so it is always in the majority
+// component and its reads must keep completing. The guarantee is
+// partition-tolerance — prompt delivery among the majority — so windows
+// overlapped by a loss or corruption burst are exempt: with the quorum
+// cut to the bare majority, every dropped frame costs a full request
+// timeout, and that stall is the burst's doing, not the partition's.
+func quorumProgress(plan *netsim.FaultPlan, completions []sim.Time) error {
+	for _, pt := range plan.Partitions {
+		if pt.Until-pt.From < sim.Time(livenessWindow) {
+			continue
+		}
+		lossy := false
+		for _, b := range append(append([]netsim.Burst{}, plan.Loss...), plan.Corrupt...) {
+			until := b.Until
+			if until == 0 {
+				until = sim.Time(activePhase + settlePhase)
 			}
-			kinds := []arch.Kind{arch.Sun, arch.Firefly, arch.Firefly, arch.Firefly, arch.Firefly, arch.Firefly}
-			c, rec, tl, err := buildSwitchedChaosCluster(seed, kinds, topo, plan, mut)
+			if b.From < pt.Until && until > pt.From {
+				lossy = true
+				break
+			}
+		}
+		if lossy {
+			continue
+		}
+		progressed := false
+		for _, t := range completions {
+			if t >= pt.From && t < pt.Until {
+				progressed = true
+				break
+			}
+		}
+		if !progressed {
+			return fmt.Errorf("no coordinator op completed during partition [%v, %v): the majority component stalled",
+				time.Duration(pt.From), time.Duration(pt.Until))
+		}
+	}
+	return nil
+}
+
+// rcWorkload runs the slots pattern under lazy release consistency:
+// each worker stamps its private page inside its own acquire/release
+// bracket, so every round pushes one interval's diff to the home on
+// host 0. The central manager puts every page's home on never-crashed
+// host 0, so the diff log — the only authoritative copy of released
+// intervals — survives every fault the plans inject: RC has no copyset
+// recovery to run, a final read may not fail, and a crashed host only
+// takes its own unreleased intervals to the grave, which release
+// consistency says never existed. The coordinator polls without
+// acquiring — legal under RC (an unsynchronized read is concurrent with
+// every interval it did not acquire) and never torn, because an
+// interval's diff is applied to the home image atomically: the first
+// read faults each page in from home, and host 0's copy IS the home
+// image, updated in place as diffs arrive, so the poll watches the
+// intervals land and a torn pair means a diff applied non-atomically.
+// A worker whose release cannot reach home retires with the error:
+// release consistency has no quietly-degraded mode — an interval is
+// pushed or it never happened.
+var rcWorkload = &stampPattern{
+	name:     "rc",
+	desc:     "3 hosts, lazy release consistency: per-worker interval stamps + unsynchronized polling coordinator",
+	kinds:    []arch.Kind{arch.Sun, arch.Firefly, arch.Firefly},
+	tune:     func(cfg *cluster.Config) { cfg.Policy = dsm.PolicyRC },
+	writers:  [3]int{0, 1, 2},
+	procName: "rc-writer%d",
+	rounds:   6,
+	dwell:    2 * workPeriod,
+	stagger:  17 * time.Millisecond,
+	bracket:  true,
+	lossless: true,
+	// The coordinator reads the home image directly, and a witness that
+	// never touched the page fetches it fresh from home — the cross-host
+	// proof that released intervals survived the fault horizon. Worker
+	// hosts only ever fault their own page, so host 2 is a fresh reader
+	// for slots 0 and 1, host 1 for slot 2.
+	probes: func(c *cluster.Cluster) []probe {
+		h0 := c.Hosts[0]
+		var out []probe
+		for w := 0; w < 3; w++ {
+			out = append(out, probe{h0, w})
+			if witness := c.Hosts[2-w/2]; !h0.Detect.Dead(witness.ID) {
+				out = append(out, probe{witness, w})
+			}
+		}
+		return out
+	},
+}
+
+// forwardWorkload runs under the dynamic distributed directory (Li &
+// Hudak probable-owner forwarding) instead of the central manager:
+// three workers stamp disjoint mirrored pairs of one shared page, so
+// every stamp migrates the page's ownership to the writer and the next
+// writer's request chases a probable-owner chain. The coordinator polls
+// the page (refreshing the replica recovery runs on) while the fault
+// plan drops, cuts and crashes around the forwards — a crash can land
+// on the owner, on a forwarder mid-chain, or between the invalidation
+// round and the handoff, which is what exercises the dynamic
+// directory's lazy chain repair. The witness, holding no replica,
+// proves the page still serves through the (possibly repaired) hint
+// graph after settle.
+var forwardWorkload = &stampPattern{
+	name:     "forward",
+	desc:     "4 hosts, dynamic directory: writers migrate one page through probable-owner chains (crash mid-forward)",
+	kinds:    []arch.Kind{arch.Sun, arch.Firefly, arch.Sun, arch.Firefly},
+	tune:     func(cfg *cluster.Config) { cfg.Directory = dsm.DirDynamic },
+	writers:  [3]int{1, 2, 3},
+	procName: "forward-writer%d",
+	rounds:   12,
+	onePage:  true,
+	// Stagger the writers so ownership keeps rotating through all three
+	// and the chains stay warm.
+	dwell:   workPeriod,
+	stagger: 37 * time.Millisecond,
+	probes:  survivorProbes,
+}
+
+// lockedPattern is the scenario counter and handoff share: workers
+// increment one shared int32 under distributed semaphores while the
+// coordinator polls it to seed replicas. A worker that hits a fault
+// releases if it can and retires; a worker whose host crashes inside
+// the critical section takes the lock to its grave, parking the
+// others — the coordinator never waits on workers, so that is
+// tolerated, not a hang. Final assertions: the exact count when nobody
+// died and no worker stopped; otherwise the value must not exceed the
+// completed increments (recovery may roll it back, never forward).
+type lockedPattern struct {
+	name, desc string
+	kinds      []arch.Kind
+	// define declares the semaphores.
+	define func(c *cluster.Cluster)
+	// workers places worker w on a host; procName (one %d) names its
+	// simulated process.
+	workers  []int
+	procName string
+	rounds   int
+	// Worker w does P(acquire[w]) … V(release[w]) around an increment.
+	acquire, release []uint32
+	// pause is slept after each round; zero means no sleep at all.
+	pause time.Duration
+	// noun names the shared value in verdicts.
+	noun string
+}
+
+func (s *lockedPattern) workload() *Workload {
+	return &Workload{
+		Name:  s.name,
+		Desc:  s.desc,
+		Hosts: len(s.kinds),
+		Build: func(seed int64, plan *netsim.FaultPlan, mut dsm.Mutation) (*Instance, error) {
+			inst, err := newInstance(seed, s.kinds, plan, mut, nil)
 			if err != nil {
 				return nil, err
 			}
-			main := func(p *sim.Proc, c *cluster.Cluster) error {
-				h0 := c.Hosts[0]
-				var pages [3]dsm.Addr
-				for i := range pages {
-					if pages[i], err = h0.DSM.Alloc(p, conv.Int32, chaosPageInts); err != nil {
-						return err
-					}
-				}
-				var last [3]int32
-				var stopped [3]error
-				for w := 0; w < 3; w++ {
-					w := w
-					host := c.Hosts[writers[w]]
-					c.K.Spawn(fmt.Sprintf("seg-writer%d", w), func(wp *sim.Proc) {
-						for i := int32(1); i <= rounds; i++ {
-							if err := host.DSM.WriteInt32sE(wp, pages[w], []int32{i, i}); err != nil {
-								stopped[w] = err
-								return
-							}
-							last[w] = i
-							wp.Sleep(2*workPeriod + time.Duration(w)*17*time.Millisecond)
-						}
-					})
-				}
-				// Poll across the segments while the writers run; every
-				// successful read leaves a replica on segment 0 that
-				// recovery can run on.
-				for c.K.Now() < sim.Time(activePhase) {
-					for w := 0; w < 3; w++ {
-						var pair [2]int32
-						if err := h0.DSM.ReadInt32sE(p, pages[w], pair[:]); err == nil && pair[0] != pair[1] {
-							return fmt.Errorf("poll saw torn slot %d: %v", w, pair)
-						}
-					}
-					p.Sleep(pollPeriod)
-				}
-				p.Sleep(settlePhase)
-
-				died := anyDead(c)
-				strict := !died
-				for w := 0; w < 3; w++ {
-					if stopped[w] != nil {
-						strict = false
-					}
-				}
-				// A witness on a surviving non-coordinator host forces the
-				// final reads back across the star.
-				witness := h0
-				for h := 1; h < len(c.Hosts); h++ {
-					if !h0.Detect.Dead(cluster.HostID(h)) {
-						witness = c.Hosts[h]
-						break
-					}
-				}
-				for _, reader := range []*cluster.Host{h0, witness} {
-					for w := 0; w < 3; w++ {
-						var pair [2]int32
-						err := reader.DSM.ReadInt32sE(p, pages[w], pair[:])
-						switch {
-						case err == nil:
-							if pair[0] != pair[1] {
-								return fmt.Errorf("host %d: slot %d torn after settle: %v", reader.ID, w, pair)
-							}
-							if pair[0] < 0 || pair[0] > last[w] {
-								return fmt.Errorf("host %d: slot %d = %d, never written (writer completed %d)", reader.ID, w, pair[0], last[w])
-							}
-							if strict && pair[0] != rounds {
-								return fmt.Errorf("host %d: slot %d = %d, want %d with every host alive", reader.ID, w, pair[0], rounds)
-							}
-						case tolerableLost(err, died):
-							// Sole owner died holding the only copy.
-						default:
-							return fmt.Errorf("host %d: slot %d unreadable after settle: %w", reader.ID, w, err)
-						}
-					}
-				}
-				return nil
-			}
-			return &Instance{C: c, Rec: rec, Trace: tl, Main: main}, nil
+			s.define(inst.C)
+			inst.Main = s.run
+			return inst, nil
 		},
 	}
 }
 
-// slotsWorkload gives each host a private page it stamps with a
-// monotone sequence number, mirrored in a second word of the same
-// access (so a recovered page is either a complete snapshot or wrong).
-// The coordinator polls every page while the writers run — each poll
-// leaves a read replica in the page's copyset, which is exactly what
-// makes the page recoverable when its owner dies. Final assertions:
-// each slot must read back a mirrored pair no newer than the writer's
-// last completed write; exact progress when nobody died.
-func slotsWorkload() *Workload {
-	const rounds = 12
-	return &Workload{
-		Name:  "slots",
-		Desc:  "3 hosts, per-host monotone writers + polling coordinator (recovery rollback bounds)",
-		Hosts: 3,
-		Build: func(seed int64, plan *netsim.FaultPlan, mut dsm.Mutation) (*Instance, error) {
-			c, rec, tl, err := buildChaosCluster(seed, []arch.Kind{arch.Sun, arch.Firefly, arch.Firefly}, plan, mut)
-			if err != nil {
-				return nil, err
-			}
-			main := func(p *sim.Proc, c *cluster.Cluster) error {
-				h0 := c.Hosts[0]
-				var pages [3]dsm.Addr
-				for i := range pages {
-					if pages[i], err = h0.DSM.Alloc(p, conv.Int32, chaosPageInts); err != nil {
-						return err
-					}
-				}
-				var last [3]int32
-				var stopped [3]error
-				for w := 0; w < 3; w++ {
-					w := w
-					host := c.Hosts[w]
-					c.K.Spawn(fmt.Sprintf("slot-writer%d", w), func(wp *sim.Proc) {
-						for i := int32(1); i <= rounds; i++ {
-							if err := host.DSM.WriteInt32sE(wp, pages[w], []int32{i, i}); err != nil {
-								stopped[w] = err
-								return
-							}
-							last[w] = i
-							// Dwell two poll periods between stamps so the
-							// coordinator's replica usually postdates the last
-							// write — that replica is what recovery runs on.
-							wp.Sleep(2*workPeriod + time.Duration(w)*17*time.Millisecond)
-						}
-					})
-				}
-				// Poll while the writers run: transient errors during fault
-				// windows are the fabric's business, but every successful
-				// read refreshes this host's replica.
-				for c.K.Now() < sim.Time(activePhase) {
-					for w := 0; w < 3; w++ {
-						var pair [2]int32
-						if err := h0.DSM.ReadInt32sE(p, pages[w], pair[:]); err == nil && pair[0] != pair[1] {
-							return fmt.Errorf("poll saw torn slot %d: %v", w, pair)
-						}
-					}
-					p.Sleep(pollPeriod)
-				}
-				p.Sleep(settlePhase)
-
-				died := anyDead(c)
-				strict := !died
-				for w := 0; w < 3; w++ {
-					if stopped[w] != nil {
-						strict = false
-					}
-				}
-				// The coordinator's own replica could satisfy its read
-				// without a fault; a witness on another surviving host has
-				// no copy, so its read must go through the manager — the
-				// end-to-end proof that pages still *serve* after recovery.
-				witness := h0
-				for h := 1; h < 3; h++ {
-					if !h0.Detect.Dead(cluster.HostID(h)) {
-						witness = c.Hosts[h]
-						break
-					}
-				}
-				for _, reader := range []*cluster.Host{h0, witness} {
-					for w := 0; w < 3; w++ {
-						var pair [2]int32
-						err := reader.DSM.ReadInt32sE(p, pages[w], pair[:])
-						switch {
-						case err == nil:
-							if pair[0] != pair[1] {
-								return fmt.Errorf("host %d: slot %d torn after settle: %v", reader.ID, w, pair)
-							}
-							if pair[0] < 0 || pair[0] > last[w] {
-								return fmt.Errorf("host %d: slot %d = %d, never written (writer completed %d)", reader.ID, w, pair[0], last[w])
-							}
-							if strict && pair[0] != rounds {
-								return fmt.Errorf("host %d: slot %d = %d, want %d with every host alive", reader.ID, w, pair[0], rounds)
-							}
-						case tolerableLost(err, died):
-							// Sole owner died holding the only copy.
-						default:
-							return fmt.Errorf("host %d: slot %d unreadable after settle: %w", reader.ID, w, err)
-						}
-					}
-				}
-				return nil
-			}
-			return &Instance{C: c, Rec: rec, Trace: tl, Main: main}, nil
-		},
+// round is one locked increment.
+func (s *lockedPattern) round(wp *sim.Proc, host *cluster.Host, val dsm.Addr, w int, incr *int32) error {
+	if err := host.Sync.PE(wp, s.acquire[w]); err != nil {
+		return err
 	}
+	v, err := host.DSM.ReadInt32E(wp, val)
+	if err == nil {
+		err = host.DSM.WriteInt32E(wp, val, v+1)
+	}
+	if err != nil {
+		host.Sync.VE(wp, s.release[w]) // best-effort: let the others run on before retiring
+		return err
+	}
+	*incr++
+	return host.Sync.VE(wp, s.release[w])
 }
 
-// forwardWorkload runs under the dynamic distributed directory: three
-// workers stamp disjoint mirrored pairs of one shared page, so every
-// stamp migrates the page's ownership to the writer and the next
-// writer's request chases a probable-owner chain. The coordinator
-// polls the page (refreshing the replica recovery runs on) while the
-// fault plan drops, cuts and crashes around the forwards — a crash can
-// land on the owner, on a forwarder mid-chain, or between the
-// invalidation round and the handoff. Final assertions mirror
-// slotsWorkload's: each pair must read back mirrored and no newer than
-// its writer's last completed stamp; exact when nobody died and every
-// worker finished.
-func forwardWorkload() *Workload {
-	const rounds = 12
-	return &Workload{
-		Name:  "forward",
-		Desc:  "4 hosts, dynamic directory: writers migrate one page through probable-owner chains (crash mid-forward)",
-		Hosts: 4,
-		Build: func(seed int64, plan *netsim.FaultPlan, mut dsm.Mutation) (*Instance, error) {
-			c, rec, tl, err := buildDynChaosCluster(seed, []arch.Kind{arch.Sun, arch.Firefly, arch.Sun, arch.Firefly}, plan, mut)
-			if err != nil {
-				return nil, err
-			}
-			main := func(p *sim.Proc, c *cluster.Cluster) error {
-				h0 := c.Hosts[0]
-				page, err := h0.DSM.Alloc(p, conv.Int32, chaosPageInts)
-				if err != nil {
-					return err
-				}
-				slot := func(w int) dsm.Addr { return page + dsm.Addr(8*w) }
-				var last [3]int32
-				var stopped [3]error
-				for w := 0; w < 3; w++ {
-					w := w
-					host := c.Hosts[w+1]
-					c.K.Spawn(fmt.Sprintf("forward-writer%d", w), func(wp *sim.Proc) {
-						for i := int32(1); i <= rounds; i++ {
-							if err := host.DSM.WriteInt32sE(wp, slot(w), []int32{i, i}); err != nil {
-								stopped[w] = err
-								return
-							}
-							last[w] = i
-							// Stagger the writers so ownership keeps rotating
-							// through all three and the chains stay warm.
-							wp.Sleep(workPeriod + time.Duration(w)*37*time.Millisecond)
-						}
-					})
-				}
-				for c.K.Now() < sim.Time(activePhase) {
-					for w := 0; w < 3; w++ {
-						var pair [2]int32
-						if err := h0.DSM.ReadInt32sE(p, slot(w), pair[:]); err == nil && pair[0] != pair[1] {
-							return fmt.Errorf("poll saw torn pair %d: %v", w, pair)
-						}
-					}
-					p.Sleep(pollPeriod)
-				}
-				p.Sleep(settlePhase)
-
-				died := anyDead(c)
-				strict := !died
-				for w := 0; w < 3; w++ {
-					if stopped[w] != nil {
-						strict = false
-					}
-				}
-				// A witness with no replica proves the page still serves
-				// through the (possibly repaired) hint graph after settle.
-				witness := h0
-				for h := 1; h < 4; h++ {
-					if !h0.Detect.Dead(cluster.HostID(h)) {
-						witness = c.Hosts[h]
-						break
-					}
-				}
-				for _, reader := range []*cluster.Host{h0, witness} {
-					for w := 0; w < 3; w++ {
-						var pair [2]int32
-						err := reader.DSM.ReadInt32sE(p, slot(w), pair[:])
-						switch {
-						case err == nil:
-							if pair[0] != pair[1] {
-								return fmt.Errorf("host %d: pair %d torn after settle: %v", reader.ID, w, pair)
-							}
-							if pair[0] < 0 || pair[0] > last[w] {
-								return fmt.Errorf("host %d: pair %d = %d, never written (writer completed %d)", reader.ID, w, pair[0], last[w])
-							}
-							if strict && pair[0] != rounds {
-								return fmt.Errorf("host %d: pair %d = %d, want %d with every host alive", reader.ID, w, pair[0], rounds)
-							}
-						case tolerableLost(err, died):
-							// The owner died holding the only copy.
-						default:
-							return fmt.Errorf("host %d: pair %d unreadable after settle: %w", reader.ID, w, err)
-						}
-					}
-				}
-				return nil
-			}
-			return &Instance{C: c, Rec: rec, Trace: tl, Main: main}, nil
-		},
+func (s *lockedPattern) run(p *sim.Proc, c *cluster.Cluster) error {
+	h0 := c.Hosts[0]
+	val, err := h0.DSM.Alloc(p, conv.Int32, chaosPageInts)
+	if err != nil {
+		return err
 	}
+	incr := make([]int32, len(s.workers))
+	stopped := make([]error, len(s.workers))
+	for w, h := range s.workers {
+		host := c.Hosts[h]
+		c.K.Spawn(fmt.Sprintf(s.procName, w), func(wp *sim.Proc) {
+			for i := 0; i < s.rounds; i++ {
+				if stopped[w] = s.round(wp, host, val, w, &incr[w]); stopped[w] != nil {
+					return
+				}
+				if s.pause > 0 {
+					wp.Sleep(s.pause)
+				}
+			}
+		})
+	}
+	for c.K.Now() < sim.Time(activePhase) {
+		h0.DSM.ReadInt32E(p, val) // poll to seed replicas; errors are transient
+		p.Sleep(pollPeriod)
+	}
+	p.Sleep(settlePhase)
+
+	died := anyDead(c)
+	strict := !died
+	var completed int32
+	for w := range s.workers {
+		completed += incr[w]
+		if stopped[w] != nil {
+			strict = false
+		}
+	}
+	got, err := h0.DSM.ReadInt32E(p, val)
+	switch {
+	case err == nil:
+		if want := int32(len(s.workers) * s.rounds); strict && got != want {
+			return fmt.Errorf("%s = %d, want %d with every host alive", s.noun, got, want)
+		}
+		if got < 0 || got > completed+1 {
+			// +1: a crashed worker may have committed its write locally
+			// without living to record it.
+			return fmt.Errorf("%s = %d, outside [0, %d]", s.noun, got, completed+1)
+		}
+	case tolerableLost(err, died):
+	default:
+		return fmt.Errorf("%s unreadable after settle: %w", s.noun, err)
+	}
+	return nil
 }
 
 // counterWorkload increments one shared counter from every host under
-// a distributed semaphore. A worker that hits a fault releases the
-// lock if it can and retires; a worker whose host crashes inside the
-// critical section takes the lock to its grave, parking the others —
-// the coordinator never waits on workers, so that is tolerated, not a
-// hang. Final assertions: exact count when nobody died and every
-// worker finished; otherwise the counter must not exceed the completed
-// increments (recovery may roll it back, never forward).
-func counterWorkload() *Workload {
-	const rounds = 6
-	return &Workload{
-		Name:  "counter",
-		Desc:  "3 hosts, semaphore-locked shared counter (exact under message faults, bounded under crashes)",
-		Hosts: 3,
-		Build: func(seed int64, plan *netsim.FaultPlan, mut dsm.Mutation) (*Instance, error) {
-			c, rec, tl, err := buildChaosCluster(seed, []arch.Kind{arch.Sun, arch.Firefly, arch.Sun}, plan, mut)
-			if err != nil {
-				return nil, err
-			}
-			c.DefineSemaphore(chaosSemLock, 0, 1)
-			main := func(p *sim.Proc, c *cluster.Cluster) error {
-				h0 := c.Hosts[0]
-				ctr, err := h0.DSM.Alloc(p, conv.Int32, chaosPageInts)
-				if err != nil {
-					return err
-				}
-				var incr [3]int32
-				var stopped [3]error
-				for w := 0; w < 3; w++ {
-					w := w
-					host := c.Hosts[w]
-					c.K.Spawn(fmt.Sprintf("counter%d", w), func(wp *sim.Proc) {
-						for i := 0; i < rounds; i++ {
-							if err := host.Sync.PE(wp, chaosSemLock); err != nil {
-								stopped[w] = err
-								return
-							}
-							v, err := host.DSM.ReadInt32E(wp, ctr)
-							if err == nil {
-								err = host.DSM.WriteInt32E(wp, ctr, v+1)
-							}
-							if err != nil {
-								stopped[w] = err
-								host.Sync.VE(wp, chaosSemLock) // best-effort release before retiring
-								return
-							}
-							incr[w]++
-							if err := host.Sync.VE(wp, chaosSemLock); err != nil {
-								stopped[w] = err
-								return
-							}
-							wp.Sleep(workPeriod)
-						}
-					})
-				}
-				for c.K.Now() < sim.Time(activePhase) {
-					h0.DSM.ReadInt32E(p, ctr) // poll to seed replicas; errors are transient
-					p.Sleep(pollPeriod)
-				}
-				p.Sleep(settlePhase)
-
-				died := anyDead(c)
-				strict := !died
-				var completed int32
-				for w := 0; w < 3; w++ {
-					completed += incr[w]
-					if stopped[w] != nil {
-						strict = false
-					}
-				}
-				got, err := h0.DSM.ReadInt32E(p, ctr)
-				switch {
-				case err == nil:
-					if strict && got != 3*rounds {
-						return fmt.Errorf("counter = %d, want %d with every host alive", got, 3*rounds)
-					}
-					if got < 0 || got > completed+1 {
-						// +1: a crashed worker may have committed its write
-						// locally without living to record it.
-						return fmt.Errorf("counter = %d, outside [0, %d]", got, completed+1)
-					}
-				case tolerableLost(err, died):
-				default:
-					return fmt.Errorf("counter unreadable after settle: %w", err)
-				}
-				return nil
-			}
-			return &Instance{C: c, Rec: rec, Trace: tl, Main: main}, nil
-		},
-	}
+// one lock semaphore: exact under message faults, bounded under
+// crashes.
+var counterWorkload = &lockedPattern{
+	name:     "counter",
+	desc:     "3 hosts, semaphore-locked shared counter (exact under message faults, bounded under crashes)",
+	kinds:    []arch.Kind{arch.Sun, arch.Firefly, arch.Sun},
+	define:   func(c *cluster.Cluster) { c.DefineSemaphore(chaosSemLock, 0, 1) },
+	workers:  []int{0, 1, 2},
+	procName: "counter%d",
+	rounds:   6,
+	acquire:  []uint32{chaosSemLock, chaosSemLock, chaosSemLock},
+	release:  []uint32{chaosSemLock, chaosSemLock, chaosSemLock},
+	pause:    workPeriod,
+	noun:     "counter",
 }
 
 // handoffWorkload ping-pongs ownership of one page between two hosts
-// of different architectures: each increment is a full ownership
-// transfer with conversion, so a crash has a wide window to land in
+// of different architectures: each worker waits for its own semaphore
+// and signals its partner's, so each increment is a full ownership
+// transfer with conversion and a crash has a wide window to land in
 // the middle of a handoff — the exact scenario the manager's
-// suspect-transfer reconciliation exists for. Final assertions mirror
-// counterWorkload's.
-func handoffWorkload() *Workload {
-	const rounds = 4
-	return &Workload{
-		Name:  "handoff",
-		Desc:  "3 hosts, strict ownership ping-pong across architectures (crash mid-handoff)",
-		Hosts: 3,
-		Build: func(seed int64, plan *netsim.FaultPlan, mut dsm.Mutation) (*Instance, error) {
-			c, rec, tl, err := buildChaosCluster(seed, []arch.Kind{arch.Sun, arch.Sun, arch.Firefly}, plan, mut)
-			if err != nil {
-				return nil, err
-			}
-			c.DefineSemaphore(chaosSemPing, 0, 1)
-			c.DefineSemaphore(chaosSemPong, 0, 0)
-			main := func(p *sim.Proc, c *cluster.Cluster) error {
-				h0 := c.Hosts[0]
-				val, err := h0.DSM.Alloc(p, conv.Int32, chaosPageInts)
-				if err != nil {
-					return err
-				}
-				var incr [2]int32
-				var stopped [2]error
-				sems := [2]uint32{chaosSemPing, chaosSemPong}
-				for w := 0; w < 2; w++ {
-					w := w
-					host := c.Hosts[w+1]
-					c.K.Spawn(fmt.Sprintf("handoff%d", w), func(wp *sim.Proc) {
-						for i := 0; i < rounds; i++ {
-							if err := host.Sync.PE(wp, sems[w]); err != nil {
-								stopped[w] = err
-								return
-							}
-							v, err := host.DSM.ReadInt32E(wp, val)
-							if err == nil {
-								err = host.DSM.WriteInt32E(wp, val, v+1)
-							}
-							if err != nil {
-								stopped[w] = err
-								host.Sync.VE(wp, sems[1-w]) // best-effort: let the partner run on
-								return
-							}
-							incr[w]++
-							if err := host.Sync.VE(wp, sems[1-w]); err != nil {
-								stopped[w] = err
-								return
-							}
-						}
-					})
-				}
-				for c.K.Now() < sim.Time(activePhase) {
-					var pair [1]int32
-					h0.DSM.ReadInt32sE(p, val, pair[:]) // poll to seed replicas; errors are transient
-					p.Sleep(pollPeriod)
-				}
-				p.Sleep(settlePhase)
-
-				died := anyDead(c)
-				strict := !died && stopped[0] == nil && stopped[1] == nil
-				completed := incr[0] + incr[1]
-				got, err := h0.DSM.ReadInt32E(p, val)
-				switch {
-				case err == nil:
-					if strict && got != 2*rounds {
-						return fmt.Errorf("handoff value = %d, want %d with every host alive", got, 2*rounds)
-					}
-					if got < 0 || got > completed+1 {
-						return fmt.Errorf("handoff value = %d, outside [0, %d]", got, completed+1)
-					}
-				case tolerableLost(err, died):
-				default:
-					return fmt.Errorf("handoff value unreadable after settle: %w", err)
-				}
-				return nil
-			}
-			return &Instance{C: c, Rec: rec, Trace: tl, Main: main}, nil
-		},
-	}
+// suspect-transfer reconciliation exists for.
+var handoffWorkload = &lockedPattern{
+	name:  "handoff",
+	desc:  "3 hosts, strict ownership ping-pong across architectures (crash mid-handoff)",
+	kinds: []arch.Kind{arch.Sun, arch.Sun, arch.Firefly},
+	define: func(c *cluster.Cluster) {
+		c.DefineSemaphore(chaosSemPing, 0, 1)
+		c.DefineSemaphore(chaosSemPong, 0, 0)
+	},
+	workers:  []int{1, 2},
+	procName: "handoff%d",
+	rounds:   4,
+	acquire:  []uint32{chaosSemPing, chaosSemPong},
+	release:  []uint32{chaosSemPong, chaosSemPing},
+	noun:     "handoff value",
 }

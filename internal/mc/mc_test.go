@@ -28,13 +28,14 @@ func TestDefaultScheduleClean(t *testing.T) {
 // the unmutated protocol: every schedule must pass every oracle. The
 // small workloads are exhausted outright (frontier 0); "basic" must
 // yield at least 1000 distinct schedules within budget — the smoke
-// guarantee that the chooser actually branches the space open.
+// guarantee that the chooser actually branches the space open. With
+// TestKillSuite this covers every run `make mc-smoke` performs.
 func TestDFSClean(t *testing.T) {
 	budget := 1500
 	if testing.Short() {
 		budget = 300
 	}
-	for _, name := range []string{"basic", "sem", "barrier", "update", "rc"} {
+	for _, name := range []string{"basic", "sem", "barrier", "update", "rc", "dynamic", "quorum"} {
 		w, err := Lookup(name)
 		if err != nil {
 			t.Fatal(err)

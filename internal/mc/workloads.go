@@ -79,27 +79,32 @@ func mcParams() model.Params {
 	return params
 }
 
-// buildCluster assembles a small cluster for model checking: invariant
-// checker attached, SC recorder wired, flattened cost model (see
-// mcParams).
-func buildCluster(kinds []arch.Kind, policy dsm.Policy, mut dsm.Mutation) (*cluster.Cluster, *sctrace.Recorder, error) {
+// buildCluster assembles a small cluster for model checking: MRSW under
+// the fixed directory, invariant checker attached, SC recorder wired,
+// flattened cost model (see mcParams). tune (nil for that standard
+// cluster) edits the config for the workloads that check another
+// engine or directory, or that need failure detection.
+func buildCluster(kinds []arch.Kind, mut dsm.Mutation, tune func(*cluster.Config)) (*cluster.Cluster, *sctrace.Recorder, error) {
 	hosts := make([]cluster.HostSpec, len(kinds))
 	for i, k := range kinds {
 		hosts[i] = cluster.HostSpec{Kind: k}
 	}
 	params := mcParams()
 	rec := sctrace.NewRecorder()
-	c, err := cluster.New(cluster.Config{
+	cfg := cluster.Config{
 		Hosts:           hosts,
 		PageSize:        workloadPageSize,
 		SpaceSize:       workloadSpaceSize,
 		Params:          &params,
 		Seed:            1,
-		Policy:          policy,
 		InvariantChecks: true,
 		SCTrace:         rec,
 		Mutation:        mut,
-	})
+	}
+	if tune != nil {
+		tune(&cfg)
+	}
+	c, err := cluster.New(cfg)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -178,7 +183,7 @@ func rcWorkload() *Workload {
 		Name: "rc",
 		Desc: "2 hosts (Sun+Firefly), lazy release consistency: locked counter + open-interval pull",
 		Build: func(mut dsm.Mutation) (*Instance, error) {
-			c, rec, err := buildCluster([]arch.Kind{arch.Sun, arch.Firefly}, dsm.PolicyRC, mut)
+			c, rec, err := buildCluster([]arch.Kind{arch.Sun, arch.Firefly}, mut, func(cfg *cluster.Config) { cfg.Policy = dsm.PolicyRC })
 			if err != nil {
 				return nil, err
 			}
@@ -259,7 +264,7 @@ func quorumWorkload() *Workload {
 		Name: "quorum",
 		Desc: "3 hosts, SC-ABD majority quorum: cross-host read/write visibility",
 		Build: func(mut dsm.Mutation) (*Instance, error) {
-			c, rec, err := buildCluster([]arch.Kind{arch.Sun, arch.Firefly, arch.Sun}, dsm.PolicyQuorum, mut)
+			c, rec, err := buildCluster([]arch.Kind{arch.Sun, arch.Firefly, arch.Sun}, mut, func(cfg *cluster.Config) { cfg.Policy = dsm.PolicyQuorum })
 			if err != nil {
 				return nil, err
 			}
@@ -287,33 +292,6 @@ func quorumWorkload() *Workload {
 	}
 }
 
-// buildDynamicCluster is buildCluster under Li & Hudak's dynamic
-// distributed manager instead of the fixed scheme.
-func buildDynamicCluster(kinds []arch.Kind, mut dsm.Mutation) (*cluster.Cluster, *sctrace.Recorder, error) {
-	hosts := make([]cluster.HostSpec, len(kinds))
-	for i, k := range kinds {
-		hosts[i] = cluster.HostSpec{Kind: k}
-	}
-	params := mcParams()
-	rec := sctrace.NewRecorder()
-	c, err := cluster.New(cluster.Config{
-		Hosts:           hosts,
-		PageSize:        workloadPageSize,
-		SpaceSize:       workloadSpaceSize,
-		Params:          &params,
-		Seed:            1,
-		Policy:          dsm.PolicyMRSW,
-		Directory:       dsm.DirDynamic,
-		InvariantChecks: true,
-		SCTrace:         rec,
-		Mutation:        mut,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return c, rec, nil
-}
-
 // dynamicWorkload walks ownership through all three hosts of a dynamic-
 // directory cluster so probable-owner hints go stale and requests must
 // forward: after host 1 takes ownership, host 2's read still aims at
@@ -329,7 +307,9 @@ func dynamicWorkload() *Workload {
 		Name: "dynamic",
 		Desc: "3 hosts, dynamic distributed manager: ownership chain + forwarded third-party requests",
 		Build: func(mut dsm.Mutation) (*Instance, error) {
-			c, rec, err := buildDynamicCluster([]arch.Kind{arch.Sun, arch.Firefly, arch.Sun}, mut)
+			// Li & Hudak's dynamic distributed manager instead of the fixed
+			// scheme.
+			c, rec, err := buildCluster([]arch.Kind{arch.Sun, arch.Firefly, arch.Sun}, mut, func(cfg *cluster.Config) { cfg.Directory = dsm.DirDynamic })
 			if err != nil {
 				return nil, err
 			}
@@ -357,34 +337,6 @@ func dynamicWorkload() *Workload {
 	}
 }
 
-// buildFaultCluster is buildCluster with the failure detector running on
-// every host — the crash workload needs detection and recovery, and no
-// other workload pays for the heartbeat events.
-func buildFaultCluster(kinds []arch.Kind, mut dsm.Mutation) (*cluster.Cluster, *sctrace.Recorder, error) {
-	hosts := make([]cluster.HostSpec, len(kinds))
-	for i, k := range kinds {
-		hosts[i] = cluster.HostSpec{Kind: k}
-	}
-	params := mcParams()
-	rec := sctrace.NewRecorder()
-	c, err := cluster.New(cluster.Config{
-		Hosts:            hosts,
-		PageSize:         workloadPageSize,
-		SpaceSize:        workloadSpaceSize,
-		Params:           &params,
-		Seed:             1,
-		Policy:           dsm.PolicyMRSW,
-		FailureDetection: true,
-		InvariantChecks:  true,
-		SCTrace:          rec,
-		Mutation:         mut,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return c, rec, nil
-}
-
 // crashWorkload explores crash points around an ownership transfer: a
 // Firefly owner dies before, after, or *during* the handoff of its page
 // to another Firefly, and the Sun manager must recover the page from
@@ -401,7 +353,10 @@ func crashWorkload() *Workload {
 		Name: "crash",
 		Desc: "3 hosts, owner crash before/after/during an ownership transfer + copyset recovery",
 		Build: func(mut dsm.Mutation) (*Instance, error) {
-			c, rec, err := buildFaultCluster([]arch.Kind{arch.Sun, arch.Firefly, arch.Firefly}, mut)
+			// The failure detector runs on every host: this workload needs
+			// detection and recovery, and no other pays for the heartbeat
+			// events.
+			c, rec, err := buildCluster([]arch.Kind{arch.Sun, arch.Firefly, arch.Firefly}, mut, func(cfg *cluster.Config) { cfg.FailureDetection = true })
 			if err != nil {
 				return nil, err
 			}
@@ -486,7 +441,7 @@ func basicWorkload() *Workload {
 		Name: "basic",
 		Desc: "2 hosts (Sun+Firefly), 2 pages: semaphore-locked counter + once-written slots",
 		Build: func(mut dsm.Mutation) (*Instance, error) {
-			c, rec, err := buildCluster([]arch.Kind{arch.Sun, arch.Firefly}, dsm.PolicyMRSW, mut)
+			c, rec, err := buildCluster([]arch.Kind{arch.Sun, arch.Firefly}, mut, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -545,7 +500,7 @@ func matmulWorkload() *Workload {
 		Name: "matmul",
 		Desc: "3 hosts, 2×2 int matmul, one row per worker (3 pages)",
 		Build: func(mut dsm.Mutation) (*Instance, error) {
-			c, rec, err := buildCluster([]arch.Kind{arch.Sun, arch.Firefly, arch.Sun}, dsm.PolicyMRSW, mut)
+			c, rec, err := buildCluster([]arch.Kind{arch.Sun, arch.Firefly, arch.Sun}, mut, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -607,7 +562,7 @@ func ringWorkload() *Workload {
 		Name: "ring",
 		Desc: "3 hosts, read-replicate then third-party write (copyset accuracy)",
 		Build: func(mut dsm.Mutation) (*Instance, error) {
-			c, rec, err := buildCluster([]arch.Kind{arch.Sun, arch.Sun, arch.Sun}, dsm.PolicyMRSW, mut)
+			c, rec, err := buildCluster([]arch.Kind{arch.Sun, arch.Sun, arch.Sun}, mut, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -639,7 +594,7 @@ func updateWorkload() *Workload {
 		Name: "update",
 		Desc: "2 hosts, write-update policy: sequenced write reaches the replica",
 		Build: func(mut dsm.Mutation) (*Instance, error) {
-			c, rec, err := buildCluster([]arch.Kind{arch.Sun, arch.Firefly}, dsm.PolicyUpdate, mut)
+			c, rec, err := buildCluster([]arch.Kind{arch.Sun, arch.Firefly}, mut, func(cfg *cluster.Config) { cfg.Policy = dsm.PolicyUpdate })
 			if err != nil {
 				return nil, err
 			}
@@ -672,7 +627,7 @@ func semWorkload() *Workload {
 		Name: "sem",
 		Desc: "2 hosts, dsync semaphore mutual exclusion under adversarial wakeups",
 		Build: func(mut dsm.Mutation) (*Instance, error) {
-			c, rec, err := buildCluster([]arch.Kind{arch.Sun, arch.Firefly}, dsm.PolicyMRSW, mut)
+			c, rec, err := buildCluster([]arch.Kind{arch.Sun, arch.Firefly}, mut, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -721,7 +676,7 @@ func barrierWorkload() *Workload {
 		Name: "barrier",
 		Desc: "2 hosts, dsync barrier, 2 rounds: no lost wakeups, no round skew",
 		Build: func(mut dsm.Mutation) (*Instance, error) {
-			c, rec, err := buildCluster([]arch.Kind{arch.Sun, arch.Firefly}, dsm.PolicyMRSW, mut)
+			c, rec, err := buildCluster([]arch.Kind{arch.Sun, arch.Firefly}, mut, nil)
 			if err != nil {
 				return nil, err
 			}

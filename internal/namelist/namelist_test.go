@@ -1,0 +1,43 @@
+package namelist
+
+import (
+	"fmt"
+	"reflect"
+	"strings"
+	"testing"
+)
+
+func TestResolve(t *testing.T) {
+	all := []string{"counter", "rc", "slots"}
+	lookup := func(name string) (string, error) {
+		for _, n := range all {
+			if n == name {
+				return n, nil
+			}
+		}
+		return "", fmt.Errorf("unknown workload %q (have %v)", name, all)
+	}
+	for _, c := range []struct {
+		spec    string
+		want    []string
+		wantErr string // substring; "" = no error
+	}{
+		{"all", all, ""},
+		{"slots", []string{"slots"}, ""},
+		{"slots,counter", []string{"slots", "counter"}, ""},
+		{"slots,nope", nil, `unknown workload "nope" (have [counter rc slots])`},
+		{"slots,,rc", nil, `unknown workload ""`},
+		{"", nil, `unknown workload ""`},
+		{"slots,all", nil, `unknown workload "all"`},
+	} {
+		got, err := Resolve(c.spec, all, lookup)
+		switch {
+		case c.wantErr == "" && err != nil:
+			t.Errorf("Resolve(%q): %v", c.spec, err)
+		case c.wantErr != "" && (err == nil || !strings.Contains(err.Error(), c.wantErr)):
+			t.Errorf("Resolve(%q) = %v, %v; want an error containing %q", c.spec, got, err, c.wantErr)
+		case !reflect.DeepEqual(got, c.want):
+			t.Errorf("Resolve(%q) = %v, want %v", c.spec, got, c.want)
+		}
+	}
+}
