@@ -10,6 +10,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -19,13 +20,13 @@ import (
 func main() {
 	only := flag.String("only", "", "comma-separated subset: t1,t2,t3,t4,f3,f4,f5,f6,f7,psweep,thrash,ovh,abl,dirs,rc,avail,scale,scale1k")
 	flag.Parse()
-	if err := run(*only); err != nil {
+	if err := run(os.Stdout, *only); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 }
 
-func run(only string) error {
+func run(w io.Writer, only string) error {
 	want := func(key string) bool {
 		if only == "" {
 			return true
@@ -39,7 +40,7 @@ func run(only string) error {
 	}
 
 	show := func(t *exp.Table) {
-		fmt.Println(t.Format())
+		fmt.Fprintln(w, t.Format())
 	}
 
 	if want("t1") {
@@ -80,19 +81,19 @@ func run(only string) error {
 	}
 	if want("abl") {
 		r := exp.AblationSameKindSource()
-		fmt.Printf("Ablation: %s\n", r.Name)
-		fmt.Printf("  baseline: %.1f s, %d conversions\n", r.BaselineS, r.BaselineConv)
-		fmt.Printf("  enabled:  %.1f s, %d conversions\n\n", r.TunedS, r.TunedConv)
+		fmt.Fprintf(w, "Ablation: %s\n", r.Name)
+		fmt.Fprintf(w, "  baseline: %.1f s, %d conversions\n", r.BaselineS, r.BaselineConv)
+		fmt.Fprintf(w, "  enabled:  %.1f s, %d conversions\n\n", r.TunedS, r.TunedConv)
 
 		s := exp.SyncStyles(10)
-		fmt.Println("Ablation: spinlock on shared memory vs distributed semaphores (§2.2)")
-		fmt.Printf("  spinlock:  %.2f s, %d page transfers\n", s.SpinlockS, s.SpinlockTransfers)
-		fmt.Printf("  semaphore: %.2f s, %d page transfers\n\n", s.SemaphoreS, s.SemaphoreTransfers)
+		fmt.Fprintln(w, "Ablation: spinlock on shared memory vs distributed semaphores (§2.2)")
+		fmt.Fprintf(w, "  spinlock:  %.2f s, %d page transfers\n", s.SpinlockS, s.SpinlockTransfers)
+		fmt.Fprintf(w, "  semaphore: %.2f s, %d page transfers\n\n", s.SemaphoreS, s.SemaphoreTransfers)
 
 		m := exp.ManagerPlacement()
-		fmt.Println("Ablation: fixed distributed managers vs a central manager")
-		fmt.Printf("  distributed: %.1f s, %d transfers\n", m.DistributedS, m.DistributedTransfers)
-		fmt.Printf("  central:     %.1f s, %d transfers\n\n", m.CentralS, m.CentralTransfers)
+		fmt.Fprintln(w, "Ablation: fixed distributed managers vs a central manager")
+		fmt.Fprintf(w, "  distributed: %.1f s, %d transfers\n", m.DistributedS, m.DistributedTransfers)
+		fmt.Fprintf(w, "  central:     %.1f s, %d transfers\n\n", m.CentralS, m.CentralTransfers)
 
 		show(exp.AlgorithmChoiceTable(exp.AlgorithmChoice()))
 		show(exp.InvalidationTable(exp.InvalidationScaling([]int{1, 3, 5, 10, 14})))

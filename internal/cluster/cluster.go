@@ -57,13 +57,10 @@ type Config struct {
 	// PreferSameKindSource enables the conversion-avoiding read-source
 	// optimization (§2.3).
 	PreferSameKindSource bool
-	// CentralManager places every page's manager on host 0 (ablation of
-	// the fixed distributed manager).
-	CentralManager bool
 	// Directory selects the manager-placement scheme (fixed distributed,
-	// centralized, or Li & Hudak's dynamic distributed manager). The
-	// zero value is the fixed scheme; CentralManager remains the compat
-	// shorthand for dsm.DirCentral.
+	// centralized on host 0 — the ablation of the fixed distributed
+	// manager — or Li & Hudak's dynamic distributed manager). The zero
+	// value is the fixed scheme.
 	Directory dsm.Directory
 	// Policy selects the coherence algorithm (default: MRSW).
 	Policy dsm.Policy
@@ -179,7 +176,6 @@ func New(cfg Config) (*Cluster, error) {
 		Params:               &params,
 		ConversionEnabled:    !cfg.DisableConversion,
 		PreferSameKindSource: cfg.PreferSameKindSource,
-		CentralManager:       cfg.CentralManager,
 		Directory:            cfg.Directory,
 		Policy:               cfg.Policy,
 		UnicastInvalidate:    cfg.UnicastInvalidate,

@@ -32,7 +32,7 @@ func TestOwnerCrashRecoversFromHeterogeneousCopyset(t *testing.T) {
 			{Kind: arch.Firefly},
 		},
 		Seed:             11,
-		CentralManager:   true, // all pages managed by the Sun
+		Directory:        dsm.DirCentral, // all pages managed by the Sun
 		FailureDetection: true,
 		InvariantChecks:  true,
 		SCTrace:          rec,
@@ -111,7 +111,7 @@ func TestSoleOwnerCrashLosesPage(t *testing.T) {
 	c, err := New(Config{
 		Hosts:            []HostSpec{{Kind: arch.Sun}, {Kind: arch.Firefly}},
 		Seed:             12,
-		CentralManager:   true,
+		Directory:        dsm.DirCentral,
 		FailureDetection: true,
 		InvariantChecks:  true,
 	})
@@ -210,6 +210,43 @@ func TestManagerCrashIsolatesItsPageRange(t *testing.T) {
 	c.Check.CheckAll("teardown")
 }
 
+func TestUpdateWriteFaultReturnsHostDown(t *testing.T) {
+	// A write-update write reaches residency through the same fault path
+	// as every paged engine: with the page's manager dead, a write to a
+	// non-resident page returns ErrHostDown through the E-accessor
+	// instead of panicking.
+	c, err := New(Config{
+		Hosts:            []HostSpec{{Kind: arch.Sun}, {Kind: arch.Sun}, {Kind: arch.Sun}},
+		Seed:             13,
+		Policy:           dsm.PolicyUpdate,
+		FailureDetection: true,
+		InvariantChecks:  true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Run(0, func(p *sim.Proc, h *Host) {
+		// Two full 8 KB pages: the second is managed by host 1.
+		var addr dsm.Addr
+		for i := 0; i < 2; i++ {
+			if addr, err = h.DSM.Alloc(p, conv.Int32, 2048); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+		if got := h.DSM.Manager(h.DSM.PageOf(addr)); got != 1 {
+			t.Errorf("second page managed by %d, want 1", got)
+			return
+		}
+		c.CrashHost(1)
+		p.Sleep(detectionSettle)
+		if err := c.Hosts[2].DSM.WriteInt32sE(p, addr, []int32{9}); !errors.Is(err, dsm.ErrHostDown) {
+			t.Errorf("write to the dead manager's range: err = %v, want ErrHostDown", err)
+		}
+	})
+	c.Check.CheckAll("teardown")
+}
+
 func TestScriptedCrashPlanIsDeterministic(t *testing.T) {
 	// The same seed and fault plan must produce bit-identical runs:
 	// same virtual duration, same stats, same recovery outcome.
@@ -221,7 +258,7 @@ func TestScriptedCrashPlanIsDeterministic(t *testing.T) {
 				{Kind: arch.Firefly},
 			},
 			Seed:             21,
-			CentralManager:   true,
+			Directory:        dsm.DirCentral,
 			FailureDetection: true,
 			InvariantChecks:  true,
 			FaultPlan: &netsim.FaultPlan{

@@ -2,7 +2,6 @@ package dsm
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/conv"
 	"repro/internal/proto"
@@ -114,7 +113,7 @@ func (m *Module) allocLocal(p *sim.Proc, typeID conv.TypeID, count int) (Addr, e
 	if err != nil {
 		return 0, err
 	}
-	pages := sortedPages(updates)
+	pages := sortedKeys(updates) // increasing page order keeps the traffic this drives deterministic
 	for _, page := range pages {
 		mt := updates[page]
 		if m.cfg.Mutation == MutAllocOverrun {
@@ -135,7 +134,7 @@ func (m *Module) allocLocal(p *sim.Proc, typeID conv.TypeID, count int) (Addr, e
 		// would resurrect its stale frame outside the copyset, which a
 		// subsequent local fault would happily read instead of fetching
 		// the owner's current data.
-		if m.engine.allocFirstTouch() && !existed {
+		if m.decl.firstTouch && !existed {
 			lp := m.localPageFor(page)
 			if lp.access == NoAccess {
 				lp.access = WriteAccess
@@ -150,17 +149,6 @@ func (m *Module) allocLocal(p *sim.Proc, typeID conv.TypeID, count int) (Addr, e
 		m.checkpoint("allocated", page)
 	}
 	return addr, nil
-}
-
-// sortedPages lists a metadata update's pages in increasing order so
-// iteration — and the network traffic it drives — is deterministic.
-func sortedPages(updates map[PageNo]pageMeta) []PageNo {
-	pages := make([]PageNo, 0, len(updates))
-	for pg := range updates {
-		pages = append(pages, pg)
-	}
-	sort.Slice(pages, func(i, j int) bool { return pages[i] < pages[j] })
-	return pages
 }
 
 // distributeMeta replicates page metadata to every other host and waits

@@ -23,22 +23,9 @@ const (
 	remoteOpSwap  = 1
 )
 
-// forEachGroup splits [addr, addr+n) at native-VM-page-group boundaries
-// (the host's fault granularity) and calls fn per chunk, in order.
-func (m *Module) forEachGroup(addr Addr, n int, fn func(chunkAddr Addr, chunkLen int)) {
-	groupBytes := m.groupSize() * m.cfg.PageSize
-	end := int(addr) + n
-	for pos := int(addr); pos < end; {
-		groupEnd := (pos/groupBytes + 1) * groupBytes
-		hi := min(end, groupEnd)
-		fn(Addr(pos), hi-pos)
-		pos = hi
-	}
-}
-
 // centralRead fetches length bytes at offset within a page from its
 // server, in this host's representation.
-func (m *Module) centralRead(p *sim.Proc, page PageNo, offset, length int) []byte {
+func (m *centralEngine) centralRead(p *sim.Proc, page PageNo, offset, length int) []byte {
 	server := m.manager(page)
 	if server == m.id {
 		m.protoCPU.Use(p, m.cfg.Params.RemoteOpProcess.Of(m.arch.Kind))
@@ -60,7 +47,7 @@ func (m *Module) centralRead(p *sim.Proc, page PageNo, offset, length int) []byt
 }
 
 // centralWrite stores bytes at offset within a page at its server.
-func (m *Module) centralWrite(p *sim.Proc, page PageNo, offset int, data []byte) {
+func (m *centralEngine) centralWrite(p *sim.Proc, page PageNo, offset int, data []byte) {
 	server := m.manager(page)
 	if server == m.id {
 		m.protoCPU.Use(p, m.cfg.Params.RemoteOpProcess.Of(m.arch.Kind))
@@ -81,7 +68,7 @@ func (m *Module) centralWrite(p *sim.Proc, page PageNo, offset int, data []byte)
 }
 
 // centralSwap atomically exchanges an int32 at the server.
-func (m *Module) centralSwap(p *sim.Proc, addr Addr, v int32) int32 {
+func (m *centralEngine) centralSwap(p *sim.Proc, addr Addr, v int32) int32 {
 	page := m.PageOf(addr)
 	offset := int(addr) - int(page)*m.cfg.PageSize
 	server := m.manager(page)
@@ -110,7 +97,7 @@ func (m *Module) centralSwap(p *sim.Proc, addr Addr, v int32) int32 {
 
 // serverPageFor returns the server-resident page image (servers always
 // hold their pages; they are created zeroed on first touch).
-func (m *Module) serverPageFor(page PageNo) *localPage {
+func (m *centralEngine) serverPageFor(page PageNo) *localPage {
 	lp := m.localPageFor(page)
 	if lp.access == NoAccess {
 		lp.access = WriteAccess
@@ -120,8 +107,8 @@ func (m *Module) serverPageFor(page PageNo) *localPage {
 
 // handleRemoteRead serves a central-policy read: convert the requested
 // region to the client's representation and send it.
-func (m *Module) handleRemoteRead(p *sim.Proc, req *proto.Message) {
-	if !m.engine.serverOnly() || m.manager(PageNo(req.Page)) != m.id {
+func (m *centralEngine) handleRemoteRead(p *sim.Proc, req *proto.Message) {
+	if m.manager(PageNo(req.Page)) != m.id {
 		return // misdirected; client times out
 	}
 	m.protoCPU.Use(p, m.cfg.Params.RemoteOpProcess.Of(m.arch.Kind))
@@ -131,17 +118,17 @@ func (m *Module) handleRemoteRead(p *sim.Proc, req *proto.Message) {
 	if offset < 0 || offset+length > len(lp.data) {
 		return
 	}
-	data := make([]byte, length) // vet:ignore hot-alloc — retained by the dedup reply cache
+	data := freshBuf(length)
 	copy(data, lp.data[offset:])
-	m.convertForClient(p, page, data, HostID(req.From), false)
+	m.convertRegion(p, page, data, m.arch, m.hosts[req.From])
 	m.ep.Reply(p, req, &proto.Message{Kind: proto.KindRemoteReadReply, Page: req.Page, Data: data})
 }
 
 // handleRemoteWrite serves a central-policy store or swap. The request's
 // wire buffer is recycled once its Data has been consumed (or the
 // request rejected).
-func (m *Module) handleRemoteWrite(p *sim.Proc, req *proto.Message) {
-	if !m.engine.serverOnly() || m.manager(PageNo(req.Page)) != m.id {
+func (m *centralEngine) handleRemoteWrite(p *sim.Proc, req *proto.Message) {
+	if m.manager(PageNo(req.Page)) != m.id {
 		bufpool.Put(req.TakeWire())
 		return
 	}
@@ -173,42 +160,22 @@ func (m *Module) handleRemoteWrite(p *sim.Proc, req *proto.Message) {
 	data := bufpool.Get(len(req.Data))
 	copy(data, req.Data)
 	bufpool.Put(req.TakeWire())
-	m.convertForClient(p, page, data, HostID(req.From), true)
+	m.convertRegion(p, page, data, m.hosts[req.From], m.arch)
 	copy(lp.data[offset:], data)
 	bufpool.Put(data)
 	m.checkpoint("central-write", page)
 	m.ep.Reply(p, req, &proto.Message{Kind: proto.KindRemoteWriteAck, Page: req.Page})
 }
 
-// convertForClient converts a region between the server's and a
-// client's representations (inbound=true converts client→server).
-func (m *Module) convertForClient(p *sim.Proc, page PageNo, data []byte, client HostID, inbound bool) {
-	if !m.cfg.ConversionEnabled {
-		return
+// checkCentralPage is the central engine's declared invariant: the page
+// lives only at its server and nobody caches, so any copy elsewhere is
+// a protocol leak.
+func checkCentralPage(c *InvariantChecker, point string, page PageNo, writers, holders []HostID) {
+	c.uniqueWriter(point, page, writers)
+	server := c.byID(c.mods[0].manager(page))
+	for _, h := range holders {
+		if server == nil || h != server.id {
+			c.report(point, page, "host %d caches a copy under the central-server policy", h)
+		}
 	}
-	clientArch := m.hosts[client]
-	if clientArch.Compatible(m.arch) {
-		return
-	}
-	mt, ok := m.meta[page]
-	if !ok {
-		return
-	}
-	typ := m.cfg.Registry.MustGet(mt.typeID)
-	n := len(data) / typ.Size
-	if n == 0 {
-		return
-	}
-	p.Sleep(m.cfg.Params.RegionConvertCost(m.arch.Kind, typ.Cost, n))
-	from, to := m.arch, clientArch
-	if inbound {
-		from, to = clientArch, m.arch
-	}
-	ptrOff := int32(m.base(to.Kind)) - int32(m.base(from.Kind))
-	rep, err := m.cfg.Registry.ConvertRegion(mt.typeID, data[:n*typ.Size], from, to, ptrOff)
-	if err != nil {
-		panic(fmt.Sprintf("dsm: central conversion page %d: %v", page, err))
-	}
-	m.stats.Conversions++
-	m.stats.ConvReport.Add(rep)
 }

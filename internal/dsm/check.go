@@ -23,11 +23,15 @@ package dsm
 // sequenced, allocation distributed). It relies on the simulation
 // kernel's one-process-at-a-time execution: a checkpoint sees a
 // globally consistent snapshot without any locking.
+//
+// This file holds the checker and what every configuration shares:
+// invariant 5 and the page-sized buffers. Invariants 1–4 are the MRSW
+// residency obligations, the default an engine gets, with 2–4 asserted
+// by whichever directory scheme keeps the records (directory.go,
+// dynamic.go); an engine whose pages live elsewhere declares its own
+// obligations instead (engineDecl.invariants).
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Violation describes one invariant failure.
 type Violation struct {
@@ -100,39 +104,34 @@ func (c *InvariantChecker) at(point string, page PageNo) {
 	c.checkPage(point, page)
 }
 
-// CheckAll sweeps every page any module holds or manages — a final
-// whole-space audit for test teardown.
+// CheckAll sweeps every page any module holds, manages or has metadata
+// for, plus whatever pages its directory scheme and engine declared
+// they track — a final whole-space audit for test teardown.
 func (c *InvariantChecker) CheckAll(point string) {
 	set := map[PageNo]struct{}{}
+	add := func(pages []PageNo) {
+		for _, pg := range pages {
+			set[pg] = struct{}{}
+		}
+	}
 	for _, m := range c.mods {
-		for pg := range m.local {
-			set[pg] = struct{}{}
-		}
-		for pg := range m.mgr {
-			set[pg] = struct{}{}
-		}
-		for pg := range m.meta {
-			set[pg] = struct{}{}
-		}
-		for pg := range m.dyn {
-			set[pg] = struct{}{}
-		}
-		for pg := range m.qrm {
-			set[pg] = struct{}{}
+		add(sortedKeys(m.local))
+		add(sortedKeys(m.mgr))
+		add(sortedKeys(m.meta))
+		add(m.dir.pages())
+		if m.decl.pages != nil {
+			add(m.decl.pages())
 		}
 	}
-	pages := make([]PageNo, 0, len(set))
-	for pg := range set {
-		pages = append(pages, pg)
-	}
-	sort.Slice(pages, func(i, j int) bool { return pages[i] < pages[j] })
-	for _, pg := range pages {
+	for _, pg := range sortedKeys(set) {
 		c.checks++
 		c.checkPage(point, pg)
 	}
 }
 
-// checkPage asserts the global invariants for one page.
+// checkPage asserts the global invariants for one page: the structural
+// ones every engine shares, then the ones the running engine declared
+// (engineDecl.invariants; the MRSW residency invariants by default).
 func (c *InvariantChecker) checkPage(point string, page PageNo) {
 	if len(c.mods) == 0 {
 		return
@@ -160,247 +159,37 @@ func (c *InvariantChecker) checkPage(point string, page PageNo) {
 		if lp.access != NoAccess {
 			holders = append(holders, m.id)
 		}
-		if mt, ok := m.meta[page]; ok {
-			if mt.used < 0 || mt.used > cfg.PageSize {
-				c.report(point, page, "host %d records %d allocated bytes in a %d-byte page",
-					m.id, mt.used, cfg.PageSize)
-			}
-			if t, ok := cfg.Registry.Get(mt.typeID); ok && t.Size > 0 && mt.used%t.Size != 0 {
-				c.report(point, page, "host %d: allocated prefix %d is not whole %s elements (size %d)",
-					m.id, mt.used, t.Name, t.Size)
-			}
-		}
+		c.checkMeta(point, page, m)
 	}
-	if c.mods[0].engine.lazyRelease() {
-		// Release consistency: multiple writable copies are the design,
-		// not a bug — coherence is the model layer's obligation (rc.go),
-		// checked offline by the happens-before trace oracle. Only the
-		// structural checks above apply.
+	if inv := c.mods[0].decl.invariants; inv != nil {
+		inv(c, point, page, writers, holders)
 		return
 	}
+	c.uniqueWriter(point, page, writers)
+	c.mods[0].dir.checkPage(c, point, page, writers, holders)
+}
+
+// checkMeta asserts invariant 5 on one host's replicated allocation
+// record for the page, if it has one.
+func (c *InvariantChecker) checkMeta(point string, page PageNo, m *Module) {
+	mt, ok := m.meta[page]
+	if !ok {
+		return
+	}
+	if mt.used < 0 || mt.used > m.cfg.PageSize {
+		c.report(point, page, "host %d records %d allocated bytes in a %d-byte page",
+			m.id, mt.used, m.cfg.PageSize)
+	}
+	if t, ok := m.cfg.Registry.Get(mt.typeID); ok && t.Size > 0 && mt.used%t.Size != 0 {
+		c.report(point, page, "host %d: allocated prefix %d is not whole %s elements (size %d)",
+			m.id, mt.used, t.Name, t.Size)
+	}
+}
+
+// uniqueWriter asserts invariant 1. Engines whose design admits several
+// writable copies (lazy release) simply do not call it.
+func (c *InvariantChecker) uniqueWriter(point string, page PageNo, writers []HostID) {
 	if len(writers) > 1 {
 		c.report(point, page, "multiple writable copies on hosts %v", writers)
 	}
-
-	if c.mods[0].engine.quorumReplicated() {
-		c.checkQuorumPage(point, page)
-		return
-	}
-
-	if c.mods[0].engine.serverOnly() {
-		// Central policy: the page lives only at its server; nobody
-		// caches. Any copy elsewhere is a protocol leak.
-		mgrMod := c.byID(c.mods[0].manager(page))
-		for _, h := range holders {
-			if mgrMod == nil || h != mgrMod.id {
-				c.report(point, page, "host %d caches a copy under the central-server policy", h)
-			}
-		}
-		return
-	}
-
-	if c.mods[0].dyn != nil {
-		c.checkDynamicPage(point, page, writers, holders)
-		return
-	}
-
-	// Manager-side invariants are asserted only when the page is
-	// quiescent: its transfer lock free, no confirmation outstanding.
-	mgrMod := c.byID(c.mods[0].manager(page))
-	if mgrMod == nil || mgrMod.crashed {
-		return // the manager's records died with it (unavailable but isolated)
-	}
-	ent := mgrMod.mgr[page]
-	if ent == nil {
-		return // never faulted through its manager yet
-	}
-	if ent.lock.Count() == 0 {
-		return // transfer transaction in flight: transient states allowed
-	}
-	if ent.suspect {
-		// The last transfer was never confirmed: the entry is known to be
-		// possibly ahead of reality until the next transaction reconciles
-		// it against the unconfirmed requester.
-		return
-	}
-	if ent.lost {
-		// A lost page must really be gone: any surviving copy means the
-		// manager gave up while a recovery source existed.
-		for _, h := range holders {
-			c.report(point, page, "page is declared lost but host %d still holds a copy", h)
-		}
-		return
-	}
-
-	owner := c.byID(ent.owner)
-	if owner == nil {
-		c.report(point, page, "manager %d records unknown owner %d", mgrMod.id, ent.owner)
-		return
-	}
-	if owner.crashed || mgrMod.deadHost(ent.owner) {
-		return // owner crashed: state is transient until the recovery sweep
-	}
-	if owner.Access(page) == NoAccess {
-		c.report(point, page, "owner %d holds no copy", ent.owner)
-	}
-	for _, w := range writers {
-		if w != ent.owner {
-			c.report(point, page, "host %d holds the writable copy but manager %d records owner %d",
-				w, mgrMod.id, ent.owner)
-		}
-	}
-	for _, h := range holders {
-		if h == ent.owner {
-			continue
-		}
-		if _, in := ent.copyset[h]; !in {
-			c.report(point, page, "host %d holds a copy but is neither owner nor in the copyset %v (stale copy — missed invalidation?)",
-				h, copysetList(ent))
-		}
-	}
-}
-
-// checkQuorumPage asserts the SC-ABD engine's structural invariants for
-// one page: every replica buffer is page-sized, every version tag names
-// a known writer, and the replicated allocation metadata is sane.
-// Version agreement is deliberately NOT asserted — replicas legitimately
-// diverge between quorum rounds (only a majority need hold the newest
-// version); the SC trace checker is what audits the values reads
-// actually return.
-func (c *InvariantChecker) checkQuorumPage(point string, page PageNo) {
-	cfg := c.mods[0].cfg
-	for _, m := range c.mods {
-		if m.crashed {
-			continue
-		}
-		qp := m.qrm[page]
-		if qp == nil {
-			continue
-		}
-		if len(qp.data) != cfg.PageSize {
-			c.report(point, page, "host %d holds a %d-byte replica of a %d-byte page",
-				m.id, len(qp.data), cfg.PageSize)
-		}
-		if qp.tag != (quorumTag{}) && c.byID(qp.tag.host) == nil {
-			c.report(point, page, "host %d's replica tag names unknown writer %d",
-				m.id, qp.tag.host)
-		}
-		if mt, ok := m.meta[page]; ok {
-			if mt.used < 0 || mt.used > cfg.PageSize {
-				c.report(point, page, "host %d records %d allocated bytes in a %d-byte page",
-					m.id, mt.used, cfg.PageSize)
-			}
-			if t, ok := cfg.Registry.Get(mt.typeID); ok && t.Size > 0 && mt.used%t.Size != 0 {
-				c.report(point, page, "host %d: allocated prefix %d is not whole %s elements (size %d)",
-					m.id, mt.used, t.Name, t.Size)
-			}
-		}
-	}
-}
-
-// checkDynamicPage asserts the dynamic distributed manager's invariants
-// for one page: there is no manager table, so the ownership and copyset
-// invariants are checked against the owner's own records, and the
-// probable-owner graph replaces invariant 2 — from every live host, the
-// hint chain must reach the owner within N hops (Li & Hudak's bound).
-func (c *InvariantChecker) checkDynamicPage(point string, page PageNo, writers, holders []HostID) {
-	var owners []*Module
-	busy := false
-	anyCrashed := false
-	for _, m := range c.mods {
-		if m.crashed {
-			anyCrashed = true
-			continue
-		}
-		dp := m.dyn[page]
-		if dp == nil {
-			continue
-		}
-		if dp.lock.Count() == 0 || dp.recLock.Count() == 0 {
-			busy = true // a transaction or recovery holds the page
-		}
-		if dp.owned {
-			owners = append(owners, m)
-		}
-	}
-	if busy {
-		// A transaction or recovery in flight: the new owner records
-		// itself on redeeming the delivery, the old owner relinquishes
-		// only once the delivery is acknowledged, and the server's page
-		// lock is held across that whole window — so ownership overlap
-		// is legitimate exactly while some lock is taken.
-		return
-	}
-	if len(owners) > 1 {
-		ids := make([]HostID, len(owners))
-		for i, m := range owners {
-			ids[i] = m.id
-		}
-		c.report(point, page, "multiple dynamic owners on hosts %v", ids)
-	}
-	if len(owners) != 1 {
-		// Ownerless (mid-crash, lost, or pre-recovery): only the
-		// structural invariants apply. A quiescent wedged state surfaces
-		// as a timeout or model-checker deadlock, not here.
-		return
-	}
-	own := owners[0]
-	dp := own.dyn[page]
-	if own.Access(page) == NoAccess {
-		c.report(point, page, "dynamic owner %d holds no copy", own.id)
-	}
-	for _, w := range writers {
-		if w != own.id {
-			c.report(point, page, "host %d holds the writable copy but host %d is the recorded dynamic owner",
-				w, own.id)
-		}
-	}
-	for _, h := range holders {
-		if h == own.id {
-			continue
-		}
-		if _, in := dp.copyset[h]; !in {
-			c.report(point, page, "host %d holds a copy but is neither owner nor in owner %d's copyset %v (stale copy — missed invalidation?)",
-				h, own.id, dynCopysetList(dp, own.id))
-		}
-	}
-	if anyCrashed {
-		return // chains through corpses are repaired lazily on demand
-	}
-	for _, m := range c.mods {
-		hops := 0
-		cur := m
-		for cur.id != own.id {
-			hint := HostID(0) // a host that never faulted points at the allocation manager
-			if d := cur.dyn[page]; d != nil {
-				hint = d.probOwner
-			}
-			next := c.byID(hint)
-			if next == nil {
-				c.report(point, page, "host %d's probable-owner hint names unknown host %d", cur.id, hint)
-				break
-			}
-			hops++
-			if hops > len(c.mods) {
-				c.report(point, page, "probable-owner chain from host %d does not reach owner %d within %d hops",
-					m.id, own.id, len(c.mods))
-				break
-			}
-			cur = next
-		}
-	}
-}
-
-// copysetList renders a copyset deterministically for messages.
-func copysetList(ent *mgrEntry) []HostID {
-	out := make([]HostID, 0, len(ent.copyset))
-	for h := range ent.copyset {
-		out = append(out, h)
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
 }

@@ -13,6 +13,7 @@ package dsm
 import (
 	"fmt"
 
+	"repro/internal/proto"
 	"repro/internal/sim"
 )
 
@@ -58,18 +59,13 @@ func ParseDirectory(s string) (Directory, error) {
 	return 0, fmt.Errorf("dsm: unknown directory scheme %q", s)
 }
 
-// effectiveDirectory resolves the legacy CentralManager flag: it
-// predates the Directory field and keeps meaning "managers on host 0".
-func (c *Config) effectiveDirectory() Directory {
-	if c.Directory == DirFixed && c.CentralManager {
-		return DirCentral
-	}
-	return c.Directory
-}
-
 // directory is the manager-placement scheme: it locates a page's
 // manager and runs the host-side page-fault transaction that obtains a
-// copy or ownership through it.
+// copy or ownership through it. Like an engine it states its own
+// obligations — the records it keeps, their invariants, their hash
+// section, the proto.Kind handlers it serves (registered by its
+// constructor) — so the checker and the state hash iterate them without
+// asking which scheme is running.
 type directory interface {
 	// home returns the page's manager host. Fixed schemes compute it;
 	// the dynamic scheme has no manager and panics (use Owner/probable
@@ -82,18 +78,27 @@ type directory interface {
 	// page on this host (called on every host that keeps a zero-filled
 	// writable copy at allocation time).
 	allocOwned(page PageNo)
+	// pages lists the pages the scheme keeps records for beyond the
+	// module's manager table (the checker's whole-space sweep).
+	pages() []PageNo
+	// checkPage audits the scheme's ownership records for one page
+	// against the live hosts holding it writable and holding it at all.
+	checkPage(c *InvariantChecker, point string, page PageNo, writers, holders []HostID)
+	// hashState folds the scheme's private records into a state
+	// fingerprint, as its own section.
+	hashState(put func(uint32))
 }
 
 // newDirectory builds the configured manager-placement scheme.
 func newDirectory(m *Module) directory {
-	switch m.cfg.effectiveDirectory() {
-	case DirCentral:
-		return &fixedDirectory{m: m, central: true}
-	case DirDynamic:
+	if m.cfg.Directory == DirDynamic {
 		return newDynamicDirectory(m)
-	default:
-		return &fixedDirectory{m: m}
 	}
+	m.ep.Handle(proto.KindGetPage, m.handleGetPage)
+	m.ep.Handle(proto.KindGetPageWrite, m.handleGetPage)
+	m.ep.Handle(proto.KindServeRequest, m.handleServeRequest)
+	m.ep.Handle(proto.KindOwnerUpdate, m.handleOwnerUpdate)
+	return &fixedDirectory{m: m, central: m.cfg.Directory == DirCentral}
 }
 
 // fixedDirectory is the static-placement family: every host can compute
@@ -120,3 +125,66 @@ func (d *fixedDirectory) fault(p *sim.Proc, page PageNo, write bool) error {
 }
 
 func (d *fixedDirectory) allocOwned(PageNo) {}
+
+// The fixed schemes' records are the module's manager table, which the
+// checker sweeps and the state hash covers for every configuration.
+func (d *fixedDirectory) pages() []PageNo          { return nil }
+func (d *fixedDirectory) hashState(func(v uint32)) {}
+
+// checkPage asserts Li's manager-side invariants (2–4 of check.go). They
+// are asserted only when the page is quiescent: its transfer lock free,
+// no confirmation outstanding.
+func (d *fixedDirectory) checkPage(c *InvariantChecker, point string, page PageNo, writers, holders []HostID) {
+	mgrMod := c.byID(d.home(page))
+	if mgrMod == nil || mgrMod.crashed {
+		return // the manager's records died with it (unavailable but isolated)
+	}
+	ent := mgrMod.mgr[page]
+	if ent == nil {
+		return // never faulted through its manager yet
+	}
+	if ent.lock.Count() == 0 {
+		return // transfer transaction in flight: transient states allowed
+	}
+	if ent.suspect {
+		// The last transfer was never confirmed: the entry is known to be
+		// possibly ahead of reality until the next transaction reconciles
+		// it against the unconfirmed requester.
+		return
+	}
+	if ent.lost {
+		// A lost page must really be gone: any surviving copy means the
+		// manager gave up while a recovery source existed.
+		for _, h := range holders {
+			c.report(point, page, "page is declared lost but host %d still holds a copy", h)
+		}
+		return
+	}
+
+	owner := c.byID(ent.owner)
+	if owner == nil {
+		c.report(point, page, "manager %d records unknown owner %d", mgrMod.id, ent.owner)
+		return
+	}
+	if owner.crashed || mgrMod.deadHost(ent.owner) {
+		return // owner crashed: state is transient until the recovery sweep
+	}
+	if owner.Access(page) == NoAccess {
+		c.report(point, page, "owner %d holds no copy", ent.owner)
+	}
+	for _, w := range writers {
+		if w != ent.owner {
+			c.report(point, page, "host %d holds the writable copy but manager %d records owner %d",
+				w, mgrMod.id, ent.owner)
+		}
+	}
+	for _, h := range holders {
+		if h == ent.owner {
+			continue
+		}
+		if _, in := ent.copyset[h]; !in {
+			c.report(point, page, "host %d holds a copy but is neither owner nor in the copyset %v (stale copy — missed invalidation?)",
+				h, sortedKeys(ent.copyset))
+		}
+	}
+}

@@ -104,7 +104,7 @@ const (
 	// consistent *and live* in any majority component of a partition —
 	// the only engine that makes progress while the fabric is split.
 	PolicyQuorum
-	// PolicyRC is lazy release consistency (rc.go, model.go): every
+	// PolicyRC is lazy release consistency (rc.go): every
 	// resident copy is writable, writes are captured against a twin and
 	// propagated at release time as element-aligned typed diffs to the
 	// page's home, and acquirers pull the intervals their vector
@@ -151,16 +151,12 @@ type Config struct {
 	// copyset member of the requester's machine type when one exists,
 	// avoiding a conversion (§2.3's optimization).
 	PreferSameKindSource bool
-	// CentralManager places every page's manager on host 0 (Li's
-	// centralized-manager variant) instead of distributing managers
-	// round-robin; an ablation of the paper's fixed distributed
-	// manager choice (§3.1). Retained for compatibility — it is
-	// shorthand for Directory: DirCentral.
-	CentralManager bool
 	// Directory selects the manager-placement scheme (directory.go):
-	// fixed distributed managers (default), centralized, or Li &
-	// Hudak's dynamic distributed manager with probable-owner
-	// forwarding. DirDynamic is only defined for PolicyMRSW.
+	// fixed distributed managers (default), centralized on host 0 (Li's
+	// centralized-manager variant, an ablation of the paper's fixed
+	// distributed manager choice, §3.1), or Li & Hudak's dynamic
+	// distributed manager with probable-owner forwarding. DirDynamic is
+	// only defined for PolicyMRSW.
 	Directory Directory
 	// Policy selects the coherence algorithm (default PolicyMRSW).
 	Policy Policy
@@ -223,13 +219,7 @@ func (c *Config) Validate() error {
 	if c.Params == nil {
 		return fmt.Errorf("dsm: no cost model")
 	}
-	if c.Directory == DirDynamic && c.CentralManager {
-		return fmt.Errorf("dsm: CentralManager conflicts with the dynamic directory")
-	}
-	if err := c.validatePolicy(); err != nil {
-		return err
-	}
-	return nil
+	return c.validatePolicy()
 }
 
 // pageMeta is the allocation record of one page: its single data type
@@ -375,26 +365,17 @@ type Module struct {
 	// the numbers of page faults and transfers").
 	pageFetches map[PageNo]int
 
-	// engine is the coherence policy's replication strategy; dir is the
-	// manager-placement scheme. Both are fixed at New (engine.go,
-	// directory.go).
+	// engine is the coherence policy's replication strategy, decl what
+	// it declared about itself (invariants, hash section, oracle, sync
+	// hooks); dir is the manager-placement scheme. All are fixed at New
+	// (engine.go, directory.go); state private to one engine lives in
+	// that engine.
 	engine engine
+	decl   engineDecl
 	dir    directory
 	// dyn holds per-page probable-owner state; non-nil only under the
-	// dynamic directory (dynamic.go), so fixed-scheme runs and their
-	// state hashes are untouched.
+	// dynamic directory (dynamic.go).
 	dyn map[PageNo]*dynPage
-	// qrm holds per-page SC-ABD replica state; non-nil only under
-	// PolicyQuorum (quorum.go). Replicas live here, not in m.local:
-	// tag-ordered versions are not MRSW residency and must stay
-	// invisible to the MRSW invariant checker and state hash sections.
-	qrm map[PageNo]*quorumPage
-	// rc holds the release-consistency state (twins, vector timestamp,
-	// notices, per-page home logs); non-nil only under PolicyRC (rc.go).
-	rc *rcState
-	// model is the consistency-model layer: the trace oracle and the
-	// dsync payload hooks the policy's contract implies (model.go).
-	model consistencyModel
 
 	// liveness is the attached failure detector; nil (the default)
 	// means no failure detection: protocol failures panic and the
@@ -430,35 +411,20 @@ func New(k *sim.Kernel, ep *remoteop.Endpoint, cfg *Config, hosts []arch.Arch) (
 		protoCPU:    sim.NewResource(k, 1),
 		pageFetches: make(map[PageNo]int),
 	}
-	m.engine = newEngine(m)
+	// The engine and the directory each register the proto.Kind handlers
+	// they serve; only the kinds every configuration shares — the
+	// delivery and invalidation legs of a page transfer, allocation, the
+	// lock-free recovery probe — are registered here.
+	m.engine, m.decl = newEngine(m)
 	m.dir = newDirectory(m)
-	m.model = newModel(m)
 	if id == 0 {
 		m.alloc = newAllocator(cfg)
 	}
-	ep.Handle(proto.KindGetPage, m.handleGetPage)
-	ep.Handle(proto.KindGetPageWrite, m.handleGetPage)
-	ep.Handle(proto.KindServeRequest, m.handleServeRequest)
 	ep.Handle(proto.KindPageDeliver, m.handlePageDeliver)
 	ep.Handle(proto.KindInvalidate, m.handleInvalidate)
-	ep.Handle(proto.KindOwnerUpdate, m.handleOwnerUpdate)
 	ep.Handle(proto.KindPageMeta, m.handlePageMeta)
 	ep.Handle(proto.KindAlloc, m.handleAlloc)
-	ep.Handle(proto.KindRemoteRead, m.handleRemoteRead)
-	ep.Handle(proto.KindRemoteWrite, m.handleRemoteWrite)
-	ep.Handle(proto.KindUpdateWrite, m.handleUpdateWrite)
-	ep.Handle(proto.KindApplyUpdate, m.handleApplyUpdate)
 	ep.Handle(proto.KindRecoverPage, m.handleRecoverPage)
-	ep.Handle(proto.KindDynGetPage, m.handleDynGetPage)
-	ep.Handle(proto.KindDynGetPageWrite, m.handleDynGetPage)
-	ep.Handle(proto.KindDynForward, m.handleDynForward)
-	ep.Handle(proto.KindDynRecover, m.handleDynRecover)
-	ep.Handle(proto.KindDynConfirm, m.handleDynConfirm)
-	ep.Handle(proto.KindQuorumRead, m.handleQuorumRead)
-	ep.Handle(proto.KindQuorumWrite, m.handleQuorumWrite)
-	ep.Handle(proto.KindRCFetch, m.handleRCFetch)
-	ep.Handle(proto.KindRCDiff, m.handleRCDiff)
-	ep.Handle(proto.KindRCPull, m.handleRCPull)
 	return m, nil
 }
 

@@ -30,6 +30,7 @@ package dsm
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/bufpool"
 	"repro/internal/proto"
@@ -117,7 +118,38 @@ type dynamicDirectory struct {
 
 func newDynamicDirectory(m *Module) *dynamicDirectory {
 	m.dyn = make(map[PageNo]*dynPage)
+	m.ep.Handle(proto.KindDynGetPage, m.handleDynGetPage)
+	m.ep.Handle(proto.KindDynGetPageWrite, m.handleDynGetPage)
+	m.ep.Handle(proto.KindDynForward, m.handleDynForward)
+	m.ep.Handle(proto.KindDynRecover, m.handleDynRecover)
+	m.ep.Handle(proto.KindDynConfirm, m.handleDynConfirm)
 	return &dynamicDirectory{m: m}
+}
+
+func (d *dynamicDirectory) pages() []PageNo { return sortedKeys(d.m.dyn) }
+
+// hashState is the dynamic scheme's section of the state fingerprint:
+// each page's hint, ownership, transaction lock state and copyset.
+func (d *dynamicDirectory) hashState(put func(uint32)) {
+	put(0xffff_fffc)
+	for _, pg := range d.pages() {
+		dp := d.m.dyn[pg]
+		put(uint32(pg))
+		put(uint32(dp.probOwner))
+		if dp.owned {
+			put(1)
+		} else {
+			put(0)
+		}
+		put(uint32(dp.lock.Count())) // distinguishes in-flight from quiescent
+		if dp.lost {
+			put(0xdead_4c57)
+		}
+		for _, hID := range dynCopysetList(dp, d.m.id) {
+			put(uint32(hID))
+		}
+		put(0xffff_fffe)
+	}
 }
 
 func (d *dynamicDirectory) home(page PageNo) HostID {
@@ -128,6 +160,99 @@ func (d *dynamicDirectory) allocOwned(page PageNo) {
 	dp := d.m.dynPageFor(page)
 	dp.owned = true
 	dp.probOwner = d.m.id
+}
+
+// checkPage asserts the dynamic distributed manager's invariants for one
+// page: there is no manager table, so the ownership and copyset
+// invariants are checked against the owner's own records, and the
+// probable-owner graph replaces invariant 2 — from every live host, the
+// hint chain must reach the owner within N hops (Li & Hudak's bound).
+func (d *dynamicDirectory) checkPage(c *InvariantChecker, point string, page PageNo, writers, holders []HostID) {
+	var owners []*Module
+	busy := false
+	anyCrashed := false
+	for _, m := range c.mods {
+		if m.crashed {
+			anyCrashed = true
+			continue
+		}
+		dp := m.dyn[page]
+		if dp == nil {
+			continue
+		}
+		if dp.lock.Count() == 0 || dp.recLock.Count() == 0 {
+			busy = true // a transaction or recovery holds the page
+		}
+		if dp.owned {
+			owners = append(owners, m)
+		}
+	}
+	if busy {
+		// A transaction or recovery in flight: the new owner records
+		// itself on redeeming the delivery, the old owner relinquishes
+		// only once the delivery is acknowledged, and the server's page
+		// lock is held across that whole window — so ownership overlap
+		// is legitimate exactly while some lock is taken.
+		return
+	}
+	if len(owners) > 1 {
+		ids := make([]HostID, len(owners))
+		for i, m := range owners {
+			ids[i] = m.id
+		}
+		c.report(point, page, "multiple dynamic owners on hosts %v", ids)
+	}
+	if len(owners) != 1 {
+		// Ownerless (mid-crash, lost, or pre-recovery): only the
+		// structural invariants apply. A quiescent wedged state surfaces
+		// as a timeout or model-checker deadlock, not here.
+		return
+	}
+	own := owners[0]
+	dp := own.dyn[page]
+	if own.Access(page) == NoAccess {
+		c.report(point, page, "dynamic owner %d holds no copy", own.id)
+	}
+	for _, w := range writers {
+		if w != own.id {
+			c.report(point, page, "host %d holds the writable copy but host %d is the recorded dynamic owner",
+				w, own.id)
+		}
+	}
+	for _, h := range holders {
+		if h == own.id {
+			continue
+		}
+		if _, in := dp.copyset[h]; !in {
+			c.report(point, page, "host %d holds a copy but is neither owner nor in owner %d's copyset %v (stale copy — missed invalidation?)",
+				h, own.id, dynCopysetList(dp, own.id))
+		}
+	}
+	if anyCrashed {
+		return // chains through corpses are repaired lazily on demand
+	}
+	for _, m := range c.mods {
+		hops := 0
+		cur := m
+		for cur.id != own.id {
+			hint := HostID(0) // a host that never faulted points at the allocation manager
+			if hp := cur.dyn[page]; hp != nil {
+				hint = hp.probOwner
+			}
+			next := c.byID(hint)
+			if next == nil {
+				c.report(point, page, "host %d's probable-owner hint names unknown host %d", cur.id, hint)
+				break
+			}
+			hops++
+			if hops > len(c.mods) {
+				c.report(point, page, "probable-owner chain from host %d does not reach owner %d within %d hops",
+					m.id, own.id, len(c.mods))
+				break
+			}
+			cur = next
+		}
+	}
 }
 
 // fault obtains the page by chasing the probable-owner chain. The
@@ -162,9 +287,7 @@ func (d *dynamicDirectory) fault(p *sim.Proc, page PageNo, write bool) error {
 		}
 		resp, err := m.ep.Call(p, target, &proto.Message{Kind: kind, Page: uint32(page)}) // vet:ignore lock-remote — Li transaction: every hop holds only its own host's per-page entry, and the probable-owner chain is acyclic, so the cross-host waits cannot cycle
 		if err != nil {
-			if m.liveness == nil {
-				panic(fmt.Sprintf("dsm: host %d page %d dynamic fault: %v", m.id, page, err))
-			}
+			m.mustDetect(err, "host %d page %d dynamic fault", m.id, page)
 			// A dead first hop, or an unanswered chase: the serving
 			// transaction died in a crash, or the request cycled through
 			// survivors' stale hints and was dropped. Either way the chain
@@ -211,11 +334,11 @@ func (d *dynamicDirectory) fault(p *sim.Proc, page PageNo, write bool) error {
 			Page: uint32(page),
 			Args: []uint32{reqid, w},
 		})
-		if cerr != nil && m.liveness == nil {
-			panic(fmt.Sprintf("dsm: host %d confirming page %d to owner %d: %v", m.id, page, server, cerr))
+		if cerr != nil {
+			// Under liveness a failed confirm means the server just died;
+			// its transaction died with it and recovery owns the page now.
+			m.mustDetect(cerr, "host %d confirming page %d to owner %d", m.id, page, server)
 		}
-		// Under liveness a failed confirm means the server just died; its
-		// transaction died with it and recovery owns the page now.
 		return nil
 	}
 }
@@ -241,9 +364,6 @@ func (m *Module) dynUpgradeLocal(p *sim.Proc, page PageNo, dp *dynPage) error {
 // redeems the requester's call with a PageDeliver.
 func (m *Module) handleDynGetPage(p *sim.Proc, req *proto.Message) {
 	m.exitIfCrashed(p)
-	if m.dyn == nil {
-		return // misdirected under a fixed directory; requester times out
-	}
 	write := req.Kind == proto.KindDynGetPageWrite
 	m.dynServeOrForward(p, PageNo(req.Page), HostID(req.From), req.ReqID, write, 0)
 }
@@ -253,9 +373,6 @@ func (m *Module) handleDynGetPage(p *sim.Proc, req *proto.Message) {
 // by the previous node rather than stalling the transaction.
 func (m *Module) handleDynForward(p *sim.Proc, req *proto.Message) {
 	m.exitIfCrashed(p)
-	if m.dyn == nil {
-		return
-	}
 	m.ep.Reply(p, req, &proto.Message{Kind: proto.KindDynForwardAck, Page: req.Page})
 	m.dynServeOrForward(p, PageNo(req.Page), HostID(req.Arg(0)), req.Arg(1), req.Arg(2) == 1, int(req.Arg(3)))
 }
@@ -323,9 +440,7 @@ func (m *Module) dynServeOrForward(p *sim.Proc, page PageNo, requester HostID, o
 			Page: uint32(page),
 			Args: []uint32{uint32(requester), origReqID, w, uint32(hops + 1)},
 		}); err != nil {
-			if m.liveness == nil {
-				panic(fmt.Sprintf("dsm: host %d forwarding page %d to %d: %v", m.id, page, next, err))
-			}
+			m.mustDetect(err, "host %d forwarding page %d to %d", m.id, page, next)
 			// The next hop is a corpse: point the chain at the requester
 			// (who is about to recover a route to the owner) and tell it
 			// to take the recovery path.
@@ -458,22 +573,20 @@ func (m *Module) dynAwaitConfirm(p *sim.Proc, dp *dynPage, requester HostID) {
 // request ID (matched against confirmReq so a delayed confirm from an
 // earlier transaction is ignored); Args[1] is 1 for a write install.
 func (m *Module) handleDynConfirm(p *sim.Proc, req *proto.Message) {
-	if m.dyn != nil {
-		if dp, ok := m.dyn[PageNo(req.Page)]; ok && req.Arg(0) == dp.confirmReq {
-			dp.confirmed = true
-			if dp.confirmArmed {
-				dp.confirmArmed = false
-				m.k.Wake(dp.confirmW, sim.WakeSignal)
-			} else if req.Arg(1) == 1 && dp.owned && HostID(req.From) != m.id {
-				// A write-handoff confirmation that outlived its
-				// transaction's patience: the requester did install, so
-				// the claim we restored meanwhile is the stale one.
-				// Commit the handoff it proves.
-				m.localPageFor(PageNo(req.Page)).access = NoAccess
-				m.dynCommitHandoff(dp, HostID(req.From))
-			}
-			m.checkpoint("dyn-confirmed", PageNo(req.Page))
+	if dp, ok := m.dyn[PageNo(req.Page)]; ok && req.Arg(0) == dp.confirmReq {
+		dp.confirmed = true
+		if dp.confirmArmed {
+			dp.confirmArmed = false
+			m.k.Wake(dp.confirmW, sim.WakeSignal)
+		} else if req.Arg(1) == 1 && dp.owned && HostID(req.From) != m.id {
+			// A write-handoff confirmation that outlived its
+			// transaction's patience: the requester did install, so the
+			// claim we restored meanwhile is the stale one. Commit the
+			// handoff it proves.
+			m.localPageFor(PageNo(req.Page)).access = NoAccess
+			m.dynCommitHandoff(dp, HostID(req.From))
 		}
+		m.checkpoint("dyn-confirmed", PageNo(req.Page))
 	}
 	m.ep.Reply(p, req, &proto.Message{Kind: proto.KindDynConfirmAck, Page: req.Page})
 }
@@ -545,9 +658,6 @@ func (m *Module) dynCoordinator() HostID {
 // handleDynRecover serves a broken-chain report on the coordinator.
 func (m *Module) handleDynRecover(p *sim.Proc, req *proto.Message) {
 	m.exitIfCrashed(p)
-	if m.dyn == nil {
-		return
-	}
 	owner, st := m.dynCoordinate(p, PageNo(req.Page))
 	m.ep.Reply(p, req, &proto.Message{
 		Kind: proto.KindDynRecoverReply,
@@ -662,17 +772,9 @@ func (m *Module) dynCoordinate(p *sim.Proc, page PageNo) (HostID, uint32) {
 // dynCopysetList renders a dynamic copyset deterministically, excluding
 // one host (the requester being served, or the owner itself).
 func dynCopysetList(dp *dynPage, except HostID) []HostID {
-	out := make([]HostID, 0, len(dp.copyset))
-	for h := range dp.copyset {
-		if h == except {
-			continue
-		}
-		out = append(out, h)
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
+	out := sortedKeys(dp.copyset)
+	if i, found := slices.BinarySearch(out, except); found {
+		out = slices.Delete(out, i, i+1)
 	}
 	return out
 }

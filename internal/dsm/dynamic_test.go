@@ -36,12 +36,6 @@ func TestDynamicDirectoryValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("dynamic directory accepted under the central-server policy")
 	}
-	bad = base
-	bad.Directory = DirDynamic
-	bad.CentralManager = true
-	if err := bad.Validate(); err == nil {
-		t.Error("dynamic directory accepted together with CentralManager")
-	}
 	good := base
 	good.Directory = DirDynamic
 	if err := good.Validate(); err != nil {

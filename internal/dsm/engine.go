@@ -2,22 +2,26 @@ package dsm
 
 // The replication-engine layer. Each coherence policy (§2.1's algorithm
 // spectrum) is one engine: an implementation of region reads, region
-// writes and atomic swaps plus a few capability predicates the rest of
-// the module consults instead of branching on cfg.Policy. newEngine is
-// the ONLY policy dispatch point — the policy-branch vet rule flags any
-// cfg.Policy comparison outside this file — so adding an algorithm means
-// adding an engine, not editing every call site.
+// writes and atomic swaps, plus one declaration (engineDecl) of
+// everything the rest of the module needs to know about it — so the
+// allocator, the invariant checker, the state hash and the harness
+// oracles iterate what the engine declared instead of asking which
+// engine is running. newEngine is the ONLY policy dispatch point — the
+// policy-branch vet rule flags any cfg.Policy comparison outside this
+// file — so adding an algorithm means adding an engine, not editing
+// every call site.
 //
 // The engines share the directory layer (directory.go: who manages a
-// page) and the transfer/conversion path (protocol.go, conv): an engine
-// decides *when* pages move and replicate; the directory decides *whom*
-// to ask; the transfer path decides *how* bytes travel and convert.
+// page) and the transfer steps (transfer.go, conv): an engine decides
+// *when* pages move and replicate; the directory decides *whom* to ask;
+// the transfer steps decide *how* bytes travel and convert.
 
 import (
 	"fmt"
 
 	"repro/internal/bufpool"
 	"repro/internal/conv"
+	"repro/internal/proto"
 	"repro/internal/sctrace"
 	"repro/internal/sim"
 )
@@ -32,26 +36,43 @@ type engine interface {
 	writeRegion(p *sim.Proc, addr Addr, n int, fill func(seg []byte, off int)) error
 	// atomicSwap exchanges the int32 at addr atomically.
 	atomicSwap(p *sim.Proc, addr Addr, v int32) (int32, error)
-	// allocFirstTouch reports whether the allocation manager keeps a
-	// zero-filled writable copy of every fresh page (the page policies'
-	// first-touch ownership). Server-resident policies return false.
-	allocFirstTouch() bool
-	// serverOnly reports whether pages live only at their server and are
-	// never cached elsewhere (the central-server policy).
-	serverOnly() bool
-	// sequencesUpdates reports whether the page's manager sequences and
-	// pushes writes to replicas (the write-update policy).
-	sequencesUpdates() bool
-	// quorumReplicated reports whether pages live as tag-ordered replica
-	// sets accessed by majority quorum (the SC-ABD policy): no owner, no
-	// copyset, no MRSW residency invariants.
-	quorumReplicated() bool
-	// lazyRelease reports whether writes propagate at release time as
-	// twin/diff updates instead of eagerly at access time (the RC
-	// policy): multiple writable copies are legal, MRSW residency
-	// invariants do not apply, and the trace oracle is the
-	// happens-before checker, not the SC checker (model.go).
-	lazyRelease() bool
+}
+
+// engineDecl is what an engine declares about itself, once, when it is
+// built (its constructor also registers the proto.Kind handlers it
+// serves — a request of a kind no engine of this cluster registered is
+// dropped by the remote-operation layer and its caller times out). The
+// composition only iterates these obligations, after SC-ABD's
+// compositional proof: each layer states its own, none is re-derived
+// from which engine is running.
+type engineDecl struct {
+	// firstTouch makes the allocation manager keep a zero-filled
+	// writable copy of every fresh page (the page policies' first-touch
+	// ownership). Engines whose pages live at servers or in replica
+	// sets leave it false.
+	firstTouch bool
+	// invariants audits one page beyond the structural checks every
+	// engine shares (check.go), given the live hosts holding it
+	// writable and holding it at all. Nil means the MRSW residency
+	// invariants: a unique writer, and the directory's ownership
+	// records agreeing with who holds what.
+	invariants func(c *InvariantChecker, point string, page PageNo, writers, holders []HostID)
+	// pages lists the pages the engine holds outside the module's
+	// resident-page table, for the checker's whole-space sweep; nil
+	// when it holds none.
+	pages func() []PageNo
+	// hashState folds the engine's private state into a state
+	// fingerprint as its own section, after the module's; nil when all
+	// its state is the module's.
+	hashState func(put func(uint32), putBody func([]byte))
+	// traceCheck is the offline oracle a recorded access trace must
+	// satisfy; nil means sequential consistency (sctrace.Check).
+	traceCheck func(ops []sctrace.Op) []sctrace.Violation
+	// sync carries the payload hooks dsync threads through locks,
+	// events and barriers; nil when the engine propagates at access
+	// time and synchronization carries nothing (nil keeps dsync's
+	// behaviour bit-identical).
+	sync *RCSync
 }
 
 // validatePolicy checks the policy-dependent configuration rules. It
@@ -64,63 +85,65 @@ func (c *Config) validatePolicy() error {
 	return nil
 }
 
-// Model returns the consistency contract the policy provides (model.go):
-// every policy promises sequential consistency except the lazy-release
-// engine. This switch lives here because engine.go is the package's one
-// policy-dispatch file.
-func (p Policy) Model() Model {
-	switch p {
+// newEngine builds the engine for the configured policy and returns it
+// with its declaration. This switch is the single policy dispatch point
+// of the package.
+func newEngine(m *Module) (engine, engineDecl) {
+	switch m.cfg.Policy {
+	case PolicyCentral:
+		return newCentralEngine(m)
+	case PolicyUpdate:
+		return newUpdateEngine(m)
+	case PolicyMigration:
+		return &pagedEngine{Module: m, writeOnRead: true}, engineDecl{firstTouch: true}
+	case PolicyQuorum:
+		return newQuorumEngine(m)
 	case PolicyRC:
-		return ModelRC
+		return newRCEngine(m)
 	default:
-		return ModelSC
+		return &pagedEngine{Module: m}, engineDecl{firstTouch: true}
 	}
 }
 
-// newEngine builds the engine for the configured policy. This switch is
-// the single policy dispatch point of the package.
-func newEngine(m *Module) engine {
-	switch m.cfg.Policy {
-	case PolicyCentral:
-		return &centralEngine{m: m}
-	case PolicyUpdate:
-		return &updateEngine{paged: pagedEngine{m: m}}
-	case PolicyMigration:
-		return &pagedEngine{m: m, writeOnRead: true}
-	case PolicyQuorum:
-		m.qrm = make(map[PageNo]*quorumPage)
-		return &quorumEngine{m: m}
-	case PolicyRC:
-		m.rc = newRCState(len(m.hosts))
-		return &rcEngine{m: m}
-	default:
-		return &pagedEngine{m: m}
+// TraceCheck validates a recorded access trace against the consistency
+// contract this module's engine declared: the SC witness-order checker
+// for the sequentially consistent engines, the happens-before checker
+// for the lazy-release engine. Harnesses (mc, chaos) call this instead
+// of hard-wiring sctrace.Check.
+func (m *Module) TraceCheck(ops []sctrace.Op) []sctrace.Violation {
+	if m.decl.traceCheck != nil {
+		return m.decl.traceCheck(ops)
 	}
+	return sctrace.Check(ops)
+}
+
+// SyncModel returns the engine's synchronization hooks for
+// dsync.Service.AttachModel, or nil when it declared none. The cluster
+// wires it after building both modules; callers must preserve the nil
+// (attaching a typed nil would enable the payload path).
+func (m *Module) SyncModel() *RCSync {
+	return m.decl.sync
 }
 
 // readRegion makes [addr, addr+n) readable and hands its byte spans to
 // fn in order, according to the active engine. Under the page engines
-// (MRSW, migration, update reads) residency is ensured one
+// (MRSW, migration, update reads, RC) residency is ensured one
 // native-VM-page group at a time and the group's bytes are consumed
-// before moving on — the consistency a sequence of hardware accesses
-// would see; a large region is NOT fetched atomically, so concurrent
-// writers interleave exactly as they would against a real application's
-// access stream. Under the central engine the bytes are fetched from
-// each page's server, already converted to this host's representation.
+// before moving on (walkGroups). Under the central engine the bytes are
+// fetched from each page's server, already converted to this host's
+// representation; under the quorum engine each page span is one
+// majority operation (walkPages).
 //
 // Under failure detection the page-engine path returns the fault's
-// typed error (ErrHostDown, ErrPageLost) and stops at the first group
-// that cannot be made resident: a multi-group region access is not
-// atomic, so groups already consumed stay consumed. The central and
-// update engines predate fault tolerance and keep their hard-panic
-// contract.
+// typed error (ErrHostDown, ErrPageLost). The central engine and the
+// update engine's sequencing calls predate fault tolerance and keep
+// their hard-panic contract on a failed remote call.
 func (m *Module) readRegion(p *sim.Proc, addr Addr, n int, fn func(seg []byte, off int)) error {
 	return m.engine.readRegion(p, addr, n, fn)
 }
 
 // writeRegion makes [addr, addr+n) writable and lets fill produce the
-// new bytes span by span, with the same per-group granularity as
-// readRegion.
+// new bytes span by span, with the same granularity as readRegion.
 func (m *Module) writeRegion(p *sim.Proc, addr Addr, n int, fill func(seg []byte, off int)) error {
 	return m.engine.writeRegion(p, addr, n, fill)
 }
@@ -129,160 +152,121 @@ func (m *Module) writeRegion(p *sim.Proc, addr Addr, n int, fill func(seg []byte
 // algorithm (writeOnRead=false) and single-copy migration
 // (writeOnRead=true, every read faults for ownership). Residency and
 // coherence run through the directory's fault path; this engine only
-// fixes the access right each operation demands.
+// fixes the access right each operation demands. Like every engine it
+// embeds the module it drives: an engine is the module plus whatever
+// state is private to its policy.
 type pagedEngine struct {
-	m *Module
+	*Module
 	// writeOnRead makes read accesses fault for write ownership: the
 	// migration policy's single migrating copy.
 	writeOnRead bool
 }
 
 func (e *pagedEngine) readRegion(p *sim.Proc, addr Addr, n int, fn func(seg []byte, off int)) error {
-	m := e.m
-	off := 0
-	var ferr error
-	m.forEachGroup(addr, n, func(chunkAddr Addr, chunkLen int) {
-		if ferr != nil {
-			return
-		}
-		t0 := p.Now()
-		if err := m.EnsureAccess(p, chunkAddr, chunkLen, e.writeOnRead); err != nil {
-			ferr = err
-			return
-		}
-		m.forEachSpan(chunkAddr, chunkLen, func(seg []byte, o int) {
-			fn(seg, off+o)
-			m.recordSC(p, sctrace.Read, t0, chunkAddr+Addr(o), seg)
-		})
-		off += chunkLen
-	})
-	return ferr
+	ensure := func(addr Addr, n int) error { return e.EnsureAccess(p, addr, n, e.writeOnRead) }
+	return e.walkGroups(p, addr, n, sctrace.Read, ensure, nil, fn)
 }
 
 func (e *pagedEngine) writeRegion(p *sim.Proc, addr Addr, n int, fill func(seg []byte, off int)) error {
-	m := e.m
-	off := 0
-	var ferr error
-	m.forEachGroup(addr, n, func(chunkAddr Addr, chunkLen int) {
-		if ferr != nil {
-			return
-		}
-		t0 := p.Now()
-		if err := m.EnsureAccess(p, chunkAddr, chunkLen, true); err != nil {
-			ferr = err
-			return
-		}
-		m.forEachSpan(chunkAddr, chunkLen, func(seg []byte, o int) {
-			fill(seg, off+o)
-			m.recordSC(p, sctrace.Write, t0, chunkAddr+Addr(o), seg)
-		})
-		off += chunkLen
-	})
-	return ferr
+	ensure := func(addr Addr, n int) error { return e.EnsureAccess(p, addr, n, true) }
+	return e.walkGroups(p, addr, n, sctrace.Write, ensure, nil, fill)
 }
 
 // atomicSwap holds write ownership from the access check to the store
 // without yielding, which is what makes the exchange atomic.
 func (e *pagedEngine) atomicSwap(p *sim.Proc, addr Addr, v int32) (int32, error) {
-	m := e.m
 	t0 := p.Now()
-	if err := m.EnsureAccess(p, addr, 4, true); err != nil {
+	if err := e.EnsureAccess(p, addr, 4, true); err != nil {
 		return 0, err
 	}
 	var old int32
-	m.forEachSpan(addr, 4, func(seg []byte, _ int) {
-		old = conv.GetInt32(m.arch, seg)
-		m.recordSC(p, sctrace.Read, t0, addr, seg)
-		conv.PutInt32(m.arch, seg, v)
-		m.recordSC(p, sctrace.Write, t0, addr, seg)
+	e.forEachSpan(addr, 4, func(seg []byte, _ int) {
+		old = conv.GetInt32(e.arch, seg)
+		e.recordSC(p, sctrace.Read, t0, addr, seg)
+		conv.PutInt32(e.arch, seg, v)
+		e.recordSC(p, sctrace.Write, t0, addr, seg)
 	})
 	return old, nil
 }
 
-func (e *pagedEngine) allocFirstTouch() bool  { return true }
-func (e *pagedEngine) serverOnly() bool       { return false }
-func (e *pagedEngine) sequencesUpdates() bool { return false }
-func (e *pagedEngine) quorumReplicated() bool { return false }
-func (e *pagedEngine) lazyRelease() bool      { return false }
-
 // centralEngine is the central-server policy: no page ever leaves its
 // server; every access is a remote operation (central.go).
 type centralEngine struct {
-	m *Module
+	*Module
+}
+
+func newCentralEngine(m *Module) (engine, engineDecl) {
+	e := &centralEngine{m}
+	m.ep.Handle(proto.KindRemoteRead, e.handleRemoteRead)
+	m.ep.Handle(proto.KindRemoteWrite, e.handleRemoteWrite)
+	return e, engineDecl{invariants: checkCentralPage}
 }
 
 func (e *centralEngine) readRegion(p *sim.Proc, addr Addr, n int, fn func(seg []byte, off int)) error {
-	m := e.m
-	off := 0
-	end := int(addr) + n
-	for pos := int(addr); pos < end; {
-		pg := m.PageOf(Addr(pos))
-		pageStart := int(pg) * m.cfg.PageSize
-		hi := min(end, pageStart+m.cfg.PageSize)
+	return e.walkPages(addr, n, func(s span) error {
 		t0 := p.Now()
-		seg := m.centralRead(p, pg, pos-pageStart, hi-pos)
-		fn(seg, off)
-		m.recordSC(p, sctrace.Read, t0, Addr(pos), seg)
-		off += hi - pos
-		pos = hi
-	}
-	return nil
+		seg := e.centralRead(p, s.page, s.lo, s.n)
+		fn(seg, s.off)
+		e.recordSC(p, sctrace.Read, t0, s.addr, seg)
+		return nil
+	})
 }
 
 func (e *centralEngine) writeRegion(p *sim.Proc, addr Addr, n int, fill func(seg []byte, off int)) error {
-	m := e.m
-	off := 0
-	end := int(addr) + n
-	for pos := int(addr); pos < end; {
-		pg := m.PageOf(Addr(pos))
-		pageStart := int(pg) * m.cfg.PageSize
-		hi := min(end, pageStart+m.cfg.PageSize)
+	return e.walkPages(addr, n, func(s span) error {
 		// Pooled staging: centralWrite blocks until the server has
 		// acknowledged and recordSC copies what it keeps.
-		seg := bufpool.Get(hi - pos)
+		seg := bufpool.Get(s.n)
 		t0 := p.Now()
-		fill(seg, off)
-		m.centralWrite(p, pg, pos-pageStart, seg)
-		m.recordSC(p, sctrace.Write, t0, Addr(pos), seg)
+		fill(seg, s.off)
+		e.centralWrite(p, s.page, s.lo, seg)
+		e.recordSC(p, sctrace.Write, t0, s.addr, seg)
 		bufpool.Put(seg)
-		off += hi - pos
-		pos = hi
-	}
-	return nil
+		return nil
+	})
 }
 
 func (e *centralEngine) atomicSwap(p *sim.Proc, addr Addr, v int32) (int32, error) {
-	return e.m.centralSwap(p, addr, v), nil
+	return e.centralSwap(p, addr, v), nil
 }
-
-func (e *centralEngine) allocFirstTouch() bool  { return false }
-func (e *centralEngine) serverOnly() bool       { return true }
-func (e *centralEngine) sequencesUpdates() bool { return false }
-func (e *centralEngine) quorumReplicated() bool { return false }
-func (e *centralEngine) lazyRelease() bool      { return false }
 
 // updateEngine is the write-update policy: reads replicate exactly as
 // under MRSW (the embedded paged engine), writes are sequenced by the
 // manager and pushed to every replica (update.go).
 type updateEngine struct {
-	paged pagedEngine
+	pagedEngine
 }
 
-func (e *updateEngine) readRegion(p *sim.Proc, addr Addr, n int, fn func(seg []byte, off int)) error {
-	return e.paged.readRegion(p, addr, n, fn)
+func newUpdateEngine(m *Module) (engine, engineDecl) {
+	e := &updateEngine{pagedEngine{Module: m}}
+	m.ep.Handle(proto.KindUpdateWrite, e.handleUpdateWrite)
+	m.ep.Handle(proto.KindApplyUpdate, e.handleApplyUpdate)
+	return e, engineDecl{firstTouch: true}
 }
 
+// writeRegion ensures a local replica, then sequences each page span's
+// new bytes through the page's manager. A residency fault that fails
+// under failure detection returns its typed error, as under every
+// paged engine.
 func (e *updateEngine) writeRegion(p *sim.Proc, addr Addr, n int, fill func(seg []byte, off int)) error {
-	e.paged.m.updateWriteRegion(p, addr, n, fill)
-	return nil
+	return e.walkPages(addr, n, func(s span) error {
+		t0 := p.Now()
+		// The writer keeps a read replica (faulting it in if needed) so
+		// its own copy stays current once the update is sequenced.
+		if err := e.EnsureAccess(p, s.addr, s.n, false); err != nil {
+			return err
+		}
+		// Pooled staging: sequenceWrite blocks until the update is
+		// distributed and recordSC copies what it keeps.
+		seg := bufpool.Get(s.n)
+		fill(seg, s.off)
+		e.sequenceWrite(p, s.page, s.lo, seg)
+		e.recordSC(p, sctrace.Write, t0, s.addr, seg)
+		bufpool.Put(seg)
+		return nil
+	})
 }
 
 func (e *updateEngine) atomicSwap(p *sim.Proc, addr Addr, v int32) (int32, error) {
 	panic("dsm: atomic operations are not defined under the write-update policy; use the distributed synchronization facility")
 }
-
-func (e *updateEngine) allocFirstTouch() bool  { return true }
-func (e *updateEngine) serverOnly() bool       { return false }
-func (e *updateEngine) sequencesUpdates() bool { return true }
-func (e *updateEngine) quorumReplicated() bool { return false }
-func (e *updateEngine) lazyRelease() bool      { return false }

@@ -4,13 +4,15 @@ import (
 	"encoding/binary"
 	"hash"
 	"math/bits"
-	"sort"
 )
 
 // WriteStateHash folds this host's protocol-visible state into h, in a
 // canonical order: per-page access rights with the allocated prefix of
 // resident page bodies, the manager table (owner, copyset, transaction
-// lock state), and the replicated allocation metadata. The model checker
+// lock state), the replicated allocation metadata, then whatever
+// section the directory scheme and the engine each declared for their
+// private state (emitted only under that scheme or engine, so every
+// other configuration's byte stream is unchanged). The model checker
 // combines the hashes of every module in a cluster (plus kernel queue
 // facts) into a state fingerprint for schedule-space pruning: two
 // explored prefixes that hash alike are treated as the same protocol
@@ -18,10 +20,10 @@ import (
 // same tables and page contents at different clock readings are
 // equivalent for protocol correctness.
 //
-// Bulk bytes — page bodies, quorum replica images, RC twins — enter the
-// stream as one digest64 word each, not byte by byte: a fingerprint
-// walks every resident 8 KB page of every host, and h (FNV-1a in both
-// callers) consumes one byte per multiply.
+// Bulk bytes — page bodies, replica images, twins — enter the stream as
+// one digest64 word each, not byte by byte: a fingerprint walks every
+// resident 8 KB page of every host, and h (FNV-1a in both callers)
+// consumes one byte per multiply.
 func (m *Module) WriteStateHash(h hash.Hash) {
 	var buf [4]byte
 	put := func(v uint32) {
@@ -41,31 +43,17 @@ func (m *Module) WriteStateHash(h hash.Hash) {
 		return
 	}
 
-	pages := make([]PageNo, 0, len(m.local))
-	for pg := range m.local {
-		pages = append(pages, pg)
-	}
-	sort.Slice(pages, func(i, j int) bool { return pages[i] < pages[j] })
-	for _, pg := range pages {
+	for _, pg := range sortedKeys(m.local) {
 		lp := m.local[pg]
 		put(uint32(pg))
 		put(uint32(lp.access))
 		if lp.access != NoAccess {
-			used := m.cfg.PageSize
-			if mt, ok := m.meta[pg]; ok && mt.used <= len(lp.data) {
-				used = mt.used
-			}
-			putBody(lp.data[:used]) // vet:ignore page-buffer — read-only fingerprint of the raw bytes
+			putBody(m.hashedPrefix(pg, lp.data))
 		}
 	}
 
 	put(0xffff_ffff) // section separator
-	mpages := make([]PageNo, 0, len(m.mgr))
-	for pg := range m.mgr {
-		mpages = append(mpages, pg)
-	}
-	sort.Slice(mpages, func(i, j int) bool { return mpages[i] < mpages[j] })
-	for _, pg := range mpages {
+	for _, pg := range sortedKeys(m.mgr) {
 		ent := m.mgr[pg]
 		put(uint32(pg))
 		put(uint32(ent.owner))
@@ -77,131 +65,34 @@ func (m *Module) WriteStateHash(h hash.Hash) {
 			put(0x5b5_bec7) // "SUSPECT": unconfirmed transfer awaiting reconciliation
 			put(uint32(ent.suspectHost))
 		}
-		for _, hID := range copysetList(ent) {
+		for _, hID := range sortedKeys(ent.copyset) {
 			put(uint32(hID))
 		}
 		put(0xffff_fffe)
 	}
 
 	put(0xffff_fffd)
-	metas := make([]PageNo, 0, len(m.meta))
-	for pg := range m.meta {
-		metas = append(metas, pg)
-	}
-	sort.Slice(metas, func(i, j int) bool { return metas[i] < metas[j] })
-	for _, pg := range metas {
+	for _, pg := range sortedKeys(m.meta) {
 		mt := m.meta[pg]
 		put(uint32(pg))
 		put(uint32(mt.typeID))
 		put(uint32(mt.used))
 	}
 
-	if m.dyn != nil {
-		put(0xffff_fffc)
-		dpages := make([]PageNo, 0, len(m.dyn))
-		for pg := range m.dyn {
-			dpages = append(dpages, pg)
-		}
-		sort.Slice(dpages, func(i, j int) bool { return dpages[i] < dpages[j] })
-		for _, pg := range dpages {
-			dp := m.dyn[pg]
-			put(uint32(pg))
-			put(uint32(dp.probOwner))
-			if dp.owned {
-				put(1)
-			} else {
-				put(0)
-			}
-			put(uint32(dp.lock.Count())) // distinguishes in-flight from quiescent
-			if dp.lost {
-				put(0xdead_4c57)
-			}
-			for _, hID := range dynCopysetList(dp, m.id) {
-				put(uint32(hID))
-			}
-			put(0xffff_fffe)
-		}
+	m.dir.hashState(put)
+	if m.decl.hashState != nil {
+		m.decl.hashState(put, putBody)
 	}
+}
 
-	if m.qrm != nil {
-		// Quorum replicas: tag plus the allocated prefix of the image.
-		// The section is emitted only under PolicyQuorum, so every other
-		// policy's byte stream is unchanged.
-		put(0xffff_fffb)
-		qpages := make([]PageNo, 0, len(m.qrm))
-		for pg := range m.qrm {
-			qpages = append(qpages, pg)
-		}
-		sort.Slice(qpages, func(i, j int) bool { return qpages[i] < qpages[j] })
-		for _, pg := range qpages {
-			qp := m.qrm[pg]
-			put(uint32(pg))
-			put(qp.tag.ts)
-			put(uint32(qp.tag.host))
-			used := m.cfg.PageSize
-			if mt, ok := m.meta[pg]; ok && mt.used <= len(qp.data) {
-				used = mt.used
-			}
-			putBody(qp.data[:used]) // vet:ignore page-buffer — read-only fingerprint of the raw bytes
-		}
+// hashedPrefix returns the part of a page image a fingerprint covers:
+// its allocated prefix, or all of it when the metadata is missing or
+// (under an injected overrun) reaches past the buffer.
+func (m *Module) hashedPrefix(pg PageNo, image []byte) []byte {
+	if mt, ok := m.meta[pg]; ok && mt.used <= len(image) {
+		return image[:mt.used]
 	}
-
-	if m.rc != nil {
-		// Release-consistency state: vector timestamp, live twins,
-		// applied/noticed versions, and each home's ordering state
-		// (version plus the log's version/writer/shape — the diff bodies
-		// are derivable from the page images already hashed). Emitted
-		// only under PolicyRC, so every other policy's byte stream is
-		// unchanged. Count-prefixed lists keep the stream unambiguous.
-		put(0xffff_fffa)
-		for _, v := range m.rc.vt {
-			put(v)
-		}
-		hashPageMap := func(mark uint32, mp map[PageNo]uint32) {
-			put(mark)
-			put(uint32(len(mp)))
-			keys := make([]PageNo, 0, len(mp))
-			for pg := range mp {
-				keys = append(keys, pg)
-			}
-			sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-			for _, pg := range keys {
-				put(uint32(pg))
-				put(mp[pg])
-			}
-		}
-		hashPageMap(1, m.rc.notices)
-		hashPageMap(2, m.rc.applied)
-		put(3)
-		put(uint32(len(m.rc.twins)))
-		tpages := make([]PageNo, 0, len(m.rc.twins))
-		for pg := range m.rc.twins {
-			tpages = append(tpages, pg)
-		}
-		sort.Slice(tpages, func(i, j int) bool { return tpages[i] < tpages[j] })
-		for _, pg := range tpages {
-			put(uint32(pg))
-			putBody(m.rc.twins[pg])
-		}
-		put(4)
-		put(uint32(len(m.rc.home)))
-		hpages := make([]PageNo, 0, len(m.rc.home))
-		for pg := range m.rc.home {
-			hpages = append(hpages, pg)
-		}
-		sort.Slice(hpages, func(i, j int) bool { return hpages[i] < hpages[j] })
-		for _, pg := range hpages {
-			hm := m.rc.home[pg]
-			put(uint32(pg))
-			put(hm.version)
-			put(uint32(len(hm.log)))
-			for i := range hm.log {
-				put(hm.log[i].version)
-				put(uint32(hm.log[i].writer))
-				put(uint32(len(hm.log[i].diff.Runs)))
-			}
-		}
-	}
+	return image
 }
 
 // The xxHash64 primes (typed, so sums wrap instead of overflowing the

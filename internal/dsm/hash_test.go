@@ -41,6 +41,11 @@ func TestStateHashSensitivity(t *testing.T) {
 	managed := func(pg PageNo) func(m *Module) bool {
 		return func(m *Module) bool { return m.mgr[pg] != nil }
 	}
+	replicas := func(m *Module) map[PageNo]*quorumPage { return m.engine.(*quorumEngine).qrm }
+	replica := func(t *testing.T, r *rig, pg PageNo) *quorumPage {
+		return replicas(holder(t, r, "a replica", func(m *Module) bool { return replicas(m)[pg] != nil }))[pg]
+	}
+	twins := func(m *Module) map[PageNo][]byte { return m.engine.(*rcEngine).rc.twins }
 	cases := []struct {
 		name   string
 		opts   []rigOpt
@@ -70,16 +75,16 @@ func TestStateHashSensitivity(t *testing.T) {
 			if len(ent.copyset) == 0 {
 				t.Fatal("empty copyset: the history did not share the page")
 			}
-			delete(ent.copyset, copysetList(ent)[0])
+			delete(ent.copyset, sortedKeys(ent.copyset)[0])
 		}},
 		{"quorum image byte", []rigOpt{withPolicy(PolicyQuorum)}, func(t *testing.T, r *rig, pg PageNo) {
-			holder(t, r, "a replica", func(m *Module) bool { return m.qrm[pg] != nil }).qrm[pg].data[5] ^= 0x10
+			replica(t, r, pg).data[5] ^= 0x10
 		}},
 		{"quorum tag", []rigOpt{withPolicy(PolicyQuorum)}, func(t *testing.T, r *rig, pg PageNo) {
-			holder(t, r, "a replica", func(m *Module) bool { return m.qrm[pg] != nil }).qrm[pg].tag.ts++
+			replica(t, r, pg).tag.ts++
 		}},
 		{"rc twin byte", []rigOpt{withPolicy(PolicyRC)}, func(t *testing.T, r *rig, pg PageNo) {
-			holder(t, r, "a twin", func(m *Module) bool { return m.rc.twins[pg] != nil }).rc.twins[pg][5] ^= 0x10
+			twins(holder(t, r, "a twin", func(m *Module) bool { return twins(m)[pg] != nil }))[pg][5] ^= 0x10
 		}},
 	}
 	for _, c := range cases {

@@ -1,12 +1,17 @@
 package dsm
 
 import (
+	"errors"
 	"fmt"
+	"hash/fnv"
 	"testing"
 	"time"
 
 	"repro/internal/arch"
 	"repro/internal/conv"
+	"repro/internal/model"
+	"repro/internal/proto"
+	"repro/internal/remoteop"
 	"repro/internal/sim"
 )
 
@@ -15,11 +20,32 @@ func withPolicy(pol Policy) rigOpt {
 }
 
 // policyRoundTrip checks basic cross-architecture correctness under a
-// given coherence policy.
-func policyRoundTrip(t *testing.T, pol Policy) {
+// given coherence policy and directory scheme. Writers and readers are
+// bracketed with the engine's release/acquire hooks where it declares
+// any (lazy release); every other engine propagates at access time and
+// the brackets are no-ops.
+func policyRoundTrip(t *testing.T, pol Policy, dir Directory) {
 	t.Helper()
-	r := newRig(t, []arch.Kind{arch.Sun, arch.Firefly, arch.Firefly}, withPolicy(pol))
+	r := newRig(t, []arch.Kind{arch.Sun, arch.Firefly, arch.Firefly}, withPolicy(pol), withDirectory(dir))
 	r.run("main", func(p *sim.Proc) {
+		release := func(m *Module) []byte {
+			if m.SyncModel() == nil {
+				return nil
+			}
+			payload, err := m.SyncModel().ReleasePayload(p)
+			if err != nil {
+				t.Fatalf("%v/%v: release: %v", pol, dir, err)
+			}
+			return payload
+		}
+		acquire := func(m *Module, payload []byte) {
+			if m.SyncModel() == nil {
+				return
+			}
+			if err := m.SyncModel().AcquirePayload(p, payload); err != nil {
+				t.Fatalf("%v/%v: acquire: %v", pol, dir, err)
+			}
+		}
 		ints, err := r.mods[0].Alloc(p, conv.Int32, 300)
 		if err != nil {
 			t.Error(err)
@@ -37,35 +63,105 @@ func policyRoundTrip(t *testing.T, pol Policy) {
 		dv := []float64{3.14159, -2.5, 1e100, 0, 42}
 		r.mods[0].WriteInt32s(p, ints, vals)
 		r.mods[0].WriteFloat64s(p, doubles, dv)
+		payload := release(r.mods[0])
 
 		for h := 1; h <= 2; h++ {
+			acquire(r.mods[h], payload)
 			got := make([]int32, 300)
 			r.mods[h].ReadInt32s(p, ints, got)
 			for i := range vals {
 				if got[i] != vals[i] {
-					t.Fatalf("%v: host %d int[%d] = %d, want %d", pol, h, i, got[i], vals[i])
+					t.Fatalf("%v/%v: host %d int[%d] = %d, want %d", pol, dir, h, i, got[i], vals[i])
 				}
 			}
 			gd := make([]float64, 5)
 			r.mods[h].ReadFloat64s(p, doubles, gd)
 			for i := range dv {
 				if gd[i] != dv[i] {
-					t.Fatalf("%v: host %d double[%d] = %v, want %v", pol, h, i, gd[i], dv[i])
+					t.Fatalf("%v/%v: host %d double[%d] = %v, want %v", pol, dir, h, i, gd[i], dv[i])
 				}
 			}
 		}
 		// Cross-host update visible everywhere.
 		r.mods[1].WriteInt32s(p, ints, []int32{-9})
+		acquire(r.mods[2], release(r.mods[1]))
 		var v [1]int32
 		r.mods[2].ReadInt32s(p, ints, v[:])
 		if v[0] != -9 {
-			t.Fatalf("%v: update not visible: %d", pol, v[0])
+			t.Fatalf("%v/%v: update not visible: %d", pol, dir, v[0])
 		}
 	})
 }
 
-func TestMigrationPolicyRoundTrip(t *testing.T) { policyRoundTrip(t, PolicyMigration) }
-func TestCentralPolicyRoundTrip(t *testing.T)   { policyRoundTrip(t, PolicyCentral) }
+// TestPolicyDirectoryMatrix walks every engine × directory cell: a cell
+// validatePolicy accepts must build, allocate, round-trip typed data
+// across the Sun↔Firefly boundary and pass the teardown audit with the
+// invariants and pages its engine and directory declared; a rejected
+// cell must fail at Config validation, before any module exists.
+func TestPolicyDirectoryMatrix(t *testing.T) {
+	params := model.Default()
+	for pol := PolicyMRSW; pol <= PolicyRC; pol++ {
+		for _, dir := range []Directory{DirFixed, DirCentral, DirDynamic} {
+			t.Run(fmt.Sprintf("%v/%v", pol, dir), func(t *testing.T) {
+				if dir == DirDynamic && pol != PolicyMRSW {
+					cfg := Config{PageSize: 8192, SpaceSize: 1 << 20, Registry: conv.NewRegistry(), Params: &params, Policy: pol, Directory: dir}
+					if err := cfg.Validate(); err == nil {
+						t.Fatal("cell accepted; the dynamic directory is only defined for MRSW")
+					}
+					return
+				}
+				policyRoundTrip(t, pol, dir)
+			})
+		}
+	}
+}
+
+// TestUnservedKindIsDropped pins what engine-owned handler registration
+// provides: a request of a kind no engine of this cluster serves
+// vanishes at the receiver — no handler runs, its state does not move,
+// nothing panics — and the caller gets its timeout.
+func TestUnservedKindIsDropped(t *testing.T) {
+	cases := []struct {
+		pol  Policy
+		kind proto.Kind
+	}{
+		{PolicyMRSW, proto.KindRemoteRead},
+		{PolicyCentral, proto.KindQuorumWrite},
+		{PolicyRC, proto.KindUpdateWrite},
+	}
+	for _, c := range cases {
+		t.Run(fmt.Sprintf("%v<-%v", c.pol, c.kind), func(t *testing.T) {
+			r := newRig(t, []arch.Kind{arch.Sun, arch.Firefly}, withPolicy(c.pol))
+			r.run("main", func(p *sim.Proc) {
+				addr, err := r.mods[0].Alloc(p, conv.Int32, 16)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				r.mods[1].WriteInt32s(p, addr, []int32{7})
+				before := fnv.New64a()
+				r.mods[1].WriteStateHash(before)
+				_, err = r.mods[0].ep.Call(p, 1, &proto.Message{
+					Kind: c.kind,
+					Page: uint32(r.mods[0].PageOf(addr)),
+					Args: []uint32{0, 4},
+					Data: []byte{1, 2, 3, 4},
+				})
+				if !errors.Is(err, remoteop.ErrTimeout) {
+					t.Errorf("call of an unserved kind: err = %v, want a timeout", err)
+				}
+				after := fnv.New64a()
+				r.mods[1].WriteStateHash(after)
+				if before.Sum64() != after.Sum64() {
+					t.Error("receiver's state moved on a request it does not serve")
+				}
+			})
+		})
+	}
+}
+
+func TestMigrationPolicyRoundTrip(t *testing.T) { policyRoundTrip(t, PolicyMigration, DirFixed) }
+func TestCentralPolicyRoundTrip(t *testing.T)   { policyRoundTrip(t, PolicyCentral, DirFixed) }
 
 func TestMigrationPolicyKeepsSingleCopy(t *testing.T) {
 	r := newRig(t, []arch.Kind{arch.Sun, arch.Firefly, arch.Firefly}, withPolicy(PolicyMigration))
@@ -200,7 +296,7 @@ func TestCentralPolicyPointers(t *testing.T) {
 	})
 }
 
-func TestUpdatePolicyRoundTrip(t *testing.T) { policyRoundTrip(t, PolicyUpdate) }
+func TestUpdatePolicyRoundTrip(t *testing.T) { policyRoundTrip(t, PolicyUpdate, DirFixed) }
 
 func TestUpdatePolicyKeepsReplicasAlive(t *testing.T) {
 	r := newRig(t, []arch.Kind{arch.Sun, arch.Firefly, arch.Firefly}, withPolicy(PolicyUpdate))

@@ -3,6 +3,7 @@ package dsm
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/arch"
 	"repro/internal/bufpool"
@@ -52,6 +53,14 @@ const faultRetries = 3
 // iterations under contention are precisely the page-thrashing behaviour
 // studied in §3.3.
 func (m *Module) EnsureAccess(p *sim.Proc, addr Addr, n int, write bool) error {
+	return m.ensureAccess(p, addr, n, write, m.faultPage)
+}
+
+// ensureAccess is EnsureAccess with the per-page fault as a parameter:
+// the fault accounting (what is missing, one native VM fault charged,
+// each missing page obtained) is the same for every engine that keeps
+// pages resident; how one page is obtained is the engine's.
+func (m *Module) ensureAccess(p *sim.Proc, addr Addr, n int, write bool, fault func(p *sim.Proc, page PageNo, write bool) error) error {
 	m.exitIfCrashed(p)
 	for {
 		pages, err := m.requiredPages(addr, n)
@@ -79,19 +88,10 @@ func (m *Module) EnsureAccess(p *sim.Proc, addr Addr, n int, write bool) error {
 			p.Sleep(m.jittered(m.cfg.Params.FaultRead.Of(m.arch.Kind)))
 		}
 		for _, pg := range missing {
-			if err := m.faultPage(p, pg, write); err != nil {
+			if err := fault(p, pg, write); err != nil {
 				return err
 			}
 		}
-	}
-}
-
-// mustEnsureAccess is EnsureAccess for internal call sites whose spans
-// checkTyped already validated: a failure there is a module bug, not an
-// application error.
-func (m *Module) mustEnsureAccess(p *sim.Proc, addr Addr, n int, write bool) {
-	if err := m.EnsureAccess(p, addr, n, write); err != nil {
-		panic(fmt.Sprintf("dsm: host %d: %v", m.id, err))
 	}
 }
 
@@ -128,14 +128,22 @@ func (m *Module) requiredPages(addr Addr, n int) ([]PageNo, error) {
 	return pages, nil
 }
 
-// callFailed classifies a protocol call failure. Without failure
-// detection it is a simulation bug and panics, exactly as before the
-// fault-tolerance work; with detection it becomes an error the fault
-// machinery retries or aborts on.
-func (m *Module) callFailed(err error, format string, args ...any) error {
+// mustDetect is the first half of classifying a protocol call failure:
+// without failure detection it is a simulation bug and panics, exactly
+// as before the fault-tolerance work. Call sites that answer a
+// tolerated failure by other means than an error (re-routing, backing
+// off, leaving it to recovery) stop here.
+func (m *Module) mustDetect(err error, format string, args ...any) {
 	if m.liveness == nil {
 		panic(fmt.Sprintf("dsm: "+format+": %v", append(args, err)...))
 	}
+}
+
+// callFailed classifies a protocol call failure: a panic without
+// failure detection (mustDetect); with it, an error the fault machinery
+// retries or aborts on.
+func (m *Module) callFailed(err error, format string, args ...any) error {
+	m.mustDetect(err, format, args...)
 	return fmt.Errorf(format+": %w", append(args, err)...)
 }
 
@@ -174,14 +182,7 @@ func (m *Module) faultPage(p *sim.Proc, page PageNo, write bool) error {
 		if attempt >= faultRetries {
 			return fmt.Errorf("%w: page %d fault kept failing: %v", ErrHostDown, page, err)
 		}
-		p.Sleep(backoff + sim.Duration(m.k.Rand().Int63n(int64(backoff/4)+1)))
-		m.exitIfCrashed(p)
-		if backoff < sim.Duration(m.cfg.Params.BlockingRetryInterval) {
-			backoff *= 2
-			if backoff > sim.Duration(m.cfg.Params.BlockingRetryInterval) {
-				backoff = sim.Duration(m.cfg.Params.BlockingRetryInterval)
-			}
-		}
+		backoff = m.retryPause(p, backoff)
 	}
 }
 
@@ -198,15 +199,13 @@ func (m *Module) remoteFault(p *sim.Proc, page PageNo, write bool) error {
 	mgrHost := m.manager(page)
 	resp, err := m.ep.Call(p, mgrHost, &proto.Message{Kind: kind, Page: uint32(page)})
 	if err != nil {
-		if m.liveness == nil {
-			panic(fmt.Sprintf("dsm: host %d page %d fault: %v", m.id, page, err))
-		}
+		err = m.callFailed(err, "host %d page %d fault", m.id, page)
 		if errors.Is(err, remoteop.ErrPeerDead) {
 			// The manager itself crashed: its page range is unavailable
 			// but isolated — other ranges keep working.
 			return hostDownErr(mgrHost, "page %d's manager crashed", page)
 		}
-		return fmt.Errorf("page %d fault unanswered by manager %d: %w", page, mgrHost, err)
+		return err
 	}
 	if resp.Arg(0)&flagLost != 0 {
 		bufpool.Put(resp.TakeWire())
@@ -215,12 +214,10 @@ func (m *Module) remoteFault(p *sim.Proc, page PageNo, write bool) error {
 	m.installBody(p, page, resp, write)
 	m.k.Spawn(fmt.Sprintf("confirm-%d-p%d", m.id, page), func(cp *sim.Proc) {
 		if _, err := m.ep.Call(cp, mgrHost, &proto.Message{Kind: proto.KindOwnerUpdate, Page: uint32(page)}); err != nil {
-			if m.liveness == nil {
-				panic(fmt.Sprintf("dsm: host %d confirming page %d: %v", m.id, page, err))
-			}
 			// The manager died before hearing the confirmation; the
 			// recovery sweep rebuilds its successor state, so the loss
 			// is harmless.
+			m.mustDetect(err, "host %d confirming page %d", m.id, page)
 		}
 	})
 	return nil
@@ -465,12 +462,7 @@ func (m *Module) invalidationTargets(ent *mgrEntry, requester HostID, requesterU
 	if requesterUpgrades && ent.owner != requester {
 		targets = append(targets, ent.owner)
 	}
-	// Deterministic order for reproducible simulations.
-	for i := 1; i < len(targets); i++ {
-		for j := i; j > 0 && targets[j] < targets[j-1]; j-- {
-			targets[j], targets[j-1] = targets[j-1], targets[j]
-		}
-	}
+	slices.Sort(targets) // deterministic order for reproducible simulations
 	return targets
 }
 
@@ -552,9 +544,7 @@ func (m *Module) sendInvalidations(p *sim.Proc, page PageNo, targets []HostID) e
 		if err == nil {
 			return nil
 		}
-		if m.liveness == nil {
-			panic(fmt.Sprintf("dsm: host %d invalidating page %d: %v", m.id, page, err))
-		}
+		err = m.callFailed(err, "host %d invalidating page %d", m.id, page)
 		// A target died mid-round: its copy died with it. Re-filter and
 		// repeat for the survivors; if everyone still looks alive the
 		// failure is real.
@@ -566,7 +556,7 @@ func (m *Module) sendInvalidations(p *sim.Proc, page PageNo, targets []HostID) e
 			}
 		}
 		if !stillDead {
-			return fmt.Errorf("host %d invalidating page %d: %w", m.id, page, err)
+			return err
 		}
 	}
 }
@@ -618,15 +608,10 @@ func (m *Module) serveCopy(p *sim.Proc, page PageNo, write bool, requester HostI
 			m.id, page, m.Access(page)))
 	}
 	m.protoCPU.Use(p, m.jittered(m.cfg.Params.OwnerProcess.Of(m.arch.Kind)))
-	used := 0
-	if mt, ok := m.meta[page]; ok {
-		used = mt.used
-	}
 	// Staged in a pooled buffer: deliver blocks until the requester has
 	// acknowledged (every retransmission re-encodes from it), so it can
 	// be recycled as soon as deliver returns.
-	data := bufpool.Get(used)
-	copy(data, lp.data[:used])
+	data := m.servedPrefix(page, lp.data, bufpool.Get)
 	prev := lp.access
 	switch {
 	case m.cfg.Mutation == MutDoubleWriterGrant:
@@ -719,47 +704,18 @@ func (m *Module) installBody(p *sim.Proc, page PageNo, resp *proto.Message, writ
 		m.stats.Upgrades++
 		m.trace("upgrade", page)
 	case flags&flagData != 0:
-		data := resp.Data
-		srcKind := arch.Kind(resp.SrcArch)
-		srcArch, err := arch.ByKind(srcKind)
-		if err != nil {
-			panic(fmt.Sprintf("dsm: page reply with unknown architecture %d", resp.SrcArch))
-		}
-		if len(data) > 0 && m.cfg.ConversionEnabled && !srcArch.Compatible(m.arch) &&
-			m.cfg.Mutation != MutSkipConversion { // injected bug: foreign bytes kept verbatim
-			mt, ok := m.meta[page]
-			if !ok {
-				panic(fmt.Sprintf("dsm: host %d received data for page %d with no allocation metadata", m.id, page))
-			}
-			typ := m.cfg.Registry.MustGet(mt.typeID)
-			n := len(data) / typ.Size
-			p.Sleep(m.cfg.Params.RegionConvertCost(m.arch.Kind, typ.Cost, n))
-			ptrOff := int32(m.base(m.arch.Kind)) - int32(m.base(srcKind))
-			rep, err := m.cfg.Registry.ConvertRegion(mt.typeID, data[:n*typ.Size], srcArch, m.arch, ptrOff)
-			if err != nil {
-				panic(fmt.Sprintf("dsm: converting page %d: %v", page, err))
-			}
-			m.stats.Conversions++
-			m.stats.ConvReport.Add(rep)
-		}
-		copy(lp.data, data)
+		m.convertIn(p, page, resp.Data, arch.Kind(resp.SrcArch))
+		copy(lp.data, resp.Data)
 		if write {
 			lp.access = WriteAccess
 		} else {
 			lp.access = ReadAccess
 		}
-		m.stats.PagesFetched++
-		m.stats.BytesFetched += len(data)
-		m.pageFetches[page]++
-		m.trace("fetch", page)
+		m.countFetch(page, len(resp.Data), "fetch")
 	default:
 		panic(fmt.Sprintf("dsm: page reply for %d with neither data nor upgrade", page))
 	}
-	// The body has been converted and copied into the local page; the
-	// reply's wire buffer (which Data aliased) can be recycled.
-	bufpool.Put(resp.TakeWire())
-	p.Sleep(m.jittered(m.cfg.Params.InstallCost.Of(m.arch.Kind)))
-	m.checkpoint("page-installed", page)
+	m.installed(p, page, resp)
 }
 
 // confirmPatience bounds how many suspicion-timeout rounds a manager

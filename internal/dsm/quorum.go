@@ -74,7 +74,7 @@ type quorumPage struct {
 
 // qrmPageFor returns (creating zero-filled at the zero tag if needed)
 // this host's replica of a page.
-func (m *Module) qrmPageFor(page PageNo) *quorumPage {
+func (m *quorumEngine) qrmPageFor(page PageNo) *quorumPage {
 	qp := m.qrm[page]
 	if qp == nil {
 		qp = &quorumPage{data: make([]byte, m.cfg.PageSize)} // vet:ignore hot-alloc — replica frames live for the run and must be zero-filled
@@ -85,7 +85,7 @@ func (m *Module) qrmPageFor(page PageNo) *quorumPage {
 
 // quorumPeers lists every other host in ID order — the fan-out targets
 // of a quorum round (this host's own replica is the remaining vote).
-func (m *Module) quorumPeers() []HostID {
+func (m *quorumEngine) quorumPeers() []HostID {
 	peers := make([]HostID, 0, len(m.hosts)-1)
 	for i := range m.hosts {
 		if HostID(i) != m.id {
@@ -99,27 +99,37 @@ func (m *Module) quorumPeers() []HostID {
 // run page by page: each page access is one full quorum operation,
 // serialized per page by the local fault lock.
 type quorumEngine struct {
-	m *Module
+	*Module
+	// qrm holds this host's replica of every page it has touched.
+	// Replicas live here, not in the module's resident-page table:
+	// tag-ordered versions are not MRSW residency and stay invisible to
+	// the MRSW invariants and the module's hash sections.
+	qrm map[PageNo]*quorumPage
 }
 
-func (e *quorumEngine) readRegion(p *sim.Proc, addr Addr, n int, fn func(seg []byte, off int)) error {
-	m := e.m
-	off := 0
-	end := int(addr) + n
-	for pos := int(addr); pos < end; {
-		pg := m.PageOf(Addr(pos))
-		pageStart := int(pg) * m.cfg.PageSize
-		hi := min(end, pageStart+m.cfg.PageSize)
+func newQuorumEngine(mod *Module) (engine, engineDecl) {
+	m := &quorumEngine{Module: mod, qrm: make(map[PageNo]*quorumPage)}
+	m.ep.Handle(proto.KindQuorumRead, m.handleQuorumRead)
+	m.ep.Handle(proto.KindQuorumWrite, m.handleQuorumWrite)
+	return m, engineDecl{
+		invariants: checkQuorumPage,
+		pages:      func() []PageNo { return sortedKeys(m.qrm) },
+		hashState:  m.hashState,
+	}
+}
+
+func (m *quorumEngine) readRegion(p *sim.Proc, addr Addr, n int, fn func(seg []byte, off int)) error {
+	return m.walkPages(addr, n, func(s span) error {
 		t0 := p.Now()
-		l := m.faultLockFor(pg)
+		l := m.faultLockFor(s.page)
 		l.P(p)
-		qp, err := m.quorumReadPage(p, pg)
+		defer l.V()
+		qp, err := m.quorumReadPage(p, s.page)
 		if err != nil {
-			l.V()
 			return err
 		}
-		seg := qp.data[pos-pageStart : hi-pageStart]
-		fn(seg, off)
+		seg := qp.data[s.lo : s.lo+s.n]
+		fn(seg, s.off)
 		if m.cfg.Mutation != MutStaleQuorumRead {
 			// An ABD read COMMITS the value it returns: before returning,
 			// a majority provably stores it (phase 1 confirmed it, or
@@ -135,58 +145,40 @@ func (e *quorumEngine) readRegion(p *sim.Proc, addr Addr, n int, fn func(seg []b
 			// committed version in the completion-ordered witness. The
 			// stale-read mutation commits nothing and must not get the
 			// record, or it would legitimize its own stale returns.
-			m.recordSCAt(p, sctrace.Write, t0, t0, Addr(pos), seg)
+			m.recordSCAt(p, sctrace.Write, t0, t0, s.addr, seg)
 		}
-		m.recordSC(p, sctrace.Read, t0, Addr(pos), seg)
-		l.V()
-		off += hi - pos
-		pos = hi
-	}
-	return nil
+		m.recordSC(p, sctrace.Read, t0, s.addr, seg)
+		return nil
+	})
 }
 
-func (e *quorumEngine) writeRegion(p *sim.Proc, addr Addr, n int, fill func(seg []byte, off int)) error {
-	m := e.m
-	off := 0
-	end := int(addr) + n
-	for pos := int(addr); pos < end; {
-		pg := m.PageOf(Addr(pos))
-		pageStart := int(pg) * m.cfg.PageSize
-		hi := min(end, pageStart+m.cfg.PageSize)
+func (m *quorumEngine) writeRegion(p *sim.Proc, addr Addr, n int, fill func(seg []byte, off int)) error {
+	return m.walkPages(addr, n, func(s span) error {
 		t0 := p.Now()
-		l := m.faultLockFor(pg)
+		l := m.faultLockFor(s.page)
 		l.P(p)
+		defer l.V()
 		var seg []byte
-		err := m.quorumWritePage(p, pg, func(qp *quorumPage) {
-			seg = qp.data[pos-pageStart : hi-pageStart]
-			fill(seg, off)
+		err := m.quorumWritePage(p, s.page, func(qp *quorumPage) {
+			seg = qp.data[s.lo : s.lo+s.n]
+			fill(seg, s.off)
 		})
 		if err != nil {
-			l.V()
 			return err
 		}
-		m.recordSC(p, sctrace.Write, t0, Addr(pos), seg)
-		l.V()
-		off += hi - pos
-		pos = hi
-	}
-	return nil
+		m.recordSC(p, sctrace.Write, t0, s.addr, seg)
+		return nil
+	})
 }
 
-func (e *quorumEngine) atomicSwap(p *sim.Proc, addr Addr, v int32) (int32, error) {
+func (m *quorumEngine) atomicSwap(p *sim.Proc, addr Addr, v int32) (int32, error) {
 	panic("dsm: atomic operations are not defined under the quorum policy (majority-replicated registers admit no consensus-free read-modify-write); use the distributed synchronization facility")
 }
-
-func (e *quorumEngine) allocFirstTouch() bool  { return false }
-func (e *quorumEngine) serverOnly() bool       { return false }
-func (e *quorumEngine) sequencesUpdates() bool { return false }
-func (e *quorumEngine) quorumReplicated() bool { return true }
-func (e *quorumEngine) lazyRelease() bool      { return false }
 
 // quorumReadPage is one full SC-ABD read of a page. The caller holds
 // the page's fault lock; the returned replica holds the read's result
 // in this host's native representation.
-func (m *Module) quorumReadPage(p *sim.Proc, page PageNo) (*quorumPage, error) {
+func (m *quorumEngine) quorumReadPage(p *sim.Proc, page PageNo) (*quorumPage, error) {
 	m.stats.QuorumReads++
 	m.protoCPU.Use(p, m.jittered(m.cfg.Params.RemoteOpProcess.Of(m.arch.Kind)))
 	if m.cfg.Mutation == MutStaleQuorumRead {
@@ -213,7 +205,7 @@ func (m *Module) quorumReadPage(p *sim.Proc, page PageNo) (*quorumPage, error) {
 // quorumWritePage is one full SC-ABD write of a page. The caller holds
 // the page's fault lock; mutate edits the local replica's image in
 // place after phase 1 has made it current.
-func (m *Module) quorumWritePage(p *sim.Proc, page PageNo, mutate func(qp *quorumPage)) error {
+func (m *quorumEngine) quorumWritePage(p *sim.Proc, page PageNo, mutate func(qp *quorumPage)) error {
 	m.stats.QuorumWrites++
 	m.protoCPU.Use(p, m.jittered(m.cfg.Params.RemoteOpProcess.Of(m.arch.Kind)))
 	if m.cfg.Mutation == MutSplitBrainWrite {
@@ -244,7 +236,7 @@ func (m *Module) quorumWritePage(p *sim.Proc, page PageNo, mutate func(qp *quoru
 // highest tag seen, and report whether that winner is already proven to
 // be stored at a majority (every phase-1 vote carried it). The caller
 // holds the page's fault lock.
-func (m *Module) quorumCollect(p *sim.Proc, page PageNo) (qp *quorumPage, confirmed bool, err error) {
+func (m *quorumEngine) quorumCollect(p *sim.Proc, page PageNo) (qp *quorumPage, confirmed bool, err error) {
 	qp = m.qrmPageFor(page)
 	maj := quorumMajority(len(m.hosts))
 	if maj == 1 {
@@ -277,14 +269,11 @@ func (m *Module) quorumCollect(p *sim.Proc, page PageNo) (qp *quorumPage, confir
 		r := replies[winIdx]
 		buf := bufpool.Get(len(r.Data))
 		copy(buf, r.Data)
-		m.quorumConvert(p, page, buf, arch.Kind(r.SrcArch))
+		m.convertIn(p, page, buf, arch.Kind(r.SrcArch))
 		if qp.tag.less(winner) {
 			copy(qp.data, buf)
 			qp.tag = winner
-			m.stats.PagesFetched++
-			m.stats.BytesFetched += len(buf)
-			m.pageFetches[page]++
-			m.trace("fetch", page)
+			m.countFetch(page, len(buf), "fetch")
 		}
 		bufpool.Put(buf)
 	}
@@ -310,18 +299,13 @@ func (m *Module) quorumCollect(p *sim.Proc, page PageNo) (qp *quorumPage, confir
 // snapshotted into a pooled buffer first so retransmissions inside the
 // fan-out cannot pick up concurrent local updates. The caller holds the
 // page's fault lock.
-func (m *Module) quorumPush(p *sim.Proc, page PageNo, qp *quorumPage) error {
+func (m *quorumEngine) quorumPush(p *sim.Proc, page PageNo, qp *quorumPage) error {
 	maj := quorumMajority(len(m.hosts))
 	if maj == 1 {
 		return nil
 	}
-	used := len(qp.data)
-	if mt, ok := m.meta[page]; ok {
-		used = mt.used
-	}
 	tag := qp.tag
-	data := bufpool.Get(used)
-	copy(data, qp.data[:used])
+	data := m.servedPrefix(page, qp.data, bufpool.Get)
 	_, err := m.quorumFanout(p, page, maj-1, func(dst HostID) *proto.Message {
 		return &proto.Message{
 			Kind: proto.KindQuorumWrite,
@@ -343,7 +327,7 @@ func (m *Module) quorumPush(p *sim.Proc, page PageNo, qp *quorumPage) error {
 // ever answer again (a majority of replicas dead) surfaces ErrHostDown.
 // The replies slice is indexed like quorumPeers(), nil for stragglers;
 // the caller owns the non-nil replies' wire buffers.
-func (m *Module) quorumFanout(p *sim.Proc, page PageNo, need int, mk func(dst HostID) *proto.Message) ([]*proto.Message, error) {
+func (m *quorumEngine) quorumFanout(p *sim.Proc, page PageNo, need int, mk func(dst HostID) *proto.Message) ([]*proto.Message, error) {
 	peers := m.quorumPeers()
 	backoff := sim.Duration(m.cfg.Params.RequestTimeout)
 	for {
@@ -357,11 +341,9 @@ func (m *Module) quorumFanout(p *sim.Proc, page PageNo, need int, mk func(dst Ho
 			return nil, m.callFailed(fmt.Errorf("%w: page %d has no live quorum: %v", ErrHostDown, page, err),
 				"host %d quorum round for page %d", m.id, page)
 		}
-		if m.liveness == nil {
-			// Without failure detection a quorum timeout is a protocol
-			// bug, exactly like any other unanswered call.
-			panic(fmt.Sprintf("dsm: host %d quorum round for page %d: %v", m.id, page, err))
-		}
+		// Without failure detection a quorum timeout is a protocol bug,
+		// exactly like any other unanswered call.
+		m.mustDetect(err, "host %d quorum round for page %d", m.id, page)
 		// A majority is alive but unreachable this instant — the
 		// partition case quorum replication exists for. Back off and
 		// retry: exponential, capped at the blocking retry interval,
@@ -369,71 +351,25 @@ func (m *Module) quorumFanout(p *sim.Proc, page PageNo, need int, mk func(dst Ho
 		// fault-free runs never consume it).
 		m.stats.QuorumRetries++
 		m.trace("quorum-retry", page)
-		p.Sleep(backoff + sim.Duration(m.k.Rand().Int63n(int64(backoff/4)+1)))
-		m.exitIfCrashed(p)
-		if backoff < sim.Duration(m.cfg.Params.BlockingRetryInterval) {
-			backoff *= 2
-			if backoff > sim.Duration(m.cfg.Params.BlockingRetryInterval) {
-				backoff = sim.Duration(m.cfg.Params.BlockingRetryInterval)
-			}
-		}
+		backoff = m.retryPause(p, backoff)
 	}
-}
-
-// quorumConvert converts a page image received from a replica of the
-// given machine kind into this host's representation, in place.
-func (m *Module) quorumConvert(p *sim.Proc, page PageNo, data []byte, srcKind arch.Kind) {
-	srcArch, err := arch.ByKind(srcKind)
-	if err != nil {
-		panic(fmt.Sprintf("dsm: quorum reply with unknown architecture %d", srcKind))
-	}
-	if len(data) == 0 || !m.cfg.ConversionEnabled || srcArch.Compatible(m.arch) {
-		return
-	}
-	mt, ok := m.meta[page]
-	if !ok {
-		return
-	}
-	typ := m.cfg.Registry.MustGet(mt.typeID)
-	n := len(data) / typ.Size
-	if n == 0 {
-		return
-	}
-	p.Sleep(m.cfg.Params.RegionConvertCost(m.arch.Kind, typ.Cost, n))
-	ptrOff := int32(m.base(m.arch.Kind)) - int32(m.base(srcKind))
-	rep, cerr := m.cfg.Registry.ConvertRegion(mt.typeID, data[:n*typ.Size], srcArch, m.arch, ptrOff)
-	if cerr != nil {
-		panic(fmt.Sprintf("dsm: converting quorum page %d: %v", page, cerr))
-	}
-	m.stats.Conversions++
-	m.stats.ConvReport.Add(rep)
 }
 
 // handleQuorumRead answers a phase-1 query with this replica's version:
 // tag in the args, image (allocated prefix, native representation) in
 // the data. It takes no locks, deliberately: the replica may itself be
 // parked inside a quorum round holding its local fault lock.
-func (m *Module) handleQuorumRead(p *sim.Proc, req *proto.Message) {
+func (m *quorumEngine) handleQuorumRead(p *sim.Proc, req *proto.Message) {
 	m.exitIfCrashed(p)
-	if !m.engine.quorumReplicated() {
-		bufpool.Put(req.TakeWire())
-		return // misdirected: this cluster does not run the quorum engine
-	}
 	page := PageNo(req.Page)
 	bufpool.Put(req.TakeWire())
 	m.protoCPU.Use(p, m.jittered(m.cfg.Params.RemoteOpProcess.Of(m.arch.Kind)))
 	qp := m.qrmPageFor(page)
-	used := 0
-	if mt, ok := m.meta[page]; ok {
-		used = mt.used
-	}
-	data := make([]byte, used) // vet:ignore hot-alloc — retained by the dedup reply cache
-	copy(data, qp.data[:used])
 	m.ep.Reply(p, req, &proto.Message{
 		Kind: proto.KindQuorumReadReply,
 		Page: req.Page,
 		Args: []uint32{qp.tag.ts, uint32(qp.tag.host)},
-		Data: data,
+		Data: m.servedPrefix(page, qp.data, freshBuf),
 	})
 }
 
@@ -441,12 +377,8 @@ func (m *Module) handleQuorumRead(p *sim.Proc, req *proto.Message) {
 // the tag orders above the one it holds — stale and duplicate installs
 // are acknowledged without effect, which is what makes phase 2
 // idempotent under retransmission. Lock-free like handleQuorumRead.
-func (m *Module) handleQuorumWrite(p *sim.Proc, req *proto.Message) {
+func (m *quorumEngine) handleQuorumWrite(p *sim.Proc, req *proto.Message) {
 	m.exitIfCrashed(p)
-	if !m.engine.quorumReplicated() {
-		bufpool.Put(req.TakeWire())
-		return
-	}
 	page := PageNo(req.Page)
 	tag := quorumTag{ts: req.Arg(0), host: HostID(req.Arg(1))}
 	m.protoCPU.Use(p, m.jittered(m.cfg.Params.RemoteOpProcess.Of(m.arch.Kind)))
@@ -456,7 +388,7 @@ func (m *Module) handleQuorumWrite(p *sim.Proc, req *proto.Message) {
 		data := bufpool.Get(len(req.Data))
 		copy(data, req.Data)
 		bufpool.Put(req.TakeWire())
-		m.quorumConvert(p, page, data, srcKind)
+		m.convertIn(p, page, data, srcKind)
 		// Re-check after the conversion sleep: a concurrent install may
 		// have advanced the replica past this version.
 		if qp.tag.less(tag) {
@@ -470,4 +402,45 @@ func (m *Module) handleQuorumWrite(p *sim.Proc, req *proto.Message) {
 	}
 	m.checkpoint("quorum-install", page)
 	m.ep.Reply(p, req, &proto.Message{Kind: proto.KindQuorumWriteAck, Page: req.Page})
+}
+
+// checkQuorumPage is the quorum engine's declared invariant for one
+// page: every replica buffer is page-sized, every version tag names a
+// known writer, and the replicated allocation metadata is sane. Version
+// agreement is deliberately NOT asserted — replicas legitimately diverge
+// between quorum rounds (only a majority need hold the newest version);
+// the SC trace checker is what audits the values reads actually return.
+func checkQuorumPage(c *InvariantChecker, point string, page PageNo, writers, holders []HostID) {
+	c.uniqueWriter(point, page, writers)
+	for _, mod := range c.mods {
+		if mod.crashed {
+			continue
+		}
+		qp := mod.engine.(*quorumEngine).qrm[page]
+		if qp == nil {
+			continue
+		}
+		if len(qp.data) != mod.cfg.PageSize {
+			c.report(point, page, "host %d holds a %d-byte replica of a %d-byte page",
+				mod.id, len(qp.data), mod.cfg.PageSize)
+		}
+		if qp.tag != (quorumTag{}) && c.byID(qp.tag.host) == nil {
+			c.report(point, page, "host %d's replica tag names unknown writer %d",
+				mod.id, qp.tag.host)
+		}
+		c.checkMeta(point, page, mod)
+	}
+}
+
+// hashState is the quorum engine's section of the state fingerprint:
+// each replica's tag plus the allocated prefix of its image.
+func (m *quorumEngine) hashState(put func(uint32), putBody func([]byte)) {
+	put(0xffff_fffb)
+	for _, pg := range sortedKeys(m.qrm) {
+		qp := m.qrm[pg]
+		put(uint32(pg))
+		put(qp.tag.ts)
+		put(uint32(qp.tag.host))
+		putBody(m.hashedPrefix(pg, qp.data))
+	}
 }

@@ -67,7 +67,7 @@ func TestQuorumMajority(t *testing.T) {
 	}
 }
 
-func TestQuorumPolicyRoundTrip(t *testing.T) { policyRoundTrip(t, PolicyQuorum) }
+func TestQuorumPolicyRoundTrip(t *testing.T) { policyRoundTrip(t, PolicyQuorum, DirFixed) }
 
 func TestQuorumTagsAdvanceMonotonically(t *testing.T) {
 	r := newRig(t, []arch.Kind{arch.Sun, arch.Firefly, arch.Firefly}, withPolicy(PolicyQuorum))
@@ -82,7 +82,7 @@ func TestQuorumTagsAdvanceMonotonically(t *testing.T) {
 		var prev quorumTag
 		for i, w := range writers {
 			r.mods[w].WriteInt32s(p, addr, []int32{int32(i)})
-			tag := r.mods[w].qrmPageFor(pg).tag
+			tag := r.mods[w].engine.(*quorumEngine).qrmPageFor(pg).tag
 			if !prev.less(tag) {
 				t.Fatalf("write %d by host %d: tag %v does not advance past %v", i, w, tag, prev)
 			}
@@ -109,7 +109,7 @@ func TestQuorumReadWritesWinnerBack(t *testing.T) {
 		r.mods[0].WriteInt32s(p, addr, []int32{5})
 
 		pg := r.mods[2].PageOf(addr)
-		qp := r.mods[2].qrmPageFor(pg)
+		qp := r.mods[2].engine.(*quorumEngine).qrmPageFor(pg)
 		conv.PutInt32(r.mods[2].arch, qp.data[int(addr)-int(pg)*r.cfg.PageSize:], 7)
 		qp.tag = quorumTag{ts: qp.tag.ts + 10, host: 2}
 
@@ -144,7 +144,7 @@ func TestQuorumWriteBackConvertsAcrossArchitectures(t *testing.T) {
 		r.mods[0].WriteFloat64s(p, addr, []float64{1.5})
 
 		pg := r.mods[1].PageOf(addr)
-		qp := r.mods[1].qrmPageFor(pg)
+		qp := r.mods[1].engine.(*quorumEngine).qrmPageFor(pg)
 		conv.PutFloat64(r.mods[1].arch, qp.data[int(addr)-int(pg)*r.cfg.PageSize:], -42.25)
 		qp.tag = quorumTag{ts: qp.tag.ts + 10, host: 1}
 

@@ -1,6 +1,6 @@
 package dsm
 
-// The lazy-release-consistency engine (PolicyRC, ModelRC). Where the
+// The lazy-release-consistency engine (PolicyRC). Where the
 // write-invalidate family propagates writes eagerly — at access time,
 // by revoking every other copy — this engine propagates them lazily, at
 // synchronization boundaries, TreadMarks-style on top of per-page
@@ -22,13 +22,14 @@ package dsm
 //   - A fault fetches the home's current image, which already reflects
 //     every pushed interval, so non-resident pages need no pulling.
 //
-// The model contract (model.go) binds this machinery to dsync via
-// RCSync and swaps the trace oracle to sctrace.CheckRC.
+// The engine's declaration binds this machinery to dsync via RCSync and
+// names sctrace.CheckRC, the happens-before checker, as its trace
+// oracle.
 
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/arch"
 	"repro/internal/bufpool"
@@ -96,105 +97,78 @@ func newRCState(nhosts int) *rcState {
 
 // rcEngine is the lazy-release replication strategy. Reads and writes
 // only ensure residency (one whole-page fetch from the home on first
-// touch); coherence runs entirely through the sync hooks.
+// touch); coherence runs entirely through the sync hooks. Multiple
+// writable copies are the design, so the engine declares no residency
+// invariant: coherence is checked offline by the happens-before oracle.
 type rcEngine struct {
-	m *Module
+	*Module
+	rc *rcState
 }
 
-func (e *rcEngine) readRegion(p *sim.Proc, addr Addr, n int, fn func(seg []byte, off int)) error {
-	m := e.m
-	off := 0
-	var ferr error
-	m.forEachGroup(addr, n, func(chunkAddr Addr, chunkLen int) {
-		if ferr != nil {
-			return
-		}
-		t0 := p.Now()
-		if err := m.rcEnsureResident(p, chunkAddr, chunkLen, false); err != nil {
-			ferr = err
-			return
-		}
-		m.forEachSpan(chunkAddr, chunkLen, func(seg []byte, o int) {
-			fn(seg, off+o)
-			m.recordSC(p, sctrace.Read, t0, chunkAddr+Addr(o), seg)
-		})
-		off += chunkLen
-	})
-	return ferr
+func newRCEngine(mod *Module) (engine, engineDecl) {
+	m := &rcEngine{Module: mod, rc: newRCState(len(mod.hosts))}
+	m.ep.Handle(proto.KindRCFetch, m.handleRCFetch)
+	m.ep.Handle(proto.KindRCDiff, m.handleRCDiff)
+	m.ep.Handle(proto.KindRCPull, m.handleRCPull)
+	return m, engineDecl{
+		firstTouch: true,
+		invariants: func(*InvariantChecker, string, PageNo, []HostID, []HostID) {},
+		hashState:  m.hashState,
+		traceCheck: sctrace.CheckRC,
+		sync:       &RCSync{e: m},
+	}
 }
 
-func (e *rcEngine) writeRegion(p *sim.Proc, addr Addr, n int, fill func(seg []byte, off int)) error {
-	m := e.m
-	off := 0
-	var ferr error
-	m.forEachGroup(addr, n, func(chunkAddr Addr, chunkLen int) {
-		if ferr != nil {
-			return
-		}
-		t0 := p.Now()
-		if err := m.rcEnsureResident(p, chunkAddr, chunkLen, true); err != nil {
-			ferr = err
-			return
-		}
-		m.rcTwinSpan(chunkAddr, chunkLen)
-		m.forEachSpan(chunkAddr, chunkLen, func(seg []byte, o int) {
-			fill(seg, off+o)
-			m.recordSC(p, sctrace.Write, t0, chunkAddr+Addr(o), seg)
-		})
-		off += chunkLen
-	})
-	return ferr
+// RCSync is the RC engine's dsync payload implementation (it satisfies
+// dsync.SyncModel structurally; dsm does not import dsync).
+type RCSync struct {
+	e *rcEngine
 }
 
-func (e *rcEngine) atomicSwap(p *sim.Proc, addr Addr, v int32) (int32, error) {
+// ReleasePayload closes the current interval: push every twinned page's
+// diff to its home, advance this host's vector timestamp, and return
+// the encoded (timestamp, write-notice) payload to ride the releasing
+// primitive.
+func (s *RCSync) ReleasePayload(p *sim.Proc) ([]byte, error) {
+	return s.e.rcRelease(p)
+}
+
+// AcquirePayload merges a grant's payload into this host's timestamp
+// and notices, then pulls the diffs the notices imply for resident
+// pages.
+func (s *RCSync) AcquirePayload(p *sim.Proc, data []byte) error {
+	return s.e.rcAcquire(p, data)
+}
+
+// MergePayload folds two payloads component-wise (max of vector
+// timestamps, max of per-page notices). Pure; always returns a fresh
+// slice.
+func (s *RCSync) MergePayload(a, b []byte) []byte {
+	return rcMergePayload(a, b)
+}
+
+// Residency is EnsureAccess's fault accounting with the home fetch as
+// the per-page fault. A copy once resident is never invalidated or
+// stolen under RC, so the re-check after the faults finds nothing
+// missing.
+func (m *rcEngine) readRegion(p *sim.Proc, addr Addr, n int, fn func(seg []byte, off int)) error {
+	ensure := func(addr Addr, n int) error { return m.ensureAccess(p, addr, n, false, m.rcFaultPage) }
+	return m.walkGroups(p, addr, n, sctrace.Read, ensure, nil, fn)
+}
+
+func (m *rcEngine) writeRegion(p *sim.Proc, addr Addr, n int, fill func(seg []byte, off int)) error {
+	ensure := func(addr Addr, n int) error { return m.ensureAccess(p, addr, n, true, m.rcFaultPage) }
+	return m.walkGroups(p, addr, n, sctrace.Write, ensure, m.rcTwinSpan, fill)
+}
+
+func (m *rcEngine) atomicSwap(p *sim.Proc, addr Addr, v int32) (int32, error) {
 	panic("dsm: atomic operations are not defined under the release-consistency policy; use the distributed synchronization facility")
-}
-
-func (e *rcEngine) allocFirstTouch() bool  { return true }
-func (e *rcEngine) serverOnly() bool       { return false }
-func (e *rcEngine) sequencesUpdates() bool { return false }
-func (e *rcEngine) quorumReplicated() bool { return false }
-func (e *rcEngine) lazyRelease() bool      { return true }
-
-// rcEnsureResident makes [addr, addr+n) resident, fetching missing
-// pages from their homes. No re-check loop: a copy once resident is
-// never invalidated or stolen under RC, so one pass suffices.
-func (m *Module) rcEnsureResident(p *sim.Proc, addr Addr, n int, write bool) error {
-	m.exitIfCrashed(p)
-	pages, err := m.requiredPages(addr, n)
-	if err != nil {
-		return err
-	}
-	var missing []PageNo
-	for _, pg := range pages {
-		if !m.hasAccess(pg, write) {
-			missing = append(missing, pg)
-		}
-	}
-	if len(missing) == 0 {
-		return nil
-	}
-	if write {
-		m.stats.WriteFaults++
-		m.trace("write-fault", missing[0])
-		p.Sleep(m.jittered(m.cfg.Params.FaultWrite.Of(m.arch.Kind)))
-	} else {
-		m.stats.ReadFaults++
-		m.trace("read-fault", missing[0])
-		p.Sleep(m.jittered(m.cfg.Params.FaultRead.Of(m.arch.Kind)))
-	}
-	for _, pg := range missing {
-		if err := m.rcFaultPage(p, pg); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // rcFaultPage obtains one page's current image from its home. The fresh
 // image reflects every interval pushed so far, so it satisfies every
 // write notice this host could hold for the page.
-func (m *Module) rcFaultPage(p *sim.Proc, pg PageNo) error {
+func (m *rcEngine) rcFaultPage(p *sim.Proc, pg PageNo, _ bool) error {
 	l := m.faultLockFor(pg)
 	l.P(p)
 	defer m.checkpoint("fault-serviced", pg)
@@ -220,26 +194,21 @@ func (m *Module) rcFaultPage(p *sim.Proc, pg PageNo) error {
 // rcInstallPage installs a fetch reply. The page was not resident, so
 // no twin can exist (a twin implies a prior write, which implies
 // residency) and the image lands verbatim.
-func (m *Module) rcInstallPage(p *sim.Proc, pg PageNo, resp *proto.Message) {
-	m.rcConvertIncoming(p, pg, resp.Data, resp.SrcArch)
+func (m *rcEngine) rcInstallPage(p *sim.Proc, pg PageNo, resp *proto.Message) {
+	m.convertIn(p, pg, resp.Data, arch.Kind(resp.SrcArch))
 	lp := m.localPageFor(pg)
 	copy(lp.data, resp.Data)
 	lp.access = WriteAccess
 	m.rc.applied[pg] = resp.Arg(0)
-	m.stats.PagesFetched++
-	m.stats.BytesFetched += len(resp.Data)
-	m.pageFetches[pg]++
-	m.trace("fetch", pg)
-	bufpool.Put(resp.TakeWire())
-	p.Sleep(m.jittered(m.cfg.Params.InstallCost.Of(m.arch.Kind)))
-	m.checkpoint("page-installed", pg)
+	m.countFetch(pg, len(resp.Data), "fetch")
+	m.installed(p, pg, resp)
 }
 
 // rcTwinSpan copies each page the write span touches into a twin if the
 // current interval has not written it yet — the access right is
 // irrelevant: a first-touch owner holds WriteAccess without ever
 // faulting, and its interval still needs a twin to diff against.
-func (m *Module) rcTwinSpan(addr Addr, n int) {
+func (m *rcEngine) rcTwinSpan(addr Addr, n int) {
 	if n <= 0 {
 		return
 	}
@@ -261,7 +230,7 @@ func (m *Module) rcTwinSpan(addr Addr, n int) {
 // state for a page. Materialization also creates the authoritative
 // local copy: pages start zero-filled everywhere, so a zero frame at
 // version 0 is exact.
-func (m *Module) rcHomeFor(pg PageNo) *rcHome {
+func (m *rcEngine) rcHomeFor(pg PageNo) *rcHome {
 	if m.dir.home(pg) != m.id {
 		panic(fmt.Sprintf("dsm: host %d is not the home of page %d", m.id, pg))
 	}
@@ -280,16 +249,11 @@ func (m *Module) rcHomeFor(pg PageNo) *rcHome {
 // to its home (in page order, for determinism), advance this host's
 // vector timestamp, record the Release, and return the encoded
 // (timestamp, notices) payload for the releasing primitive.
-func (m *Module) rcRelease(p *sim.Proc) ([]byte, error) {
+func (m *rcEngine) rcRelease(p *sim.Proc) ([]byte, error) {
 	m.exitIfCrashed(p)
 	rc := m.rc
-	pages := make([]PageNo, 0, len(rc.twins))
-	for pg := range rc.twins {
-		pages = append(pages, pg)
-	}
-	sort.Slice(pages, func(i, j int) bool { return pages[i] < pages[j] })
 	lost := false
-	for _, pg := range pages {
+	for _, pg := range sortedKeys(rc.twins) {
 		tw := rc.twins[pg]
 		if tw == nil {
 			continue // a concurrent release on this host got here first
@@ -334,7 +298,7 @@ func (m *Module) rcRelease(p *sim.Proc) ([]byte, error) {
 
 // rcPushDiff delivers one interval diff to the page's home and returns
 // the home version it was logged as.
-func (m *Module) rcPushDiff(p *sim.Proc, pg PageNo, d *conv.Diff) (uint32, error) {
+func (m *rcEngine) rcPushDiff(p *sim.Proc, pg PageNo, d *conv.Diff) (uint32, error) {
 	home := m.dir.home(pg)
 	if home == m.id {
 		// Local push: the home's copy (ours) already holds the writes;
@@ -370,7 +334,7 @@ func (m *Module) rcPushDiff(p *sim.Proc, pg PageNo, d *conv.Diff) (uint32, error
 
 // rcLogAppend logs one interval at the home, retiring the oldest
 // entries past the cap.
-func (m *Module) rcLogAppend(hm *rcHome, e rcLogEntry) {
+func (m *rcEngine) rcLogAppend(hm *rcHome, e rcLogEntry) {
 	hm.log = append(hm.log, e)
 	if n := len(hm.log) - rcLogCap; n > 0 {
 		m.stats.RCDiffsRetired += n
@@ -382,7 +346,7 @@ func (m *Module) rcLogAppend(hm *rcHome, e rcLogEntry) {
 // notices, records the Acquire, and pulls the updates the notices imply
 // for pages resident here. A non-resident page needs nothing: its next
 // fault fetches the home's current image, which already contains them.
-func (m *Module) rcAcquire(p *sim.Proc, data []byte) error {
+func (m *rcEngine) rcAcquire(p *sim.Proc, data []byte) error {
 	m.exitIfCrashed(p)
 	rc := m.rc
 	vt, notices := rcDecodePayload(data)
@@ -403,7 +367,7 @@ func (m *Module) rcAcquire(p *sim.Proc, data []byte) error {
 			stale = append(stale, pg)
 		}
 	}
-	sort.Slice(stale, func(i, j int) bool { return stale[i] < stale[j] })
+	slices.Sort(stale)
 	for _, pg := range stale {
 		if err := m.rcPull(p, pg); err != nil {
 			return err
@@ -415,7 +379,7 @@ func (m *Module) rcAcquire(p *sim.Proc, data []byte) error {
 // rcPull brings this host's copy of one resident page up to the home's
 // current version: a log suffix of diffs when the home still has it, the
 // whole page image when the log has been retired past our version.
-func (m *Module) rcPull(p *sim.Proc, pg PageNo) error {
+func (m *rcEngine) rcPull(p *sim.Proc, pg PageNo) error {
 	rc := m.rc
 	home := m.dir.home(pg)
 	if home == m.id {
@@ -442,7 +406,7 @@ func (m *Module) rcPull(p *sim.Proc, pg PageNo) error {
 	}
 	typ := m.cfg.Registry.MustGet(mt.typeID)
 	entries := make([]rcLogEntry, 0, count)
-	data, src := resp.Data, resp.SrcArch
+	data, src := resp.Data, arch.Kind(resp.SrcArch)
 	off := 0
 	for i := 0; i < int(count); i++ {
 		ver := binary.BigEndian.Uint32(data[off:])
@@ -462,7 +426,7 @@ func (m *Module) rcPull(p *sim.Proc, pg PageNo) error {
 			continue // a concurrent pull on this host already applied it
 		}
 		if e.writer != m.id {
-			m.rcConvertDiff(p, pg, &e.diff, src)
+			m.convertDiff(p, pg, &e.diff, src)
 			m.rcApplyDiff(pg, &e.diff)
 		}
 		rc.applied[pg] = e.version
@@ -479,7 +443,7 @@ func (m *Module) rcPull(p *sim.Proc, pg PageNo) error {
 // page first, install the home image into both, then re-apply the local
 // diff to the page. The refreshed twin makes the next release diff
 // carry only this interval's writes, not the home's.
-func (m *Module) rcInstallWhole(p *sim.Proc, pg PageNo, resp *proto.Message, version uint32) {
+func (m *rcEngine) rcInstallWhole(p *sim.Proc, pg PageNo, resp *proto.Message, version uint32) {
 	rc := m.rc
 	if version <= rc.applied[pg] {
 		bufpool.Put(resp.TakeWire()) // a concurrent pull got further; stale image
@@ -500,7 +464,7 @@ func (m *Module) rcInstallWhole(p *sim.Proc, pg PageNo, resp *proto.Message, ver
 			local = &d
 		}
 	}
-	m.rcConvertIncoming(p, pg, resp.Data, resp.SrcArch)
+	m.convertIn(p, pg, resp.Data, arch.Kind(resp.SrcArch))
 	copy(lp.data, resp.Data)
 	if tw := rc.twins[pg]; tw != nil {
 		copy(tw, lp.data)
@@ -509,13 +473,8 @@ func (m *Module) rcInstallWhole(p *sim.Proc, pg PageNo, resp *proto.Message, ver
 		}
 	}
 	rc.applied[pg] = version
-	m.stats.PagesFetched++
-	m.stats.BytesFetched += len(resp.Data)
-	m.pageFetches[pg]++
-	m.trace("rc-refetch", pg)
-	bufpool.Put(resp.TakeWire())
-	p.Sleep(m.jittered(m.cfg.Params.InstallCost.Of(m.arch.Kind)))
-	m.checkpoint("page-installed", pg)
+	m.countFetch(pg, len(resp.Data), "rc-refetch")
+	m.installed(p, pg, resp)
 }
 
 // rcApplyDiff folds one decoded diff (already in this host's
@@ -523,7 +482,7 @@ func (m *Module) rcInstallWhole(p *sim.Proc, pg PageNo, resp *proto.Message, ver
 // one exists: a pulled interval the twin does not hold would otherwise
 // be diffed right back out at this interval's release, reverting the
 // remote writes at the home.
-func (m *Module) rcApplyDiff(pg PageNo, d *conv.Diff) {
+func (m *rcEngine) rcApplyDiff(pg PageNo, d *conv.Diff) {
 	tw := m.rc.twins[pg]
 	if m.cfg.Mutation == MutStaleTwinMerge && tw != nil {
 		// Injected bug: with a twin live the merge lands only in the
@@ -540,70 +499,17 @@ func (m *Module) rcApplyDiff(pg PageNo, d *conv.Diff) {
 }
 
 // mustApply applies a diff to one buffer; a failure is a protocol bug.
-func (m *Module) mustApply(pg PageNo, d *conv.Diff, dst []byte) {
+func (m *rcEngine) mustApply(pg PageNo, d *conv.Diff, dst []byte) {
 	if err := m.cfg.Registry.Apply(d, dst); err != nil {
 		panic(fmt.Sprintf("dsm: host %d applying diff to page %d: %v", m.id, pg, err))
 	}
-}
-
-// rcConvertIncoming converts a received whole-page body in place when
-// it comes from an incompatible machine, charging the conversion cost —
-// the same contract as installBody's fetch path.
-func (m *Module) rcConvertIncoming(p *sim.Proc, pg PageNo, data []byte, srcCode uint8) {
-	srcKind := arch.Kind(srcCode)
-	srcArch, err := arch.ByKind(srcKind)
-	if err != nil {
-		panic(fmt.Sprintf("dsm: page body with unknown architecture %d", srcCode))
-	}
-	if len(data) == 0 || !m.cfg.ConversionEnabled || srcArch.Compatible(m.arch) ||
-		m.cfg.Mutation == MutSkipConversion { // injected bug: foreign bytes kept verbatim
-		return
-	}
-	mt, ok := m.meta[pg]
-	if !ok {
-		panic(fmt.Sprintf("dsm: host %d received data for page %d with no allocation metadata", m.id, pg))
-	}
-	typ := m.cfg.Registry.MustGet(mt.typeID)
-	n := len(data) / typ.Size
-	p.Sleep(m.cfg.Params.RegionConvertCost(m.arch.Kind, typ.Cost, n))
-	ptrOff := int32(m.base(m.arch.Kind)) - int32(m.base(srcKind))
-	rep, err := m.cfg.Registry.ConvertRegion(mt.typeID, data[:n*typ.Size], srcArch, m.arch, ptrOff)
-	if err != nil {
-		panic(fmt.Sprintf("dsm: converting page %d: %v", pg, err))
-	}
-	m.stats.Conversions++
-	m.stats.ConvReport.Add(rep)
-}
-
-// rcConvertDiff converts a received diff's payload in place when it
-// comes from an incompatible machine — packed whole elements of the
-// page's one type, so it converts exactly like a page body (conv.Diff).
-func (m *Module) rcConvertDiff(p *sim.Proc, pg PageNo, d *conv.Diff, srcCode uint8) {
-	srcKind := arch.Kind(srcCode)
-	srcArch, err := arch.ByKind(srcKind)
-	if err != nil {
-		panic(fmt.Sprintf("dsm: diff with unknown architecture %d", srcCode))
-	}
-	if d.Empty() || !m.cfg.ConversionEnabled || srcArch.Compatible(m.arch) ||
-		m.cfg.Mutation == MutSkipConversion { // injected bug: foreign bytes kept verbatim
-		return
-	}
-	typ := m.cfg.Registry.MustGet(d.Type)
-	p.Sleep(m.cfg.Params.RegionConvertCost(m.arch.Kind, typ.Cost, d.Elements()))
-	ptrOff := int32(m.base(m.arch.Kind)) - int32(m.base(srcKind))
-	rep, err := m.cfg.Registry.ConvertDiff(d, srcArch, m.arch, ptrOff)
-	if err != nil {
-		panic(fmt.Sprintf("dsm: converting diff for page %d: %v", pg, err))
-	}
-	m.stats.Conversions++
-	m.stats.ConvReport.Add(rep)
 }
 
 // recordSyncOp appends an Acquire/Release record carrying this host's
 // current vector timestamp. It bypasses recordSC deliberately: the
 // canonical-bytes conversion there would reinterpret the encoded
 // timestamp as page data and corrupt it.
-func (m *Module) recordSyncOp(p *sim.Proc, kind sctrace.OpKind) {
+func (m *rcEngine) recordSyncOp(p *sim.Proc, kind sctrace.OpKind) {
 	rec := m.cfg.SCRecorder
 	if rec == nil {
 		return
@@ -613,24 +519,17 @@ func (m *Module) recordSyncOp(p *sim.Proc, kind sctrace.OpKind) {
 }
 
 // handleRCFetch serves the home's current page image (fault path).
-func (m *Module) handleRCFetch(p *sim.Proc, req *proto.Message) {
+func (m *rcEngine) handleRCFetch(p *sim.Proc, req *proto.Message) {
 	m.exitIfCrashed(p)
 	pg := PageNo(req.Page)
 	bufpool.Put(req.TakeWire())
 	m.protoCPU.Use(p, m.jittered(m.cfg.Params.OwnerProcess.Of(m.arch.Kind)))
 	hm := m.rcHomeFor(pg)
-	lp := m.localPageFor(pg)
-	used := 0
-	if mt, ok := m.meta[pg]; ok {
-		used = mt.used
-	}
-	data := make([]byte, used) // vet:ignore hot-alloc — retained by the dedup reply cache
-	copy(data, lp.data[:used])
 	m.ep.Reply(p, req, &proto.Message{
 		Kind: proto.KindRCFetchReply,
 		Page: req.Page,
 		Args: []uint32{hm.version},
-		Data: data,
+		Data: m.servedPrefix(pg, m.localPageFor(pg).data, freshBuf),
 	})
 	m.stats.PagesServed++
 	m.trace("serve", pg)
@@ -639,7 +538,7 @@ func (m *Module) handleRCFetch(p *sim.Proc, req *proto.Message) {
 // handleRCDiff logs one pushed interval at the home: convert the diff
 // into the home's representation, fold it into the authoritative copy,
 // append it to the log, and acknowledge with the version it became.
-func (m *Module) handleRCDiff(p *sim.Proc, req *proto.Message) {
+func (m *rcEngine) handleRCDiff(p *sim.Proc, req *proto.Message) {
 	m.exitIfCrashed(p)
 	pg := PageNo(req.Page)
 	writer := HostID(req.Arg(0))
@@ -649,13 +548,13 @@ func (m *Module) handleRCDiff(p *sim.Proc, req *proto.Message) {
 	}
 	typ := m.cfg.Registry.MustGet(mt.typeID)
 	d, err := conv.DecodeDiff(mt.typeID, typ.Size, req.Data)
-	src := req.SrcArch
+	src := arch.Kind(req.SrcArch)
 	bufpool.Put(req.TakeWire()) // DecodeDiff copied the payload
 	if err != nil {
 		panic(fmt.Sprintf("dsm: home %d decoding diff for page %d: %v", m.id, pg, err))
 	}
 	m.protoCPU.Use(p, m.jittered(m.cfg.Params.OwnerProcess.Of(m.arch.Kind)))
-	m.rcConvertDiff(p, pg, &d, src)
+	m.convertDiff(p, pg, &d, src)
 	hm := m.rcHomeFor(pg)
 	m.rcApplyDiff(pg, &d)
 	hm.version++
@@ -673,7 +572,7 @@ func (m *Module) handleRCDiff(p *sim.Proc, req *proto.Message) {
 // handleRCPull serves an acquirer's catch-up request: the log suffix
 // past its version when the log still reaches back that far, the whole
 // page image otherwise (rcPullWhole).
-func (m *Module) handleRCPull(p *sim.Proc, req *proto.Message) {
+func (m *rcEngine) handleRCPull(p *sim.Proc, req *proto.Message) {
 	m.exitIfCrashed(p)
 	pg := PageNo(req.Page)
 	have := req.Arg(0)
@@ -692,18 +591,11 @@ func (m *Module) handleRCPull(p *sim.Proc, req *proto.Message) {
 	// suffix (have, hm.version] is intact iff have is inside or at the
 	// left edge of that window.
 	if have < hm.version-uint32(len(hm.log)) {
-		lp := m.localPageFor(pg)
-		used := 0
-		if mt, ok := m.meta[pg]; ok {
-			used = mt.used
-		}
-		data := make([]byte, used) // vet:ignore hot-alloc — retained by the dedup reply cache
-		copy(data, lp.data[:used])
 		m.ep.Reply(p, req, &proto.Message{
 			Kind: proto.KindRCPullReply,
 			Page: req.Page,
 			Args: []uint32{hm.version, 0, rcPullWhole},
-			Data: data,
+			Data: m.servedPrefix(pg, m.localPageFor(pg).data, freshBuf),
 		})
 		m.stats.PagesServed++
 		m.trace("serve", pg)
@@ -716,7 +608,7 @@ func (m *Module) handleRCPull(p *sim.Proc, req *proto.Message) {
 			count++
 		}
 	}
-	data := make([]byte, size) // vet:ignore hot-alloc — retained by the dedup reply cache
+	data := freshBuf(size)
 	off := 0
 	for i := range hm.log {
 		e := &hm.log[i]
@@ -747,11 +639,7 @@ type rcNotice struct {
 // ver]×n, big-endian, notices in ascending page order. The layout is
 // canonical, so payloads merge and compare byte-wise deterministically.
 func rcEncodePayload(vt []uint32, notices map[PageNo]uint32) []byte {
-	pages := make([]PageNo, 0, len(notices))
-	for pg := range notices {
-		pages = append(pages, pg)
-	}
-	sort.Slice(pages, func(i, j int) bool { return pages[i] < pages[j] })
+	pages := sortedKeys(notices)
 	buf := make([]byte, 4+4*len(vt)+4+8*len(pages)) // vet:ignore hot-alloc — the payload escapes into the grant chain
 	binary.BigEndian.PutUint32(buf, uint32(len(vt)))
 	off := 4
@@ -821,4 +709,43 @@ func rcMergePayload(a, b []byte) []byte {
 		}
 	}
 	return rcEncodePayload(vt, notices)
+}
+
+// hashState is the RC engine's section of the state fingerprint: vector
+// timestamp, applied/noticed versions, live twins, and each home's
+// ordering state (version plus the log's version/writer/shape — the
+// diff bodies are derivable from the page images already hashed).
+// Count-prefixed lists keep the stream unambiguous.
+func (m *rcEngine) hashState(put func(uint32), putBody func([]byte)) {
+	put(0xffff_fffa)
+	for _, v := range m.rc.vt {
+		put(v)
+	}
+	for mark, mp := range []map[PageNo]uint32{m.rc.notices, m.rc.applied} {
+		put(uint32(mark + 1))
+		put(uint32(len(mp)))
+		for _, pg := range sortedKeys(mp) {
+			put(uint32(pg))
+			put(mp[pg])
+		}
+	}
+	put(3)
+	put(uint32(len(m.rc.twins)))
+	for _, pg := range sortedKeys(m.rc.twins) {
+		put(uint32(pg))
+		putBody(m.rc.twins[pg])
+	}
+	put(4)
+	put(uint32(len(m.rc.home)))
+	for _, pg := range sortedKeys(m.rc.home) {
+		hm := m.rc.home[pg]
+		put(uint32(pg))
+		put(hm.version)
+		put(uint32(len(hm.log)))
+		for i := range hm.log {
+			put(hm.log[i].version)
+			put(uint32(hm.log[i].writer))
+			put(uint32(len(hm.log[i].diff.Runs)))
+		}
+	}
 }

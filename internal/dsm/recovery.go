@@ -13,7 +13,6 @@ package dsm
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/arch"
 	"repro/internal/bufpool"
@@ -46,12 +45,7 @@ func (m *Module) onHostDeath(dead HostID) {
 // recoverAfterDeath sweeps every page this host manages after dead's
 // crash: drop the corpse from copysets, re-own the pages it owned.
 func (m *Module) recoverAfterDeath(p *sim.Proc, dead HostID) {
-	pages := make([]PageNo, 0, len(m.mgr))
-	for pg := range m.mgr {
-		pages = append(pages, pg)
-	}
-	sort.Slice(pages, func(i, j int) bool { return pages[i] < pages[j] })
-	for _, page := range pages {
+	for _, page := range sortedKeys(m.mgr) {
 		if m.crashed {
 			p.Exit()
 		}
@@ -175,7 +169,7 @@ func (m *Module) reconcileSuspect(p *sim.Proc, page PageNo, ent *mgrEntry) error
 // when a transfer aborted mid-crash. Order is deterministic.
 func (m *Module) recoveryCandidates(ent *mgrEntry, dead HostID) []HostID {
 	out := make([]HostID, 0, len(m.hosts))
-	for _, h := range copysetList(ent) {
+	for _, h := range sortedKeys(ent.copyset) {
 		if h == m.id || h == dead || m.deadHost(h) {
 			continue
 		}
@@ -201,40 +195,15 @@ func (m *Module) recoveryCandidates(ent *mgrEntry, dead HostID) []HostID {
 // write so the sequential-consistency trace stays coherent across the
 // ownership gap.
 func (m *Module) installRecovered(p *sim.Proc, page PageNo, resp *proto.Message) {
-	data := resp.Data
-	srcKind := arch.Kind(resp.SrcArch)
-	srcArch, err := arch.ByKind(srcKind)
-	if err != nil {
-		panic(fmt.Sprintf("dsm: recovery reply with unknown architecture %d", resp.SrcArch))
-	}
 	lp := m.localPageFor(page)
-	if len(data) > 0 && m.cfg.ConversionEnabled && !srcArch.Compatible(m.arch) {
-		mt, ok := m.meta[page]
-		if !ok {
-			panic(fmt.Sprintf("dsm: host %d recovering page %d with no allocation metadata", m.id, page))
-		}
-		typ := m.cfg.Registry.MustGet(mt.typeID)
-		n := len(data) / typ.Size
-		p.Sleep(m.cfg.Params.RegionConvertCost(m.arch.Kind, typ.Cost, n))
-		ptrOff := int32(m.base(m.arch.Kind)) - int32(m.base(srcKind))
-		rep, cerr := m.cfg.Registry.ConvertRegion(mt.typeID, data[:n*typ.Size], srcArch, m.arch, ptrOff)
-		if cerr != nil {
-			panic(fmt.Sprintf("dsm: converting recovered page %d: %v", page, cerr))
-		}
-		m.stats.Conversions++
-		m.stats.ConvReport.Add(rep)
-	}
-	copy(lp.data, data)
+	m.convertIn(p, page, resp.Data, arch.Kind(resp.SrcArch))
+	copy(lp.data, resp.Data)
 	lp.access = ReadAccess
-	m.stats.PagesFetched++
-	m.stats.BytesFetched += len(data)
-	m.pageFetches[page]++
-	m.trace("fetch", page)
-	if len(data) > 0 {
-		m.recordSC(p, sctrace.Write, p.Now(), Addr(int(page)*m.cfg.PageSize), lp.data[:len(data)])
+	m.countFetch(page, len(resp.Data), "fetch")
+	if n := len(resp.Data); n > 0 {
+		m.recordSC(p, sctrace.Write, p.Now(), Addr(int(page)*m.cfg.PageSize), lp.data[:n])
 	}
-	bufpool.Put(resp.TakeWire())
-	p.Sleep(m.jittered(m.cfg.Params.InstallCost.Of(m.arch.Kind)))
+	m.installed(p, page, resp)
 }
 
 // handleRecoverPage answers a recovering manager's poll: does this host
@@ -283,16 +252,10 @@ func (m *Module) handleRecoverPage(p *sim.Proc, req *proto.Message) {
 		return
 	}
 	m.protoCPU.Use(p, m.jittered(m.cfg.Params.OwnerProcess.Of(m.arch.Kind)))
-	used := 0
-	if mt, ok := m.meta[page]; ok {
-		used = mt.used
-	}
-	data := make([]byte, used) // vet:ignore hot-alloc — retained by the dedup reply cache
-	copy(data, lp.data[:used])
 	m.ep.Reply(p, req, &proto.Message{
 		Kind: proto.KindRecoverPageReply,
 		Page: req.Page,
 		Args: []uint32{1, uint32(lp.access)},
-		Data: data,
+		Data: m.servedPrefix(page, lp.data, freshBuf),
 	})
 }

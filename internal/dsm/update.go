@@ -13,42 +13,17 @@ package dsm
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/arch"
 	"repro/internal/bufpool"
 	"repro/internal/proto"
-	"repro/internal/sctrace"
 	"repro/internal/sim"
 )
 
-// updateWriteRegion is writeRegion under PolicyUpdate: ensure a local
-// replica, then sequence each page-span's new bytes through the manager.
-func (m *Module) updateWriteRegion(p *sim.Proc, addr Addr, n int, fill func(seg []byte, off int)) {
-	off := 0
-	end := int(addr) + n
-	for pos := int(addr); pos < end; {
-		pg := m.PageOf(Addr(pos))
-		pageStart := int(pg) * m.cfg.PageSize
-		hi := min(end, pageStart+m.cfg.PageSize)
-		t0 := p.Now()
-		// The writer keeps a read replica (faulting it in if needed) so
-		// its own copy stays current once the update is sequenced.
-		m.mustEnsureAccess(p, Addr(pos), hi-pos, false)
-		// Pooled staging: sequenceWrite blocks until the update is
-		// distributed and recordSC copies what it keeps.
-		seg := bufpool.Get(hi - pos)
-		fill(seg, off)
-		m.sequenceWrite(p, pg, pos-pageStart, seg)
-		m.recordSC(p, sctrace.Write, t0, Addr(pos), seg)
-		bufpool.Put(seg)
-		off += hi - pos
-		pos = hi
-	}
-}
-
 // sequenceWrite routes one span's bytes through the page's manager and
 // applies them locally once sequenced.
-func (m *Module) sequenceWrite(p *sim.Proc, page PageNo, offset int, data []byte) {
+func (m *updateEngine) sequenceWrite(p *sim.Proc, page PageNo, offset int, data []byte) {
 	if m.cfg.Mutation == MutUnsequencedUpdate {
 		// Injected bug: apply locally without sequencing through the
 		// manager — no replica ever hears about this write.
@@ -78,9 +53,9 @@ func (m *Module) sequenceWrite(p *sim.Proc, page PageNo, offset int, data []byte
 }
 
 // handleUpdateWrite sequences a remote writer's update at the manager.
-func (m *Module) handleUpdateWrite(p *sim.Proc, req *proto.Message) {
+func (m *updateEngine) handleUpdateWrite(p *sim.Proc, req *proto.Message) {
 	page := PageNo(req.Page)
-	if !m.engine.sequencesUpdates() || m.manager(page) != m.id {
+	if m.manager(page) != m.id {
 		bufpool.Put(req.TakeWire())
 		return // misdirected; the writer times out
 	}
@@ -93,7 +68,7 @@ func (m *Module) handleUpdateWrite(p *sim.Proc, req *proto.Message) {
 
 // sequenceUpdate distributes one update to every replica holder, in
 // per-page total order (the manager's page lock).
-func (m *Module) sequenceUpdate(p *sim.Proc, page PageNo, offset int, data []byte, writer HostID, writerKind arch.Kind) {
+func (m *updateEngine) sequenceUpdate(p *sim.Proc, page PageNo, offset int, data []byte, writer HostID, writerKind arch.Kind) {
 	ent := m.mgrEntryFor(page)
 	ent.lock.P(p)
 	// Deferred before the lock release so it runs after it (LIFO): the
@@ -114,11 +89,7 @@ func (m *Module) sequenceUpdate(p *sim.Proc, page PageNo, offset int, data []byt
 			targets = append(targets, ent.owner)
 		}
 	}
-	for i := 1; i < len(targets); i++ { // deterministic order
-		for j := i; j > 0 && targets[j] < targets[j-1]; j-- {
-			targets[j], targets[j-1] = targets[j-1], targets[j]
-		}
-	}
+	slices.Sort(targets) // deterministic order
 
 	// Apply at the manager's own replica (converting from the writer's
 	// representation).
@@ -164,7 +135,7 @@ func (m *Module) sequenceUpdate(p *sim.Proc, page PageNo, offset int, data []byt
 }
 
 // handleApplyUpdate applies a sequenced update at a replica holder.
-func (m *Module) handleApplyUpdate(p *sim.Proc, req *proto.Message) {
+func (m *updateEngine) handleApplyUpdate(p *sim.Proc, req *proto.Message) {
 	if len(req.Args) > 1 { // broadcast: membership check
 		member := false
 		for _, a := range req.Args[1:] {
@@ -192,32 +163,10 @@ func (m *Module) handleApplyUpdate(p *sim.Proc, req *proto.Message) {
 
 // applyUpdateBytes converts update bytes from the writer's
 // representation and stores them into the local replica.
-func (m *Module) applyUpdateBytes(p *sim.Proc, page PageNo, offset int, data []byte, writerKind arch.Kind) {
-	lp := m.local[page]
+func (m *updateEngine) applyUpdateBytes(p *sim.Proc, page PageNo, offset int, data []byte, writerKind arch.Kind) {
 	buf := bufpool.Get(len(data))
-	defer bufpool.Put(buf)
 	copy(buf, data)
-	writerArch, err := arch.ByKind(writerKind)
-	if err != nil {
-		return
-	}
-	if m.cfg.ConversionEnabled && !writerArch.Compatible(m.arch) {
-		mt, ok := m.meta[page]
-		if !ok {
-			return
-		}
-		typ := m.cfg.Registry.MustGet(mt.typeID)
-		n := len(buf) / typ.Size
-		if n > 0 {
-			p.Sleep(m.cfg.Params.RegionConvertCost(m.arch.Kind, typ.Cost, n))
-			ptrOff := int32(m.base(m.arch.Kind)) - int32(m.base(writerKind))
-			rep, cerr := m.cfg.Registry.ConvertRegion(mt.typeID, buf[:n*typ.Size], writerArch, m.arch, ptrOff)
-			if cerr != nil {
-				panic(fmt.Sprintf("dsm: converting update for page %d: %v", page, cerr))
-			}
-			m.stats.Conversions++
-			m.stats.ConvReport.Add(rep)
-		}
-	}
-	copy(lp.data[offset:], buf)
+	m.convertIn(p, page, buf, writerKind)
+	copy(m.local[page].data[offset:], buf)
+	bufpool.Put(buf)
 }

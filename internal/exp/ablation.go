@@ -134,7 +134,7 @@ type ManagerPlacementResult struct {
 // central-manager bottleneck), spread across hosts when distributed
 // (the paper's fixed distributed managers).
 func ManagerPlacement() ManagerPlacementResult {
-	run := func(central bool) (float64, int) {
+	run := func(dir dsm.Directory) (float64, int) {
 		const (
 			nf       = 6
 			pagesPer = 60
@@ -149,7 +149,7 @@ func ManagerPlacement() ManagerPlacementResult {
 		// would otherwise let one manager pipeline the request waves.
 		pv := model.Default()
 		pv.ProcessJitterPct = 0.25
-		c, err := cluster.New(cluster.Config{Hosts: hosts, Seed: 1, CentralManager: central, PageSize: 1024, Params: &pv})
+		c, err := cluster.New(cluster.Config{Hosts: hosts, Seed: 1, Directory: dir, PageSize: 1024, Params: &pv})
 		if err != nil {
 			panic(err)
 		}
@@ -200,8 +200,8 @@ func ManagerPlacement() ManagerPlacementResult {
 		return storm.Seconds(), c.TotalDSMStats().PagesFetched
 	}
 	var out ManagerPlacementResult
-	out.DistributedS, out.DistributedTransfers = run(false)
-	out.CentralS, out.CentralTransfers = run(true)
+	out.DistributedS, out.DistributedTransfers = run(dsm.DirFixed)
+	out.CentralS, out.CentralTransfers = run(dsm.DirCentral)
 	return out
 }
 

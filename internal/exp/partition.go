@@ -82,7 +82,7 @@ func PartitionAvailability() []PartitionAvailabilityRow {
 			},
 			Seed:             1,
 			Policy:           pc.pol,
-			CentralManager:   true,
+			Directory:        dsm.DirCentral,
 			FailureDetection: true,
 			FaultPlan:        plan,
 		})

@@ -54,11 +54,6 @@
 //     comparison or switch anywhere else in the DSM package is a
 //     second dispatch point that the engine refactor exists to
 //     eliminate, and it silently misses newly added policies.
-//   - model-branch: likewise for the consistency model: newModel is the
-//     single dispatch point, so a `.Model` comparison or switch (field
-//     or `Policy.Model()` call) anywhere else in the DSM package
-//     scatters per-model behaviour that belongs behind the
-//     consistencyModel contract.
 //
 // Findings on a line carrying a `vet:ignore <rule>` comment are
 // suppressed.
@@ -126,11 +121,6 @@ type Config struct {
 	// PolicyBranchAllow lists file basenames (the engine dispatch)
 	// where comparing or switching on the coherence policy is legal.
 	PolicyBranchAllow []string
-	// ModelBranchAllow lists file basenames (the model dispatch) where
-	// comparing or switching on the consistency model is legal. The
-	// rule itself runs over PolicyBranchPackages: the model enum lives
-	// where the policy enum lives.
-	ModelBranchAllow []string
 	// MapOrderPackages lists packages subject to only the map-order
 	// rule (beyond DeterminismPackages, which get the full determinism
 	// set). Protocol-adjacent packages live here: their map walks feed
@@ -165,7 +155,6 @@ func DefaultConfig(module string) *Config {
 		ErrDropPackages:      []string{j("internal/dsm"), j("internal/remoteop")},
 		PolicyBranchPackages: []string{j("internal/dsm")},
 		PolicyBranchAllow:    []string{"engine.go"},
-		ModelBranchAllow:     []string{"model.go"},
 		MapOrderPackages: []string{
 			j("internal/dsync"), j("internal/remoteop"), j("internal/mc"),
 			j("internal/chaos"), j("internal/cluster"), j("internal/exp"),
@@ -330,7 +319,6 @@ func CheckWithTable(pkg *Package, cfg *Config, tbl *SummaryTable) ([]Finding, St
 		}
 		if slices.Contains(cfg.PolicyBranchPackages, pkg.Path) {
 			timed("policy-branch", func() { c.checkPolicyBranch(f) })
-			timed("model-branch", func() { c.checkModelBranch(f) })
 		}
 		timed("enum-switch", func() { c.checkEnumSwitch(f) })
 	}
@@ -833,63 +821,6 @@ func (c *checker) checkPolicyBranch(f *ast.File) {
 			if node.Tag != nil && isPolicy(node.Tag) {
 				c.report(node.Pos(), "policy-branch",
 					"switch over %s outside the engine dispatch; per-policy behaviour belongs in a replication engine selected by newEngine",
-					types.ExprString(node.Tag))
-			}
-		}
-		return true
-	})
-}
-
-// ---- model-branch --------------------------------------------------
-
-// checkModelBranch flags comparisons against and switches over the
-// consistency model (`cfg.Model == ...`, `switch cfg.Policy.Model()`)
-// outside the model-dispatch file. The consistencyModel contract exists
-// so that per-model behaviour — oracle choice, sync payload hooks — is
-// selected once, in newModel; a model branch anywhere else is a second
-// dispatch point a new model would have to hunt down. Both the field
-// form (`x.Model`) and the method form (`x.Model()`) count. With type
-// information the rule confirms the expression really has the named
-// Model type; without it, the selector name alone decides.
-func (c *checker) checkModelBranch(f *ast.File) {
-	base := path.Base(c.pkg.Fset.Position(f.Pos()).Filename)
-	if slices.Contains(c.cfg.ModelBranchAllow, base) {
-		return
-	}
-	isModel := func(x ast.Expr) bool {
-		var sel *ast.SelectorExpr
-		switch e := x.(type) {
-		case *ast.SelectorExpr:
-			sel = e
-		case *ast.CallExpr:
-			if s, ok := e.Fun.(*ast.SelectorExpr); ok {
-				sel = s
-			}
-		}
-		if sel == nil || sel.Sel.Name != "Model" {
-			return false
-		}
-		if tv, ok := c.pkg.Info.Types[x]; ok && tv.Type != nil {
-			named, isNamed := tv.Type.(*types.Named)
-			return isNamed && named.Obj().Name() == "Model"
-		}
-		return true
-	}
-	ast.Inspect(f, func(n ast.Node) bool {
-		switch node := n.(type) {
-		case *ast.BinaryExpr:
-			if node.Op != token.EQL && node.Op != token.NEQ {
-				return true
-			}
-			if isModel(node.X) || isModel(node.Y) {
-				c.report(node.Pos(), "model-branch",
-					"consistency-model comparison (%s) outside the model dispatch; per-model behaviour belongs in a consistencyModel selected by newModel",
-					types.ExprString(node))
-			}
-		case *ast.SwitchStmt:
-			if node.Tag != nil && isModel(node.Tag) {
-				c.report(node.Pos(), "model-branch",
-					"switch over %s outside the model dispatch; per-model behaviour belongs in a consistencyModel selected by newModel",
 					types.ExprString(node.Tag))
 			}
 		}

@@ -180,12 +180,10 @@ type Config struct {
 	// PreferSameKindSource serves read faults from a same-type holder
 	// when possible, avoiding conversions (§2.3's optimization).
 	PreferSameKindSource bool
-	// CentralManager puts every page's manager on host 0 instead of
-	// distributing managers (ablation of the paper's design). Kept as
-	// the boolean shorthand for DirectoryScheme: DirCentral.
-	CentralManager bool
 	// DirectoryScheme selects how page owners are located: DirFixed
-	// (default), DirCentral, or DirDynamic (§3.1's ablation axis).
+	// (default), DirCentral (every page's manager on host 0 instead of
+	// distributed managers — the ablation of the paper's design), or
+	// DirDynamic (§3.1's ablation axis).
 	DirectoryScheme Directory
 	// Policy selects the coherence algorithm: MRSW (default), Migration
 	// or Central — the "multiple DSM packages" §2.1 argues a user-level
@@ -229,7 +227,6 @@ func New(cfg Config) (*Cluster, error) {
 		Seed:                 cfg.Seed,
 		DisableConversion:    cfg.DisableConversion,
 		PreferSameKindSource: cfg.PreferSameKindSource,
-		CentralManager:       cfg.CentralManager,
 		Directory:            cfg.DirectoryScheme,
 		Policy:               cfg.Policy,
 		UnicastInvalidate:    cfg.UnicastInvalidate,

@@ -137,7 +137,7 @@ func TestRegisterGoStructThroughFacade(t *testing.T) {
 }
 
 func TestCentralManagerStillCorrect(t *testing.T) {
-	c := twoKindCluster(t, func(cfg *Config) { cfg.CentralManager = true })
+	c := twoKindCluster(t, func(cfg *Config) { cfg.DirectoryScheme = DirCentral })
 	c.DefineSemaphore(1, 0, 0)
 	worker := c.MustRegisterFunc(func(e *Env, args []uint32) {
 		v := e.ReadInt32(Addr(args[0]))
