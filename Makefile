@@ -1,5 +1,5 @@
-# The check target runs exactly what CI runs (.github/workflows/ci.yml);
-# keep the two in lockstep.
+# The check target runs exactly what CI runs: every step of the check
+# job in .github/workflows/ci.yml is `make <target>` of a target below.
 
 .PHONY: check build vet fmt test benchmark-check race mermaid-vet mc-smoke mc-deep chaos-smoke chaos-deep bench bench-smoke scale-smoke scale-deep
 

@@ -2,10 +2,36 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
+
+// TestOnlySelectsNamedSections: -only prints exactly the sections it
+// names, and a name that is no section is an error listing the valid
+// ones — it used to print nothing and exit 0.
+func TestOnlySelectsNamedSections(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("..", "..", "bench_results.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	table1, _, _ := bytes.Cut(want, []byte("Table 2:"))
+	var got bytes.Buffer
+	if err := run(&got, "t1"); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), table1) {
+		t.Errorf("-only t1 printed:\n%s\nwant the Table 1 block of bench_results.txt:\n%s", got.Bytes(), table1)
+	}
+	for _, only := range []string{"nosuch", "t1,nosuch", "t1,,t2", ","} {
+		err := run(io.Discard, only)
+		if err == nil || !strings.Contains(err.Error(), "unknown section") || !strings.Contains(err.Error(), "scale1k") {
+			t.Errorf("run(-only %q) = %v, want an unknown-section error listing the valid names", only, err)
+		}
+	}
+}
 
 // TestGolden is the bit-identity gate every behaviour-preserving
 // refactor is held to: the default run (every section a plain

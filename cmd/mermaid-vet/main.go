@@ -1,7 +1,7 @@
 // Command mermaid-vet runs the project's custom static analyzer
 // (internal/vet) over the module's packages:
 //
-//	go run ./cmd/mermaid-vet [-json] [-interproc=false] ./...
+//	go run ./cmd/mermaid-vet [-json] [-max-elapsed-ms=N] ./...
 //
 // It type-checks every package from source, resolving imports through
 // the gc export data that `go list -export` produces — standard
@@ -66,7 +66,6 @@ type report struct {
 		Blocks         int   `json:"cfg_blocks"`
 		Suppressed     int   `json:"suppressed"`
 		Summarized     int   `json:"funcs_summarized"`
-		Discharged     int   `json:"map_orders_discharged"`
 		SummaryEntries int   `json:"summary_entries"`
 		SummaryLookups int   `json:"summary_lookups"`
 		SummaryHits    int   `json:"summary_hits"`
@@ -96,7 +95,6 @@ type pkgResult struct {
 func run(args []string) error {
 	fs := flag.NewFlagSet("mermaid-vet", flag.ContinueOnError)
 	jsonOut := fs.Bool("json", false, "emit findings and coverage statistics as JSON")
-	interproc := fs.Bool("interproc", true, "share function summaries across packages (phase B); false limits inference to each package")
 	maxElapsed := fs.Int64("max-elapsed-ms", 0, "fail if the run exceeds this wall-time budget (0 = no budget)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -166,30 +164,23 @@ func run(args []string) error {
 	tbl := vet.NewSummaryTable()
 	summarizeStart := time.Now()
 	summarized := 0
-	if *interproc {
-		for _, i := range topoOrder(targets) {
-			if loaded[i] != nil {
-				summarized += vet.ComputeSummaries(loaded[i], cfg, tbl)
-			}
+	for _, i := range topoOrder(targets) {
+		if loaded[i] != nil {
+			summarized += vet.ComputeSummaries(loaded[i], cfg, tbl)
 		}
 	}
 	summarizeMS := float64(time.Since(summarizeStart).Nanoseconds()) / 1e6
 
 	// Phase C: run the per-package rules in parallel. With the shared
 	// table pre-populated, each package's own summarization pass is a
-	// cache hit; with -interproc=false every package gets a fresh table
-	// (intra-package inference only).
+	// cache hit.
 	results := make([]pkgResult, len(targets))
 	fanOut(len(targets), func(worker int, indexes <-chan int) {
 		for i := range indexes {
 			if loaded[i] == nil {
 				continue
 			}
-			t := tbl
-			if !*interproc {
-				t = vet.NewSummaryTable()
-			}
-			findings, stats := vet.CheckWithTable(loaded[i], cfg, t)
+			findings, stats := vet.CheckWithTable(loaded[i], cfg, tbl)
 			results[i] = pkgResult{
 				findings:  findings,
 				stats:     stats,
@@ -244,7 +235,6 @@ func run(args []string) error {
 		rep.Stats.Blocks = stats.Blocks
 		rep.Stats.Suppressed = stats.Suppressed
 		rep.Stats.Summarized = summarized + stats.Summarized
-		rep.Stats.Discharged = stats.Discharged
 		rep.Stats.SummaryEntries = tbl.Size()
 		rep.Stats.SummaryLookups, rep.Stats.SummaryHits = tbl.CacheStats()
 		rep.Stats.LockClasses = lockGraph.Classes

@@ -29,13 +29,13 @@ package chaos
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/arch"
 	"repro/internal/cluster"
 	"repro/internal/conv"
 	"repro/internal/dsm"
+	"repro/internal/namelist"
 	"repro/internal/netsim"
 	"repro/internal/sctrace"
 	"repro/internal/sim"
@@ -141,37 +141,18 @@ func tolerableLost(err error, died bool) bool {
 }
 
 // workloads is the registry, keyed by Name.
-var workloads = map[string]*Workload{}
+var workloads = namelist.NewRegistry[*Workload]("chaos: unknown workload")
 
-func register(w *Workload) { workloads[w.Name] = w }
+func register(w *Workload) { workloads.Register(w.Name, w) }
 
 // Lookup resolves a workload by name.
-func Lookup(name string) (*Workload, error) {
-	w, ok := workloads[name]
-	if !ok {
-		return nil, fmt.Errorf("chaos: unknown workload %q (have %v)", name, WorkloadNames())
-	}
-	return w, nil
-}
+func Lookup(name string) (*Workload, error) { return workloads.Lookup(name) }
 
 // WorkloadNames lists registered workloads alphabetically.
-func WorkloadNames() []string {
-	names := make([]string, 0, len(workloads))
-	for n := range workloads {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
+func WorkloadNames() []string { return workloads.Names() }
 
 // All returns every registered workload in name order.
-func All() []*Workload {
-	out := make([]*Workload, 0, len(workloads))
-	for _, n := range WorkloadNames() {
-		out = append(out, workloads[n])
-	}
-	return out
-}
+func All() []*Workload { return workloads.All() }
 
 func init() {
 	for _, s := range []*stampPattern{slotsWorkload, switchedWorkload, quorumWorkload, rcWorkload, forwardWorkload} {

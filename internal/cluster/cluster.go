@@ -15,7 +15,6 @@ import (
 	"repro/internal/dsync"
 	"repro/internal/model"
 	"repro/internal/netsim"
-	"repro/internal/proto"
 	"repro/internal/remoteop"
 	"repro/internal/sctrace"
 	"repro/internal/sim"
@@ -330,45 +329,7 @@ func (c *Cluster) Close() { c.K.Shutdown() }
 func (c *Cluster) TotalDSMStats() dsm.Stats {
 	var total dsm.Stats
 	for _, h := range c.Hosts {
-		s := h.DSM.Stats()
-		total.ReadFaults += s.ReadFaults
-		total.WriteFaults += s.WriteFaults
-		total.PagesFetched += s.PagesFetched
-		total.PagesServed += s.PagesServed
-		total.Upgrades += s.Upgrades
-		total.InvalidationsSent += s.InvalidationsSent
-		total.InvalidationsReceived += s.InvalidationsReceived
-		total.Conversions += s.Conversions
-		total.ConvReport.Add(s.ConvReport)
-		total.BytesFetched += s.BytesFetched
-		total.RemoteReads += s.RemoteReads
-		total.RemoteWrites += s.RemoteWrites
-		total.PagesRecovered += s.PagesRecovered
-		total.PagesLost += s.PagesLost
-		total.QuorumReads += s.QuorumReads
-		total.QuorumWrites += s.QuorumWrites
-		total.QuorumWriteBacks += s.QuorumWriteBacks
-		total.QuorumRetries += s.QuorumRetries
-		total.RCTwins += s.RCTwins
-		total.RCDiffsSent += s.RCDiffsSent
-		total.RCDiffBytes += s.RCDiffBytes
-		total.RCDiffsApplied += s.RCDiffsApplied
-		total.RCPulls += s.RCPulls
-		total.RCDiffsRetired += s.RCDiffsRetired
-		total.Forwards += s.Forwards
-		total.ChainServes += s.ChainServes
-		total.ChainHops += s.ChainHops
-		if s.ChainMax > total.ChainMax {
-			total.ChainMax = s.ChainMax
-		}
-		if s.Messages != nil {
-			if total.Messages == nil {
-				total.Messages = make(map[proto.Kind]int, len(s.Messages))
-			}
-			for k, n := range s.Messages {
-				total.Messages[k] += n
-			}
-		}
+		total.Add(h.DSM.Stats())
 	}
 	return total
 }

@@ -142,6 +142,40 @@ func TestSyncDefinitionsAndStats(t *testing.T) {
 	}
 }
 
+// TestTotalDSMStatsSumsEveryHost: the cluster total is the per-host
+// sum. The write-update counters are the regression — a hand-written
+// field list left them out and reported 0 (dsm's
+// TestStatsAddCoversEveryField guards the rest).
+func TestTotalDSMStatsSumsEveryHost(t *testing.T) {
+	cfg := sunAndFireflies(2)
+	cfg.Policy = dsm.PolicyUpdate
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Run(0, func(p *sim.Proc, h *Host) {
+		addr, err := h.DSM.Alloc(p, conv.Int32, 4)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		var v [1]int32
+		for _, peer := range c.Hosts[1:] {
+			peer.DSM.ReadInt32s(p, addr, v[:])
+		}
+		c.Hosts[1].DSM.WriteInt32s(p, addr, []int32{9})
+	})
+	sum := 0
+	for _, h := range c.Hosts {
+		s := h.DSM.Stats()
+		sum += s.UpdateWrites + s.UpdatePushes + s.UpdatesApplied
+	}
+	total := c.TotalDSMStats()
+	if got := total.UpdateWrites + total.UpdatePushes + total.UpdatesApplied; sum == 0 || got != sum {
+		t.Errorf("update counters total %d, per-host sum %d (want equal and non-zero)", got, sum)
+	}
+}
+
 func TestRunPanicsOnDeadlock(t *testing.T) {
 	c, err := New(sunAndFireflies(1))
 	if err != nil {

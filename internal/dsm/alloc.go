@@ -113,7 +113,7 @@ func (m *Module) allocLocal(p *sim.Proc, typeID conv.TypeID, count int) (Addr, e
 	if err != nil {
 		return 0, err
 	}
-	pages := sortedKeys(updates) // increasing page order keeps the traffic this drives deterministic
+	pages := sim.SortedKeys(updates) // increasing page order keeps the traffic this drives deterministic
 	for _, page := range pages {
 		mt := updates[page]
 		if m.cfg.Mutation == MutAllocOverrun {

@@ -31,7 +31,11 @@ package dsm
 // dynamic.go); an engine whose pages live elsewhere declares its own
 // obligations instead (engineDecl.invariants).
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/sim"
+)
 
 // Violation describes one invariant failure.
 type Violation struct {
@@ -115,15 +119,15 @@ func (c *InvariantChecker) CheckAll(point string) {
 		}
 	}
 	for _, m := range c.mods {
-		add(sortedKeys(m.local))
-		add(sortedKeys(m.mgr))
-		add(sortedKeys(m.meta))
+		add(sim.SortedKeys(m.local))
+		add(sim.SortedKeys(m.mgr))
+		add(sim.SortedKeys(m.meta))
 		add(m.dir.pages())
 		if m.decl.pages != nil {
 			add(m.decl.pages())
 		}
 	}
-	for _, pg := range sortedKeys(set) {
+	for _, pg := range sim.SortedKeys(set) {
 		c.checks++
 		c.checkPage(point, pg)
 	}

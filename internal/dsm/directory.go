@@ -49,16 +49,6 @@ func (d Directory) String() string {
 	}
 }
 
-// ParseDirectory maps a scheme name to its Directory value.
-func ParseDirectory(s string) (Directory, error) {
-	for _, d := range []Directory{DirFixed, DirCentral, DirDynamic} {
-		if d.String() == s {
-			return d, nil
-		}
-	}
-	return 0, fmt.Errorf("dsm: unknown directory scheme %q", s)
-}
-
 // directory is the manager-placement scheme: it locates a page's
 // manager and runs the host-side page-fault transaction that obtains a
 // copy or ownership through it. Like an engine it states its own
@@ -68,8 +58,8 @@ func ParseDirectory(s string) (Directory, error) {
 // asking which scheme is running.
 type directory interface {
 	// home returns the page's manager host. Fixed schemes compute it;
-	// the dynamic scheme has no manager and panics (use Owner/probable
-	// hints instead).
+	// the dynamic scheme has no manager and panics (it follows
+	// probable-owner hints instead).
 	home(page PageNo) HostID
 	// fault obtains the page on this host with the requested right. It
 	// runs under the page's local fault lock.
@@ -184,7 +174,7 @@ func (d *fixedDirectory) checkPage(c *InvariantChecker, point string, page PageN
 		}
 		if _, in := ent.copyset[h]; !in {
 			c.report(point, page, "host %d holds a copy but is neither owner nor in the copyset %v (stale copy — missed invalidation?)",
-				h, sortedKeys(ent.copyset))
+				h, sim.SortedKeys(ent.copyset))
 		}
 	}
 }

@@ -333,6 +333,49 @@ type Stats struct {
 	Messages map[proto.Kind]int
 }
 
+// Add folds o into s: counters add, ChainMax is a maximum, message
+// counts merge per kind. Every numeric field of Stats must appear here;
+// TestStatsAddCoversEveryField fails on a counter that was forgotten.
+func (s *Stats) Add(o Stats) {
+	s.ReadFaults += o.ReadFaults
+	s.WriteFaults += o.WriteFaults
+	s.PagesFetched += o.PagesFetched
+	s.PagesServed += o.PagesServed
+	s.Upgrades += o.Upgrades
+	s.InvalidationsSent += o.InvalidationsSent
+	s.InvalidationsReceived += o.InvalidationsReceived
+	s.Conversions += o.Conversions
+	s.ConvReport.Add(o.ConvReport)
+	s.BytesFetched += o.BytesFetched
+	s.RemoteReads += o.RemoteReads
+	s.RemoteWrites += o.RemoteWrites
+	s.UpdateWrites += o.UpdateWrites
+	s.UpdatePushes += o.UpdatePushes
+	s.UpdatesApplied += o.UpdatesApplied
+	s.PagesRecovered += o.PagesRecovered
+	s.PagesLost += o.PagesLost
+	s.QuorumReads += o.QuorumReads
+	s.QuorumWrites += o.QuorumWrites
+	s.QuorumWriteBacks += o.QuorumWriteBacks
+	s.QuorumRetries += o.QuorumRetries
+	s.Forwards += o.Forwards
+	s.ChainServes += o.ChainServes
+	s.ChainHops += o.ChainHops
+	s.ChainMax = max(s.ChainMax, o.ChainMax)
+	s.RCTwins += o.RCTwins
+	s.RCDiffsSent += o.RCDiffsSent
+	s.RCDiffBytes += o.RCDiffBytes
+	s.RCDiffsApplied += o.RCDiffsApplied
+	s.RCPulls += o.RCPulls
+	s.RCDiffsRetired += o.RCDiffsRetired
+	if o.Messages != nil && s.Messages == nil {
+		s.Messages = make(map[proto.Kind]int, len(o.Messages))
+	}
+	for _, k := range sim.SortedKeys(o.Messages) {
+		s.Messages[k] += o.Messages[k]
+	}
+}
+
 // Module is one host's DSM engine.
 type Module struct {
 	k     *sim.Kernel
@@ -618,10 +661,6 @@ func (m *Module) Access(page PageNo) Access {
 	return NoAccess
 }
 
-// Owner returns the manager's notion of a page's owner. It must only be
-// called on the page's manager host.
-func (m *Module) Owner(page PageNo) HostID { return m.mgrEntryFor(page).owner }
-
 // HotPage is a page with its inbound transfer count.
 type HotPage struct {
 	// Page is the DSM page number.
@@ -634,15 +673,11 @@ type HotPage struct {
 // pages repeatedly refetched are the signature of thrashing (§3.3).
 func (m *Module) HotPages(n int) []HotPage {
 	out := make([]HotPage, 0, len(m.pageFetches))
-	for pg, c := range m.pageFetches { // vet:ignore map-order — canonicalized by a field-comparator sort (count, then page) the whole-value prover cannot certify
-		out = append(out, HotPage{Page: pg, Fetches: c})
+	for _, pg := range sim.SortedKeys(m.pageFetches) {
+		out = append(out, HotPage{Page: pg, Fetches: m.pageFetches[pg]})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Fetches != out[j].Fetches {
-			return out[i].Fetches > out[j].Fetches
-		}
-		return out[i].Page < out[j].Page
-	})
+	// Stable, so equally busy pages stay in page order.
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Fetches > out[j].Fetches })
 	if n > 0 && len(out) > n {
 		out = out[:n]
 	}

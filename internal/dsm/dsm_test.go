@@ -413,6 +413,33 @@ func TestPreferSameKindSourceAvoidsConversion(t *testing.T) {
 	})
 }
 
+func TestPreferSameKindSourcePicksLowestHolder(t *testing.T) {
+	// Two Fireflies hold read copies, the higher-numbered one first; a
+	// third Firefly's read must be served by the lower host — the choice
+	// is by host order, never by map or arrival order.
+	r := newRig(t, []arch.Kind{arch.Sun, arch.Firefly, arch.Firefly, arch.Firefly}, withSameKindPreference())
+	r.run("main", func(p *sim.Proc) {
+		addr, err := r.mods[0].Alloc(p, conv.Int32, 64)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		r.mods[0].WriteInt32s(p, addr, []int32{123})
+		var v [1]int32
+		r.mods[2].ReadInt32s(p, addr, v[:])
+		r.mods[1].ReadInt32s(p, addr, v[:])
+		served1, served2 := r.mods[1].Stats().PagesServed, r.mods[2].Stats().PagesServed
+		r.mods[3].ReadInt32s(p, addr, v[:])
+		if v[0] != 123 {
+			t.Errorf("read %d, want 123", v[0])
+		}
+		if got1, got2 := r.mods[1].Stats().PagesServed, r.mods[2].Stats().PagesServed; got1 != served1+1 || got2 != served2 {
+			t.Errorf("host 1 served %d→%d, host 2 %d→%d; want the lower same-kind holder (host 1) to serve",
+				served1, got1, served2, got2)
+		}
+	})
+}
+
 func TestSequentialConsistencyPingPong(t *testing.T) {
 	// Two hosts alternately increment a shared counter via semantically
 	// racy but protocol-serialized writes; every increment must land.

@@ -126,7 +126,7 @@ func newDynamicDirectory(m *Module) *dynamicDirectory {
 	return &dynamicDirectory{m: m}
 }
 
-func (d *dynamicDirectory) pages() []PageNo { return sortedKeys(d.m.dyn) }
+func (d *dynamicDirectory) pages() []PageNo { return sim.SortedKeys(d.m.dyn) }
 
 // hashState is the dynamic scheme's section of the state fingerprint:
 // each page's hint, ownership, transaction lock state and copyset.
@@ -772,7 +772,7 @@ func (m *Module) dynCoordinate(p *sim.Proc, page PageNo) (HostID, uint32) {
 // dynCopysetList renders a dynamic copyset deterministically, excluding
 // one host (the requester being served, or the owner itself).
 func dynCopysetList(dp *dynPage, except HostID) []HostID {
-	out := sortedKeys(dp.copyset)
+	out := sim.SortedKeys(dp.copyset)
 	if i, found := slices.BinarySearch(out, except); found {
 		out = slices.Delete(out, i, i+1)
 	}

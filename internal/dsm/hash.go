@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"hash"
 	"math/bits"
+
+	"repro/internal/sim"
 )
 
 // WriteStateHash folds this host's protocol-visible state into h, in a
@@ -43,7 +45,7 @@ func (m *Module) WriteStateHash(h hash.Hash) {
 		return
 	}
 
-	for _, pg := range sortedKeys(m.local) {
+	for _, pg := range sim.SortedKeys(m.local) {
 		lp := m.local[pg]
 		put(uint32(pg))
 		put(uint32(lp.access))
@@ -53,7 +55,7 @@ func (m *Module) WriteStateHash(h hash.Hash) {
 	}
 
 	put(0xffff_ffff) // section separator
-	for _, pg := range sortedKeys(m.mgr) {
+	for _, pg := range sim.SortedKeys(m.mgr) {
 		ent := m.mgr[pg]
 		put(uint32(pg))
 		put(uint32(ent.owner))
@@ -65,14 +67,14 @@ func (m *Module) WriteStateHash(h hash.Hash) {
 			put(0x5b5_bec7) // "SUSPECT": unconfirmed transfer awaiting reconciliation
 			put(uint32(ent.suspectHost))
 		}
-		for _, hID := range sortedKeys(ent.copyset) {
+		for _, hID := range sim.SortedKeys(ent.copyset) {
 			put(uint32(hID))
 		}
 		put(0xffff_fffe)
 	}
 
 	put(0xffff_fffd)
-	for _, pg := range sortedKeys(m.meta) {
+	for _, pg := range sim.SortedKeys(m.meta) {
 		mt := m.meta[pg]
 		put(uint32(pg))
 		put(uint32(mt.typeID))

@@ -75,7 +75,7 @@ func TestStateHashSensitivity(t *testing.T) {
 			if len(ent.copyset) == 0 {
 				t.Fatal("empty copyset: the history did not share the page")
 			}
-			delete(ent.copyset, sortedKeys(ent.copyset)[0])
+			delete(ent.copyset, sim.SortedKeys(ent.copyset)[0])
 		}},
 		{"quorum image byte", []rigOpt{withPolicy(PolicyQuorum)}, func(t *testing.T, r *rig, pg PageNo) {
 			replica(t, r, pg).data[5] ^= 0x10

@@ -452,17 +452,13 @@ func (m *Module) writeTransaction(p *sim.Proc, req *proto.Message, page PageNo, 
 // unless the requester upgrades in place, in which case the old owner's
 // copy must be invalidated explicitly too.
 func (m *Module) invalidationTargets(ent *mgrEntry, requester HostID, requesterUpgrades bool) []HostID {
-	var targets []HostID
-	for h := range ent.copyset {
-		if h == requester || h == ent.owner {
-			continue
-		}
-		targets = append(targets, h)
-	}
+	targets := slices.DeleteFunc(sim.SortedKeys(ent.copyset), func(h HostID) bool {
+		return h == requester || h == ent.owner
+	})
 	if requesterUpgrades && ent.owner != requester {
 		targets = append(targets, ent.owner)
+		slices.Sort(targets) // the owner takes its place in host order
 	}
-	slices.Sort(targets) // deterministic order for reproducible simulations
 	return targets
 }
 
@@ -573,17 +569,14 @@ func (m *Module) readSource(ent *mgrEntry, requester HostID) HostID {
 	if m.hosts[src].Kind == want {
 		return src
 	}
-	best := HostID(-1)
-	for h := range ent.copyset { // vet:ignore map-order — running min reads the accumulator in its own guard; beyond the prover, but min over a set commutes
+	for _, h := range sim.SortedKeys(ent.copyset) {
 		if h == requester || m.hosts[h].Kind != want {
 			continue
 		}
-		if best == -1 || h < best {
-			best = h
+		if m.deadHost(h) {
+			break // only the lowest same-kind member is a candidate
 		}
-	}
-	if best != -1 && !m.deadHost(best) {
-		return best
+		return h
 	}
 	return src
 }

@@ -113,7 +113,7 @@ func newQuorumEngine(mod *Module) (engine, engineDecl) {
 	m.ep.Handle(proto.KindQuorumWrite, m.handleQuorumWrite)
 	return m, engineDecl{
 		invariants: checkQuorumPage,
-		pages:      func() []PageNo { return sortedKeys(m.qrm) },
+		pages:      func() []PageNo { return sim.SortedKeys(m.qrm) },
 		hashState:  m.hashState,
 	}
 }
@@ -436,7 +436,7 @@ func checkQuorumPage(c *InvariantChecker, point string, page PageNo, writers, ho
 // each replica's tag plus the allocated prefix of its image.
 func (m *quorumEngine) hashState(put func(uint32), putBody func([]byte)) {
 	put(0xffff_fffb)
-	for _, pg := range sortedKeys(m.qrm) {
+	for _, pg := range sim.SortedKeys(m.qrm) {
 		qp := m.qrm[pg]
 		put(uint32(pg))
 		put(qp.tag.ts)

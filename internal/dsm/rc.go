@@ -253,7 +253,7 @@ func (m *rcEngine) rcRelease(p *sim.Proc) ([]byte, error) {
 	m.exitIfCrashed(p)
 	rc := m.rc
 	lost := false
-	for _, pg := range sortedKeys(rc.twins) {
+	for _, pg := range sim.SortedKeys(rc.twins) {
 		tw := rc.twins[pg]
 		if tw == nil {
 			continue // a concurrent release on this host got here first
@@ -361,13 +361,9 @@ func (m *rcEngine) rcAcquire(p *sim.Proc, data []byte) error {
 		}
 	}
 	m.recordSyncOp(p, sctrace.Acquire)
-	stale := make([]PageNo, 0, len(rc.notices))
-	for pg, v := range rc.notices {
-		if v > rc.applied[pg] && m.hasAccess(pg, false) {
-			stale = append(stale, pg)
-		}
-	}
-	slices.Sort(stale)
+	stale := slices.DeleteFunc(sim.SortedKeys(rc.notices), func(pg PageNo) bool {
+		return rc.notices[pg] <= rc.applied[pg] || !m.hasAccess(pg, false)
+	})
 	for _, pg := range stale {
 		if err := m.rcPull(p, pg); err != nil {
 			return err
@@ -639,7 +635,7 @@ type rcNotice struct {
 // ver]×n, big-endian, notices in ascending page order. The layout is
 // canonical, so payloads merge and compare byte-wise deterministically.
 func rcEncodePayload(vt []uint32, notices map[PageNo]uint32) []byte {
-	pages := sortedKeys(notices)
+	pages := sim.SortedKeys(notices)
 	buf := make([]byte, 4+4*len(vt)+4+8*len(pages)) // vet:ignore hot-alloc — the payload escapes into the grant chain
 	binary.BigEndian.PutUint32(buf, uint32(len(vt)))
 	off := 4
@@ -724,20 +720,20 @@ func (m *rcEngine) hashState(put func(uint32), putBody func([]byte)) {
 	for mark, mp := range []map[PageNo]uint32{m.rc.notices, m.rc.applied} {
 		put(uint32(mark + 1))
 		put(uint32(len(mp)))
-		for _, pg := range sortedKeys(mp) {
+		for _, pg := range sim.SortedKeys(mp) {
 			put(uint32(pg))
 			put(mp[pg])
 		}
 	}
 	put(3)
 	put(uint32(len(m.rc.twins)))
-	for _, pg := range sortedKeys(m.rc.twins) {
+	for _, pg := range sim.SortedKeys(m.rc.twins) {
 		put(uint32(pg))
 		putBody(m.rc.twins[pg])
 	}
 	put(4)
 	put(uint32(len(m.rc.home)))
-	for _, pg := range sortedKeys(m.rc.home) {
+	for _, pg := range sim.SortedKeys(m.rc.home) {
 		hm := m.rc.home[pg]
 		put(uint32(pg))
 		put(hm.version)

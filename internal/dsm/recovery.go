@@ -45,7 +45,7 @@ func (m *Module) onHostDeath(dead HostID) {
 // recoverAfterDeath sweeps every page this host manages after dead's
 // crash: drop the corpse from copysets, re-own the pages it owned.
 func (m *Module) recoverAfterDeath(p *sim.Proc, dead HostID) {
-	for _, page := range sortedKeys(m.mgr) {
+	for _, page := range sim.SortedKeys(m.mgr) {
 		if m.crashed {
 			p.Exit()
 		}
@@ -169,7 +169,7 @@ func (m *Module) reconcileSuspect(p *sim.Proc, page PageNo, ent *mgrEntry) error
 // when a transfer aborted mid-crash. Order is deterministic.
 func (m *Module) recoveryCandidates(ent *mgrEntry, dead HostID) []HostID {
 	out := make([]HostID, 0, len(m.hosts))
-	for _, h := range sortedKeys(ent.copyset) {
+	for _, h := range sim.SortedKeys(ent.copyset) {
 		if h == m.id || h == dead || m.deadHost(h) {
 			continue
 		}

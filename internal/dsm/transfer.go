@@ -12,9 +12,7 @@ package dsm
 // the backoff every retrying round shares.
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 
 	"repro/internal/arch"
 	"repro/internal/bufpool"
@@ -23,18 +21,6 @@ import (
 	"repro/internal/sctrace"
 	"repro/internal/sim"
 )
-
-// sortedKeys lists a map's keys in increasing order: every walk that
-// feeds message traffic, a state hash or a report goes through it, so
-// map order never reaches the simulation.
-func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
-	keys := make([]K, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	return keys
-}
 
 // mustArch resolves the machine kind a message or diff arrived from. An
 // unknown code is a corrupted or mis-built message — a bug, on every

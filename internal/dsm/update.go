@@ -78,18 +78,15 @@ func (m *updateEngine) sequenceUpdate(p *sim.Proc, page PageNo, offset int, data
 	m.protoCPU.Use(p, m.jittered(m.cfg.Params.ManagerProcess.Of(m.arch.Kind)))
 	ent.copyset[writer] = struct{}{}
 
-	var targets []HostID
-	for h := range ent.copyset {
-		if h != writer && h != m.id {
-			targets = append(targets, h)
-		}
-	}
+	targets := slices.DeleteFunc(sim.SortedKeys(ent.copyset), func(h HostID) bool {
+		return h == writer || h == m.id
+	})
 	if ent.owner != writer && ent.owner != m.id {
 		if _, in := ent.copyset[ent.owner]; !in {
 			targets = append(targets, ent.owner)
+			slices.Sort(targets) // the owner takes its place in host order
 		}
 	}
-	slices.Sort(targets) // deterministic order
 
 	// Apply at the manager's own replica (converting from the writer's
 	// representation).

@@ -18,7 +18,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash"
-	"sort"
 
 	"repro/internal/arch"
 	"repro/internal/bufpool"
@@ -207,7 +206,7 @@ func (s *Service) WriteStateHash(h hash.Hash) {
 		}
 	}
 	put(uint32(s.id))
-	for _, id := range sortedIDs(s.sems) {
+	for _, id := range sim.SortedKeys(s.sems) {
 		st := s.sems[id]
 		put(id)
 		put(uint32(st.count))
@@ -215,7 +214,7 @@ func (s *Service) WriteStateHash(h hash.Hash) {
 		pay(st.payload)
 	}
 	put(0xffff_ffff) // section separator
-	for _, id := range sortedIDs(s.events) {
+	for _, id := range sim.SortedKeys(s.events) {
 		st := s.events[id]
 		put(id)
 		if st.set {
@@ -227,23 +226,13 @@ func (s *Service) WriteStateHash(h hash.Hash) {
 		pay(st.payload)
 	}
 	put(0xffff_fffe)
-	for _, id := range sortedIDs(s.barriers) {
+	for _, id := range sim.SortedKeys(s.barriers) {
 		st := s.barriers[id]
 		put(id)
 		put(uint32(st.arrived))
 		put(uint32(len(st.waiters)))
 		pay(st.payload)
 	}
-}
-
-// sortedIDs lists a state map's keys in increasing order.
-func sortedIDs[T any](m map[uint32]T) []uint32 {
-	ids := make([]uint32, 0, len(m))
-	for id := range m {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
 }
 
 // mergePayload folds an incoming release payload into a primitive's

@@ -138,8 +138,8 @@ func runDirectoryScheme(name string, dir dsm.Directory) DirectorySchemeRow {
 		Forwards: total.Forwards,
 		MaxChain: total.ChainMax,
 	}
-	for _, n := range total.Messages {
-		row.Messages += n
+	for _, k := range sim.SortedKeys(total.Messages) {
+		row.Messages += total.Messages[k]
 	}
 	dirKinds := fixedDirKinds
 	if dir == dsm.DirDynamic {

@@ -145,8 +145,8 @@ func runDirectoryScale(n int, topoName string, topo *netsim.Topology, scheme str
 		MaxChain:       total.ChainMax,
 		CrossSegFrames: c.Net.Stats().CrossSegmentFrames,
 	}
-	for _, m := range total.Messages {
-		row.Messages += m
+	for _, k := range sim.SortedKeys(total.Messages) {
+		row.Messages += total.Messages[k]
 	}
 	row.MsgsPerHost = float64(row.Messages) / float64(n)
 	return row

@@ -41,3 +41,23 @@ func TestResolve(t *testing.T) {
 		}
 	}
 }
+
+func TestRegistry(t *testing.T) {
+	r := NewRegistry[int]("mc: unknown workload")
+	r.Register("rc", 3)
+	r.Register("basic", 1)
+	r.Register("quorum", 2)
+	if got := r.Names(); !reflect.DeepEqual(got, []string{"basic", "quorum", "rc"}) {
+		t.Errorf("Names() = %v, want alphabetical", got)
+	}
+	if got := r.All(); !reflect.DeepEqual(got, []int{1, 2, 3}) {
+		t.Errorf("All() = %v, want values in name order", got)
+	}
+	if v, err := r.Lookup("quorum"); err != nil || v != 2 {
+		t.Errorf("Lookup(quorum) = %v, %v", v, err)
+	}
+	_, err := r.Lookup("nope")
+	if want := `mc: unknown workload "nope" (have [basic quorum rc])`; err == nil || err.Error() != want {
+		t.Errorf("Lookup(nope) error = %v, want %s", err, want)
+	}
+}

@@ -121,7 +121,7 @@ func (e *Endpoint) Crashed() bool { return e.crashed }
 // is down, so nothing arrives).
 func (e *Endpoint) Crash() {
 	e.crashed = true
-	for key := range e.reasm { // vet:ignore map-order — dropPartial mutates the pool and the table; beyond the prover, but releases are not simulation-visible
+	for key := range e.reasm { // vet:ignore map-order — struct keys have no order to sort by; dropPartial only frees pooled buffers and table entries, which the simulation never observes
 		e.dropPartial(key)
 	}
 }
@@ -130,7 +130,7 @@ func (e *Endpoint) Crash() {
 // host declared dead mid-transfer never completes them — returning the
 // pooled buffers instead of leaking them in the reassembly table.
 func (e *Endpoint) DropPartials(src HostID) {
-	for key := range e.reasm { // vet:ignore map-order — dropPartial mutates the pool and the table; beyond the prover, but releases are not simulation-visible
+	for key := range e.reasm { // vet:ignore map-order — struct keys have no order to sort by; dropPartial only frees pooled buffers and table entries, which the simulation never observes
 		if key.src == src {
 			e.dropPartial(key)
 		}

@@ -23,6 +23,7 @@ package remoteop
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"sync"
 	"sync/atomic"
 
@@ -514,13 +515,7 @@ func (e *Endpoint) send(p *sim.Proc, dst HostID, m *proto.Message) {
 }
 
 // MessageCounts returns a copy of the per-kind sent-message counters.
-func (e *Endpoint) MessageCounts() map[proto.Kind]int {
-	out := make(map[proto.Kind]int, len(e.kindSent))
-	for k, n := range e.kindSent {
-		out[k] = n
-	}
-	return out
-}
+func (e *Endpoint) MessageCounts() map[proto.Kind]int { return maps.Clone(e.kindSent) }
 
 // Call sends a request to dst and blocks until the matching reply
 // arrives (possibly from a different host, if the request was

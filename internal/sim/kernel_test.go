@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 	"time"
 )
@@ -482,5 +483,29 @@ func TestTimeHelpers(t *testing.T) {
 	}
 	if tm.Sub(Time(time.Second)) != 500*time.Millisecond {
 		t.Fatal("Sub wrong")
+	}
+}
+
+func TestSortedKeys(t *testing.T) {
+	type pageNo uint32 // a named key type, as dsm.PageNo
+	if got := SortedKeys(map[int]bool(nil)); len(got) != 0 {
+		t.Errorf("nil map: %v", got)
+	}
+	if got := SortedKeys(map[string]int{}); len(got) != 0 {
+		t.Errorf("empty map: %v", got)
+	}
+	if got := SortedKeys(map[int]string{3: "c", -1: "a", 20: "d", 2: "b"}); !slices.Equal(got, []int{-1, 2, 3, 20}) {
+		t.Errorf("ints: %v", got)
+	}
+	if got := SortedKeys(map[string]int{"rc": 1, "basic": 2, "quorum": 3}); !slices.Equal(got, []string{"basic", "quorum", "rc"}) {
+		t.Errorf("strings: %v", got)
+	}
+	pages := map[pageNo]struct{}{}
+	for pg := pageNo(64); pg > 0; pg-- {
+		pages[pg*7%64] = struct{}{}
+	}
+	got := SortedKeys(pages)
+	if len(got) != len(pages) || !slices.IsSorted(got) {
+		t.Errorf("named uint32 keys: %v", got)
 	}
 }

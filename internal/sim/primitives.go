@@ -99,81 +99,12 @@ func (s *Semaphore) V() {
 	s.count++
 }
 
-// Queue is an unbounded FIFO of arbitrary items with blocking Get. It is
-// the delivery surface for simulated network interfaces.
-type Queue struct {
-	k       *Kernel
-	items   []any
-	waiters []wakeToken
-}
-
-// NewQueue creates an empty queue.
-func NewQueue(k *Kernel) *Queue { return &Queue{k: k} }
-
-// Len returns the number of queued items.
-func (q *Queue) Len() int { return len(q.items) }
-
-// Put appends an item and wakes one waiting getter. It never blocks and
-// is safe to call from kernel callbacks (for example delivery events).
-func (q *Queue) Put(v any) {
-	q.items = append(q.items, v)
-	for len(q.waiters) > 0 {
-		t := popWaiter(&q.waiters)
-		if t.p.done || t.p.epoch != t.epoch {
-			continue
-		}
-		q.k.wake(t, WakeSignal)
-		return
-	}
-}
-
-// Get removes and returns the oldest item, blocking while the queue is
-// empty.
-func (q *Queue) Get(p *Proc) any {
-	for len(q.items) == 0 {
-		q.waiters = append(q.waiters, p.token())
-		p.park()
-	}
-	v := q.items[0]
-	q.items = q.items[1:]
-	return v
-}
-
-// GetTimeout is Get with a deadline; ok is false if d elapsed first.
-func (q *Queue) GetTimeout(p *Proc, d Duration) (v any, ok bool) {
-	deadline := p.Now().Add(d)
-	for len(q.items) == 0 {
-		remaining := deadline.Sub(p.Now())
-		if remaining <= 0 {
-			return nil, false
-		}
-		q.waiters = append(q.waiters, p.token())
-		if p.ParkTimeout(remaining) == WakeTimeout {
-			q.removeWaiter(p)
-			if len(q.items) == 0 {
-				return nil, false
-			}
-		}
-	}
-	v = q.items[0]
-	q.items = q.items[1:]
-	return v, true
-}
-
-func (q *Queue) removeWaiter(p *Proc) {
-	for i, t := range q.waiters {
-		if t.p == p.p {
-			q.waiters = append(q.waiters[:i], q.waiters[i+1:]...)
-			return
-		}
-	}
-}
-
-// TypedQueue is Queue for a concrete element type — the delivery
-// surface for hot paths (netsim frames) where storing items as any
-// would box every element. It also reuses its buffer as a sliding
-// window instead of reslicing it away, so steady-state Put/Get cycles
-// allocate nothing.
+// TypedQueue is an unbounded FIFO with blocking Get — the delivery
+// surface for simulated network interfaces. The element type is
+// concrete because storing hot-path items (netsim frames) as any would
+// box every element. It reuses its buffer as a sliding window instead
+// of reslicing it away, so steady-state Put/Get cycles allocate
+// nothing.
 type TypedQueue[T any] struct {
 	k       *Kernel
 	items   []T
@@ -253,6 +184,12 @@ func (q *TypedQueue[T]) removeWaiter(p *Proc) {
 	}
 }
 
+// Queue is the queue of arbitrary items.
+type Queue = TypedQueue[any]
+
+// NewQueue creates an empty queue of arbitrary items.
+func NewQueue(k *Kernel) *Queue { return NewTypedQueue[any](k) }
+
 // Resource models a pool of identical servers (CPUs, a network cable)
 // acquired for timed use. Use is the common pattern: acquire, hold for a
 // virtual duration, release.
@@ -295,9 +232,6 @@ type Event struct {
 
 // NewEvent creates an unset event.
 func NewEvent(k *Kernel) *Event { return &Event{k: k} }
-
-// IsSet reports whether the event is currently set.
-func (e *Event) IsSet() bool { return e.set }
 
 // Set sets the event and wakes every waiter.
 func (e *Event) Set() {

@@ -3,8 +3,8 @@ package vet
 // buf-own: a flow-sensitive ownership/loan checker for pooled buffers.
 //
 // Values originating from `bufpool.Get`, `Message.TakeWire`, and
-// functions annotated `vet:owned` are abstract objects in the state
-// {owned, borrowed, released, escaped}; borrow-mode decodes
+// callees whose inferred summary owns a result are abstract objects in
+// the state {owned, borrowed, released, escaped}; borrow-mode decodes
 // (`proto.DecodeBorrow`, `DecodeBorrowInto`) mark the decoded message
 // variable as holding borrowed wire data. The analysis propagates
 // object sets through assignments, slicing, append/AppendEncode
@@ -31,8 +31,7 @@ package vet
 // apply at the call site: may-released params are released (a later
 // Put is a double-release), stored params are transfers (and a
 // borrowed argument is a finding), and an owned result is an acquire
-// the caller must discharge. `vet:owned` remains as an escape hatch
-// for helpers the inference cannot see through (none in-tree today).
+// the caller must discharge.
 //
 // The same analysis runs in a second role: summary inference. With
 // sum/mute set, []byte parameters are seeded as tracked owned objects,
@@ -341,22 +340,6 @@ func (a *bufOwn) isMethodCall(call *ast.CallExpr, name string) (*ast.SelectorExp
 		}
 	}
 	return sel, true
-}
-
-// isOwnedCall reports whether the callee carries a vet:owned doc
-// directive (its first result transfers ownership to the caller).
-func (a *bufOwn) isOwnedCall(call *ast.CallExpr) bool {
-	var id *ast.Ident
-	switch fn := call.Fun.(type) {
-	case *ast.Ident:
-		id = fn
-	case *ast.SelectorExpr:
-		id = fn.Sel
-	default:
-		return false
-	}
-	o := a.c.pkg.Info.Uses[id]
-	return o != nil && a.c.ownedFuncs[o]
 }
 
 // calleeSummary resolves the call's static callee and returns its
@@ -885,16 +868,6 @@ func (a *bufOwn) evalCall(st *ownState, call *ast.CallExpr, report bool) uint64 
 			a.eval(st, arg, report, true)
 		}
 		return a.eval(st, call.Args[0], report, true)
-	}
-
-	if a.isOwnedCall(call) {
-		for _, arg := range call.Args {
-			a.eval(st, arg, report, true)
-		}
-		if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-			a.eval(st, sel.X, report, true)
-		}
-		return a.acquire(st, call.Pos(), "vet:owned "+calleeName(call)+" buffer", report)
 	}
 
 	// A callee with an inferred summary applies its effects here: a

@@ -125,8 +125,8 @@ func TestInterprocMutationsKilled(t *testing.T) {
 
 // TestInterprocCleanFixtureSilent pins the interprocedural
 // false-positive budget at zero: recursion, method values, interface
-// dispatch, closures, helper releases, a consistent lock order, and
-// prover-discharged map loops must all stay quiet.
+// dispatch, closures, helper releases and a consistent lock order must
+// all stay quiet.
 func TestInterprocCleanFixtureSilent(t *testing.T) {
 	fs, stats := analyzeInterproc(t, filepath.Join("testdata", "interclean"), "fixture/interclean")
 	if len(fs) != 0 {
@@ -134,8 +134,5 @@ func TestInterprocCleanFixtureSilent(t *testing.T) {
 	}
 	if stats.Summarized == 0 {
 		t.Fatal("clean fixture produced no summaries; the interprocedural layer did not run")
-	}
-	if stats.Discharged != 3 {
-		t.Fatalf("expected the order prover to discharge exactly 3 map loops (sums, keys, ids), got %d", stats.Discharged)
 	}
 }

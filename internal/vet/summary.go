@@ -1,10 +1,9 @@
 package vet
 
 // Bottom-up per-function summaries: each function's externally visible
-// buffer effects and purity, inferred once and consulted at every call
-// site. The summary lattice is a few monotone bits per function —
-// effects are only ever added and purity only ever revoked — so the
-// recursive-SCC fixpoint below terminates.
+// buffer effects, inferred once and consulted at every call site. The
+// summary lattice is a few monotone bits per function — effects are
+// only ever added — so the recursive-SCC fixpoint below terminates.
 //
 //   - ParamReleases[i]: the function returns param i's pooled buffer to
 //     the pool (bufpool.Put, directly or through callees) on some path.
@@ -16,10 +15,7 @@ package vet
 //     such a callee is a finding, exactly like storing it locally.
 //   - ResultOwned[i]: result i is an owned pooled buffer on some return
 //     path. Callers acquire it: it must be released or transferred on
-//     every path, without any vet:owned annotation on the callee.
-//   - Pure: the function writes no caller-visible memory and calls only
-//     pure functions — consulted by the map-order prover when loop
-//     bodies call helpers.
+//     every path, with no annotation on the callee.
 //
 // Summaries are computed per package over the callGraph's SCCs in
 // bottom-up order; cmd/mermaid-vet walks packages in import-topological
@@ -27,7 +23,7 @@ package vet
 // callee below it already has an entry in the shared SummaryTable.
 // Unknown callees (dynamic dispatch, stdlib, packages outside the run)
 // have no entry and are treated conservatively: arguments are loans,
-// results unowned, the call impure.
+// results unowned.
 
 import (
 	"go/ast"
@@ -51,10 +47,6 @@ type FuncSummary struct {
 	// ResultOwned marks results that may carry an owned pooled buffer
 	// the caller must release or transfer.
 	ResultOwned []bool
-	// Pure reports that the function has no caller-visible side effects
-	// and is deterministic enough for the map-order prover (internal map
-	// iteration also revokes it).
-	Pure bool
 }
 
 func boolsEqual(a, b []bool) bool {
@@ -70,7 +62,7 @@ func boolsEqual(a, b []bool) bool {
 }
 
 func (s *FuncSummary) equal(o *FuncSummary) bool {
-	return s.Key == o.Key && s.NumParams == o.NumParams && s.Pure == o.Pure &&
+	return s.Key == o.Key && s.NumParams == o.NumParams &&
 		boolsEqual(s.ParamReleases, o.ParamReleases) &&
 		boolsEqual(s.ParamStores, o.ParamStores) &&
 		boolsEqual(s.ResultOwned, o.ResultOwned)
@@ -95,7 +87,7 @@ func (s *FuncSummary) interesting() bool {
 			return true
 		}
 	}
-	return s.Pure
+	return false
 }
 
 // SummaryTable is the shared, concurrency-safe store of computed
@@ -178,7 +170,6 @@ func ComputeSummaries(pkg *Package, cfg *Config, tbl *SummaryTable) int {
 		return 0
 	}
 	c := &checker{pkg: pkg, cfg: cfg, summaries: tbl}
-	c.collectOwnedFuncs()
 	g := buildCallGraph(pkg)
 	computed := 0
 	for _, scc := range g.sccOrder() {
@@ -193,9 +184,9 @@ func ComputeSummaries(pkg *Package, cfg *Config, tbl *SummaryTable) int {
 			continue
 		}
 		cur := map[string]*FuncSummary{}
-		// Optimistic seed for recursive components: no effects, pure.
-		// Refinement only adds effects / revokes purity, so iterating to
-		// a fixed point is sound and terminates.
+		// Optimistic seed for recursive components: no effects.
+		// Refinement only adds effects, so iterating to a fixed point is
+		// sound and terminates.
 		for _, i := range scc {
 			fn := g.objs[i]
 			cur[funcKey(fn)] = newSummary(fn)
@@ -225,7 +216,7 @@ func ComputeSummaries(pkg *Package, cfg *Config, tbl *SummaryTable) int {
 	return computed
 }
 
-// newSummary allocates the bottom (no effects, pure) summary for fn.
+// newSummary allocates the bottom (no effects) summary for fn.
 func newSummary(fn *types.Func) *FuncSummary {
 	sig, _ := fn.Type().(*types.Signature)
 	np, nr := 0, 0
@@ -239,7 +230,6 @@ func newSummary(fn *types.Func) *FuncSummary {
 		ParamReleases: make([]bool, np),
 		ParamStores:   make([]bool, np),
 		ResultOwned:   make([]bool, nr),
-		Pure:          true,
 	}
 }
 
@@ -251,7 +241,6 @@ func newSummary(fn *types.Func) *FuncSummary {
 // shared table so recursion sees the current iterate.
 func (c *checker) summarizeFunc(fd *ast.FuncDecl, fn *types.Func, cur map[string]*FuncSummary) *FuncSummary {
 	out := newSummary(fn)
-	out.Pure = c.summaryPure(fd, cur)
 	a := &bufOwn{
 		c:     c,
 		fd:    fd,
@@ -263,103 +252,4 @@ func (c *checker) summarizeFunc(fd *ast.FuncDecl, fn *types.Func, cur map[string
 	}
 	a.run()
 	return out
-}
-
-// summaryPure decides purity syntactically: every write target must be
-// a function-local variable, and every call must be a pure builtin, a
-// conversion, or a function whose summary says Pure. Channel
-// operations, goroutines, dynamic calls, and writes through pointers,
-// fields, or indices are impure; so is ranging over a map (the
-// iteration order would leak into an otherwise effect-free result).
-func (c *checker) summaryPure(fd *ast.FuncDecl, cur map[string]*FuncSummary) bool {
-	pure := true
-	localWrite := func(e ast.Expr) bool {
-		id, ok := unparen(e).(*ast.Ident)
-		if !ok {
-			return false
-		}
-		if id.Name == "_" {
-			return true
-		}
-		obj := c.pkg.Info.Defs[id]
-		if obj == nil {
-			obj = c.pkg.Info.Uses[id]
-		}
-		v, ok := obj.(*types.Var)
-		if !ok || v.IsField() || v.Pkg() == nil {
-			return false
-		}
-		return v.Parent() != v.Pkg().Scope()
-	}
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		if !pure {
-			return false
-		}
-		switch x := n.(type) {
-		case *ast.FuncLit:
-			return false // creating a closure is pure; calling it is not
-		case *ast.AssignStmt:
-			for _, l := range x.Lhs {
-				if !localWrite(l) {
-					pure = false
-				}
-			}
-		case *ast.IncDecStmt:
-			if !localWrite(x.X) {
-				pure = false
-			}
-		case *ast.SendStmt, *ast.GoStmt, *ast.SelectStmt:
-			pure = false
-		case *ast.RangeStmt:
-			if tv, ok := c.pkg.Info.Types[x.X]; ok && tv.Type != nil {
-				if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
-					pure = false
-				}
-			}
-		case *ast.CallExpr:
-			if !c.pureCall(x, cur) {
-				pure = false
-			}
-		}
-		return pure
-	})
-	return pure
-}
-
-// pureBuiltins are the builtins with no caller-visible effects. append
-// is accepted pragmatically: the accumulator idiom rebinds the result
-// over a locally made slice.
-var pureBuiltins = map[string]bool{
-	"len": true, "cap": true, "append": true, "make": true, "new": true,
-	"min": true, "max": true,
-}
-
-// pureCall decides whether one call preserves purity.
-func (c *checker) pureCall(call *ast.CallExpr, cur map[string]*FuncSummary) bool {
-	if tv, ok := c.pkg.Info.Types[call.Fun]; ok && tv.IsType() {
-		return true // conversion
-	}
-	if id, ok := unparen(call.Fun).(*ast.Ident); ok {
-		if obj := c.pkg.Info.Uses[id]; obj != nil {
-			if _, isBuiltin := obj.(*types.Builtin); isBuiltin {
-				return pureBuiltins[id.Name]
-			}
-		} else if pureBuiltins[id.Name] {
-			return true // degraded type info; the name is unshadowed in practice
-		}
-	}
-	fn := staticCallee(c.pkg.Info, call)
-	if fn == nil {
-		return false
-	}
-	key := funcKey(fn)
-	if cur != nil {
-		if s, ok := cur[key]; ok {
-			return s.Pure
-		}
-	}
-	if s := c.summaries.Lookup(key); s != nil {
-		return s.Pure
-	}
-	return false
 }

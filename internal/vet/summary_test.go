@@ -11,17 +11,12 @@ const sumSrc = `package sum
 import "repro/internal/bufpool"
 
 var kept []byte
-var counter int
 
 func release(b []byte)  { bufpool.Put(b) }
 func store(b []byte)    { kept = b }
 func loan(b []byte) int { return len(b) }
 func make1() []byte     { return bufpool.Get(1) }
 func make2() []byte     { return make1() }
-
-func double(x int) int { return x * 2 }
-func impure(x int) int { counter++; return x }
-func viaPure(x int) int { return double(x) + 1 }
 
 func relRec(b []byte, depth int) {
 	if depth == 0 {
@@ -44,19 +39,15 @@ func TestSummaryEffectBits(t *testing.T) {
 	cases := []struct {
 		fn                    string
 		release, store, owned bool
-		pure                  bool
 	}{
-		{"release", true, false, false, false},
-		{"store", false, true, false, false},
-		{"loan", false, false, false, true},
-		{"make1", false, false, true, false},
-		{"make2", false, false, true, false},
-		{"double", false, false, false, true},
-		{"impure", false, false, false, false},
-		{"viaPure", false, false, false, true},
-		{"relRec", true, false, false, false},
-		{"even", false, false, false, true},
-		{"odd", false, false, false, true},
+		{"release", true, false, false},
+		{"store", false, true, false},
+		{"loan", false, false, false},
+		{"make1", false, false, true},
+		{"make2", false, false, true},
+		{"relRec", true, false, false},
+		{"even", false, false, false},
+		{"odd", false, false, false},
 	}
 	for _, c := range cases {
 		s := tbl.Lookup("fixture/sum." + c.fn)
@@ -67,9 +58,9 @@ func TestSummaryEffectBits(t *testing.T) {
 		rel := len(s.ParamReleases) > 0 && s.ParamReleases[0]
 		sto := len(s.ParamStores) > 0 && s.ParamStores[0]
 		own := len(s.ResultOwned) > 0 && s.ResultOwned[0]
-		if rel != c.release || sto != c.store || own != c.owned || s.Pure != c.pure {
-			t.Errorf("%s: got release=%v store=%v owned=%v pure=%v, want %v %v %v %v",
-				c.fn, rel, sto, own, s.Pure, c.release, c.store, c.owned, c.pure)
+		if rel != c.release || sto != c.store || own != c.owned {
+			t.Errorf("%s: got release=%v store=%v owned=%v, want %v %v %v",
+				c.fn, rel, sto, own, c.release, c.store, c.owned)
 		}
 	}
 }

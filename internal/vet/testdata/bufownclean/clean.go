@@ -109,9 +109,7 @@ func panicPath(err error) {
 	bufpool.Put(buf)
 }
 
-// produce's result transfers ownership to the caller.
-//
-// vet:owned
+// produce's result transfers ownership to the caller (inferred).
 func produce(n int) []byte {
 	out := bufpool.Get(n)
 	return out
@@ -124,8 +122,6 @@ func consume() {
 
 // tryProduce reports ok = false without a buffer; the analysis pairs
 // the result with the ok variable so the failure branch is not a leak.
-//
-// vet:owned
 func tryProduce(n int) ([]byte, bool) {
 	if n == 0 {
 		return nil, false

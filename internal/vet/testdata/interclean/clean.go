@@ -1,16 +1,11 @@
 // Package interclean pins the interprocedural false-positive budget at
 // zero: recursion and mutual recursion, method values, interface
 // dispatch, closures, helper-released buffers, a consistent lock
-// order, a remote call under no holds, and map loops the order prover
-// discharges through pure helpers. The fixture must be completely
-// silent under the full rule set.
+// order and a remote call under no holds. The fixture must be
+// completely silent under the full rule set.
 package interclean
 
-import (
-	"sort"
-
-	"repro/internal/bufpool"
-)
+import "repro/internal/bufpool"
 
 // ---- recursion: the SCC fixpoint must converge, and the release
 // effect must be visible through the recursive call -------------------
@@ -30,7 +25,7 @@ func recCaller() {
 	releaseRec(buf, 3)
 }
 
-// ---- mutual recursion: purity converges over the two-member SCC ----
+// ---- mutual recursion: the fixpoint converges over a two-member SCC
 
 func even(n int) bool {
 	if n == 0 {
@@ -81,46 +76,6 @@ func closureRelease() func() {
 	return func() {
 		bufpool.Put(buf)
 	}
-}
-
-// ---- map-order: loops discharged by the prover through summaries ---
-
-// double is pure — the prover must see that through its summary.
-func double(x int) int {
-	return x * 2
-}
-
-// sums folds with a commutative accumulator and a pure helper.
-func sums(m map[string]int) int {
-	total := 0
-	for _, v := range m {
-		total += double(v)
-	}
-	return total
-}
-
-// keys collects and then canonicalizes with a whole-value sort.
-func keys(m map[string]int) []string {
-	var out []string
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// ids collects and canonicalizes with the insertion-sort idiom.
-func ids(m map[int]bool) []int {
-	var out []int
-	for k := range m {
-		out = append(out, k)
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
 }
 
 // ---- locks: one global order, no cycle -----------------------------

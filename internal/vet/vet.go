@@ -22,8 +22,9 @@
 //     (`rand.New(rand.NewSource(seed))`) are deterministic.
 //   - map-order: ranging over a map in simulation packages is flagged —
 //     Go randomizes iteration order, so any map-ordered protocol or
-//     event action varies run to run. Provably order-insensitive
-//     ranges carry a `vet:ignore map-order` comment.
+//     event action varies run to run. No exception is inferred: walk
+//     sim.SortedKeys(m) instead, or annotate the one loop that cannot
+//     (unordered key type) with a reasoned `vet:ignore map-order`.
 //   - chan-send: a bare channel send in simulation packages hands
 //     control to whatever goroutine the Go runtime picks, bypassing
 //     the kernel's deterministic scheduler (and with it the model
@@ -243,9 +244,6 @@ type Stats struct {
 	Suppressed int
 	// Summarized counts function summaries computed (not cache hits).
 	Summarized int
-	// Discharged counts map ranges the order-insensitivity prover
-	// verified — sites that would otherwise need vet:ignore map-order.
-	Discharged int
 	// RuleNanos accumulates per-analysis wall time.
 	RuleNanos map[string]int64
 }
@@ -256,7 +254,6 @@ func (s *Stats) Add(other Stats) {
 	s.Blocks += other.Blocks
 	s.Suppressed += other.Suppressed
 	s.Summarized += other.Summarized
-	s.Discharged += other.Discharged
 	for k, v := range other.RuleNanos {
 		if s.RuleNanos == nil {
 			s.RuleNanos = map[string]int64{}
@@ -293,10 +290,7 @@ func CheckWithTable(pkg *Package, cfg *Config, tbl *SummaryTable) ([]Finding, St
 	timed("summaries", func() {
 		c.stats.Summarized = ComputeSummaries(pkg, cfg, tbl)
 	})
-	c.collectOwnedFuncs()
 	for _, f := range pkg.Files {
-		c.file = f
-		c.parents = nil
 		c.ignores = collectIgnores(pkg.Fset, f)
 		if slices.Contains(cfg.PVPackages, pkg.Path) {
 			timed("lock-pairing", func() { c.checkLockPairing(f) })
@@ -336,51 +330,14 @@ func CheckWithTable(pkg *Package, cfg *Config, tbl *SummaryTable) ([]Finding, St
 }
 
 type checker struct {
-	pkg        *Package
-	cfg        *Config
-	file       *ast.File
-	ignores    map[int][]string
-	findings   []Finding
-	stats      Stats
-	ownedFuncs map[types.Object]bool
+	pkg      *Package
+	cfg      *Config
+	ignores  map[int][]string
+	findings []Finding
+	stats    Stats
 	// summaries is the interprocedural function-summary table (may be
 	// nil in degraded or unit-test contexts; lookups then miss).
 	summaries *SummaryTable
-	// parents lazily maps each node of the current file to its parent,
-	// for analyses that need the enclosing statement context.
-	parents map[ast.Node]ast.Node
-}
-
-// fileParents returns (building on first use) the parent map for the
-// current file.
-func (c *checker) fileParents() map[ast.Node]ast.Node {
-	if c.parents == nil {
-		c.parents = buildParents(c.file)
-	}
-	return c.parents
-}
-
-// collectOwnedFuncs records package functions whose doc comment
-// carries a vet:owned directive: their first result is an owned pooled
-// buffer the caller must release or transfer.
-func (c *checker) collectOwnedFuncs() {
-	c.ownedFuncs = map[types.Object]bool{}
-	for _, f := range c.pkg.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Doc == nil {
-				continue
-			}
-			for _, cm := range fd.Doc.List {
-				if strings.Contains(cm.Text, "vet:owned") {
-					if o := c.pkg.Info.Defs[fd.Name]; o != nil {
-						c.ownedFuncs[o] = true
-					}
-					break
-				}
-			}
-		}
-	}
 }
 
 // collectIgnores maps line numbers to the vet:ignore directives found
@@ -487,12 +444,8 @@ func (c *checker) checkDeterminism(f *ast.File, full bool) {
 				return true
 			}
 			if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
-				if c.orderInsensitive(node) {
-					c.stats.Discharged++
-					return true
-				}
 				c.report(node.Pos(), "map-order",
-					"range over map %s: iteration order is randomized and leaks into simulation behaviour (sort keys, or annotate a provably order-insensitive walk with vet:ignore map-order)",
+					"range over map %s: iteration order is randomized and leaks into simulation behaviour (range over sim.SortedKeys, or annotate a walk that cannot with a reasoned vet:ignore map-order)",
 					types.ExprString(node.X))
 			}
 		case *ast.SendStmt:
