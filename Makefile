@@ -28,8 +28,11 @@ test:
 benchmark-check:
 	cd benchmark && go test ./...
 
+# remoteop and bufpool hold the only state shared across kernels (three
+# sync.Pools, the encode buffers' atomic refcount, the size-classed free
+# list), and every call loop runs through them.
 race:
-	go test -race ./internal/sim/... ./internal/dsm/... ./internal/dsync/... ./internal/threads/...
+	go test -race ./internal/sim/... ./internal/dsm/... ./internal/dsync/... ./internal/threads/... ./internal/remoteop/... ./internal/bufpool/...
 
 # Two runs: the first warms the build cache (and fails fast on
 # findings), the second emits the JSON coverage report CI archives and

@@ -19,8 +19,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/dsm"
@@ -29,36 +31,57 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() int {
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("mermaid-mc", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		list         = flag.Bool("list", false, "list workloads and mutations, then exit")
-		workload     = flag.String("workload", "basic", "workloads to explore: a name, a comma list, or all (see -list)")
-		strategy     = flag.String("strategy", "dfs", "exploration strategy: dfs, random, or delay")
-		mutation     = flag.String("mutation", "none", "protocol mutation to inject (see -list)")
-		maxSchedules = flag.Int("max-schedules", 2000, "schedule budget for dfs/delay strategies")
-		maxSteps     = flag.Int("max-steps", 0, "per-run event budget (0 = default; exceeding it is a livelock)")
-		depth        = flag.Int("depth", 0, "dfs: only branch at the first N choice points (0 = unbounded)")
-		noPrune      = flag.Bool("no-prune", false, "dfs: disable state-fingerprint pruning")
-		runs         = flag.Int("runs", 500, "random: number of walks")
-		seed         = flag.Int64("seed", 1, "random: base seed (walk r uses seed+r)")
-		delays       = flag.Int("delays", 2, "delay: deviation budget (sum of deferred-event indices)")
-		replay       = flag.String("replay", "", "replay a schedule token and print its transcript")
-		kill         = flag.Bool("kill", false, "run the full mutation-kill suite")
-		killBudget   = flag.Int("kill-budget", 200, "kill: schedule budget per mutation")
+		list         = fs.Bool("list", false, "list workloads and mutations, then exit")
+		workload     = fs.String("workload", "basic", "workloads to explore: a name, a comma list, or all (see -list)")
+		strategy     = fs.String("strategy", "dfs", "exploration strategy: dfs, random, or delay")
+		mutation     = fs.String("mutation", "none", "protocol mutation to inject (see -list)")
+		maxSchedules = fs.Int("max-schedules", 2000, "schedule budget for dfs/delay strategies")
+		maxSteps     = fs.Int("max-steps", 0, "per-run event budget (0 = default; exceeding it is a livelock)")
+		depth        = fs.Int("depth", 0, "dfs: only branch at the first N choice points (0 = unbounded)")
+		noPrune      = fs.Bool("no-prune", false, "dfs: disable state-fingerprint pruning")
+		runs         = fs.Int("runs", 500, "random: number of walks")
+		seed         = fs.Int64("seed", 1, "random: base seed (walk r uses seed+r)")
+		delays       = fs.Int("delays", 2, "delay: deviation budget (sum of deferred-event indices)")
+		replay       = fs.String("replay", "", "replay a schedule token and print its transcript")
+		kill         = fs.Bool("kill", false, "run the full mutation-kill suite")
+		killBudget   = fs.Int("kill-budget", 200, "kill: schedule budget per mutation")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 1
+	}
+	// A budget below its minimum would otherwise be replaced by the
+	// default (or explore nothing) and exit green.
+	for _, f := range []struct {
+		name     string
+		val, min int
+	}{
+		{"runs", *runs, 1}, {"max-schedules", *maxSchedules, 1}, {"kill-budget", *killBudget, 1},
+		{"delays", *delays, 0}, {"depth", *depth, 0}, {"max-steps", *maxSteps, 0},
+	} {
+		if f.val < f.min {
+			fmt.Fprintf(stderr, "mermaid-mc: -%s=%d: must be at least %d\n", f.name, f.val, f.min)
+			return 1
+		}
+	}
 
 	if *list {
-		fmt.Println("workloads:")
+		fmt.Fprintln(stdout, "workloads:")
 		for _, w := range mc.All() {
-			fmt.Printf("  %-8s %s\n", w.Name, w.Desc)
+			fmt.Fprintf(stdout, "  %-8s %s\n", w.Name, w.Desc)
 		}
-		fmt.Println("mutations:")
+		fmt.Fprintln(stdout, "mutations:")
 		for _, m := range dsm.Mutations() {
-			fmt.Printf("  %s\n", m)
+			fmt.Fprintf(stdout, "  %s\n", m)
 		}
 		return 0
 	}
@@ -69,17 +92,17 @@ func run() int {
 	if *replay != "" {
 		res, err := mc.Replay(*replay, *maxSteps)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "mermaid-mc:", err)
+			fmt.Fprintln(stderr, "mermaid-mc:", err)
 			return 1
 		}
 		for _, line := range res.Transcript {
-			fmt.Println(line)
+			fmt.Fprintln(stdout, line)
 		}
-		fmt.Printf("outcome: %s", res.Outcome)
+		fmt.Fprintf(stdout, "outcome: %s", res.Outcome)
 		if res.Detail != "" {
-			fmt.Printf(" — %s", res.Detail)
+			fmt.Fprintf(stdout, " — %s", res.Detail)
 		}
-		fmt.Printf(" (%d steps, %d choice points, t=%v)\n", res.Steps, len(res.Choices), res.Now)
+		fmt.Fprintf(stdout, " (%d steps, %d choice points, t=%v)\n", res.Steps, len(res.Choices), res.Now)
 		if res.Outcome != mc.OK {
 			return 2
 		}
@@ -89,10 +112,10 @@ func run() int {
 	if *kill {
 		rs, err := mc.RunKillSuite(mc.KillOpts{MaxSchedules: *killBudget, MaxSteps: *maxSteps})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "mermaid-mc:", err)
+			fmt.Fprintln(stderr, "mermaid-mc:", err)
 			return 1
 		}
-		fmt.Print(mc.FormatKillResults(rs))
+		fmt.Fprint(stdout, mc.FormatKillResults(rs))
 		for _, r := range rs {
 			if !r.Killed {
 				return 2
@@ -103,12 +126,12 @@ func run() int {
 
 	workloads, err := namelist.Resolve(*workload, mc.All(), mc.Lookup)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "mermaid-mc:", err)
+		fmt.Fprintln(stderr, "mermaid-mc:", err)
 		return 1
 	}
 	mut, err := dsm.ParseMutation(*mutation)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "mermaid-mc:", err)
+		fmt.Fprintln(stderr, "mermaid-mc:", err)
 		return 1
 	}
 
@@ -129,23 +152,23 @@ func run() int {
 				MaxDelays: *delays, MaxSchedules: *maxSchedules, MaxSteps: *maxSteps,
 			})
 		default:
-			fmt.Fprintf(os.Stderr, "mermaid-mc: unknown strategy %q (dfs, random, delay)\n", *strategy)
+			fmt.Fprintf(stderr, "mermaid-mc: unknown strategy %q (dfs, random, delay)\n", *strategy)
 			return 1
 		}
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "mermaid-mc:", err)
+			fmt.Fprintln(stderr, "mermaid-mc:", err)
 			return 1
 		}
-		fmt.Println(rep)
+		fmt.Fprintln(stdout, rep)
 
 		// The verdict: a correct protocol must survive every schedule; a
 		// mutated one must not survive the exploration.
 		if mut == dsm.MutNone && rep.Violating != nil {
-			fmt.Fprintf(os.Stderr, "mermaid-mc: %s: violation on the unmutated protocol\n", w.Name)
+			fmt.Fprintf(stderr, "mermaid-mc: %s: violation on the unmutated protocol\n", w.Name)
 			code = 2
 		}
 		if mut != dsm.MutNone && rep.Violating == nil {
-			fmt.Fprintf(os.Stderr, "mermaid-mc: %s: mutation %s not detected within budget\n", w.Name, mut)
+			fmt.Fprintf(stderr, "mermaid-mc: %s: mutation %s not detected within budget\n", w.Name, mut)
 			code = 2
 		}
 	}

@@ -16,9 +16,8 @@
 // cross-package call sites see real effect signatures instead of
 // conservative defaults. Phase C runs the per-package rules in
 // parallel against the shared table (per-package summarization is a
-// cache hit by then) and collects the module-global facts; the
-// kind-dispatch and lock-order analyses join those facts after the
-// fan-in. With -json the findings, coverage statistics, per-analysis
+// cache hit by then) and collects each package's lock facts, which
+// the lock-order analysis joins after the fan-in. With -json the findings, coverage statistics, per-analysis
 // timings, and summary-cache statistics are printed as a single JSON
 // object. See internal/vet for the rules.
 package main
@@ -88,7 +87,6 @@ func main() {
 type pkgResult struct {
 	findings  []vet.Finding
 	stats     vet.Stats
-	facts     *vet.KindFacts
 	lockFacts *vet.LockFacts
 }
 
@@ -184,7 +182,6 @@ func run(args []string) error {
 			results[i] = pkgResult{
 				findings:  findings,
 				stats:     stats,
-				facts:     vet.CollectKindFacts(loaded[i], cfg),
 				lockFacts: vet.CollectLockFacts(loaded[i], cfg),
 			}
 		}
@@ -192,15 +189,12 @@ func run(args []string) error {
 
 	var findings []vet.Finding
 	var stats vet.Stats
-	var allFacts []*vet.KindFacts
 	var allLockFacts []*vet.LockFacts
 	for _, r := range results {
 		findings = append(findings, r.findings...)
 		stats.Add(r.stats)
-		allFacts = append(allFacts, r.facts)
 		allLockFacts = append(allLockFacts, r.lockFacts)
 	}
-	findings = append(findings, vet.CheckKindDispatch(allFacts)...)
 	lockStart := time.Now()
 	lockFindings, lockGraph := vet.CheckLockOrder(allLockFacts)
 	lockMS := float64(time.Since(lockStart).Nanoseconds()) / 1e6

@@ -26,63 +26,34 @@ import (
 	"repro/internal/sim"
 )
 
-// Outcome classifies one chaos run.
-type Outcome int
+// Outcome classifies one chaos run; the harnesses share one judge and
+// one set of outcomes (cluster.Trial.Drive).
+type Outcome = cluster.Outcome
 
+// The outcomes a chaos run can end in. Hung means the workload never
+// finished: either the event queue drained (deadlock) or the step
+// budget ran out with background activity still churning (livelock —
+// with heartbeats running the queue never drains, so a wedged workload
+// surfaces this way).
 const (
-	// OK means every oracle and every workload assertion passed.
-	OK Outcome = iota
-	// InvariantViolation means the MRSW protocol invariant checker
-	// tripped during or after the run.
-	InvariantViolation
-	// SCViolation means the access trace admits no sequentially
-	// consistent witness order.
-	SCViolation
-	// Panic means a simulated process panicked outside the harness's
-	// typed-error paths.
-	Panic
-	// Hung means the workload never finished: either the event queue
-	// drained (deadlock) or the step budget ran out with background
-	// activity still churning (livelock — with heartbeats running the
-	// queue never drains, so a wedged workload surfaces this way).
-	Hung
-	// AppError means the workload's own final assertions failed —
-	// a value no crash-consistent execution can produce.
-	AppError
+	OK                 = cluster.OK
+	InvariantViolation = cluster.InvariantViolation
+	SCViolation        = cluster.SCViolation
+	Panic              = cluster.Panic
+	Hung               = cluster.Hung
+	AppError           = cluster.AppError
 )
-
-// String names the outcome.
-func (o Outcome) String() string {
-	switch o {
-	case OK:
-		return "ok"
-	case InvariantViolation:
-		return "invariant-violation"
-	case SCViolation:
-		return "sc-violation"
-	case Panic:
-		return "panic"
-	case Hung:
-		return "hung"
-	case AppError:
-		return "app-error"
-	default:
-		return fmt.Sprintf("Outcome(%d)", int(o))
-	}
-}
 
 // Result records one executed chaos run.
 type Result struct {
 	// Token replays this run exactly (see Replay).
 	Token string
-	// Outcome classifies the run; Detail explains a non-OK outcome.
-	Outcome Outcome
-	Detail  string
+	// Verdict is the judgment: Outcome, the Detail explaining a non-OK
+	// one, and Steps, the number of kernel events dispatched.
+	cluster.Verdict
 	// Plan lists the injected faults, human-readable.
 	Plan []string
-	// Steps is the number of kernel events dispatched; Elapsed the
-	// virtual time the run took.
-	Steps   int
+	// Elapsed is the virtual time the run took.
 	Elapsed sim.Duration
 	// Fingerprint digests the final cluster state plus fault/protocol
 	// counters; two runs of the same token must produce equal
@@ -141,84 +112,30 @@ func Run(w *Workload, class Class, seed int64, o Opts) (*Result, error) {
 		return nil, fmt.Errorf("chaos: building %s: %w", w.Name, err)
 	}
 	c := inst.C
-	k := c.K
-	if c.Check == nil {
-		return nil, fmt.Errorf("chaos: workload %s built without the invariant checker", w.Name)
-	}
-	var invs []dsm.Violation
-	c.Check.SetFailHandler(func(v dsm.Violation) { invs = append(invs, v) })
+	defer c.Close()
 
 	maxSteps := o.MaxSteps
 	if maxSteps <= 0 {
 		maxSteps = DefaultMaxSteps
 	}
-	done := false
-	var appErr error
-	k.Spawn("chaos-main", func(p *sim.Proc) {
-		appErr = inst.Main(p, c)
-		done = true
-	})
-	steps := 0
-	panicMsg := ""
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				panicMsg = fmt.Sprint(r)
-			}
-		}()
-		for !done && steps < maxSteps && k.Step() {
-			steps++
-		}
-	}()
-	if done && panicMsg == "" {
-		// Final audit of the quiesced cluster (skips crashed hosts and
-		// in-flight transactions).
-		c.Check.CheckAll("chaos-teardown")
+	v := inst.Drive("chaos-main", maxSteps, "chaos-teardown")
+	if v.Outcome == cluster.Deadlock || v.Outcome == cluster.Livelock {
+		v.Outcome = Hung
 	}
 
-	res := &Result{
-		Token:   EncodeToken(w.Name, class, seed),
-		Plan:    renderPlan(plan),
-		Steps:   steps,
-		Elapsed: k.Now().Sub(0),
-	}
 	total := c.TotalDSMStats()
-	res.PagesRecovered = total.PagesRecovered
-	res.PagesLost = total.PagesLost
+	res := &Result{
+		Token:          EncodeToken(w.Name, class, seed),
+		Verdict:        v,
+		Plan:           renderPlan(plan),
+		Elapsed:        c.K.Now().Sub(0),
+		Fingerprint:    fingerprint(c, v.Steps),
+		PagesRecovered: total.PagesRecovered,
+		PagesLost:      total.PagesLost,
+	}
 	if inst.Trace.recovers > 0 && len(plan.Crashes) > 0 {
 		res.RecoveryLatency = inst.Trace.firstRecover.Sub(plan.Crashes[0].At)
 	}
-	res.Fingerprint = fingerprint(c, steps)
-
-	// The trace oracle is the policy's consistency model (SC witness
-	// checker, or the happens-before checker under lazy release).
-	scViols := c.Hosts[0].DSM.TraceCheck(inst.Rec.Ops())
-	switch {
-	case len(invs) > 0:
-		res.Outcome = InvariantViolation
-		res.Detail = invs[0].String()
-		if len(invs) > 1 {
-			res.Detail += fmt.Sprintf(" (+%d more)", len(invs)-1)
-		}
-	case len(scViols) > 0:
-		res.Outcome = SCViolation
-		res.Detail = fmt.Sprint(scViols[0])
-		if len(scViols) > 1 {
-			res.Detail += fmt.Sprintf(" (+%d more)", len(scViols)-1)
-		}
-	case panicMsg != "":
-		res.Outcome = Panic
-		res.Detail = panicMsg
-	case !done:
-		res.Outcome = Hung
-		res.Detail = fmt.Sprintf("not finished after %d steps at t=%v; stalled: %v", steps, k.Now(), k.Stalled())
-	case appErr != nil:
-		res.Outcome = AppError
-		res.Detail = appErr.Error()
-	default:
-		res.Outcome = OK
-	}
-	k.Shutdown()
 	return res, nil
 }
 

@@ -54,17 +54,12 @@ type Workload struct {
 	Build func(seed int64, plan *netsim.FaultPlan, mut dsm.Mutation) (*Instance, error)
 }
 
-// Instance is one freshly built, not-yet-run chaos scenario.
+// Instance is one freshly built, not-yet-run chaos scenario: the trial
+// (Main is the coordinator body, run on host 0) plus the recovery log.
 type Instance struct {
-	// C is the assembled cluster (checker attached, recorder wired).
-	C *cluster.Cluster
-	// Rec records the run's DSM accesses for the offline SC check.
-	Rec *sctrace.Recorder
+	cluster.Trial
 	// Trace accumulates recovery events from the DSM trace stream.
 	Trace *traceLog
-	// Main is the coordinator body, run on host 0. A non-nil error is
-	// an application-level verdict (AppError).
-	Main func(p *sim.Proc, c *cluster.Cluster) error
 }
 
 const (
@@ -99,7 +94,7 @@ func newInstance(seed int64, kinds []arch.Kind, plan *netsim.FaultPlan, mut dsm.
 	for i, k := range kinds {
 		hosts[i] = cluster.HostSpec{Kind: k}
 	}
-	inst := &Instance{Rec: sctrace.NewRecorder(), Trace: &traceLog{}}
+	inst := &Instance{Trial: cluster.Trial{Rec: sctrace.NewRecorder()}, Trace: &traceLog{}}
 	cfg := cluster.Config{
 		Hosts:            hosts,
 		PageSize:         chaosPageSize,
@@ -147,9 +142,6 @@ func register(w *Workload) { workloads.Register(w.Name, w) }
 
 // Lookup resolves a workload by name.
 func Lookup(name string) (*Workload, error) { return workloads.Lookup(name) }
-
-// WorkloadNames lists registered workloads alphabetically.
-func WorkloadNames() []string { return workloads.Names() }
 
 // All returns every registered workload in name order.
 func All() []*Workload { return workloads.All() }

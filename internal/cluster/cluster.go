@@ -139,7 +139,7 @@ type Cluster struct {
 
 // New builds a cluster. Call RegisterFunc (via Funcs) and define
 // synchronization primitives before Run.
-func New(cfg Config) (*Cluster, error) {
+func New(cfg Config) (c *Cluster, err error) {
 	if len(cfg.Hosts) == 0 {
 		return nil, fmt.Errorf("cluster: no hosts")
 	}
@@ -161,6 +161,13 @@ func New(cfg Config) (*Cluster, error) {
 	}
 
 	k := sim.NewKernel(cfg.Seed)
+	// Each host's server loop and detector start as the host is built, so
+	// a config rejected at a later host must unwind the earlier ones'.
+	defer func() {
+		if err != nil {
+			k.Shutdown()
+		}
+	}()
 	net := netsim.NewWithTopology(k, &params, cfg.Topology)
 	net.DropRate = cfg.DropRate
 	if !cfg.FaultPlan.Empty() {
@@ -178,7 +185,6 @@ func New(cfg Config) (*Cluster, error) {
 		Directory:            cfg.Directory,
 		Policy:               cfg.Policy,
 		UnicastInvalidate:    cfg.UnicastInvalidate,
-		Bases:                dsm.DefaultBases(),
 		Trace:                cfg.Trace,
 		SCRecorder:           cfg.SCTrace,
 		Mutation:             cfg.Mutation,
@@ -193,7 +199,7 @@ func New(cfg Config) (*Cluster, error) {
 		archs[i] = a
 	}
 
-	c := &Cluster{K: k, Net: net, Funcs: funcs, Params: &params, Registry: registry}
+	c = &Cluster{K: k, Net: net, Funcs: funcs, Params: &params, Registry: registry}
 	for i, spec := range cfg.Hosts {
 		ifc, err := net.Attach(netsim.HostID(i))
 		if err != nil {

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -190,4 +191,19 @@ func TestRunPanicsOnDeadlock(t *testing.T) {
 	c.Run(0, func(p *sim.Proc, h *Host) {
 		h.Sync.P(p, 9) // never granted; queue drains; Run must panic
 	})
+}
+
+// A config rejected at its last host must not leave the earlier hosts'
+// server loops parked on the abandoned kernel.
+func TestNewShutsKernelDownOnLateError(t *testing.T) {
+	cfg := Config{Hosts: []HostSpec{{Kind: arch.Sun}, {Kind: arch.Firefly}, {Kind: arch.Sun, CPUs: 4}}, Seed: 1}
+	before := runtime.NumGoroutine()
+	for i := 0; i < 50; i++ {
+		if _, err := New(cfg); err == nil {
+			t.Fatal("a 4-CPU Sun was accepted")
+		}
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("50 rejected builds grew the goroutine count from %d to %d", before, after)
+	}
 }

@@ -164,10 +164,6 @@ type Config struct {
 	// instead of one physical broadcast frame — an ablation of the
 	// paper's multicast invalidation (§2.2).
 	UnicastInvalidate bool
-	// Bases maps each machine kind to the virtual address at which the
-	// DSM region starts on hosts of that kind. Different bases exercise
-	// pointer rebasing; the paper's implementation used equal bases.
-	Bases map[arch.Kind]uint32
 	// Trace, when set, receives one event per notable DSM action
 	// (faults, fetches, serves, invalidations, upgrades) for offline
 	// analysis. It must not block.
@@ -197,12 +193,12 @@ type TraceEvent struct {
 	Page PageNo
 }
 
-// DefaultBases returns distinct per-kind DSM base addresses.
-func DefaultBases() map[arch.Kind]uint32 {
-	return map[arch.Kind]uint32{
-		arch.Sun:     0x1000_0000,
-		arch.Firefly: 0x2000_0000,
-	}
+// bases maps each machine kind to the virtual address at which the DSM
+// region starts on hosts of that kind. Distinct bases exercise pointer
+// rebasing; the paper's implementation used equal bases.
+var bases = map[arch.Kind]uint32{
+	arch.Sun:     0x1000_0000,
+	arch.Firefly: 0x2000_0000,
 }
 
 // Validate checks structural requirements.
@@ -537,12 +533,7 @@ func (m *Module) manager(page PageNo) HostID {
 }
 
 // base returns the DSM virtual base address for a machine kind.
-func (m *Module) base(k arch.Kind) uint32 {
-	if m.cfg.Bases == nil {
-		return 0
-	}
-	return m.cfg.Bases[k]
-}
+func (m *Module) base(k arch.Kind) uint32 { return bases[k] }
 
 // Base returns this host's DSM virtual base address; typed pointer
 // accessors add it to Addr offsets when storing pointers.

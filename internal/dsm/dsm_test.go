@@ -41,7 +41,6 @@ func newRig(t *testing.T, kinds []arch.Kind, opts ...rigOpt) *rig {
 		Registry:          conv.NewRegistry(),
 		Params:            &params,
 		ConversionEnabled: true,
-		Bases:             DefaultBases(),
 	}
 	for _, o := range opts {
 		o(cfg)

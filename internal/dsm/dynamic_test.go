@@ -28,7 +28,6 @@ func TestDynamicDirectoryValidate(t *testing.T) {
 		SpaceSize: 1 << 20,
 		Registry:  conv.NewRegistry(),
 		Params:    &params,
-		Bases:     DefaultBases(),
 	}
 	bad := base
 	bad.Directory = DirDynamic

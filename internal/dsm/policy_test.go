@@ -19,8 +19,20 @@ func withPolicy(pol Policy) rigOpt {
 	return func(c *Config) { c.Policy = pol }
 }
 
+// unhandled sums the requests the rig's endpoints dropped on arrival
+// because no engine, directory or module of this configuration
+// registered a handler for their kind.
+func (r *rig) unhandled() int {
+	n := 0
+	for _, m := range r.mods {
+		n += m.ep.Stats().Unhandled
+	}
+	return n
+}
+
 // policyRoundTrip checks basic cross-architecture correctness under a
-// given coherence policy and directory scheme. Writers and readers are
+// given coherence policy and directory scheme — including that every
+// kind the configuration sent was served in it. Writers and readers are
 // bracketed with the engine's release/acquire hooks where it declares
 // any (lazy release); every other engine propagates at access time and
 // the brackets are no-ops.
@@ -91,6 +103,9 @@ func policyRoundTrip(t *testing.T, pol Policy, dir Directory) {
 			t.Fatalf("%v/%v: update not visible: %d", pol, dir, v[0])
 		}
 	})
+	if n := r.unhandled(); n != 0 {
+		t.Errorf("%v/%v: %d request(s) dropped for want of a handler", pol, dir, n)
+	}
 }
 
 // TestPolicyDirectoryMatrix walks every engine × directory cell: a cell
@@ -119,7 +134,8 @@ func TestPolicyDirectoryMatrix(t *testing.T) {
 // TestUnservedKindIsDropped pins what engine-owned handler registration
 // provides: a request of a kind no engine of this cluster serves
 // vanishes at the receiver — no handler runs, its state does not move,
-// nothing panics — and the caller gets its timeout.
+// nothing panics — and the caller gets its timeout. The drop is counted
+// once: the retransmissions are absorbed as duplicates.
 func TestUnservedKindIsDropped(t *testing.T) {
 	cases := []struct {
 		pol  Policy
@@ -156,6 +172,9 @@ func TestUnservedKindIsDropped(t *testing.T) {
 					t.Error("receiver's state moved on a request it does not serve")
 				}
 			})
+			if n := r.unhandled(); n != 1 {
+				t.Errorf("Unhandled = %d across the cluster, want exactly the one dropped request", n)
+			}
 		})
 	}
 }

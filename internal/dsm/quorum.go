@@ -331,7 +331,10 @@ func (m *quorumEngine) quorumFanout(p *sim.Proc, page PageNo, need int, mk func(
 	peers := m.quorumPeers()
 	backoff := sim.Duration(m.cfg.Params.RequestTimeout)
 	for {
-		replies, err := m.ep.CallQuorum(p, peers, need, mk) // vet:ignore lock-remote — quorum round: replicas answer without taking any lock, so the cross-host wait cannot cycle
+		// The caller holds the page's fault lock across the round; the
+		// replicas answer without taking any lock, so the cross-host wait
+		// cannot cycle.
+		replies, err := m.ep.CallQuorum(p, peers, need, mk)
 		if err == nil {
 			return replies, nil
 		}

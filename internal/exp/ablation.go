@@ -42,10 +42,7 @@ func runSyncStyle(rounds int, spinlock bool) (float64, int) {
 		{Kind: arch.Firefly, CPUs: 2},
 		{Kind: arch.Sun},
 	}
-	c, err := cluster.New(cluster.Config{Hosts: hosts, Seed: 1})
-	if err != nil {
-		panic(err)
-	}
+	c := newCluster(cluster.Config{Hosts: hosts, Seed: 1})
 	defer c.Close()
 	const (
 		semDone  = 1
@@ -139,20 +136,13 @@ func ManagerPlacement() ManagerPlacementResult {
 			nf       = 6
 			pagesPer = 60
 		)
-		hosts := []cluster.HostSpec{{Kind: arch.Sun}}
-		for i := 0; i < nf; i++ {
-			hosts = append(hosts, cluster.HostSpec{Kind: arch.Firefly, CPUs: 2})
-		}
 		// 1 KB pages keep the shared wire unsaturated so manager
 		// processing — the resource under study — dominates, and
 		// per-request jitter breaks the deterministic lockstep that
 		// would otherwise let one manager pipeline the request waves.
 		pv := model.Default()
 		pv.ProcessJitterPct = 0.25
-		c, err := cluster.New(cluster.Config{Hosts: hosts, Seed: 1, Directory: dir, PageSize: 1024, Params: &pv})
-		if err != nil {
-			panic(err)
-		}
+		c := newCluster(cluster.Config{Hosts: sunAndFireflies(nf, 2), Seed: 1, Directory: dir, PageSize: 1024, Params: &pv})
 		defer c.Close()
 		var storm sim.Duration
 		c.Run(0, func(p *sim.Proc, h0 *cluster.Host) {
@@ -225,10 +215,7 @@ func InvalidationScaling(sizes []int) []InvalidationRow {
 		for i := range hosts {
 			hosts[i] = cluster.HostSpec{Kind: arch.Sun}
 		}
-		c, err := cluster.New(cluster.Config{Hosts: hosts, Seed: 1, UnicastInvalidate: unicast})
-		if err != nil {
-			panic(err)
-		}
+		c := newCluster(cluster.Config{Hosts: hosts, Seed: 1, UnicastInvalidate: unicast})
 		defer c.Close()
 		var ms float64
 		var frames int

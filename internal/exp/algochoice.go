@@ -47,7 +47,7 @@ func AlgorithmChoice() []AlgorithmChoiceRow {
 	for _, w := range workloads {
 		row := AlgorithmChoiceRow{Workload: w.name}
 		for _, pol := range []dsm.Policy{dsm.PolicyMRSW, dsm.PolicyMigration, dsm.PolicyCentral, dsm.PolicyUpdate} {
-			c, err := cluster.New(cluster.Config{
+			c := newCluster(cluster.Config{
 				Hosts: []cluster.HostSpec{
 					{Kind: arch.Sun},
 					{Kind: arch.Firefly, CPUs: 2},
@@ -57,9 +57,6 @@ func AlgorithmChoice() []AlgorithmChoiceRow {
 				Seed:   1,
 				Policy: pol,
 			})
-			if err != nil {
-				panic(err)
-			}
 			start := c.K.Now()
 			w.run(c)
 			secs := c.K.Now().Sub(start).Seconds()

@@ -12,11 +12,9 @@ package exp
 import (
 	"fmt"
 
-	"repro/internal/arch"
 	"repro/internal/cluster"
 	"repro/internal/conv"
 	"repro/internal/dsm"
-	"repro/internal/model"
 	"repro/internal/proto"
 	"repro/internal/sim"
 )
@@ -84,21 +82,7 @@ func runDirectoryScheme(name string, dir dsm.Directory) DirectorySchemeRow {
 		per    = 256
 		rounds = 3
 	)
-	pv := model.Default()
-	hosts := []cluster.HostSpec{{Kind: arch.Sun}}
-	for i := 0; i < nf; i++ {
-		hosts = append(hosts, cluster.HostSpec{Kind: arch.Firefly})
-	}
-	c, err := cluster.New(cluster.Config{
-		Hosts:     hosts,
-		Seed:      1,
-		PageSize:  1024,
-		Params:    &pv,
-		Directory: dir,
-	})
-	if err != nil {
-		panic(err)
-	}
+	c := newCluster(cluster.Config{Hosts: sunAndFireflies(nf, 0), Seed: 1, PageSize: 1024, Directory: dir})
 	defer c.Close()
 	var elapsed sim.Duration
 	c.Run(0, func(p *sim.Proc, h0 *cluster.Host) {

@@ -70,15 +70,26 @@ func kindName(k arch.Kind) string {
 	return "Ffly"
 }
 
-// sunMasterCluster builds the paper's representative heterogeneous
-// configuration: a Sun workstation master (host 0) plus nf Fireflies
-// with cpus processors each.
-func sunMasterCluster(nf, cpus, pageSize int, seed int64) (*cluster.Cluster, error) {
+// newCluster builds the cluster an experiment runs on. Every
+// configuration in this package is its own literal, so a rejected one
+// is a bug in the experiment, not an input error: panic.
+func newCluster(cfg cluster.Config) *cluster.Cluster {
+	c, err := cluster.New(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return c
+}
+
+// sunAndFireflies is the paper's representative heterogeneous host
+// list: a Sun workstation (host 0, the master) plus nf Fireflies with
+// cpus processors each.
+func sunAndFireflies(nf, cpus int) []cluster.HostSpec {
 	hosts := []cluster.HostSpec{{Kind: arch.Sun}}
 	for i := 0; i < nf; i++ {
 		hosts = append(hosts, cluster.HostSpec{Kind: arch.Firefly, CPUs: cpus})
 	}
-	return cluster.New(cluster.Config{Hosts: hosts, PageSize: pageSize, Seed: seed})
+	return hosts
 }
 
 // placeThreads spreads t threads over fireflies 1..nf round-robin,

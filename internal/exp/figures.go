@@ -35,40 +35,75 @@ type FigPoint struct {
 	Transfers int
 }
 
-// runMM executes one matrix multiplication on a fresh cluster.
-func runMM(hosts []cluster.HostSpec, master cluster.HostID, slaves []cluster.HostID,
-	assign matmul.Assignment, pageSize int, seed int64, jitter float64) FigPoint {
-	return runMMChunked(hosts, master, slaves, assign, pageSize, seed, jitter, 0)
+// mmRun is one matrix multiplication on a fresh cluster with the
+// master on host 0: the decision points of every MM measurement, stated
+// once. Zero fields are the defaults (MM1, 8 KB pages, no jitter,
+// whole-row stores, write-invalidate MRSW, no source preference).
+type mmRun struct {
+	hosts    []cluster.HostSpec
+	slaves   []cluster.HostID
+	assign   matmul.Assignment
+	pageSize int
+	seed     int64
+	// jitter perturbs compute times and, to match, per-request
+	// processing.
+	jitter float64
+	// chunk is the result-store granularity in elements (0 = whole rows).
+	chunk int
+	// policy selects the replication engine; the acquire/release
+	// brackets are on for the one non-SC policy.
+	policy dsm.Policy
+	// sameKind turns on the §2.3 same-kind read-source preference.
+	sameKind bool
 }
 
-// runMMChunked additionally controls the result-store granularity and
-// applies per-request processing jitter matching the compute jitter.
-func runMMChunked(hosts []cluster.HostSpec, master cluster.HostID, slaves []cluster.HostID,
-	assign matmul.Assignment, pageSize int, seed int64, jitter float64, chunk int) FigPoint {
+// run executes the measurement and returns the figure point alongside
+// the full DSM counters.
+func (r mmRun) run() (FigPoint, dsm.Stats) {
 	var params *model.Params
-	if jitter > 0 {
+	if r.jitter > 0 {
 		pv := model.Default()
-		pv.ProcessJitterPct = jitter
+		pv.ProcessJitterPct = r.jitter
 		params = &pv
 	}
-	c, err := cluster.New(cluster.Config{Hosts: hosts, PageSize: pageSize, Seed: seed, Params: params})
-	if err != nil {
-		panic(err)
-	}
+	c := newCluster(cluster.Config{
+		Hosts: r.hosts, PageSize: r.pageSize, Seed: r.seed, Params: params,
+		Policy: r.policy, PreferSameKindSource: r.sameKind,
+	})
 	defer c.Close()
-	r := matmul.Register(c)
-	res, err := r.Run(matmul.Config{
-		N: MMSize, Master: master, Slaves: slaves,
-		Assignment: assign, JitterPct: jitter, WriteChunk: chunk,
+	res, err := matmul.Register(c).Run(matmul.Config{
+		N: MMSize, Master: 0, Slaves: r.slaves,
+		Assignment: r.assign, JitterPct: r.jitter, WriteChunk: r.chunk,
+		AcquireRelease: r.policy == dsm.PolicyRC,
 	})
 	if err != nil {
 		panic(err)
 	}
 	return FigPoint{
-		Threads:   len(slaves),
+		Threads:   len(r.slaves),
 		Seconds:   res.Elapsed.Seconds(),
 		Transfers: res.Stats.PagesFetched,
+	}, res.Stats
+}
+
+// point is run for the callers that plot only the figure point.
+func (r mmRun) point() FigPoint {
+	pt, _ := r.run()
+	return pt
+}
+
+// twoSeriesTable formats two response-time series measured at the same
+// thread counts side by side.
+func twoSeriesTable(title, nameA, nameB string, a, b []FigPoint) *Table {
+	t := &Table{Title: title, Header: []string{"threads", nameA, nameB}}
+	for i := range a {
+		t.Rows = append(t.Rows, []string{
+			fmt.Sprintf("%d", a[i].Threads),
+			fmt.Sprintf("%.1f", a[i].Seconds),
+			fmt.Sprintf("%.1f", b[i].Seconds),
+		})
 	}
+	return t
 }
 
 // Figure3Result holds the two series of Figure 3.
@@ -88,42 +123,31 @@ func Figure3(maxThreads int) Figure3Result {
 	var out Figure3Result
 	for t := 1; t <= maxThreads; t++ {
 		// Physical: host 0 master Firefly, host 1 the compute Firefly.
-		hosts := []cluster.HostSpec{
-			{Kind: arch.Firefly, CPUs: 1},
-			{Kind: arch.Firefly, CPUs: fireflyCPUs},
+		mm := mmRun{
+			hosts:  []cluster.HostSpec{{Kind: arch.Firefly, CPUs: 1}, {Kind: arch.Firefly, CPUs: fireflyCPUs}},
+			slaves: make([]cluster.HostID, t),
+			seed:   1,
 		}
-		slaves := make([]cluster.HostID, t)
-		for i := range slaves {
-			slaves[i] = 1
+		for i := range mm.slaves {
+			mm.slaves[i] = 1
 		}
-		out.Physical = append(out.Physical, runMM(hosts, 0, slaves, matmul.MM1, 8192, 1, 0))
+		out.Physical = append(out.Physical, mm.point())
 
 		// Distributed: master on host 0, one thread on each of t Fireflies.
-		hosts = []cluster.HostSpec{{Kind: arch.Firefly, CPUs: 1}}
-		slaves = slaves[:0]
-		for i := 1; i <= t; i++ {
-			hosts = append(hosts, cluster.HostSpec{Kind: arch.Firefly, CPUs: 1})
-			slaves = append(slaves, cluster.HostID(i))
+		mm.hosts = []cluster.HostSpec{{Kind: arch.Firefly, CPUs: 1}}
+		for i := range mm.slaves {
+			mm.hosts = append(mm.hosts, cluster.HostSpec{Kind: arch.Firefly, CPUs: 1})
+			mm.slaves[i] = cluster.HostID(i + 1)
 		}
-		out.Distributed = append(out.Distributed, runMM(hosts, 0, slaves, matmul.MM1, 8192, 1, 0))
+		out.Distributed = append(out.Distributed, mm.point())
 	}
 	return out
 }
 
 // Figure3Table formats Figure 3.
 func Figure3Table(res Figure3Result) *Table {
-	t := &Table{
-		Title:  "Figure 3: MM response time, physical vs distributed shared memory (s)",
-		Header: []string{"threads", "one Firefly (physical)", "multiple Fireflies (DSM)"},
-	}
-	for i := range res.Physical {
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%d", res.Physical[i].Threads),
-			fmt.Sprintf("%.1f", res.Physical[i].Seconds),
-			fmt.Sprintf("%.1f", res.Distributed[i].Seconds),
-		})
-	}
-	return t
+	return twoSeriesTable("Figure 3: MM response time, physical vs distributed shared memory (s)",
+		"one Firefly (physical)", "multiple Fireflies (DSM)", res.Physical, res.Distributed)
 }
 
 // Figure4 measures MM with the master on a Sun and slaves balanced over
@@ -133,11 +157,7 @@ func Figure4(maxThreads int) []FigPoint {
 	var out []FigPoint
 	for t := 1; t <= maxThreads; t++ {
 		nf := firefliesFor(t)
-		hosts := []cluster.HostSpec{{Kind: arch.Sun}}
-		for i := 0; i < nf; i++ {
-			hosts = append(hosts, cluster.HostSpec{Kind: arch.Firefly, CPUs: fireflyCPUs})
-		}
-		out = append(out, runMM(hosts, 0, placeThreads(t, nf), matmul.MM1, 8192, 1, 0))
+		out = append(out, mmRun{hosts: sunAndFireflies(nf, fireflyCPUs), slaves: placeThreads(t, nf), seed: 1}.point())
 	}
 	return out
 }
@@ -169,10 +189,7 @@ func Figure5(maxThreads int) []Figure5Point {
 	var seqSeconds float64
 	for t := 1; t <= maxThreads; t++ {
 		nf := firefliesFor(t)
-		c, err := sunMasterCluster(nf, fireflyCPUs, 8192, 1)
-		if err != nil {
-			panic(err)
-		}
+		c := newCluster(cluster.Config{Hosts: sunAndFireflies(nf, fireflyCPUs), Seed: 1})
 		r := pcb.Register(c)
 		if seqSeconds == 0 {
 			seqSeconds = r.Sequential(arch.Sun, PCBWidth, PCBHeight, 5).Seconds()
@@ -225,31 +242,18 @@ func Figure6(maxThreads int) Figure6Result {
 	var out Figure6Result
 	for t := 1; t <= maxThreads; t++ {
 		nf := firefliesFor(t)
-		hosts := []cluster.HostSpec{{Kind: arch.Sun}}
-		for i := 0; i < nf; i++ {
-			hosts = append(hosts, cluster.HostSpec{Kind: arch.Firefly, CPUs: fireflyCPUs})
-		}
-		slaves := placeThreads(t, nf)
-		out.Large = append(out.Large, runMM(hosts, 0, slaves, matmul.MM1, 8192, 1, 0))
-		out.Small = append(out.Small, runMM(hosts, 0, slaves, matmul.MM1, 1024, 1, 0))
+		mm := mmRun{hosts: sunAndFireflies(nf, fireflyCPUs), slaves: placeThreads(t, nf), seed: 1}
+		out.Large = append(out.Large, mm.point())
+		mm.pageSize = 1024
+		out.Small = append(out.Small, mm.point())
 	}
 	return out
 }
 
 // Figure6Table formats Figure 6.
 func Figure6Table(res Figure6Result) *Table {
-	t := &Table{
-		Title:  "Figure 6: MM1 with the large vs small page size algorithm (s)",
-		Header: []string{"threads", "8KB pages", "1KB pages"},
-	}
-	for i := range res.Large {
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%d", res.Large[i].Threads),
-			fmt.Sprintf("%.1f", res.Large[i].Seconds),
-			fmt.Sprintf("%.1f", res.Small[i].Seconds),
-		})
-	}
-	return t
+	return twoSeriesTable("Figure 6: MM1 with the large vs small page size algorithm (s)",
+		"8KB pages", "1KB pages", res.Large, res.Small)
 }
 
 // Figure7Result holds the two series of Figure 7.
@@ -265,31 +269,18 @@ func Figure7(maxThreads int) Figure7Result {
 	var out Figure7Result
 	for t := 1; t <= maxThreads; t++ {
 		nf := firefliesFor(t)
-		hosts := []cluster.HostSpec{{Kind: arch.Sun}}
-		for i := 0; i < nf; i++ {
-			hosts = append(hosts, cluster.HostSpec{Kind: arch.Firefly, CPUs: fireflyCPUs})
-		}
-		slaves := placeThreads(t, nf)
-		out.MM1 = append(out.MM1, runMM(hosts, 0, slaves, matmul.MM1, 1024, 1, 0))
-		out.MM2 = append(out.MM2, runMM(hosts, 0, slaves, matmul.MM2, 1024, 1, 0))
+		mm := mmRun{hosts: sunAndFireflies(nf, fireflyCPUs), slaves: placeThreads(t, nf), pageSize: 1024, seed: 1}
+		out.MM1 = append(out.MM1, mm.point())
+		mm.assign = matmul.MM2
+		out.MM2 = append(out.MM2, mm.point())
 	}
 	return out
 }
 
 // Figure7Table formats Figure 7.
 func Figure7Table(res Figure7Result) *Table {
-	t := &Table{
-		Title:  "Figure 7: MM1 vs MM2 with the small page size algorithm (s)",
-		Header: []string{"threads", "MM1", "MM2"},
-	}
-	for i := range res.MM1 {
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%d", res.MM1[i].Threads),
-			fmt.Sprintf("%.1f", res.MM1[i].Seconds),
-			fmt.Sprintf("%.1f", res.MM2[i].Seconds),
-		})
-	}
-	return t
+	return twoSeriesTable("Figure 7: MM1 vs MM2 with the small page size algorithm (s)",
+		"MM1", "MM2", res.MM1, res.MM2)
 }
 
 // ThrashingResult summarizes the §3.3 thrashing experiment.
@@ -314,21 +305,11 @@ type ThrashingResult struct {
 func Thrashing(threadCounts []int, seeds []int64) []ThrashingResult {
 	var out []ThrashingResult
 	for _, t := range threadCounts {
-		// The paper ran MM2 on two or three Fireflies; three maximizes
-		// the page ping-pong parties.
-		const nf = 3
-		hosts := []cluster.HostSpec{{Kind: arch.Sun}}
-		for i := 0; i < nf; i++ {
-			hosts = append(hosts, cluster.HostSpec{Kind: arch.Firefly, CPUs: fireflyCPUs})
-		}
-		slaves := placeThreads(t, nf)
+		mm := thrashingRun(t)
 		res := ThrashingResult{Threads: t, MinS: 1e18}
-		// Element-burst stores (the original system stored each result
-		// element as computed) let contended pages be stolen mid-row:
-		// the ingredient of full-severity thrashing.
-		const chunk = 4
 		for _, seed := range seeds {
-			pt := runMMChunked(hosts, 0, slaves, matmul.MM2, 8192, seed, 0.03, chunk)
+			mm.seed = seed
+			pt := mm.point()
 			res.MeanS += pt.Seconds
 			res.MeanTransfers += float64(pt.Transfers)
 			res.MinS = min(res.MinS, pt.Seconds)
@@ -336,18 +317,30 @@ func Thrashing(threadCounts []int, seeds []int64) []ThrashingResult {
 		}
 		res.MeanS /= float64(len(seeds))
 		res.MeanTransfers /= float64(len(seeds))
-		mm1 := runMM(hosts, 0, slaves, matmul.MM1, 8192, seeds[0], 0.03)
-		res.MM1Transfers = mm1.Transfers
+		// MM1 for contrast, with its whole-row stores.
+		mm.assign, mm.seed, mm.chunk = matmul.MM1, seeds[0], 0
+		res.MM1Transfers = mm.point().Transfers
 		// One-thread sequential-equivalent baseline on a Firefly.
-		c, err := cluster.New(cluster.Config{Hosts: hosts, Seed: 1})
-		if err != nil {
-			panic(err)
-		}
+		c := newCluster(cluster.Config{Hosts: mm.hosts, Seed: 1})
 		res.SequentialS = matmul.Register(c).Sequential(arch.Firefly, MMSize).Seconds()
 		c.Close()
 		out = append(out, res)
 	}
 	return out
+}
+
+// thrashingRun is §3.3's worst case at t threads: MM2 under the largest
+// page size algorithm with 3 % jitter. The paper ran MM2 on two or
+// three Fireflies; three maximizes the page ping-pong parties.
+// Element-burst stores (the original system stored each result element
+// as computed) let contended pages be stolen mid-row: the ingredient of
+// full-severity thrashing. The caller sets the seed.
+func thrashingRun(t int) mmRun {
+	const nf = 3
+	return mmRun{
+		hosts: sunAndFireflies(nf, fireflyCPUs), slaves: placeThreads(t, nf),
+		assign: matmul.MM2, pageSize: 8192, jitter: 0.03, chunk: 4,
+	}
 }
 
 // ThrashingRCPoint contrasts §3.3's worst case — MM2 under the largest
@@ -370,39 +363,6 @@ type ThrashingRCPoint struct {
 	RCDiffBytes int
 }
 
-// runMMPolicy is runMMChunked under an explicit replication policy,
-// with the acquire/release brackets on for the non-SC policy, and
-// returns the full DSM counters alongside the figure point.
-func runMMPolicy(hosts []cluster.HostSpec, master cluster.HostID, slaves []cluster.HostID,
-	assign matmul.Assignment, pageSize int, seed int64, jitter float64, chunk int,
-	policy dsm.Policy) (FigPoint, dsm.Stats) {
-	var params *model.Params
-	if jitter > 0 {
-		pv := model.Default()
-		pv.ProcessJitterPct = jitter
-		params = &pv
-	}
-	c, err := cluster.New(cluster.Config{Hosts: hosts, PageSize: pageSize, Seed: seed, Params: params, Policy: policy})
-	if err != nil {
-		panic(err)
-	}
-	defer c.Close()
-	r := matmul.Register(c)
-	res, err := r.Run(matmul.Config{
-		N: MMSize, Master: master, Slaves: slaves,
-		Assignment: assign, JitterPct: jitter, WriteChunk: chunk,
-		AcquireRelease: policy == dsm.PolicyRC,
-	})
-	if err != nil {
-		panic(err)
-	}
-	return FigPoint{
-		Threads:   len(slaves),
-		Seconds:   res.Elapsed.Seconds(),
-		Transfers: res.Stats.PagesFetched,
-	}, res.Stats
-}
-
 // ThrashingRC reruns the thrashing configuration under lazy release
 // consistency: the same MM2 round-robin assignment, 8 KB pages and
 // element-burst stores that make the write-invalidate engine ping-pong
@@ -413,15 +373,11 @@ func runMMPolicy(hosts []cluster.HostSpec, master cluster.HostID, slaves []clust
 func ThrashingRC(threadCounts []int, seed int64) []ThrashingRCPoint {
 	var out []ThrashingRCPoint
 	for _, t := range threadCounts {
-		const nf = 3
-		hosts := []cluster.HostSpec{{Kind: arch.Sun}}
-		for i := 0; i < nf; i++ {
-			hosts = append(hosts, cluster.HostSpec{Kind: arch.Firefly, CPUs: fireflyCPUs})
-		}
-		slaves := placeThreads(t, nf)
-		const chunk = 4
-		inv, invStats := runMMPolicy(hosts, 0, slaves, matmul.MM2, 8192, seed, 0.03, chunk, dsm.PolicyMRSW)
-		rc, rcStats := runMMPolicy(hosts, 0, slaves, matmul.MM2, 8192, seed, 0.03, chunk, dsm.PolicyRC)
+		mm := thrashingRun(t)
+		mm.seed = seed
+		inv, invStats := mm.run()
+		mm.policy = dsm.PolicyRC
+		rc, rcStats := mm.run()
 		out = append(out, ThrashingRCPoint{
 			Threads:      t,
 			InvS:         inv.Seconds,
@@ -497,11 +453,7 @@ func SingleThreadOverhead() []OverheadResult {
 	var out []OverheadResult
 
 	// MM on one Firefly.
-	hosts := []cluster.HostSpec{{Kind: arch.Firefly, CPUs: 2}}
-	c, err := cluster.New(cluster.Config{Hosts: hosts, Seed: 1})
-	if err != nil {
-		panic(err)
-	}
+	c := newCluster(cluster.Config{Hosts: []cluster.HostSpec{{Kind: arch.Firefly, CPUs: 2}}, Seed: 1})
 	defer c.Close()
 	mr := matmul.Register(c)
 	seq := mr.Sequential(arch.Firefly, MMSize).Seconds()
@@ -515,11 +467,7 @@ func SingleThreadOverhead() []OverheadResult {
 	})
 
 	// PCB on one Sun.
-	hosts = []cluster.HostSpec{{Kind: arch.Sun}}
-	c2, err := cluster.New(cluster.Config{Hosts: hosts, Seed: 1})
-	if err != nil {
-		panic(err)
-	}
+	c2 := newCluster(cluster.Config{Hosts: []cluster.HostSpec{{Kind: arch.Sun}}, Seed: 1})
 	defer c2.Close()
 	pr := pcb.Register(c2)
 	seqP := pr.Sequential(arch.Sun, PCBWidth, PCBHeight, 5).Seconds()
@@ -562,32 +510,14 @@ type AblationResult struct {
 // faults from a same-type holder: Firefly readers of Sun-written data
 // should convert once, not once per reader.
 func AblationSameKindSource() AblationResult {
-	run := func(prefer bool) (float64, int) {
-		hosts := []cluster.HostSpec{{Kind: arch.Sun}}
-		for i := 0; i < 4; i++ {
-			hosts = append(hosts, cluster.HostSpec{Kind: arch.Firefly, CPUs: fireflyCPUs})
-		}
-		c, err := cluster.New(cluster.Config{Hosts: hosts, Seed: 1, PreferSameKindSource: prefer})
-		if err != nil {
-			panic(err)
-		}
-		defer c.Close()
-		r := matmul.Register(c)
-		res, err := r.Run(matmul.Config{
-			N: MMSize, Master: 0,
-			Slaves: placeThreads(8, 4),
-		})
-		if err != nil {
-			panic(err)
-		}
-		return res.Elapsed.Seconds(), res.Stats.Conversions
-	}
-	base, baseConv := run(false)
-	tuned, tunedConv := run(true)
+	mm := mmRun{hosts: sunAndFireflies(4, fireflyCPUs), slaves: placeThreads(8, 4), seed: 1}
+	base, baseStats := mm.run()
+	mm.sameKind = true
+	tuned, tunedStats := mm.run()
 	return AblationResult{
 		Name:      "prefer same-kind read source",
-		BaselineS: base, TunedS: tuned,
-		BaselineConv: baseConv, TunedConv: tunedConv,
+		BaselineS: base.Seconds, TunedS: tuned.Seconds,
+		BaselineConv: baseStats.Conversions, TunedConv: tunedStats.Conversions,
 	}
 }
 
@@ -605,16 +535,15 @@ type PageSizePoint struct {
 // the well-behaved MM1 (fewer faults) and hurt the false-sharing MM2.
 func PageSizeSweep(threads int) []PageSizePoint {
 	nf := firefliesFor(threads)
-	hosts := []cluster.HostSpec{{Kind: arch.Sun}}
-	for i := 0; i < nf; i++ {
-		hosts = append(hosts, cluster.HostSpec{Kind: arch.Firefly, CPUs: fireflyCPUs})
-	}
-	slaves := placeThreads(threads, nf)
+	mm := mmRun{hosts: sunAndFireflies(nf, fireflyCPUs), slaves: placeThreads(threads, nf), seed: 1, jitter: 0.03, chunk: 4}
 	var out []PageSizePoint
 	for _, ps := range []int{1024, 2048, 4096, 8192} {
 		p := PageSizePoint{PageSize: ps}
-		p.MM1S = runMMChunked(hosts, 0, slaves, matmul.MM1, ps, 1, 0.03, 4).Seconds
-		p.MM2S = runMMChunked(hosts, 0, slaves, matmul.MM2, ps, 1, 0.03, 4).Seconds
+		mm.pageSize = ps
+		mm.assign = matmul.MM1
+		p.MM1S = mm.point().Seconds
+		mm.assign = matmul.MM2
+		p.MM2S = mm.point().Seconds
 		out = append(out, p)
 	}
 	return out

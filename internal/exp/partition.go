@@ -72,7 +72,7 @@ func PartitionAvailability() []PartitionAvailabilityRow {
 				Group:  []netsim.HostID{1},
 			}},
 		}
-		c, err := cluster.New(cluster.Config{
+		c := newCluster(cluster.Config{
 			Hosts: []cluster.HostSpec{
 				{Kind: arch.Sun},
 				{Kind: arch.Firefly},
@@ -86,9 +86,6 @@ func PartitionAvailability() []PartitionAvailabilityRow {
 			FailureDetection: true,
 			FaultPlan:        plan,
 		})
-		if err != nil {
-			panic(err)
-		}
 		inWindow := func() bool {
 			now := c.K.Now()
 			return now >= sim.Time(cutFrom) && now < sim.Time(cutTo)
@@ -101,6 +98,7 @@ func PartitionAvailability() []PartitionAvailabilityRow {
 		c.Run(0, func(p *sim.Proc, h0 *cluster.Host) {
 			var pages [2]dsm.Addr
 			for i := range pages {
+				var err error
 				if pages[i], err = h0.DSM.Alloc(p, conv.Int32, 2); err != nil {
 					panic(err)
 				}

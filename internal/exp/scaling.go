@@ -14,11 +14,9 @@ package exp
 import (
 	"fmt"
 
-	"repro/internal/arch"
 	"repro/internal/cluster"
 	"repro/internal/conv"
 	"repro/internal/dsm"
-	"repro/internal/model"
 	"repro/internal/netsim"
 	"repro/internal/sim"
 )
@@ -89,22 +87,7 @@ func runDirectoryScale(n int, topoName string, topo *netsim.Topology, scheme str
 		pages = 8
 		per   = 256 // int32s per 1 KB page
 	)
-	pv := model.Default()
-	hosts := []cluster.HostSpec{{Kind: arch.Sun}}
-	for i := 1; i < n; i++ {
-		hosts = append(hosts, cluster.HostSpec{Kind: arch.Firefly})
-	}
-	c, err := cluster.New(cluster.Config{
-		Hosts:     hosts,
-		Seed:      1,
-		PageSize:  1024,
-		Params:    &pv,
-		Directory: dir,
-		Topology:  topo,
-	})
-	if err != nil {
-		panic(err)
-	}
+	c := newCluster(cluster.Config{Hosts: sunAndFireflies(n-1, 0), Seed: 1, PageSize: 1024, Directory: dir, Topology: topo})
 	defer c.Close()
 	var elapsed sim.Duration
 	c.Run(0, func(p *sim.Proc, h0 *cluster.Host) {

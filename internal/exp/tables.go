@@ -315,10 +315,7 @@ func measureFaultDelay(reqKind, ownKind arch.Kind, scenario string, write bool) 
 			specs[i].CPUs = 4
 		}
 	}
-	c, err := cluster.New(cluster.Config{Hosts: specs, Seed: 1})
-	if err != nil {
-		panic(err)
-	}
+	c := newCluster(cluster.Config{Hosts: specs, Seed: 1})
 	defer c.Close()
 	var delayMS float64
 	c.Run(0, func(p *sim.Proc, h *cluster.Host) {

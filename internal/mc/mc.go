@@ -28,23 +28,12 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/dsm"
-	"repro/internal/sctrace"
 	"repro/internal/sim"
 )
 
-// Instance is one freshly built, not-yet-run workload: a cluster with
-// the invariant checker attached and an SC recorder wired in, plus the
-// workload body. Each exploration run builds a new Instance.
-type Instance struct {
-	// C is the assembled cluster (checker attached, recorder wired).
-	C *cluster.Cluster
-	// Rec records the run's DSM accesses for the offline SC check.
-	Rec *sctrace.Recorder
-	// Main is the workload body, run as the root simulated process. It
-	// returns the workload's own verdict on the final state (nil = all
-	// application-level assertions passed).
-	Main func(p *sim.Proc, c *cluster.Cluster) error
-}
+// Instance is one freshly built, not-yet-run workload; each exploration
+// run builds a new one.
+type Instance = cluster.Trial
 
 // Workload names a reproducible model-checking scenario.
 type Workload struct {
@@ -57,59 +46,26 @@ type Workload struct {
 	Build func(mut dsm.Mutation) (*Instance, error)
 }
 
-// Outcome classifies one run.
-type Outcome int
+// Outcome classifies one run; the harnesses share one judge and one
+// set of outcomes (cluster.Trial.Drive).
+type Outcome = cluster.Outcome
 
+// The outcomes a model-checking run can end in.
 const (
-	// OK means every oracle passed.
-	OK Outcome = iota
-	// InvariantViolation means the MRSW protocol invariant checker
-	// tripped (stale copy, double writer, owner disagreement, …).
-	InvariantViolation
-	// SCViolation means the offline trace check found a read no
-	// sequentially consistent witness order can explain.
-	SCViolation
-	// Panic means a simulated process panicked (protocol timeout,
-	// unexpected state).
-	Panic
-	// Deadlock means the event queue drained before the workload
-	// finished.
-	Deadlock
-	// Livelock means the step budget ran out (endless retransmission
-	// keeps the queue busy forever).
-	Livelock
-	// AppError means the workload's own final assertions failed
-	// (wrong computation result).
-	AppError
+	OK                 = cluster.OK
+	InvariantViolation = cluster.InvariantViolation
+	SCViolation        = cluster.SCViolation
+	Panic              = cluster.Panic
+	Deadlock           = cluster.Deadlock
+	Livelock           = cluster.Livelock
+	AppError           = cluster.AppError
 )
-
-// String names the outcome.
-func (o Outcome) String() string {
-	switch o {
-	case OK:
-		return "ok"
-	case InvariantViolation:
-		return "invariant-violation"
-	case SCViolation:
-		return "sc-violation"
-	case Panic:
-		return "panic"
-	case Deadlock:
-		return "deadlock"
-	case Livelock:
-		return "livelock"
-	case AppError:
-		return "app-error"
-	default:
-		return fmt.Sprintf("Outcome(%d)", int(o))
-	}
-}
 
 // Result is the record of one executed run.
 type Result struct {
-	// Outcome classifies the run; Detail explains a non-OK outcome.
-	Outcome Outcome
-	Detail  string
+	// Verdict is the judgment: Outcome, the Detail explaining a non-OK
+	// one, and Steps, the number of kernel events dispatched.
+	cluster.Verdict
 	// Choices is the schedule: the index picked at each choice point.
 	// Replaying the same workload+mutation with these choices forced
 	// reproduces the run exactly.
@@ -123,8 +79,6 @@ type Result struct {
 	// beyond the DFS depth cap, where RunDFS — the only reader — never
 	// looks.
 	Hashes []uint64
-	// Steps is the number of kernel events dispatched.
-	Steps int
 	// Now is the virtual time when the run ended.
 	Now sim.Time
 	// Transcript lists the alternatives and pick at each choice point
@@ -163,82 +117,27 @@ func execute(w *Workload, mut dsm.Mutation, o execOpts) (*Result, error) {
 		return nil, fmt.Errorf("mc: building %s: %w", w.Name, err)
 	}
 	c := inst.C
-	k := c.K
-	if c.Check == nil {
-		return nil, fmt.Errorf("mc: workload %s built without the invariant checker", w.Name)
-	}
-	var invs []dsm.Violation
-	c.Check.SetFailHandler(func(v dsm.Violation) { invs = append(invs, v) })
+	// Reclaim the instance's goroutines: an exploration executes
+	// thousands of runs, each spawning per-host server loops.
+	defer c.Close()
 
 	ch := &runChooser{forced: o.forced, rng: o.rng, transcript: o.transcript, hashDepth: o.hashDepth}
 	if o.hashes {
 		ch.hashFn = func(n int, label func(int) string) uint64 { return stateHash(c, n, label) }
 	}
-	k.SetChooser(ch)
+	c.K.SetChooser(ch)
 
 	if o.maxSteps <= 0 {
 		o.maxSteps = DefaultMaxSteps
 	}
-	done := false
-	var appErr error
-	k.Spawn("mc-main", func(p *sim.Proc) {
-		appErr = inst.Main(p, c)
-		done = true
-	})
-	steps := 0
-	panicMsg := ""
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				panicMsg = fmt.Sprint(r)
-			}
-		}()
-		for !done && steps < o.maxSteps && k.Step() {
-			steps++
-		}
-	}()
-
-	res := &Result{
+	return &Result{
+		Verdict:    inst.Drive("mc-main", o.maxSteps, ""),
 		Choices:    ch.choices,
 		Widths:     ch.widths,
 		Hashes:     ch.hashes,
-		Steps:      steps,
-		Now:        k.Now(),
+		Now:        c.K.Now(),
 		Transcript: ch.lines,
-	}
-	// The trace oracle is the policy's consistency model: the SC
-	// witness checker for the sequentially consistent engines, the
-	// happens-before checker under lazy release consistency.
-	scViols := inst.C.Hosts[0].DSM.TraceCheck(inst.Rec.Ops())
-	switch {
-	case len(invs) > 0:
-		res.Outcome = InvariantViolation
-		res.Detail = invs[0].String()
-		if len(invs) > 1 {
-			res.Detail += fmt.Sprintf(" (+%d more)", len(invs)-1)
-		}
-	case len(scViols) > 0:
-		res.Outcome = SCViolation
-		res.Detail = strings.TrimSpace(sctrace.Report(scViols, 3))
-	case panicMsg != "":
-		res.Outcome = Panic
-		res.Detail = panicMsg
-	case !done && steps >= o.maxSteps:
-		res.Outcome = Livelock
-		res.Detail = fmt.Sprintf("step budget of %d exhausted at t=%v", o.maxSteps, k.Now())
-	case !done:
-		res.Outcome = Deadlock
-		res.Detail = fmt.Sprintf("event queue drained; stalled: %v", k.Stalled())
-	case appErr != nil:
-		res.Outcome = AppError
-		res.Detail = appErr.Error()
-	default:
-		res.Outcome = OK
-	}
-	// Reclaim the instance's goroutines: an exploration executes
-	// thousands of runs, each spawning per-host server loops.
-	k.Shutdown()
-	return res, nil
+	}, nil
 }
 
 // runChooser resolves kernel choice points from a forced prefix, then a

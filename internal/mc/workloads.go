@@ -119,9 +119,6 @@ func register(w *Workload) { workloads.Register(w.Name, w) }
 // Lookup resolves a workload by name.
 func Lookup(name string) (*Workload, error) { return workloads.Lookup(name) }
 
-// WorkloadNames lists registered workloads alphabetically.
-func WorkloadNames() []string { return workloads.Names() }
-
 // All returns every registered workload in name order.
 func All() []*Workload { return workloads.All() }
 

@@ -158,9 +158,6 @@ func NewWithTopology(k *sim.Kernel, params *model.Params, topo *Topology) *Netwo
 	}
 }
 
-// Topology returns the installed topology (nil for the default bus).
-func (n *Network) Topology() *Topology { return n.topo }
-
 // Attach creates the interface for a host. Attaching the same ID twice
 // is a configuration error.
 func (n *Network) Attach(id HostID) (*Interface, error) {

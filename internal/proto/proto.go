@@ -21,7 +21,7 @@ type Kind uint8
 const (
 	// KindInvalid is the zero Kind. It is never sent, so it is neither a
 	// reply nor registered with a handler.
-	KindInvalid Kind = iota // vet:ignore kind-dispatch — the zero value is never routed
+	KindInvalid Kind = iota
 	// KindGetPage requests a page copy for reading (to manager/owner).
 	KindGetPage
 	// KindGetPageWrite requests a page with ownership for writing.
@@ -186,52 +186,68 @@ const (
 	// KindRCFetchReply answers a KindRCFetch with Args[0]=home version
 	// and Data the page image in the home's native representation.
 	KindRCFetchReply
+
+	// numKinds sizes the kinds table; it stays last.
+	numKinds
 )
+
+// kinds is the one table of per-kind facts, keyed by constant: the wire
+// name, and whether the kind is a reply — it completes the pending call
+// its ReqID names instead of reaching a handler. Everything else is a
+// request, served by whoever registers it with the remote-operation
+// layer (which refuses a handler for a reply or for KindInvalid). A
+// request shares its line with the reply that answers it; numKinds
+// sizes the array, so a constant added without a row has an empty name
+// and fails the package's tests.
+var kinds = [numKinds]struct {
+	name  string
+	reply bool
+}{
+	KindInvalid:      {"invalid", false},
+	KindGetPage:      {"get-page", false},
+	KindGetPageWrite: {"get-page-write", false}, KindPageReply: {"page-reply", true},
+	KindServeRequest: {"serve-request", false}, KindServeAck: {"serve-ack", true},
+	KindPageDeliver: {"page-deliver", false}, KindPageDeliverAck: {"page-deliver-ack", true},
+	KindInvalidate: {"invalidate", false}, KindInvalidateAck: {"invalidate-ack", true},
+	KindOwnerUpdate: {"owner-update", false}, KindOwnerUpdateAck: {"owner-update-ack", true},
+	KindThreadCreate: {"thread-create", false}, KindThreadCreated: {"thread-created", true},
+	KindThreadExited: {"thread-exited", false}, KindThreadExitedAck: {"thread-exited-ack", true},
+	KindThreadMigrate: {"thread-migrate", false}, KindThreadMigrateAck: {"thread-migrate-ack", true},
+	KindSemOp: {"sem-op", false}, KindSemReply: {"sem-reply", true},
+	KindEventOp: {"event-op", false}, KindEventReply: {"event-reply", true},
+	KindBarrierOp: {"barrier-op", false}, KindBarrierReply: {"barrier-reply", true},
+	KindAlloc: {"alloc", false}, KindAllocReply: {"alloc-reply", true},
+	KindPageMeta: {"page-meta", false}, KindPageMetaAck: {"page-meta-ack", true},
+	KindUpdateWrite: {"update-write", false}, KindUpdateWriteAck: {"update-write-ack", true},
+	KindApplyUpdate: {"apply-update", false}, KindApplyUpdateAck: {"apply-update-ack", true},
+	KindRemoteRead: {"remote-read", false}, KindRemoteReadReply: {"remote-read-reply", true},
+	KindRemoteWrite: {"remote-write", false}, KindRemoteWriteAck: {"remote-write-ack", true},
+	KindEcho: {"echo", false}, KindEchoReply: {"echo-reply", true},
+	KindHeartbeat:   {"heartbeat", false},
+	KindRecoverPage: {"recover-page", false}, KindRecoverPageReply: {"recover-page-reply", true},
+	KindDynGetPage:      {"dyn-get-page", false},
+	KindDynGetPageWrite: {"dyn-get-page-write", false},
+	KindDynForward:      {"dyn-forward", false}, KindDynForwardAck: {"dyn-forward-ack", true},
+	KindDynRecover: {"dyn-recover", false}, KindDynRecoverReply: {"dyn-recover-reply", true},
+	KindDynConfirm: {"dyn-confirm", false}, KindDynConfirmAck: {"dyn-confirm-ack", true},
+	KindQuorumRead: {"quorum-read", false}, KindQuorumReadReply: {"quorum-read-reply", true},
+	KindQuorumWrite: {"quorum-write", false}, KindQuorumWriteAck: {"quorum-write-ack", true},
+	KindRCDiff: {"rc-diff", false}, KindRCDiffAck: {"rc-diff-ack", true},
+	KindRCPull: {"rc-pull", false}, KindRCPullReply: {"rc-pull-reply", true},
+	KindRCFetch: {"rc-fetch", false}, KindRCFetchReply: {"rc-fetch-reply", true},
+}
 
 // String names the message kind.
 func (k Kind) String() string {
-	names := [...]string{
-		"invalid", "get-page", "get-page-write", "page-reply",
-		"serve-request", "serve-ack", "page-deliver", "page-deliver-ack",
-		"invalidate", "invalidate-ack", "owner-update", "owner-update-ack",
-		"thread-create", "thread-created", "thread-exited", "thread-exited-ack",
-		"thread-migrate", "thread-migrate-ack",
-		"sem-op", "sem-reply", "event-op", "event-reply",
-		"barrier-op", "barrier-reply", "alloc", "alloc-reply",
-		"page-meta", "page-meta-ack",
-		"update-write", "update-write-ack", "apply-update", "apply-update-ack",
-		"remote-read", "remote-read-reply", "remote-write", "remote-write-ack",
-		"echo", "echo-reply",
-		"heartbeat", "recover-page", "recover-page-reply",
-		"dyn-get-page", "dyn-get-page-write", "dyn-forward", "dyn-forward-ack",
-		"dyn-recover", "dyn-recover-reply", "dyn-confirm", "dyn-confirm-ack",
-		"quorum-read", "quorum-read-reply", "quorum-write", "quorum-write-ack",
-		"rc-diff", "rc-diff-ack", "rc-pull", "rc-pull-reply",
-		"rc-fetch", "rc-fetch-reply",
-	}
-	if int(k) < len(names) {
-		return names[k]
+	if k < numKinds {
+		return kinds[k].name
 	}
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
 
 // IsReply reports whether the kind is a response that should complete a
 // pending call rather than be dispatched to a handler.
-func (k Kind) IsReply() bool {
-	switch k {
-	case KindPageReply, KindServeAck, KindPageDeliverAck, KindInvalidateAck, KindOwnerUpdateAck,
-		KindThreadCreated, KindThreadExitedAck, KindThreadMigrateAck, KindSemReply, KindEventReply,
-		KindBarrierReply, KindAllocReply, KindPageMetaAck,
-		KindUpdateWriteAck, KindApplyUpdateAck,
-		KindRemoteReadReply, KindRemoteWriteAck, KindEchoReply,
-		KindRecoverPageReply, KindDynForwardAck, KindDynRecoverReply, KindDynConfirmAck,
-		KindQuorumReadReply, KindQuorumWriteAck,
-		KindRCDiffAck, KindRCPullReply, KindRCFetchReply:
-		return true
-	default:
-		return false
-	}
-}
+func (k Kind) IsReply() bool { return k < numKinds && kinds[k].reply }
 
 // MaxArgs is the maximum number of scalar arguments per message.
 const MaxArgs = 15

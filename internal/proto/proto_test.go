@@ -2,6 +2,7 @@ package proto
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -86,35 +87,47 @@ func TestArgHelperReturnsZeroWhenAbsent(t *testing.T) {
 	}
 }
 
+// TestIsReplyClassification walks the whole kinds table: the replies
+// are exactly the kinds listed here, so a reply row mistyped as a
+// request (its messages would be dropped for want of a handler) or the
+// reverse fails.
 func TestIsReplyClassification(t *testing.T) {
-	replies := []Kind{
-		KindPageReply, KindInvalidateAck, KindOwnerUpdateAck, KindThreadCreated,
-		KindSemReply, KindEventReply, KindBarrierReply, KindAllocReply, KindEchoReply,
+	replies := map[Kind]bool{
+		KindPageReply: true, KindServeAck: true, KindPageDeliverAck: true, KindInvalidateAck: true,
+		KindOwnerUpdateAck: true, KindThreadCreated: true, KindThreadExitedAck: true,
+		KindThreadMigrateAck: true, KindSemReply: true, KindEventReply: true, KindBarrierReply: true,
+		KindAllocReply: true, KindPageMetaAck: true, KindUpdateWriteAck: true, KindApplyUpdateAck: true,
+		KindRemoteReadReply: true, KindRemoteWriteAck: true, KindEchoReply: true,
+		KindRecoverPageReply: true, KindDynForwardAck: true, KindDynRecoverReply: true,
+		KindDynConfirmAck: true, KindQuorumReadReply: true, KindQuorumWriteAck: true,
+		KindRCDiffAck: true, KindRCPullReply: true, KindRCFetchReply: true,
 	}
-	for _, k := range replies {
-		if !k.IsReply() {
-			t.Errorf("%v not classified as reply", k)
+	for k := KindInvalid; k < numKinds; k++ {
+		if k.IsReply() != replies[k] {
+			t.Errorf("%v: IsReply = %v, want %v", k, k.IsReply(), replies[k])
 		}
 	}
-	requests := []Kind{
-		KindGetPage, KindGetPageWrite, KindInvalidate, KindOwnerUpdate,
-		KindThreadCreate, KindSemOp, KindEventOp, KindBarrierOp, KindAlloc, KindEcho,
-	}
-	for _, k := range requests {
-		if k.IsReply() {
-			t.Errorf("%v misclassified as reply", k)
-		}
+	if numKinds.IsReply() || Kind(255).IsReply() {
+		t.Error("a value past the table classified as a reply")
 	}
 }
 
+// TestKindStringsAreUnique also requires a name for every constant: a
+// kind added without its row in the kinds table has an empty one.
 func TestKindStringsAreUnique(t *testing.T) {
 	seen := make(map[string]Kind)
-	for k := KindInvalid; k <= KindEchoReply; k++ {
+	for k := KindInvalid; k < numKinds; k++ {
 		s := k.String()
+		if s == "" {
+			t.Fatalf("kind %d has no row in the kinds table", k)
+		}
 		if prev, dup := seen[s]; dup {
 			t.Fatalf("kinds %d and %d share name %q", prev, k, s)
 		}
 		seen[s] = k
+	}
+	if got := numKinds.String(); got != fmt.Sprintf("Kind(%d)", uint8(numKinds)) {
+		t.Errorf("a value past the table is named %q", got)
 	}
 }
 

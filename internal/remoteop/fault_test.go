@@ -135,6 +135,35 @@ func TestCallFailsFastOnDeadPeer(t *testing.T) {
 	}
 }
 
+func TestCallAllFailsFastOnDeadPeer(t *testing.T) {
+	// CallAll is the quorum round with need = all: a destination the
+	// detector has declared dead makes the round impossible, and it must
+	// say so at once instead of burning MaxRetries timeouts on a corpse.
+	r := newRig(t, arch.Sun, arch.Sun, arch.Sun)
+	r.eps[1].Handle(proto.KindEcho, func(p *sim.Proc, req *proto.Message) {
+		r.eps[1].Reply(p, req, &proto.Message{Kind: proto.KindEchoReply})
+	})
+	r.eps[0].SetPeerCheck(func(h HostID) bool { return h == 2 })
+	r.eps[0].Start()
+	r.eps[1].Start() // host 2 never starts: dead and silent
+	var err error
+	var elapsed sim.Duration
+	r.k.Spawn("caller", func(p *sim.Proc) {
+		t0 := p.Now()
+		_, err = r.eps[0].CallAll(p, []HostID{1, 2}, func(HostID) *proto.Message {
+			return &proto.Message{Kind: proto.KindEcho}
+		})
+		elapsed = p.Now().Sub(t0)
+	})
+	r.k.Run()
+	if !errors.Is(err, ErrPeerDead) {
+		t.Fatalf("err = %v, want ErrPeerDead", err)
+	}
+	if elapsed != 0 {
+		t.Fatalf("fail-fast round burned %v of virtual time", elapsed)
+	}
+}
+
 func TestCallBlockingAbortsWhenPeerDeclaredDead(t *testing.T) {
 	// A patient call is retrying at a silent host when the detector
 	// declares it dead: the next retry must abort with ErrPeerDead

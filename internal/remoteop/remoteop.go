@@ -63,6 +63,11 @@ type Stats struct {
 	// ChecksumDrops counts fragments discarded because their checksum
 	// did not match — corruption detected in flight.
 	ChecksumDrops int
+	// Unhandled counts requests dropped on arrival because no handler is
+	// registered for their kind here (the requester times out). Every
+	// kind a configuration sends must be served in that configuration,
+	// so the verification harnesses require zero.
+	Unhandled int
 }
 
 // encOwner tracks a pooled encode buffer shared by a message's
@@ -237,8 +242,13 @@ func (e *Endpoint) Kind() arch.Kind { return e.kind }
 func (e *Endpoint) Stats() Stats { return e.stats }
 
 // Handle registers the handler for a request kind. It must be called
-// before Start.
+// before Start. A reply kind completes the pending call its ReqID names
+// and never reaches a handler, and KindInvalid is never sent, so a
+// handler for either would be dead code: registering one panics.
 func (e *Endpoint) Handle(kind proto.Kind, h Handler) {
+	if kind == proto.KindInvalid || kind.IsReply() {
+		panic(fmt.Sprintf("remoteop: Handle(%v): not a request kind", kind))
+	}
 	e.handler[kind] = h
 }
 
@@ -406,6 +416,7 @@ func (e *Endpoint) dispatch(m *proto.Message) {
 	e.remember(key, &dedupEntry{})
 	h := e.handler[m.Kind]
 	if h == nil {
+		e.stats.Unhandled++
 		bufpool.Put(m.TakeWire())
 		return // no handler: request vanishes, requester times out
 	}
@@ -522,6 +533,27 @@ func (e *Endpoint) MessageCounts() map[proto.Kind]int { return maps.Clone(e.kind
 // forwarded), retransmitting on timeout. The request's ReqID and From
 // are assigned here.
 func (e *Endpoint) Call(p *sim.Proc, dst HostID, m *proto.Message) (*proto.Message, error) {
+	return e.call(p, dst, m, e.params.RequestTimeout, e.params.MaxRetries)
+}
+
+// CallBlocking is Call for operations that may legitimately wait a long
+// time for their reply (P on a held semaphore, event waits, barrier
+// arrivals): it retries indefinitely, retransmitting every
+// BlockingRetryInterval, and only fails when the failure detector
+// declares the destination dead — waiting forever on a crashed
+// semaphore manager would wedge the caller permanently. Duplicate-
+// request absorption at the receiver makes the retransmissions
+// harmless.
+func (e *Endpoint) CallBlocking(p *sim.Proc, dst HostID, m *proto.Message) (*proto.Message, error) {
+	return e.call(p, dst, m, e.params.BlockingRetryInterval, -1)
+}
+
+// call is the unicast request loop behind Call and CallBlocking: send,
+// wait one interval for the reply, retransmit. retries bounds the
+// retransmissions; negative means forever, and then an expired wait is
+// not reported to the failure detector either — for those callers a
+// long silence is the expected case, not a symptom.
+func (e *Endpoint) call(p *sim.Proc, dst HostID, m *proto.Message, interval sim.Duration, retries int) (*proto.Message, error) {
 	e.nextReq++
 	m.ReqID = e.nextReq
 	m.From = uint32(e.id)
@@ -529,7 +561,7 @@ func (e *Endpoint) Call(p *sim.Proc, dst HostID, m *proto.Message) (*proto.Messa
 	e.pending[m.ReqID] = pc
 	defer delete(e.pending, m.ReqID)
 
-	for try := 0; try <= e.params.MaxRetries; try++ {
+	for try := 0; retries < 0 || try <= retries; try++ {
 		if e.dead(dst) {
 			// The detector declared the peer dead (possibly mid-call):
 			// fail fast instead of spending retransmissions on it.
@@ -544,58 +576,19 @@ func (e *Endpoint) Call(p *sim.Proc, dst HostID, m *proto.Message) (*proto.Messa
 		}
 		pc.w = p.PrepareWait()
 		pc.armed = true
-		reason := p.ParkTimeout(e.params.RequestTimeout)
+		p.ParkTimeout(interval)
 		pc.armed = false
 		if pc.reply != nil {
 			return pc.reply, nil
 		}
-		e.escalate(dst)
-		if reason == sim.WakeSignal {
-			// Spurious wake without a reply cannot happen by
-			// construction, but guard anyway.
-			continue
+		if retries >= 0 {
+			e.escalate(dst)
 		}
 	}
 	if e.dead(dst) {
 		return nil, peerDeadErr(dst)
 	}
 	return nil, fmt.Errorf("%w (kind %v to host %d)", ErrTimeout, m.Kind, dst)
-}
-
-// CallBlocking is Call for operations that may legitimately wait a long
-// time for their reply (P on a held semaphore, event waits, barrier
-// arrivals): it retries indefinitely, retransmitting every
-// BlockingRetryInterval, and only fails when the failure detector
-// declares the destination dead — waiting forever on a crashed
-// semaphore manager would wedge the caller permanently. Duplicate-
-// request absorption at the receiver makes the retransmissions
-// harmless.
-func (e *Endpoint) CallBlocking(p *sim.Proc, dst HostID, m *proto.Message) (*proto.Message, error) {
-	e.nextReq++
-	m.ReqID = e.nextReq
-	m.From = uint32(e.id)
-	pc := &pendingCall{}
-	e.pending[m.ReqID] = pc
-	defer delete(e.pending, m.ReqID)
-	for try := 0; ; try++ {
-		if e.dead(dst) {
-			return nil, peerDeadErr(dst)
-		}
-		if try > 0 {
-			e.stats.Retransmits++
-		}
-		e.send(p, dst, m)
-		if pc.reply != nil {
-			return pc.reply, nil
-		}
-		pc.w = p.PrepareWait()
-		pc.armed = true
-		p.ParkTimeout(e.params.BlockingRetryInterval)
-		pc.armed = false
-		if pc.reply != nil {
-			return pc.reply, nil
-		}
-	}
 }
 
 // SendOneWay transmits a message without expecting any response — used
@@ -712,76 +705,18 @@ func (e *Endpoint) CallMulticast(p *sim.Proc, targets []HostID, m *proto.Message
 const Broadcast = netsim.Broadcast
 
 // CallAll sends one request per destination (built by mk, which receives
-// the destination) and blocks until every reply has arrived — the
-// multicast used for write invalidation. Lost requests are retransmitted
-// individually.
+// the destination) and blocks until every reply has arrived — how small
+// clusters distribute page metadata, and the unicast form of the
+// invalidation and update multicasts. It is the quorum round with
+// need = all: lost requests are retransmitted individually, and a
+// destination the failure detector has declared dead fails the round at
+// once with ErrPeerDead, as Call does, instead of spending MaxRetries
+// timeouts on it.
 func (e *Endpoint) CallAll(p *sim.Proc, dsts []HostID, mk func(dst HostID) *proto.Message) ([]*proto.Message, error) {
 	if len(dsts) == 0 {
 		return nil, nil
 	}
-	msgs := make([]*proto.Message, len(dsts))
-	calls := make([]*pendingCall, len(dsts))
-	for i, dst := range dsts {
-		m := mk(dst)
-		e.nextReq++
-		m.ReqID = e.nextReq
-		m.From = uint32(e.id)
-		msgs[i] = m
-		calls[i] = &pendingCall{}
-		e.pending[m.ReqID] = calls[i]
-	}
-	defer func() {
-		for _, m := range msgs {
-			delete(e.pending, m.ReqID)
-		}
-	}()
-
-	allDone := func() bool {
-		for _, pc := range calls {
-			if pc.reply == nil {
-				return false
-			}
-		}
-		return true
-	}
-
-	for try := 0; try <= e.params.MaxRetries; try++ {
-		for i, dst := range dsts {
-			if calls[i].reply == nil {
-				if try > 0 {
-					e.stats.Retransmits++
-					e.escalate(dst)
-				}
-				e.send(p, dst, msgs[i])
-			}
-		}
-		deadline := p.Now().Add(e.params.RequestTimeout)
-		for !allDone() {
-			remaining := deadline.Sub(p.Now())
-			if remaining <= 0 {
-				break
-			}
-			w := p.PrepareWait()
-			for _, pc := range calls {
-				if pc.reply == nil {
-					pc.w = w
-					pc.armed = true
-				}
-			}
-			p.ParkTimeout(remaining)
-			for _, pc := range calls {
-				pc.armed = false
-			}
-		}
-		if allDone() {
-			replies := make([]*proto.Message, len(calls))
-			for i, pc := range calls {
-				replies[i] = pc.reply
-			}
-			return replies, nil
-		}
-	}
-	return nil, fmt.Errorf("%w (multicast to %d hosts)", ErrTimeout, len(dsts))
+	return e.CallQuorum(p, dsts, len(dsts), mk)
 }
 
 // CallQuorum sends one request per destination (built by mk) and blocks

@@ -64,6 +64,21 @@ func TestEchoCallRoundTrip(t *testing.T) {
 	}
 }
 
+func TestHandleRejectsKindsThatNeverReachAHandler(t *testing.T) {
+	// A reply redeems the pending call its ReqID names and KindInvalid is
+	// never sent, so a handler for either would be dead code.
+	for _, kind := range []proto.Kind{proto.KindEchoReply, proto.KindPageDeliverAck, proto.KindInvalid} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Handle(%v) accepted a handler no message can reach", kind)
+				}
+			}()
+			newRig(t, arch.Sun).eps[0].Handle(kind, func(*sim.Proc, *proto.Message) {})
+		}()
+	}
+}
+
 func TestBulkMessageFragmentsAndReassembles(t *testing.T) {
 	r := newRig(t, arch.Sun, arch.Firefly)
 	page := make([]byte, 8192)

@@ -11,7 +11,7 @@
 // Processes are ordinary functions. They interact with virtual time
 // exclusively through their *Proc handle: Sleep, Park, and the
 // synchronization primitives in this package (Semaphore, Queue,
-// Resource, Event, Barrier). Wall-clock time never enters the simulation.
+// Resource, Event). Wall-clock time never enters the simulation.
 package sim
 
 import (

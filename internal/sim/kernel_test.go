@@ -298,38 +298,6 @@ func TestEventWaitAfterSetDoesNotBlock(t *testing.T) {
 	}
 }
 
-func TestBarrierReleasesAllAndResets(t *testing.T) {
-	k := NewKernel(1)
-	b := NewBarrier(k, 3)
-	var times []Time
-	for i := 0; i < 3; i++ {
-		d := time.Duration(i+1) * time.Millisecond
-		k.Spawn("w", func(p *Proc) {
-			p.Sleep(d)
-			b.Arrive(p)
-			times = append(times, p.Now())
-		})
-	}
-	k.Run()
-	for _, at := range times {
-		if at != Time(3*time.Millisecond) {
-			t.Fatalf("release times %v, want all 3ms", times)
-		}
-	}
-	// Reuse after reset.
-	count := 0
-	for i := 0; i < 3; i++ {
-		k.Spawn("w2", func(p *Proc) {
-			b.Arrive(p)
-			count++
-		})
-	}
-	k.Run()
-	if count != 3 {
-		t.Fatalf("second round released %d, want 3", count)
-	}
-}
-
 func TestPrepareWaitWakeBeforePark(t *testing.T) {
 	k := NewKernel(1)
 	var reason WakeReason

@@ -255,30 +255,3 @@ func (e *Event) Wait(p *Proc) {
 		p.park()
 	}
 }
-
-// Barrier blocks processes until n of them have arrived, then releases
-// all of them and resets for reuse.
-type Barrier struct {
-	k       *Kernel
-	n       int
-	arrived int
-	waiters []wakeToken
-}
-
-// NewBarrier creates a barrier for n participants.
-func NewBarrier(k *Kernel, n int) *Barrier { return &Barrier{k: k, n: n} }
-
-// Arrive blocks until n processes (including this one) have arrived.
-func (b *Barrier) Arrive(p *Proc) {
-	b.arrived++
-	if b.arrived >= b.n {
-		b.arrived = 0
-		for _, t := range b.waiters {
-			b.k.wake(t, WakeSignal)
-		}
-		b.waiters = nil
-		return
-	}
-	b.waiters = append(b.waiters, p.token())
-	p.park()
-}

@@ -13,8 +13,8 @@ package vet
 //   - blocking remote calls (Endpoint.Call and friends) with the
 //     held-set and the message kind(s) they can carry.
 //
-// The global phase joins per-package facts exactly like kind-dispatch:
-// transitive acquire sets are propagated bottom-up through call edges
+// The global phase (driven by cmd/mermaid-vet) joins the per-package
+// facts: transitive acquire sets are propagated bottom-up through call edges
 // and — via the Handle(kind, handler) registry — through remote
 // dispatch, then every held-while-acquiring pair becomes an edge in a
 // lock-class graph. Two findings come out:
@@ -42,8 +42,8 @@ package vet
 // hold. Sites justified by design carry `vet:ignore lock-order` or
 // `vet:ignore lock-remote` and contribute no edges.
 //
-// Like kind-dispatch, the analysis degrades to silence on package
-// subsets: no facts, no findings.
+// The analysis degrades to silence on package subsets: no facts, no
+// findings.
 
 import (
 	"fmt"
@@ -146,6 +146,18 @@ func CollectLockFacts(pkg *Package, cfg *Config) *LockFacts {
 	return facts
 }
 
+// exprConstName returns the bare name an identifier or qualified
+// identifier spells (proto.KindGetPage → "KindGetPage"), "" otherwise.
+func exprConstName(e ast.Expr) string {
+	switch x := e.(type) {
+	case *ast.Ident:
+		return x.Name
+	case *ast.SelectorExpr:
+		return x.Sel.Name
+	}
+	return ""
+}
+
 // collectHandlerRegs records Handle(kind, handler) with the handler
 // function resolved to its key.
 func collectHandlerRegs(pkg *Package, f *ast.File, facts *LockFacts) {
@@ -220,7 +232,7 @@ var releaseNames = map[string]bool{"V": true, "Release": true, "Unlock": true}
 // remoteCallNames are Endpoint methods that block the calling process
 // on a remote rendezvous.
 var remoteCallNames = map[string]bool{
-	"Call": true, "CallBlocking": true, "CallMulticast": true, "CallAll": true,
+	"Call": true, "CallBlocking": true, "CallMulticast": true, "CallAll": true, "CallQuorum": true,
 }
 
 func (lc *lockCollector) ignored(pos token.Pos, rule string) bool {

@@ -11,9 +11,6 @@
 //   - buf-own: flow-sensitive ownership checking for pooled buffers —
 //     double-Put, use-after-Put, leaks on early error returns, and
 //     borrowed wire data escaping without TakeWire; see bufown.go.
-//   - kind-dispatch: every proto.Kind constant must be classified as a
-//     reply or registered with a handler somewhere in the module; see
-//     kinddispatch.go (module-global, driven by cmd/mermaid-vet).
 //   - time: wall-clock time (`time.Now` and friends) must not leak
 //     into the simulation packages; all time is the kernel's virtual
 //     clock, and one stray `time.Now` destroys run-to-run determinism.
