@@ -19,8 +19,12 @@ fmt:
 		exit 1; \
 	fi
 
+# The second line pins the byte-identical-output guarantee at one and
+# at three sim.Each workers (-cpu sets GOMAXPROCS, the only control;
+# Each leaves one processor free).
 test:
 	go test ./...
+	go test -cpu 1,4 -run 'Golden' ./cmd/mermaid-bench/
 
 # benchmark/ is a module of its own, so the root `go test ./...` never
 # sees its smoke test: BENCHMARK.json against the code, all four
@@ -30,9 +34,15 @@ benchmark-check:
 
 # remoteop and bufpool hold the only state shared across kernels (three
 # sync.Pools, the encode buffers' atomic refcount, the size-classed free
-# list), and every call loop runs through them.
+# list), and every call loop runs through them. internal/exp is what
+# actually runs kernels side by side (sim.Each, one cluster per worker),
+# so the second line re-checks that list where it matters: Each's own
+# tests, and three exp sweeps at one and at three workers (GOMAXPROCS 1
+# and 4), under the detector. It selects those small tests because the whole exp suite
+# takes most of a minute under -race.
 race:
 	go test -race ./internal/sim/... ./internal/dsm/... ./internal/dsync/... ./internal/threads/... ./internal/remoteop/... ./internal/bufpool/...
+	go test -race -run 'Each|AcrossCores' ./internal/sim/... ./internal/exp/...
 
 # Two runs: the first warms the build cache (and fails fast on
 # findings), the second emits the JSON coverage report CI archives and

@@ -22,6 +22,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/conv"
 	"repro/internal/dsm"
+	"repro/internal/model"
 	"repro/internal/sim"
 	"repro/internal/threads"
 )
@@ -175,18 +176,13 @@ func (r *Runner) slave(t *threads.Thread, args []uint32) {
 	}
 	for _, row := range st.rowsFor(idx) {
 		h.DSM.ReadInt32s(t.P, st.a+dsm.Addr(4*n*row), aRow)
-		// Compute and store the row chunk by chunk, charging compute
-		// between stores — each store may fault if another thread took
-		// the page meanwhile.
+		// The product depends only on this thread's private copies, so
+		// it is computed once, at unit stride. The stores still go
+		// chunk by chunk with the compute charged between them — each
+		// store may fault if another thread took the page meanwhile.
+		rowProduct(cRow, aRow, bRow)
 		for j0 := 0; j0 < n; j0 += chunk {
 			j1 := min(j0+chunk, n)
-			for j := j0; j < j1; j++ {
-				var sum int32
-				for k := 0; k < n; k++ {
-					sum += aRow[k] * bRow[k*n+j]
-				}
-				cRow[j] = sum
-			}
 			cost := rowCost * time.Duration(j1-j0) / time.Duration(n)
 			if st.jitter > 0 {
 				f := 1 + st.jitter*(2*r.c.K.Rand().Float64()-1)
@@ -290,24 +286,43 @@ func (r *Runner) Run(cfg Config) (Result, error) {
 	return res, nil
 }
 
+// rowProduct sets out[j] = Σk a[k]·b[k·n+j] for n = len(out): one row
+// of A times the n×n matrix b. k is the outer loop, four at a time, so
+// every pass walks rows of b and out at unit stride; int32 arithmetic
+// wraps and is associative, so the order of the sum changes no bit.
+func rowProduct(out, a, b []int32) {
+	n := len(out)
+	clear(out)
+	k := 0
+	for ; k+4 <= n; k += 4 {
+		a0, a1, a2, a3 := a[k], a[k+1], a[k+2], a[k+3]
+		b0, b1 := b[k*n:][:n], b[(k+1)*n:][:n]
+		b2, b3 := b[(k+2)*n:][:n], b[(k+3)*n:][:n]
+		for j := range out {
+			out[j] += a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
+		}
+	}
+	for ; k < n; k++ {
+		ak, bk := a[k], b[k*n:][:n]
+		for j := range out {
+			out[j] += ak * bk[j]
+		}
+	}
+}
+
 // multiplyLocal is the sequential reference multiplication.
 func multiplyLocal(a, b []int32, n int) []int32 {
 	c := make([]int32, n*n)
 	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			var sum int32
-			for k := 0; k < n; k++ {
-				sum += a[i*n+k] * b[k*n+j]
-			}
-			c[i*n+j] = sum
-		}
+		rowProduct(c[i*n:(i+1)*n], a[i*n:(i+1)*n], b)
 	}
 	return c
 }
 
 // Sequential returns the modelled sequential execution time of an N×N
 // multiplication on one CPU of the given machine kind — the baseline
-// the paper's speedups are measured against (no DSM, no threads).
-func (r *Runner) Sequential(kind arch.Kind, n int) sim.Duration {
-	return r.c.Params.Scale(kind, time.Duration(n)*time.Duration(n)*time.Duration(n)*r.c.Params.MACCost)
+// the paper's speedups are measured against (no DSM, no threads, and so
+// no cluster: the cost model is all it reads).
+func Sequential(params *model.Params, kind arch.Kind, n int) sim.Duration {
+	return params.Scale(kind, time.Duration(n)*time.Duration(n)*time.Duration(n)*params.MACCost)
 }

@@ -1,11 +1,13 @@
 package matmul
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/arch"
 	"repro/internal/cluster"
 	"repro/internal/dsm"
+	"repro/internal/model"
 )
 
 func newCluster(t *testing.T, fireflies, cpus int, pageSize int) *cluster.Cluster {
@@ -181,10 +183,9 @@ func TestMoreThreadsImproveResponseTime(t *testing.T) {
 }
 
 func TestSequentialBaseline(t *testing.T) {
-	c := newCluster(t, 1, 1, 8192)
-	r := Register(c)
-	ff := r.Sequential(arch.Firefly, 256)
-	sun := r.Sequential(arch.Sun, 256)
+	params := model.Default()
+	ff := Sequential(&params, arch.Firefly, 256)
+	sun := Sequential(&params, arch.Sun, 256)
 	// 256³ × 2.7µs ≈ 45.3 s on a Firefly; 1.31× that on a Sun.
 	if ff.Seconds() < 40 || ff.Seconds() > 50 {
 		t.Fatalf("firefly sequential MM(256) = %.1fs, want ≈45s", ff.Seconds())
@@ -202,5 +203,76 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := r.Run(Config{N: 8}); err == nil {
 		t.Error("no slaves accepted")
+	}
+}
+
+// columnStrideProduct is the multiplication as it was first written —
+// j outer, k inner, walking down b's columns — kept as the reference
+// the unit-stride kernel is compared against.
+func columnStrideProduct(a, b []int32, n int) []int32 {
+	c := make([]int32, n*n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			var sum int32
+			for k := 0; k < n; k++ {
+				sum += a[i*n+k] * b[k*n+j]
+			}
+			c[i*n+j] = sum
+		}
+	}
+	return c
+}
+
+// TestRowProductMatchesColumnStride: full-range operands, so nearly
+// every product and sum overflows and must wrap exactly as before; the
+// sizes around four exercise the four-k pass and its remainder.
+func TestRowProductMatchesColumnStride(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, n := range []int{1, 3, 4, 5, 255, 256} {
+		a, b := make([]int32, n*n), make([]int32, n*n)
+		for i := range a {
+			a[i], b[i] = int32(rng.Uint32()), int32(rng.Uint32())
+		}
+		want := columnStrideProduct(a, b, n)
+		got := multiplyLocal(a, b, n)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("n=%d: c[%d][%d] = %d, want %d", n, i/n, i%n, got[i], want[i])
+			}
+		}
+		// rowProduct overwrites whatever the output row held.
+		row := make([]int32, n)
+		for i := range row {
+			row[i] = -1
+		}
+		rowProduct(row, a[:n], b)
+		for j := range row {
+			if row[j] != want[j] {
+				t.Fatalf("n=%d: reused row, c[0][%d] = %d, want %d", n, j, row[j], want[j])
+			}
+		}
+	}
+}
+
+// TestEveryWriteChunkStoresTheWholeRow: the product is computed once
+// per row and stored chunk by chunk, so every chunking — whole rows,
+// single elements, chunks that do and do not divide n — must leave the
+// same C, verified against the local multiplication. (8 KB pages: at
+// n = 255 a row is 1020 bytes, so rows and chunks straddle page ends.)
+func TestEveryWriteChunkStoresTheWholeRow(t *testing.T) {
+	for _, n := range []int{1, 3, 4, 5, 255, 256} {
+		for _, chunk := range []int{0, 1, 4, 7, n} {
+			c := newCluster(t, 2, 2, 8192)
+			res, err := Register(c).Run(Config{
+				N: n, Master: 0, Slaves: []cluster.HostID{1, 2, 1},
+				Assignment: MM2, WriteChunk: chunk, Verify: true,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Correct {
+				t.Errorf("n=%d WriteChunk=%d: wrong product", n, chunk)
+			}
+		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/conv"
 	"repro/internal/dsm"
+	"repro/internal/model"
 	"repro/internal/sim"
 	"repro/internal/threads"
 )
@@ -89,13 +90,17 @@ func (r *Runner) slave(t *threads.Thread, args []uint32) {
 	chi := min(st.h, hi+st.overlap)
 	w := st.w
 
-	front := make([]byte, w*st.h)
-	back := make([]byte, w*st.h)
-	h.DSM.ReadBytes(t.P, st.front+dsm.Addr(clo*w), front[clo*w:chi*w])
-	h.DSM.ReadBytes(t.P, st.back+dsm.Addr(lo*w), back[lo*w:hi*w])
+	// The thread's buffers hold only its context rows clo..chi — its
+	// stripe as a board of its own, which is all CheckStripe looks at —
+	// so a run's memory does not grow with threads × board.
+	rows, slo, shi := chi-clo, lo-clo, hi-clo
+	front := make([]byte, w*rows)
+	back := make([]byte, w*rows)
+	h.DSM.ReadBytes(t.P, st.front+dsm.Addr(clo*w), front)
+	h.DSM.ReadBytes(t.P, st.back+dsm.Addr(lo*w), back[slo*w:shi*w])
 
-	flaws := make([]byte, w*st.h)
-	flawCount, copperCount := CheckStripe(front, back, flaws, w, st.h, lo, hi, st.overlap)
+	flaws := make([]byte, w*rows)
+	flawCount, copperCount := CheckStripe(front, back, flaws, w, rows, slo, shi, st.overlap)
 
 	// The paper's checking cost: every examined pixel (including the
 	// overlap context, which is the striping's extra work) plus a
@@ -105,7 +110,7 @@ func (r *Runner) slave(t *threads.Thread, args []uint32) {
 	cost += time.Duration(copperCount) * params.PCBFeatureCost
 	t.Compute(cost)
 
-	h.DSM.WriteBytes(t.P, st.flaws+dsm.Addr(lo*w), flaws[lo*w:hi*w])
+	h.DSM.WriteBytes(t.P, st.flaws+dsm.Addr(lo*w), flaws[slo*w:shi*w])
 	h.DSM.WriteInt32s(t.P, st.counts+dsm.Addr(4*idx), []int32{int32(flawCount)})
 	h.Sync.V(t.P, semDone)
 }
@@ -195,11 +200,11 @@ func (r *Runner) Run(cfg Config) (Result, error) {
 }
 
 // Sequential returns the modelled sequential inspection time on one CPU
-// of the given machine kind (whole board, no overlap, no DSM).
-func (r *Runner) Sequential(kind arch.Kind, w, h int, seed int64) sim.Duration {
+// of the given machine kind (whole board, no overlap, no DSM, and so no
+// cluster: the cost model is all it reads).
+func Sequential(params *model.Params, kind arch.Kind, w, h int, seed int64) sim.Duration {
 	board := GenerateBoard(w, h, seed)
 	_, _, copperCount := CheckSequential(board)
-	params := r.c.Params
 	cost := time.Duration(w)*time.Duration(h)*params.PCBPixelCost +
 		time.Duration(copperCount)*params.PCBFeatureCost
 	return params.Scale(kind, cost)

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/cluster"
+	"repro/internal/model"
 )
 
 func TestGenerateBoardDeterministic(t *testing.T) {
@@ -158,9 +159,8 @@ func TestSequentialCalibration(t *testing.T) {
 	// The paper: "on a Sun3/60, it takes about five minutes to process a
 	// 2 cm × 16 cm area" (and elsewhere "six minutes"). At 128 px/cm the
 	// area is 256×2048; the modelled time must land in 280–400 s.
-	c := newCluster(t, 1, 1)
-	r := Register(c)
-	seq := r.Sequential(arch.Sun, 2048, 256, 5)
+	params := model.Default()
+	seq := Sequential(&params, arch.Sun, 2048, 256, 5)
 	if s := seq.Seconds(); s < 280 || s > 400 {
 		t.Fatalf("sequential Sun inspection %.0fs, want ≈300–360s", s)
 	}

@@ -10,13 +10,18 @@ import (
 	"repro/internal/arch"
 )
 
+// The two byte-order × float-format combinations no real machine here
+// has.
+var (
+	ieeeLittle = arch.Arch{Kind: arch.Sun, Order: arch.LittleEndian, Floats: arch.IEEE754, PageSize: 8192, MaxCPUs: 1}
+	vaxBig     = arch.Arch{Kind: arch.Firefly, Order: arch.BigEndian, Floats: arch.VAXFloat, PageSize: 1024, MaxCPUs: 1}
+)
+
 // archPairs are the conversion directions the differential tests cover:
 // the paper's two machines in both directions, plus synthetic pairs that
 // exercise the same-float-format/different-byte-order legs of the float
 // converters (not reachable with Sun and Firefly alone).
 func archPairs() [][2]arch.Arch {
-	ieeeLittle := arch.Arch{Kind: arch.Sun, Order: arch.LittleEndian, Floats: arch.IEEE754, PageSize: 8192, MaxCPUs: 1}
-	vaxBig := arch.Arch{Kind: arch.Firefly, Order: arch.BigEndian, Floats: arch.VAXFloat, PageSize: 1024, MaxCPUs: 1}
 	return [][2]arch.Arch{
 		{arch.SunArch, arch.FireflyArch},
 		{arch.FireflyArch, arch.SunArch},
@@ -276,13 +281,21 @@ func TestDenseRegistryLookup(t *testing.T) {
 	}
 }
 
+// fuzzSeedBytes is FuzzConvertDiff's seed corpus; the span-kernel
+// differential test reads the same bytes as every element type.
+var fuzzSeedBytes = [][]byte{
+	{0x7f, 0x80, 0x00, 0x00, 0x00, 0x00, 0x80, 0x00},
+	{0xff, 0xff, 0xff, 0xff, 0x01, 0x00, 0x00, 0x80},
+	bytes.Repeat([]byte{0xa5}, 64),
+}
+
 // FuzzConvertDiff fuzzes the differential property directly: arbitrary
 // bytes through every basic type and a nested compound, plan vs
 // reference, all architecture pairs.
 func FuzzConvertDiff(f *testing.F) {
-	f.Add([]byte{0x7f, 0x80, 0x00, 0x00, 0x00, 0x00, 0x80, 0x00}, uint8(0), int32(64))
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x01, 0x00, 0x00, 0x80}, uint8(4), int32(-4096))
-	f.Add(bytes.Repeat([]byte{0xa5}, 64), uint8(5), int32(0))
+	f.Add(fuzzSeedBytes[0], uint8(0), int32(64))
+	f.Add(fuzzSeedBytes[1], uint8(4), int32(-4096))
+	f.Add(fuzzSeedBytes[2], uint8(5), int32(0))
 	r := NewRegistry()
 	compound, err := r.RegisterStruct("fz", []Field{
 		{Type: Int16, Count: 1},

@@ -138,12 +138,8 @@ func (m *Module) ReadInt32s(p *sim.Proc, addr Addr, dst []int32) {
 // ReadInt32sE is ReadInt32s returning crash errors.
 func (m *Module) ReadInt32sE(p *sim.Proc, addr Addr, dst []int32) error {
 	m.checkTyped(addr, conv.Int32, 4, len(dst))
-	i := 0
-	return m.readRegion(p, addr, 4*len(dst), func(seg []byte, _ int) {
-		for o := 0; o < len(seg); o += 4 {
-			dst[i] = conv.GetInt32(m.arch, seg[o:])
-			i++
-		}
+	return m.readRegion(p, addr, 4*len(dst), func(seg []byte, off int) {
+		conv.GetInt32s(m.arch, seg, dst[off/4:])
 	})
 }
 
@@ -155,12 +151,8 @@ func (m *Module) WriteInt32s(p *sim.Proc, addr Addr, src []int32) {
 // WriteInt32sE is WriteInt32s returning crash errors.
 func (m *Module) WriteInt32sE(p *sim.Proc, addr Addr, src []int32) error {
 	m.checkTyped(addr, conv.Int32, 4, len(src))
-	i := 0
-	return m.writeRegion(p, addr, 4*len(src), func(seg []byte, _ int) {
-		for o := 0; o < len(seg); o += 4 {
-			conv.PutInt32(m.arch, seg[o:], src[i])
-			i++
-		}
+	return m.writeRegion(p, addr, 4*len(src), func(seg []byte, off int) {
+		conv.PutInt32s(m.arch, seg, src[off/4:])
 	})
 }
 
@@ -172,12 +164,8 @@ func (m *Module) ReadInt16s(p *sim.Proc, addr Addr, dst []int16) {
 // ReadInt16sE is ReadInt16s returning crash errors.
 func (m *Module) ReadInt16sE(p *sim.Proc, addr Addr, dst []int16) error {
 	m.checkTyped(addr, conv.Int16, 2, len(dst))
-	i := 0
-	return m.readRegion(p, addr, 2*len(dst), func(seg []byte, _ int) {
-		for o := 0; o < len(seg); o += 2 {
-			dst[i] = conv.GetInt16(m.arch, seg[o:])
-			i++
-		}
+	return m.readRegion(p, addr, 2*len(dst), func(seg []byte, off int) {
+		conv.GetInt16s(m.arch, seg, dst[off/2:])
 	})
 }
 
@@ -189,12 +177,8 @@ func (m *Module) WriteInt16s(p *sim.Proc, addr Addr, src []int16) {
 // WriteInt16sE is WriteInt16s returning crash errors.
 func (m *Module) WriteInt16sE(p *sim.Proc, addr Addr, src []int16) error {
 	m.checkTyped(addr, conv.Int16, 2, len(src))
-	i := 0
-	return m.writeRegion(p, addr, 2*len(src), func(seg []byte, _ int) {
-		for o := 0; o < len(seg); o += 2 {
-			conv.PutInt16(m.arch, seg[o:], src[i])
-			i++
-		}
+	return m.writeRegion(p, addr, 2*len(src), func(seg []byte, off int) {
+		conv.PutInt16s(m.arch, seg, src[off/2:])
 	})
 }
 
@@ -206,12 +190,8 @@ func (m *Module) ReadFloat32s(p *sim.Proc, addr Addr, dst []float32) {
 // ReadFloat32sE is ReadFloat32s returning crash errors.
 func (m *Module) ReadFloat32sE(p *sim.Proc, addr Addr, dst []float32) error {
 	m.checkTyped(addr, conv.Float32, 4, len(dst))
-	i := 0
-	return m.readRegion(p, addr, 4*len(dst), func(seg []byte, _ int) {
-		for o := 0; o < len(seg); o += 4 {
-			dst[i] = conv.GetFloat32(m.arch, seg[o:])
-			i++
-		}
+	return m.readRegion(p, addr, 4*len(dst), func(seg []byte, off int) {
+		conv.GetFloat32s(m.arch, seg, dst[off/4:])
 	})
 }
 
@@ -223,12 +203,8 @@ func (m *Module) WriteFloat32s(p *sim.Proc, addr Addr, src []float32) {
 // WriteFloat32sE is WriteFloat32s returning crash errors.
 func (m *Module) WriteFloat32sE(p *sim.Proc, addr Addr, src []float32) error {
 	m.checkTyped(addr, conv.Float32, 4, len(src))
-	i := 0
-	return m.writeRegion(p, addr, 4*len(src), func(seg []byte, _ int) {
-		for o := 0; o < len(seg); o += 4 {
-			conv.PutFloat32(m.arch, seg[o:], src[i])
-			i++
-		}
+	return m.writeRegion(p, addr, 4*len(src), func(seg []byte, off int) {
+		conv.PutFloat32s(m.arch, seg, src[off/4:])
 	})
 }
 
@@ -240,12 +216,8 @@ func (m *Module) ReadFloat64s(p *sim.Proc, addr Addr, dst []float64) {
 // ReadFloat64sE is ReadFloat64s returning crash errors.
 func (m *Module) ReadFloat64sE(p *sim.Proc, addr Addr, dst []float64) error {
 	m.checkTyped(addr, conv.Float64, 8, len(dst))
-	i := 0
-	return m.readRegion(p, addr, 8*len(dst), func(seg []byte, _ int) {
-		for o := 0; o < len(seg); o += 8 {
-			dst[i] = conv.GetFloat64(m.arch, seg[o:])
-			i++
-		}
+	return m.readRegion(p, addr, 8*len(dst), func(seg []byte, off int) {
+		conv.GetFloat64s(m.arch, seg, dst[off/8:])
 	})
 }
 
@@ -257,12 +229,8 @@ func (m *Module) WriteFloat64s(p *sim.Proc, addr Addr, src []float64) {
 // WriteFloat64sE is WriteFloat64s returning crash errors.
 func (m *Module) WriteFloat64sE(p *sim.Proc, addr Addr, src []float64) error {
 	m.checkTyped(addr, conv.Float64, 8, len(src))
-	i := 0
-	return m.writeRegion(p, addr, 8*len(src), func(seg []byte, _ int) {
-		for o := 0; o < len(seg); o += 8 {
-			conv.PutFloat64(m.arch, seg[o:], src[i])
-			i++
-		}
+	return m.writeRegion(p, addr, 8*len(src), func(seg []byte, off int) {
+		conv.PutFloat64s(m.arch, seg, src[off/8:])
 	})
 }
 

@@ -3,6 +3,7 @@ package dsm
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -553,6 +554,48 @@ func TestIntermediatePageSizes(t *testing.T) {
 			}
 			if r.mods[1].Stats().ReadFaults != 2 {
 				t.Fatalf("pageSize %d: %d VM faults, want 2", pageSize, r.mods[1].Stats().ReadFaults)
+			}
+		})
+	}
+}
+
+// TestSliceAccessorsAcrossAPageBoundary: a Read*/Write* of every
+// element type whose span starts on one page and ends on the next, so
+// the bulk kernel runs once per page span and must pick up the caller's
+// slice where the previous span stopped — on a big-endian IEEE Sun and
+// on a little-endian VAX-float Firefly, and read back on the other
+// machine after the pages have been converted.
+func TestSliceAccessorsAcrossAPageBoundary(t *testing.T) {
+	const pageSize = 1024
+	for writer, kind := range []arch.Kind{arch.Sun, arch.Firefly} {
+		r := newRig(t, []arch.Kind{arch.Sun, arch.Firefly}, withPageSize(pageSize))
+		r.run("main", func(p *sim.Proc) {
+			w, other := r.mods[writer], r.mods[1-writer]
+			alloc := func(id conv.TypeID, size int) Addr {
+				addr, err := w.Alloc(p, id, 2*pageSize/size)
+				if err != nil {
+					panic(err)
+				}
+				return addr + Addr(pageSize-3*size) // three elements before the boundary, four after
+			}
+			i16, i32 := []int16{-1, 2, -30000, 4, 5, 0x1234, 7}, []int32{-1, 2, -3 << 20, 4, 5, 0x12345678, 7}
+			f32, f64 := []float32{-1.5, 2, 3.25e10, 4, -5e-10, 6, 7}, []float64{-1.5, 2, 3.25e100, 4, -5e-100, 6, 7}
+			a16, a32 := alloc(conv.Int16, 2), alloc(conv.Int32, 4)
+			af32, af64 := alloc(conv.Float32, 4), alloc(conv.Float64, 8)
+			w.WriteInt16s(p, a16, i16)
+			w.WriteInt32s(p, a32, i32)
+			w.WriteFloat32s(p, af32, f32)
+			w.WriteFloat64s(p, af64, f64)
+			for _, m := range []*Module{w, other} {
+				g16, g32 := make([]int16, len(i16)), make([]int32, len(i32))
+				gf32, gf64 := make([]float32, len(f32)), make([]float64, len(f64))
+				m.ReadInt16s(p, a16, g16)
+				m.ReadInt32s(p, a32, g32)
+				m.ReadFloat32s(p, af32, gf32)
+				m.ReadFloat64s(p, af64, gf64)
+				if !slices.Equal(g16, i16) || !slices.Equal(g32, i32) || !slices.Equal(gf32, f32) || !slices.Equal(gf64, f64) {
+					t.Errorf("written on the %v, read on host %d: %v %v %v %v", kind, m.id, g16, g32, gf32, gf64)
+				}
 			}
 		})
 	}

@@ -18,6 +18,7 @@ import (
 	"repro/internal/conv"
 	"repro/internal/model"
 	"repro/internal/proto"
+	"repro/internal/sim"
 )
 
 func TestSteadyStateTransferZeroAllocs(t *testing.T) {
@@ -99,4 +100,32 @@ func TestSendArgsInlineAllocFree(t *testing.T) {
 	if len(rx.Args) != proto.MaxArgs {
 		t.Fatalf("decoded %d args, want %d", len(rx.Args), proto.MaxArgs)
 	}
+}
+
+// TestResidentSliceAccessAllocatesPerCallOnly guards the access hit
+// path: reading or writing 1 k resident int32s allocates what a
+// one-element access does — the span closure handed through the engine
+// interface and the list of pages the access check walks — and nothing
+// per element or per span: the bulk conv kernels decode straight
+// between the page and the caller's slice.
+func TestResidentSliceAccessAllocatesPerCallOnly(t *testing.T) {
+	r := newRig(t, []arch.Kind{arch.Sun})
+	r.run("main", func(p *sim.Proc) {
+		m := r.mods[0]
+		addr, err := m.Alloc(p, conv.Int32, 1024)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		buf := make([]int32, 1024)
+		m.WriteInt32s(p, addr, buf) // resident and writable from here on
+		for _, n := range []int{1, 1024} {
+			if avg := testing.AllocsPerRun(200, func() { m.ReadInt32s(p, addr, buf[:n]) }); avg > 2 {
+				t.Errorf("resident ReadInt32s of %d elements allocates %.1f times, want ≤ 2", n, avg)
+			}
+			if avg := testing.AllocsPerRun(200, func() { m.WriteInt32s(p, addr, buf[:n]) }); avg > 2 {
+				t.Errorf("resident WriteInt32s of %d elements allocates %.1f times, want ≤ 2", n, avg)
+			}
+		}
+	})
 }

@@ -29,19 +29,17 @@ type SyncStyleResult struct {
 // once with a test-and-set spinlock on a shared word and once with a
 // distributed semaphore.
 func SyncStyles(rounds int) SyncStyleResult {
-	var out SyncStyleResult
-	out.SpinlockS, out.SpinlockTransfers = runSyncStyle(rounds, true)
-	out.SemaphoreS, out.SemaphoreTransfers = runSyncStyle(rounds, false)
-	return out
+	res := sim.Each(2, func(i int) FigPoint { return runSyncStyle(rounds, i == 0) })
+	return SyncStyleResult{
+		SpinlockS: res[0].Seconds, SpinlockTransfers: res[0].Transfers,
+		SemaphoreS: res[1].Seconds, SemaphoreTransfers: res[1].Transfers,
+	}
 }
 
-func runSyncStyle(rounds int, spinlock bool) (float64, int) {
-	hosts := []cluster.HostSpec{
-		{Kind: arch.Sun},
-		{Kind: arch.Firefly, CPUs: 2},
-		{Kind: arch.Firefly, CPUs: 2},
-		{Kind: arch.Sun},
-	}
+// runSyncStyle returns the workload's run time and the page bodies it
+// moved.
+func runSyncStyle(rounds int, spinlock bool) FigPoint {
+	hosts := sunsAroundFireflies()
 	c := newCluster(cluster.Config{Hosts: hosts, Seed: 1})
 	defer c.Close()
 	const (
@@ -113,7 +111,7 @@ func runSyncStyle(rounds int, spinlock bool) (float64, int) {
 			panic("sync-style workload lost updates")
 		}
 	})
-	return elapsed.Seconds(), c.TotalDSMStats().PagesFetched
+	return FigPoint{Seconds: elapsed.Seconds(), Transfers: c.TotalDSMStats().PagesFetched}
 }
 
 // ManagerPlacementResult compares the fixed distributed manager with a
@@ -131,7 +129,7 @@ type ManagerPlacementResult struct {
 // central-manager bottleneck), spread across hosts when distributed
 // (the paper's fixed distributed managers).
 func ManagerPlacement() ManagerPlacementResult {
-	run := func(dir dsm.Directory) (float64, int) {
+	run := func(dir dsm.Directory) FigPoint {
 		const (
 			nf       = 6
 			pagesPer = 60
@@ -187,12 +185,14 @@ func ManagerPlacement() ManagerPlacementResult {
 			}
 			storm = p.Now().Sub(start)
 		})
-		return storm.Seconds(), c.TotalDSMStats().PagesFetched
+		return FigPoint{Seconds: storm.Seconds(), Transfers: c.TotalDSMStats().PagesFetched}
 	}
-	var out ManagerPlacementResult
-	out.DistributedS, out.DistributedTransfers = run(dsm.DirFixed)
-	out.CentralS, out.CentralTransfers = run(dsm.DirCentral)
-	return out
+	dirs := []dsm.Directory{dsm.DirFixed, dsm.DirCentral}
+	res := sim.Each(len(dirs), func(i int) FigPoint { return run(dirs[i]) })
+	return ManagerPlacementResult{
+		DistributedS: res[0].Seconds, DistributedTransfers: res[0].Transfers,
+		CentralS: res[1].Seconds, CentralTransfers: res[1].Transfers,
+	}
 }
 
 // InvalidationRow measures one write fault that must invalidate a
@@ -210,15 +210,18 @@ type InvalidationRow struct {
 
 // InvalidationScaling measures invalidation cost against copyset size.
 func InvalidationScaling(sizes []int) []InvalidationRow {
-	measure := func(copyset int, unicast bool) (float64, int) {
+	type cost struct {
+		ms     float64
+		frames int
+	}
+	measure := func(copyset int, unicast bool) cost {
 		hosts := make([]cluster.HostSpec, copyset+2)
 		for i := range hosts {
 			hosts[i] = cluster.HostSpec{Kind: arch.Sun}
 		}
 		c := newCluster(cluster.Config{Hosts: hosts, Seed: 1, UnicastInvalidate: unicast})
 		defer c.Close()
-		var ms float64
-		var frames int
+		var out cost
 		c.Run(0, func(p *sim.Proc, h0 *cluster.Host) {
 			addr, err := h0.DSM.Alloc(p, conv.Int32, 2048)
 			if err != nil {
@@ -233,17 +236,17 @@ func InvalidationScaling(sizes []int) []InvalidationRow {
 			framesBefore := c.Net.Stats().FramesSent
 			start := p.Now()
 			writer.DSM.WriteInt32s(p, addr, []int32{1})
-			ms = float64(p.Now().Sub(start)) / float64(time.Millisecond)
-			frames = c.Net.Stats().FramesSent - framesBefore
+			out.ms = float64(p.Now().Sub(start)) / float64(time.Millisecond)
+			out.frames = c.Net.Stats().FramesSent - framesBefore
 		})
-		return ms, frames
+		return out
 	}
-	var rows []InvalidationRow
-	for _, n := range sizes {
-		row := InvalidationRow{Copyset: n}
-		row.BroadcastMS, row.BroadcastFrames = measure(n, false)
-		row.UnicastMS, row.UnicastFrames = measure(n, true)
-		rows = append(rows, row)
+	// Per size: broadcast, then unicast.
+	res := sim.Each(2*len(sizes), func(i int) cost { return measure(sizes[i/2], i%2 == 1) })
+	rows := make([]InvalidationRow, len(sizes))
+	for i, n := range sizes {
+		b, u := res[2*i], res[2*i+1]
+		rows[i] = InvalidationRow{Copyset: n, BroadcastMS: b.ms, UnicastMS: u.ms, BroadcastFrames: b.frames, UnicastFrames: u.frames}
 	}
 	return rows
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/arch"
 	"repro/internal/cluster"
 	"repro/internal/conv"
 	"repro/internal/dsm"
@@ -43,38 +42,19 @@ func AlgorithmChoice() []AlgorithmChoiceRow {
 		{name: "hotspot", run: runHotspot},
 		{name: "producer-consumer", run: runProducerConsumer},
 	}
-	var rows []AlgorithmChoiceRow
-	for _, w := range workloads {
-		row := AlgorithmChoiceRow{Workload: w.name}
-		for _, pol := range []dsm.Policy{dsm.PolicyMRSW, dsm.PolicyMigration, dsm.PolicyCentral, dsm.PolicyUpdate} {
-			c := newCluster(cluster.Config{
-				Hosts: []cluster.HostSpec{
-					{Kind: arch.Sun},
-					{Kind: arch.Firefly, CPUs: 2},
-					{Kind: arch.Firefly, CPUs: 2},
-					{Kind: arch.Sun},
-				},
-				Seed:   1,
-				Policy: pol,
-			})
-			start := c.K.Now()
-			w.run(c)
-			secs := c.K.Now().Sub(start).Seconds()
-			c.Close()
-			switch pol {
-			case dsm.PolicyMRSW:
-				row.MRSWS = secs
-			case dsm.PolicyMigration:
-				row.MigrationS = secs
-			case dsm.PolicyCentral:
-				row.CentralS = secs
-			case dsm.PolicyUpdate:
-				row.UpdateS = secs
-			default:
-				panic("unhandled policy in algorithm-choice study")
-			}
-		}
-		rows = append(rows, row)
+	policies := []dsm.Policy{dsm.PolicyMRSW, dsm.PolicyMigration, dsm.PolicyCentral, dsm.PolicyUpdate}
+	// Per workload: one run under each policy, in that order.
+	secs := sim.Each(len(workloads)*len(policies), func(i int) float64 {
+		c := newCluster(cluster.Config{Hosts: sunsAroundFireflies(), Seed: 1, Policy: policies[i%len(policies)]})
+		defer c.Close()
+		start := c.K.Now()
+		workloads[i/len(policies)].run(c)
+		return c.K.Now().Sub(start).Seconds()
+	})
+	rows := make([]AlgorithmChoiceRow, len(workloads))
+	for i, w := range workloads {
+		s := secs[i*len(policies):]
+		rows[i] = AlgorithmChoiceRow{Workload: w.name, MRSWS: s[0], MigrationS: s[1], CentralS: s[2], UpdateS: s[3]}
 	}
 	return rows
 }

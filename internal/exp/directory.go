@@ -60,22 +60,16 @@ var dynDirKinds = []proto.Kind{
 // whatever the directory recorded, which is exactly what separates the
 // schemes.
 func DirectorySchemes() []DirectorySchemeRow {
-	schemes := []struct {
-		name string
-		dir  dsm.Directory
-	}{
-		{"fixed", dsm.DirFixed},
-		{"central", dsm.DirCentral},
-		{"dynamic", dsm.DirDynamic},
-	}
-	out := make([]DirectorySchemeRow, 0, len(schemes))
-	for _, s := range schemes {
-		out = append(out, runDirectoryScheme(s.name, s.dir))
-	}
-	return out
+	return sim.Each(len(directorySchemes), func(i int) DirectorySchemeRow {
+		return runDirectoryScheme(directorySchemes[i])
+	})
 }
 
-func runDirectoryScheme(name string, dir dsm.Directory) DirectorySchemeRow {
+// directorySchemes lists the manager schemes both directory ablations
+// run, in table order; a row is labelled with the scheme's String.
+var directorySchemes = []dsm.Directory{dsm.DirFixed, dsm.DirCentral, dsm.DirDynamic}
+
+func runDirectoryScheme(dir dsm.Directory) DirectorySchemeRow {
 	const (
 		nf     = 5  // Firefly workers; host 0 is the Sun coordinator
 		pages  = 24 // 1 KB pages
@@ -106,7 +100,7 @@ func runDirectoryScheme(name string, dir dsm.Directory) DirectorySchemeRow {
 				for i := range got {
 					if got[i] != buf[i] {
 						panic(fmt.Sprintf("directory scheme %s: page %d round %d: read %d, want %d",
-							name, pg, r, got[i], buf[i]))
+							dir, pg, r, got[i], buf[i]))
 					}
 				}
 			}
@@ -115,7 +109,7 @@ func runDirectoryScheme(name string, dir dsm.Directory) DirectorySchemeRow {
 	})
 	total := c.TotalDSMStats()
 	row := DirectorySchemeRow{
-		Scheme:   name,
+		Scheme:   dir.String(),
 		ElapsedS: elapsed.Seconds(),
 		Fetches:  total.PagesFetched,
 		Invals:   total.InvalidationsSent,
@@ -141,7 +135,7 @@ func runDirectoryScheme(name string, dir dsm.Directory) DirectorySchemeRow {
 // OwnerForwarding runs the migratory workload under the dynamic
 // directory alone — the benchmark entry for probable-owner forwarding.
 func OwnerForwarding() DirectorySchemeRow {
-	return runDirectoryScheme("dynamic", dsm.DirDynamic)
+	return runDirectoryScheme(dsm.DirDynamic)
 }
 
 // DirectorySchemesTable renders the comparison for EXPERIMENTS.md and

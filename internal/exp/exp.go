@@ -92,6 +92,14 @@ func sunAndFireflies(nf, cpus int) []cluster.HostSpec {
 	return hosts
 }
 
+// sunsAroundFireflies is the four-host mix of the synchronization and
+// algorithm-choice studies: a Sun at each end, two two-CPU Fireflies
+// between them.
+func sunsAroundFireflies() []cluster.HostSpec {
+	ff := cluster.HostSpec{Kind: arch.Firefly, CPUs: 2}
+	return []cluster.HostSpec{{Kind: arch.Sun}, ff, ff, {Kind: arch.Sun}}
+}
+
 // placeThreads spreads t threads over fireflies 1..nf round-robin,
 // approximately balanced as in §3.2.
 func placeThreads(t, nf int) []cluster.HostID {

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -329,5 +330,45 @@ func TestPageSizeSweepExtremesMatchFigures(t *testing.T) {
 	ratioLarge := pts[3].MM2S / pts[3].MM1S
 	if ratioLarge <= ratioSmall {
 		t.Errorf("MM2/MM1 penalty at 8KB (%.2f) not above 1KB (%.2f)", ratioLarge, ratioSmall)
+	}
+}
+
+// TestSweepsIdenticalAcrossCores runs three sweeps with one worker and
+// with three (GOMAXPROCS 1 and 4): how many simulations run side by side must change no
+// number. Under -race it is also the check that nothing reachable from
+// two clusters at once is shared unsynchronized (make race runs it).
+func TestSweepsIdenticalAcrossCores(t *testing.T) {
+	type sweeps struct {
+		f4     []FigPoint
+		thrash []ThrashingResult
+		psweep []PageSizePoint
+	}
+	run := func(procs int) sweeps {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		return sweeps{Figure4(6), Thrashing([]int{6}, []int64{1, 2, 3}), PageSizeSweep(4)}
+	}
+	if one, four := run(1), run(4); !reflect.DeepEqual(one, four) {
+		t.Errorf("results differ with the worker count:\nGOMAXPROCS=1: %+v\nGOMAXPROCS=4: %+v", one, four)
+	}
+}
+
+func TestThrashingRejectsEmptySeeds(t *testing.T) {
+	defer func() {
+		if r := recover(); r != "exp: Thrashing needs at least one seed" {
+			t.Errorf("recovered %v", r)
+		}
+	}()
+	Thrashing([]int{6}, nil)
+}
+
+// TestThrashingMinStartsFromAMeasuredPoint: with one seed, min, mean
+// and max are that seed's run — no sentinel survives into the result.
+func TestThrashingMinStartsFromAMeasuredPoint(t *testing.T) {
+	r := Thrashing([]int{2}, []int64{7})[0]
+	if r.MinS != r.MeanS || r.MaxS != r.MeanS || r.MinS <= 0 {
+		t.Errorf("one seed: min %v mean %v max %v", r.MinS, r.MeanS, r.MaxS)
+	}
+	if want := 256 * 256 * 256 * 2.7e-6; r.SequentialS < 0.99*want || r.SequentialS > 1.01*want {
+		t.Errorf("sequential baseline %.2f s, want ≈ %.2f s", r.SequentialS, want)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/dsm"
 	"repro/internal/model"
+	"repro/internal/sim"
 )
 
 // The paper's workload parameters.
@@ -57,9 +58,8 @@ type mmRun struct {
 	sameKind bool
 }
 
-// run executes the measurement and returns the figure point alongside
-// the full DSM counters.
-func (r mmRun) run() (FigPoint, dsm.Stats) {
+// run executes the measurement.
+func (r mmRun) run() matmul.Result {
 	var params *model.Params
 	if r.jitter > 0 {
 		pv := model.Default()
@@ -79,17 +79,35 @@ func (r mmRun) run() (FigPoint, dsm.Stats) {
 	if err != nil {
 		panic(err)
 	}
-	return FigPoint{
-		Threads:   len(r.slaves),
-		Seconds:   res.Elapsed.Seconds(),
-		Transfers: res.Stats.PagesFetched,
-	}, res.Stats
+	return res
 }
 
 // point is run for the callers that plot only the figure point.
 func (r mmRun) point() FigPoint {
-	pt, _ := r.run()
-	return pt
+	res := r.run()
+	return FigPoint{Threads: len(r.slaves), Seconds: res.Elapsed.Seconds(), Transfers: res.Stats.PagesFetched}
+}
+
+// points runs every mmRun of the list — each on its own cluster, as
+// many at a time as sim.Each has workers — and returns the figure
+// points in list order.
+func points(runs []mmRun) []FigPoint {
+	return sim.Each(len(runs), func(i int) FigPoint { return runs[i].point() })
+}
+
+// twoSeries measures series a and series b as one list and hands each
+// back its own points.
+func twoSeries(a, b []mmRun) (pa, pb []FigPoint) {
+	pts := points(append(a, b...))
+	return pts[:len(a):len(a)], pts[len(a):]
+}
+
+// balancedRun is the figures' standard heterogeneous configuration at t
+// threads: master on a Sun, slaves balanced over one to four Fireflies,
+// seed 1, every other decision at its default.
+func balancedRun(t int) mmRun {
+	nf := firefliesFor(t)
+	return mmRun{hosts: sunAndFireflies(nf, fireflyCPUs), slaves: placeThreads(t, nf), seed: 1}
 }
 
 // twoSeriesTable formats two response-time series measured at the same
@@ -120,27 +138,24 @@ type Figure3Result struct {
 // Figure 3): the same thread counts either share one Firefly's memory
 // or span machines.
 func Figure3(maxThreads int) Figure3Result {
-	var out Figure3Result
+	master := cluster.HostSpec{Kind: arch.Firefly, CPUs: 1}
+	var phys, dist []mmRun
 	for t := 1; t <= maxThreads; t++ {
-		// Physical: host 0 master Firefly, host 1 the compute Firefly.
-		mm := mmRun{
-			hosts:  []cluster.HostSpec{{Kind: arch.Firefly, CPUs: 1}, {Kind: arch.Firefly, CPUs: fireflyCPUs}},
-			slaves: make([]cluster.HostID, t),
-			seed:   1,
+		// Physical: host 0 the master, host 1 the Firefly computing
+		// with all t threads.
+		phys = append(phys, mmRun{
+			hosts:  []cluster.HostSpec{master, {Kind: arch.Firefly, CPUs: fireflyCPUs}},
+			slaves: placeThreads(t, 1), seed: 1,
+		})
+		// Distributed: one thread on each of t further one-CPU Fireflies.
+		hosts := make([]cluster.HostSpec, t+1)
+		for i := range hosts {
+			hosts[i] = master
 		}
-		for i := range mm.slaves {
-			mm.slaves[i] = 1
-		}
-		out.Physical = append(out.Physical, mm.point())
-
-		// Distributed: master on host 0, one thread on each of t Fireflies.
-		mm.hosts = []cluster.HostSpec{{Kind: arch.Firefly, CPUs: 1}}
-		for i := range mm.slaves {
-			mm.hosts = append(mm.hosts, cluster.HostSpec{Kind: arch.Firefly, CPUs: 1})
-			mm.slaves[i] = cluster.HostID(i + 1)
-		}
-		out.Distributed = append(out.Distributed, mm.point())
+		dist = append(dist, mmRun{hosts: hosts, slaves: placeThreads(t, t), seed: 1})
 	}
+	var out Figure3Result
+	out.Physical, out.Distributed = twoSeries(phys, dist)
 	return out
 }
 
@@ -154,12 +169,11 @@ func Figure3Table(res Figure3Result) *Table {
 // one to four Fireflies (§3.2, Figure 4). Threads ranges over
 // 1..maxThreads.
 func Figure4(maxThreads int) []FigPoint {
-	var out []FigPoint
+	var runs []mmRun
 	for t := 1; t <= maxThreads; t++ {
-		nf := firefliesFor(t)
-		out = append(out, mmRun{hosts: sunAndFireflies(nf, fireflyCPUs), slaves: placeThreads(t, nf), seed: 1}.point())
+		runs = append(runs, balancedRun(t))
 	}
-	return out
+	return points(runs)
 }
 
 // SeriesTable formats a single response-time series.
@@ -185,33 +199,23 @@ type Figure5Point struct {
 // Figure5 measures PCB inspection with the master on a Sun and checking
 // threads on one to four Fireflies (§3.2, Figure 5).
 func Figure5(maxThreads int) []Figure5Point {
-	var out []Figure5Point
-	var seqSeconds float64
-	for t := 1; t <= maxThreads; t++ {
+	params := model.Default()
+	seqSeconds := pcb.Sequential(&params, arch.Sun, PCBWidth, PCBHeight, 5).Seconds()
+	return sim.Each(max(maxThreads, 0), func(i int) Figure5Point {
+		t := i + 1
 		nf := firefliesFor(t)
 		c := newCluster(cluster.Config{Hosts: sunAndFireflies(nf, fireflyCPUs), Seed: 1})
-		r := pcb.Register(c)
-		if seqSeconds == 0 {
-			seqSeconds = r.Sequential(arch.Sun, PCBWidth, PCBHeight, 5).Seconds()
-		}
-		res, err := r.Run(pcb.Config{
+		defer c.Close()
+		res, err := pcb.Register(c).Run(pcb.Config{
 			W: PCBWidth, H: PCBHeight,
 			Master: 0, Slaves: placeThreads(t, nf), Seed: 5,
 		})
 		if err != nil {
 			panic(err)
 		}
-		out = append(out, Figure5Point{
-			FigPoint: FigPoint{
-				Threads:   t,
-				Seconds:   res.Elapsed.Seconds(),
-				Transfers: res.Stats.PagesFetched,
-			},
-			Speedup: seqSeconds / res.Elapsed.Seconds(),
-		})
-		c.Close()
-	}
-	return out
+		pt := FigPoint{Threads: t, Seconds: res.Elapsed.Seconds(), Transfers: res.Stats.PagesFetched}
+		return Figure5Point{FigPoint: pt, Speedup: seqSeconds / pt.Seconds}
+	})
 }
 
 // Figure5Table formats Figure 5.
@@ -239,14 +243,15 @@ type Figure6Result struct {
 // Figure6 compares the largest and smallest page size algorithms on MM1
 // (§3.3, Figure 6).
 func Figure6(maxThreads int) Figure6Result {
-	var out Figure6Result
+	var large, small []mmRun
 	for t := 1; t <= maxThreads; t++ {
-		nf := firefliesFor(t)
-		mm := mmRun{hosts: sunAndFireflies(nf, fireflyCPUs), slaves: placeThreads(t, nf), seed: 1}
-		out.Large = append(out.Large, mm.point())
+		mm := balancedRun(t)
+		large = append(large, mm)
 		mm.pageSize = 1024
-		out.Small = append(out.Small, mm.point())
+		small = append(small, mm)
 	}
+	var out Figure6Result
+	out.Large, out.Small = twoSeries(large, small)
 	return out
 }
 
@@ -266,14 +271,16 @@ type Figure7Result struct {
 // (§3.3, Figure 7): with one row per 1 KB page, round-robin assignment
 // causes no false sharing and the two behave similarly.
 func Figure7(maxThreads int) Figure7Result {
-	var out Figure7Result
+	var mm1, mm2 []mmRun
 	for t := 1; t <= maxThreads; t++ {
-		nf := firefliesFor(t)
-		mm := mmRun{hosts: sunAndFireflies(nf, fireflyCPUs), slaves: placeThreads(t, nf), pageSize: 1024, seed: 1}
-		out.MM1 = append(out.MM1, mm.point())
+		mm := balancedRun(t)
+		mm.pageSize = 1024
+		mm1 = append(mm1, mm)
 		mm.assign = matmul.MM2
-		out.MM2 = append(out.MM2, mm.point())
+		mm2 = append(mm2, mm)
 	}
+	var out Figure7Result
+	out.MM1, out.MM2 = twoSeries(mm1, mm2)
 	return out
 }
 
@@ -303,13 +310,34 @@ type ThrashingResult struct {
 // threads — across several seeds, reproducing the large, fluctuating
 // execution times and page transfer counts of §3.3.
 func Thrashing(threadCounts []int, seeds []int64) []ThrashingResult {
-	var out []ThrashingResult
+	if len(seeds) == 0 {
+		panic("exp: Thrashing needs at least one seed")
+	}
+	// Per thread count: MM2 once per seed, then MM1 for contrast, with
+	// its whole-row stores.
+	per := len(seeds) + 1
+	var runs []mmRun
 	for _, t := range threadCounts {
 		mm := thrashingRun(t)
-		res := ThrashingResult{Threads: t, MinS: 1e18}
 		for _, seed := range seeds {
 			mm.seed = seed
-			pt := mm.point()
+			runs = append(runs, mm)
+		}
+		mm.assign, mm.seed, mm.chunk = matmul.MM1, seeds[0], 0
+		runs = append(runs, mm)
+	}
+	pts := points(runs)
+	// One-thread sequential-equivalent baseline on a Firefly.
+	params := model.Default()
+	seq := matmul.Sequential(&params, arch.Firefly, MMSize).Seconds()
+	var out []ThrashingResult
+	for i, t := range threadCounts {
+		mm2, mm1 := pts[i*per:(i+1)*per-1], pts[(i+1)*per-1]
+		res := ThrashingResult{
+			Threads: t, MinS: mm2[0].Seconds, MaxS: mm2[0].Seconds,
+			SequentialS: seq, MM1Transfers: mm1.Transfers,
+		}
+		for _, pt := range mm2 {
 			res.MeanS += pt.Seconds
 			res.MeanTransfers += float64(pt.Transfers)
 			res.MinS = min(res.MinS, pt.Seconds)
@@ -317,13 +345,6 @@ func Thrashing(threadCounts []int, seeds []int64) []ThrashingResult {
 		}
 		res.MeanS /= float64(len(seeds))
 		res.MeanTransfers /= float64(len(seeds))
-		// MM1 for contrast, with its whole-row stores.
-		mm.assign, mm.seed, mm.chunk = matmul.MM1, seeds[0], 0
-		res.MM1Transfers = mm.point().Transfers
-		// One-thread sequential-equivalent baseline on a Firefly.
-		c := newCluster(cluster.Config{Hosts: mm.hosts, Seed: 1})
-		res.SequentialS = matmul.Register(c).Sequential(arch.Firefly, MMSize).Seconds()
-		c.Close()
 		out = append(out, res)
 	}
 	return out
@@ -371,22 +392,27 @@ type ThrashingRCPoint struct {
 // transfer count — the §3.3 thrashing signature — should collapse; the
 // diff bytes column shows what RC pays instead.
 func ThrashingRC(threadCounts []int, seed int64) []ThrashingRCPoint {
-	var out []ThrashingRCPoint
+	var runs []mmRun
 	for _, t := range threadCounts {
 		mm := thrashingRun(t)
 		mm.seed = seed
-		inv, invStats := mm.run()
+		runs = append(runs, mm)
 		mm.policy = dsm.PolicyRC
-		rc, rcStats := mm.run()
+		runs = append(runs, mm)
+	}
+	res := sim.Each(len(runs), func(i int) matmul.Result { return runs[i].run() })
+	var out []ThrashingRCPoint
+	for i, t := range threadCounts {
+		inv, rc := res[2*i], res[2*i+1]
 		out = append(out, ThrashingRCPoint{
 			Threads:      t,
-			InvS:         inv.Seconds,
-			InvTransfers: inv.Transfers,
-			InvBytes:     invStats.BytesFetched,
-			RCS:          rc.Seconds,
-			RCTransfers:  rc.Transfers,
-			RCBytes:      rcStats.BytesFetched,
-			RCDiffBytes:  rcStats.RCDiffBytes,
+			InvS:         inv.Elapsed.Seconds(),
+			InvTransfers: inv.Stats.PagesFetched,
+			InvBytes:     inv.Stats.BytesFetched,
+			RCS:          rc.Elapsed.Seconds(),
+			RCTransfers:  rc.Stats.PagesFetched,
+			RCBytes:      rc.Stats.BytesFetched,
+			RCDiffBytes:  rc.Stats.RCDiffBytes,
 		})
 	}
 	return out
@@ -450,35 +476,30 @@ type OverheadResult struct {
 // near zero: a one-slave DSM run on a single host is compared with the
 // sequential time.
 func SingleThreadOverhead() []OverheadResult {
-	var out []OverheadResult
-
-	// MM on one Firefly.
-	c := newCluster(cluster.Config{Hosts: []cluster.HostSpec{{Kind: arch.Firefly, CPUs: 2}}, Seed: 1})
-	defer c.Close()
-	mr := matmul.Register(c)
-	seq := mr.Sequential(arch.Firefly, MMSize).Seconds()
-	res, err := mr.Run(matmul.Config{N: MMSize, Master: 0, Slaves: []cluster.HostID{0}})
-	if err != nil {
-		panic(err)
+	runs := []func() OverheadResult{
+		func() OverheadResult { // MM on one Firefly
+			c := newCluster(cluster.Config{Hosts: []cluster.HostSpec{{Kind: arch.Firefly, CPUs: 2}}, Seed: 1})
+			defer c.Close()
+			res, err := matmul.Register(c).Run(matmul.Config{N: MMSize, Master: 0, Slaves: []cluster.HostID{0}})
+			if err != nil {
+				panic(err)
+			}
+			return OverheadResult{App: "MM", SequentialS: matmul.Sequential(c.Params, arch.Firefly, MMSize).Seconds(), DSMS: res.Elapsed.Seconds()}
+		},
+		func() OverheadResult { // PCB on one Sun
+			c := newCluster(cluster.Config{Hosts: []cluster.HostSpec{{Kind: arch.Sun}}, Seed: 1})
+			defer c.Close()
+			res, err := pcb.Register(c).Run(pcb.Config{W: PCBWidth, H: PCBHeight, Master: 0, Slaves: []cluster.HostID{0}, Seed: 5, Overlap: 1})
+			if err != nil {
+				panic(err)
+			}
+			return OverheadResult{App: "PCB", SequentialS: pcb.Sequential(c.Params, arch.Sun, PCBWidth, PCBHeight, 5).Seconds(), DSMS: res.Elapsed.Seconds()}
+		},
 	}
-	out = append(out, OverheadResult{
-		App: "MM", SequentialS: seq, DSMS: res.Elapsed.Seconds(),
-		OverheadPct: 100 * (res.Elapsed.Seconds() - seq) / seq,
-	})
-
-	// PCB on one Sun.
-	c2 := newCluster(cluster.Config{Hosts: []cluster.HostSpec{{Kind: arch.Sun}}, Seed: 1})
-	defer c2.Close()
-	pr := pcb.Register(c2)
-	seqP := pr.Sequential(arch.Sun, PCBWidth, PCBHeight, 5).Seconds()
-	resP, err := pr.Run(pcb.Config{W: PCBWidth, H: PCBHeight, Master: 0, Slaves: []cluster.HostID{0}, Seed: 5, Overlap: 1})
-	if err != nil {
-		panic(err)
+	out := sim.Each(len(runs), func(i int) OverheadResult { return runs[i]() })
+	for i, r := range out {
+		out[i].OverheadPct = 100 * (r.DSMS - r.SequentialS) / r.SequentialS
 	}
-	out = append(out, OverheadResult{
-		App: "PCB", SequentialS: seqP, DSMS: resP.Elapsed.Seconds(),
-		OverheadPct: 100 * (resP.Elapsed.Seconds() - seqP) / seqP,
-	})
 	return out
 }
 
@@ -511,13 +532,14 @@ type AblationResult struct {
 // should convert once, not once per reader.
 func AblationSameKindSource() AblationResult {
 	mm := mmRun{hosts: sunAndFireflies(4, fireflyCPUs), slaves: placeThreads(8, 4), seed: 1}
-	base, baseStats := mm.run()
-	mm.sameKind = true
-	tuned, tunedStats := mm.run()
+	tuned := mm
+	tuned.sameKind = true
+	runs := []mmRun{mm, tuned}
+	res := sim.Each(len(runs), func(i int) matmul.Result { return runs[i].run() })
 	return AblationResult{
 		Name:      "prefer same-kind read source",
-		BaselineS: base.Seconds, TunedS: tuned.Seconds,
-		BaselineConv: baseStats.Conversions, TunedConv: tunedStats.Conversions,
+		BaselineS: res[0].Elapsed.Seconds(), TunedS: res[1].Elapsed.Seconds(),
+		BaselineConv: res[0].Stats.Conversions, TunedConv: res[1].Stats.Conversions,
 	}
 }
 
@@ -534,17 +556,21 @@ type PageSizePoint struct {
 // power-of-two DSM page size between 1 KB and 8 KB. Larger pages help
 // the well-behaved MM1 (fewer faults) and hurt the false-sharing MM2.
 func PageSizeSweep(threads int) []PageSizePoint {
-	nf := firefliesFor(threads)
-	mm := mmRun{hosts: sunAndFireflies(nf, fireflyCPUs), slaves: placeThreads(threads, nf), seed: 1, jitter: 0.03, chunk: 4}
-	var out []PageSizePoint
-	for _, ps := range []int{1024, 2048, 4096, 8192} {
-		p := PageSizePoint{PageSize: ps}
+	sizes := []int{1024, 2048, 4096, 8192}
+	mm := balancedRun(threads)
+	mm.jitter, mm.chunk = 0.03, 4
+	var runs []mmRun
+	for _, ps := range sizes {
 		mm.pageSize = ps
 		mm.assign = matmul.MM1
-		p.MM1S = mm.point().Seconds
+		runs = append(runs, mm)
 		mm.assign = matmul.MM2
-		p.MM2S = mm.point().Seconds
-		out = append(out, p)
+		runs = append(runs, mm)
+	}
+	pts := points(runs)
+	out := make([]PageSizePoint, len(sizes))
+	for i, ps := range sizes {
+		out[i] = PageSizePoint{PageSize: ps, MM1S: pts[2*i].Seconds, MM2S: pts[2*i+1].Seconds}
 	}
 	return out
 }

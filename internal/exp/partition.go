@@ -63,8 +63,8 @@ func PartitionAvailability() []PartitionAvailabilityRow {
 		{"update", dsm.PolicyUpdate},
 		{"quorum", dsm.PolicyQuorum},
 	}
-	var rows []PartitionAvailabilityRow
-	for _, pc := range policies {
+	return sim.Each(len(policies), func(i int) PartitionAvailabilityRow {
+		pc := policies[i]
 		row := PartitionAvailabilityRow{Policy: pc.name}
 		plan := &netsim.FaultPlan{
 			Partitions: []netsim.Partition{{
@@ -159,10 +159,9 @@ func PartitionAvailability() []PartitionAvailabilityRow {
 				done.P(p)
 			}
 		})
-		rows = append(rows, row)
 		c.Close()
-	}
-	return rows
+		return row
+	})
 }
 
 // PartitionAvailabilityTable formats the rows.

@@ -59,34 +59,33 @@ func scalingTopology(hosts int) *netsim.Topology {
 // size on both topologies. Sizes beyond a few hundred hosts are the
 // nightly configuration; the smoke sweep stops at 256.
 func DirectoryScaling(sizes []int) []ScalingRow {
-	schemes := []struct {
-		name string
+	type cell struct {
+		n    int
+		topo string
 		dir  dsm.Directory
-	}{
-		{"fixed", dsm.DirFixed},
-		{"central", dsm.DirCentral},
-		{"dynamic", dsm.DirDynamic},
 	}
-	var out []ScalingRow
+	var cells []cell
 	for _, n := range sizes {
 		for _, topo := range []string{"bus", "switched"} {
-			var t *netsim.Topology
-			if topo == "switched" {
-				t = scalingTopology(n)
-			}
-			for _, s := range schemes {
-				out = append(out, runDirectoryScale(n, topo, t, s.name, s.dir))
+			for _, dir := range directorySchemes {
+				cells = append(cells, cell{n, topo, dir})
 			}
 		}
 	}
-	return out
+	return sim.Each(len(cells), func(i int) ScalingRow {
+		return runDirectoryScale(cells[i].n, cells[i].topo, cells[i].dir)
+	})
 }
 
-func runDirectoryScale(n int, topoName string, topo *netsim.Topology, scheme string, dir dsm.Directory) ScalingRow {
+func runDirectoryScale(n int, topoName string, dir dsm.Directory) ScalingRow {
 	const (
 		pages = 8
 		per   = 256 // int32s per 1 KB page
 	)
+	var topo *netsim.Topology // nil is the one-segment bus
+	if topoName == "switched" {
+		topo = scalingTopology(n)
+	}
 	c := newCluster(cluster.Config{Hosts: sunAndFireflies(n-1, 0), Seed: 1, PageSize: 1024, Directory: dir, Topology: topo})
 	defer c.Close()
 	var elapsed sim.Duration
@@ -108,14 +107,14 @@ func runDirectoryScale(n int, topoName string, topo *netsim.Topology, scheme str
 		hot := addr
 		for i := 1; i < n; i++ {
 			if got := c.Hosts[i].DSM.ReadInt32(p, hot); got != 0 {
-				panic(fmt.Sprintf("scaling %s/%s: host %d read %d from hot page, want 0", scheme, topoName, i, got))
+				panic(fmt.Sprintf("scaling %s/%s: host %d read %d from hot page, want 0", dir, topoName, i, got))
 			}
 		}
 		// Phase 3 — one write invalidates them all: the multicast tree
 		// (or the bus broadcast) carries one invalidation to N-1 copies.
 		c.Hosts[1].DSM.WriteInt32(p, hot, 42)
 		if got := c.Hosts[n-1].DSM.ReadInt32(p, hot); got != 42 {
-			panic(fmt.Sprintf("scaling %s/%s: stale read %d after invalidation, want 42", scheme, topoName, got))
+			panic(fmt.Sprintf("scaling %s/%s: stale read %d after invalidation, want 42", dir, topoName, got))
 		}
 		elapsed = p.Now().Sub(start)
 	})
@@ -123,7 +122,7 @@ func runDirectoryScale(n int, topoName string, topo *netsim.Topology, scheme str
 	row := ScalingRow{
 		Hosts:          n,
 		Topo:           topoName,
-		Scheme:         scheme,
+		Scheme:         dir.String(),
 		ElapsedS:       elapsed.Seconds(),
 		MaxChain:       total.ChainMax,
 		CrossSegFrames: c.Net.Stats().CrossSegmentFrames,

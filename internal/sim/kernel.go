@@ -19,7 +19,10 @@ import (
 	"fmt"
 	"iter"
 	"math/rand"
+	"runtime"
 	"slices"
+	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -37,6 +40,59 @@ func SortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
 	}
 	slices.Sort(keys)
 	return keys
+}
+
+// Each runs run(0) … run(n-1) on min(GOMAXPROCS-1, n) goroutines, at
+// least one, and returns the results in index order. It is how a harness
+// runs simulations that share nothing: a kernel and everything built on
+// it stays confined to the goroutine that calls run(i), so every run is
+// as deterministic as it is alone. One processor is left to the garbage
+// collector, which runs beside the simulations, and to whatever else the
+// machine does: a worker per processor made the wall time of an
+// evaluation depend on how much of the last core the box had to spare,
+// and on a shared two-core box that is anything from all of it to none.
+// So with GOMAXPROCS 1 or 2 the runs happen in index order, one at a
+// time. Workers take indices from one counter, run every index they
+// take, and take no more once a run has panicked; every index below a
+// started one has therefore started too, so the lowest panicking index
+// is the same at any worker count, and its value is re-raised here, in
+// the caller, after the last worker has returned.
+func Each[T any](n int, run func(i int) T) []T {
+	out := make([]T, n)
+	panics := make([]any, n)
+	var (
+		next   atomic.Int64
+		failed atomic.Bool
+		wg     sync.WaitGroup
+	)
+	one := func(i int) {
+		defer func() {
+			if panics[i] = recover(); panics[i] != nil {
+				failed.Store(true)
+			}
+		}()
+		out[i] = run(i)
+	}
+	for w := min(max(runtime.GOMAXPROCS(0)-1, 1), n); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !failed.Load() {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				one(i) // an index once taken is always run
+			}
+		}()
+	}
+	wg.Wait()
+	for _, v := range panics {
+		if v != nil {
+			panic(v)
+		}
+	}
+	return out
 }
 
 // Time is a point in virtual time, in nanoseconds since the start of the

@@ -1,7 +1,10 @@
 package sim
 
 import (
+	"fmt"
+	"runtime"
 	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -475,5 +478,91 @@ func TestSortedKeys(t *testing.T) {
 	got := SortedKeys(pages)
 	if len(got) != len(pages) || !slices.IsSorted(got) {
 		t.Errorf("named uint32 keys: %v", got)
+	}
+}
+
+func TestEachReturnsResultsInIndexOrder(t *testing.T) {
+	if got := Each(0, func(int) int { panic("ran with nothing to run") }); len(got) != 0 {
+		t.Errorf("n=0: %v", got)
+	}
+	// Each run drives a kernel of its own, as the harnesses do.
+	got := Each(37, func(i int) Time {
+		k := NewKernel(int64(i))
+		k.Spawn("sleeper", func(p *Proc) { p.Sleep(time.Duration(i) * time.Millisecond) })
+		k.Run()
+		return k.Now()
+	})
+	for i, at := range got {
+		if at != Time(time.Duration(i)*time.Millisecond) {
+			t.Errorf("result %d is %v", i, at)
+		}
+	}
+}
+
+// TestEachLeavesOneProcessorFree pins the worker count: one fewer than
+// GOMAXPROCS and at least one, so on one or two processors the runs are
+// sequential and in index order.
+func TestEachLeavesOneProcessorFree(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for procs, want := range map[int]int32{1: 1, 2: 1, 4: 3} {
+		runtime.GOMAXPROCS(procs)
+		var running, most atomic.Int32
+		var order []int
+		Each(24, func(i int) int {
+			n := running.Add(1)
+			defer running.Add(-1)
+			for m := most.Load(); n > m && !most.CompareAndSwap(m, n); m = most.Load() {
+			}
+			if want == 1 {
+				order = append(order, i)
+			}
+			time.Sleep(time.Millisecond) // long enough for every worker to be in a run
+			return i
+		})
+		if got := most.Load(); got != want {
+			t.Errorf("GOMAXPROCS=%d: %d runs side by side, want %d", procs, got, want)
+		}
+		if want == 1 && !slices.IsSorted(order) {
+			t.Errorf("GOMAXPROCS=%d: runs out of index order: %v", procs, order)
+		}
+	}
+}
+
+// TestEachReraisesLowestPanic pins the panic contract: the value of the
+// lowest panicking index reaches the caller's goroutine — a simulated
+// process's panic included, in the kernel's wording — and only once
+// every worker has stopped. With one worker the runs are sequential, so
+// nothing after the panicking run starts.
+func TestEachReraisesLowestPanic(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		var running, started atomic.Int32
+		func() {
+			defer func() {
+				want := `sim: process "boom" panicked: run 5 failed`
+				if got := fmt.Sprint(recover()); got != want {
+					t.Errorf("GOMAXPROCS=%d: recovered %q, want %q", procs, got, want)
+				}
+				if n := running.Load(); n != 0 {
+					t.Errorf("GOMAXPROCS=%d: %d runs still going when the panic surfaced", procs, n)
+				}
+			}()
+			Each(40, func(i int) int {
+				running.Add(1)
+				defer running.Add(-1)
+				started.Add(1)
+				if i == 5 || i == 9 {
+					k := NewKernel(1)
+					k.Spawn("boom", func(*Proc) { panic(fmt.Sprintf("run %d failed", i)) })
+					k.Run()
+				}
+				return i
+			})
+			t.Errorf("GOMAXPROCS=%d: Each returned", procs)
+		}()
+		if n := started.Load(); procs == 1 && n != 6 {
+			t.Errorf("GOMAXPROCS=1: %d runs started, want runs 0 to 5 only", n)
+		}
 	}
 }
