@@ -1,9 +1,9 @@
 # The check target runs exactly what CI runs: every step of the check
 # job in .github/workflows/ci.yml is `make <target>` of a target below.
 
-.PHONY: check build vet fmt test benchmark-check race mermaid-vet mc-smoke mc-deep chaos-smoke chaos-deep bench bench-smoke scale-smoke scale-deep
+.PHONY: check build vet fmt ledger ledger-check test benchmark-check race mermaid-vet mc-smoke mc-deep chaos-smoke chaos-deep scale-smoke scale-deep
 
-check: build vet fmt test benchmark-check race mermaid-vet mc-smoke chaos-smoke scale-smoke
+check: build vet fmt ledger-check test benchmark-check race mermaid-vet mc-smoke chaos-smoke scale-smoke
 
 build:
 	go build ./...
@@ -18,6 +18,36 @@ fmt:
 		echo "$$out" >&2; \
 		exit 1; \
 	fi
+
+# The structure ledger every simplicity PR quotes, counted once: per
+# package and for the tree, code lines (non-test, non-blank, non-comment
+# Go; testdata, benchmark/ and .bench_build/ excluded — ISSUE 20's
+# definition), test lines (the same count over _test.go files) and
+# vet:ignore directives (not counted in the analyzer's own two packages,
+# which only talk about the directive), then the other things a change
+# has to keep in step. No cell depends on the host or the clock.
+ledger:
+	@echo '| package | code lines | test lines | `vet:ignore` |'; \
+	echo '|---|---:|---:|---:|'; \
+	find . -name '*.go' ! -path '*/testdata/*' ! -path './benchmark/*' ! -path './.bench_build/*' | xargs awk ' \
+		FNR == 1 { d = FILENAME; sub("/[^/]*$$", "", d); seen[d] = 1; t = FILENAME ~ /_test\.go$$/ } \
+		/vet:ignore/ && !t && d !~ /vet$$/ { ignore[d]++ } \
+		/^[[:space:]]*$$/ || /^[[:space:]]*\/\// { next } \
+		{ if (t) test[d]++; else code[d]++ } \
+		END { for (d in seen) print d, code[d]+0, test[d]+0, ignore[d]+0 }' | LC_ALL=C sort | awk ' \
+		{ printf "| `%s` | %d | %d | %d |\n", $$1, $$2, $$3, $$4; c += $$2; t += $$3; i += $$4 } \
+		END { printf "| **whole tree** | %d | %d | %d |\n", c, t, i }'; \
+	fields() { sed -n '/^type Config struct {/,/^}/p' $$1 | grep -c '^	[A-Za-z]'; }; \
+	echo "| \`Config\` fields: \`dsm\` / \`cluster\` / \`mermaid\` | $$(fields internal/dsm/dsm.go) | $$(fields internal/cluster/cluster.go) | $$(fields mermaid.go) |"; \
+	echo "| \`cmd/\` tools / Makefile targets / CI jobs | $$(ls -d cmd/*/ | wc -l | tr -d ' ') | $$(grep -c '^[a-z][a-z-]*:' Makefile) | $$(sed -n '/^jobs:/,$$p' .github/workflows/ci.yml | grep -c '^  [a-z][a-z-]*:$$') |"
+
+# The committed copy of that table lives in EXPERIMENTS.md between the
+# two markers; any .go line added or removed makes it stale. diff reads
+# the committed block on fd 3 and the generated table on stdin.
+ledger-check:
+	@sed -n '/^<!-- ledger:begin -->$$/,/^<!-- ledger:end -->$$/p' EXPERIMENTS.md | sed '1d;$$d' | \
+	{ $(MAKE) -s --no-print-directory ledger | diff /dev/fd/3 - ; } 3<&0 || \
+	{ echo "EXPERIMENTS.md: the ledger block is stale; paste the output of 'make ledger' between its markers" >&2; exit 1; }
 
 # The second line pins the byte-identical-output guarantee at one and
 # at three sim.Each workers (-cpu sets GOMAXPROCS, the only control;
@@ -51,25 +81,6 @@ race:
 mermaid-vet:
 	go run ./cmd/mermaid-vet ./...
 	go run ./cmd/mermaid-vet -json -max-elapsed-ms=5000 ./... > mermaid-vet.json
-
-# Wall-clock benchmark harness: run the Real* micro-benchmarks, the
-# 1024-host kernel/fabric ones, the quorum fan-out and the RC twin/diff
-# ones in one invocation and freeze the numbers into BENCH.json via
-# mermaid-benchjson. The intermediate text file keeps parse failures
-# distinguishable from benchmark failures.
-bench:
-	go test -run '^$$' -bench 'Real|SimKernel1024Hosts|SimProcHandoff|SimSpawnExit|MCDFSBasic|ClusterStateHash|BusInvalidation|SwitchedInvalidation|QuorumFanout|RCDiffEncode|RCMerge' -benchmem . > bench_real.txt
-	go run ./cmd/mermaid-benchjson -o BENCH.json < bench_real.txt
-	go run ./cmd/mermaid-benchjson -validate BENCH.json
-	@rm -f bench_real.txt
-
-# CI variant: a handful of iterations only — proves the harness and the
-# JSON pipeline work without burning minutes on stable numbers.
-bench-smoke:
-	go test -run '^$$' -bench Real -benchmem -benchtime 10x . > bench_smoke.txt
-	go run ./cmd/mermaid-benchjson -o bench_smoke.json < bench_smoke.txt
-	go run ./cmd/mermaid-benchjson -validate bench_smoke.json
-	@rm -f bench_smoke.txt bench_smoke.json
 
 # Bounded model-checking smoke, two processes: an exhaustive DFS over
 # the four engine/directory workloads (each must stay clean), then the

@@ -4,8 +4,9 @@ package mermaid
 // kernel dispatches events and the network delivers frames when the
 // cluster is two orders of magnitude bigger than the paper's (1024
 // hosts instead of 5). These are wall-clock benchmarks of the
-// simulator; the events/s and frames/s metrics feed the before/after
-// table in EXPERIMENTS.md ("Wall-clock performance") via BENCH.json.
+// simulator: developer tools, frozen nowhere. Each whole-scenario body
+// is a function TestScenarioAllocCeilings (allocs_test.go) runs too,
+// so what a scenario allocates is pinned in tier-1.
 
 import (
 	"hash/fnv"
@@ -26,27 +27,32 @@ import (
 // sleeping staggered intervals keep ~1k timer events queued at every
 // instant, which is the kernel-side shape of a 1024-host cluster run.
 func BenchmarkSimKernel1024Hosts(b *testing.B) {
-	const hosts = 1024
-	const rounds = 64
 	b.ReportAllocs()
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		k := sim.NewKernel(1)
-		for h := 0; h < hosts; h++ {
-			h := h
-			k.Spawn("host", func(p *sim.Proc) {
-				d := time.Duration(h%37+1) * time.Microsecond
-				for r := 0; r < rounds; r++ {
-					p.Sleep(d)
-				}
-			})
-		}
-		k.Run()
-		k.Shutdown()
+		simKernel1024Hosts()
 	}
-	b.StopTimer()
-	events := float64(hosts * rounds * b.N)
+	events := float64(kernelHosts * kernelRounds * b.N)
 	b.ReportMetric(events/b.Elapsed().Seconds(), "events/s")
+}
+
+const (
+	kernelHosts  = 1024
+	kernelRounds = 64
+)
+
+func simKernel1024Hosts() {
+	k := sim.NewKernel(1)
+	for h := 0; h < kernelHosts; h++ {
+		h := h
+		k.Spawn("host", func(p *sim.Proc) {
+			d := time.Duration(h%37+1) * time.Microsecond
+			for r := 0; r < kernelRounds; r++ {
+				p.Sleep(d)
+			}
+		})
+	}
+	k.Run()
+	k.Shutdown()
 }
 
 // BenchmarkSimProcHandoff measures one process activation — the kernel
@@ -94,42 +100,60 @@ func BenchmarkSimSpawnExit(b *testing.B) {
 // cluster built, chooser-driven, fingerprinted where the strategy
 // compares, oracle-checked and shut down.
 func BenchmarkMCDFSBasic(b *testing.B) {
-	const schedules = 150
-	w, err := mc.Lookup("basic")
-	if err != nil {
-		b.Fatal(err)
-	}
+	op := mcDFSBasic(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep, err := mc.RunDFS(w, dsm.MutNone, mc.DFSOpts{MaxSchedules: schedules})
-		if err != nil || rep.Violating != nil || rep.Schedules != schedules {
-			b.Fatalf("DFS on basic: %v, %s", err, rep)
+		op()
+	}
+	b.ReportMetric(float64(dfsSchedules*b.N)/b.Elapsed().Seconds(), "schedules/s")
+}
+
+const dfsSchedules = 150
+
+func mcDFSBasic(tb testing.TB) func() {
+	w, err := mc.Lookup("basic")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return func() {
+		rep, err := mc.RunDFS(w, dsm.MutNone, mc.DFSOpts{MaxSchedules: dfsSchedules})
+		if err != nil || rep.Violating != nil || rep.Schedules != dfsSchedules {
+			tb.Fatalf("DFS on basic: %v, %s", err, rep)
 		}
 	}
-	b.StopTimer()
-	b.ReportMetric(float64(schedules*b.N)/b.Elapsed().Seconds(), "schedules/s")
 }
 
 // BenchmarkClusterStateHash is one state fingerprint as mc and chaos
 // take it: every host's DSM and dsync state of a 3-host cluster folded
 // into one FNV-64, with four full 8 KB pages resident on every host.
 func BenchmarkClusterStateHash(b *testing.B) {
-	const pages = 4
+	op := clusterStateHash(b)
+	b.ReportAllocs()
+	b.SetBytes(3 * hashPages * 8192)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+}
+
+const hashPages = 4
+
+func clusterStateHash(tb testing.TB) func() {
 	params := model.Default()
 	c, err := cluster.New(cluster.Config{
 		Hosts:     []cluster.HostSpec{{Kind: arch.Sun}, {Kind: arch.Firefly}, {Kind: arch.Sun}},
 		PageSize:  8192,
-		SpaceSize: 2 * pages * 8192,
+		SpaceSize: 2 * hashPages * 8192,
 		Params:    &params,
 		Seed:      1,
 	})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	defer c.Close()
+	tb.Cleanup(c.Close)
 	c.Run(0, func(p *sim.Proc, h *cluster.Host) {
-		vals := make([]int32, pages*8192/4)
+		vals := make([]int32, hashPages*8192/4)
 		for i := range vals {
 			vals[i] = int32(i * 40503)
 		}
@@ -142,10 +166,7 @@ func BenchmarkClusterStateHash(b *testing.B) {
 			reader.DSM.ReadInt32s(p, addr, vals)
 		}
 	})
-	b.ReportAllocs()
-	b.SetBytes(3 * pages * 8192)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func() {
 		h := fnv.New64a()
 		for _, host := range c.Hosts {
 			host.DSM.WriteStateHash(h)
@@ -175,32 +196,43 @@ func BenchmarkSwitchedInvalidation(b *testing.B) {
 }
 
 func benchBroadcastStorm(b *testing.B, topo *netsim.Topology) {
-	const hosts = 1024
-	const frames = 8
-	params := model.Default()
+	op := broadcastStorm(b, topo)
 	b.ReportAllocs()
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		op()
+	}
+	deliveries := float64((stormHosts - 1) * stormFrames * b.N)
+	b.ReportMetric(deliveries/b.Elapsed().Seconds(), "frames/s")
+}
+
+const (
+	stormHosts  = 1024
+	stormFrames = 8
+)
+
+func broadcastStorm(tb testing.TB, topo *netsim.Topology) func() {
+	params := model.Default()
+	return func() {
 		k := sim.NewKernel(1)
 		n := netsim.NewWithTopology(k, &params, topo)
-		ifaces := make([]*netsim.Interface, hosts)
-		for h := 0; h < hosts; h++ {
+		ifaces := make([]*netsim.Interface, stormHosts)
+		for h := 0; h < stormHosts; h++ {
 			ifc, err := n.Attach(netsim.HostID(h))
 			if err != nil {
-				b.Fatal(err)
+				tb.Fatal(err)
 			}
 			ifaces[h] = ifc
 		}
-		for h := 1; h < hosts; h++ {
+		for h := 1; h < stormHosts; h++ {
 			ifc := ifaces[h]
 			k.Spawn("rx", func(p *sim.Proc) {
-				for f := 0; f < frames; f++ {
+				for f := 0; f < stormFrames; f++ {
 					ifc.Recv(p)
 				}
 			})
 		}
 		k.Spawn("tx", func(p *sim.Proc) {
-			for f := 0; f < frames; f++ {
+			for f := 0; f < stormFrames; f++ {
 				if err := ifaces[0].Send(p, netsim.Frame{From: 0, To: netsim.Broadcast, Size: 64}); err != nil {
 					panic(err)
 				}
@@ -209,7 +241,4 @@ func benchBroadcastStorm(b *testing.B, topo *netsim.Topology) {
 		k.Run()
 		k.Shutdown()
 	}
-	b.StopTimer()
-	deliveries := float64((hosts - 1) * frames * b.N)
-	b.ReportMetric(deliveries/b.Elapsed().Seconds(), "frames/s")
 }

@@ -15,8 +15,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/chaos"
@@ -25,31 +27,43 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() int {
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("mermaid-chaos", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		list     = flag.Bool("list", false, "list workloads and schedule classes, then exit")
-		workload = flag.String("workload", "slots", "workloads to torment: a name, a comma list, or all (see -list)")
-		class    = flag.String("class", "crash", "fault schedule classes: drop, partition, crash, mix; a comma list, or all")
-		seed     = flag.Int64("seed", 1, "base seed; run i uses seed+i")
-		runs     = flag.Int("runs", 1, "number of consecutive seeds to run")
-		verify   = flag.Bool("verify", false, "run each seed twice and require bit-identical outcomes")
-		replay   = flag.String("replay", "", "replay a chaos1:... token and print its fault plan and outcome")
-		maxSteps = flag.Int("max-steps", 0, "per-run event budget (0 = default; exceeding it is reported as hung)")
-		mutation = flag.String("mutation", "none", "inject a named DSM protocol bug and require the campaign to catch it (exit 2 if it survives every run)")
+		list     = fs.Bool("list", false, "list workloads and schedule classes, then exit")
+		workload = fs.String("workload", "slots", "workloads to torment: a name, a comma list, or all (see -list)")
+		class    = fs.String("class", "crash", "fault schedule classes: drop, partition, crash, mix; a comma list, or all")
+		seed     = fs.Int64("seed", 1, "base seed; run i uses seed+i")
+		runs     = fs.Int("runs", 1, "number of consecutive seeds to run")
+		verify   = fs.Bool("verify", false, "run each seed twice and require bit-identical outcomes")
+		replay   = fs.String("replay", "", "replay a chaos1:... token and print its fault plan and outcome")
+		maxSteps = fs.Int("max-steps", 0, "per-run event budget (0 = default; exceeding it is reported as hung)")
+		mutation = fs.String("mutation", "none", "inject a named DSM protocol bug and require the campaign to catch it (exit 2 if it survives every run)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 1
+	}
+	if *maxSteps < 0 {
+		// A negative budget would silently mean the default.
+		fmt.Fprintf(stderr, "mermaid-chaos: -max-steps=%d: must be at least 0\n", *maxSteps)
+		return 1
+	}
 
 	if *list {
-		fmt.Println("workloads:")
+		fmt.Fprintln(stdout, "workloads:")
 		for _, w := range chaos.All() {
-			fmt.Printf("  %-8s %s\n", w.Name, w.Desc)
+			fmt.Fprintf(stdout, "  %-8s %s\n", w.Name, w.Desc)
 		}
-		fmt.Println("classes:")
+		fmt.Fprintln(stdout, "classes:")
 		for _, c := range chaos.Classes() {
-			fmt.Printf("  %s\n", c)
+			fmt.Fprintf(stdout, "  %s\n", c)
 		}
 		return 0
 	}
@@ -57,29 +71,29 @@ func run() int {
 	opts := chaos.Opts{MaxSteps: *maxSteps}
 	var err error
 	if opts.Mut, err = dsm.ParseMutation(*mutation); err != nil {
-		fmt.Fprintln(os.Stderr, "mermaid-chaos:", err)
+		fmt.Fprintln(stderr, "mermaid-chaos:", err)
 		return 1
 	}
 	if opts.Mut != dsm.MutNone && (*verify || *replay != "") {
-		fmt.Fprintln(os.Stderr, "mermaid-chaos: -mutation cannot be combined with -verify or -replay")
+		fmt.Fprintln(stderr, "mermaid-chaos: -mutation cannot be combined with -verify or -replay")
 		return 1
 	}
 
 	if *replay != "" {
 		res, err := chaos.Replay(*replay, opts)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "mermaid-chaos:", err)
+			fmt.Fprintln(stderr, "mermaid-chaos:", err)
 			return 1
 		}
-		fmt.Println("fault plan:")
+		fmt.Fprintln(stdout, "fault plan:")
 		for _, line := range res.Plan {
-			fmt.Println(" ", line)
+			fmt.Fprintln(stdout, " ", line)
 		}
-		fmt.Printf("outcome: %s", res.Outcome)
+		fmt.Fprintf(stdout, "outcome: %s", res.Outcome)
 		if res.Detail != "" {
-			fmt.Printf(" — %s", res.Detail)
+			fmt.Fprintf(stdout, " — %s", res.Detail)
 		}
-		fmt.Printf("\n%s\n", res.Fingerprint)
+		fmt.Fprintf(stdout, "\n%s\n", res.Fingerprint)
 		if res.Outcome != chaos.OK {
 			return 2
 		}
@@ -88,17 +102,17 @@ func run() int {
 
 	workloads, err := namelist.Resolve(*workload, chaos.All(), chaos.Lookup)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "mermaid-chaos:", err)
+		fmt.Fprintln(stderr, "mermaid-chaos:", err)
 		return 1
 	}
 	classes, err := namelist.Resolve(*class, chaos.Classes(), chaos.ParseClass)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "mermaid-chaos:", err)
+		fmt.Fprintln(stderr, "mermaid-chaos:", err)
 		return 1
 	}
 	if *runs < 1 {
 		// Zero campaigns would print survived=0/0 and exit green.
-		fmt.Fprintf(os.Stderr, "mermaid-chaos: -runs=%d: need at least one run\n", *runs)
+		fmt.Fprintf(stderr, "mermaid-chaos: -runs=%d: need at least one run\n", *runs)
 		return 1
 	}
 
@@ -111,9 +125,9 @@ func run() int {
 	code := 0
 	for _, w := range workloads {
 		for _, cl := range classes {
-			c, err := cell(w, cl, *seed, *runs, opts)
+			c, err := cell(stdout, w, cl, *seed, *runs, opts)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "mermaid-chaos:", err)
+				fmt.Fprintln(stderr, "mermaid-chaos:", err)
 				return 1
 			}
 			code = max(code, c)
@@ -124,16 +138,16 @@ func run() int {
 
 // sweepVerified runs each seed of one cell twice and requires
 // bit-identical outcomes.
-func sweepVerified(w *chaos.Workload, cl chaos.Class, seed int64, runs int, opts chaos.Opts) (int, error) {
+func sweepVerified(stdout io.Writer, w *chaos.Workload, cl chaos.Class, seed int64, runs int, opts chaos.Opts) (int, error) {
 	code := 0
 	for i := 0; i < runs; i++ {
 		res, err := chaos.Verify(w, cl, seed+int64(i), opts)
 		if err != nil {
 			return 0, err
 		}
-		fmt.Printf("%s %s (verified deterministic)\n", res.Token, res.Outcome)
+		fmt.Fprintf(stdout, "%s %s (verified deterministic)\n", res.Token, res.Outcome)
 		if res.Outcome != chaos.OK {
-			fmt.Printf("  %s\n  replay: %s\n", res.Detail, res.Token)
+			fmt.Fprintf(stdout, "  %s\n  replay: %s\n", res.Detail, res.Token)
 			code = 2
 		}
 	}
@@ -142,7 +156,7 @@ func sweepVerified(w *chaos.Workload, cl chaos.Class, seed int64, runs int, opts
 
 // sweep runs one cell's seed series and reports it: campaign by
 // campaign, or as a kill verdict when a mutation is injected.
-func sweep(w *chaos.Workload, cl chaos.Class, seed int64, runs int, opts chaos.Opts) (int, error) {
+func sweep(stdout io.Writer, w *chaos.Workload, cl chaos.Class, seed int64, runs int, opts chaos.Opts) (int, error) {
 	series, err := chaos.RunSeries(w, cl, seed, runs, opts)
 	if err != nil {
 		return 0, err
@@ -152,28 +166,28 @@ func sweep(w *chaos.Workload, cl chaos.Class, seed int64, runs int, opts chaos.O
 		// least one run must catch it — a clean sweep means the oracles
 		// have a blind spot.
 		if len(series.Violations) > 0 {
-			fmt.Printf("mutation %s KILLED: caught in %d/%d run(s), first by %s\n",
+			fmt.Fprintf(stdout, "mutation %s KILLED: caught in %d/%d run(s), first by %s\n",
 				opts.Mut, len(series.Violations), runs, series.Violations[0])
 			return 0, nil
 		}
-		fmt.Printf("mutation %s SURVIVED %d run(s) of %s/%s\n", opts.Mut, runs, w.Name, cl)
+		fmt.Fprintf(stdout, "mutation %s SURVIVED %d run(s) of %s/%s\n", opts.Mut, runs, w.Name, cl)
 		return 2, nil
 	}
 	for _, res := range series.Results {
-		fmt.Printf("%s %s", res.Token, res.Outcome)
+		fmt.Fprintf(stdout, "%s %s", res.Token, res.Outcome)
 		if res.PagesRecovered > 0 || res.PagesLost > 0 {
-			fmt.Printf(" (recovered=%d lost=%d", res.PagesRecovered, res.PagesLost)
+			fmt.Fprintf(stdout, " (recovered=%d lost=%d", res.PagesRecovered, res.PagesLost)
 			if res.RecoveryLatency > 0 {
-				fmt.Printf(" latency=%v", res.RecoveryLatency)
+				fmt.Fprintf(stdout, " latency=%v", res.RecoveryLatency)
 			}
-			fmt.Print(")")
+			fmt.Fprint(stdout, ")")
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 		if res.Outcome != chaos.OK {
-			fmt.Printf("  %s\n  replay: %s\n", res.Detail, res.Token)
+			fmt.Fprintf(stdout, "  %s\n  replay: %s\n", res.Detail, res.Token)
 		}
 	}
-	fmt.Println(series)
+	fmt.Fprintln(stdout, series)
 	if len(series.Violations) > 0 {
 		return 2, nil
 	}

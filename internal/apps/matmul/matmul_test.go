@@ -276,3 +276,26 @@ func TestEveryWriteChunkStoresTheWholeRow(t *testing.T) {
 		}
 	}
 }
+
+// TestLastVMPageGroupReachesPastTheAllocation: at these sizes the
+// matrices end inside a Sun 8 KB VM-page group whose remaining small
+// pages nobody allocated. The Sun master's accesses to the tail used to
+// demand those pages too and die in a handler ("asked to serve page 766
+// it does not hold", page 370 at 2 KB).
+func TestLastVMPageGroupReachesPastTheAllocation(t *testing.T) {
+	for _, tc := range []struct{ n, pageSize int }{{255, 1024}, {250, 2048}} {
+		c := newCluster(t, 2, 4, tc.pageSize)
+		res, err := Register(c).Run(Config{
+			N:      tc.n,
+			Master: 0,
+			Slaves: []cluster.HostID{1, 1, 2, 2},
+			Verify: true,
+		})
+		if err != nil {
+			t.Fatalf("N=%d at %d-byte pages: %v", tc.n, tc.pageSize, err)
+		}
+		if !res.Correct {
+			t.Errorf("N=%d at %d-byte pages: distributed result differs from local multiplication", tc.n, tc.pageSize)
+		}
+	}
+}

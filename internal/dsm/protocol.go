@@ -62,16 +62,24 @@ func (m *Module) EnsureAccess(p *sim.Proc, addr Addr, n int, write bool) error {
 // pages resident; how one page is obtained is the engine's.
 func (m *Module) ensureAccess(p *sim.Proc, addr Addr, n int, write bool, fault func(p *sim.Proc, page PageNo, write bool) error) error {
 	m.exitIfCrashed(p)
+	first, last, err := m.requiredPages(addr, n)
+	if err != nil {
+		return err
+	}
 	for {
-		pages, err := m.requiredPages(addr, n)
-		if err != nil {
-			return err
-		}
 		var missing []PageNo
-		for _, pg := range pages {
-			if !m.hasAccess(pg, write) {
-				missing = append(missing, pg)
+		for pg := first; pg <= last; pg++ {
+			if m.hasAccess(pg, write) {
+				continue
 			}
+			// A page of the VM-page group that the span itself does not
+			// touch and nobody has allocated has nothing to fetch. Inside
+			// the span a never-allocated page stays required: that access
+			// must keep failing loudly.
+			if _, allocated := m.meta[pg]; !allocated && (pg < m.PageOf(addr) || pg > m.PageOf(addr+Addr(n)-1)) {
+				continue
+			}
+			missing = append(missing, pg)
 		}
 		if len(missing) == 0 {
 			return nil
@@ -95,37 +103,29 @@ func (m *Module) ensureAccess(p *sim.Proc, addr Addr, n int, write bool, fault f
 	}
 }
 
-// requiredPages lists the DSM pages that must be resident to touch
-// [addr, addr+n), expanded to whole native-VM-page groups. The span is
-// validated in 64-bit arithmetic: Addr is 32 bits, so addr+n-1 computed
-// in Addr width can wrap around and silently turn an out-of-range
-// access into a fetch of low pages.
-func (m *Module) requiredPages(addr Addr, n int) ([]PageNo, error) {
+// requiredPages returns the range [first, last] of DSM pages that must
+// be resident to touch [addr, addr+n), expanded to whole native-VM-page
+// groups; a zero-length span gives the empty range first > last. The
+// span is validated in 64-bit arithmetic: Addr is 32 bits, so addr+n-1
+// computed in Addr width can wrap around and silently turn an
+// out-of-range access into a fetch of low pages.
+func (m *Module) requiredPages(addr Addr, n int) (first, last PageNo, err error) {
 	if n < 0 {
-		return nil, fmt.Errorf("access at %d with negative length %d", addr, n)
+		return 0, 0, fmt.Errorf("access at %d with negative length %d", addr, n)
 	}
 	end := uint64(addr) + uint64(n)
 	if end > uint64(m.cfg.SpaceSize) {
-		return nil, fmt.Errorf("access [%d,%d) beyond the %d-byte shared space", addr, end, m.cfg.SpaceSize)
+		return 0, 0, fmt.Errorf("access [%d,%d) beyond the %d-byte shared space", addr, end, m.cfg.SpaceSize)
 	}
 	if n == 0 {
-		return nil, nil
+		return 1, 0, nil
 	}
-	first := m.PageOf(addr)
-	last := m.PageOf(Addr(end - 1))
 	g := PageNo(m.groupSize())
-	first = first / g * g
+	first = m.PageOf(addr) / g * g
 	// Group expansion may reach past the end of the space; the space is
 	// not required to be a whole number of VM-page groups, so clamp.
-	last = last/g*g + g - 1
-	if max := PageNo(m.NumPages() - 1); last > max {
-		last = max
-	}
-	pages := make([]PageNo, 0, last-first+1)
-	for pg := first; pg <= last; pg++ {
-		pages = append(pages, pg)
-	}
-	return pages, nil
+	last = min(m.PageOf(Addr(end-1))/g*g+g-1, PageNo(m.NumPages()-1))
+	return first, last, nil
 }
 
 // mustDetect is the first half of classifying a protocol call failure:
