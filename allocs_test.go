@@ -10,7 +10,7 @@ import (
 // TestScenarioAllocCeilings pins what one run of each whole-simulation
 // benchmark scenario allocates. The bodies are the Benchmark* functions'
 // own, so `go test -bench <name> -benchmem` shows the number a row
-// bounds. A ceiling is the value measured when the row was last touched
+// bounds, and -v on this test logs all ten. A ceiling is the value measured when the row was last touched
 // plus at most 10 %; a run over it is a regression to explain, not a
 // ceiling to raise.
 func TestScenarioAllocCeilings(t *testing.T) {
@@ -21,20 +21,22 @@ func TestScenarioAllocCeilings(t *testing.T) {
 		op      func()
 	}{
 		{"SimKernel1024Hosts", 17200, simKernel1024Hosts},
-		{"MCDFSBasic", 159000, mcDFSBasic(t)},
+		{"MCDFSBasic", 151000, mcDFSBasic(t)},
 		{"ClusterStateHash", 28, clusterStateHash(t)},
 		{"BusInvalidation", 22600, broadcastStorm(t, nil)},
 		{"SwitchedInvalidation", 25600, broadcastStorm(t, netsim.SwitchedStar(32, 32))},
-		{"RealQuickstartScenario", 500, func() { quickstartScenario(t) }},
-		{"RealOwnerForwarding", 9500, func() { exp.OwnerForwarding() }},
-		{"QuorumFanout3Hosts", 4400, func() { quorumFanout(t, 3) }},
-		{"QuorumFanout5Hosts", 7800, func() { quorumFanout(t, 5) }},
+		{"RealQuickstartScenario", 460, func() { quickstartScenario(t) }},
+		{"RealOwnerForwarding", 8400, func() { exp.OwnerForwarding() }},
+		{"QuorumFanout3Hosts", 4050, func() { quorumFanout(t, 3) }},
+		{"QuorumFanout5Hosts", 7060, func() { quorumFanout(t, 5) }},
 		{"RCMerge", 11, func() { merge() }},
 	} {
 		// One measured run after AllocsPerRun's warm-up: the simulations
 		// are deterministic, and the whole table stays near 0.3 s.
-		if got := testing.AllocsPerRun(1, row.op); got > row.ceiling {
-			t.Errorf("%s: %.0f allocs per run, ceiling %.0f", row.name, got, row.ceiling)
+		got := testing.AllocsPerRun(1, row.op)
+		t.Logf("%s: %.0f allocs per run, ceiling %.0f", row.name, got, row.ceiling)
+		if got > row.ceiling {
+			t.Errorf("%s: over its ceiling", row.name)
 		}
 	}
 }

@@ -161,8 +161,8 @@ func New(cfg Config) (c *Cluster, err error) {
 	}
 
 	k := sim.NewKernel(cfg.Seed)
-	// Each host's server loop and detector start as the host is built, so
-	// a config rejected at a later host must unwind the earlier ones'.
+	// Each host's detector loops start as the host is built, so a config
+	// rejected at a later host must unwind the earlier ones'.
 	defer func() {
 		if err != nil {
 			k.Shutdown()
@@ -310,7 +310,7 @@ func (c *Cluster) CrashHost(h HostID) {
 
 // Run executes main as a simulated process on host mainHost and drives
 // the simulation until it finishes, returning the virtual time it took.
-// Background activity (server loops, persistent retransmissions) does
+// Background activity (heartbeats, persistent retransmissions) does
 // not prolong the run.
 func (c *Cluster) Run(mainHost HostID, main func(p *sim.Proc, h *Host)) sim.Duration {
 	start := c.K.Now()
@@ -326,7 +326,7 @@ func (c *Cluster) Run(mainHost HostID, main func(p *sim.Proc, h *Host)) sim.Dura
 	return c.K.Now().Sub(start)
 }
 
-// Close shuts the cluster's kernel down, unwinding every server loop
+// Close shuts the cluster's kernel down, unwinding every process
 // still parked so their stacks and page frames can be collected. Read
 // results first; the cluster must not be used afterwards.
 func (c *Cluster) Close() { c.K.Shutdown() }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/arch"
 	"repro/internal/conv"
 	"repro/internal/dsm"
+	"repro/internal/netsim"
 	"repro/internal/sim"
 	"repro/internal/threads"
 )
@@ -205,5 +206,72 @@ func TestNewShutsKernelDownOnLateError(t *testing.T) {
 	}
 	if after := runtime.NumGoroutine(); after > before {
 		t.Fatalf("50 rejected builds grew the goroutine count from %d to %d", before, after)
+	}
+}
+
+// The per-host server is events, not a process: a built cluster, however
+// large, holds no coroutine until something runs on it.
+func TestNewOf1024HostsAddsNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	c, err := New(sunAndFireflies(1023))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if after := runtime.NumGoroutine(); after != before {
+		t.Fatalf("building 1024 hosts moved the goroutine count from %d to %d", before, after)
+	}
+}
+
+// TestKernelCountsPinned runs the three phases of exp.DirectoryScaling
+// (migratory write ring, full-copyset read, one invalidating write) on a
+// fixed 64-host switched cell and pins the kernel's deterministic work
+// counters. Events is the simulation: the same number at the parent of
+// the PR that made a parked process dispatch and the net server a pair
+// of events. Resumes is what that PR was for: the parent made 6497 of
+// them on this cell, and "half the coroutine switches gone" is the 0.6
+// bound below.
+func TestKernelCountsPinned(t *testing.T) {
+	const (
+		n             = 64
+		pages         = 8
+		per           = 256 // int32s per 1 KB page
+		parentResumes = 6497
+	)
+	cfg := sunAndFireflies(n - 1)
+	cfg.PageSize = 1024
+	cfg.Directory = dsm.DirDynamic
+	cfg.Topology = netsim.SwitchedStar(2, 32)
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.Run(0, func(p *sim.Proc, h0 *Host) {
+		addr, err := h0.DSM.Alloc(p, conv.Int32, per*pages)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		for i := 1; i < n; i++ {
+			c.Hosts[i].DSM.WriteInt32(p, addr+dsm.Addr(4*per*(1+i%(pages-1))), int32(i))
+		}
+		for i := 1; i < n; i++ {
+			c.Hosts[i].DSM.ReadInt32(p, addr)
+		}
+		c.Hosts[1].DSM.WriteInt32(p, addr, 42)
+		if got := c.Hosts[n-1].DSM.ReadInt32(p, addr); got != 42 {
+			t.Errorf("stale read %d after the invalidating write, want 42", got)
+		}
+	})
+	got := c.K.Counts()
+	if want := (sim.Counts{Events: 8769, Resumes: 3057}); got != want {
+		t.Errorf("kernel counts %+v, want %+v", got, want)
+	}
+	if got.Resumes > parentResumes*6/10 {
+		t.Errorf("%d coroutine resumes, more than 0.6 × the parent's %d", got.Resumes, parentResumes)
+	}
+	if s := c.K.Stalled(); len(s) != 0 {
+		t.Errorf("processes left parked after the run: %v (the net server is not one)", s)
 	}
 }

@@ -123,15 +123,16 @@ func (t *Trial) Drive(name string, maxSteps int, audit string) Verdict {
 	})
 	v := Verdict{}
 	panicMsg := ""
+	before := k.Counts().Events
 	func() {
 		defer func() {
 			if r := recover(); r != nil {
 				panicMsg = fmt.Sprint(r)
+				// The event that panicked is not a step taken.
+				v.Steps = int(k.Counts().Events-before) - 1
 			}
 		}()
-		for !done && v.Steps < maxSteps && k.Step() {
-			v.Steps++
-		}
+		v.Steps = k.RunSteps(maxSteps, func() bool { return done })
 	}()
 	if audit != "" && done && panicMsg == "" {
 		c.Check.CheckAll(audit)

@@ -118,7 +118,7 @@ func execute(w *Workload, mut dsm.Mutation, o execOpts) (*Result, error) {
 	}
 	c := inst.C
 	// Reclaim the instance's goroutines: an exploration executes
-	// thousands of runs, each spawning per-host server loops.
+	// thousands of runs, each leaving handlers and workers parked.
 	defer c.Close()
 
 	ch := &runChooser{forced: o.forced, rng: o.rng, transcript: o.transcript, hashDepth: o.hashDepth}

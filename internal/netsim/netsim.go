@@ -335,6 +335,17 @@ func (n *Network) deliveryLabel(to, from HostID) string {
 	return s
 }
 
+// OnFrames makes fn, labelled name in schedules, the interface's
+// event-driven consumer (sim.TypedQueue.SetSink): after Arm it runs once,
+// at the instant of the next delivery, and takes frames with TryRecv.
+func (ifc *Interface) OnFrames(name string, fn func()) { ifc.rx.SetSink(name, fn) }
+
+// Arm asks for the OnFrames callback at the next delivery.
+func (ifc *Interface) Arm() { ifc.rx.Arm() }
+
+// TryRecv returns the oldest queued frame, if any, without blocking.
+func (ifc *Interface) TryRecv() (Frame, bool) { return ifc.rx.TryGet() }
+
 // Recv blocks until a frame arrives and returns it.
 func (ifc *Interface) Recv(p *sim.Proc) Frame {
 	return ifc.rx.Get(p)

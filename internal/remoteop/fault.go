@@ -117,8 +117,10 @@ func (e *Endpoint) Crashed() bool { return e.crashed }
 // Crash marks the endpoint's host as crashed and discards its partial
 // reassembly state, returning the pooled buffers. Processes of the
 // crashed host unwind at their next call through this endpoint; the
-// server process stays parked forever on its silent interface (the NIC
-// is down, so nothing arrives).
+// server stays armed forever on its silent interface (the NIC is down,
+// so nothing arrives). A bulk message already reassembled is still
+// delivered when its receive cost has run, to handlers that unwind the
+// same way.
 func (e *Endpoint) Crash() {
 	e.crashed = true
 	for key := range e.reasm { // vet:ignore map-order — struct keys have no order to sort by; dropPartial only frees pooled buffers and table entries, which the simulation never observes

@@ -171,7 +171,7 @@ func (pc *pendingCall) done() bool {
 }
 
 // Endpoint is one host's remote-operation engine. Create it with New,
-// register handlers, then Start its server process.
+// register handlers, then Start its server.
 type Endpoint struct {
 	k       *sim.Kernel
 	id      HostID
@@ -193,14 +193,21 @@ type Endpoint struct {
 	nextReq uint32
 	nextMsg uint64
 	reasm   map[reasmKey]*reasmBuf
-	dedup   map[dedupKey]*dedupEntry
-	dedupQ  []dedupKey
-	stats   Stats
+	dedup   map[dedupKey]dedupEntry
+	// dedupQ lists the cached keys oldest first from dedupHead: it grows
+	// to dedupCap and is a ring from then on.
+	dedupQ    []dedupKey
+	dedupHead int
+	stats     Stats
 	// kindSent counts messages sent by protocol kind — the per-scheme
 	// message-count comparison of the paper's §3.1 needs the breakdown,
 	// not just the total.
 	kindSent map[proto.Kind]int
 	started  bool
+	// bulkBuf is the reassembled bulk message whose receive cost is
+	// being charged, held for the bulkTimer event (see pump).
+	bulkBuf   []byte
+	bulkTimer string
 
 	// peerDead is the failure detector's liveness predicate; onTimeout
 	// its escalation callback; crashed marks this endpoint's own host as
@@ -227,7 +234,7 @@ func New(k *sim.Kernel, ifc *netsim.Interface, kind arch.Kind, params *model.Par
 		handlerName: make(map[proto.Kind]string),
 		pending:     make(map[uint32]*pendingCall),
 		reasm:       make(map[reasmKey]*reasmBuf),
-		dedup:       make(map[dedupKey]*dedupEntry),
+		dedup:       make(map[dedupKey]dedupEntry),
 		kindSent:    make(map[proto.Kind]int),
 	}
 }
@@ -252,20 +259,35 @@ func (e *Endpoint) Handle(kind proto.Kind, h Handler) {
 	e.handler[kind] = h
 }
 
-// Start launches the endpoint's server process, which receives
-// fragments, reassembles messages, completes pending calls, and
-// dispatches requests to handlers.
+// Start arms the endpoint's server: from here on arriving fragments are
+// reassembled into messages that complete pending calls or are
+// dispatched to handlers. The server is a state machine driven by two
+// events, not a process — Mermaid served its network from signal
+// handlers, interrupt-style (PAPER.md) — so an idle host costs no
+// coroutine. The events carry the labels the wakes of a process named
+// net-server-<host> would: recorded schedules name them.
 func (e *Endpoint) Start() {
 	if e.started {
 		return
 	}
 	e.started = true
-	e.k.Spawn(fmt.Sprintf("net-server-%d", e.id), e.serve)
+	server := fmt.Sprintf("net-server-%d", e.id)
+	e.bulkTimer = "timer:" + server
+	wake, pump := "wake:"+server, e.pump
+	e.ifc.OnFrames(wake, pump)
+	e.k.AfterNamed(wake, 0, pump)
 }
 
-func (e *Endpoint) serve(p *sim.Proc) {
+// pump drains the interface queue and arms it when it is empty. A
+// completed bulk message suspends the drain for its receive cost:
+// bulkDone delivers it and pumps again.
+func (e *Endpoint) pump() {
 	for {
-		frame := e.ifc.Recv(p)
+		frame, ok := e.ifc.TryRecv()
+		if !ok {
+			e.ifc.Arm()
+			return
+		}
 		frag, ok := frame.Payload.(*fragment)
 		if !ok {
 			continue // alien frame on the wire
@@ -289,29 +311,49 @@ func (e *Endpoint) serve(p *sim.Proc) {
 		}
 		// Bulk receive processing: reassembly and page copy, plus the
 		// cross-type penalty (§2.2; fitted to Table 2).
+		var cost sim.Duration
 		if bulk {
-			cost := e.params.MsgSetup.Of(e.kind) +
+			cost = e.params.MsgSetup.Of(e.kind) +
 				sim.Duration(total)*e.params.FragCost.Of(e.kind)
 			if srcKind != e.kind {
 				cost += e.params.CrossPenalty
 			}
-			p.Sleep(cost)
 		}
-		m := &proto.Message{}
-		if err := proto.DecodeBorrowInto(m, buf); err != nil {
-			bufpool.Put(buf)
-			continue // corrupt message; sender will retransmit
+		if cost > 0 {
+			// One bulk receive at a time, so the endpoint itself is the
+			// timer's record: nothing to allocate per message.
+			e.bulkBuf = buf
+			e.k.AfterNamedArg(e.bulkTimer, cost, bulkDone, e)
+			return
 		}
-		e.stats.Received++
-		if len(m.Data) == 0 {
-			// Nothing aliases the wire buffer once the header and args
-			// are parsed into the message; recycle it right away.
-			bufpool.Put(buf)
-		} else {
-			m.SetWire(buf)
-		}
-		e.dispatch(m)
+		e.deliver(buf)
 	}
+}
+
+func bulkDone(a any) {
+	e := a.(*Endpoint)
+	buf := e.bulkBuf
+	e.bulkBuf = nil
+	e.deliver(buf)
+	e.pump()
+}
+
+// deliver decodes one reassembled message and dispatches it. It owns buf.
+func (e *Endpoint) deliver(buf []byte) {
+	m := &proto.Message{}
+	if err := proto.DecodeBorrowInto(m, buf); err != nil {
+		bufpool.Put(buf)
+		return // corrupt message; sender will retransmit
+	}
+	e.stats.Received++
+	if len(m.Data) == 0 {
+		// Nothing aliases the wire buffer once the header and args
+		// are parsed into the message; recycle it right away.
+		bufpool.Put(buf)
+	} else {
+		m.SetWire(buf)
+	}
+	e.dispatch(m)
 }
 
 // reassemble copies the fragment's chunk into a pooled, receiver-owned
@@ -413,7 +455,7 @@ func (e *Endpoint) dispatch(m *proto.Message) {
 		}
 		return // in progress: the original execution will answer
 	}
-	e.remember(key, &dedupEntry{})
+	e.remember(key)
 	h := e.handler[m.Kind]
 	if h == nil {
 		e.stats.Unhandled++
@@ -430,14 +472,17 @@ func (e *Endpoint) dispatch(m *proto.Message) {
 	})
 }
 
-func (e *Endpoint) remember(key dedupKey, ent *dedupEntry) {
-	if len(e.dedupQ) >= dedupCap {
-		oldest := e.dedupQ[0]
-		e.dedupQ = e.dedupQ[1:]
-		delete(e.dedup, oldest)
+// remember opens the duplicate-cache entry of a request in progress,
+// evicting the oldest entry of a full cache.
+func (e *Endpoint) remember(key dedupKey) {
+	if len(e.dedupQ) < dedupCap {
+		e.dedupQ = append(e.dedupQ, key)
+	} else {
+		delete(e.dedup, e.dedupQ[e.dedupHead])
+		e.dedupQ[e.dedupHead] = key
+		e.dedupHead = (e.dedupHead + 1) % dedupCap
 	}
-	e.dedup[key] = ent
-	e.dedupQ = append(e.dedupQ, key)
+	e.dedup[key] = dedupEntry{}
 }
 
 // send encodes and transmits m to dst, fragmenting as needed and
@@ -629,10 +674,8 @@ func (e *Endpoint) Reply(p *sim.Proc, req *proto.Message, resp *proto.Message) {
 	resp.From = uint32(e.id)
 	dst := HostID(req.From)
 	key := dedupKey{from: req.From, reqID: req.ReqID}
-	if ent, ok := e.dedup[key]; ok {
-		ent.done = true
-		ent.reply = resp
-		ent.to = dst
+	if _, ok := e.dedup[key]; ok {
+		e.dedup[key] = dedupEntry{done: true, reply: resp, to: dst}
 	}
 	e.send(p, dst, resp)
 }

@@ -23,7 +23,11 @@ type rig struct {
 
 func newRig(t *testing.T, kinds ...arch.Kind) *rig {
 	t.Helper()
-	k := sim.NewKernel(1)
+	return newRigOn(t, sim.NewKernel(1), kinds...)
+}
+
+func newRigOn(t *testing.T, k *sim.Kernel, kinds ...arch.Kind) *rig {
+	t.Helper()
 	par := model.Default()
 	n := netsim.New(k, &par)
 	r := &rig{k: k, net: n, par: &par}

@@ -18,6 +18,7 @@ import (
 	"cmp"
 	"fmt"
 	"iter"
+	"math"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -129,35 +130,28 @@ const (
 )
 
 type event struct {
-	at       Time
-	seq      uint64
-	proc     *proc  // process to wake, or nil for a callback event
-	epoch    uint64 // park epoch the wake targets (ignored for callbacks)
-	reason   WakeReason
-	fn       func()    // callback; must not block
-	fnArg    func(any) // callback taking arg; the closure-free hot-path form
-	arg      any
-	name     string // label for callback events (scheduling diagnostics)
-	canceled bool
+	at     Time
+	seq    uint64
+	proc   *proc  // process to wake, or nil for a callback event
+	epoch  uint64 // park epoch the wake targets (ignored for callbacks)
+	reason WakeReason
+	fn     func()    // callback; must not block
+	fnArg  func(any) // callback taking arg; the closure-free hot-path form
+	arg    any
+	name   string // label for callback events (scheduling diagnostics)
 }
 
-// live reports whether dispatching the event would do anything: canceled
-// events and stale wakes (the process finished or left that park episode)
-// are no-ops the scheduler may discard.
+// live reports whether dispatching the event would do anything: stale
+// wakes (the process finished or left that park episode) are no-ops the
+// scheduler may discard.
 func (e *event) live() bool {
-	if e.canceled {
-		return false
-	}
-	if e.fn != nil || e.fnArg != nil {
-		return true
-	}
-	return !e.proc.done && e.proc.epoch == e.epoch
+	return e.proc == nil || !e.proc.done && e.proc.epoch == e.epoch
 }
 
 // label renders the event for schedule diagnostics: the callback's name,
 // or the woken process prefixed by why it wakes.
 func (e *event) label() string {
-	if e.fn != nil || e.fnArg != nil {
+	if e.proc == nil {
 		if e.name != "" {
 			return e.name
 		}
@@ -173,60 +167,70 @@ func (e *event) label() string {
 // roughly halves the tree depth of the binary container/heap it
 // replaces, and inlined sift loops avoid the interface-dispatch cost of
 // heap.Push/heap.Pop — the kernel's hottest operations at 1024 hosts.
-type eventHeap []*event
+// Each entry carries its event's keys, so a comparison reads the heap's
+// own array instead of chasing a pointer per event, and a sift moves
+// the hole, not two entries per level.
+type eventHeap []heapEntry
 
-func (h eventHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+type heapEntry struct {
+	at  Time
+	seq uint64
+	e   *event
+}
+
+func (a *heapEntry) before(b *heapEntry) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
 
 func (h *eventHeap) push(e *event) {
-	*h = append(*h, e)
+	x := heapEntry{at: e.at, seq: e.seq, e: e}
+	*h = append(*h, x)
 	s := *h
 	i := len(s) - 1
 	for i > 0 {
 		parent := (i - 1) / 4
-		if !s.less(i, parent) {
+		if !x.before(&s[parent]) {
 			break
 		}
-		s[i], s[parent] = s[parent], s[i]
+		s[i] = s[parent]
 		i = parent
 	}
+	s[i] = x
 }
 
 func (h *eventHeap) pop() *event {
 	s := *h
-	top := s[0]
+	top := s[0].e
 	last := len(s) - 1
-	s[0] = s[last]
-	s[last] = nil
+	x := s[last]
+	s[last] = heapEntry{}
 	s = s[:last]
 	*h = s
+	if last == 0 {
+		return top
+	}
 	i := 0
-	for {
-		min := i
-		c := 4*i + 1
-		end := c + 4
-		if end > len(s) {
-			end = len(s)
-		}
-		for ; c < end; c++ {
-			if s.less(c, min) {
-				min = c
+	for c := 1; c < last; c = 4*i + 1 {
+		least := c
+		for j, end := c+1, min(c+4, last); j < end; j++ {
+			if s[j].before(&s[least]) {
+				least = j
 			}
 		}
-		if min == i {
+		if !s[least].before(&x) {
 			break
 		}
-		s[i], s[min] = s[min], s[i]
-		i = min
+		s[i] = s[least]
+		i = least
 	}
+	s[i] = x
 	return top
 }
 
-func (h eventHeap) Peek() *event  { return h[0] }
+func (h eventHeap) Peek() *event  { return h[0].e }
 func (h eventHeap) isEmpty() bool { return len(h) == 0 }
 
 // Chooser resolves the kernel's scheduling nondeterminism. Whenever more
@@ -259,7 +263,32 @@ type Kernel struct {
 	elig    []*event     // scratch buffer for same-instant alternatives
 	free    []*event     // dispatched event records, recycled by newEvent
 	idle    []*coroutine // coroutines whose process finished cleanly, recycled by SpawnAt
+
+	// The stop condition of the driver call in progress (see poll): how
+	// many more events it may dispatch, the instant past which it
+	// dispatches none, and its caller's predicate, nil for none.
+	budget   int
+	deadline Time
+	done     func() bool
+	// next hands the kernel loop the event a parked process took from
+	// poll but may not dispatch itself: another process's wake.
+	next *event
+	// running is the callback event being dispatched, nil outside one.
+	running *event
+	counts  Counts
 }
+
+// Counts are the kernel's deterministic work counters: the same program
+// and seed give the same counts on any machine.
+type Counts struct {
+	// Events counts dispatched events — what a Step loop would count.
+	Events uint64
+	// Resumes counts switches into a process's coroutine.
+	Resumes uint64
+}
+
+// Counts returns the work counters so far.
+func (k *Kernel) Counts() Counts { return k.counts }
 
 // NewKernel creates a kernel whose random source is seeded with seed.
 // The same seed and the same program produce the same execution.
@@ -425,11 +454,16 @@ func (p *proc) run() {
 // outcome. killSentinel is a clean exit and a panic during teardown is
 // swallowed (the simulation's outcome was decided before Shutdown); any
 // other panic continues, wrapped with the process name, out of the next
-// call that resumed the process — into the caller of Run or Step.
+// call that resumed the process — into the caller of Run or Step. A panic
+// that began in a callback the process was dispatching while parked is
+// the callback's, not the process's, and is re-raised under its name.
 func (p *proc) exit() {
 	p.done = true
 	delete(p.k.procs, p.id)
 	if r := recover(); r != nil {
+		if p.k.running != nil {
+			panic(p.k.callbackPanic(r))
+		}
 		if _, kill := r.(killSentinel); !kill && !p.killed {
 			panic(fmt.Sprintf("sim: process %q panicked: %v", p.name, r))
 		}
@@ -437,54 +471,85 @@ func (p *proc) exit() {
 }
 
 // Run executes events until none remain, then returns. Processes still
-// parked when the event queue drains (for example server loops blocked on
-// empty queues) are left suspended; Stalled reports them.
+// parked when the event queue drains (for example a worker blocked on
+// an empty queue) are left suspended; Stalled reports them.
 //
 // Run panics if a process panicked, re-raising the process's panic value
-// wrapped with its name.
-func (k *Kernel) Run() {
-	for k.Step() {
-	}
-}
+// wrapped with its name, and likewise for a callback.
+func (k *Kernel) Run() { k.drive(math.MaxInt, math.MaxInt64, nil) }
 
 // RunUntil executes events until done() reports true (checked after
 // every event) or the queue drains. Use it when background activity —
-// server loops, persistent retransmission — would otherwise keep the
-// event queue non-empty forever.
-func (k *Kernel) RunUntil(done func() bool) {
-	for !done() && k.Step() {
-	}
-}
+// persistent retransmission, heartbeats — would otherwise keep the event
+// queue non-empty forever.
+func (k *Kernel) RunUntil(done func() bool) { k.drive(math.MaxInt, math.MaxInt64, done) }
 
 // RunFor executes events until the clock would pass the given deadline,
 // leaving later events queued, or until no events remain. The clock is
 // advanced to the deadline even if the queue drains earlier.
 func (k *Kernel) RunFor(d Duration) {
 	deadline := k.now.Add(d)
-	for {
-		if k.chooser != nil {
-			k.discardDead()
-		}
-		if k.events.isEmpty() || k.events.Peek().at > deadline {
-			break
-		}
-		k.step(k.nextEvent())
-	}
+	k.drive(math.MaxInt, deadline, nil)
 	if k.now < deadline {
 		k.now = deadline
 	}
 }
 
 // Step dispatches the next event and reports whether one was dispatched.
-// It is the single-step form of Run, for drivers — the model checker —
-// that bound a run by event count.
-func (k *Kernel) Step() bool {
-	e := k.nextEvent()
-	if e == nil {
-		return false
+// It is the single-step form of Run.
+func (k *Kernel) Step() bool { return k.drive(1, math.MaxInt64, nil) == 1 }
+
+// RunSteps is RunUntil bounded by an event count, for drivers — the
+// model checker — that budget a run in events: it dispatches at most max
+// events and returns how many it did. done may be nil.
+func (k *Kernel) RunSteps(max int, done func() bool) int {
+	return k.drive(max, math.MaxInt64, done)
+}
+
+// drive is the kernel loop behind every driver: dispatch events while
+// poll allows. Between two events the loop is not the only one asking —
+// a process that parks dispatches for itself (dispatchParked) — so the stop
+// condition lives in the kernel, and the budget is counted wherever an
+// event runs.
+func (k *Kernel) drive(budget int, deadline Time, done func() bool) int {
+	k.budget, k.deadline, k.done = budget, deadline, done
+	defer func() {
+		if k.running != nil { // a callback panicked on this stack
+			panic(k.callbackPanic(recover()))
+		}
+	}()
+	for {
+		e := k.next
+		if e != nil {
+			k.next = nil
+		} else if e = k.poll(); e == nil {
+			return budget - k.budget
+		}
+		k.step(e, nil)
 	}
-	k.step(e)
-	return true
+}
+
+// poll is the one gate every dispatch passes: it returns the next event
+// if the driver in progress allows another — budget left, its predicate
+// still false, the event not past its deadline — and nil otherwise. The
+// checks come before the chooser is asked because its questions are
+// themselves part of the recorded run. Without a chooser the next event
+// is the heap minimum — earliest time, then scheduling order, the fixed
+// deterministic default.
+func (k *Kernel) poll() *event {
+	if k.budget <= 0 || k.done != nil && k.done() {
+		return nil
+	}
+	if k.chooser != nil {
+		k.discardDead()
+	}
+	if k.events.isEmpty() || k.events[0].at > k.deadline {
+		return nil
+	}
+	if k.chooser != nil {
+		return k.choose()
+	}
+	return k.events.pop()
 }
 
 // scheduleWake schedules a process-wake event at time at.
@@ -504,26 +569,15 @@ func (k *Kernel) discardDead() {
 	}
 }
 
-// nextEvent selects the event to dispatch next. Without a chooser it is
-// the heap minimum — earliest time, then scheduling order, the fixed
-// deterministic default. With a chooser, every live event at the minimum
-// time is a scheduling alternative and the chooser picks one; the others
-// keep their original sequence numbers, so declining an event never
-// reorders it relative to later arrivals at the same instant.
-func (k *Kernel) nextEvent() *event {
-	if k.chooser == nil {
-		if k.events.isEmpty() {
-			return nil
-		}
-		return k.events.pop()
-	}
-	k.discardDead()
-	if k.events.isEmpty() {
-		return nil
-	}
-	t := k.events.Peek().at
+// choose is poll's last step under a chooser, the dead events already
+// dropped from the head of a non-empty queue: every live event at the
+// minimum time is a scheduling alternative and the chooser picks one;
+// the others keep their original sequence numbers, so declining an event
+// never reorders it relative to later arrivals at the same instant.
+func (k *Kernel) choose() *event {
+	t := k.events[0].at
 	elig := k.elig[:0]
-	for !k.events.isEmpty() && k.events.Peek().at == t {
+	for !k.events.isEmpty() && k.events[0].at == t {
 		e := k.events.pop()
 		if e.live() {
 			elig = append(elig, e)
@@ -551,8 +605,8 @@ func (k *Kernel) nextEvent() *event {
 // dispatched. The model checker folds it into its state hashes.
 func (k *Kernel) LivePending() int {
 	n := 0
-	for _, e := range k.events {
-		if e.live() {
+	for _, ent := range k.events {
+		if ent.e.live() {
 			n++
 		}
 	}
@@ -561,39 +615,60 @@ func (k *Kernel) LivePending() int {
 
 // step dispatches one event — run its callback, or resume its process
 // and wait for the process to park again or finish — then recycles the
-// event record.
-func (k *Kernel) step(e *event) {
-	k.dispatch(e)
+// event record. on is the parked process whose stack this runs on, nil
+// for the kernel loop; step reports whether the event woke on.
+func (k *Kernel) step(e *event, on *proc) bool {
+	k.budget--
+	k.counts.Events++
+	woke := k.dispatch(e, on)
 	k.releaseEvent(e)
+	return woke
 }
 
-func (k *Kernel) dispatch(e *event) {
-	if e.canceled {
-		return
-	}
+func (k *Kernel) dispatch(e *event, on *proc) bool {
 	k.now = e.at
-	if e.fn != nil {
-		e.fn()
-		return
-	}
-	if e.fnArg != nil {
-		e.fnArg(e.arg)
-		return
-	}
 	p := e.proc
+	if p == nil {
+		k.running = e
+		if e.fn != nil {
+			e.fn()
+		} else {
+			e.fnArg(e.arg)
+		}
+		k.running = nil
+		return false
+	}
 	// The epoch gate drops stale wakes: any event targeting a park
 	// episode the process has already left is a no-op. wakePending is
 	// only a scheduling dedupe, not a correctness gate, because timer
 	// events (Sleep, ParkTimeout) are scheduled without setting it.
 	if p.done || p.epoch != e.epoch {
-		return
+		return false
 	}
 	p.wakePending = false
 	p.epoch++
 	p.reason = e.reason
+	if p == on {
+		return true // its park returns: no switch at all
+	}
 	// Returns when the process parks (having registered its next wake
 	// condition) or finishes; its panic, if any, comes out of this call.
+	k.counts.Resumes++
 	p.co.next()
+	return false
+}
+
+// blocked is what park panics with inside a callback.
+type blocked struct{}
+
+// callbackPanic words the panic r that began in the callback k.running.
+func (k *Kernel) callbackPanic(r any) string {
+	name := k.running.label()
+	k.running = nil
+	if r == (blocked{}) {
+		return fmt.Sprintf("sim: callback %q tried to block", name)
+	}
+	return fmt.Sprintf("sim: callback %q panicked: %v", name, r)
 }
 
 // killSentinel is the panic value that unwinds a process being killed by
@@ -606,7 +681,7 @@ type killSentinel struct{}
 // only be called outside Run — after it returned, or after recovering
 // the panic it re-raised. The kernel must not be used afterwards.
 //
-// Without Shutdown every parked server loop pins its stack and whatever
+// Without Shutdown every parked process pins its stack and whatever
 // it references for the life of the Go process; a model checker executing
 // thousands of short simulations per second needs them reclaimed.
 func (k *Kernel) Shutdown() {
@@ -687,11 +762,41 @@ func (pp *Proc) park() WakeReason {
 	if p.killed {
 		panic(killSentinel{})
 	}
-	p.co.yield(struct{}{})
-	if p.killed {
-		panic(killSentinel{})
+	if !p.k.dispatchParked(p) {
+		p.co.yield(struct{}{})
+		if p.killed {
+			panic(killSentinel{})
+		}
 	}
 	return p.reason
+}
+
+// dispatchParked makes a parked process the kernel: before p switches
+// away it dispatches, on its own stack, whatever the kernel loop would
+// dispatch next, for as long as that needs nobody else's stack —
+// callbacks, stale wakes, and its own wake, on which it reports true
+// and park returns without a switch. The first event that resumes
+// another process is left in k.next for the kernel loop, which p then
+// yields to. poll is asked before every event, so the sequence of
+// dispatches, the chooser's questions and each driver's stopping point
+// are what they would be with the loop doing it all. It is a function
+// of its own so that park's frame, which the switch and a kill's
+// unwinding sit on, stays as small as it was: a fresh coroutine has a
+// 2 KB stack.
+func (k *Kernel) dispatchParked(p *proc) bool {
+	if k.running != nil {
+		panic(blocked{})
+	}
+	for e := k.poll(); e != nil; e = k.poll() {
+		if e.proc != nil && e.proc != p && e.live() {
+			k.next = e
+			return false
+		}
+		if k.step(e, p) {
+			return true
+		}
+	}
+	return false
 }
 
 // Exit terminates the calling process immediately as a normal

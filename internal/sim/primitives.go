@@ -105,11 +105,20 @@ func (s *Semaphore) V() {
 // box every element. It reuses its buffer as a sliding window instead
 // of reslicing it away, so steady-state Put/Get cycles allocate
 // nothing.
+//
+// A consumer that never blocks anywhere else needs no process: SetSink
+// names a callback, Arm asks for it once — at the instant of the next
+// Put, as the event a parked getter's wake would have been — and the
+// callback drains with TryGet and arms again when it finds the queue
+// empty.
 type TypedQueue[T any] struct {
-	k       *Kernel
-	items   []T
-	head    int
-	waiters []wakeToken
+	k        *Kernel
+	items    []T
+	head     int
+	waiters  []wakeToken
+	sink     func()
+	sinkName string
+	armed    bool
 }
 
 // NewTypedQueue creates an empty typed queue.
@@ -126,6 +135,11 @@ func (q *TypedQueue[T]) Put(v T) {
 		q.head = 0
 	}
 	q.items = append(q.items, v)
+	if q.armed {
+		q.armed = false
+		q.k.AfterNamed(q.sinkName, 0, q.sink)
+		return
+	}
 	for len(q.waiters) > 0 {
 		t := popWaiter(&q.waiters)
 		if t.p.done || t.p.epoch != t.epoch {
@@ -136,6 +150,25 @@ func (q *TypedQueue[T]) Put(v T) {
 	}
 }
 
+// SetSink makes fn, labelled name in schedules, the queue's event-driven
+// consumer. A queue has a sink or getters, not both.
+func (q *TypedQueue[T]) SetSink(name string, fn func()) { q.sinkName, q.sink = name, fn }
+
+// Arm schedules the sink at the next Put. One Put consumes the arming.
+func (q *TypedQueue[T]) Arm() { q.armed = true }
+
+// TryGet removes and returns the oldest item; ok is false if there is none.
+func (q *TypedQueue[T]) TryGet() (v T, ok bool) {
+	if q.Len() == 0 {
+		return v, false
+	}
+	v = q.items[q.head]
+	var zero T
+	q.items[q.head] = zero
+	q.head++
+	return v, true
+}
+
 // Get removes and returns the oldest item, blocking while the queue is
 // empty.
 func (q *TypedQueue[T]) Get(p *Proc) T {
@@ -143,10 +176,7 @@ func (q *TypedQueue[T]) Get(p *Proc) T {
 		q.waiters = append(q.waiters, p.token())
 		p.park()
 	}
-	v := q.items[q.head]
-	var zero T
-	q.items[q.head] = zero
-	q.head++
+	v, _ := q.TryGet()
 	return v
 }
 
@@ -168,11 +198,7 @@ func (q *TypedQueue[T]) GetTimeout(p *Proc, d Duration) (v T, ok bool) {
 			}
 		}
 	}
-	v = q.items[q.head]
-	var zero T
-	q.items[q.head] = zero
-	q.head++
-	return v, true
+	return q.TryGet()
 }
 
 func (q *TypedQueue[T]) removeWaiter(p *Proc) {

@@ -19,14 +19,19 @@ func recovered(f func()) (r any) {
 	return nil
 }
 
+// drivers are the three ways to run a kernel to the end; under Run and
+// RunSteps an event may run on whatever process parked last, under a
+// bare Step loop every one runs on the caller's stack.
+var drivers = map[string]func(k *Kernel){
+	"Run":      (*Kernel).Run,
+	"RunSteps": func(k *Kernel) { k.RunSteps(1000, nil) },
+	"Step": func(k *Kernel) {
+		for k.Step() {
+		}
+	},
+}
+
 func TestProcessPanicIsWrappedWithItsName(t *testing.T) {
-	drivers := map[string]func(k *Kernel){
-		"Run": (*Kernel).Run,
-		"Step": func(k *Kernel) {
-			for k.Step() {
-			}
-		},
-	}
 	for name, drive := range drivers {
 		k := NewKernel(1)
 		k.Spawn("bystander", func(p *Proc) { p.Park() })
@@ -50,11 +55,35 @@ func TestProcessPanicIsWrappedWithItsName(t *testing.T) {
 	}
 }
 
+// A callback's panic is reported as the callback's, whoever's stack it
+// unwound on the way out.
 func TestCallbackPanicSurfacesOnCaller(t *testing.T) {
-	k := NewKernel(1)
-	k.After(time.Millisecond, func() { panic("callback bang") })
-	if got := recovered(k.Run); got != "callback bang" {
-		t.Fatalf("Run re-raised %#v, want the callback's own value", got)
+	for name, drive := range drivers {
+		k := NewKernel(1)
+		k.Spawn("thread-2.1", func(p *Proc) { p.Sleep(time.Second) })
+		k.AfterNamed("deliver", time.Millisecond, func() { panic("callback bang") })
+		got := recovered(func() { drive(k) })
+		if want := `sim: callback "deliver" panicked: callback bang`; got != want {
+			t.Errorf("%s re-raised %#v, want %q", name, got, want)
+		}
+		k.Shutdown()
+	}
+}
+
+// A callback that parks would suspend whichever process is dispatching
+// it in the middle of that process's own wait: it panics by name.
+func TestCallbackThatBlocksPanicsByName(t *testing.T) {
+	for name, drive := range drivers {
+		k := NewKernel(1)
+		sem := NewSemaphore(k, 0)
+		var sleeper *Proc
+		sleeper = k.Spawn("thread-2.1", func(p *Proc) { p.Sleep(time.Second) })
+		k.After(time.Millisecond, func() { sem.P(sleeper) })
+		got := recovered(func() { drive(k) })
+		if want := `sim: callback "callback" tried to block`; got != want {
+			t.Errorf("%s re-raised %#v, want %q", name, got, want)
+		}
+		k.Shutdown()
 	}
 }
 

@@ -299,7 +299,7 @@ func (c *Cluster) Run(host HostID, main func(e *Env)) time.Duration {
 	})
 }
 
-// Close ends the simulation: every server process still parked is
+// Close ends the simulation: every simulated process still parked is
 // unwound and the kernel's coroutines — live and idle — are released.
 // Without it they, and the page frames they reference, stay for the
 // life of the Go process, which only matters to a program that builds
