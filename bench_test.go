@@ -131,7 +131,9 @@ func benchQuorumFanout(b *testing.B, n int) {
 
 const quorumRounds = 50
 
-func quorumFanout(tb testing.TB, n int) DSMStats {
+// quorumCluster builds an n-host quorum cluster alternating Sun and
+// Firefly hosts.
+func quorumCluster(tb testing.TB, n int) *Cluster {
 	hosts := make([]HostSpec, n)
 	for h := range hosts {
 		if h%2 == 1 {
@@ -144,6 +146,11 @@ func quorumFanout(tb testing.TB, n int) DSMStats {
 	if err != nil {
 		tb.Fatal(err)
 	}
+	return c
+}
+
+func quorumFanout(tb testing.TB, n int) DSMStats {
+	c := quorumCluster(tb, n)
 	c.Run(0, func(e *Env) {
 		addr := e.MustAlloc(Int32, 8)
 		for r := 0; r < quorumRounds; r++ {
@@ -159,6 +166,35 @@ func quorumFanout(tb testing.TB, n int) DSMStats {
 func BenchmarkQuorumFanout3Hosts(b *testing.B) { benchQuorumFanout(b, 3) }
 
 func BenchmarkQuorumFanout5Hosts(b *testing.B) { benchQuorumFanout(b, 5) }
+
+// BenchmarkQuorumReadShare is one version of a page read many times by
+// every host: host 0 writes it once, then each host in turn reads it
+// quorumRounds times, so every phase-1 reply carries the same replica
+// version.
+func BenchmarkQuorumReadShare(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		quorumReadShare(b, 3)
+	}
+}
+
+func quorumReadShare(tb testing.TB, n int) {
+	c := quorumCluster(tb, n)
+	var addr Addr
+	c.Run(0, func(e *Env) {
+		addr = e.MustAlloc(Int32, 1024)
+		e.WriteInt32(addr, 7)
+	})
+	for h := 0; h < n; h++ {
+		c.Run(HostID(h), func(e *Env) {
+			for r := 0; r < quorumRounds; r++ {
+				if got := e.ReadInt32(addr); got != 7 {
+					tb.Fatalf("host %d round %d read %d", h, r, got)
+				}
+			}
+		})
+	}
+	c.Close()
+}
 
 // --- RC (lazy release consistency) micro-benchmarks ------------------
 //

@@ -66,10 +66,27 @@ func (t quorumTag) less(o quorumTag) bool {
 func quorumMajority(n int) int { return n/2 + 1 }
 
 // quorumPage is one host's replica of a page: the image in this host's
-// native representation plus its version tag.
+// native representation plus its version tag. A replica is a
+// copy-on-write version: a phase-1 reply carries the image itself
+// (shared), and the reply cache may resend it, so whatever changes a
+// shared image first moves the replica to a fresh frame (unshare).
 type quorumPage struct {
-	data []byte
-	tag  quorumTag
+	data   []byte
+	tag    quorumTag
+	shared bool
+}
+
+// unshare makes the replica's image safe to change in place. A shared
+// image stays with the replies that hold it; the replica moves to a
+// fresh frame that keeps the old bytes from `from` on, the caller
+// writing the rest — so an install builds its new image in one pass.
+func (qp *quorumPage) unshare(from int) {
+	if !qp.shared {
+		return
+	}
+	img := make([]byte, len(qp.data)) // vet:ignore hot-alloc — the old frame is a page version a cached reply still holds
+	copy(img[from:], qp.data[from:])
+	qp.data, qp.shared = img, false
 }
 
 // qrmPageFor returns (creating zero-filled at the zero tag if needed)
@@ -83,18 +100,6 @@ func (m *quorumEngine) qrmPageFor(page PageNo) *quorumPage {
 	return qp
 }
 
-// quorumPeers lists every other host in ID order — the fan-out targets
-// of a quorum round (this host's own replica is the remaining vote).
-func (m *quorumEngine) quorumPeers() []HostID {
-	peers := make([]HostID, 0, len(m.hosts)-1)
-	for i := range m.hosts {
-		if HostID(i) != m.id {
-			peers = append(peers, HostID(i))
-		}
-	}
-	return peers
-}
-
 // quorumEngine is PolicyQuorum's replication engine. Region operations
 // run page by page: each page access is one full quorum operation,
 // serialized per page by the local fault lock.
@@ -105,10 +110,18 @@ type quorumEngine struct {
 	// tag-ordered versions are not MRSW residency and stay invisible to
 	// the MRSW invariants and the module's hash sections.
 	qrm map[PageNo]*quorumPage
+	// peers lists every other host in ID order — the fan-out targets of
+	// a quorum round (this host's own replica is the remaining vote).
+	peers []HostID
 }
 
 func newQuorumEngine(mod *Module) (engine, engineDecl) {
 	m := &quorumEngine{Module: mod, qrm: make(map[PageNo]*quorumPage)}
+	for i := range m.hosts {
+		if HostID(i) != m.id {
+			m.peers = append(m.peers, HostID(i))
+		}
+	}
 	m.ep.Handle(proto.KindQuorumRead, m.handleQuorumRead)
 	m.ep.Handle(proto.KindQuorumWrite, m.handleQuorumWrite)
 	return m, engineDecl{
@@ -208,25 +221,26 @@ func (m *quorumEngine) quorumReadPage(p *sim.Proc, page PageNo) (*quorumPage, er
 func (m *quorumEngine) quorumWritePage(p *sim.Proc, page PageNo, mutate func(qp *quorumPage)) error {
 	m.stats.QuorumWrites++
 	m.protoCPU.Use(p, m.jittered(m.cfg.Params.RemoteOpProcess.Of(m.arch.Kind)))
-	if m.cfg.Mutation == MutSplitBrainWrite {
-		// Injected bug: install locally and declare success without a
-		// majority — no quorum ever orders this write against others.
-		qp := m.qrmPageFor(page)
-		mutate(qp)
-		qp.tag = quorumTag{ts: qp.tag.ts + 1, host: m.id}
-		m.checkpoint("quorum-write", page)
-		return nil
+	// Injected bug (MutSplitBrainWrite): install locally and declare
+	// success without a majority — no quorum ever orders this write
+	// against others.
+	splitBrain := m.cfg.Mutation == MutSplitBrainWrite
+	qp := m.qrmPageFor(page)
+	if !splitBrain {
+		var err error
+		if qp, _, err = m.quorumCollect(p, page); err != nil {
+			return err
+		}
 	}
-	qp, _, err := m.quorumCollect(p, page)
-	if err != nil {
-		return err
-	}
+	qp.unshare(0)
 	mutate(qp)
 	qp.tag = quorumTag{ts: qp.tag.ts + 1, host: m.id}
-	if err := m.quorumPush(p, page, qp); err != nil {
-		return err
+	if !splitBrain {
+		if err := m.quorumPush(p, page, qp); err != nil {
+			return err
+		}
+		m.trace("quorum-write", page)
 	}
-	m.trace("quorum-write", page)
 	m.checkpoint("quorum-write", page)
 	return nil
 }
@@ -265,17 +279,16 @@ func (m *quorumEngine) quorumCollect(p *sim.Proc, page PageNo) (qp *quorumPage, 
 		// converting from the peer's native representation. The replica
 		// is re-checked after the conversion sleep — a concurrent
 		// inbound quorum write may have advanced it past the winner,
-		// and a tag must never regress.
+		// and a tag must never regress. The body converts in place: its
+		// wire buffer is this host's until the TakeWire below.
 		r := replies[winIdx]
-		buf := bufpool.Get(len(r.Data))
-		copy(buf, r.Data)
-		m.convertIn(p, page, buf, arch.Kind(r.SrcArch))
+		m.convertIn(p, page, r.Data, arch.Kind(r.SrcArch))
 		if qp.tag.less(winner) {
-			copy(qp.data, buf)
+			qp.unshare(len(r.Data))
+			copy(qp.data, r.Data)
 			qp.tag = winner
-			m.countFetch(page, len(buf), "fetch")
+			m.countFetch(page, len(r.Data), "fetch")
 		}
-		bufpool.Put(buf)
 	}
 	votes := 0
 	if qp.tag == winner {
@@ -325,16 +338,15 @@ func (m *quorumEngine) quorumPush(p *sim.Proc, page PageNo, qp *quorumPage) erro
 // ridden out with capped exponential virtual-time backoff instead of
 // escalating; only the failure detector proving that no majority can
 // ever answer again (a majority of replicas dead) surfaces ErrHostDown.
-// The replies slice is indexed like quorumPeers(), nil for stragglers;
+// The replies slice is indexed like m.peers, nil for stragglers;
 // the caller owns the non-nil replies' wire buffers.
 func (m *quorumEngine) quorumFanout(p *sim.Proc, page PageNo, need int, mk func(dst HostID) *proto.Message) ([]*proto.Message, error) {
-	peers := m.quorumPeers()
 	backoff := sim.Duration(m.cfg.Params.RequestTimeout)
 	for {
 		// The caller holds the page's fault lock across the round; the
 		// replicas answer without taking any lock, so the cross-host wait
 		// cannot cycle.
-		replies, err := m.ep.CallQuorum(p, peers, need, mk)
+		replies, err := m.ep.CallQuorum(p, m.peers, need, mk)
 		if err == nil {
 			return replies, nil
 		}
@@ -360,19 +372,23 @@ func (m *quorumEngine) quorumFanout(p *sim.Proc, page PageNo, need int, mk func(
 
 // handleQuorumRead answers a phase-1 query with this replica's version:
 // tag in the args, image (allocated prefix, native representation) in
-// the data. It takes no locks, deliberately: the replica may itself be
-// parked inside a quorum round holding its local fault lock.
+// the data. The body is the replica's own image, not a copy: the
+// replica is marked shared, and the reply cache's resend check
+// (remoteop) enforces that nothing changes it afterwards. It takes no
+// locks, deliberately: the replica may itself be parked inside a quorum
+// round holding its local fault lock.
 func (m *quorumEngine) handleQuorumRead(p *sim.Proc, req *proto.Message) {
 	m.exitIfCrashed(p)
 	page := PageNo(req.Page)
 	bufpool.Put(req.TakeWire())
 	m.protoCPU.Use(p, m.jittered(m.cfg.Params.RemoteOpProcess.Of(m.arch.Kind)))
 	qp := m.qrmPageFor(page)
+	qp.shared = true
 	m.ep.Reply(p, req, &proto.Message{
 		Kind: proto.KindQuorumReadReply,
 		Page: req.Page,
 		Args: []uint32{qp.tag.ts, uint32(qp.tag.host)},
-		Data: m.servedPrefix(page, qp.data, freshBuf),
+		Data: qp.data[:m.meta[page].used],
 	})
 }
 
@@ -387,22 +403,18 @@ func (m *quorumEngine) handleQuorumWrite(p *sim.Proc, req *proto.Message) {
 	m.protoCPU.Use(p, m.jittered(m.cfg.Params.RemoteOpProcess.Of(m.arch.Kind)))
 	qp := m.qrmPageFor(page)
 	if qp.tag.less(tag) {
-		srcKind := arch.Kind(req.SrcArch)
-		data := bufpool.Get(len(req.Data))
-		copy(data, req.Data)
-		bufpool.Put(req.TakeWire())
-		m.convertIn(p, page, data, srcKind)
+		// The body converts in place in the request's wire buffer.
+		m.convertIn(p, page, req.Data, arch.Kind(req.SrcArch))
 		// Re-check after the conversion sleep: a concurrent install may
 		// have advanced the replica past this version.
 		if qp.tag.less(tag) {
-			copy(qp.data, data)
+			qp.unshare(len(req.Data))
+			copy(qp.data, req.Data)
 			qp.tag = tag
 			m.trace("quorum-install", page)
 		}
-		bufpool.Put(data)
-	} else {
-		bufpool.Put(req.TakeWire())
 	}
+	bufpool.Put(req.TakeWire())
 	m.checkpoint("quorum-install", page)
 	m.ep.Reply(p, req, &proto.Message{Kind: proto.KindQuorumWriteAck, Page: req.Page})
 }

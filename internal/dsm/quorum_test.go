@@ -2,9 +2,11 @@ package dsm
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/arch"
 	"repro/internal/conv"
+	"repro/internal/proto"
 	"repro/internal/sim"
 )
 
@@ -205,4 +207,80 @@ func TestQuorumStatsCount(t *testing.T) {
 			t.Errorf("fault-free run counted %d quorum retries, want 0", s.QuorumRetries)
 		}
 	})
+}
+
+// TestQuorumReplicaCopyOnWrite pins the copy-on-write rule of quorum
+// replicas. Host 1 answers host 0's read with its replica's own image,
+// which its reply cache keeps; each case then changes that replica one
+// way and re-delivers host 0's request as a duplicate. The resend must
+// carry the bytes first sent — the reply cache's resend check panics
+// otherwise — so each of the three unshare calls is load-bearing here.
+func TestQuorumReplicaCopyOnWrite(t *testing.T) {
+	cases := []struct {
+		name   string
+		change func(t *testing.T, r *rig, p *sim.Proc, addr Addr, pg PageNo)
+	}{
+		{"local write", func(t *testing.T, r *rig, p *sim.Proc, addr Addr, pg PageNo) {
+			r.mods[1].WriteInt32(p, addr, 2)
+		}},
+		{"phase-1 install", func(t *testing.T, r *rig, p *sim.Proc, addr Addr, pg PageNo) {
+			// Hosts 0 and 2 hold a newer version host 1 has not seen: its
+			// next read installs it from whichever answers first.
+			for _, h := range []int{0, 2} {
+				qp := r.mods[h].engine.(*quorumEngine).qrmPageFor(pg)
+				qp.unshare(0)
+				conv.PutInt32(r.mods[h].arch, qp.data[int(addr)-int(pg)*r.cfg.PageSize:], 2)
+				qp.tag = quorumTag{ts: 10, host: 2}
+			}
+			if v := r.mods[1].ReadInt32(p, addr); v != 2 {
+				t.Errorf("host 1 read %d, want the newer 2", v)
+			}
+		}},
+		{"phase-2 install", func(t *testing.T, r *rig, p *sim.Proc, addr Addr, pg PageNo) {
+			r.mods[2].WriteInt32(p, addr, 2)
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			r := newRig(t, []arch.Kind{arch.Sun, arch.Sun, arch.Sun}, withPolicy(PolicyQuorum), withPageSize(1024))
+			var read *proto.Message
+			r.run("main", func(p *sim.Proc) {
+				addr, err := r.mods[0].Alloc(p, conv.Int32, 16)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				pg := r.mods[0].PageOf(addr)
+				r.mods[0].WriteInt32(p, addr, 1)
+				p.Sleep(50 * time.Millisecond)
+				host1 := r.mods[1].engine.(*quorumEngine)
+				r.mods[1].ep.Handle(proto.KindQuorumRead, func(p *sim.Proc, req *proto.Message) {
+					if req.From == 0 {
+						read = req
+					}
+					host1.handleQuorumRead(p, req)
+				})
+				if v := r.mods[0].ReadInt32(p, addr); v != 1 {
+					t.Fatalf("host 0 read %d, want 1", v)
+				}
+				p.Sleep(50 * time.Millisecond)
+				qp := host1.qrmPageFor(pg)
+				if read == nil || !qp.shared {
+					t.Fatal("host 1's read reply does not hold its replica")
+				}
+				v1 := qp.tag
+				c.change(t, r, p, addr, pg)
+				p.Sleep(50 * time.Millisecond)
+				if qp.tag == v1 {
+					t.Fatalf("host 1's replica is still at %v: the case changed nothing", v1)
+				}
+				dups := r.mods[1].ep.Stats().Duplicates
+				r.mods[0].ep.Forward(p, 1, read)
+				p.Sleep(50 * time.Millisecond)
+				if r.mods[1].ep.Stats().Duplicates != dups+1 {
+					t.Fatal("the re-delivered read was not answered from the reply cache")
+				}
+			})
+		})
+	}
 }

@@ -147,7 +147,11 @@ type dedupKey struct {
 }
 
 type dedupEntry struct {
-	done  bool
+	done bool
+	// sum fingerprints the reply's first send (see send) once sent is
+	// set: a resend from the cache must reproduce it.
+	sent  bool
+	sum   uint32
 	reply *proto.Message
 	to    HostID
 }
@@ -444,13 +448,16 @@ func (e *Endpoint) dispatch(m *proto.Message) {
 		e.stats.Duplicates++
 		bufpool.Put(m.TakeWire())
 		if ent.done && ent.reply != nil {
-			// Answer the retransmission from the reply cache.
-			reply, dst := ent.reply, ent.to
+			// Answer the retransmission from the reply cache. The cached
+			// body may alias state its handler owns (a quorum replica),
+			// so the resend must prove it is the bytes first sent.
 			if e.resendName == "" {
 				e.resendName = fmt.Sprintf("resend-%d", e.id)
 			}
 			e.k.Spawn(e.resendName, func(p *sim.Proc) {
-				e.send(p, dst, reply)
+				if sum := e.send(p, ent.to, ent.reply); ent.sent && sum != ent.sum {
+					panic(fmt.Sprintf("remoteop: cached %v reply to host %d changed after it was sent", ent.reply.Kind, ent.to))
+				}
 			})
 		}
 		return // in progress: the original execution will answer
@@ -486,7 +493,9 @@ func (e *Endpoint) remember(key dedupKey) {
 }
 
 // send encodes and transmits m to dst, fragmenting as needed and
-// charging bulk costs. It blocks for the sender-side virtual time.
+// charging bulk costs. It blocks for the sender-side virtual time and
+// returns the XOR of the fragments' checksums — a fingerprint of the
+// bytes sent, at no extra cost.
 //
 // Unicast encodes into a pooled buffer shared by the fragments through
 // a refcounted owner; each receiver-side release decrements it, and the
@@ -495,7 +504,7 @@ func (e *Endpoint) remember(key dedupKey) {
 // safe). A broadcast frame is delivered to every host at once, so its
 // single fragment and buffer cannot be refcounted per receiver — they
 // stay unpooled and fall to the garbage collector.
-func (e *Endpoint) send(p *sim.Proc, dst HostID, m *proto.Message) {
+func (e *Endpoint) send(p *sim.Proc, dst HostID, m *proto.Message) (sum uint32) {
 	e.exitIfCrashed(p)
 	if m.SrcArch == 0 {
 		m.SrcArch = uint8(e.kind)
@@ -538,6 +547,8 @@ func (e *Endpoint) send(p *sim.Proc, dst HostID, m *proto.Message) {
 			p.Sleep(e.params.FragCost.Of(e.kind))
 		}
 		var fr *fragment
+		chunkSum := checksum(buf[lo:hi])
+		sum ^= chunkSum
 		if broadcast {
 			fr = &fragment{}
 		} else {
@@ -551,7 +562,7 @@ func (e *Endpoint) send(p *sim.Proc, dst HostID, m *proto.Message) {
 			total:   total,
 			bulk:    bulk,
 			chunk:   buf[lo:hi],
-			sum:     checksum(buf[lo:hi]),
+			sum:     chunkSum,
 			owner:   owner,
 			pooled:  !broadcast,
 		}
@@ -568,6 +579,7 @@ func (e *Endpoint) send(p *sim.Proc, dst HostID, m *proto.Message) {
 	}
 	e.stats.Sent++
 	e.kindSent[m.Kind]++
+	return sum
 }
 
 // MessageCounts returns a copy of the per-kind sent-message counters.
@@ -677,7 +689,11 @@ func (e *Endpoint) Reply(p *sim.Proc, req *proto.Message, resp *proto.Message) {
 	if _, ok := e.dedup[key]; ok {
 		e.dedup[key] = dedupEntry{done: true, reply: resp, to: dst}
 	}
-	e.send(p, dst, resp)
+	sum := e.send(p, dst, resp)
+	if ent, ok := e.dedup[key]; ok && ent.reply == resp {
+		ent.sum, ent.sent = sum, true
+		e.dedup[key] = ent
+	}
 }
 
 // Forward passes req on to dst unchanged (same ReqID and original From),

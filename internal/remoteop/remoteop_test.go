@@ -1,8 +1,10 @@
 package remoteop
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -207,6 +209,69 @@ func TestDuplicateRequestsDoNotReexecuteHandler(t *testing.T) {
 	}
 	if r.eps[1].Stats().Duplicates == 0 {
 		t.Fatal("no duplicates recorded despite retransmission")
+	}
+}
+
+// TestReplyCacheResendIsByteIdentical pins the reply cache's immutability
+// rule: a duplicate is answered with exactly the bytes first sent, and a
+// handler that changes its reply body after Reply is caught at the
+// resend instead of answering with bytes nobody sent.
+func TestReplyCacheResendIsByteIdentical(t *testing.T) {
+	for _, scribble := range []bool{false, true} {
+		t.Run(fmt.Sprintf("scribble=%v", scribble), func(t *testing.T) {
+			r := newRig(t, arch.Sun, arch.Sun)
+			body := make([]byte, 3*r.par.MTUPayload)
+			for i := range body {
+				body[i] = byte(i * 7)
+			}
+			r.eps[1].Handle(proto.KindEcho, func(p *sim.Proc, req *proto.Message) {
+				r.eps[1].Reply(p, req, &proto.Message{Kind: proto.KindEchoReply, Args: []uint32{5}, Data: body})
+				if scribble {
+					body[len(body)/2] ^= 0xff
+				}
+			})
+			r.startAll()
+			var first, again *proto.Message
+			r.k.Spawn("caller", func(p *sim.Proc) {
+				req := &proto.Message{Kind: proto.KindEcho}
+				resp, err := r.eps[0].Call(p, 1, req)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				first = resp
+				// Forge a duplicate — Forward keeps ReqID and From — with a
+				// pending call re-opened to catch the resent reply.
+				pc := &pendingCall{}
+				r.eps[0].pending[req.ReqID] = pc
+				pc.w = p.PrepareWait()
+				pc.armed = true
+				r.eps[0].Forward(p, 1, req)
+				p.ParkTimeout(r.par.RequestTimeout)
+				again = pc.reply
+			})
+			var got any
+			func() {
+				defer func() { got = recover() }()
+				r.k.Run()
+			}()
+			if scribble {
+				want := fmt.Sprintf("remoteop: cached %v reply to host 0 changed after it was sent", proto.KindEchoReply)
+				if msg, _ := got.(string); !strings.Contains(msg, want) {
+					t.Fatalf("resend of a changed reply: panic %v, want one containing %q", got, want)
+				}
+				return
+			}
+			if got != nil {
+				t.Fatalf("resend of an untouched reply panicked: %v", got)
+			}
+			if r.eps[1].Stats().Duplicates != 1 || again == nil {
+				t.Fatalf("forged duplicate not answered from the cache (%d duplicates)", r.eps[1].Stats().Duplicates)
+			}
+			if !bytes.Equal(again.Data, first.Data) || again.Arg(0) != first.Arg(0) || again.ReqID != first.ReqID {
+				t.Fatal("the resent reply differs from the first")
+			}
+		})
 	}
 }
 
