@@ -1,6 +1,9 @@
 package cluster
 
 import (
+	"fmt"
+	"hash"
+	"hash/fnv"
 	"runtime"
 	"testing"
 	"time"
@@ -223,20 +226,15 @@ func TestNewOf1024HostsAddsNoGoroutine(t *testing.T) {
 	}
 }
 
-// TestKernelCountsPinned runs the three phases of exp.DirectoryScaling
+// kernelCountsCell runs the three phases of exp.DirectoryScaling
 // (migratory write ring, full-copyset read, one invalidating write) on a
-// fixed 64-host switched cell and pins the kernel's deterministic work
-// counters. Events is the simulation: the same number at the parent of
-// the PR that made a parked process dispatch and the net server a pair
-// of events. Resumes is what that PR was for: the parent made 6497 of
-// them on this cell, and "half the coroutine switches gone" is the 0.6
-// bound below.
-func TestKernelCountsPinned(t *testing.T) {
+// fixed 64-host switched cell, with ch installed if non-nil, and returns
+// the kernel's counters.
+func kernelCountsCell(t *testing.T, ch sim.Chooser) sim.Counts {
 	const (
-		n             = 64
-		pages         = 8
-		per           = 256 // int32s per 1 KB page
-		parentResumes = 6497
+		n     = 64
+		pages = 8
+		per   = 256 // int32s per 1 KB page
 	)
 	cfg := sunAndFireflies(n - 1)
 	cfg.PageSize = 1024
@@ -247,6 +245,7 @@ func TestKernelCountsPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	c.K.SetChooser(ch)
 	c.Run(0, func(p *sim.Proc, h0 *Host) {
 		addr, err := h0.DSM.Alloc(p, conv.Int32, per*pages)
 		if err != nil {
@@ -264,14 +263,53 @@ func TestKernelCountsPinned(t *testing.T) {
 			t.Errorf("stale read %d after the invalidating write, want 42", got)
 		}
 	})
-	got := c.K.Counts()
-	if want := (sim.Counts{Events: 8769, Resumes: 3057}); got != want {
-		t.Errorf("kernel counts %+v, want %+v", got, want)
-	}
-	if got.Resumes > parentResumes*6/10 {
-		t.Errorf("%d coroutine resumes, more than 0.6 × the parent's %d", got.Resumes, parentResumes)
-	}
 	if s := c.K.Stalled(); len(s) != 0 {
 		t.Errorf("processes left parked after the run: %v (the net server is not one)", s)
+	}
+	return c.K.Counts()
+}
+
+// TestKernelCountsPinned pins the kernel's deterministic work counters
+// on kernelCountsCell. Events is the simulation: the same number since
+// a parked process began to dispatch events and the net server became a
+// pair of events. Resumes and Spawns are what reply-only handlers
+// running as events saved: when each request spawned a process, the
+// cell resumed coroutines 3057 times, and "three quarters of the
+// coroutine switches gone" is the bound below.
+func TestKernelCountsPinned(t *testing.T) {
+	const parentResumes = 3057
+	got := kernelCountsCell(t, nil)
+	if want := (sim.Counts{Events: 8769, Resumes: 812, Spawns: 186}); got != want {
+		t.Errorf("kernel counts %+v, want %+v", got, want)
+	}
+	if got.Resumes > parentResumes*3/10 {
+		t.Errorf("%d coroutine resumes, more than 0.3 × the parent's %d", got.Resumes, parentResumes)
+	}
+}
+
+// digestChooser takes the first alternative at every choice point — the
+// order a run without a chooser keeps — and folds the instant and every
+// alternative's label into an FNV-64: the dispatched (time, label)
+// sequence wherever events tie.
+type digestChooser struct{ h hash.Hash64 }
+
+func (c *digestChooser) Choose(now sim.Time, n int, label func(int) string) int {
+	fmt.Fprintf(c.h, "%d", now)
+	for i := 0; i < n; i++ {
+		c.h.Write([]byte(label(i)))
+		c.h.Write([]byte{0})
+	}
+	return 0
+}
+
+// TestDispatchSequencePinned holds the labelled order of kernelCountsCell
+// to the one its processes made before reply-only handlers ran as
+// events: the digest below was taken at that commit.
+func TestDispatchSequencePinned(t *testing.T) {
+	const parentDigest = 0x55f1a7e1a81f146a
+	ch := &digestChooser{h: fnv.New64a()}
+	kernelCountsCell(t, ch)
+	if got := ch.h.Sum64(); got != parentDigest {
+		t.Errorf("dispatch sequence digest %#x, want %#x", got, uint64(parentDigest))
 	}
 }

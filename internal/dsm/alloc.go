@@ -211,10 +211,10 @@ func (m *Module) handleAlloc(p *sim.Proc, req *proto.Message) {
 }
 
 // handlePageMeta installs replicated allocation metadata.
-func (m *Module) handlePageMeta(p *sim.Proc, req *proto.Message) {
+func (m *Module) handlePageMeta(req *proto.Message) *proto.Message {
 	m.meta[PageNo(req.Page)] = pageMeta{
 		typeID: conv.TypeID(req.Arg(0)),
 		used:   int(req.Arg(1)),
 	}
-	m.ep.Reply(p, req, &proto.Message{Kind: proto.KindPageMetaAck})
+	return &proto.Message{Kind: proto.KindPageMetaAck}
 }

@@ -14,6 +14,7 @@ import (
 	"fmt"
 
 	"repro/internal/proto"
+	"repro/internal/remoteop"
 	"repro/internal/sim"
 )
 
@@ -87,7 +88,7 @@ func newDirectory(m *Module) directory {
 	m.ep.Handle(proto.KindGetPage, m.handleGetPage)
 	m.ep.Handle(proto.KindGetPageWrite, m.handleGetPage)
 	m.ep.Handle(proto.KindServeRequest, m.handleServeRequest)
-	m.ep.Handle(proto.KindOwnerUpdate, m.handleOwnerUpdate)
+	m.ep.HandleEvent(proto.KindOwnerUpdate, remoteop.EventHandler{Reply: m.handleOwnerUpdate})
 	return &fixedDirectory{m: m, central: m.cfg.Directory == DirCentral}
 }
 

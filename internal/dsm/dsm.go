@@ -459,9 +459,9 @@ func New(k *sim.Kernel, ep *remoteop.Endpoint, cfg *Config, hosts []arch.Arch) (
 	if id == 0 {
 		m.alloc = newAllocator(cfg)
 	}
-	ep.Handle(proto.KindPageDeliver, m.handlePageDeliver)
-	ep.Handle(proto.KindInvalidate, m.handleInvalidate)
-	ep.Handle(proto.KindPageMeta, m.handlePageMeta)
+	ep.HandleEvent(proto.KindPageDeliver, remoteop.EventHandler{Reply: m.handlePageDeliver})
+	ep.HandleEvent(proto.KindInvalidate, remoteop.EventHandler{Charge: m.invalidateCharge, Reply: m.handleInvalidate})
+	ep.HandleEvent(proto.KindPageMeta, remoteop.EventHandler{Reply: m.handlePageMeta})
 	ep.Handle(proto.KindAlloc, m.handleAlloc)
 	ep.Handle(proto.KindRecoverPage, m.handleRecoverPage)
 	return m, nil

@@ -34,6 +34,7 @@ import (
 
 	"repro/internal/bufpool"
 	"repro/internal/proto"
+	"repro/internal/remoteop"
 	"repro/internal/sim"
 )
 
@@ -122,7 +123,7 @@ func newDynamicDirectory(m *Module) *dynamicDirectory {
 	m.ep.Handle(proto.KindDynGetPageWrite, m.handleDynGetPage)
 	m.ep.Handle(proto.KindDynForward, m.handleDynForward)
 	m.ep.Handle(proto.KindDynRecover, m.handleDynRecover)
-	m.ep.Handle(proto.KindDynConfirm, m.handleDynConfirm)
+	m.ep.HandleEvent(proto.KindDynConfirm, remoteop.EventHandler{Reply: m.handleDynConfirm})
 	return &dynamicDirectory{m: m}
 }
 
@@ -572,7 +573,7 @@ func (m *Module) dynAwaitConfirm(p *sim.Proc, dp *dynPage, requester HostID) {
 // on the owner that served it. Args[0] echoes the serve's original
 // request ID (matched against confirmReq so a delayed confirm from an
 // earlier transaction is ignored); Args[1] is 1 for a write install.
-func (m *Module) handleDynConfirm(p *sim.Proc, req *proto.Message) {
+func (m *Module) handleDynConfirm(req *proto.Message) *proto.Message {
 	if dp, ok := m.dyn[PageNo(req.Page)]; ok && req.Arg(0) == dp.confirmReq {
 		dp.confirmed = true
 		if dp.confirmArmed {
@@ -588,7 +589,7 @@ func (m *Module) handleDynConfirm(p *sim.Proc, req *proto.Message) {
 		}
 		m.checkpoint("dyn-confirmed", PageNo(req.Page))
 	}
-	m.ep.Reply(p, req, &proto.Message{Kind: proto.KindDynConfirmAck, Page: req.Page})
+	return &proto.Message{Kind: proto.KindDynConfirmAck, Page: req.Page}
 }
 
 // dynCommitHandoff records that ownership left for requester.

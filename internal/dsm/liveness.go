@@ -80,7 +80,7 @@ func NewDetector(k *sim.Kernel, ep *remoteop.Endpoint, params *model.Params, hos
 	for h := range d.lastHeard {
 		d.lastHeard[h] = k.Now()
 	}
-	ep.Handle(proto.KindHeartbeat, d.handleHeartbeat)
+	ep.HandleEvent(proto.KindHeartbeat, remoteop.EventHandler{Reply: d.handleHeartbeat})
 	ep.SetPeerCheck(d.Dead)
 	ep.SetTimeoutHook(d.Escalate)
 	return d
@@ -190,14 +190,12 @@ func (d *Detector) monitorLoop(p *sim.Proc) {
 
 // handleHeartbeat records a peer's liveness broadcast. Heartbeats are
 // one-way: no reply, no acknowledgement.
-func (d *Detector) handleHeartbeat(p *sim.Proc, req *proto.Message) {
-	if d.crashed {
-		p.Exit()
-	}
+func (d *Detector) handleHeartbeat(req *proto.Message) *proto.Message {
 	h := HostID(req.From)
-	if int(h) < 0 || int(h) >= len(d.state) || d.state[h] == StateDead {
-		return // crash-stop: the dead do not come back
+	if d.crashed || int(h) < 0 || int(h) >= len(d.state) || d.state[h] == StateDead {
+		return nil // crash-stop: the dead neither listen nor come back
 	}
 	d.lastHeard[h] = d.k.Now()
 	d.state[h] = StateAlive
+	return nil
 }

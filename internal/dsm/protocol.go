@@ -672,17 +672,19 @@ func (m *Module) handleServeRequest(p *sim.Proc, req *proto.Message) {
 // redeemed body is consumed (and its wire buffer recycled) by
 // installBody on the faulting thread; a stale or duplicate delivery is
 // recycled here.
-func (m *Module) handlePageDeliver(p *sim.Proc, req *proto.Message) {
+func (m *Module) handlePageDeliver(req *proto.Message) *proto.Message {
 	// A delivery in flight when this host crashed must not land: redeeming
 	// it would wake the faulting thread, which would install the page and
 	// let application writes execute on a dead machine — visible to the
 	// trace but unrecoverable by the survivors (the serving owner sees the
 	// failed ack and keeps its copy).
-	m.exitIfCrashed(p)
+	if m.crashed {
+		return nil
+	}
 	if !m.ep.Redeem(req.Arg(1), req) {
 		bufpool.Put(req.TakeWire())
 	}
-	m.ep.Reply(p, req, &proto.Message{Kind: proto.KindPageDeliverAck, Page: req.Page})
+	return &proto.Message{Kind: proto.KindPageDeliverAck, Page: req.Page}
 }
 
 // installBody applies a PageReply on the requester: convert the body if
@@ -749,7 +751,7 @@ func (m *Module) awaitConfirm(p *sim.Proc, ent *mgrEntry, requester HostID) {
 }
 
 // handleOwnerUpdate receives the requester's completion confirmation.
-func (m *Module) handleOwnerUpdate(p *sim.Proc, req *proto.Message) {
+func (m *Module) handleOwnerUpdate(req *proto.Message) *proto.Message {
 	page := PageNo(req.Page)
 	if m.manager(page) == m.id {
 		ent := m.mgrEntryFor(page)
@@ -763,15 +765,15 @@ func (m *Module) handleOwnerUpdate(p *sim.Proc, req *proto.Message) {
 		}
 		m.checkpoint("owner-confirmed", page)
 	}
-	m.ep.Reply(p, req, &proto.Message{Kind: proto.KindOwnerUpdateAck, Page: req.Page})
+	return &proto.Message{Kind: proto.KindOwnerUpdateAck, Page: req.Page}
 }
 
-// handleInvalidate discards the local copy of a page (write-invalidate).
-// A broadcast invalidation carries its target list — as scalar args for
+// invalidateCharge prices an invalidation on the protocol CPU. A
+// broadcast invalidation carries its target list — as scalar args for
 // small copysets, as a host bitmap in the payload for wide ones; hosts
 // not on it are bystanders who heard the frame on the shared medium and
 // stay silent.
-func (m *Module) handleInvalidate(p *sim.Proc, req *proto.Message) {
+func (m *Module) invalidateCharge(req *proto.Message) (*sim.Resource, sim.Duration, bool) {
 	if len(req.Args) > 0 {
 		member := false
 		for _, a := range req.Args {
@@ -781,15 +783,20 @@ func (m *Module) handleInvalidate(p *sim.Proc, req *proto.Message) {
 			}
 		}
 		if !member {
-			return
+			return nil, 0, false
 		}
 	} else if len(req.Data) > 0 {
 		h := int(m.id)
 		if h/8 >= len(req.Data) || req.Data[h/8]&(1<<(uint(h)%8)) == 0 {
-			return
+			return nil, 0, false
 		}
 	}
-	m.protoCPU.Use(p, m.jittered(m.cfg.Params.InvalidateProcess.Of(m.arch.Kind)))
+	return m.protoCPU, m.jittered(m.cfg.Params.InvalidateProcess.Of(m.arch.Kind)), true
+}
+
+// handleInvalidate discards the local copy of a page (write-invalidate)
+// once invalidateCharge is paid.
+func (m *Module) handleInvalidate(req *proto.Message) *proto.Message {
 	if lp := m.local[PageNo(req.Page)]; lp != nil {
 		lp.access = NoAccess
 	}
@@ -797,7 +804,7 @@ func (m *Module) handleInvalidate(p *sim.Proc, req *proto.Message) {
 	m.trace("invalidate", PageNo(req.Page))
 	m.checkpoint("invalidated", PageNo(req.Page))
 	if m.cfg.Mutation == MutLostAck {
-		return // injected bug: the copy is gone but the ack never leaves
+		return nil // injected bug: the copy is gone but the ack never leaves
 	}
-	m.ep.Reply(p, req, &proto.Message{Kind: proto.KindInvalidateAck, Page: req.Page})
+	return &proto.Message{Kind: proto.KindInvalidateAck, Page: req.Page}
 }

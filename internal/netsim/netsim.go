@@ -16,6 +16,7 @@ package netsim
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"repro/internal/model"
 	"repro/internal/sim"
@@ -204,38 +205,127 @@ func (n *Network) Stats() Stats { return n.stats }
 // times for remote ones. Frames above the MTU are rejected: the caller
 // must fragment.
 func (ifc *Interface) Send(p *sim.Proc, f Frame) error {
+	seg, tx, err := ifc.prepare(f)
+	if seg == nil {
+		return err
+	}
+	seg.medium.Acquire(p)
+	p.Sleep(tx)
+	ifc.net.afterWire(seg, f, tx)
+	return nil
+}
+
+// SendThen is Send for a sender with no process. The two waits Send
+// parks for become events under the labels the sending process's wakes
+// would carry: the medium wait wake, the wire time timer. then(arg) runs
+// in the event that ends the wire time, the frame on its way. SendThen
+// reports whether it deferred then; false means the frame went (or
+// vanished) without a wait, and the caller goes on at once.
+func (ifc *Interface) SendThen(f Frame, wake, timer string, then func(any), arg any) (bool, error) {
+	seg, tx, err := ifc.prepare(f)
+	if seg == nil {
+		return false, err
+	}
+	t := txPool.Get().(*transmit)
+	*t = transmit{n: ifc.net, seg: seg, f: f, tx: tx, timer: timer, then: then, arg: arg}
+	if !seg.medium.AcquireThen(wake, mediumHeld, t) || t.wire() {
+		return true, nil
+	}
+	t.recycle()
+	return false, nil
+}
+
+// prepare checks a frame and resolves the segment it leaves by and its
+// wire time there. A nil segment means the frame goes no further: err
+// says why, or is nil for a crashed host's NIC, which transmits nothing
+// without touching the cable.
+func (ifc *Interface) prepare(f Frame) (*segment, sim.Duration, error) {
 	n := ifc.net
 	if f.Size > n.params.MTUPayload {
-		return fmt.Errorf("netsim: frame of %d bytes exceeds MTU payload %d", f.Size, n.params.MTUPayload)
+		return nil, 0, fmt.Errorf("netsim: frame of %d bytes exceeds MTU payload %d", f.Size, n.params.MTUPayload)
 	}
 	if f.From != ifc.id {
-		return fmt.Errorf("netsim: frame From %d sent via interface %d", f.From, ifc.id)
+		return nil, 0, fmt.Errorf("netsim: frame From %d sent via interface %d", f.From, ifc.id)
 	}
 	if n.hostDown(f.From) {
-		// A crashed host's NIC transmits nothing: the frame vanishes
-		// without touching the cable.
-		return nil
+		return nil, 0, nil
 	}
 	if !n.frozen {
 		n.freeze()
 	}
 	seg := n.segs[n.segOf(f.From)]
-	tx := n.wireTime(f.Size, seg.bps)
-	seg.medium.Acquire(p)
-	p.Sleep(tx)
+	return seg, n.wireTime(f.Size, seg.bps), nil
+}
+
+// afterWire is what both senders do once a frame has held its medium
+// for its wire time: free the medium, count the frame, and lose it or
+// schedule its delivery.
+func (n *Network) afterWire(seg *segment, f Frame, tx sim.Duration) {
 	seg.medium.Release()
 	n.stats.FramesSent++
 	n.stats.BytesSent += f.Size
 	n.stats.BusyTime += tx
 	if n.DropRate > 0 && n.k.Rand().Float64() < n.DropRate {
 		n.stats.FramesDropped++
-		return nil
+		return
 	}
 	if n.plan != nil && n.sendFaults(&f) {
-		return nil
+		return
 	}
 	n.scheduleDelivery(f)
-	return nil
+}
+
+// transmit is a SendThen in progress, the argument of its events, so a
+// send with no process builds no closure. The records are pooled across
+// networks: a pool per network would cost every small cluster its own.
+type transmit struct {
+	n     *Network
+	seg   *segment
+	f     Frame
+	tx    sim.Duration
+	timer string
+	then  func(any)
+	arg   any
+}
+
+// wire runs on the medium: it schedules the end of the wire time and
+// reports true, or, for a zero wire time — Sleep(0) schedules nothing —
+// sends the frame at once and reports false.
+func (t *transmit) wire() bool {
+	if t.tx > 0 {
+		t.n.k.AfterNamedArg(t.timer, t.tx, wireDone, t)
+		return true
+	}
+	t.n.afterWire(t.seg, t.f, t.tx)
+	return false
+}
+
+// mediumHeld is the event that hands a waiting SendThen its medium.
+func mediumHeld(a any) {
+	if t := a.(*transmit); !t.wire() {
+		t.resume()
+	}
+}
+
+// wireDone is the event that ends a SendThen's wire time.
+func wireDone(a any) {
+	t := a.(*transmit)
+	t.n.afterWire(t.seg, t.f, t.tx)
+	t.resume()
+}
+
+// resume recycles the record and runs the sender's continuation.
+func (t *transmit) resume() {
+	then, arg := t.then, t.arg
+	t.recycle()
+	then(arg)
+}
+
+var txPool = sync.Pool{New: func() any { return new(transmit) }}
+
+func (t *transmit) recycle() {
+	*t = transmit{}
+	txPool.Put(t)
 }
 
 // scheduleDelivery queues one named delivery event per destination.

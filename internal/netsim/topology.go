@@ -168,7 +168,7 @@ type treeEdge struct {
 // freeze resolves the topology into runtime tables: per-segment member
 // lists, next-hop routes, and per-source broadcast spanning trees. It
 // runs once, at the first transmission; later Attach calls only extend
-// the member lists. Send tests n.frozen itself before calling: this
+// the member lists. prepare tests n.frozen itself before calling: this
 // function's large frame would cost every fresh process a stack growth
 // just to reach an early return.
 func (n *Network) freeze() {

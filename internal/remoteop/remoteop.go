@@ -11,6 +11,11 @@
 // manager → owner) be answered by a host other than the one originally
 // contacted — the owner replies straight to the requester.
 //
+// A request is served by a Handler, which runs on a simulated process
+// of its own and may wait — on locks, on calls of its own — or by an
+// EventHandler, which answers from local state and runs as a chain of
+// kernel events with no process at all (event.go).
+//
 // Virtual-time cost accounting for bulk (page-carrying) messages lives
 // here: the sender charges MsgSetup plus FragCost per fragment, and the
 // receiver charges MsgSetup plus FragCost per fragment (plus
@@ -41,8 +46,10 @@ type HostID = netsim.HostID
 // ErrTimeout is returned when a call exhausts its retransmissions.
 var ErrTimeout = errors.New("remoteop: request timed out")
 
-// Handler processes one inbound request. It runs on its own simulated
-// process and typically ends by calling Reply or Forward.
+// Handler processes one inbound request. It runs on a simulated process
+// of its own, spawned per request, and typically ends by calling Reply
+// or Forward. A request that never needs to wait is cheaper served by
+// an EventHandler.
 type Handler func(p *sim.Proc, req *proto.Message)
 
 // Stats counts protocol-level activity at one endpoint.
@@ -182,16 +189,15 @@ type Endpoint struct {
 	kind    arch.Kind
 	ifc     *netsim.Interface
 	params  *model.Params
-	handler map[proto.Kind]Handler
-	// handlerName and resendName cache the names dispatch gives the
-	// processes it spawns ("handler-<host>-<kind>", "resend-<host>"),
-	// each formatted at first use: dispatch runs per message, and a name
-	// per registered kind up front would cost a small cluster's set-up
-	// more than its whole run saves. The strings are part of recorded
-	// schedules — they label the process's wake events at model-checker
-	// choice points.
-	handlerName map[proto.Kind]string
-	resendName  string
+	handler map[proto.Kind]service
+	// names and resendName cache what dispatch calls the work it starts
+	// ("handler-<host>-<kind>", "resend-<host>"), each formatted at first
+	// use: dispatch runs per message, and names per registered kind up
+	// front would cost a small cluster's set-up more than its whole run
+	// saves. The strings are part of recorded schedules — they label the
+	// handler's events at model-checker choice points.
+	names      map[proto.Kind]kindNames
+	resendName string
 
 	pending map[uint32]*pendingCall
 	nextReq uint32
@@ -229,17 +235,17 @@ const dedupCap = 2048
 func New(k *sim.Kernel, ifc *netsim.Interface, kind arch.Kind, params *model.Params) *Endpoint {
 	registerFaultHooks(ifc.Network())
 	return &Endpoint{
-		k:           k,
-		id:          ifc.ID(),
-		kind:        kind,
-		ifc:         ifc,
-		params:      params,
-		handler:     make(map[proto.Kind]Handler),
-		handlerName: make(map[proto.Kind]string),
-		pending:     make(map[uint32]*pendingCall),
-		reasm:       make(map[reasmKey]*reasmBuf),
-		dedup:       make(map[dedupKey]dedupEntry),
-		kindSent:    make(map[proto.Kind]int),
+		k:        k,
+		id:       ifc.ID(),
+		kind:     kind,
+		ifc:      ifc,
+		params:   params,
+		handler:  make(map[proto.Kind]service),
+		names:    make(map[proto.Kind]kindNames),
+		pending:  make(map[uint32]*pendingCall),
+		reasm:    make(map[reasmKey]*reasmBuf),
+		dedup:    make(map[dedupKey]dedupEntry),
+		kindSent: make(map[proto.Kind]int),
 	}
 }
 
@@ -252,15 +258,53 @@ func (e *Endpoint) Kind() arch.Kind { return e.kind }
 // Stats returns a snapshot of the endpoint's counters.
 func (e *Endpoint) Stats() Stats { return e.stats }
 
-// Handle registers the handler for a request kind. It must be called
+// Handle registers the handler for a request kind, replacing whatever
+// Handle or HandleEvent registered for it before. It must be called
 // before Start. A reply kind completes the pending call its ReqID names
 // and never reaches a handler, and KindInvalid is never sent, so a
 // handler for either would be dead code: registering one panics.
 func (e *Endpoint) Handle(kind proto.Kind, h Handler) {
+	e.register(kind, service{proc: h})
+}
+
+// service is what serves one request kind: a Handler or an EventHandler.
+type service struct {
+	proc Handler
+	ev   EventHandler
+}
+
+func (e *Endpoint) register(kind proto.Kind, s service) {
 	if kind == proto.KindInvalid || kind.IsReply() {
 		panic(fmt.Sprintf("remoteop: Handle(%v): not a request kind", kind))
 	}
-	e.handler[kind] = h
+	e.handler[kind] = s
+	delete(e.names, kind)
+}
+
+// kindNames are the names of one request kind's handler: the process a
+// Handler runs on, or the labels of an EventHandler's events — the
+// labels that process's wakes would carry.
+type kindNames struct {
+	proc, wake, timer string
+}
+
+// namesOf formats a kind's handler names at the kind's first request,
+// one string either way: an event handler's two labels are halves of
+// one, so that a kind costs every tiny model-checker cluster no more
+// than it did as a process name.
+func (e *Endpoint) namesOf(kind proto.Kind, event bool) kindNames {
+	n, ok := e.names[kind]
+	if !ok {
+		if event {
+			both := fmt.Sprintf("wake:handler-%d-%stimer:handler-%[1]d-%[2]s", e.id, kind)
+			half := len("wake:") + (len(both)-len("wake:timer:"))/2
+			n = kindNames{wake: both[:half], timer: both[half:]}
+		} else {
+			n = kindNames{proc: fmt.Sprintf("handler-%d-%s", e.id, kind)}
+		}
+		e.names[kind] = n
+	}
+	return n
 }
 
 // Start arms the endpoint's server: from here on arriving fragments are
@@ -463,20 +507,19 @@ func (e *Endpoint) dispatch(m *proto.Message) {
 		return // in progress: the original execution will answer
 	}
 	e.remember(key)
-	h := e.handler[m.Kind]
-	if h == nil {
+	s := e.handler[m.Kind]
+	switch {
+	case s.ev.Reply != nil:
+		e.serve(s.ev, m)
+	case s.proc != nil:
+		e.k.Spawn(e.namesOf(m.Kind, false).proc, func(p *sim.Proc) {
+			s.proc(p, m)
+		})
+	default:
+		// No handler: the request vanishes and the requester times out.
 		e.stats.Unhandled++
 		bufpool.Put(m.TakeWire())
-		return // no handler: request vanishes, requester times out
 	}
-	name, ok := e.handlerName[m.Kind]
-	if !ok {
-		name = fmt.Sprintf("handler-%d-%s", e.id, m.Kind)
-		e.handlerName[m.Kind] = name
-	}
-	e.k.Spawn(name, func(p *sim.Proc) {
-		h(p, m)
-	})
 }
 
 // remember opens the duplicate-cache entry of a request in progress,
@@ -495,7 +538,41 @@ func (e *Endpoint) remember(key dedupKey) {
 // send encodes and transmits m to dst, fragmenting as needed and
 // charging bulk costs. It blocks for the sender-side virtual time and
 // returns the XOR of the fragments' checksums — a fingerprint of the
-// bytes sent, at no extra cost.
+// bytes sent, at no extra cost. An exchange (event.go) sends the same
+// way with events for the waits; encode, frame and finish are shared.
+func (e *Endpoint) send(p *sim.Proc, dst HostID, m *proto.Message) uint32 {
+	e.exitIfCrashed(p)
+	o := e.encode(dst, m)
+	if o.bulk {
+		p.Sleep(e.params.MsgSetup.Of(e.kind))
+		e.stats.BulkBytes += len(m.Data)
+	}
+	for idx := 0; idx < o.total; idx++ {
+		if o.bulk {
+			p.Sleep(e.params.FragCost.Of(e.kind))
+		}
+		if err := e.ifc.Send(p, e.frame(&o, idx)); err != nil {
+			panic(fmt.Sprintf("remoteop: send: %v", err))
+		}
+		e.stats.FragmentsSent++
+	}
+	e.finish(m)
+	return o.sum
+}
+
+// outgoing is one message being sent: its encoding, cut into fragments
+// by frame, and the checksum fingerprint of the fragments framed so far.
+type outgoing struct {
+	dst   HostID
+	buf   []byte
+	owner *encOwner
+	msgID uint64
+	total int
+	bulk  bool
+	sum   uint32
+}
+
+// encode encodes m for dst.
 //
 // Unicast encodes into a pooled buffer shared by the fragments through
 // a refcounted owner; each receiver-side release decrements it, and the
@@ -504,82 +581,72 @@ func (e *Endpoint) remember(key dedupKey) {
 // safe). A broadcast frame is delivered to every host at once, so its
 // single fragment and buffer cannot be refcounted per receiver — they
 // stay unpooled and fall to the garbage collector.
-func (e *Endpoint) send(p *sim.Proc, dst HostID, m *proto.Message) (sum uint32) {
-	e.exitIfCrashed(p)
+func (e *Endpoint) encode(dst HostID, m *proto.Message) outgoing {
 	if m.SrcArch == 0 {
 		m.SrcArch = uint8(e.kind)
 	}
-	broadcast := dst == Broadcast
-	var (
-		buf   []byte
-		err   error
-		owner *encOwner
-	)
-	if broadcast {
-		buf, err = m.Encode() // vet:ignore hot-alloc — broadcast fragments share one GC-owned buffer
+	o := outgoing{dst: dst}
+	var err error
+	if dst == Broadcast {
+		o.buf, err = m.Encode() // vet:ignore hot-alloc — broadcast fragments share one GC-owned buffer
 	} else {
 		// The owner takes the encode buffer in the same branch that
 		// acquires it; the refcount is armed below once the fragment
 		// count is known.
-		buf, err = m.AppendEncode(bufpool.Get(m.EncodedSize())[:0])
-		owner = ownerPool.Get().(*encOwner)
-		owner.buf = buf
+		o.buf, err = m.AppendEncode(bufpool.Get(m.EncodedSize())[:0])
+		o.owner = ownerPool.Get().(*encOwner)
+		o.owner.buf = o.buf
 	}
 	if err != nil {
 		// Encoding errors are programming errors in protocol code.
 		panic(fmt.Sprintf("remoteop: encode %v: %v", m.Kind, err))
 	}
-	bulk := len(m.Data) > 0
-	total := e.params.Fragments(len(buf))
-	if owner != nil {
-		owner.remaining.Store(int32(total))
+	o.bulk = len(m.Data) > 0
+	o.total = e.params.Fragments(len(o.buf))
+	if o.owner != nil {
+		o.owner.remaining.Store(int32(o.total))
 	}
 	e.nextMsg++
-	msgID := e.nextMsg
-	if bulk {
-		p.Sleep(e.params.MsgSetup.Of(e.kind))
-		e.stats.BulkBytes += len(m.Data)
+	o.msgID = e.nextMsg
+	return o
+}
+
+// frame cuts fragment idx of o into a frame, folding its checksum into
+// o's fingerprint.
+func (e *Endpoint) frame(o *outgoing, idx int) netsim.Frame {
+	lo := idx * e.params.MTUPayload
+	hi := min(lo+e.params.MTUPayload, len(o.buf))
+	broadcast := o.dst == Broadcast
+	var fr *fragment
+	chunkSum := checksum(o.buf[lo:hi])
+	o.sum ^= chunkSum
+	if broadcast {
+		fr = &fragment{}
+	} else {
+		fr = fragPool.Get().(*fragment)
 	}
-	for idx := 0; idx < total; idx++ {
-		lo := idx * e.params.MTUPayload
-		hi := min(lo+e.params.MTUPayload, len(buf))
-		if bulk {
-			p.Sleep(e.params.FragCost.Of(e.kind))
-		}
-		var fr *fragment
-		chunkSum := checksum(buf[lo:hi])
-		sum ^= chunkSum
-		if broadcast {
-			fr = &fragment{}
-		} else {
-			fr = fragPool.Get().(*fragment)
-		}
-		*fr = fragment{
-			srcHost: e.id,
-			srcKind: e.kind,
-			msgID:   msgID,
-			idx:     idx,
-			total:   total,
-			bulk:    bulk,
-			chunk:   buf[lo:hi],
-			sum:     chunkSum,
-			owner:   owner,
-			pooled:  !broadcast,
-		}
-		frame := netsim.Frame{
-			From:    e.id,
-			To:      dst,
-			Size:    hi - lo,
-			Payload: fr,
-		}
-		if err := e.ifc.Send(p, frame); err != nil {
-			panic(fmt.Sprintf("remoteop: send: %v", err))
-		}
-		e.stats.FragmentsSent++
+	*fr = fragment{
+		srcHost: e.id,
+		srcKind: e.kind,
+		msgID:   o.msgID,
+		idx:     idx,
+		total:   o.total,
+		bulk:    o.bulk,
+		chunk:   o.buf[lo:hi],
+		sum:     chunkSum,
+		owner:   o.owner,
+		pooled:  !broadcast,
 	}
+	return netsim.Frame{From: e.id, To: o.dst, Size: hi - lo, Payload: fr}
+}
+
+// finish counts a message whose last fragment has left. Every counter
+// moves when the process that sends would move it — page bytes after
+// MsgSetup, a fragment after its wire time — so a run stopped in the
+// middle of a send reads the same Stats either way.
+func (e *Endpoint) finish(m *proto.Message) {
 	e.stats.Sent++
 	e.kindSent[m.Kind]++
-	return sum
 }
 
 // MessageCounts returns a copy of the per-kind sent-message counters.
@@ -682,14 +749,26 @@ func (e *Endpoint) Redeem(reqID uint32, m *proto.Message) bool {
 // carries this endpoint as its From so multicast callers can attribute
 // acknowledgements.
 func (e *Endpoint) Reply(p *sim.Proc, req *proto.Message, resp *proto.Message) {
+	key := e.cacheReply(req, resp)
+	e.replySent(key, resp, e.send(p, HostID(req.From), resp))
+}
+
+// cacheReply addresses resp as the answer to req and makes it the reply
+// cache's answer to req's retransmissions; the key finds the entry for
+// replySent.
+func (e *Endpoint) cacheReply(req, resp *proto.Message) dedupKey {
 	resp.ReqID = req.ReqID
 	resp.From = uint32(e.id)
-	dst := HostID(req.From)
 	key := dedupKey{from: req.From, reqID: req.ReqID}
 	if _, ok := e.dedup[key]; ok {
-		e.dedup[key] = dedupEntry{done: true, reply: resp, to: dst}
+		e.dedup[key] = dedupEntry{done: true, reply: resp, to: HostID(req.From)}
 	}
-	sum := e.send(p, dst, resp)
+	return key
+}
+
+// replySent records the fingerprint of resp's first send, which every
+// resend from the cache must reproduce.
+func (e *Endpoint) replySent(key dedupKey, resp *proto.Message, sum uint32) {
 	if ent, ok := e.dedup[key]; ok && ent.reply == resp {
 		ent.sum, ent.sent = sum, true
 		e.dedup[key] = ent

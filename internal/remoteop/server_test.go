@@ -19,11 +19,18 @@ import (
 // real events but declines every "marker" callback while anything else
 // is eligible, and logs the label it picks. With a marker scheduled at
 // every instant of a run, every event of that run meets the chooser.
-type firstReal struct{ picked []string }
+// note, if set, adds the state it describes to each line.
+type firstReal struct {
+	picked []string
+	note   func() string
+}
 
 func (c *firstReal) Choose(now sim.Time, n int, label func(int) string) int {
 	for i := 0; i < n; i++ {
 		if l := label(i); l != "marker" {
+			if c.note != nil {
+				l += " " + c.note()
+			}
 			c.picked = append(c.picked, now.String()+" "+l)
 			return i
 		}
@@ -33,15 +40,20 @@ func (c *firstReal) Choose(now sim.Time, n int, label func(int) string) int {
 
 // forwardedPageFetch is the exchange the transcript below pins: host 1
 // asks host 0, which forwards to host 2, which answers host 1 directly
-// with an 8 KB page.
-func forwardedPageFetch(t *testing.T, k *sim.Kernel) *rig {
+// with an 8 KB page — from a handler process, or from an event handler.
+func forwardedPageFetch(t *testing.T, k *sim.Kernel, event bool) *rig {
 	r := newRigOn(t, k, arch.Sun, arch.Firefly, arch.Sun)
 	r.eps[0].Handle(proto.KindEcho, func(p *sim.Proc, req *proto.Message) {
 		r.eps[0].Forward(p, 2, req)
 	})
-	r.eps[2].Handle(proto.KindEcho, func(p *sim.Proc, req *proto.Message) {
-		r.eps[2].Reply(p, req, &proto.Message{Kind: proto.KindEchoReply, Data: make([]byte, 8192)})
-	})
+	page := func() *proto.Message { return &proto.Message{Kind: proto.KindEchoReply, Data: make([]byte, 8192)} }
+	if event {
+		r.eps[2].HandleEvent(proto.KindEcho, EventHandler{Reply: func(*proto.Message) *proto.Message { return page() }})
+	} else {
+		r.eps[2].Handle(proto.KindEcho, func(p *sim.Proc, req *proto.Message) {
+			r.eps[2].Reply(p, req, page())
+		})
+	}
 	r.startAll()
 	r.k.Spawn("caller", func(p *sim.Proc) {
 		resp, err := r.eps[1].Call(p, 0, &proto.Message{Kind: proto.KindEcho})
@@ -52,10 +64,13 @@ func forwardedPageFetch(t *testing.T, k *sim.Kernel) *rig {
 	return r
 }
 
-func TestServerEventsKeepTheLabelsOfTheServerProcess(t *testing.T) {
-	// Pass 1 learns every instant at which the exchange dispatches
-	// anything; pass 2 plants a marker at each before building it.
-	r := forwardedPageFetch(t, sim.NewKernel(1))
+// transcript runs what build sets up twice: the first run learns every
+// instant at which it dispatches anything, the second plants a marker
+// at each before building it, so that every event meets the chooser,
+// which logs them, each with what note says of the rig if note is set.
+// It returns the log and the second run's rig.
+func transcript(t *testing.T, build func(k *sim.Kernel) *rig, note func(r *rig) string) (string, *rig) {
+	r := build(sim.NewKernel(1))
 	instants := []sim.Time{0}
 	for r.k.Step() {
 		if now := r.k.Now(); now != instants[len(instants)-1] {
@@ -68,9 +83,17 @@ func TestServerEventsKeepTheLabelsOfTheServerProcess(t *testing.T) {
 	for _, at := range instants {
 		k.AfterNamed("marker", sim.Duration(at), func() {})
 	}
-	r = forwardedPageFetch(t, k)
+	r = build(k)
+	if note != nil {
+		ch.note = func() string { return note(r) }
+	}
 	r.k.Run()
-	if got := strings.Join(ch.picked, "\n"); got != strings.TrimSpace(forwardedPageFetchTranscript) {
+	return strings.Join(ch.picked, "\n"), r
+}
+
+func TestServerEventsKeepTheLabelsOfTheServerProcess(t *testing.T) {
+	got, r := transcript(t, func(k *sim.Kernel) *rig { return forwardedPageFetch(t, k, false) }, nil)
+	if got != strings.TrimSpace(forwardedPageFetchTranscript) {
 		t.Errorf("labelled dispatch sequence of a forwarded 8 KB fetch changed:\n%s", got)
 	}
 	if s := r.k.Stalled(); len(s) != 0 {

@@ -73,7 +73,7 @@ func randomProgram(seed int64, choose bool, drive func(k *Kernel)) ([]string, Co
 			rng := rand.New(rand.NewSource(seed*31 + int64(i)))
 			for step := 0; step < 10; step++ {
 				d := Duration(rng.Intn(4)) * time.Millisecond
-				switch op := rng.Intn(9); op {
+				switch op := rng.Intn(10); op {
 				case 0:
 					p.Sleep(d)
 					note("%s slept", name)
@@ -109,6 +109,14 @@ func randomProgram(seed int64, choose bool, drive func(k *Kernel)) ([]string, Co
 						c.Sleep(d)
 						note("child of %s ran", name)
 					})
+				case 9:
+					take := func(any) {
+						note("stand-in of %s has the semaphore", name)
+						k.AfterNamed("release-"+name, d, sem.V)
+					}
+					if sem.PThen("wake:stand-in-"+name, take, nil) {
+						take(nil)
+					}
 				}
 			}
 			note("%s done", name)

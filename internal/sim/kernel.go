@@ -285,6 +285,8 @@ type Counts struct {
 	Events uint64
 	// Resumes counts switches into a process's coroutine.
 	Resumes uint64
+	// Spawns counts processes started.
+	Spawns uint64
 }
 
 // Counts returns the work counters so far.
@@ -388,6 +390,7 @@ func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 // SpawnAt is Spawn with an explicit start time.
 func (k *Kernel) SpawnAt(at Time, name string, fn func(p *Proc)) *Proc {
 	k.nextID++
+	k.counts.Spawns++
 	pr := &proc{k: k, id: k.nextID, name: name, fn: fn}
 	pr.handle.p = pr
 	k.procs[pr.id] = pr

@@ -34,19 +34,68 @@ func (pp *Proc) ParkTimeout(d Duration) WakeReason {
 // already resumed (or was woken before) has no effect.
 func (k *Kernel) Wake(w Waiter, reason WakeReason) { k.wake(w.t, reason) }
 
-// popWaiter removes and returns the oldest waiter, shifting the rest
-// down in place. Reslicing the head away (ws = ws[1:]) would shrink the
-// backing array one slot per wakeup until every park re-allocates it;
-// hot paths (frame delivery at 1024 hosts) park and wake every cycle,
-// so the dequeue must keep the array.
-func popWaiter(ws *[]wakeToken) wakeToken {
-	w := *ws
-	t := w[0]
-	last := len(w) - 1
-	copy(w, w[1:])
-	w[last] = wakeToken{}
-	*ws = w[:last]
-	return t
+// waiter is one entry of a Semaphore's or a TypedQueue's FIFO: the park
+// episode of a process, or — t.p nil — a callback that stands in for
+// one, scheduled as fn(arg) under name when its turn comes.
+type waiter struct {
+	t    wakeToken
+	fn   func(any)
+	arg  any
+	name string
+}
+
+// gone reports whether a process waiter has left the park it queued for
+// (a timeout or a kill): the turn passes to the next waiter.
+func (w *waiter) gone() bool {
+	return w.t.p != nil && (w.t.p.done || w.t.p.epoch != w.t.epoch)
+}
+
+// waitQueue is a FIFO of waiters kept, like TypedQueue's items, as the
+// window ws[head:] of one backing array: a pop moves the head, not the
+// entries, and the window moves down only once the head has passed the
+// middle, so draining n waiters copies fewer than n entries in all.
+// Shifting the rest down on every pop cost a broadcast's 1 023 parked
+// acks half a million entry moves.
+type waitQueue struct {
+	ws   []waiter
+	head int
+}
+
+func (q *waitQueue) len() int { return len(q.ws) - q.head }
+
+func (q *waitQueue) push(w waiter) { q.ws = append(q.ws, w) }
+
+// pop removes and returns the oldest waiter; the queue must not be empty.
+func (q *waitQueue) pop() waiter {
+	w := q.ws[q.head]
+	q.ws[q.head] = waiter{}
+	q.head++
+	if 2*q.head >= len(q.ws) {
+		n := copy(q.ws, q.ws[q.head:])
+		clear(q.ws[n:])
+		q.ws, q.head = q.ws[:n], 0
+	}
+	return w
+}
+
+// next pops waiters until one is still waiting and hands it its turn:
+// a process is woken, a callback scheduled now under its name — the
+// instant, order and label the wake of the process it stands in for
+// would have. It reports false if nobody was waiting.
+func (q *waitQueue) next(k *Kernel) bool {
+	for q.len() > 0 {
+		w := q.pop()
+		if w.gone() {
+			continue
+		}
+		if w.t.p == nil {
+			k.AfterNamedArg(w.name, 0, w.fn, w.arg)
+		} else {
+			k.wake(w.t, WakeSignal)
+		}
+		return true
+	}
+	return false
 }
 
 // Semaphore is a counting semaphore with FIFO wakeup order, providing the
@@ -55,7 +104,7 @@ func popWaiter(ws *[]wakeToken) wakeToken {
 type Semaphore struct {
 	k       *Kernel
 	count   int
-	waiters []wakeToken
+	waiters waitQueue
 }
 
 // NewSemaphore creates a semaphore with the given initial count.
@@ -72,8 +121,23 @@ func (s *Semaphore) P(p *Proc) {
 		s.count--
 		return
 	}
-	s.waiters = append(s.waiters, p.token())
+	s.waiters.push(waiter{t: p.token()})
 	p.park()
+}
+
+// PThen is P for a waiter with no process. It takes a token now and
+// reports true, or queues fn(arg) and reports false; V then hands the
+// token over by scheduling fn(arg) as the event labelled name, in the
+// FIFO turn and at the instant a parked process's wake would take. So
+// name is the label that wake would carry: "wake:" and the name of the
+// process the callback stands in for.
+func (s *Semaphore) PThen(name string, fn func(any), arg any) bool {
+	if s.count > 0 {
+		s.count--
+		return true
+	}
+	s.waiters.push(waiter{fn: fn, arg: arg, name: name})
+	return false
 }
 
 // TryP acquires one token without blocking; it reports success.
@@ -85,18 +149,12 @@ func (s *Semaphore) TryP() bool {
 	return false
 }
 
-// V releases one token, waking the longest-parked waiter if any. The
-// token is handed directly to the woken process.
+// V releases one token, handing it directly to the longest-waiting
+// waiter if any.
 func (s *Semaphore) V() {
-	for len(s.waiters) > 0 {
-		t := popWaiter(&s.waiters)
-		if t.p.done || t.p.epoch != t.epoch {
-			continue // waiter vanished (timeout or kill); drop it
-		}
-		s.k.wake(t, WakeSignal)
-		return
+	if !s.waiters.next(s.k) {
+		s.count++
 	}
-	s.count++
 }
 
 // TypedQueue is an unbounded FIFO with blocking Get — the delivery
@@ -115,7 +173,7 @@ type TypedQueue[T any] struct {
 	k        *Kernel
 	items    []T
 	head     int
-	waiters  []wakeToken
+	waiters  waitQueue
 	sink     func()
 	sinkName string
 	armed    bool
@@ -140,14 +198,7 @@ func (q *TypedQueue[T]) Put(v T) {
 		q.k.AfterNamed(q.sinkName, 0, q.sink)
 		return
 	}
-	for len(q.waiters) > 0 {
-		t := popWaiter(&q.waiters)
-		if t.p.done || t.p.epoch != t.epoch {
-			continue
-		}
-		q.k.wake(t, WakeSignal)
-		return
-	}
+	q.waiters.next(q.k)
 }
 
 // SetSink makes fn, labelled name in schedules, the queue's event-driven
@@ -173,7 +224,7 @@ func (q *TypedQueue[T]) TryGet() (v T, ok bool) {
 // empty.
 func (q *TypedQueue[T]) Get(p *Proc) T {
 	for q.Len() == 0 {
-		q.waiters = append(q.waiters, p.token())
+		q.waiters.push(waiter{t: p.token()})
 		p.park()
 	}
 	v, _ := q.TryGet()
@@ -189,7 +240,7 @@ func (q *TypedQueue[T]) GetTimeout(p *Proc, d Duration) (v T, ok bool) {
 			var zero T
 			return zero, false
 		}
-		q.waiters = append(q.waiters, p.token())
+		q.waiters.push(waiter{t: p.token()})
 		if p.ParkTimeout(remaining) == WakeTimeout {
 			q.removeWaiter(p)
 			if q.Len() == 0 {
@@ -202,9 +253,10 @@ func (q *TypedQueue[T]) GetTimeout(p *Proc, d Duration) (v T, ok bool) {
 }
 
 func (q *TypedQueue[T]) removeWaiter(p *Proc) {
-	for i, t := range q.waiters {
-		if t.p == p.p {
-			q.waiters = append(q.waiters[:i], q.waiters[i+1:]...)
+	ws := &q.waiters
+	for i := ws.head; i < len(ws.ws); i++ {
+		if ws.ws[i].t.p == p.p {
+			ws.ws = append(ws.ws[:i], ws.ws[i+1:]...)
 			return
 		}
 	}
@@ -237,6 +289,13 @@ func (r *Resource) InUse() int { return r.cap - r.sem.Count() }
 
 // Acquire takes one server, blocking until available.
 func (r *Resource) Acquire(p *Proc) { r.sem.P(p) }
+
+// AcquireThen is Acquire for a waiter with no process (Semaphore.PThen):
+// it reports true if the server is taken now, or queues fn(arg) to run,
+// as the event labelled name, when the server is handed over.
+func (r *Resource) AcquireThen(name string, fn func(any), arg any) bool {
+	return r.sem.PThen(name, fn, arg)
+}
 
 // Release returns one server.
 func (r *Resource) Release() { r.sem.V() }
