@@ -62,16 +62,17 @@ test:
 benchmark-check:
 	cd benchmark && go test ./...
 
-# remoteop and bufpool hold the only state shared across kernels (three
-# sync.Pools, the encode buffers' atomic refcount, the size-classed free
-# list), and every call loop runs through them. internal/exp is what
+# netsim, remoteop and bufpool hold the only state shared across kernels
+# (netsim's txPool and remoteop's four sync.Pools, the encode buffers'
+# atomic refcount, the size-classed free list), and every call loop runs
+# through them. internal/exp is what
 # actually runs kernels side by side (sim.Each, one cluster per worker),
 # so the second line re-checks that list where it matters: Each's own
 # tests, and three exp sweeps at one and at three workers (GOMAXPROCS 1
 # and 4), under the detector. It selects those small tests because the whole exp suite
 # takes most of a minute under -race.
 race:
-	go test -race ./internal/sim/... ./internal/dsm/... ./internal/dsync/... ./internal/threads/... ./internal/remoteop/... ./internal/bufpool/...
+	go test -race ./internal/sim/... ./internal/dsm/... ./internal/dsync/... ./internal/threads/... ./internal/netsim/... ./internal/remoteop/... ./internal/bufpool/...
 	go test -race -run 'Each|AcrossCores' ./internal/sim/... ./internal/exp/...
 
 # Two runs: the first warms the build cache (and fails fast on

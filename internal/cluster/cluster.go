@@ -66,17 +66,17 @@ type Config struct {
 	// UnicastInvalidate disables broadcast multicast invalidation
 	// (ablation).
 	UnicastInvalidate bool
-	// DropRate injects frame loss for fault-tolerance experiments.
-	DropRate float64
 	// Topology selects the network shape: nil is the paper's single
 	// shared bus; a multi-segment topology places hosts on switched
 	// segments (see netsim.Topology). A one-segment topology is
 	// bit-identical to the bus.
 	Topology *netsim.Topology
 	// FaultPlan scripts deterministic faults (loss bursts, corruption,
-	// duplication, partitions, host crashes) against virtual time. Crash
-	// events are applied by the cluster: the NIC goes down and every
-	// module of the host stops (crash-stop; no restart).
+	// duplication, partitions, host crashes) against virtual time; it is
+	// the cluster's only source of injected frame loss. New rejects a
+	// plan that names a host or segment the cluster lacks. Crash events
+	// are applied by the cluster: the NIC goes down and every module of
+	// the host stops (crash-stop; no restart).
 	FaultPlan *netsim.FaultPlan
 	// FailureDetection runs a failure detector on every host (virtual-
 	// time heartbeats plus call-timeout escalation) and enables
@@ -143,6 +143,9 @@ func New(cfg Config) (c *Cluster, err error) {
 	if len(cfg.Hosts) == 0 {
 		return nil, fmt.Errorf("cluster: no hosts")
 	}
+	if err := cfg.FaultPlan.Validate(len(cfg.Hosts), cfg.Topology.SegmentCount()); err != nil {
+		return nil, fmt.Errorf("cluster: fault plan: %w", err)
+	}
 	params := model.Default()
 	if cfg.Params != nil {
 		params = *cfg.Params
@@ -169,7 +172,6 @@ func New(cfg Config) (c *Cluster, err error) {
 		}
 	}()
 	net := netsim.NewWithTopology(k, &params, cfg.Topology)
-	net.DropRate = cfg.DropRate
 	if !cfg.FaultPlan.Empty() {
 		net.SetFaultPlan(cfg.FaultPlan)
 	}
@@ -293,19 +295,14 @@ func (c *Cluster) DefineBarrier(id uint32, manager HostID, n int) {
 }
 
 // CrashHost fails host h immediately (crash-stop): its NIC goes down,
-// in-flight frames to and from it vanish, and every module freezes —
-// handler processes unwind at their next activation and never answer
-// again. There is no restart. Scripted FaultPlan crashes call this; the
-// chaos harness and tests also call it directly.
+// in-flight frames to and from it vanish, and its endpoint crashes —
+// the one flag every module of the host reads, so handler processes
+// unwind at their next activation and never answer again. There is no
+// restart. Scripted FaultPlan crashes call this; the chaos harness and
+// tests also call it directly.
 func (c *Cluster) CrashHost(h HostID) {
-	host := c.Hosts[h]
 	c.Net.SetHostDown(netsim.HostID(h), true)
-	host.EP.Crash()
-	host.DSM.Crash()
-	host.Sync.Crash()
-	if host.Detect != nil {
-		host.Detect.Crash()
-	}
+	c.Hosts[h].EP.Crash()
 }
 
 // Run executes main as a simulated process on host mainHost and drives

@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -308,6 +309,51 @@ func TestScriptedCrashPlanIsDeterministic(t *testing.T) {
 	a, b := run(), run()
 	if a != b {
 		t.Fatalf("faulty runs diverged:\n  %s\n  %s", a, b)
+	}
+}
+
+// TestBadFaultPlanRejectedByNew pins where a malformed plan stops: at
+// New, with an error naming the fault, instead of a panic in mid-run
+// (a crash of host 9 of 3 once died with "index out of range" inside
+// its crash callback, at its virtual time).
+func TestBadFaultPlanRejectedByNew(t *testing.T) {
+	ms := func(n int) sim.Time { return sim.Time(time.Duration(n) * time.Millisecond) }
+	for _, tc := range []struct {
+		name string
+		plan netsim.FaultPlan
+		want string // "" means the plan is valid
+	}{
+		{"valid", netsim.FaultPlan{
+			Loss:       []netsim.Burst{{Rate: 1}, {Window: netsim.Window{From: ms(5), Until: ms(5)}}},
+			Partitions: []netsim.Partition{{Group: []netsim.HostID{0, 2}}},
+			Crashes:    []netsim.CrashEvent{{At: ms(3), Host: 2}},
+		}, ""},
+		{"crash host out of range", netsim.FaultPlan{Crashes: []netsim.CrashEvent{{At: ms(10), Host: 9}}}, "names host 9, have 3 hosts"},
+		{"negative crash host", netsim.FaultPlan{Crashes: []netsim.CrashEvent{{Host: -1}}}, "names host -1"},
+		{"partition member out of range", netsim.FaultPlan{Partitions: []netsim.Partition{{Group: []netsim.HostID{1, 3}}}}, "names host 3"},
+		{"link cut on a bus", netsim.FaultPlan{LinkCuts: []netsim.LinkCut{{A: 0, B: 1}}}, "link cut joins segments 0-1, have 1 segments"},
+		{"rate above 1", netsim.FaultPlan{Corrupt: []netsim.Burst{{Rate: 1.5}}}, "fault rate 1.5 outside [0, 1]"},
+		{"negative rate", netsim.FaultPlan{Duplicate: []netsim.Burst{{}, {Rate: -0.1}}}, "fault rate -0.1 outside"},
+		{"window closes before it opens", netsim.FaultPlan{Loss: []netsim.Burst{{Window: netsim.Window{From: ms(20), Until: ms(10)}, Rate: 0.5}}}, "closes before it opens"},
+		{"partition window reversed", netsim.FaultPlan{Partitions: []netsim.Partition{{Window: netsim.Window{From: ms(2), Until: ms(1)}, Group: []netsim.HostID{1}}}}, "closes before it opens"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			plan := tc.plan
+			c, err := New(Config{
+				Hosts:     []HostSpec{{Kind: arch.Sun}, {Kind: arch.Firefly}, {Kind: arch.Firefly}},
+				FaultPlan: &plan,
+			})
+			if tc.want == "" {
+				if err != nil {
+					t.Fatalf("valid plan rejected: %v", err)
+				}
+				c.Close()
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("New: %v, want an error containing %q", err, tc.want)
+			}
+		})
 	}
 }
 

@@ -146,7 +146,7 @@ func (c *InvariantChecker) checkPage(point string, page PageNo) {
 	var writers []HostID
 	var holders []HostID
 	for _, m := range c.mods {
-		if m.crashed {
+		if m.ep.Crashed() {
 			continue // a corpse's copies died with it
 		}
 		lp := m.local[page]

@@ -61,7 +61,6 @@ func TestCrashedHostAnswersNothing(t *testing.T) {
 		atCrash = ep(h).Stats()
 		r.net.SetHostDown(h, true)
 		ep(h).Crash()
-		r.mods[h].Crash()
 	})
 	r.k.Run()
 

@@ -127,7 +127,7 @@ func (d *fixedDirectory) hashState(func(v uint32)) {}
 // no confirmation outstanding.
 func (d *fixedDirectory) checkPage(c *InvariantChecker, point string, page PageNo, writers, holders []HostID) {
 	mgrMod := c.byID(d.home(page))
-	if mgrMod == nil || mgrMod.crashed {
+	if mgrMod == nil || mgrMod.ep.Crashed() {
 		return // the manager's records died with it (unavailable but isolated)
 	}
 	ent := mgrMod.mgr[page]
@@ -157,7 +157,7 @@ func (d *fixedDirectory) checkPage(c *InvariantChecker, point string, page PageN
 		c.report(point, page, "manager %d records unknown owner %d", mgrMod.id, ent.owner)
 		return
 	}
-	if owner.crashed || mgrMod.deadHost(ent.owner) {
+	if owner.ep.Crashed() || mgrMod.deadHost(ent.owner) {
 		return // owner crashed: state is transient until the recovery sweep
 	}
 	if owner.Access(page) == NoAccess {

@@ -420,9 +420,6 @@ type Module struct {
 	// means no failure detection: protocol failures panic and the
 	// fault-tolerance paths are unreachable.
 	liveness *Detector
-	// crashed marks this host as failed (crash-stop): its processes
-	// unwind at their next DSM interaction and its state is dead.
-	crashed bool
 }
 
 // New creates the DSM module for one host and registers its protocol
@@ -475,19 +472,12 @@ func (m *Module) AttachLiveness(d *Detector) {
 	d.OnDeath(m.onHostDeath)
 }
 
-// Crash marks this host as failed (crash-stop). Its processes unwind
-// at their next DSM or network interaction; its memory and manager
-// state are gone for protocol purposes. The caller (the cluster) also
-// downs the NIC and crashes the endpoint.
-func (m *Module) Crash() { m.crashed = true }
-
-// Crashed reports whether Crash has been called.
-func (m *Module) Crashed() bool { return m.crashed }
-
-// exitIfCrashed unwinds the calling process if this host has crashed:
-// a dead machine's threads simply cease.
+// exitIfCrashed unwinds the calling process if this host has crashed
+// (its endpoint's Crash, crash-stop): a dead machine's threads simply
+// cease, and its memory and manager state are gone for protocol
+// purposes.
 func (m *Module) exitIfCrashed(p *sim.Proc) {
-	if m.crashed {
+	if m.ep.Crashed() {
 		p.Exit()
 	}
 }

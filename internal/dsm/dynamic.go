@@ -173,7 +173,7 @@ func (d *dynamicDirectory) checkPage(c *InvariantChecker, point string, page Pag
 	busy := false
 	anyCrashed := false
 	for _, m := range c.mods {
-		if m.crashed {
+		if m.ep.Crashed() {
 			anyCrashed = true
 			continue
 		}

@@ -38,7 +38,7 @@ func (m *Module) WriteStateHash(h hash.Hash) {
 		put(uint32(d >> 32))
 	}
 	put(uint32(m.id))
-	if m.crashed {
+	if m.ep.Crashed() {
 		// A corpse's frozen tables are all alike: one flag word stands
 		// in for everything below.
 		put(0xdead_dead)

@@ -60,7 +60,6 @@ type Detector struct {
 	lastHeard []sim.Time
 	state     []HostState
 	onDeath   []func(h HostID)
-	crashed   bool
 }
 
 // NewDetector creates the failure detector for one host and wires it
@@ -105,17 +104,13 @@ func (d *Detector) Dead(h HostID) bool {
 // State returns the detector's opinion of h.
 func (d *Detector) State(h HostID) HostState { return d.state[h] }
 
-// Crash stops this detector: its host has failed, so its processes
-// unwind at their next tick and its opinions freeze.
-func (d *Detector) Crash() { d.crashed = true }
-
 // Escalate records negative evidence against h: a remote call to it
 // burned a full request timeout without an answer. An alive host
 // becomes a suspect immediately; a suspect already silent past the
 // death threshold is declared dead without waiting for the next
 // monitor tick.
 func (d *Detector) Escalate(h HostID) {
-	if d.crashed || int(h) < 0 || int(h) >= len(d.state) || h == d.self {
+	if d.ep.Crashed() || int(h) < 0 || int(h) >= len(d.state) || h == d.self {
 		return
 	}
 	switch d.state[h] {
@@ -134,7 +129,7 @@ func (d *Detector) Escalate(h HostID) {
 // DeclareDead forces an immediate death declaration (tests and the
 // chaos harness use it to skip the detection latency).
 func (d *Detector) DeclareDead(h HostID) {
-	if d.crashed || int(h) < 0 || int(h) >= len(d.state) || h == d.self {
+	if d.ep.Crashed() || int(h) < 0 || int(h) >= len(d.state) || h == d.self {
 		return
 	}
 	d.declareDead(h)
@@ -158,7 +153,7 @@ func (d *Detector) declareDead(h HostID) {
 // heartbeatLoop broadcasts one liveness frame per HeartbeatInterval.
 func (d *Detector) heartbeatLoop(p *sim.Proc) {
 	for {
-		if d.crashed {
+		if d.ep.Crashed() {
 			p.Exit()
 		}
 		d.ep.SendOneWay(p, remoteop.Broadcast, &proto.Message{Kind: proto.KindHeartbeat})
@@ -169,7 +164,7 @@ func (d *Detector) heartbeatLoop(p *sim.Proc) {
 // monitorLoop periodically audits every peer's silence.
 func (d *Detector) monitorLoop(p *sim.Proc) {
 	for {
-		if d.crashed {
+		if d.ep.Crashed() {
 			p.Exit()
 		}
 		p.Sleep(d.params.HeartbeatInterval)
@@ -192,7 +187,7 @@ func (d *Detector) monitorLoop(p *sim.Proc) {
 // one-way: no reply, no acknowledgement.
 func (d *Detector) handleHeartbeat(req *proto.Message) *proto.Message {
 	h := HostID(req.From)
-	if d.crashed || int(h) < 0 || int(h) >= len(d.state) || d.state[h] == StateDead {
+	if d.ep.Crashed() || int(h) < 0 || int(h) >= len(d.state) || d.state[h] == StateDead {
 		return nil // crash-stop: the dead neither listen nor come back
 	}
 	d.lastHeard[h] = d.k.Now()

@@ -54,7 +54,7 @@ func TestDetectorDeclaresSilentHostDead(t *testing.T) {
 	crash := sim.Time(2 * time.Second)
 	k.AfterNamed("crash", 2*time.Second, func() {
 		net.SetHostDown(2, true)
-		dets[2].Crash()
+		dets[2].ep.Crash()
 	})
 	k.RunFor(20 * time.Second)
 
@@ -106,7 +106,7 @@ func TestDetectorDeathCallbackFiresOnce(t *testing.T) {
 	k.Spawn("kill", func(p *sim.Proc) {
 		p.Sleep(time.Second)
 		net.SetHostDown(1, true)
-		dets[1].Crash()
+		dets[1].ep.Crash()
 		p.Sleep(10 * time.Second)
 		dets[0].DeclareDead(1) // already dead: must be a no-op
 		dets[0].Escalate(1)

@@ -678,7 +678,7 @@ func (m *Module) handlePageDeliver(req *proto.Message) *proto.Message {
 	// let application writes execute on a dead machine — visible to the
 	// trace but unrecoverable by the survivors (the serving owner sees the
 	// failed ack and keeps its copy).
-	if m.crashed {
+	if m.ep.Crashed() {
 		return nil
 	}
 	if !m.ep.Redeem(req.Arg(1), req) {

@@ -428,7 +428,7 @@ func (m *quorumEngine) handleQuorumWrite(p *sim.Proc, req *proto.Message) {
 func checkQuorumPage(c *InvariantChecker, point string, page PageNo, writers, holders []HostID) {
 	c.uniqueWriter(point, page, writers)
 	for _, mod := range c.mods {
-		if mod.crashed {
+		if mod.ep.Crashed() {
 			continue
 		}
 		qp := mod.engine.(*quorumEngine).qrm[page]

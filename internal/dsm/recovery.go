@@ -31,7 +31,7 @@ func (m *Module) deadHost(h HostID) bool {
 // block: it discards doomed partial reassemblies and spawns the
 // recovery sweep as its own process.
 func (m *Module) onHostDeath(dead HostID) {
-	if m.crashed || dead == m.id {
+	if m.ep.Crashed() || dead == m.id {
 		return
 	}
 	// Partial reassemblies from the corpse will never complete; return
@@ -46,7 +46,7 @@ func (m *Module) onHostDeath(dead HostID) {
 // crash: drop the corpse from copysets, re-own the pages it owned.
 func (m *Module) recoverAfterDeath(p *sim.Proc, dead HostID) {
 	for _, page := range sim.SortedKeys(m.mgr) {
-		if m.crashed {
+		if m.ep.Crashed() {
 			p.Exit()
 		}
 		ent := m.mgr[page]
@@ -214,7 +214,7 @@ func (m *Module) installRecovered(p *sim.Proc, page PageNo, resp *proto.Message)
 // no locks, deliberately: the polled host may itself be parked inside a
 // page fault holding its local fault lock.
 func (m *Module) handleRecoverPage(p *sim.Proc, req *proto.Message) {
-	if m.crashed {
+	if m.ep.Crashed() {
 		p.Exit()
 	}
 	page := PageNo(req.Page)

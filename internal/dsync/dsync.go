@@ -116,18 +116,11 @@ type Service struct {
 	barriers map[uint32]*barrierState
 
 	model SyncModel
-
-	crashed bool
 }
 
 // AttachModel binds the consistency model's sync hooks. The cluster
 // attaches the same model implementation on every host (or none).
 func (s *Service) AttachModel(m SyncModel) { s.model = m }
-
-// Crash marks this host's service failed: handler processes unwind at
-// their next activation and primitives it managed stay silent forever
-// (crash-stop).
-func (s *Service) Crash() { s.crashed = true }
 
 // mustOK keeps the plain primitives' historical contract: without
 // failure detection a synchronization failure is a simulation bug.
@@ -382,7 +375,7 @@ func (s *Service) semV(p *sim.Proc, st *semState) {
 }
 
 func (s *Service) handleSemOp(p *sim.Proc, req *proto.Message) {
-	if s.crashed {
+	if s.ep.Crashed() {
 		p.Exit()
 	}
 	p.Sleep(s.params.SyncProcess.Of(s.kind))
@@ -476,7 +469,7 @@ func (s *Service) eventSet(p *sim.Proc, st *eventState) {
 }
 
 func (s *Service) handleEventOp(p *sim.Proc, req *proto.Message) {
-	if s.crashed {
+	if s.ep.Crashed() {
 		p.Exit()
 	}
 	p.Sleep(s.params.SyncProcess.Of(s.kind))
@@ -547,7 +540,7 @@ func (s *Service) BarrierArriveE(p *sim.Proc, id uint32) error {
 }
 
 func (s *Service) handleBarrierOp(p *sim.Proc, req *proto.Message) {
-	if s.crashed {
+	if s.ep.Crashed() {
 		p.Exit()
 	}
 	p.Sleep(s.params.SyncProcess.Of(s.kind))

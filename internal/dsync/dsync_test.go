@@ -245,7 +245,7 @@ func TestUndefinedPrimitivePanics(t *testing.T) {
 
 func TestSyncSurvivesPacketLoss(t *testing.T) {
 	r := newRig(t, 3)
-	r.net.DropRate = 0.3
+	r.net.SetFaultPlan(&netsim.FaultPlan{Loss: []netsim.Burst{{Rate: 0.3}}})
 	r.par.RequestTimeout = 50 * time.Millisecond
 	r.par.BlockingRetryInterval = 100 * time.Millisecond
 	r.defineSem(1, 0, 0)

@@ -26,6 +26,7 @@ import (
 	"math/rand"
 	"strings"
 
+	"repro/internal/arch"
 	"repro/internal/cluster"
 	"repro/internal/dsm"
 	"repro/internal/sim"
@@ -35,15 +36,25 @@ import (
 // run builds a new one.
 type Instance = cluster.Trial
 
-// Workload names a reproducible model-checking scenario.
+// Workload names a reproducible model-checking scenario, declared as
+// data; Build assembles a fresh cluster from it for every run.
 type Workload struct {
 	// Name is the CLI spelling and the replay-token component.
 	Name string
 	// Desc is a one-line description for listings.
 	Desc string
-	// Build constructs a fresh Instance with the given protocol
-	// mutation injected (dsm.MutNone for the correct protocol).
-	Build func(mut dsm.Mutation) (*Instance, error)
+	// Kinds lists the machines, host 0 first.
+	Kinds []arch.Kind
+	// Tune, if set, edits the standard cluster config (see Build): the
+	// workloads that check another engine or directory, or that need
+	// failure detection.
+	Tune func(*cluster.Config)
+	// Define, if set, declares the synchronization primitives the body
+	// uses.
+	Define func(c *cluster.Cluster)
+	// Main is the body, run as the root process; it returns the
+	// workload's own verdict on the final state.
+	Main func(p *sim.Proc, c *cluster.Cluster) error
 }
 
 // Outcome classifies one run; the harnesses share one judge and one

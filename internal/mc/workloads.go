@@ -27,6 +27,8 @@ const (
 	semDone  = 2
 	semStart = 10 // semStart+i starts worker i
 	barMain  = 20
+	semReady = 30
+	semA     = 31
 )
 
 // pageInts is how many int32 elements fill one workload page exactly,
@@ -79,14 +81,14 @@ func mcParams() model.Params {
 	return params
 }
 
-// buildCluster assembles a small cluster for model checking: MRSW under
-// the fixed directory, invariant checker attached, SC recorder wired,
-// flattened cost model (see mcParams). tune (nil for that standard
-// cluster) edits the config for the workloads that check another
-// engine or directory, or that need failure detection.
-func buildCluster(kinds []arch.Kind, mut dsm.Mutation, tune func(*cluster.Config)) (*cluster.Cluster, *sctrace.Recorder, error) {
-	hosts := make([]cluster.HostSpec, len(kinds))
-	for i, k := range kinds {
+// Build constructs a fresh Instance with the given protocol mutation
+// injected (dsm.MutNone for the correct protocol): a small cluster of
+// w.Kinds running MRSW under the fixed directory, invariant checker
+// attached, SC recorder wired, flattened cost model (see mcParams),
+// edited by w.Tune, with w.Define's primitives declared.
+func (w *Workload) Build(mut dsm.Mutation) (*Instance, error) {
+	hosts := make([]cluster.HostSpec, len(w.Kinds))
+	for i, k := range w.Kinds {
 		hosts[i] = cluster.HostSpec{Kind: k}
 	}
 	params := mcParams()
@@ -101,20 +103,21 @@ func buildCluster(kinds []arch.Kind, mut dsm.Mutation, tune func(*cluster.Config
 		SCTrace:         rec,
 		Mutation:        mut,
 	}
-	if tune != nil {
-		tune(&cfg)
+	if w.Tune != nil {
+		w.Tune(&cfg)
 	}
 	c, err := cluster.New(cfg)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return c, rec, nil
+	if w.Define != nil {
+		w.Define(c)
+	}
+	return &Instance{C: c, Rec: rec, Main: w.Main}, nil
 }
 
 // workloads is the registry, keyed by Name.
 var workloads = namelist.NewRegistry[*Workload]("mc: unknown workload")
-
-func register(w *Workload) { workloads.Register(w.Name, w) }
 
 // Lookup resolves a workload by name.
 func Lookup(name string) (*Workload, error) { return workloads.Lookup(name) }
@@ -123,16 +126,12 @@ func Lookup(name string) (*Workload, error) { return workloads.Lookup(name) }
 func All() []*Workload { return workloads.All() }
 
 func init() {
-	register(basicWorkload())
-	register(matmulWorkload())
-	register(ringWorkload())
-	register(updateWorkload())
-	register(semWorkload())
-	register(barrierWorkload())
-	register(crashWorkload())
-	register(dynamicWorkload())
-	register(quorumWorkload())
-	register(rcWorkload())
+	for _, w := range []*Workload{
+		basicWorkload, matmulWorkload, ringWorkload, updateWorkload, semWorkload,
+		barrierWorkload, crashWorkload, dynamicWorkload, quorumWorkload, rcWorkload,
+	} {
+		workloads.Register(w.Name, w)
+	}
 }
 
 // rcWorkload runs the lazy-release policy across a Sun and a Firefly.
@@ -152,77 +151,68 @@ func init() {
 //
 // Both patterns are fully ordered by semaphores, so the assertions are
 // exact on every schedule of the unmutated protocol.
-func rcWorkload() *Workload {
-	const (
-		semReady = 30
-		semA     = 31
-	)
-	return &Workload{
-		Name: "rc",
-		Desc: "2 hosts (Sun+Firefly), lazy release consistency: locked counter + open-interval pull",
-		Build: func(mut dsm.Mutation) (*Instance, error) {
-			c, rec, err := buildCluster([]arch.Kind{arch.Sun, arch.Firefly}, mut, func(cfg *cluster.Config) { cfg.Policy = dsm.PolicyRC })
-			if err != nil {
-				return nil, err
-			}
-			c.DefineSemaphore(semLock, 0, 1)
-			c.DefineSemaphore(semDone, 1, 0)
-			c.DefineSemaphore(semReady, 0, 0)
-			c.DefineSemaphore(semA, 1, 0)
-			main := func(p *sim.Proc, c *cluster.Cluster) error {
-				h0 := c.Hosts[0]
-				counter, err := h0.DSM.Alloc(p, conv.Int32, pageInts) // page 0
-				if err != nil {
-					return err
-				}
-				pair, err := h0.DSM.Alloc(p, conv.Int32, pageInts) // page 1
-				if err != nil {
-					return err
-				}
-				var twinGot int32
-				for w := 0; w < 2; w++ {
-					w := w
-					host := c.Hosts[w]
-					c.K.Spawn(fmt.Sprintf("rcw%d", w), func(p *sim.Proc) {
-						for i := 0; i < 2; i++ {
-							host.Sync.P(p, semLock)
-							v := host.DSM.ReadInt32(p, counter)
-							host.DSM.WriteInt32(p, counter, v+1)
-							host.Sync.V(p, semLock)
-						}
-						if w == 0 {
-							host.Sync.P(p, semReady)
-							host.DSM.WriteInt32(p, pair+4, 7)
-							host.Sync.V(p, semA)
-						} else {
-							host.DSM.ReadInt32(p, pair) // fault the page in first
-							host.Sync.V(p, semReady)
-							host.DSM.WriteInt32(p, pair, 5) // open an interval: twin live
-							host.Sync.P(p, semA)            // pull worker 0's interval under the twin
-							twinGot = host.DSM.ReadInt32(p, pair+4)
-						}
-						host.Sync.V(p, semDone)
-					})
-				}
+var rcWorkload = &Workload{
+	Name:  "rc",
+	Desc:  "2 hosts (Sun+Firefly), lazy release consistency: locked counter + open-interval pull",
+	Kinds: []arch.Kind{arch.Sun, arch.Firefly},
+	Tune:  func(cfg *cluster.Config) { cfg.Policy = dsm.PolicyRC },
+	Define: func(c *cluster.Cluster) {
+		c.DefineSemaphore(semLock, 0, 1)
+		c.DefineSemaphore(semDone, 1, 0)
+		c.DefineSemaphore(semReady, 0, 0)
+		c.DefineSemaphore(semA, 1, 0)
+	},
+	Main: func(p *sim.Proc, c *cluster.Cluster) error {
+		h0 := c.Hosts[0]
+		counter, err := h0.DSM.Alloc(p, conv.Int32, pageInts) // page 0
+		if err != nil {
+			return err
+		}
+		pair, err := h0.DSM.Alloc(p, conv.Int32, pageInts) // page 1
+		if err != nil {
+			return err
+		}
+		var twinGot int32
+		for w := 0; w < 2; w++ {
+			w := w
+			host := c.Hosts[w]
+			c.K.Spawn(fmt.Sprintf("rcw%d", w), func(p *sim.Proc) {
 				for i := 0; i < 2; i++ {
-					h0.Sync.P(p, semDone)
+					host.Sync.P(p, semLock)
+					v := host.DSM.ReadInt32(p, counter)
+					host.DSM.WriteInt32(p, counter, v+1)
+					host.Sync.V(p, semLock)
 				}
-				h0.Sync.P(p, semLock) // acquire the workers' final counter intervals
-				if got := h0.DSM.ReadInt32(p, counter); got != 4 {
-					return fmt.Errorf("counter = %d, want 4", got)
+				if w == 0 {
+					host.Sync.P(p, semReady)
+					host.DSM.WriteInt32(p, pair+4, 7)
+					host.Sync.V(p, semA)
+				} else {
+					host.DSM.ReadInt32(p, pair) // fault the page in first
+					host.Sync.V(p, semReady)
+					host.DSM.WriteInt32(p, pair, 5) // open an interval: twin live
+					host.Sync.P(p, semA)            // pull worker 0's interval under the twin
+					twinGot = host.DSM.ReadInt32(p, pair+4)
 				}
-				h0.Sync.V(p, semLock)
-				if twinGot != 7 {
-					return fmt.Errorf("acquired read under a live twin = %d, want 7", twinGot)
-				}
-				if got := h0.DSM.ReadInt32(p, pair); got != 5 {
-					return fmt.Errorf("open-interval write = %d, want 5", got)
-				}
-				return nil
-			}
-			return &Instance{C: c, Rec: rec, Main: main}, nil
-		},
-	}
+				host.Sync.V(p, semDone)
+			})
+		}
+		for i := 0; i < 2; i++ {
+			h0.Sync.P(p, semDone)
+		}
+		h0.Sync.P(p, semLock) // acquire the workers' final counter intervals
+		if got := h0.DSM.ReadInt32(p, counter); got != 4 {
+			return fmt.Errorf("counter = %d, want 4", got)
+		}
+		h0.Sync.V(p, semLock)
+		if twinGot != 7 {
+			return fmt.Errorf("acquired read under a live twin = %d, want 7", twinGot)
+		}
+		if got := h0.DSM.ReadInt32(p, pair); got != 5 {
+			return fmt.Errorf("open-interval write = %d, want 5", got)
+		}
+		return nil
+	},
 }
 
 // quorumWorkload runs the SC-ABD quorum policy across three hosts. Each
@@ -237,82 +227,67 @@ func rcWorkload() *Workload {
 // and a schedule that parked the install exposes the old value; under
 // MutSplitBrainWrite a write never leaves its host and any majority read
 // that excludes the writer misses it.
-func quorumWorkload() *Workload {
-	return &Workload{
-		Name: "quorum",
-		Desc: "3 hosts, SC-ABD majority quorum: cross-host read/write visibility",
-		Build: func(mut dsm.Mutation) (*Instance, error) {
-			c, rec, err := buildCluster([]arch.Kind{arch.Sun, arch.Firefly, arch.Sun}, mut, func(cfg *cluster.Config) { cfg.Policy = dsm.PolicyQuorum })
-			if err != nil {
-				return nil, err
-			}
-			main := func(p *sim.Proc, c *cluster.Cluster) error {
-				h0, h1, h2 := c.Hosts[0], c.Hosts[1], c.Hosts[2]
-				x, err := h0.DSM.Alloc(p, conv.Int32, pageInts)
-				if err != nil {
-					return err
-				}
-				if got := h1.DSM.ReadInt32(p, x); got != 0 {
-					return fmt.Errorf("initial read = %d, want 0", got)
-				}
-				h1.DSM.WriteInt32(p, x, 7)
-				if got := h2.DSM.ReadInt32(p, x); got != 7 {
-					return fmt.Errorf("read after quorum write = %d, want 7", got)
-				}
-				h2.DSM.WriteInt32(p, x, 9)
-				if got := h0.DSM.ReadInt32(p, x); got != 9 {
-					return fmt.Errorf("read after second quorum write = %d, want 9", got)
-				}
-				return nil
-			}
-			return &Instance{C: c, Rec: rec, Main: main}, nil
-		},
-	}
+var quorumWorkload = &Workload{
+	Name:  "quorum",
+	Desc:  "3 hosts, SC-ABD majority quorum: cross-host read/write visibility",
+	Kinds: []arch.Kind{arch.Sun, arch.Firefly, arch.Sun},
+	Tune:  func(cfg *cluster.Config) { cfg.Policy = dsm.PolicyQuorum },
+	Main: func(p *sim.Proc, c *cluster.Cluster) error {
+		h0, h1, h2 := c.Hosts[0], c.Hosts[1], c.Hosts[2]
+		x, err := h0.DSM.Alloc(p, conv.Int32, pageInts)
+		if err != nil {
+			return err
+		}
+		if got := h1.DSM.ReadInt32(p, x); got != 0 {
+			return fmt.Errorf("initial read = %d, want 0", got)
+		}
+		h1.DSM.WriteInt32(p, x, 7)
+		if got := h2.DSM.ReadInt32(p, x); got != 7 {
+			return fmt.Errorf("read after quorum write = %d, want 7", got)
+		}
+		h2.DSM.WriteInt32(p, x, 9)
+		if got := h0.DSM.ReadInt32(p, x); got != 9 {
+			return fmt.Errorf("read after second quorum write = %d, want 9", got)
+		}
+		return nil
+	},
 }
 
 // dynamicWorkload walks ownership through all three hosts of a dynamic-
-// directory cluster so probable-owner hints go stale and requests must
-// forward: after host 1 takes ownership, host 2's read still aims at
-// host 0 (its initial hint) and travels the chain 0→1; host 2's write
-// then upgrades in place, and host 0's final read chases 1→2. Every
-// value is checked where coherence bugs would surface, and the
+// directory cluster (Li & Hudak's dynamic distributed manager instead
+// of the fixed scheme) so probable-owner hints go stale and requests
+// must forward: after host 1 takes ownership, host 2's read still aims
+// at host 0 (its initial hint) and travels the chain 0→1; host 2's
+// write then upgrades in place, and host 0's final read chases 1→2.
+// Every value is checked where coherence bugs would surface, and the
 // invariant checker's dynamic branch audits the hint graph at each
 // transition. Under MutStaleProbableOwner the relinquishing owner keeps
 // its self-hint and the next forwarded request trips the self-loop
 // assertion.
-func dynamicWorkload() *Workload {
-	return &Workload{
-		Name: "dynamic",
-		Desc: "3 hosts, dynamic distributed manager: ownership chain + forwarded third-party requests",
-		Build: func(mut dsm.Mutation) (*Instance, error) {
-			// Li & Hudak's dynamic distributed manager instead of the fixed
-			// scheme.
-			c, rec, err := buildCluster([]arch.Kind{arch.Sun, arch.Firefly, arch.Sun}, mut, func(cfg *cluster.Config) { cfg.Directory = dsm.DirDynamic })
-			if err != nil {
-				return nil, err
-			}
-			main := func(p *sim.Proc, c *cluster.Cluster) error {
-				h0, h1, h2 := c.Hosts[0], c.Hosts[1], c.Hosts[2]
-				x, err := h0.DSM.Alloc(p, conv.Int32, pageInts)
-				if err != nil {
-					return err
-				}
-				h1.DSM.WriteInt32(p, x, 1) // ownership 0→1
-				if got := h2.DSM.ReadInt32(p, x); got != 1 {
-					return fmt.Errorf("forwarded read = %d, want 1", got) // chain 0→1
-				}
-				h2.DSM.WriteInt32(p, x, 2) // replica upgrade: 1 invalidates and hands off
-				if got := h1.DSM.ReadInt32(p, x); got != 2 {
-					return fmt.Errorf("read after upgrade = %d, want 2", got)
-				}
-				if got := h0.DSM.ReadInt32(p, x); got != 2 {
-					return fmt.Errorf("chased read = %d, want 2", got) // chain 1→2
-				}
-				return nil
-			}
-			return &Instance{C: c, Rec: rec, Main: main}, nil
-		},
-	}
+var dynamicWorkload = &Workload{
+	Name:  "dynamic",
+	Desc:  "3 hosts, dynamic distributed manager: ownership chain + forwarded third-party requests",
+	Kinds: []arch.Kind{arch.Sun, arch.Firefly, arch.Sun},
+	Tune:  func(cfg *cluster.Config) { cfg.Directory = dsm.DirDynamic },
+	Main: func(p *sim.Proc, c *cluster.Cluster) error {
+		h0, h1, h2 := c.Hosts[0], c.Hosts[1], c.Hosts[2]
+		x, err := h0.DSM.Alloc(p, conv.Int32, pageInts)
+		if err != nil {
+			return err
+		}
+		h1.DSM.WriteInt32(p, x, 1) // ownership 0→1
+		if got := h2.DSM.ReadInt32(p, x); got != 1 {
+			return fmt.Errorf("forwarded read = %d, want 1", got) // chain 0→1
+		}
+		h2.DSM.WriteInt32(p, x, 2) // replica upgrade: 1 invalidates and hands off
+		if got := h1.DSM.ReadInt32(p, x); got != 2 {
+			return fmt.Errorf("read after upgrade = %d, want 2", got)
+		}
+		if got := h0.DSM.ReadInt32(p, x); got != 2 {
+			return fmt.Errorf("chased read = %d, want 2", got) // chain 1→2
+		}
+		return nil
+	},
 }
 
 // crashWorkload explores crash points around an ownership transfer: a
@@ -325,85 +300,77 @@ func dynamicWorkload() *Workload {
 // The mid-transfer variant enqueues the crash as a zero-delay event that
 // ties with the transfer's own events, letting the chooser slide the
 // crash between any two protocol steps. Host 0 (manager and allocation
-// coordinator) never crashes.
-func crashWorkload() *Workload {
-	return &Workload{
-		Name: "crash",
-		Desc: "3 hosts, owner crash before/after/during an ownership transfer + copyset recovery",
-		Build: func(mut dsm.Mutation) (*Instance, error) {
-			// The failure detector runs on every host: this workload needs
-			// detection and recovery, and no other pays for the heartbeat
-			// events.
-			c, rec, err := buildCluster([]arch.Kind{arch.Sun, arch.Firefly, arch.Firefly}, mut, func(cfg *cluster.Config) { cfg.FailureDetection = true })
-			if err != nil {
-				return nil, err
+// coordinator) never crashes. The failure detector runs on every host:
+// this workload needs detection and recovery, and no other pays for the
+// heartbeat events.
+var crashWorkload = &Workload{
+	Name:   "crash",
+	Desc:   "3 hosts, owner crash before/after/during an ownership transfer + copyset recovery",
+	Kinds:  []arch.Kind{arch.Sun, arch.Firefly, arch.Firefly},
+	Tune:   func(cfg *cluster.Config) { cfg.FailureDetection = true },
+	Define: func(c *cluster.Cluster) { c.DefineSemaphore(semDone, 0, 0) },
+	Main: func(p *sim.Proc, c *cluster.Cluster) error {
+		h0, h1, h2 := c.Hosts[0], c.Hosts[1], c.Hosts[2]
+		x, err := h0.DSM.Alloc(p, conv.Int32, pageInts) // page 0, managed by host 0
+		if err != nil {
+			return err
+		}
+		vals := []int32{11, 22, 33, 44}
+		vals2 := []int32{55, 66, 77, 88}
+		if err := h1.DSM.WriteInt32sE(p, x, vals); err != nil {
+			return fmt.Errorf("doomed owner's write: %w", err)
+		}
+		var snap [4]int32
+		if err := h2.DSM.ReadInt32sE(p, x, snap[:]); err != nil {
+			return fmt.Errorf("survivor's replicate read: %w", err)
+		}
+		wrote := false
+		switch c.K.Choose(3, "crash-point") {
+		case 0:
+			// Owner dies holding the only current copy of its
+			// writes; the survivor's read replica must carry them.
+			c.CrashHost(1)
+		case 1:
+			// Ownership moves first; the corpse is a bystander.
+			if err := h2.DSM.WriteInt32sE(p, x, vals2); err != nil {
+				return fmt.Errorf("transfer before crash: %w", err)
 			}
-			c.DefineSemaphore(semDone, 0, 0)
-			main := func(p *sim.Proc, c *cluster.Cluster) error {
-				h0, h1, h2 := c.Hosts[0], c.Hosts[1], c.Hosts[2]
-				x, err := h0.DSM.Alloc(p, conv.Int32, pageInts) // page 0, managed by host 0
-				if err != nil {
-					return err
-				}
-				vals := []int32{11, 22, 33, 44}
-				vals2 := []int32{55, 66, 77, 88}
-				if err := h1.DSM.WriteInt32sE(p, x, vals); err != nil {
-					return fmt.Errorf("doomed owner's write: %w", err)
-				}
-				var snap [4]int32
-				if err := h2.DSM.ReadInt32sE(p, x, snap[:]); err != nil {
-					return fmt.Errorf("survivor's replicate read: %w", err)
-				}
-				wrote := false
-				switch c.K.Choose(3, "crash-point") {
-				case 0:
-					// Owner dies holding the only current copy of its
-					// writes; the survivor's read replica must carry them.
-					c.CrashHost(1)
-				case 1:
-					// Ownership moves first; the corpse is a bystander.
-					if err := h2.DSM.WriteInt32sE(p, x, vals2); err != nil {
-						return fmt.Errorf("transfer before crash: %w", err)
-					}
-					wrote = true
-					c.CrashHost(1)
-				case 2:
-					// The crash event ties with the transfer's events at the
-					// same instant: the chooser decides how far the handoff
-					// gets before the owner drops dead.
-					var werr error
-					c.K.Spawn("transfer", func(wp *sim.Proc) {
-						werr = h2.DSM.WriteInt32sE(wp, x, vals2)
-						h2.Sync.V(wp, semDone)
-					})
-					c.K.AfterNamed("crash", 0, func() { c.CrashHost(1) })
-					h0.Sync.P(p, semDone)
-					if werr != nil {
-						return fmt.Errorf("transfer interrupted by crash never completed: %w", werr)
-					}
-					wrote = true
-				}
-				// Let heartbeat silence cross the death threshold and the
-				// recovery sweep finish.
-				p.Sleep(4 * sim.Duration(1_000_000_000))
-				var got [4]int32
-				if err := h0.DSM.ReadInt32sE(p, x, got[:]); err != nil {
-					return fmt.Errorf("read after owner crash: %w", err)
-				}
-				want := vals
-				if wrote {
-					want = vals2
-				}
-				for i := range want {
-					if got[i] != want[i] {
-						return fmt.Errorf("recovered value [%d] = %d, want %d", i, got[i], want[i])
-					}
-				}
-				return nil
+			wrote = true
+			c.CrashHost(1)
+		case 2:
+			// The crash event ties with the transfer's events at the
+			// same instant: the chooser decides how far the handoff
+			// gets before the owner drops dead.
+			var werr error
+			c.K.Spawn("transfer", func(wp *sim.Proc) {
+				werr = h2.DSM.WriteInt32sE(wp, x, vals2)
+				h2.Sync.V(wp, semDone)
+			})
+			c.K.AfterNamed("crash", 0, func() { c.CrashHost(1) })
+			h0.Sync.P(p, semDone)
+			if werr != nil {
+				return fmt.Errorf("transfer interrupted by crash never completed: %w", werr)
 			}
-			return &Instance{C: c, Rec: rec, Main: main}, nil
-		},
-	}
+			wrote = true
+		}
+		// Let heartbeat silence cross the death threshold and the
+		// recovery sweep finish.
+		p.Sleep(4 * sim.Duration(1_000_000_000))
+		var got [4]int32
+		if err := h0.DSM.ReadInt32sE(p, x, got[:]); err != nil {
+			return fmt.Errorf("read after owner crash: %w", err)
+		}
+		want := vals
+		if wrote {
+			want = vals2
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				return fmt.Errorf("recovered value [%d] = %d, want %d", i, got[i], want[i])
+			}
+		}
+		return nil
+	},
 }
 
 // basicWorkload is the CI smoke scenario: 2 hosts (one Sun, one
@@ -414,57 +381,56 @@ func crashWorkload() *Workload {
 // invalidations; the cross-architecture migrations exercise
 // conversion; the lock and completion semaphores exercise dsync under
 // every wakeup order.
-func basicWorkload() *Workload {
-	return &Workload{
-		Name: "basic",
-		Desc: "2 hosts (Sun+Firefly), 2 pages: semaphore-locked counter + once-written slots",
-		Build: func(mut dsm.Mutation) (*Instance, error) {
-			c, rec, err := buildCluster([]arch.Kind{arch.Sun, arch.Firefly}, mut, nil)
-			if err != nil {
-				return nil, err
-			}
-			c.DefineSemaphore(semLock, 0, 1)
-			c.DefineSemaphore(semDone, 1, 0)
-			main := func(p *sim.Proc, c *cluster.Cluster) error {
-				h0 := c.Hosts[0]
-				counter, err := h0.DSM.Alloc(p, conv.Int32, pageInts) // page 0
-				if err != nil {
-					return err
-				}
-				slots, err := h0.DSM.Alloc(p, conv.Int32, pageInts) // page 1
-				if err != nil {
-					return err
-				}
-				for w := 0; w < 2; w++ {
-					w := w
-					host := c.Hosts[w]
-					c.K.Spawn(fmt.Sprintf("worker%d", w), func(p *sim.Proc) {
-						for i := 0; i < 2; i++ {
-							host.Sync.P(p, semLock)
-							v := host.DSM.ReadInt32(p, counter)
-							host.DSM.WriteInt32(p, counter, v+1)
-							host.Sync.V(p, semLock)
-						}
-						host.DSM.WriteInt32(p, slots+dsm.Addr(4*w), int32(100+w))
-						host.Sync.V(p, semDone)
-					})
-				}
+var basicWorkload = &Workload{
+	Name:   "basic",
+	Desc:   "2 hosts (Sun+Firefly), 2 pages: semaphore-locked counter + once-written slots",
+	Kinds:  []arch.Kind{arch.Sun, arch.Firefly},
+	Define: lockAndDone,
+	Main: func(p *sim.Proc, c *cluster.Cluster) error {
+		h0 := c.Hosts[0]
+		counter, err := h0.DSM.Alloc(p, conv.Int32, pageInts) // page 0
+		if err != nil {
+			return err
+		}
+		slots, err := h0.DSM.Alloc(p, conv.Int32, pageInts) // page 1
+		if err != nil {
+			return err
+		}
+		for w := 0; w < 2; w++ {
+			w := w
+			host := c.Hosts[w]
+			c.K.Spawn(fmt.Sprintf("worker%d", w), func(p *sim.Proc) {
 				for i := 0; i < 2; i++ {
-					h0.Sync.P(p, semDone)
+					host.Sync.P(p, semLock)
+					v := host.DSM.ReadInt32(p, counter)
+					host.DSM.WriteInt32(p, counter, v+1)
+					host.Sync.V(p, semLock)
 				}
-				if got := h0.DSM.ReadInt32(p, counter); got != 4 {
-					return fmt.Errorf("counter = %d, want 4", got)
-				}
-				for w := 0; w < 2; w++ {
-					if got := h0.DSM.ReadInt32(p, slots+dsm.Addr(4*w)); got != int32(100+w) {
-						return fmt.Errorf("slot %d = %d, want %d", w, got, 100+w)
-					}
-				}
-				return nil
+				host.DSM.WriteInt32(p, slots+dsm.Addr(4*w), int32(100+w))
+				host.Sync.V(p, semDone)
+			})
+		}
+		for i := 0; i < 2; i++ {
+			h0.Sync.P(p, semDone)
+		}
+		if got := h0.DSM.ReadInt32(p, counter); got != 4 {
+			return fmt.Errorf("counter = %d, want 4", got)
+		}
+		for w := 0; w < 2; w++ {
+			if got := h0.DSM.ReadInt32(p, slots+dsm.Addr(4*w)); got != int32(100+w) {
+				return fmt.Errorf("slot %d = %d, want %d", w, got, 100+w)
 			}
-			return &Instance{C: c, Rec: rec, Main: main}, nil
-		},
-	}
+		}
+		return nil
+	},
+}
+
+// lockAndDone declares the lock (managed by host 0, initially free) and
+// completion (managed by host 1) semaphores of the two-worker
+// workloads.
+func lockAndDone(c *cluster.Cluster) {
+	c.DefineSemaphore(semLock, 0, 1)
+	c.DefineSemaphore(semDone, 1, 0)
 }
 
 // matmulWorkload is a 2×2 integer matrix multiplication with one row
@@ -473,60 +439,55 @@ func basicWorkload() *Workload {
 // workers start, C's rows are disjoint, so the run is
 // schedule-invariant while still moving three pages between three
 // hosts of two architectures.
-func matmulWorkload() *Workload {
-	return &Workload{
-		Name: "matmul",
-		Desc: "3 hosts, 2×2 int matmul, one row per worker (3 pages)",
-		Build: func(mut dsm.Mutation) (*Instance, error) {
-			c, rec, err := buildCluster([]arch.Kind{arch.Sun, arch.Firefly, arch.Sun}, mut, nil)
-			if err != nil {
-				return nil, err
+var matmulWorkload = &Workload{
+	Name:  "matmul",
+	Desc:  "3 hosts, 2×2 int matmul, one row per worker (3 pages)",
+	Kinds: []arch.Kind{arch.Sun, arch.Firefly, arch.Sun},
+	Define: func(c *cluster.Cluster) {
+		c.DefineSemaphore(semStart+0, 0, 0)
+		c.DefineSemaphore(semStart+1, 1, 0)
+		c.DefineSemaphore(semDone, 2, 0)
+	},
+	Main: func(p *sim.Proc, c *cluster.Cluster) error {
+		h0 := c.Hosts[0]
+		var mats [3]dsm.Addr
+		var err error
+		for i := range mats {
+			if mats[i], err = h0.DSM.Alloc(p, conv.Int32, pageInts); err != nil {
+				return err
 			}
-			c.DefineSemaphore(semStart+0, 0, 0)
-			c.DefineSemaphore(semStart+1, 1, 0)
-			c.DefineSemaphore(semDone, 2, 0)
-			main := func(p *sim.Proc, c *cluster.Cluster) error {
-				h0 := c.Hosts[0]
-				var mats [3]dsm.Addr
-				for i := range mats {
-					if mats[i], err = h0.DSM.Alloc(p, conv.Int32, pageInts); err != nil {
-						return err
-					}
+		}
+		a, b, cm := mats[0], mats[1], mats[2]
+		h0.DSM.WriteInt32s(p, a, []int32{1, 2, 3, 4})
+		h0.DSM.WriteInt32s(p, b, []int32{5, 6, 7, 8})
+		for w := 0; w < 2; w++ {
+			w := w
+			host := c.Hosts[w+1]
+			c.K.Spawn(fmt.Sprintf("row%d", w), func(p *sim.Proc) {
+				host.Sync.P(p, uint32(semStart+w))
+				var av, bv [4]int32
+				host.DSM.ReadInt32s(p, a, av[:])
+				host.DSM.ReadInt32s(p, b, bv[:])
+				var row [2]int32
+				for j := 0; j < 2; j++ {
+					row[j] = av[2*w]*bv[j] + av[2*w+1]*bv[2+j]
 				}
-				a, b, cm := mats[0], mats[1], mats[2]
-				h0.DSM.WriteInt32s(p, a, []int32{1, 2, 3, 4})
-				h0.DSM.WriteInt32s(p, b, []int32{5, 6, 7, 8})
-				for w := 0; w < 2; w++ {
-					w := w
-					host := c.Hosts[w+1]
-					c.K.Spawn(fmt.Sprintf("row%d", w), func(p *sim.Proc) {
-						host.Sync.P(p, uint32(semStart+w))
-						var av, bv [4]int32
-						host.DSM.ReadInt32s(p, a, av[:])
-						host.DSM.ReadInt32s(p, b, bv[:])
-						var row [2]int32
-						for j := 0; j < 2; j++ {
-							row[j] = av[2*w]*bv[j] + av[2*w+1]*bv[2+j]
-						}
-						host.DSM.WriteInt32s(p, cm+dsm.Addr(8*w), row[:])
-						host.Sync.V(p, semDone)
-					})
-				}
-				h0.Sync.V(p, semStart+0)
-				h0.Sync.V(p, semStart+1)
-				h0.Sync.P(p, semDone)
-				h0.Sync.P(p, semDone)
-				var got [4]int32
-				h0.DSM.ReadInt32s(p, cm, got[:])
-				want := [4]int32{19, 22, 43, 50}
-				if got != want {
-					return fmt.Errorf("C = %v, want %v", got, want)
-				}
-				return nil
-			}
-			return &Instance{C: c, Rec: rec, Main: main}, nil
-		},
-	}
+				host.DSM.WriteInt32s(p, cm+dsm.Addr(8*w), row[:])
+				host.Sync.V(p, semDone)
+			})
+		}
+		h0.Sync.V(p, semStart+0)
+		h0.Sync.V(p, semStart+1)
+		h0.Sync.P(p, semDone)
+		h0.Sync.P(p, semDone)
+		var got [4]int32
+		h0.DSM.ReadInt32s(p, cm, got[:])
+		want := [4]int32{19, 22, 43, 50}
+		if got != want {
+			return fmt.Errorf("C = %v, want %v", got, want)
+		}
+		return nil
+	},
 }
 
 // ringWorkload drives the three-party stale-reader scenario: host 1
@@ -535,64 +496,49 @@ func matmulWorkload() *Workload {
 // replica alive through host 2's write — invisible with only two hosts,
 // where the reader is always the requester or the owner of the
 // transfer.
-func ringWorkload() *Workload {
-	return &Workload{
-		Name: "ring",
-		Desc: "3 hosts, read-replicate then third-party write (copyset accuracy)",
-		Build: func(mut dsm.Mutation) (*Instance, error) {
-			c, rec, err := buildCluster([]arch.Kind{arch.Sun, arch.Sun, arch.Sun}, mut, nil)
-			if err != nil {
-				return nil, err
-			}
-			main := func(p *sim.Proc, c *cluster.Cluster) error {
-				x, err := c.Hosts[0].DSM.Alloc(p, conv.Int32, pageInts)
-				if err != nil {
-					return err
-				}
-				c.Hosts[0].DSM.WriteInt32(p, x, 1)
-				if got := c.Hosts[1].DSM.ReadInt32(p, x); got != 1 {
-					return fmt.Errorf("first read = %d, want 1", got)
-				}
-				c.Hosts[2].DSM.WriteInt32(p, x, 2)
-				if got := c.Hosts[1].DSM.ReadInt32(p, x); got != 2 {
-					return fmt.Errorf("read after third-party write = %d, want 2", got)
-				}
-				return nil
-			}
-			return &Instance{C: c, Rec: rec, Main: main}, nil
-		},
-	}
+var ringWorkload = &Workload{
+	Name:  "ring",
+	Desc:  "3 hosts, read-replicate then third-party write (copyset accuracy)",
+	Kinds: []arch.Kind{arch.Sun, arch.Sun, arch.Sun},
+	Main: func(p *sim.Proc, c *cluster.Cluster) error {
+		x, err := c.Hosts[0].DSM.Alloc(p, conv.Int32, pageInts)
+		if err != nil {
+			return err
+		}
+		c.Hosts[0].DSM.WriteInt32(p, x, 1)
+		if got := c.Hosts[1].DSM.ReadInt32(p, x); got != 1 {
+			return fmt.Errorf("first read = %d, want 1", got)
+		}
+		c.Hosts[2].DSM.WriteInt32(p, x, 2)
+		if got := c.Hosts[1].DSM.ReadInt32(p, x); got != 2 {
+			return fmt.Errorf("read after third-party write = %d, want 2", got)
+		}
+		return nil
+	},
 }
 
 // updateWorkload runs the write-update policy: host 1 holds a replica,
 // host 0 writes through the manager's sequencer, host 1 must see the
 // new value in its never-invalidated replica.
-func updateWorkload() *Workload {
-	return &Workload{
-		Name: "update",
-		Desc: "2 hosts, write-update policy: sequenced write reaches the replica",
-		Build: func(mut dsm.Mutation) (*Instance, error) {
-			c, rec, err := buildCluster([]arch.Kind{arch.Sun, arch.Firefly}, mut, func(cfg *cluster.Config) { cfg.Policy = dsm.PolicyUpdate })
-			if err != nil {
-				return nil, err
-			}
-			main := func(p *sim.Proc, c *cluster.Cluster) error {
-				x, err := c.Hosts[0].DSM.Alloc(p, conv.Int32, pageInts)
-				if err != nil {
-					return err
-				}
-				if got := c.Hosts[1].DSM.ReadInt32(p, x); got != 0 {
-					return fmt.Errorf("initial read = %d, want 0", got)
-				}
-				c.Hosts[0].DSM.WriteInt32(p, x, 7)
-				if got := c.Hosts[1].DSM.ReadInt32(p, x); got != 7 {
-					return fmt.Errorf("replica read = %d, want 7", got)
-				}
-				return nil
-			}
-			return &Instance{C: c, Rec: rec, Main: main}, nil
-		},
-	}
+var updateWorkload = &Workload{
+	Name:  "update",
+	Desc:  "2 hosts, write-update policy: sequenced write reaches the replica",
+	Kinds: []arch.Kind{arch.Sun, arch.Firefly},
+	Tune:  func(cfg *cluster.Config) { cfg.Policy = dsm.PolicyUpdate },
+	Main: func(p *sim.Proc, c *cluster.Cluster) error {
+		x, err := c.Hosts[0].DSM.Alloc(p, conv.Int32, pageInts)
+		if err != nil {
+			return err
+		}
+		if got := c.Hosts[1].DSM.ReadInt32(p, x); got != 0 {
+			return fmt.Errorf("initial read = %d, want 0", got)
+		}
+		c.Hosts[0].DSM.WriteInt32(p, x, 7)
+		if got := c.Hosts[1].DSM.ReadInt32(p, x); got != 7 {
+			return fmt.Errorf("replica read = %d, want 7", got)
+		}
+		return nil
+	},
 }
 
 // semWorkload checks distributed semaphore mutual exclusion and
@@ -600,47 +546,38 @@ func updateWorkload() *Workload {
 // entering a critical section twice. The critical-section occupancy
 // check uses plain Go variables, outside DSM, so it cannot be confused
 // by a DSM bug; a lost wakeup surfaces as a deadlock.
-func semWorkload() *Workload {
-	return &Workload{
-		Name: "sem",
-		Desc: "2 hosts, dsync semaphore mutual exclusion under adversarial wakeups",
-		Build: func(mut dsm.Mutation) (*Instance, error) {
-			c, rec, err := buildCluster([]arch.Kind{arch.Sun, arch.Firefly}, mut, nil)
-			if err != nil {
-				return nil, err
-			}
-			c.DefineSemaphore(semLock, 0, 1)
-			c.DefineSemaphore(semDone, 1, 0)
-			main := func(p *sim.Proc, c *cluster.Cluster) error {
-				inCS := 0
-				overlaps := 0
-				for w := 0; w < 2; w++ {
-					host := c.Hosts[w]
-					c.K.Spawn(fmt.Sprintf("cs%d", w), func(p *sim.Proc) {
-						for i := 0; i < 2; i++ {
-							host.Sync.P(p, semLock)
-							inCS++
-							if inCS > 1 {
-								overlaps++
-							}
-							p.Sleep(100 * sim.Duration(1000)) // dwell in the critical section
-							inCS--
-							host.Sync.V(p, semLock)
-						}
-						host.Sync.V(p, semDone)
-					})
-				}
+var semWorkload = &Workload{
+	Name:   "sem",
+	Desc:   "2 hosts, dsync semaphore mutual exclusion under adversarial wakeups",
+	Kinds:  []arch.Kind{arch.Sun, arch.Firefly},
+	Define: lockAndDone,
+	Main: func(p *sim.Proc, c *cluster.Cluster) error {
+		inCS := 0
+		overlaps := 0
+		for w := 0; w < 2; w++ {
+			host := c.Hosts[w]
+			c.K.Spawn(fmt.Sprintf("cs%d", w), func(p *sim.Proc) {
 				for i := 0; i < 2; i++ {
-					c.Hosts[0].Sync.P(p, semDone)
+					host.Sync.P(p, semLock)
+					inCS++
+					if inCS > 1 {
+						overlaps++
+					}
+					p.Sleep(100 * sim.Duration(1000)) // dwell in the critical section
+					inCS--
+					host.Sync.V(p, semLock)
 				}
-				if overlaps > 0 {
-					return fmt.Errorf("%d critical-section overlaps — P/V mutual exclusion broken", overlaps)
-				}
-				return nil
-			}
-			return &Instance{C: c, Rec: rec, Main: main}, nil
-		},
-	}
+				host.Sync.V(p, semDone)
+			})
+		}
+		for i := 0; i < 2; i++ {
+			c.Hosts[0].Sync.P(p, semDone)
+		}
+		if overlaps > 0 {
+			return fmt.Errorf("%d critical-section overlaps — P/V mutual exclusion broken", overlaps)
+		}
+		return nil
+	},
 }
 
 // barrierWorkload checks the distributed barrier for lost wakeups
@@ -649,43 +586,37 @@ func semWorkload() *Workload {
 // round r, its peer must have entered round r (it may already be in
 // r+1, blocked on the next barrier, but can never lag). A dropped
 // release parks a worker forever and surfaces as a deadlock.
-func barrierWorkload() *Workload {
-	return &Workload{
-		Name: "barrier",
-		Desc: "2 hosts, dsync barrier, 2 rounds: no lost wakeups, no round skew",
-		Build: func(mut dsm.Mutation) (*Instance, error) {
-			c, rec, err := buildCluster([]arch.Kind{arch.Sun, arch.Firefly}, mut, nil)
-			if err != nil {
-				return nil, err
-			}
-			c.DefineBarrier(barMain, 0, 2)
-			c.DefineSemaphore(semDone, 1, 0)
-			main := func(p *sim.Proc, c *cluster.Cluster) error {
-				var round [2]int
-				skew := 0
-				for w := 0; w < 2; w++ {
-					w := w
-					host := c.Hosts[w]
-					c.K.Spawn(fmt.Sprintf("round%d", w), func(p *sim.Proc) {
-						for r := 1; r <= 2; r++ {
-							round[w] = r
-							host.Sync.BarrierArrive(p, barMain)
-							if round[1-w] < r {
-								skew++
-							}
-						}
-						host.Sync.V(p, semDone)
-					})
+var barrierWorkload = &Workload{
+	Name:  "barrier",
+	Desc:  "2 hosts, dsync barrier, 2 rounds: no lost wakeups, no round skew",
+	Kinds: []arch.Kind{arch.Sun, arch.Firefly},
+	Define: func(c *cluster.Cluster) {
+		c.DefineBarrier(barMain, 0, 2)
+		c.DefineSemaphore(semDone, 1, 0)
+	},
+	Main: func(p *sim.Proc, c *cluster.Cluster) error {
+		var round [2]int
+		skew := 0
+		for w := 0; w < 2; w++ {
+			w := w
+			host := c.Hosts[w]
+			c.K.Spawn(fmt.Sprintf("round%d", w), func(p *sim.Proc) {
+				for r := 1; r <= 2; r++ {
+					round[w] = r
+					host.Sync.BarrierArrive(p, barMain)
+					if round[1-w] < r {
+						skew++
+					}
 				}
-				for i := 0; i < 2; i++ {
-					c.Hosts[0].Sync.P(p, semDone)
-				}
-				if skew > 0 {
-					return fmt.Errorf("barrier released a worker %d time(s) before its peer arrived", skew)
-				}
-				return nil
-			}
-			return &Instance{C: c, Rec: rec, Main: main}, nil
-		},
-	}
+				host.Sync.V(p, semDone)
+			})
+		}
+		for i := 0; i < 2; i++ {
+			c.Hosts[0].Sync.P(p, semDone)
+		}
+		if skew > 0 {
+			return fmt.Errorf("barrier released a worker %d time(s) before its peer arrived", skew)
+		}
+		return nil
+	},
 }

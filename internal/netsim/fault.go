@@ -15,9 +15,15 @@ package netsim
 // so duplication and corruption go through caller-registered hooks that
 // know how to deep-copy and damage a payload without aliasing pooled
 // buffers.
+//
+// Every random frame fault is decided at one point, sendFaults, once
+// per transmitted frame: that is where a recorded "exactly these frames
+// lost" replay hooks in. Cuts, partitions and down NICs draw nothing.
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -83,8 +89,9 @@ type LinkCut struct {
 // FaultPlan scripts every fault for one run. The zero value (and a nil
 // plan) injects nothing.
 type FaultPlan struct {
-	// Loss windows drop frames at send time with the window's rate,
-	// on top of the network's uniform DropRate.
+	// Loss windows drop frames at send time with the window's rate —
+	// the network's only random loss (a whole-run window is uniform
+	// loss).
 	Loss []Burst
 	// Corrupt windows damage a frame's payload in flight (through the
 	// registered corrupt hook), so the receiver's checksum — not luck —
@@ -126,6 +133,48 @@ func (fp *FaultPlan) cutAt(t sim.Time, a, b HostID) bool {
 	return false
 }
 
+// Validate checks the plan against a network of hosts hosts on
+// segments segments: every crash host and partition member exists,
+// every link cut joins existing segments, every rate is a probability,
+// and no window closes before it opens. A nil plan is valid.
+func (fp *FaultPlan) Validate(hosts, segments int) error {
+	if fp == nil {
+		return nil
+	}
+	var windows []Window
+	var named []HostID
+	for _, b := range slices.Concat(fp.Loss, fp.Corrupt, fp.Duplicate) {
+		if !(b.Rate >= 0 && b.Rate <= 1) {
+			return fmt.Errorf("netsim: fault rate %v outside [0, 1]", b.Rate)
+		}
+		windows = append(windows, b.Window)
+	}
+	for _, pt := range fp.Partitions {
+		windows = append(windows, pt.Window)
+		named = append(named, pt.Group...)
+	}
+	for _, c := range fp.LinkCuts {
+		if c.A < 0 || c.A >= segments || c.B < 0 || c.B >= segments {
+			return fmt.Errorf("netsim: link cut joins segments %d-%d, have %d segments", c.A, c.B, segments)
+		}
+		windows = append(windows, c.Window)
+	}
+	for _, ce := range fp.Crashes {
+		named = append(named, ce.Host)
+	}
+	for _, h := range named {
+		if h < 0 || int(h) >= hosts {
+			return fmt.Errorf("netsim: fault plan names host %d, have %d hosts", h, hosts)
+		}
+	}
+	for _, w := range windows {
+		if w.Until != 0 && w.Until < w.From {
+			return fmt.Errorf("netsim: fault window [%v, %v) closes before it opens", w.From, w.Until)
+		}
+	}
+	return nil
+}
+
 // Empty reports whether the plan injects nothing.
 func (fp *FaultPlan) Empty() bool {
 	return fp == nil ||
@@ -158,12 +207,7 @@ func (n *Network) SetHostDown(h HostID, down bool) {
 }
 
 // HostDown reports whether the host's NIC is currently down.
-func (n *Network) HostDown(h HostID) bool { return n.hostDown(h) }
-
-// hostDown is the internal bounds-checked form of HostDown.
-func (n *Network) hostDown(h HostID) bool {
-	return int(h) < len(n.down) && n.down[h]
-}
+func (n *Network) HostDown(h HostID) bool { return int(h) < len(n.down) && n.down[h] }
 
 // linkCutNow reports whether the fault plan currently severs link l.
 func (n *Network) linkCutNow(l *netlink) bool {
@@ -183,15 +227,15 @@ func (n *Network) linkCutNow(l *netlink) bool {
 	return false
 }
 
-// sendFaults applies send-time plan faults to a frame that already paid
-// its wire time. It reports whether the frame was lost; it may mutate
-// f's payload (corruption) or schedule an extra delivery (duplication).
-// Only called with a non-nil plan, so no-fault runs draw no randomness.
+// sendFaults is the one point where a frame that already paid its wire
+// time is lost, corrupted or duplicated at random. It reports whether
+// the frame was lost; it may mutate f's payload (corruption) or
+// schedule an extra delivery (duplication). Only called with a non-nil
+// plan, so no-fault runs draw no randomness.
 func (n *Network) sendFaults(f *Frame) (lost bool) {
 	now := n.k.Now()
 	if r := rateAt(n.plan.Loss, now); r > 0 && n.k.Rand().Float64() < r {
 		n.stats.FramesDropped++
-		n.stats.FramesBurstLost++
 		return true
 	}
 	if r := rateAt(n.plan.Corrupt, now); r > 0 && n.corruptFn != nil && n.k.Rand().Float64() < r {

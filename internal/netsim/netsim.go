@@ -9,8 +9,9 @@
 //
 // The model enforces the MTU — larger messages must be fragmented above
 // this layer, exactly as Mermaid had to fragment at user level because
-// the Firefly's UDP lacked fragmentation (§2.2). Seeded frame loss can
-// be injected to exercise the remote-operation layer's retransmission.
+// the Firefly's UDP lacked fragmentation (§2.2). Seeded frame loss,
+// scripted by a FaultPlan (fault.go), exercises the remote-operation
+// layer's retransmission.
 package netsim
 
 import (
@@ -47,16 +48,12 @@ type Frame struct {
 type Stats struct {
 	// FramesSent counts transmission attempts.
 	FramesSent int
-	// FramesDropped counts frames lost to injected loss (uniform and
-	// burst combined).
+	// FramesDropped counts frames lost to fault-plan loss windows.
 	FramesDropped int
 	// BytesSent counts payload bytes transmitted.
 	BytesSent int
 	// BusyTime is the total time the sender-side medium was occupied.
 	BusyTime sim.Duration
-	// FramesBurstLost counts frames lost to fault-plan loss windows
-	// (also included in FramesDropped).
-	FramesBurstLost int
 	// FramesCut counts frames lost to an open partition or link cut.
 	FramesCut int
 	// FramesCorrupted counts frames whose payload was damaged in flight.
@@ -79,10 +76,7 @@ type Network struct {
 	topo   *Topology
 	cable  *sim.Resource // pre-freeze handle for the degenerate bus
 	ifaces []*Interface  // dense by HostID
-	// DropRate is the probability a frame is lost after transmission.
-	// It must only be changed before traffic starts.
-	DropRate float64
-	stats    Stats
+	stats  Stats
 
 	// Frozen topology tables (built by freeze on first transmission).
 	frozen     bool
@@ -92,7 +86,6 @@ type Network struct {
 	nextLink   [][]int16 // [src][dst] → first link on the path
 	btree      [][]treeEdge
 	segArrival []sim.Time // broadcast scratch, one slot per segment
-	segPayload []any      // broadcast scratch: payload per segment (corruption forks)
 
 	// labels caches delivery-event names for the model checker's
 	// schedule diagnostics; without a chooser installed no label is
@@ -247,7 +240,7 @@ func (ifc *Interface) prepare(f Frame) (*segment, sim.Duration, error) {
 	if f.From != ifc.id {
 		return nil, 0, fmt.Errorf("netsim: frame From %d sent via interface %d", f.From, ifc.id)
 	}
-	if n.hostDown(f.From) {
+	if n.HostDown(f.From) {
 		return nil, 0, nil
 	}
 	if !n.frozen {
@@ -258,17 +251,13 @@ func (ifc *Interface) prepare(f Frame) (*segment, sim.Duration, error) {
 }
 
 // afterWire is what both senders do once a frame has held its medium
-// for its wire time: free the medium, count the frame, and lose it or
-// schedule its delivery.
+// for its wire time: free the medium, count the frame, let the fault
+// plan have it, and schedule its delivery.
 func (n *Network) afterWire(seg *segment, f Frame, tx sim.Duration) {
 	seg.medium.Release()
 	n.stats.FramesSent++
 	n.stats.BytesSent += f.Size
 	n.stats.BusyTime += tx
-	if n.DropRate > 0 && n.k.Rand().Float64() < n.DropRate {
-		n.stats.FramesDropped++
-		return
-	}
 	if n.plan != nil && n.sendFaults(&f) {
 		return
 	}
@@ -357,7 +346,7 @@ func (n *Network) scheduleDelivery(f Frame) {
 		n.scheduleOne(f.To, f, n.segs[dst].lat)
 		return
 	}
-	extra, ok := n.routeDelay(src, dst, &f)
+	extra, ok := n.routeDelay(src, dst, f.Size)
 	if !ok {
 		return
 	}
@@ -397,7 +386,7 @@ func (n *Network) scheduleOne(to HostID, f Frame, delay sim.Duration) {
 // deliver puts a frame on the destination's receive queue unless the
 // host's NIC went down while the frame was in flight.
 func (n *Network) deliver(ifc *Interface, f Frame) {
-	if n.hostDown(ifc.id) {
+	if n.HostDown(ifc.id) {
 		n.stats.FramesToDead++
 		return
 	}

@@ -142,7 +142,7 @@ func TestBroadcastReachesAllButSender(t *testing.T) {
 func TestDropInjection(t *testing.T) {
 	k := sim.NewKernel(7)
 	n, ifcs := newNet(t, k, 2)
-	n.DropRate = 1.0 // lose everything
+	n.SetFaultPlan(&FaultPlan{Loss: []Burst{{Rate: 1}}}) // lose everything, all run long
 	k.Spawn("tx", func(p *sim.Proc) {
 		for i := 0; i < 5; i++ {
 			if err := ifcs[0].Send(p, Frame{From: 0, To: 1, Size: 100}); err != nil {

@@ -26,11 +26,11 @@ func (c *everyEvent) Choose(now sim.Time, n int, label func(int) string) int {
 }
 
 // contendedSends has host 1 send four frames while host 0 keeps the
-// medium busy, with a drop rate drawing from the kernel's source: from a
-// process "tx" through Send, or through SendThen under tx's labels.
+// medium busy, with a loss window drawing from the kernel's source: from
+// a process "tx" through Send, or through SendThen under tx's labels.
 func contendedSends(t *testing.T, k *sim.Kernel, events bool) (*Network, *[]string) {
 	n, ifcs := newNet(t, k, 3)
-	n.DropRate = 0.25
+	n.SetFaultPlan(&FaultPlan{Loss: []Burst{{Rate: 0.25}}})
 	var got []string
 	ifcs[2].OnFrames("rx", func() {
 		for f, ok := ifcs[2].TryRecv(); ok; f, ok = ifcs[2].TryRecv() {

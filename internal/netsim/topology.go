@@ -27,7 +27,8 @@ import (
 // common case — topology shapes traffic, the calibrated cost model
 // prices it — needs no numbers here.
 type SegmentSpec struct {
-	// Name labels the segment in diagnostics.
+	// Name labels the segment for the topology's reader; the
+	// simulation does not use it.
 	Name string
 	// BandwidthBps is the segment's raw bit rate; 0 inherits the model.
 	BandwidthBps int64
@@ -45,16 +46,6 @@ type LinkSpec struct {
 	// Latency is the link's one-way propagation delay; 0 inherits the
 	// model's packet latency.
 	Latency sim.Duration
-	// DropRate is the per-traversal loss probability on this link.
-	DropRate float64
-	// CorruptRate is the per-traversal probability that a frame's
-	// payload is damaged in flight on this link (delivered, but with
-	// wire bytes flipped — the receiver's checksum is what catches it).
-	// Takes effect only when payload hooks are registered (see
-	// SetPayloadHooks). Both rates draw from the kernel's seeded RNG
-	// and only when non-zero, so an all-zero topology stays
-	// bit-identical to the default bus.
-	CorruptRate float64
 }
 
 // Topology is a switched multi-segment network shape. The zero value
@@ -79,8 +70,8 @@ func (t *Topology) segmentOf(h HostID) int {
 	return t.HostSegment[h]
 }
 
-// segmentCount returns the number of segments (at least 1).
-func (t *Topology) segmentCount() int {
+// SegmentCount returns the number of segments (at least 1).
+func (t *Topology) SegmentCount() int {
 	if t == nil || len(t.Segments) == 0 {
 		return 1
 	}
@@ -92,7 +83,7 @@ func (t *Topology) validate() error {
 	if t == nil {
 		return nil
 	}
-	n := t.segmentCount()
+	n := t.SegmentCount()
 	for i, l := range t.Links {
 		if l.A < 0 || l.A >= n || l.B < 0 || l.B >= n {
 			return fmt.Errorf("netsim: link %d joins segments %d-%d, have %d segments", i, l.A, l.B, n)
@@ -137,7 +128,6 @@ func SwitchedStar(segments, hostsPerSegment int) *Topology {
 // own contention resource, and the attached hosts in ID order (the
 // deterministic broadcast expansion order).
 type segment struct {
-	name    string
 	medium  *sim.Resource
 	members []HostID
 	bps     int64
@@ -150,12 +140,10 @@ type segment struct {
 // scheduling per-hop events — keeps cross-segment forwarding
 // allocation-free and deterministic.
 type netlink struct {
-	a, b    int
-	bps     int64
-	lat     sim.Duration
-	drop    float64
-	corrupt float64
-	busy    [2]sim.Time // [0]: a→b, [1]: b→a
+	a, b int
+	bps  int64
+	lat  sim.Duration
+	busy [2]sim.Time // [0]: a→b, [1]: b→a
 }
 
 // treeEdge is one edge of a precomputed broadcast spanning tree, in BFS
@@ -176,20 +164,16 @@ func (n *Network) freeze() {
 	if err := n.topo.validate(); err != nil {
 		panic(err)
 	}
-	nseg := n.topo.segmentCount()
+	nseg := n.topo.SegmentCount()
 	n.segs = make([]*segment, nseg)
 	for i := range n.segs {
 		s := &segment{
-			name:   fmt.Sprintf("seg%d", i),
 			medium: sim.NewResource(n.k, 1),
 			bps:    n.params.BandwidthBps,
 			lat:    n.params.PacketLatency,
 		}
 		if n.topo != nil && i < len(n.topo.Segments) {
 			spec := n.topo.Segments[i]
-			if spec.Name != "" {
-				s.name = spec.Name
-			}
 			if spec.BandwidthBps != 0 {
 				s.bps = spec.BandwidthBps
 			}
@@ -208,7 +192,7 @@ func (n *Network) freeze() {
 	if n.topo != nil {
 		n.links = make([]*netlink, len(n.topo.Links))
 		for i, spec := range n.topo.Links {
-			l := &netlink{a: spec.A, b: spec.B, bps: n.params.BandwidthBps, lat: n.params.PacketLatency, drop: spec.DropRate, corrupt: spec.CorruptRate}
+			l := &netlink{a: spec.A, b: spec.B, bps: n.params.BandwidthBps, lat: n.params.PacketLatency}
 			if spec.BandwidthBps != 0 {
 				l.bps = spec.BandwidthBps
 			}
@@ -241,7 +225,6 @@ func (n *Network) freeze() {
 	n.nextLink = make([][]int16, nseg)
 	n.btree = make([][]treeEdge, nseg)
 	n.segArrival = make([]sim.Time, nseg)
-	n.segPayload = make([]any, nseg)
 	for src := 0; src < nseg; src++ {
 		next := make([]int16, nseg)
 		for i := range next {
@@ -302,10 +285,9 @@ func (n *Network) wireTime(payloadBytes int, bps int64) sim.Duration {
 
 // routeDelay walks the link path from segment src to dst at send time,
 // reserving each link cut-through style, and returns the extra delay
-// (beyond the destination segment's own latency) the frame incurs. ok
-// is false if the frame was lost to a link cut or per-link drop along
-// the way; a link's corruption profile may damage the payload in place.
-func (n *Network) routeDelay(src, dst int, f *Frame) (delay sim.Duration, ok bool) {
+// (beyond the destination segment's own latency) a frame of size bytes
+// incurs. ok is false if the frame died at a link cut along the way.
+func (n *Network) routeDelay(src, dst, size int) (delay sim.Duration, ok bool) {
 	now := n.k.Now()
 	arrival := now
 	s := src
@@ -315,14 +297,6 @@ func (n *Network) routeDelay(src, dst int, f *Frame) (delay sim.Duration, ok boo
 		if n.linkCutNow(l) {
 			n.stats.FramesCut++
 			return 0, false
-		}
-		if l.drop > 0 && n.k.Rand().Float64() < l.drop {
-			n.stats.FramesDropped++
-			return 0, false
-		}
-		if l.corrupt > 0 && n.corruptFn != nil && n.k.Rand().Float64() < l.corrupt {
-			f.Payload = n.corruptFn(f.Payload, n.k.Rand())
-			n.stats.FramesCorrupted++
 		}
 		dir := 0
 		next := l.b
@@ -334,7 +308,7 @@ func (n *Network) routeDelay(src, dst int, f *Frame) (delay sim.Duration, ok boo
 		if arrival > start {
 			start = arrival
 		}
-		end := start.Add(n.wireTime(f.Size, l.bps))
+		end := start.Add(n.wireTime(size, l.bps))
 		l.busy[dir] = end
 		arrival = end.Add(l.lat)
 		n.stats.CrossSegmentFrames++
@@ -346,37 +320,23 @@ func (n *Network) routeDelay(src, dst int, f *Frame) (delay sim.Duration, ok boo
 // broadcastTree expands a broadcast frame along the source segment's
 // spanning tree: each reachable tree edge carries the frame once, then
 // every segment delivers to its members at its arrival time plus the
-// segment latency. A cut or dropped edge silences the whole subtree
-// below it, exactly like a real switch losing its uplink; a corrupting
-// edge damages the copy the whole subtree below it receives, while
-// segments above the edge still see the pristine payload.
+// segment latency. A cut edge silences the whole subtree below it,
+// exactly like a real switch losing its uplink.
 func (n *Network) broadcastTree(src int, f Frame) {
 	now := n.k.Now()
 	arr := n.segArrival
-	pay := n.segPayload
 	for i := range arr {
 		arr[i] = -1
-		pay[i] = nil
 	}
 	arr[src] = now
-	pay[src] = f.Payload
 	for _, e := range n.btree[src] {
 		if arr[e.parent] < 0 {
-			continue // upstream edge already lost the frame
+			continue // an upstream edge is cut
 		}
 		l := n.links[e.link]
 		if n.linkCutNow(l) {
 			n.stats.FramesCut++
 			continue
-		}
-		if l.drop > 0 && n.k.Rand().Float64() < l.drop {
-			n.stats.FramesDropped++
-			continue
-		}
-		pay[e.child] = pay[e.parent]
-		if l.corrupt > 0 && n.corruptFn != nil && n.k.Rand().Float64() < l.corrupt {
-			pay[e.child] = n.corruptFn(pay[e.parent], n.k.Rand())
-			n.stats.FramesCorrupted++
 		}
 		dir := 0
 		if int(e.parent) == l.b {
@@ -392,11 +352,8 @@ func (n *Network) broadcastTree(src int, f Frame) {
 		n.stats.CrossSegmentFrames++
 	}
 	for si, seg := range n.segs {
-		if arr[si] < 0 {
-			continue
+		if arr[si] >= 0 {
+			n.deliverSegment(seg, f, arr[si].Sub(now)+seg.lat)
 		}
-		f.Payload = pay[si]
-		n.deliverSegment(seg, f, arr[si].Sub(now)+seg.lat)
-		pay[si] = nil
 	}
 }

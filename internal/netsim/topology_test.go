@@ -2,7 +2,6 @@ package netsim
 
 import (
 	"fmt"
-	"math/rand"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -331,195 +330,4 @@ func BenchmarkSteadyStateBroadcast(b *testing.B) {
 	k.Run()
 	k.Shutdown()
 	b.ReportMetric(float64((hosts-1)*b.N)/b.Elapsed().Seconds(), "frames/s")
-}
-
-// stringHooks installs payload hooks for plain string payloads: clone
-// is the identity (strings are immutable) and corrupt stamps the copy
-// so a test can tell a damaged delivery from a pristine one.
-func stringHooks(n *Network) {
-	n.SetPayloadHooks(
-		func(payload any) any { return payload },
-		func(payload any, _ *rand.Rand) any { return "corrupt:" + payload.(string) },
-	)
-}
-
-// TestPerLinkDropProfile pins the per-link loss profile: a DropRate=1
-// link eats every frame that traverses it (counted as dropped, not
-// cut), while same-segment traffic never touches the link and arrives
-// untouched.
-func TestPerLinkDropProfile(t *testing.T) {
-	topo := &Topology{
-		Segments:    []SegmentSpec{{}, {}},
-		Links:       []LinkSpec{{A: 0, B: 1, DropRate: 1}},
-		HostSegment: []int{0, 0, 1},
-	}
-	k := sim.NewKernel(1)
-	n, ifcs := newTopoNet(t, k, topo, 3)
-	gotLocal := false
-	k.Spawn("rx-local", func(p *sim.Proc) {
-		ifcs[1].Recv(p)
-		gotLocal = true
-	})
-	k.Spawn("rx-remote", func(p *sim.Proc) {
-		if _, ok := ifcs[2].RecvTimeout(p, sim.Duration(time.Second)); ok {
-			t.Error("frame survived a DropRate=1 link")
-		}
-	})
-	k.Spawn("tx", func(p *sim.Proc) {
-		if err := ifcs[0].Send(p, Frame{From: 0, To: 2, Size: 100}); err != nil {
-			t.Error(err)
-		}
-		if err := ifcs[0].Send(p, Frame{From: 0, To: 1, Size: 100}); err != nil {
-			t.Error(err)
-		}
-	})
-	k.Run()
-	if !gotLocal {
-		t.Fatal("same-segment frame lost to a per-link drop profile")
-	}
-	st := n.Stats()
-	if st.FramesDropped != 1 {
-		t.Fatalf("FramesDropped = %d, want 1", st.FramesDropped)
-	}
-	if st.FramesCut != 0 {
-		t.Fatalf("FramesCut = %d, want 0 (profile loss is not a cut)", st.FramesCut)
-	}
-}
-
-// TestPerLinkCorruptProfile pins the per-link corruption profile: a
-// CorruptRate=1 link damages every traversing payload via the
-// registered corrupt hook (and counts it), while the same-segment copy
-// of the traffic stays pristine.
-func TestPerLinkCorruptProfile(t *testing.T) {
-	topo := &Topology{
-		Segments:    []SegmentSpec{{}, {}},
-		Links:       []LinkSpec{{A: 0, B: 1, CorruptRate: 1}},
-		HostSegment: []int{0, 0, 1},
-	}
-	k := sim.NewKernel(1)
-	n, ifcs := newTopoNet(t, k, topo, 3)
-	stringHooks(n)
-	var local, remote string
-	k.Spawn("rx-local", func(p *sim.Proc) {
-		local = ifcs[1].Recv(p).Payload.(string)
-	})
-	k.Spawn("rx-remote", func(p *sim.Proc) {
-		remote = ifcs[2].Recv(p).Payload.(string)
-	})
-	k.Spawn("tx", func(p *sim.Proc) {
-		if err := ifcs[0].Send(p, Frame{From: 0, To: 2, Size: 100, Payload: "pkt"}); err != nil {
-			t.Error(err)
-		}
-		if err := ifcs[0].Send(p, Frame{From: 0, To: 1, Size: 100, Payload: "pkt"}); err != nil {
-			t.Error(err)
-		}
-	})
-	k.Run()
-	if remote != "corrupt:pkt" {
-		t.Fatalf("cross-link payload = %q, want corrupted copy", remote)
-	}
-	if local != "pkt" {
-		t.Fatalf("same-segment payload = %q, want pristine", local)
-	}
-	if st := n.Stats(); st.FramesCorrupted != 1 {
-		t.Fatalf("FramesCorrupted = %d, want 1", st.FramesCorrupted)
-	}
-}
-
-// TestBroadcastSubtreeCorruption pins the tree semantics of a lossy
-// edge: on a three-segment chain whose far link corrupts everything, a
-// broadcast reaches the first two segments pristine and the subtree
-// below the bad edge sees only the damaged copy.
-func TestBroadcastSubtreeCorruption(t *testing.T) {
-	topo := &Topology{
-		Segments: []SegmentSpec{{}, {}, {}},
-		Links: []LinkSpec{
-			{A: 0, B: 1},
-			{A: 1, B: 2, CorruptRate: 1},
-		},
-		HostSegment: []int{0, 1, 2},
-	}
-	k := sim.NewKernel(1)
-	n, ifcs := newTopoNet(t, k, topo, 3)
-	stringHooks(n)
-	var got [3]string
-	got[0] = "pkt" // the sender keeps its own copy by construction
-	for h := 1; h < 3; h++ {
-		h := h
-		k.Spawn("rx", func(p *sim.Proc) {
-			got[h] = ifcs[h].Recv(p).Payload.(string)
-		})
-	}
-	k.Spawn("tx", func(p *sim.Proc) {
-		if err := ifcs[0].Send(p, Frame{From: 0, To: Broadcast, Size: 100, Payload: "pkt"}); err != nil {
-			t.Error(err)
-		}
-	})
-	k.Run()
-	if got[1] != "pkt" {
-		t.Fatalf("segment above the bad edge got %q, want pristine", got[1])
-	}
-	if got[2] != "corrupt:pkt" {
-		t.Fatalf("subtree below the bad edge got %q, want corrupted copy", got[2])
-	}
-	if st := n.Stats(); st.FramesCorrupted != 1 {
-		t.Fatalf("FramesCorrupted = %d, want 1", st.FramesCorrupted)
-	}
-}
-
-// lossyTimeline drives a burst of cross-link unicasts over a link with
-// fractional loss and corruption profiles and fingerprints what
-// arrived, in what state, at what time.
-func lossyTimeline(t *testing.T) (string, Stats) {
-	t.Helper()
-	topo := &Topology{
-		Segments:    []SegmentSpec{{}, {}},
-		Links:       []LinkSpec{{A: 0, B: 1, DropRate: 0.3, CorruptRate: 0.3}},
-		HostSegment: []int{0, 1},
-	}
-	k := sim.NewKernel(99)
-	n, ifcs := newTopoNet(t, k, topo, 2)
-	stringHooks(n)
-	var timeline string
-	k.Spawn("rx", func(p *sim.Proc) {
-		for {
-			f, ok := ifcs[1].RecvTimeout(p, sim.Duration(time.Second))
-			if !ok {
-				return
-			}
-			timeline += fmt.Sprintf("%s@%d;", f.Payload.(string), p.Now())
-		}
-	})
-	k.Spawn("tx", func(p *sim.Proc) {
-		for i := 0; i < 20; i++ {
-			if err := ifcs[0].Send(p, Frame{From: 0, To: 1, Size: 100, Payload: fmt.Sprintf("pkt%d", i)}); err != nil {
-				t.Error(err)
-			}
-			p.Sleep(5 * time.Millisecond)
-		}
-	})
-	k.Run()
-	return timeline, n.Stats()
-}
-
-// TestLinkProfileDeterministic runs the same fractional loss/corruption
-// profile twice: both runs must lose and damage the exact same frames
-// at the exact same times — the profiles draw only from the kernel's
-// seeded RNG.
-func TestLinkProfileDeterministic(t *testing.T) {
-	tl1, st1 := lossyTimeline(t)
-	tl2, st2 := lossyTimeline(t)
-	if tl1 != tl2 {
-		t.Fatalf("lossy timelines differ between runs:\n  %s\n  %s", tl1, tl2)
-	}
-	if st1.FramesDropped != st2.FramesDropped || st1.FramesCorrupted != st2.FramesCorrupted {
-		t.Fatalf("fault stats differ: %d/%d dropped, %d/%d corrupted",
-			st1.FramesDropped, st2.FramesDropped, st1.FramesCorrupted, st2.FramesCorrupted)
-	}
-	if st1.FramesDropped == 0 || st1.FramesCorrupted == 0 {
-		t.Fatalf("profile never fired (dropped=%d corrupted=%d) — weak test", st1.FramesDropped, st1.FramesCorrupted)
-	}
-	if tl1 == "" {
-		t.Fatal("every frame lost — weak test")
-	}
 }

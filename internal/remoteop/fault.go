@@ -111,7 +111,9 @@ func (e *Endpoint) exitIfCrashed(p *sim.Proc) {
 	}
 }
 
-// Crashed reports whether Crash has been called.
+// Crashed reports whether Crash has been called. It is the host's one
+// crash flag: the DSM module, the sync service and the failure detector
+// read it rather than keeping their own.
 func (e *Endpoint) Crashed() bool { return e.crashed }
 
 // Crash marks the endpoint's host as crashed and discards its partial

@@ -43,6 +43,12 @@ func newRigOn(t *testing.T, k *sim.Kernel, kinds ...arch.Kind) *rig {
 	return r
 }
 
+// lose drops each frame with probability rate while [from, until) is
+// open (until 0: to the end of the run).
+func (r *rig) lose(rate float64, from, until sim.Time) {
+	r.net.SetFaultPlan(&netsim.FaultPlan{Loss: []netsim.Burst{{Window: netsim.Window{From: from, Until: until}, Rate: rate}}})
+}
+
 func (r *rig) startAll() {
 	for _, e := range r.eps {
 		e.Start()
@@ -146,7 +152,7 @@ func TestForwardingRepliesToOriginalRequester(t *testing.T) {
 
 func TestRetransmissionRecoversFromLoss(t *testing.T) {
 	r := newRig(t, arch.Sun, arch.Sun)
-	r.net.DropRate = 0.3
+	r.lose(0.3, 0, 0)
 	r.par.RequestTimeout = 20 * time.Millisecond
 	handled := 0
 	r.eps[1].Handle(proto.KindEcho, func(p *sim.Proc, req *proto.Message) {
@@ -183,10 +189,9 @@ func TestDuplicateRequestsDoNotReexecuteHandler(t *testing.T) {
 	executions := 0
 	r.eps[1].Handle(proto.KindEcho, func(p *sim.Proc, req *proto.Message) {
 		executions++
-		// Lose the first reply by pointing the drop rate up just for it.
+		// Lose the first reply by opening a 25 ms total-loss window on it.
 		if executions == 1 {
-			r.net.DropRate = 1.0
-			r.k.After(25*time.Millisecond, func() { r.net.DropRate = 0 })
+			r.lose(1, p.Now(), p.Now().Add(25*time.Millisecond))
 		}
 		r.eps[1].Reply(p, req, &proto.Message{Kind: proto.KindEchoReply, Args: []uint32{99}})
 	})
@@ -277,7 +282,7 @@ func TestReplyCacheResendIsByteIdentical(t *testing.T) {
 
 func TestCallTimesOutOnDeadPeer(t *testing.T) {
 	r := newRig(t, arch.Sun, arch.Sun)
-	r.net.DropRate = 1.0
+	r.lose(1, 0, 0)
 	r.par.RequestTimeout = 5 * time.Millisecond
 	r.par.MaxRetries = 2
 	r.startAll()
@@ -339,7 +344,7 @@ func TestCallAllEmptyDestinations(t *testing.T) {
 
 func TestCallAllRetransmitsLostInvalidations(t *testing.T) {
 	r := newRig(t, arch.Sun, arch.Sun, arch.Sun)
-	r.net.DropRate = 0.4
+	r.lose(0.4, 0, 0)
 	r.par.RequestTimeout = 20 * time.Millisecond
 	for i := 1; i < 3; i++ {
 		e := r.eps[i]
@@ -557,7 +562,7 @@ func TestCallMulticastCollectsTargetAcks(t *testing.T) {
 
 func TestCallMulticastRecoversLostAcks(t *testing.T) {
 	r := newRig(t, arch.Sun, arch.Sun, arch.Sun)
-	r.net.DropRate = 0.4
+	r.lose(0.4, 0, 0)
 	r.par.RequestTimeout = 20 * time.Millisecond
 	for i := 1; i < 3; i++ {
 		e := r.eps[i]

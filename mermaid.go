@@ -192,7 +192,9 @@ type Config struct {
 	// UnicastInvalidate replaces the paper's broadcast multicast
 	// invalidation (§2.2) with per-member calls (ablation).
 	UnicastInvalidate bool
-	// DropRate injects network frame loss (0 gives a reliable wire).
+	// DropRate is the probability, in [0, 1], that a frame is lost on
+	// the wire (0 gives a reliable wire). It is a whole-run loss window
+	// of the network's fault plan.
 	DropRate float64
 	// Net selects the network shape: nil is the paper's single shared
 	// bus; a multi-segment Topology places hosts on switched segments
@@ -220,6 +222,13 @@ func SwitchedStar(segments, hostsPerSegment int) *Topology {
 // New builds a cluster. Register thread functions, compound types, and
 // synchronization primitives before the first Run.
 func New(cfg Config) (*Cluster, error) {
+	if !(cfg.DropRate >= 0 && cfg.DropRate <= 1) {
+		return nil, fmt.Errorf("mermaid: DropRate %v outside [0, 1]", cfg.DropRate)
+	}
+	var plan *netsim.FaultPlan
+	if cfg.DropRate > 0 {
+		plan = &netsim.FaultPlan{Loss: []netsim.Burst{{Rate: cfg.DropRate}}}
+	}
 	inner, err := cluster.New(cluster.Config{
 		Hosts:                cfg.Hosts,
 		PageSize:             cfg.PageSize,
@@ -230,7 +239,7 @@ func New(cfg Config) (*Cluster, error) {
 		Directory:            cfg.DirectoryScheme,
 		Policy:               cfg.Policy,
 		UnicastInvalidate:    cfg.UnicastInvalidate,
-		DropRate:             cfg.DropRate,
+		FaultPlan:            plan,
 		Topology:             cfg.Net,
 		Params:               cfg.Model,
 	})

@@ -1,6 +1,7 @@
 package mermaid
 
 import (
+	"math"
 	"runtime"
 	"testing"
 	"time"
@@ -243,7 +244,7 @@ func TestLossyNetworkStillCorrect(t *testing.T) {
 		e.V(1)
 	})
 	var sum int64
-	c.Run(0, func(e *Env) {
+	elapsed := c.Run(0, func(e *Env) {
 		addr := e.MustAlloc(Int32, 256)
 		vals := make([]int32, 256)
 		for i := range vals {
@@ -269,6 +270,21 @@ func TestLossyNetworkStillCorrect(t *testing.T) {
 	want := int64(255*256/2 + 512)
 	if sum != want {
 		t.Fatalf("sum %d, want %d; retransmission failed to mask loss", sum, want)
+	}
+	// The run itself is pinned: the loss decision is one seeded draw per
+	// frame, so which frames die, and so the whole timeline, is fixed.
+	ns := c.NetStats()
+	if elapsed != 7074240176*time.Nanosecond || ns.FramesSent != 63 || ns.FramesDropped != 7 {
+		t.Fatalf("run took %v with %d frames sent, %d dropped; want 7.074240176s, 63, 7",
+			elapsed, ns.FramesSent, ns.FramesDropped)
+	}
+}
+
+func TestDropRateOutsideUnitIntervalRejected(t *testing.T) {
+	for _, rate := range []float64{-0.1, 1.5, math.NaN()} {
+		if _, err := New(Config{Hosts: []HostSpec{{Kind: Sun}}, DropRate: rate}); err == nil {
+			t.Errorf("New accepted DropRate %v", rate)
+		}
 	}
 }
 
