@@ -275,6 +275,7 @@ func New(cfg Config) (c *Cluster, err error) {
 
 // DefineSemaphore declares a distributed semaphore on every host.
 func (c *Cluster) DefineSemaphore(id uint32, manager HostID, initial int) {
+	c.checkManager("semaphore", id, manager)
 	for _, h := range c.Hosts {
 		h.Sync.DefineSemaphore(id, manager, initial)
 	}
@@ -282,15 +283,29 @@ func (c *Cluster) DefineSemaphore(id uint32, manager HostID, initial int) {
 
 // DefineEvent declares a distributed event on every host.
 func (c *Cluster) DefineEvent(id uint32, manager HostID) {
+	c.checkManager("event", id, manager)
 	for _, h := range c.Hosts {
 		h.Sync.DefineEvent(id, manager)
 	}
 }
 
-// DefineBarrier declares a distributed barrier on every host.
+// DefineBarrier declares a distributed barrier on every host. A
+// barrier of fewer than one participant would let every arrival through.
 func (c *Cluster) DefineBarrier(id uint32, manager HostID, n int) {
+	c.checkManager("barrier", id, manager)
+	if n < 1 {
+		panic(fmt.Sprintf("cluster: barrier %d: %d participants, want at least 1", id, n))
+	}
 	for _, h := range c.Hosts {
 		h.Sync.DefineBarrier(id, manager, n)
+	}
+}
+
+// checkManager rejects a primitive whose manager is not a host of the
+// cluster: every remote operation on it would retransmit forever.
+func (c *Cluster) checkManager(what string, id uint32, manager HostID) {
+	if manager < 0 || int(manager) >= len(c.Hosts) {
+		panic(fmt.Sprintf("cluster: %s %d: manager %d is not a host of this %d-host cluster", what, id, manager, len(c.Hosts)))
 	}
 }
 

@@ -30,6 +30,52 @@ func TestEmptyConfigRejected(t *testing.T) {
 	}
 }
 
+// TestDefineRejectsUnservablePrimitive: a primitive managed by a host
+// the cluster lacks would leave every remote operation retransmitting
+// forever, and a barrier of no participants would let every arrival
+// through; both are refused at definition, naming the primitive.
+func TestDefineRejectsUnservablePrimitive(t *testing.T) {
+	cases := []struct {
+		name   string
+		define func(c *Cluster)
+		want   string
+	}{
+		{"semaphore manager", func(c *Cluster) { c.DefineSemaphore(1, 9, 1) }, "cluster: semaphore 1: manager 9 is not a host of this 3-host cluster"},
+		{"negative manager", func(c *Cluster) { c.DefineSemaphore(2, -1, 0) }, "cluster: semaphore 2: manager -1 is not a host of this 3-host cluster"},
+		{"event manager", func(c *Cluster) { c.DefineEvent(3, 3) }, "cluster: event 3: manager 3 is not a host of this 3-host cluster"},
+		{"barrier manager", func(c *Cluster) { c.DefineBarrier(4, 5, 2) }, "cluster: barrier 4: manager 5 is not a host of this 3-host cluster"},
+		{"barrier size 0", func(c *Cluster) { c.DefineBarrier(5, 0, 0) }, "cluster: barrier 5: 0 participants, want at least 1"},
+		{"barrier size -2", func(c *Cluster) { c.DefineBarrier(6, 1, -2) }, "cluster: barrier 6: -2 participants, want at least 1"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := New(sunAndFireflies(2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			var got any
+			func() {
+				defer func() { got = recover() }()
+				tc.define(c)
+			}()
+			if got != tc.want {
+				t.Fatalf("recovered %v, want %q", got, tc.want)
+			}
+		})
+	}
+	// The bounds are the cluster's: its last host and a one-participant
+	// barrier are accepted.
+	c, err := New(sunAndFireflies(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.DefineSemaphore(7, 2, 0)
+	c.DefineEvent(8, 2)
+	c.DefineBarrier(9, 2, 1)
+}
+
 func TestEndToEndMasterSlaveSum(t *testing.T) {
 	// Master on the Sun fills a shared array; slave threads on the
 	// Fireflies sum disjoint halves into a result array; the master

@@ -11,13 +11,16 @@
 //
 // Primitives are defined identically on every host before the cluster
 // runs (a static table, like the conversion registry); only the manager
-// host materializes state.
+// host's copy carries state. The three families share one record, one
+// table of the five operations and one manager rule (apply), so an
+// operation is queued, granted and called for in one place each.
 package dsync
 
 import (
 	"encoding/binary"
 	"fmt"
 	"hash"
+	"slices"
 
 	"repro/internal/arch"
 	"repro/internal/bufpool"
@@ -30,19 +33,65 @@ import (
 // HostID aliases the network host identifier.
 type HostID = remoteop.HostID
 
-// Operation codes carried in messages.
-const (
-	opSemP = 1
-	opSemV = 2
+// family is a kind of primitive, numbered in the state hash's section
+// order.
+type family uint8
 
-	opEventWait = 1
-	opEventSet  = 2
+const (
+	semaphore family = iota
+	event
+	barrier
 )
 
-// def describes one primitive: where it lives and its parameters.
-type def struct {
-	manager HostID
-	initial int // semaphore count or barrier size
+// families names each family (errors and panics say it) and gives the
+// kinds of its requests and replies.
+var families = [...]struct {
+	name       string
+	req, reply proto.Kind
+}{
+	semaphore: {"semaphore", proto.KindSemOp, proto.KindSemReply},
+	event:     {"event", proto.KindEventOp, proto.KindEventReply},
+	barrier:   {"barrier", proto.KindBarrierOp, proto.KindBarrierReply},
+}
+
+// op is one of the five operations.
+type op uint8
+
+const (
+	opP op = iota
+	opV
+	opWait
+	opSet
+	opArrive
+)
+
+// ops is the operation table. code is the operation's word in a
+// request's Args[1]; a barrier request carries only the id, so its one
+// operation has code 0. An operation that acquires may wait for a grant
+// and hands the grant's payload to the model; one that releases first
+// runs the model's release and ships its payload (relFmt names the
+// operation in that step's error).
+var ops = [...]struct {
+	fam                family
+	code               uint32
+	name, relFmt       string
+	acquires, releases bool
+}{
+	opP:      {semaphore, 1, "P", "", true, false},
+	opV:      {semaphore, 2, "V", "V(%d)", false, true},
+	opWait:   {event, 1, "EventWait", "", true, false},
+	opSet:    {event, 2, "EventSet", "EventSet(%d)", false, true},
+	opArrive: {barrier, 0, "BarrierArrive", "barrier %d", true, true},
+}
+
+// opOf decodes the operation a request asks for.
+func opOf(req *proto.Message) (op, bool) {
+	for o, d := range ops {
+		if families[d.fam].req == req.Kind && d.code == req.Arg(1) {
+			return op(o), true
+		}
+	}
+	return 0, false
 }
 
 // SyncModel is the consistency model's hook into synchronization
@@ -67,36 +116,33 @@ type SyncModel interface {
 	MergePayload(a, b []byte) []byte
 }
 
-// grantee is a parked participant to release later: either a local
-// process or a remote request awaiting its reply.
+// prim is one primitive. Every host holds its manager; only the
+// manager's copy changes. n is the semaphore's count, the event's set
+// flag (0 or 1) or the barrier's arrivals this round; size is the
+// barrier's participant count.
+//
+// The payload accumulation is monotone: vector timestamps and write
+// notices only grow, so it is never reset — not even when a barrier
+// recycles — and re-merging a retransmitted payload is a no-op.
+type prim struct {
+	manager HostID
+	n, size int
+	payload []byte
+	waiters []grantee
+}
+
+// grantee is a parked participant to release later: a remote request
+// awaiting its reply, or (req nil) a local process.
 type grantee struct {
-	local bool
-	w     sim.Waiter
-	woken *bool
-	pay   *[]byte // payload delivery slot for local grantees
-	req   *proto.Message
+	req *proto.Message
+	w   sim.Waiter
+	got *grant
 }
 
-// payload accumulation is per primitive and monotone: vector timestamps
-// and write notices only grow, so it is never reset — not even when a
-// barrier recycles — and re-merging a retransmitted payload is a no-op.
-type semState struct {
-	count   int
+// grant is where a local grantee's wake-up lands.
+type grant struct {
+	done    bool
 	payload []byte
-	waiters []grantee
-}
-
-type eventState struct {
-	set     bool
-	payload []byte
-	waiters []grantee
-}
-
-type barrierState struct {
-	size    int
-	arrived int
-	payload []byte
-	waiters []grantee
 }
 
 // Service is one host's synchronization module.
@@ -107,13 +153,7 @@ type Service struct {
 	ep     *remoteop.Endpoint
 	params *model.Params
 
-	defsSem     map[uint32]def
-	defsEvent   map[uint32]def
-	defsBarrier map[uint32]def
-
-	sems     map[uint32]*semState
-	events   map[uint32]*eventState
-	barriers map[uint32]*barrierState
+	prims [len(families)]map[uint32]*prim
 
 	model SyncModel
 }
@@ -122,58 +162,31 @@ type Service struct {
 // attaches the same model implementation on every host (or none).
 func (s *Service) AttachModel(m SyncModel) { s.model = m }
 
-// mustOK keeps the plain primitives' historical contract: without
-// failure detection a synchronization failure is a simulation bug.
-func mustOK(op string, id uint32, err error) {
-	if err != nil {
-		panic(fmt.Sprintf("dsync: %s(%d): %v", op, id, err))
-	}
-}
-
-// New creates a host's synchronization service and registers handlers.
+// New creates a host's synchronization service and registers its one
+// handler for the three request kinds.
 func New(k *sim.Kernel, ep *remoteop.Endpoint, kind arch.Kind, params *model.Params) *Service {
-	s := &Service{
-		k:           k,
-		id:          ep.ID(),
-		kind:        kind,
-		ep:          ep,
-		params:      params,
-		defsSem:     make(map[uint32]def),
-		defsEvent:   make(map[uint32]def),
-		defsBarrier: make(map[uint32]def),
-		sems:        make(map[uint32]*semState),
-		events:      make(map[uint32]*eventState),
-		barriers:    make(map[uint32]*barrierState),
+	s := &Service{k: k, id: ep.ID(), kind: kind, ep: ep, params: params}
+	for f := range s.prims {
+		s.prims[f] = make(map[uint32]*prim)
+		ep.Handle(families[f].req, s.handle)
 	}
-	ep.Handle(proto.KindSemOp, s.handleSemOp)
-	ep.Handle(proto.KindEventOp, s.handleEventOp)
-	ep.Handle(proto.KindBarrierOp, s.handleBarrierOp)
 	return s
 }
 
 // DefineSemaphore declares semaphore id with its manager host and
 // initial count. Every host must make identical definitions at setup.
 func (s *Service) DefineSemaphore(id uint32, manager HostID, initial int) {
-	s.defsSem[id] = def{manager: manager, initial: initial}
-	if manager == s.id {
-		s.sems[id] = &semState{count: initial}
-	}
+	s.prims[semaphore][id] = &prim{manager: manager, n: initial}
 }
 
 // DefineEvent declares event id with its manager host.
 func (s *Service) DefineEvent(id uint32, manager HostID) {
-	s.defsEvent[id] = def{manager: manager}
-	if manager == s.id {
-		s.events[id] = &eventState{}
-	}
+	s.prims[event][id] = &prim{manager: manager}
 }
 
 // DefineBarrier declares barrier id for n participants.
 func (s *Service) DefineBarrier(id uint32, manager HostID, n int) {
-	s.defsBarrier[id] = def{manager: manager, initial: n}
-	if manager == s.id {
-		s.barriers[id] = &barrierState{size: n}
-	}
+	s.prims[barrier][id] = &prim{manager: manager, size: n}
 }
 
 // WriteStateHash folds this host's synchronization state — semaphore
@@ -189,43 +202,99 @@ func (s *Service) WriteStateHash(h hash.Hash) {
 		binary.LittleEndian.PutUint32(buf[:], v)
 		h.Write(buf[:])
 	}
-	// Accumulated release payloads are folded only when present, so the
-	// byte stream of every payload-free (sequentially consistent) run is
-	// unchanged by the consistency-model hook.
-	pay := func(payload []byte) {
-		if len(payload) > 0 {
-			put(uint32(len(payload)))
-			h.Write(payload)
-		}
-	}
 	put(uint32(s.id))
-	for _, id := range sim.SortedKeys(s.sems) {
-		st := s.sems[id]
-		put(id)
-		put(uint32(st.count))
-		put(uint32(len(st.waiters)))
-		pay(st.payload)
-	}
-	put(0xffff_ffff) // section separator
-	for _, id := range sim.SortedKeys(s.events) {
-		st := s.events[id]
-		put(id)
-		if st.set {
-			put(1)
-		} else {
-			put(0)
+	for f, m := range s.prims {
+		if f > 0 {
+			put(0xffff_ffff - uint32(f-1)) // section separator
 		}
-		put(uint32(len(st.waiters)))
-		pay(st.payload)
+		for _, id := range sim.SortedKeys(m) {
+			pr := m[id]
+			if pr.manager != s.id {
+				continue
+			}
+			put(id)
+			put(uint32(pr.n))
+			put(uint32(len(pr.waiters)))
+			// Accumulated release payloads are folded only when
+			// present, so the byte stream of every payload-free
+			// (sequentially consistent) run is unchanged by the
+			// consistency-model hook.
+			if len(pr.payload) > 0 {
+				put(uint32(len(pr.payload)))
+				h.Write(pr.payload)
+			}
+		}
 	}
-	put(0xffff_fffe)
-	for _, id := range sim.SortedKeys(s.barriers) {
-		st := s.barriers[id]
-		put(id)
-		put(uint32(st.arrived))
-		put(uint32(len(st.waiters)))
-		pay(st.payload)
+}
+
+// apply is the manager rule: it performs o on pr and reports whether
+// the caller passes now. A caller that does not pass joins pr.waiters
+// until a later operation grants it.
+func (s *Service) apply(p *sim.Proc, o op, pr *prim) (passes bool) {
+	switch o {
+	case opP:
+		if pr.n <= 0 {
+			return false
+		}
+		pr.n--
+	case opV:
+		if len(pr.waiters) == 0 {
+			pr.n++
+			break
+		}
+		g := pr.waiters[0]
+		pr.waiters = pr.waiters[1:]
+		s.release(p, g, families[semaphore].reply, pr.payload)
+	case opWait:
+		return pr.n == 1
+	case opSet:
+		pr.n = 1
+		s.releaseAll(p, pr, families[event].reply)
+	case opArrive:
+		pr.n++
+		if pr.n < pr.size {
+			return false
+		}
+		pr.n = 0
+		s.releaseAll(p, pr, families[barrier].reply)
 	}
+	return true
+}
+
+// releaseAll grants the current payload to every waiter queued when it
+// starts, oldest first. A remote grant yields for its send, so a
+// barrier arrival for the next round may queue meanwhile: it stays. A
+// grant loop that overlapped this one (two sets of one event) may have
+// emptied the queue already.
+func (s *Service) releaseAll(p *sim.Proc, pr *prim, kind proto.Kind) {
+	granted := pr.waiters
+	for _, g := range granted {
+		s.release(p, g, kind, pr.payload)
+	}
+	pr.waiters = slices.Clone(pr.waiters[min(len(granted), len(pr.waiters)):])
+}
+
+// release unblocks a grantee, delivering the granting payload: wake a
+// local process or answer the remote request.
+func (s *Service) release(p *sim.Proc, g grantee, kind proto.Kind, payload []byte) {
+	if g.req == nil {
+		g.got.done, g.got.payload = true, payload
+		s.k.Wake(g.w, sim.WakeSignal)
+		return
+	}
+	s.ep.Reply(p, g.req, &proto.Message{Kind: kind, Data: payload})
+}
+
+// queued reports whether the same remote request (by origin and request
+// ID) is already waiting — a retransmission that outlived the
+// endpoint's duplicate cache must not be applied a second time.
+func queued(list []grantee, req *proto.Message) bool {
+	for _, g := range list {
+		if g.req != nil && g.req.From == req.From && g.req.ReqID == req.ReqID {
+			return true
+		}
+	}
+	return false
 }
 
 // mergePayload folds an incoming release payload into a primitive's
@@ -247,323 +316,131 @@ func (s *Service) acquired(p *sim.Proc, payload []byte) error {
 	return s.model.AcquirePayload(p, payload)
 }
 
-// releasing runs the model's release action before the releasing
-// operation proceeds, returning the payload to attach (nil without a
-// model).
-func (s *Service) releasing(p *sim.Proc) ([]byte, error) {
-	if s.model == nil {
-		return nil, nil
+// do performs o on primitive id for process p: the model's release if
+// o releases, then the manager rule — applied here when this host is
+// the manager, parking p while it must wait, or else asked of the
+// manager by a call that, for an acquiring operation, waits as long as
+// the manager lives.
+func (s *Service) do(p *sim.Proc, o op, id uint32) error {
+	d, f := &ops[o], &families[ops[o].fam]
+	pr := s.prims[d.fam][id]
+	if pr == nil {
+		panic(fmt.Sprintf("dsync: %s %d not defined", f.name, id))
 	}
-	return s.model.ReleasePayload(p)
-}
-
-// release unblocks a grantee, delivering the granting payload: wake a
-// local process or answer the remote request.
-func (s *Service) release(p *sim.Proc, g grantee, kind proto.Kind, payload []byte) {
-	if g.local {
-		if g.pay != nil {
-			*g.pay = payload
-		}
-		*g.woken = true
-		s.k.Wake(g.w, sim.WakeSignal)
-		return
-	}
-	s.ep.Reply(p, g.req, &proto.Message{Kind: kind, Data: payload})
-}
-
-// hasPending reports whether the same remote request (by origin and
-// request ID) is already queued — a retransmission that outlived the
-// endpoint's duplicate cache must not enqueue a second grantee.
-func hasPending(list []grantee, req *proto.Message) bool {
-	for _, g := range list {
-		if !g.local && g.req.From == req.From && g.req.ReqID == req.ReqID {
-			return true
+	var data []byte
+	if d.releases && s.model != nil {
+		var err error
+		if data, err = s.model.ReleasePayload(p); err != nil {
+			return fmt.Errorf("release before %s: %w", fmt.Sprintf(d.relFmt, id), err)
 		}
 	}
-	return false
-}
-
-// parkLocal parks the calling process as a grantee on the given list
-// and returns the payload the grant delivered.
-func parkLocal(p *sim.Proc, list *[]grantee) []byte {
-	woken := false
-	var payload []byte
-	*list = append(*list, grantee{local: true, w: p.PrepareWait(), woken: &woken, pay: &payload})
-	for !woken {
-		p.Park()
-	}
-	return payload
-}
-
-// --- Semaphores ---
-
-// P acquires one unit of semaphore id, blocking until granted.
-func (s *Service) P(p *sim.Proc, id uint32) { mustOK("P", id, s.PE(p, id)) }
-
-// PE is P returning an error when the semaphore's manager host has
-// crashed (the primitive is gone with it) instead of blocking forever.
-func (s *Service) PE(p *sim.Proc, id uint32) error {
-	d, ok := s.defsSem[id]
-	if !ok {
-		panic(fmt.Sprintf("dsync: semaphore %d not defined", id))
-	}
-	if d.manager == s.id {
-		st := s.sems[id]
-		if st.count > 0 {
-			st.count--
-			return s.acquired(p, st.payload)
+	if pr.manager == s.id {
+		s.mergePayload(&pr.payload, data)
+		if s.apply(p, o, pr) {
+			if !d.acquires {
+				return nil
+			}
+			return s.acquired(p, pr.payload)
 		}
-		return s.acquired(p, parkLocal(p, &st.waiters))
+		g := &grant{}
+		pr.waiters = append(pr.waiters, grantee{w: p.PrepareWait(), got: g})
+		for !g.done {
+			p.Park()
+		}
+		return s.acquired(p, g.payload)
 	}
-	resp, err := s.ep.CallBlocking(p, d.manager, &proto.Message{
-		Kind: proto.KindSemOp,
-		Args: []uint32{id, opSemP},
-	})
+	args := []uint32{id, d.code}
+	if d.code == 0 {
+		args = args[:1]
+	}
+	call := s.ep.Call
+	if d.acquires {
+		call = s.ep.CallBlocking
+	}
+	resp, err := call(p, pr.manager, &proto.Message{Kind: f.req, Args: args, Data: data})
 	if err != nil {
-		return fmt.Errorf("semaphore %d died with its manager %d: %w", id, d.manager, err)
+		return fmt.Errorf("%s %d died with its manager %d: %w", f.name, id, pr.manager, err)
 	}
-	return s.acquireReply(p, resp)
-}
-
-// acquireReply runs the model's acquire action with a grant reply's
-// payload and recycles the reply's wire buffer.
-func (s *Service) acquireReply(p *sim.Proc, resp *proto.Message) error {
-	err := s.acquired(p, resp.Data)
+	if !d.acquires {
+		return nil
+	}
+	err = s.acquired(p, resp.Data)
 	if buf := resp.TakeWire(); buf != nil {
 		bufpool.Put(buf)
 	}
 	return err
 }
 
-// V releases one unit of semaphore id, waking the oldest waiter.
-func (s *Service) V(p *sim.Proc, id uint32) { mustOK("V", id, s.VE(p, id)) }
-
-// VE is V returning crash errors.
-func (s *Service) VE(p *sim.Proc, id uint32) error {
-	d, ok := s.defsSem[id]
-	if !ok {
-		panic(fmt.Sprintf("dsync: semaphore %d not defined", id))
-	}
-	data, err := s.releasing(p)
-	if err != nil {
-		return fmt.Errorf("release before V(%d): %w", id, err)
-	}
-	if d.manager == s.id {
-		st := s.sems[id]
-		s.mergePayload(&st.payload, data)
-		s.semV(p, st)
-		return nil
-	}
-	if _, err := s.ep.Call(p, d.manager, &proto.Message{
-		Kind: proto.KindSemOp,
-		Args: []uint32{id, opSemV},
-		Data: data,
-	}); err != nil {
-		return fmt.Errorf("semaphore %d died with its manager %d: %w", id, d.manager, err)
-	}
-	return nil
-}
-
-func (s *Service) semV(p *sim.Proc, st *semState) {
-	if len(st.waiters) > 0 {
-		g := st.waiters[0]
-		st.waiters = st.waiters[1:]
-		s.release(p, g, proto.KindSemReply, st.payload)
-		return
-	}
-	st.count++
-}
-
-func (s *Service) handleSemOp(p *sim.Proc, req *proto.Message) {
+// handle serves the three request kinds at the manager. It drops a
+// retransmission of a request already queued, folds the payload in,
+// recycles the wire buffer and applies the operation, then answers —
+// an acquiring operation with the primitive's payload — or queues the
+// request for a later grant.
+func (s *Service) handle(p *sim.Proc, req *proto.Message) {
 	if s.ep.Crashed() {
 		p.Exit()
 	}
 	p.Sleep(s.params.SyncProcess.Of(s.kind))
-	st := s.sems[req.Arg(0)]
-	if st == nil {
-		return // undefined here: requester is misconfigured and times out
-	}
-	switch req.Arg(1) {
-	case opSemP:
-		if st.count > 0 {
-			st.count--
-			s.ep.Reply(p, req, &proto.Message{Kind: proto.KindSemReply, Data: st.payload})
-			return
-		}
-		if !hasPending(st.waiters, req) {
-			st.waiters = append(st.waiters, grantee{req: req})
-		}
-	case opSemV:
-		s.mergePayload(&st.payload, req.Data)
-		if buf := req.TakeWire(); buf != nil {
-			bufpool.Put(buf)
-		}
-		s.semV(p, st)
-		s.ep.Reply(p, req, &proto.Message{Kind: proto.KindSemReply})
-	}
-}
-
-// --- Events ---
-
-// EventWait blocks until event id is set.
-func (s *Service) EventWait(p *sim.Proc, id uint32) { mustOK("EventWait", id, s.EventWaitE(p, id)) }
-
-// EventWaitE is EventWait returning crash errors.
-func (s *Service) EventWaitE(p *sim.Proc, id uint32) error {
-	d, ok := s.defsEvent[id]
+	o, ok := opOf(req)
 	if !ok {
-		panic(fmt.Sprintf("dsync: event %d not defined", id))
-	}
-	if d.manager == s.id {
-		st := s.events[id]
-		if st.set {
-			return s.acquired(p, st.payload)
-		}
-		return s.acquired(p, parkLocal(p, &st.waiters))
-	}
-	resp, err := s.ep.CallBlocking(p, d.manager, &proto.Message{
-		Kind: proto.KindEventOp,
-		Args: []uint32{id, opEventWait},
-	})
-	if err != nil {
-		return fmt.Errorf("event %d died with its manager %d: %w", id, d.manager, err)
-	}
-	return s.acquireReply(p, resp)
-}
-
-// EventSet sets event id, releasing all waiters.
-func (s *Service) EventSet(p *sim.Proc, id uint32) { mustOK("EventSet", id, s.EventSetE(p, id)) }
-
-// EventSetE is EventSet returning crash errors.
-func (s *Service) EventSetE(p *sim.Proc, id uint32) error {
-	d, ok := s.defsEvent[id]
-	if !ok {
-		panic(fmt.Sprintf("dsync: event %d not defined", id))
-	}
-	data, err := s.releasing(p)
-	if err != nil {
-		return fmt.Errorf("release before EventSet(%d): %w", id, err)
-	}
-	if d.manager == s.id {
-		st := s.events[id]
-		s.mergePayload(&st.payload, data)
-		s.eventSet(p, st)
-		return nil
-	}
-	if _, err := s.ep.Call(p, d.manager, &proto.Message{
-		Kind: proto.KindEventOp,
-		Args: []uint32{id, opEventSet},
-		Data: data,
-	}); err != nil {
-		return fmt.Errorf("event %d died with its manager %d: %w", id, d.manager, err)
-	}
-	return nil
-}
-
-func (s *Service) eventSet(p *sim.Proc, st *eventState) {
-	st.set = true
-	for _, g := range st.waiters {
-		s.release(p, g, proto.KindEventReply, st.payload)
-	}
-	st.waiters = nil
-}
-
-func (s *Service) handleEventOp(p *sim.Proc, req *proto.Message) {
-	if s.ep.Crashed() {
-		p.Exit()
-	}
-	p.Sleep(s.params.SyncProcess.Of(s.kind))
-	st := s.events[req.Arg(0)]
-	if st == nil {
 		return
 	}
-	switch req.Arg(1) {
-	case opEventWait:
-		if st.set {
-			s.ep.Reply(p, req, &proto.Message{Kind: proto.KindEventReply, Data: st.payload})
-			return
-		}
-		if !hasPending(st.waiters, req) {
-			st.waiters = append(st.waiters, grantee{req: req})
-		}
-	case opEventSet:
-		s.mergePayload(&st.payload, req.Data)
-		if buf := req.TakeWire(); buf != nil {
-			bufpool.Put(buf)
-		}
-		s.eventSet(p, st)
-		s.ep.Reply(p, req, &proto.Message{Kind: proto.KindEventReply})
+	d := &ops[o]
+	pr := s.prims[d.fam][req.Arg(0)]
+	if pr == nil || pr.manager != s.id || queued(pr.waiters, req) {
+		return // undefined here (the requester is misconfigured and times out), or a retransmission
 	}
-}
-
-// --- Barriers ---
-
-// BarrierArrive announces arrival at barrier id and blocks until all
-// participants have arrived; the barrier then resets for reuse.
-func (s *Service) BarrierArrive(p *sim.Proc, id uint32) {
-	mustOK("BarrierArrive", id, s.BarrierArriveE(p, id))
-}
-
-// BarrierArriveE is BarrierArrive returning crash errors.
-func (s *Service) BarrierArriveE(p *sim.Proc, id uint32) error {
-	d, ok := s.defsBarrier[id]
-	if !ok {
-		panic(fmt.Sprintf("dsync: barrier %d not defined", id))
-	}
-	data, err := s.releasing(p)
-	if err != nil {
-		return fmt.Errorf("release before barrier %d: %w", id, err)
-	}
-	if d.manager == s.id {
-		st := s.barriers[id]
-		s.mergePayload(&st.payload, data)
-		st.arrived++
-		if st.arrived >= st.size {
-			st.arrived = 0
-			for _, g := range st.waiters {
-				s.release(p, g, proto.KindBarrierReply, st.payload)
-			}
-			st.waiters = nil
-			return s.acquired(p, st.payload)
-		}
-		return s.acquired(p, parkLocal(p, &st.waiters))
-	}
-	resp, err := s.ep.CallBlocking(p, d.manager, &proto.Message{
-		Kind: proto.KindBarrierOp,
-		Args: []uint32{id},
-		Data: data,
-	})
-	if err != nil {
-		return fmt.Errorf("barrier %d died with its manager %d: %w", id, d.manager, err)
-	}
-	return s.acquireReply(p, resp)
-}
-
-func (s *Service) handleBarrierOp(p *sim.Proc, req *proto.Message) {
-	if s.ep.Crashed() {
-		p.Exit()
-	}
-	p.Sleep(s.params.SyncProcess.Of(s.kind))
-	st := s.barriers[req.Arg(0)]
-	if st == nil {
-		return
-	}
-	if hasPending(st.waiters, req) {
-		return // retransmission of an arrival already counted
-	}
-	s.mergePayload(&st.payload, req.Data)
+	s.mergePayload(&pr.payload, req.Data)
 	if buf := req.TakeWire(); buf != nil {
 		bufpool.Put(buf)
 	}
-	st.arrived++
-	if st.arrived >= st.size {
-		st.arrived = 0
-		for _, g := range st.waiters {
-			s.release(p, g, proto.KindBarrierReply, st.payload)
-		}
-		st.waiters = nil
-		s.ep.Reply(p, req, &proto.Message{Kind: proto.KindBarrierReply, Data: st.payload})
+	if !s.apply(p, o, pr) {
+		pr.waiters = append(pr.waiters, grantee{req: req})
 		return
 	}
-	st.waiters = append(st.waiters, grantee{req: req})
+	resp := &proto.Message{Kind: families[d.fam].reply}
+	if d.acquires {
+		resp.Data = pr.payload
+	}
+	s.ep.Reply(p, req, resp)
+}
+
+// P acquires one unit of semaphore id, blocking until granted.
+func (s *Service) P(p *sim.Proc, id uint32) { s.must(p, opP, id) }
+
+// PE is P returning an error when the semaphore's manager host has
+// crashed (the primitive is gone with it) instead of blocking forever.
+func (s *Service) PE(p *sim.Proc, id uint32) error { return s.do(p, opP, id) }
+
+// V releases one unit of semaphore id, waking the oldest waiter.
+func (s *Service) V(p *sim.Proc, id uint32) { s.must(p, opV, id) }
+
+// VE is V returning crash errors.
+func (s *Service) VE(p *sim.Proc, id uint32) error { return s.do(p, opV, id) }
+
+// EventWait blocks until event id is set.
+func (s *Service) EventWait(p *sim.Proc, id uint32) { s.must(p, opWait, id) }
+
+// EventWaitE is EventWait returning crash errors.
+func (s *Service) EventWaitE(p *sim.Proc, id uint32) error { return s.do(p, opWait, id) }
+
+// EventSet sets event id, releasing all waiters.
+func (s *Service) EventSet(p *sim.Proc, id uint32) { s.must(p, opSet, id) }
+
+// EventSetE is EventSet returning crash errors.
+func (s *Service) EventSetE(p *sim.Proc, id uint32) error { return s.do(p, opSet, id) }
+
+// BarrierArrive announces arrival at barrier id and blocks until all
+// participants have arrived; the barrier then resets for reuse.
+func (s *Service) BarrierArrive(p *sim.Proc, id uint32) { s.must(p, opArrive, id) }
+
+// BarrierArriveE is BarrierArrive returning crash errors.
+func (s *Service) BarrierArriveE(p *sim.Proc, id uint32) error { return s.do(p, opArrive, id) }
+
+// must keeps the plain primitives' historical contract: without failure
+// detection a synchronization failure is a simulation bug.
+func (s *Service) must(p *sim.Proc, o op, id uint32) {
+	if err := s.do(p, o, id); err != nil {
+		panic(fmt.Sprintf("dsync: %s(%d): %v", ops[o].name, id, err))
+	}
 }
