@@ -122,7 +122,7 @@ func newQuorumEngine(mod *Module) (engine, engineDecl) {
 			m.peers = append(m.peers, HostID(i))
 		}
 	}
-	m.ep.Handle(proto.KindQuorumRead, m.handleQuorumRead)
+	m.ep.HandleEvent(proto.KindQuorumRead, remoteop.EventHandler{Charge: m.quorumReadCharge, Reply: m.handleQuorumRead})
 	m.ep.Handle(proto.KindQuorumWrite, m.handleQuorumWrite)
 	return m, engineDecl{
 		invariants: checkQuorumPage,
@@ -370,26 +370,34 @@ func (m *quorumEngine) quorumFanout(p *sim.Proc, page PageNo, need int, mk func(
 	}
 }
 
-// handleQuorumRead answers a phase-1 query with this replica's version:
-// tag in the args, image (allocated prefix, native representation) in
-// the data. The body is the replica's own image, not a copy: the
-// replica is marked shared, and the reply cache's resend check
-// (remoteop) enforces that nothing changes it afterwards. It takes no
-// locks, deliberately: the replica may itself be parked inside a quorum
-// round holding its local fault lock.
-func (m *quorumEngine) handleQuorumRead(p *sim.Proc, req *proto.Message) {
-	m.exitIfCrashed(p)
+// quorumReadCharge prices a phase-1 query: one remote-operation
+// process time on the protocol CPU. A crashed replica answers nothing.
+func (m *quorumEngine) quorumReadCharge(req *proto.Message) (*sim.Resource, sim.Duration, bool) {
+	if m.ep.Crashed() {
+		return nil, 0, false
+	}
+	return m.protoCPU, m.jittered(m.cfg.Params.RemoteOpProcess.Of(m.arch.Kind)), true
+}
+
+// handleQuorumRead answers a phase-1 query, once quorumReadCharge is
+// paid, with this replica's version: tag in the args, image (allocated
+// prefix, native representation) in the data. The body is the
+// replica's own image, not a copy: the replica is marked shared, and
+// the reply cache's resend check (remoteop) enforces that nothing
+// changes it afterwards. It takes no locks, deliberately: the replica
+// may itself be parked inside a quorum round holding its local fault
+// lock.
+func (m *quorumEngine) handleQuorumRead(req *proto.Message) *proto.Message {
 	page := PageNo(req.Page)
 	bufpool.Put(req.TakeWire())
-	m.protoCPU.Use(p, m.jittered(m.cfg.Params.RemoteOpProcess.Of(m.arch.Kind)))
 	qp := m.qrmPageFor(page)
 	qp.shared = true
-	m.ep.Reply(p, req, &proto.Message{
+	return &proto.Message{
 		Kind: proto.KindQuorumReadReply,
 		Page: req.Page,
 		Args: []uint32{qp.tag.ts, uint32(qp.tag.host)},
 		Data: qp.data[:m.meta[page].used],
-	})
+	}
 }
 
 // handleQuorumWrite installs a (value, tag) version at this replica if

@@ -7,6 +7,7 @@ import (
 	"repro/internal/arch"
 	"repro/internal/conv"
 	"repro/internal/proto"
+	"repro/internal/remoteop"
 	"repro/internal/sim"
 )
 
@@ -254,11 +255,14 @@ func TestQuorumReplicaCopyOnWrite(t *testing.T) {
 				r.mods[0].WriteInt32(p, addr, 1)
 				p.Sleep(50 * time.Millisecond)
 				host1 := r.mods[1].engine.(*quorumEngine)
-				r.mods[1].ep.Handle(proto.KindQuorumRead, func(p *sim.Proc, req *proto.Message) {
-					if req.From == 0 {
-						read = req
-					}
-					host1.handleQuorumRead(p, req)
+				r.mods[1].ep.HandleEvent(proto.KindQuorumRead, remoteop.EventHandler{
+					Charge: host1.quorumReadCharge,
+					Reply: func(req *proto.Message) *proto.Message {
+						if req.From == 0 {
+							read = req
+						}
+						return host1.handleQuorumRead(req)
+					},
 				})
 				if v := r.mods[0].ReadInt32(p, addr); v != 1 {
 					t.Fatalf("host 0 read %d, want 1", v)
