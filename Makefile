@@ -100,11 +100,13 @@ mc-smoke:
 chaos-smoke:
 	go run ./cmd/mermaid-chaos -workload=all -class=all -seed=1 -runs=1
 
-# Nightly-depth chaos: 25 seeds per workload × class with a
+# Nightly-depth chaos: 100 seeds per workload × class — the range the
+# benchmark's verify-sweep draws its chaos seeds from, so a traffic
+# change that moves an oracle failure into it fails here first — with a
 # determinism double-run (-verify) on every campaign, then the three
 # engine mutations the chaos oracles must kill.
 chaos-deep:
-	go run ./cmd/mermaid-chaos -workload=all -class=all -seed=1 -runs=25 -verify
+	go run ./cmd/mermaid-chaos -workload=all -class=all -seed=1 -runs=100 -verify
 	go run ./cmd/mermaid-chaos -workload=quorum -class=mix -seed=1 -runs=5 -mutation=stale-quorum-read
 	go run ./cmd/mermaid-chaos -workload=quorum -class=mix -seed=1 -runs=5 -mutation=split-brain-write
 	go run ./cmd/mermaid-chaos -workload=rc -class=drop -seed=1 -runs=5 -mutation=lost-diff

@@ -272,89 +272,3 @@ func TestChaosCatchesForgetRecovery(t *testing.T) {
 		t.Fatal("forget-recovery survived 5 crash-class campaigns — the workloads tolerate too much")
 	}
 }
-
-// TestUpgradeGrantCrashRegression pins the chaos-found protocol bug
-// where a write-upgrade transaction invalidated the old owner's copy
-// and then aborted on a failed grant deliver (requester crashed
-// mid-transfer), leaving the manager entry naming an owner who held
-// nothing — an MRSW invariant violation when the stranded owner was a
-// peer, a serve panic when it was the manager itself. The handoff is
-// now committed even when the grant never lands; these seeds found
-// both symptom shapes.
-func TestUpgradeGrantCrashRegression(t *testing.T) {
-	for _, seed := range []int64{9, 11, 17, 19, 23} {
-		tok := EncodeToken("counter", ClassCrash, seed)
-		r, err := Replay(tok, Opts{})
-		if err != nil {
-			t.Fatalf("%s: %v", tok, err)
-		}
-		if r.Outcome != OK {
-			t.Errorf("%s: %s — %s", tok, r.Outcome, r.Detail)
-		}
-	}
-}
-
-// TestDynamicForwardCrashRegression pins three chaos-found bugs in the
-// dynamic directory's crash handling, each from the forward workload's
-// concurrent-faulter pressure:
-//
-//   - crash:5 — the owner died with requests in flight, leaving the
-//     survivors' probable-owner hints in a cycle with every hop alive;
-//     the chase panicked at the hop bound instead of routing the
-//     requester through recovery.
-//   - crash:7 — a page deliver in flight at crash time landed on the
-//     dead requester, whose zombie install let application writes
-//     execute (and be witnessed) on a crashed machine while the serving
-//     owner resurrected its stale copy.
-//   - mix:15 — a write-serve deliver landed but its ack was lost; when
-//     the call finally errored (the new owner had crashed) the old
-//     owner restored its copy, rolling back writes third parties had
-//     already witnessed. Write handoffs are now arbitrated by the
-//     requester's install confirmation, not the deliver ack.
-func TestDynamicForwardCrashRegression(t *testing.T) {
-	for _, tok := range []string{
-		EncodeToken("forward", ClassCrash, 5),
-		EncodeToken("forward", ClassCrash, 7),
-		EncodeToken("forward", ClassMix, 15),
-	} {
-		r, err := Replay(tok, Opts{})
-		if err != nil {
-			t.Fatalf("%s: %v", tok, err)
-		}
-		if r.Outcome != OK {
-			t.Errorf("%s: %s — %s", tok, r.Outcome, r.Detail)
-		}
-	}
-}
-
-// TestSwitchedStaleRestoreRegression pins the chaos-found coherence bug
-// surfaced by the switched workload's cross-segment timing
-// (chaos1:switched:mix:12): a write transfer's PageDeliver landed and
-// the requester went on writing, but the acknowledgement was lost and
-// the requester was partitioned, then crashed, before a retry could
-// get through. When the deliver call finally failed (requester
-// declared dead) the serving manager "restored" its pre-transfer
-// WriteAccess frame — stale zero bytes the SC oracle caught being read
-// as current. The fixed-directory path now mirrors the dynamic
-// directory's rule: a dead write-requester whose installation was
-// never confirmed means never resurrect — the local frame is dropped,
-// the handoff is committed to the corpse, and recovery re-owns from a
-// surviving copy or declares the page lost. The same sweep also caught
-// the allocator re-granting host 0 first-touch WriteAccess when a
-// later allocation packed objects onto a page already owned remotely
-// (mix:5's packing pattern); the grant is now gated to genuinely fresh
-// pages.
-func TestSwitchedStaleRestoreRegression(t *testing.T) {
-	for _, tok := range []string{
-		EncodeToken("switched", ClassMix, 12),
-		EncodeToken("switched", ClassMix, 5),
-	} {
-		r, err := Replay(tok, Opts{})
-		if err != nil {
-			t.Fatalf("%s: %v", tok, err)
-		}
-		if r.Outcome != OK {
-			t.Errorf("%s: %s — %s", tok, r.Outcome, r.Detail)
-		}
-	}
-}

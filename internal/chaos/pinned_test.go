@@ -34,10 +34,10 @@ func TestCampaignsPinned(t *testing.T) {
 		{"chaos1:handoff:partition:1", 2048, 6911059088, "t=6.911059088s steps=2048 fetched=12 conv=10 recovered=0 lost=0 dropped=0 cut=39 corrupted=0 duplicated=0 toDead=0"},
 		{"chaos1:handoff:crash:1", 1723, 6953223600, "t=6.9532236s steps=1723 fetched=12 conv=9 recovered=1 lost=0 dropped=0 cut=0 corrupted=0 duplicated=0 toDead=46"},
 		{"chaos1:handoff:mix:1", 1680, 8713766416, "t=8.713766416s steps=1680 fetched=11 conv=7 recovered=1 lost=0 dropped=2 cut=19 corrupted=0 duplicated=0 toDead=61"},
-		{"chaos1:quorum:drop:1", 16784, 7307515200, "t=7.3075152s steps=16784 fetched=0 conv=94 recovered=0 lost=0 dropped=40 cut=0 corrupted=0 duplicated=0 toDead=0"},
-		{"chaos1:quorum:partition:1", 16648, 7295751600, "t=7.2957516s steps=16648 fetched=0 conv=90 recovered=0 lost=0 dropped=0 cut=135 corrupted=0 duplicated=0 toDead=0"},
-		{"chaos1:quorum:crash:1", 13035, 7470816600, "t=7.4708166s steps=13035 fetched=0 conv=59 recovered=0 lost=0 dropped=0 cut=0 corrupted=0 duplicated=0 toDead=213"},
-		{"chaos1:quorum:mix:1", 11669, 7445355400, "t=7.4453554s steps=11669 fetched=0 conv=54 recovered=0 lost=0 dropped=19 cut=101 corrupted=0 duplicated=0 toDead=176"},
+		{"chaos1:quorum:drop:1", 10928, 7046392800, "t=7.0463928s steps=10928 fetched=0 conv=93 recovered=0 lost=0 dropped=30 cut=0 corrupted=5 duplicated=0 toDead=0"},
+		{"chaos1:quorum:partition:1", 10644, 7008371200, "t=7.0083712s steps=10644 fetched=0 conv=87 recovered=0 lost=0 dropped=0 cut=157 corrupted=0 duplicated=0 toDead=0"},
+		{"chaos1:quorum:crash:1", 8360, 6997458000, "t=6.997458s steps=8360 fetched=0 conv=63 recovered=0 lost=0 dropped=0 cut=0 corrupted=0 duplicated=0 toDead=208"},
+		{"chaos1:quorum:mix:1", 7515, 7057696200, "t=7.0576962s steps=7515 fetched=0 conv=57 recovered=0 lost=0 dropped=18 cut=77 corrupted=10 duplicated=0 toDead=179"},
 		{"chaos1:rc:drop:1", 1573, 7046506368, "t=7.046506368s steps=1573 fetched=5 conv=17 recovered=0 lost=0 dropped=3 cut=0 corrupted=0 duplicated=0 toDead=0"},
 		{"chaos1:rc:partition:1", 1541, 7046506368, "t=7.046506368s steps=1541 fetched=5 conv=17 recovered=0 lost=0 dropped=0 cut=21 corrupted=0 duplicated=0 toDead=0"},
 		{"chaos1:rc:crash:1", 1106, 6949633056, "t=6.949633056s steps=1106 fetched=3 conv=13 recovered=0 lost=0 dropped=0 cut=0 corrupted=0 duplicated=0 toDead=46"},

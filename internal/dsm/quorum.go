@@ -143,23 +143,6 @@ func (m *quorumEngine) readRegion(p *sim.Proc, addr Addr, n int, fn func(seg []b
 		}
 		seg := qp.data[s.lo : s.lo+s.n]
 		fn(seg, s.off)
-		if m.cfg.Mutation != MutStaleQuorumRead {
-			// An ABD read COMMITS the value it returns: before returning,
-			// a majority provably stores it (phase 1 confirmed it, or
-			// phase 2 wrote it back). The value's own writer, though, may
-			// record its write much later (still collecting acks) or
-			// never (crashed mid-push) — so the read itself enters what
-			// it committed into the witness, as a synthetic point write
-			// backdated to the read's start. Backdating makes the entry
-			// safe: phase-1 replies arrive after t0, and any NEWER
-			// version reaches a majority only after some replica that
-			// answered this read installs it — strictly after its reply,
-			// hence after t0 — so this record can never supersede a newer
-			// committed version in the completion-ordered witness. The
-			// stale-read mutation commits nothing and must not get the
-			// record, or it would legitimize its own stale returns.
-			m.recordSCAt(p, sctrace.Write, t0, t0, s.addr, seg)
-		}
 		m.recordSC(p, sctrace.Read, t0, s.addr, seg)
 		return nil
 	})
@@ -171,15 +154,20 @@ func (m *quorumEngine) writeRegion(p *sim.Proc, addr Addr, n int, fill func(seg 
 		l := m.faultLockFor(s.page)
 		l.P(p)
 		defer l.V()
-		var seg []byte
+		var h sctrace.Handle
 		err := m.quorumWritePage(p, s.page, func(qp *quorumPage) {
-			seg = qp.data[s.lo : s.lo+s.n]
+			seg := qp.data[s.lo : s.lo+s.n]
 			fill(seg, s.off)
+			// Phase 1 has fixed the value, and phase 2 may hand it to a
+			// reader before this write completes — or the writer may
+			// crash with the value on its way: the trace holds it as
+			// pending until then.
+			h = m.invokeSC(p, sctrace.Write, t0, s.addr, seg)
 		})
 		if err != nil {
 			return err
 		}
-		m.recordSC(p, sctrace.Write, t0, s.addr, seg)
+		m.completeSC(p, h)
 		return nil
 	})
 }
@@ -256,8 +244,12 @@ func (m *quorumEngine) quorumCollect(p *sim.Proc, page PageNo) (qp *quorumPage, 
 	if maj == 1 {
 		return qp, true, nil // single-host cluster: the replica is the majority
 	}
+	// The query carries this replica's tag, so that only a newer replica
+	// answers with its image: every message of the fan-out shares one
+	// args slice.
+	args := []uint32{qp.tag.ts, uint32(qp.tag.host)}
 	replies, err := m.quorumFanout(p, page, maj-1, func(dst HostID) *proto.Message {
-		return &proto.Message{Kind: proto.KindQuorumRead, Page: uint32(page)}
+		return &proto.Message{Kind: proto.KindQuorumRead, Page: uint32(page), Args: args}
 	})
 	if err != nil {
 		return nil, false, err
@@ -276,7 +268,9 @@ func (m *quorumEngine) quorumCollect(p *sim.Proc, page PageNo) (qp *quorumPage, 
 	}
 	if winIdx >= 0 && qp.tag.less(winner) {
 		// A peer holds a newer version: install its image locally,
-		// converting from the peer's native representation. The replica
+		// converting from the peer's native representation. The winner's
+		// tag orders above the one this query carried — the replica's
+		// tags never regress — so its reply carries the image. The replica
 		// is re-checked after the conversion sleep — a concurrent
 		// inbound quorum write may have advanced it past the winner,
 		// and a tag must never regress. The body converts in place: its
@@ -380,24 +374,29 @@ func (m *quorumEngine) quorumReadCharge(req *proto.Message) (*sim.Resource, sim.
 }
 
 // handleQuorumRead answers a phase-1 query, once quorumReadCharge is
-// paid, with this replica's version: tag in the args, image (allocated
-// prefix, native representation) in the data. The body is the
-// replica's own image, not a copy: the replica is marked shared, and
-// the reply cache's resend check (remoteop) enforces that nothing
-// changes it afterwards. It takes no locks, deliberately: the replica
-// may itself be parked inside a quorum round holding its local fault
-// lock.
+// paid, with this replica's version: its tag in the args and, when that
+// tag orders above the asker's, its image (allocated prefix, native
+// representation) in the data. An asker that already holds this version
+// or a newer one gets the tag alone. The body is the replica's own
+// image, not a copy: the replica is marked shared, and the reply
+// cache's resend check (remoteop) enforces that nothing changes it
+// afterwards. It takes no locks, deliberately: the replica may itself
+// be parked inside a quorum round holding its local fault lock.
 func (m *quorumEngine) handleQuorumRead(req *proto.Message) *proto.Message {
 	page := PageNo(req.Page)
+	asker := quorumTag{ts: req.Arg(0), host: HostID(req.Arg(1))}
 	bufpool.Put(req.TakeWire())
 	qp := m.qrmPageFor(page)
-	qp.shared = true
-	return &proto.Message{
+	reply := &proto.Message{
 		Kind: proto.KindQuorumReadReply,
 		Page: req.Page,
 		Args: []uint32{qp.tag.ts, uint32(qp.tag.host)},
-		Data: qp.data[:m.meta[page].used],
 	}
+	if asker.less(qp.tag) {
+		qp.shared = true
+		reply.Data = qp.data[:m.meta[page].used]
+	}
+	return reply
 }
 
 // handleQuorumWrite installs a (value, tag) version at this replica if

@@ -211,10 +211,11 @@ func TestQuorumStatsCount(t *testing.T) {
 }
 
 // TestQuorumReplicaCopyOnWrite pins the copy-on-write rule of quorum
-// replicas. Host 1 answers host 0's read with its replica's own image,
-// which its reply cache keeps; each case then changes that replica one
-// way and re-delivers host 0's request as a duplicate. The resend must
-// carry the bytes first sent — the reply cache's resend check panics
+// replicas. Host 0 is put behind — it lost the install of its own write
+// — so host 1 answers its read with its replica's own image, which its
+// reply cache keeps; each case then changes that replica one way and
+// re-delivers host 0's request as a duplicate. The resend must carry
+// the bytes first sent — the reply cache's resend check panics
 // otherwise — so each of the three unshare calls is load-bearing here.
 func TestQuorumReplicaCopyOnWrite(t *testing.T) {
 	cases := []struct {
@@ -254,6 +255,10 @@ func TestQuorumReplicaCopyOnWrite(t *testing.T) {
 				pg := r.mods[0].PageOf(addr)
 				r.mods[0].WriteInt32(p, addr, 1)
 				p.Sleep(50 * time.Millisecond)
+				behind := r.mods[0].engine.(*quorumEngine).qrmPageFor(pg)
+				behind.unshare(0)
+				clear(behind.data)
+				behind.tag = quorumTag{}
 				host1 := r.mods[1].engine.(*quorumEngine)
 				r.mods[1].ep.HandleEvent(proto.KindQuorumRead, remoteop.EventHandler{
 					Charge: host1.quorumReadCharge,
@@ -287,4 +292,91 @@ func TestQuorumReplicaCopyOnWrite(t *testing.T) {
 			})
 		})
 	}
+}
+
+// TestQuorumReadRepliesCarryOnlyNewerImages pins the phase-1 reply
+// shape: the query carries the asker's tag, and a replica attaches its
+// image — and marks it shared — only when its own tag orders above it.
+// Every host's reply is recorded, stragglers included.
+func TestQuorumReadRepliesCarryOnlyNewerImages(t *testing.T) {
+	r := newRig(t, []arch.Kind{arch.Sun, arch.Firefly, arch.Sun, arch.Firefly, arch.Sun}, withPolicy(PolicyQuorum), withPageSize(1024))
+	bodies := map[HostID]bool{} // replica → whether its last reply to host 0 carried an image
+	for _, mod := range r.mods[1:] {
+		e := mod.engine.(*quorumEngine)
+		mod.ep.HandleEvent(proto.KindQuorumRead, remoteop.EventHandler{
+			Charge: e.quorumReadCharge,
+			Reply: func(req *proto.Message) *proto.Message {
+				reply := e.handleQuorumRead(req)
+				if req.From == 0 {
+					bodies[e.id] = len(reply.Data) > 0
+				}
+				return reply
+			},
+		})
+	}
+	r.run("main", func(p *sim.Proc) {
+		addr, err := r.mods[0].Alloc(p, conv.Int32, 16)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		pg := r.mods[0].PageOf(addr)
+		replica := func(h int) *quorumPage { return r.mods[h].engine.(*quorumEngine).qrmPageFor(pg) }
+		// read has host 0 read the page and returns which replicas
+		// answered with an image, after every reply has arrived.
+		read := func(want int32) []HostID {
+			clear(bodies)
+			for _, mod := range r.mods {
+				replica(int(mod.id)).shared = false
+			}
+			fetched := r.mods[0].Stats().BytesFetched
+			if v := r.mods[0].ReadInt32(p, addr); v != want {
+				t.Fatalf("host 0 read %d, want %d", v, want)
+			}
+			p.Sleep(50 * time.Millisecond)
+			if len(bodies) != len(r.mods)-1 {
+				t.Fatalf("%d of %d replicas answered", len(bodies), len(r.mods)-1)
+			}
+			var with []HostID
+			for h := HostID(1); int(h) < len(r.mods); h++ {
+				if bodies[h] != replica(int(h)).shared {
+					t.Errorf("replica %d: image sent %v, marked shared %v", h, bodies[h], replica(int(h)).shared)
+				}
+				if bodies[h] {
+					with = append(with, h)
+				}
+			}
+			// A winner that is not host 0's own replica is installed
+			// from its reply, which must have carried the whole image.
+			if got := r.mods[0].Stats().BytesFetched - fetched; len(with) > 0 && got != r.mods[0].meta[pg].used {
+				t.Errorf("host 0 installed %d bytes from the round's winner, want the %d-byte image", got, r.mods[0].meta[pg].used)
+			}
+			return with
+		}
+
+		// Host 0 wrote last and every replica installed it: up to date,
+		// it gets tags alone.
+		r.mods[0].WriteInt32(p, addr, 1)
+		p.Sleep(50 * time.Millisecond)
+		if with := read(1); len(with) != 0 {
+			t.Errorf("an up-to-date asker got images from %v", with)
+		}
+
+		// Hosts 1–3 hold a newer version hosts 0 and 4 have not seen —
+		// three of host 0's four peers, so whichever two answer first
+		// include one: host 0 is stale, and exactly they answer with
+		// their image.
+		for _, h := range []int{1, 2, 3} {
+			qp := replica(h)
+			conv.PutInt32(r.mods[h].arch, qp.data[int(addr)-int(pg)*r.cfg.PageSize:], 2)
+			qp.tag = quorumTag{ts: 10, host: 3}
+		}
+		with := read(2)
+		if len(with) != 3 || with[0] != 1 || with[1] != 2 || with[2] != 3 {
+			t.Errorf("a stale asker got images from %v, want exactly the newer replicas [1 2 3]", with)
+		}
+		if tag := replica(0).tag; tag != (quorumTag{ts: 10, host: 3}) {
+			t.Errorf("host 0's replica is at %v after the read, want the winner's tag", tag)
+		}
+	})
 }

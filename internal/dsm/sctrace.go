@@ -6,8 +6,8 @@ package dsm
 // representation so traces from heterogeneous hosts compare directly
 // (a Firefly's little-endian VAX floats and a Sun's big-endian IEEE
 // floats of the same value record identically). The offline checker in
-// internal/sctrace then validates the run against sequential
-// consistency using the virtual clock as the witness order.
+// internal/sctrace then validates the run for linearizability per
+// access unit, which implies sequential consistency.
 
 import (
 	"repro/internal/arch"
@@ -19,19 +19,28 @@ import (
 // start is the virtual time the enclosing access began (before any
 // fault it triggered); the end time is the current clock.
 func (m *Module) recordSC(p *sim.Proc, kind sctrace.OpKind, start sim.Time, addr Addr, data []byte) {
-	m.recordSCAt(p, kind, start, p.Now(), addr, data)
+	m.completeSC(p, m.invokeSC(p, kind, start, addr, data))
 }
 
-// recordSCAt is recordSC with an explicit end time, for synthetic
-// records whose witness position is a protocol-defined instant rather
-// than the current clock (quorum reads commit the value they return at
-// their own start; see quorumEngine.readRegion).
-func (m *Module) recordSCAt(p *sim.Proc, kind sctrace.OpKind, start, end sim.Time, addr Addr, data []byte) {
+// invokeSC records a span access whose value is fixed but which has not
+// completed: it stays pending in the trace — an operation that may take
+// effect at any later instant, or never — until completeSC. A quorum
+// write is recorded this way once phase 1 has fixed its value, so a
+// writer that crashes while its value spreads leaves that value
+// admissible.
+func (m *Module) invokeSC(p *sim.Proc, kind sctrace.OpKind, start sim.Time, addr Addr, data []byte) sctrace.Handle {
 	rec := m.cfg.SCRecorder
 	if rec == nil {
-		return
+		return 0
 	}
-	rec.Record(kind, int(m.id), p.Name(), int64(start), int64(end), uint32(addr), m.canonicalBytes(addr, data))
+	return rec.Invoke(kind, int(m.id), p.Name(), int64(start), uint32(addr), m.canonicalBytes(addr, data))
+}
+
+// completeSC stamps an invoked access's completion at the current clock.
+func (m *Module) completeSC(p *sim.Proc, h sctrace.Handle) {
+	if rec := m.cfg.SCRecorder; rec != nil {
+		rec.Complete(h, int64(p.Now()))
+	}
 }
 
 // canonicalBytes converts one page span's native bytes to the canonical

@@ -150,12 +150,13 @@ const (
 	// KindDynConfirmAck acknowledges a KindDynConfirm.
 	KindDynConfirmAck
 	// KindQuorumRead asks a replica for its current version of page
-	// Page: the reply carries the replica's tag and page image. Phase 1
-	// of an SC-ABD quorum read.
+	// Page, carrying the asker's own version: Args[0]=tag timestamp,
+	// Args[1]=tag writer host. Phase 1 of an SC-ABD operation.
 	KindQuorumRead
 	// KindQuorumReadReply answers a KindQuorumRead with Args[0]=tag
-	// timestamp, Args[1]=tag writer host, and the page bytes in the
-	// replica's native representation (SrcArch set).
+	// timestamp, Args[1]=tag writer host, and — only when that tag
+	// orders above the asker's — the page bytes in the replica's native
+	// representation (SrcArch set).
 	KindQuorumReadReply
 	// KindQuorumWrite stores a (value, tag) version at a replica:
 	// Args[0]=tag timestamp, Args[1]=tag writer host, Data the page

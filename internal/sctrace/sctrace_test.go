@@ -114,14 +114,6 @@ func TestRecorderCopiesData(t *testing.T) {
 	if got := rec.Ops()[1].Seq; got != 2 {
 		t.Fatalf("seq = %d, want 2", got)
 	}
-	rec.Reset()
-	if rec.Len() != 0 {
-		t.Fatal("Reset did not clear ops")
-	}
-	rec.Record(Write, 0, "main", 4, 5, 0, []byte{9})
-	if got := rec.Ops()[0].Seq; got != 3 {
-		t.Fatalf("seq after reset = %d, want 3 (monotonic)", got)
-	}
 }
 
 func TestMultiByteTornReadRejected(t *testing.T) {
@@ -153,5 +145,124 @@ func TestReportFormatting(t *testing.T) {
 	rep := Report(v, 1)
 	if !strings.Contains(rep, "2 violation") || !strings.Contains(rep, "1 more") {
 		t.Fatalf("truncated report: %q", rep)
+	}
+}
+
+func TestInFlightWriteAdmitted(t *testing.T) {
+	// A read overlapping a write may return it even though the write
+	// completes after the read does: the write takes effect inside the
+	// read's interval. The checker used to reject exactly this shape.
+	trace := []Op{
+		w(0, "w", 1, 0, 10, 100, 4),
+		r(1, "r", 2, 20, 50, 100, 5),
+		w(0, "w", 3, 15, 100, 100, 5),
+	}
+	if v := Check(trace); len(v) != 0 {
+		t.Fatalf("read of an in-flight write rejected: %s", Report(v, 0))
+	}
+}
+
+func TestTornOverlappingReadRejected(t *testing.T) {
+	// The second write overlaps the read, so either whole value is
+	// admissible — but not one byte of each: a read is one access unit.
+	trace := []Op{
+		w(0, "w", 1, 0, 10, 100, 1, 1),
+		r(1, "r", 3, 25, 35, 100, 2, 1),
+		w(0, "w", 2, 20, 30, 100, 2, 2),
+	}
+	if v := Check(trace); len(v) == 0 {
+		t.Fatal("a read of one new and one old byte accepted")
+	}
+}
+
+func TestReadToReadInversionRejected(t *testing.T) {
+	// Both reads overlap the write of 2, but the first to finish saw it:
+	// a read that starts later may not return the older value.
+	trace := []Op{
+		w(0, "w", 1, 0, 10, 100, 1),
+		r(1, "a", 2, 45, 50, 100, 2),
+		r(2, "b", 3, 52, 55, 100, 1),
+		w(0, "w", 4, 40, 60, 100, 2),
+	}
+	v := Check(trace)
+	if len(v) != 1 || v[0].Op.Proc != "b" {
+		t.Fatalf("new-old inversion: got %s, want one violation on the second read", Report(v, 0))
+	}
+}
+
+func TestPendingWrite(t *testing.T) {
+	pending := Op{Kind: Write, Host: 0, Proc: "w", Seq: 2, Start: 20, End: Pending, Addr: 100, Data: []byte{2}}
+	// A write that never completed may take effect at any later instant
+	// — long after its writer stopped — or never.
+	for _, c := range []struct {
+		name  string
+		trace []Op
+		ok    bool
+	}{
+		{"never read", []Op{w(0, "w", 1, 0, 10, 100, 1), pending, r(1, "r", 3, 200, 210, 100, 1)}, true},
+		{"read late", []Op{w(0, "w", 1, 0, 10, 100, 1), pending, r(1, "r", 3, 50, 60, 100, 1), r(1, "r", 4, 200, 210, 100, 2)}, true},
+		{"read before invoked", []Op{w(0, "w", 1, 0, 10, 100, 1), r(1, "r", 2, 12, 15, 100, 2), pending}, false},
+		{"then older value", []Op{w(0, "w", 1, 0, 10, 100, 1), pending, r(1, "r", 3, 50, 60, 100, 2), r(1, "r", 4, 70, 80, 100, 1)}, false},
+	} {
+		if v := Check(c.trace); (len(v) == 0) != c.ok {
+			t.Errorf("%s: accepted %v, want %v: %s", c.name, len(v) == 0, c.ok, Report(v, 0))
+		}
+		if ok, err := Exact(c.trace, 1000); err != nil || ok != c.ok {
+			t.Errorf("%s: Exact says %v (%v), want %v", c.name, ok, err, c.ok)
+		}
+	}
+}
+
+func TestRecorderInvokeComplete(t *testing.T) {
+	rec := NewRecorder()
+	rec.Record(Write, 0, "a", 0, 1, 0, []byte{1})
+	h := rec.Invoke(Write, 1, "b", 2, 0, []byte{2})
+	rec.Record(Read, 0, "a", 3, 4, 0, []byte{2})
+	if got := rec.Ops()[1].End; got != Pending {
+		t.Fatalf("invoked write ends at %d, want Pending", got)
+	}
+	rec.Complete(h, 6)
+	if got := rec.Ops()[1]; got.End != 6 || got.Seq != 2 {
+		t.Fatalf("completed write: End %d Seq %d, want 6 and 2", got.End, got.Seq)
+	}
+}
+
+// TestCheckKnownDisagreements lists the shapes on which Check rejects a
+// history Exact accepts, each with its reason. Check never errs the
+// other way (TestCheckSoundAgainstExact).
+func TestCheckKnownDisagreements(t *testing.T) {
+	for _, c := range []struct {
+		name, reason string
+		trace        []Op
+	}{
+		{
+			name: "reverse-completion writes",
+			reason: "when no read can go next, the greedy witness places the operation that ends first; " +
+				"here the write of 1 ends first but must follow the write of 2, which the first read saw and the second did not",
+			trace: []Op{
+				w(0, "x", 1, 0, 10, 100, 1),
+				r(1, "r", 2, 5, 50, 100, 2),
+				r(1, "r", 3, 60, 70, 100, 1),
+				w(2, "o", 4, 0, 100, 100, 2),
+			},
+		},
+	} {
+		if ok, err := Exact(c.trace, 1000); !ok || err != nil {
+			t.Errorf("%s: Exact rejects it (%v): not a disagreement", c.name, err)
+		}
+		if v := Check(c.trace); len(v) == 0 {
+			t.Errorf("%s: Check now accepts it: delete the row", c.name)
+		}
+	}
+}
+
+func TestExactBudget(t *testing.T) {
+	var trace []Op
+	for i := 0; i < 12; i++ {
+		trace = append(trace, w(i, "w", uint64(i+1), 0, 100, 100, byte(i)))
+	}
+	trace = append(trace, r(12, "r", 13, 200, 210, 100, 99))
+	if _, err := Exact(trace, 100); err != ErrBudget {
+		t.Fatalf("Exact over budget: %v, want ErrBudget", err)
 	}
 }
