@@ -15,9 +15,10 @@
 //
 // In a deterministic discrete-event simulation the interleaving rarely
 // has to be searched for: the kernel's virtual clock supplies one, the
-// order of completion times. Only a group in which some read disagrees
-// with that order is searched, greedily (see Check); Exact is the
-// bounded exhaustive search the greedy one is tested against.
+// order of completion times. Check's witness follows that order and
+// departs from it, greedily, only where a read disagrees (see Check);
+// Exact is the bounded exhaustive search the greedy one is tested
+// against.
 //
 // Values are recorded in a canonical representation (the DSM module
 // converts native bytes to the Sun wire form before recording), so
@@ -106,8 +107,9 @@ const Pending int64 = math.MaxInt64
 // simulation kernel's one-process-at-a-time discipline is what makes a
 // single recorder per cluster sound.
 type Recorder struct {
-	ops []Op
-	seq uint64
+	ops  []Op
+	seq  uint64
+	base int // operations Reset discarded, so a Handle stays an absolute index
 }
 
 // Handle names an operation Invoke recorded, for Complete.
@@ -133,17 +135,30 @@ func (r *Recorder) Invoke(kind OpKind, host int, proc string, start int64, addr 
 		Kind: kind, Host: host, Proc: proc, Seq: r.seq,
 		Start: start, End: Pending, Addr: addr, Data: d,
 	})
-	return Handle(len(r.ops) - 1)
+	return Handle(r.base + len(r.ops) - 1)
 }
 
-// Complete sets the End of an invoked operation.
-func (r *Recorder) Complete(h Handle, end int64) { r.ops[h].End = end }
+// Complete sets the End of an invoked operation. Completing one that
+// Reset discarded is a no-op.
+func (r *Recorder) Complete(h Handle, end int64) {
+	if i := int(h) - r.base; i >= 0 {
+		r.ops[i].End = end
+	}
+}
 
 // Ops returns the recorded trace in record order.
 func (r *Recorder) Ops() []Op { return r.ops }
 
 // Len returns the number of recorded operations.
 func (r *Recorder) Len() int { return len(r.ops) }
+
+// Reset discards the trace, pending operations included (sequence
+// numbers keep increasing, so concatenated traces stay totally
+// ordered).
+func (r *Recorder) Reset() {
+	r.base += len(r.ops)
+	r.ops = nil
+}
 
 // Violation is one linearizability failure: a read that returned a
 // value no interleaving explains, or an operation breaking program
@@ -171,89 +186,62 @@ func (v Violation) String() string {
 // reject one Exact accepts (exact checking is NP-complete, Gibbons &
 // Korach 1997), and the tests keep a table of the shapes that do.
 //
-// The fast witness orders completed operations by completion time,
-// breaking ties by record sequence, and leaves pending writes out. Only
-// when a read disagrees with it does Check build a witness for that
-// read's address group by the interval rule: a read may return a write
-// that started before the read ended and that no other write to the
-// same bytes superseded before the read started. The witness grows one
-// operation at a time, from those whose real-time predecessors are all
-// placed: a read whenever the current state matches it; otherwise the
-// placeable operation that ends first, or — when that is a read the
-// state does not match — the placeable writes that supply its bytes,
-// earliest-ending first. A read placed after a write it did not see is
-// thereby judged against it too: no read may return an older value than
-// a read that finished before it began (read-to-read order). Unwritten
-// bytes read as zero (DSM pages start zero-filled). Program order is
-// verified per Proc stream: a stream's operations must carry
-// non-decreasing timestamps in record order.
+// Each address group's witness follows the interval rule: a read may
+// return a write that started before the read ended and that no other
+// write to the same bytes superseded before the read started. The
+// witness grows one operation at a time, from those whose real-time
+// predecessors are all placed: a read whenever the current state
+// matches it; otherwise the placeable operation that ends first, or —
+// when that is a read the state does not match — the placeable writes
+// that supply its bytes, earliest-ending first. Pending writes enter
+// only to supply a read. With no read out of step, the witness is the
+// order of completion times, ties broken by record sequence. A read
+// placed after a write it did not see is thereby judged against it
+// too: no read may return an older value than a read that finished
+// before it began (read-to-read order). Unwritten bytes read as zero
+// (DSM pages start zero-filled). Program order is verified per Proc
+// stream: a stream's operations must carry non-decreasing timestamps in
+// record order.
 func Check(ops []Op) []Violation {
 	violations := programOrder(ops)
-
-	order := make([]Op, 0, len(ops))
-	for _, op := range ops {
-		if op.End != Pending {
-			order = append(order, op)
-		}
-	}
-	sort.SliceStable(order, func(i, j int) bool {
-		if order[i].End != order[j].End {
-			return order[i].End < order[j].End
-		}
-		return order[i].Seq < order[j].Seq
-	})
-	state := make(map[uint32]byte)
-	suspect := make(map[uint64]bool) // Seq of every read the fast witness cannot explain
-	for _, op := range order {
-		switch op.Kind {
-		case Write:
-			apply(state, op)
-		case Read:
-			if _, ok := mismatch(state, op); ok {
-				suspect[op.Seq] = true
-			}
-		default:
-			violations = append(violations, Violation{Op: op, Msg: "unknown operation kind"})
-		}
-	}
-	if len(suspect) == 0 {
-		return violations
-	}
 	for _, g := range addressGroups(ops) {
-		for _, op := range g {
-			if suspect[op.Seq] {
-				violations = append(violations, witness(g)...)
-				break
-			}
-		}
+		violations = append(violations, witness(g)...)
 	}
 	return violations
 }
 
-// programOrder checks that each stream's record order agrees with time
-// and that no operation ends before it starts. A pending write holds
-// its stream's place from its Start.
+// programOrder checks that each stream's record order agrees with time,
+// that no operation ends before it starts and that each is a read or a
+// write. A pending write holds its stream's place from its Start.
 func programOrder(ops []Op) []Violation {
+	type stream struct {
+		host int
+		proc string
+	}
+	type last struct {
+		seq uint64
+		end int64
+	}
 	var violations []Violation
-	lastEnd := make(map[string]int64)
-	lastSeq := make(map[string]uint64)
+	prev := make(map[stream]last)
 	for _, op := range ops {
-		key := fmt.Sprintf("%d/%s", op.Host, op.Proc)
-		if s, ok := lastSeq[key]; ok {
-			if op.Seq <= s || op.End < lastEnd[key] {
-				violations = append(violations, Violation{
-					Op:  op,
-					Msg: fmt.Sprintf("program order violated on stream %s", key),
-				})
-			}
+		key := stream{op.Host, op.Proc}
+		if l, ok := prev[key]; ok && (op.Seq <= l.seq || op.End < l.end) {
+			violations = append(violations, Violation{
+				Op:  op,
+				Msg: fmt.Sprintf("program order violated on stream %d/%s", op.Host, op.Proc),
+			})
 		}
-		lastSeq[key] = op.Seq
-		lastEnd[key] = op.End
+		l := last{op.Seq, op.End}
 		if op.End == Pending {
-			lastEnd[key] = op.Start
+			l.end = op.Start
 		}
+		prev[key] = l
 		if op.End < op.Start {
 			violations = append(violations, Violation{Op: op, Msg: "operation ends before it starts"})
+		}
+		if op.Kind != Read && op.Kind != Write {
+			violations = append(violations, Violation{Op: op, Msg: "unknown operation kind"})
 		}
 	}
 	return violations
@@ -310,11 +298,13 @@ func addressGroups(ops []Op) [][]Op {
 		hi = max(hi, op.Addr+uint32(len(op.Data)))
 	}
 	out := make([][]Op, len(groups))
+	all := make([]Op, 0, len(idx))
 	for g, members := range groups {
 		sort.Ints(members)
 		for _, i := range members {
-			out[g] = append(out[g], ops[i])
+			all = append(all, ops[i])
 		}
+		out[g] = all[len(all)-len(members):]
 	}
 	return out
 }

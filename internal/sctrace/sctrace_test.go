@@ -114,6 +114,14 @@ func TestRecorderCopiesData(t *testing.T) {
 	if got := rec.Ops()[1].Seq; got != 2 {
 		t.Fatalf("seq = %d, want 2", got)
 	}
+	rec.Reset()
+	if rec.Len() != 0 {
+		t.Fatal("Reset did not clear ops")
+	}
+	rec.Record(Write, 0, "main", 4, 5, 0, []byte{9})
+	if got := rec.Ops()[0].Seq; got != 3 {
+		t.Fatalf("seq after reset = %d, want 3 (monotonic)", got)
+	}
 }
 
 func TestMultiByteTornReadRejected(t *testing.T) {
@@ -224,6 +232,19 @@ func TestRecorderInvokeComplete(t *testing.T) {
 	rec.Complete(h, 6)
 	if got := rec.Ops()[1]; got.End != 6 || got.Seq != 2 {
 		t.Fatalf("completed write: End %d Seq %d, want 6 and 2", got.End, got.Seq)
+	}
+	// A write invoked before a Reset and completed after it is gone;
+	// its handle must not land on the new trace.
+	stale := rec.Invoke(Write, 1, "b", 7, 0, []byte{3})
+	rec.Reset()
+	h = rec.Invoke(Write, 1, "b", 8, 0, []byte{4})
+	rec.Complete(stale, 9)
+	if got := rec.Ops()[0].End; got != Pending {
+		t.Fatalf("stale handle completed the write invoked after Reset (End %d)", got)
+	}
+	rec.Complete(h, 10)
+	if got := rec.Ops()[0]; got.End != 10 || got.Seq != 5 {
+		t.Fatalf("write invoked after Reset: End %d Seq %d, want 10 and 5", got.End, got.Seq)
 	}
 }
 
