@@ -34,10 +34,10 @@ func TestCampaignsPinned(t *testing.T) {
 		{"chaos1:handoff:partition:1", 2048, 6911059088, "t=6.911059088s steps=2048 fetched=12 conv=10 recovered=0 lost=0 dropped=0 cut=39 corrupted=0 duplicated=0 toDead=0"},
 		{"chaos1:handoff:crash:1", 1723, 6953223600, "t=6.9532236s steps=1723 fetched=12 conv=9 recovered=1 lost=0 dropped=0 cut=0 corrupted=0 duplicated=0 toDead=46"},
 		{"chaos1:handoff:mix:1", 1680, 8713766416, "t=8.713766416s steps=1680 fetched=11 conv=7 recovered=1 lost=0 dropped=2 cut=19 corrupted=0 duplicated=0 toDead=61"},
-		{"chaos1:quorum:drop:1", 10928, 7046392800, "t=7.0463928s steps=10928 fetched=0 conv=93 recovered=0 lost=0 dropped=30 cut=0 corrupted=5 duplicated=0 toDead=0"},
-		{"chaos1:quorum:partition:1", 10644, 7008371200, "t=7.0083712s steps=10644 fetched=0 conv=87 recovered=0 lost=0 dropped=0 cut=157 corrupted=0 duplicated=0 toDead=0"},
-		{"chaos1:quorum:crash:1", 8360, 6997458000, "t=6.997458s steps=8360 fetched=0 conv=63 recovered=0 lost=0 dropped=0 cut=0 corrupted=0 duplicated=0 toDead=208"},
-		{"chaos1:quorum:mix:1", 7515, 7057696200, "t=7.0576962s steps=7515 fetched=0 conv=57 recovered=0 lost=0 dropped=18 cut=77 corrupted=10 duplicated=0 toDead=179"},
+		{"chaos1:quorum:drop:1", 7331, 6942287874, "t=6.942287874s steps=7331 fetched=1 conv=96 recovered=0 lost=0 dropped=19 cut=0 corrupted=3 duplicated=0 toDead=0"},
+		{"chaos1:quorum:partition:1", 7264, 6945300800, "t=6.9453008s steps=7264 fetched=0 conv=83 recovered=0 lost=0 dropped=0 cut=100 corrupted=0 duplicated=0 toDead=0"},
+		{"chaos1:quorum:crash:1", 5983, 7009599200, "t=7.0095992s steps=5983 fetched=0 conv=67 recovered=0 lost=0 dropped=0 cut=0 corrupted=0 duplicated=0 toDead=150"},
+		{"chaos1:quorum:mix:1", 5668, 6964801000, "t=6.964801s steps=5668 fetched=1 conv=61 recovered=0 lost=0 dropped=13 cut=85 corrupted=0 duplicated=0 toDead=144"},
 		{"chaos1:rc:drop:1", 1573, 7046506368, "t=7.046506368s steps=1573 fetched=5 conv=17 recovered=0 lost=0 dropped=3 cut=0 corrupted=0 duplicated=0 toDead=0"},
 		{"chaos1:rc:partition:1", 1541, 7046506368, "t=7.046506368s steps=1541 fetched=5 conv=17 recovered=0 lost=0 dropped=0 cut=21 corrupted=0 duplicated=0 toDead=0"},
 		{"chaos1:rc:crash:1", 1106, 6949633056, "t=6.949633056s steps=1106 fetched=3 conv=13 recovered=0 lost=0 dropped=0 cut=0 corrupted=0 duplicated=0 toDead=46"},

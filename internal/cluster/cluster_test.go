@@ -261,7 +261,7 @@ func TestNewShutsKernelDownOnLateError(t *testing.T) {
 // The per-host server is events, not a process: a built cluster, however
 // large, holds no coroutine until something runs on it.
 func TestNewOf1024HostsAddsNoGoroutine(t *testing.T) {
-	before := runtime.NumGoroutine()
+	before := settledGoroutines()
 	c, err := New(sunAndFireflies(1023))
 	if err != nil {
 		t.Fatal(err)
@@ -270,6 +270,24 @@ func TestNewOf1024HostsAddsNoGoroutine(t *testing.T) {
 	if after := runtime.NumGoroutine(); after != before {
 		t.Fatalf("building 1024 hosts moved the goroutine count from %d to %d", before, after)
 	}
+}
+
+// settledGoroutines returns the goroutine count once it has held still
+// for 20 consecutive millisecond polls: the coroutines of an earlier
+// test's kernel exit on their own schedule after its shutdown, later
+// on a loaded machine. It gives up waiting after five seconds.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	deadline := time.Now().Add(5 * time.Second)
+	for still := 0; still < 20 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		if m := runtime.NumGoroutine(); m != n {
+			n, still = m, 0
+		} else {
+			still++
+		}
+	}
+	return n
 }
 
 // kernelCountsCell runs the three phases of exp.DirectoryScaling

@@ -158,8 +158,20 @@ func (d *Diff) EncodeTo(buf []byte) int {
 }
 
 // DecodeDiff parses a wire-form diff for a region of elements of type
-// id. The returned diff's Runs and Data alias fresh copies, not buf.
+// id. The returned diff's Runs and Data are fresh copies, not buf.
 func DecodeDiff(id TypeID, elemSize int, buf []byte) (Diff, error) {
+	d, err := ViewDiff(id, elemSize, buf)
+	if err != nil {
+		return Diff{}, err
+	}
+	d.Data = append([]byte(nil), d.Data...)
+	return d, nil
+}
+
+// ViewDiff is DecodeDiff without the payload copy: the returned diff's
+// Data aliases buf, so converting and applying it work in place in the
+// wire buffer.
+func ViewDiff(id TypeID, elemSize int, buf []byte) (Diff, error) {
 	if len(buf) < diffHdrSize {
 		return Diff{}, fmt.Errorf("conv: diff of %d bytes has no header", len(buf))
 	}
@@ -181,6 +193,6 @@ func DecodeDiff(id TypeID, elemSize int, buf []byte) (Diff, error) {
 		return Diff{}, fmt.Errorf("conv: diff payload %d bytes, runs claim %d elements of %d bytes",
 			len(buf)-off, elems, elemSize)
 	}
-	d.Data = append([]byte(nil), buf[off:]...)
+	d.Data = buf[off:]
 	return d, nil
 }

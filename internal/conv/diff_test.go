@@ -115,6 +115,30 @@ func TestDiffDecodeRejects(t *testing.T) {
 	}
 }
 
+// TestViewDiffAliasesWire pins what sets ViewDiff apart from DecodeDiff:
+// the payload is the wire buffer's own bytes, so a conversion in place
+// changes the buffer, while DecodeDiff's copy does not follow it.
+func TestViewDiffAliasesWire(t *testing.T) {
+	d := Diff{Type: Int32, Runs: []DiffRun{{Elem: 3, Count: 2}}, Data: []byte{1, 2, 3, 4, 5, 6, 7, 8}}
+	wire := make([]byte, d.EncodedSize())
+	d.EncodeTo(wire)
+	view, err := ViewDiff(Int32, 4, wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copied, err := DecodeDiff(Int32, 4, wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(view.Runs) != 1 || view.Runs[0] != d.Runs[0] || !bytes.Equal(view.Data, d.Data) {
+		t.Fatalf("ViewDiff decoded %+v, want %+v", view, d)
+	}
+	view.Data[0] = 9
+	if wire[len(wire)-8] != 9 || copied.Data[0] != 1 {
+		t.Fatalf("after a write through the view: wire byte %d, decoded copy byte %d; want 9 and 1", wire[len(wire)-8], copied.Data[0])
+	}
+}
+
 // diffConvertCheck asserts the composition property: converting the old
 // image and applying the converted diff is bit-identical to converting
 // the new image whole. This is what lets RC ship diffs between

@@ -295,11 +295,17 @@ type Stats struct {
 	// host initiated; QuorumWriteBacks counts read-side write-back
 	// rounds (the second phase that makes interrupted writes atomic);
 	// QuorumRetries counts fan-out rounds re-run because a majority was
-	// unreachable (partition riding). All zero outside PolicyQuorum.
-	QuorumReads      int
-	QuorumWrites     int
-	QuorumWriteBacks int
-	QuorumRetries    int
+	// unreachable (partition riding). Of the phase-2 rounds,
+	// QuorumDiffPushes counts those that shipped a write's diff alone and
+	// QuorumImagePushes those that shipped the whole image (read
+	// write-backs, and writes a replica lacked the diff's base for). All
+	// zero outside PolicyQuorum.
+	QuorumReads       int
+	QuorumWrites      int
+	QuorumWriteBacks  int
+	QuorumRetries     int
+	QuorumDiffPushes  int
+	QuorumImagePushes int
 	// Forwards counts dynamic-directory requests this host relayed one
 	// hop down its probable-owner chain (dynamic.go).
 	Forwards int
@@ -354,6 +360,8 @@ func (s *Stats) Add(o Stats) {
 	s.QuorumWrites += o.QuorumWrites
 	s.QuorumWriteBacks += o.QuorumWriteBacks
 	s.QuorumRetries += o.QuorumRetries
+	s.QuorumDiffPushes += o.QuorumDiffPushes
+	s.QuorumImagePushes += o.QuorumImagePushes
 	s.Forwards += o.Forwards
 	s.ChainServes += o.ChainServes
 	s.ChainHops += o.ChainHops

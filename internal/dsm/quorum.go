@@ -25,6 +25,16 @@ package dsm
 // sender's format and convert on receipt, exactly like an MRSW page
 // transfer, so unlike architectures interoperate.
 //
+// A version travels as a typed diff wherever the receiver holds the
+// version it was written over. Phase 2 of a write ships the written
+// elements against the version phase 1 adopted, and a phase-1 reply to
+// an asker one version behind carries the diff that produced the newer
+// one. A tag names exactly one image (a writer never reuses its own
+// timestamp), so a replica holding the diff's base tag holds its base
+// image, and applying the diff there yields the writer's image
+// (conv.Diff converts like the page it came from). Everyone else gets
+// the whole image.
+//
 // Availability is the point: an operation completes inside any network
 // component holding a majority of the hosts — the one engine that stays
 // live through partitions. Fan-outs ride partition blips out with
@@ -34,11 +44,14 @@ package dsm
 // so many replicas dead that no majority can ever answer again.
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/arch"
 	"repro/internal/bufpool"
+	"repro/internal/conv"
 	"repro/internal/proto"
 	"repro/internal/remoteop"
 	"repro/internal/sctrace"
@@ -61,6 +74,22 @@ func (t quorumTag) less(o quorumTag) bool {
 	return t.host < o.host
 }
 
+// argTag reads the tag a message carries in its args i and i+1.
+func argTag(msg *proto.Message, i int) quorumTag {
+	return quorumTag{ts: msg.Arg(i), host: HostID(msg.Arg(i + 1))}
+}
+
+// The body shapes of quorum messages, beyond a version's tag in args 0
+// and 1. A phase-1 reply whose arg 2 is quorumDiffBody carries the
+// typed diff from the asker's version, not the image. A phase-2 request
+// with four args carries the diff from the version tagged in args 2 and
+// 3; an ack whose arg 0 is quorumNeedImage refuses it, the replica
+// holding neither that base nor anything at or above the new tag.
+const (
+	quorumDiffBody  = 1
+	quorumNeedImage = 1
+)
+
 // quorumMajority returns the quorum size over n replicas: the smallest
 // set size any two of which must intersect.
 func quorumMajority(n int) int { return n/2 + 1 }
@@ -74,6 +103,28 @@ type quorumPage struct {
 	data   []byte
 	tag    quorumTag
 	shared bool
+	// diff is the wire form, in this host's representation, of the
+	// typed diff that produced this version from version base — nil when
+	// the version arrived whole. Each version's diff has a pooled buffer
+	// of its own; one a phase-1 reply carries (diffShared) stays with
+	// the reply cache instead of going back to the pool.
+	diff       []byte
+	base       quorumTag
+	diffShared bool
+}
+
+// setVersion stamps the replica with tag, whose image data now holds,
+// and records a copy of diff as the diff that produced it from base
+// (nil: the version arrived whole).
+func (qp *quorumPage) setVersion(tag, base quorumTag, diff []byte) {
+	if !qp.diffShared {
+		bufpool.Put(qp.diff)
+	}
+	qp.tag, qp.base, qp.diff, qp.diffShared = tag, base, nil, false
+	if diff != nil {
+		qp.diff = bufpool.Get(len(diff))
+		copy(qp.diff, diff)
+	}
 }
 
 // unshare makes the replica's image safe to change in place. A shared
@@ -155,7 +206,7 @@ func (m *quorumEngine) writeRegion(p *sim.Proc, addr Addr, n int, fill func(seg 
 		l.P(p)
 		defer l.V()
 		var h sctrace.Handle
-		err := m.quorumWritePage(p, s.page, func(qp *quorumPage) {
+		err := m.quorumWritePage(p, s.page, s.lo, s.n, func(qp *quorumPage) {
 			seg := qp.data[s.lo : s.lo+s.n]
 			fill(seg, s.off)
 			// Phase 1 has fixed the value, and phase 2 may hand it to a
@@ -204,9 +255,10 @@ func (m *quorumEngine) quorumReadPage(p *sim.Proc, page PageNo) (*quorumPage, er
 }
 
 // quorumWritePage is one full SC-ABD write of a page. The caller holds
-// the page's fault lock; mutate edits the local replica's image in
-// place after phase 1 has made it current.
-func (m *quorumEngine) quorumWritePage(p *sim.Proc, page PageNo, mutate func(qp *quorumPage)) error {
+// the page's fault lock; mutate edits bytes [lo, lo+n) of the local
+// replica's image in place after phase 1 has made it current, and phase
+// 2 ships those elements as a diff against the version mutate changed.
+func (m *quorumEngine) quorumWritePage(p *sim.Proc, page PageNo, lo, n int, mutate func(qp *quorumPage)) error {
 	m.stats.QuorumWrites++
 	m.protoCPU.Use(p, m.jittered(m.cfg.Params.RemoteOpProcess.Of(m.arch.Kind)))
 	// Injected bug (MutSplitBrainWrite): install locally and declare
@@ -221,16 +273,50 @@ func (m *quorumEngine) quorumWritePage(p *sim.Proc, page PageNo, mutate func(qp 
 		}
 	}
 	qp.unshare(0)
+	base := qp.tag
 	mutate(qp)
-	qp.tag = quorumTag{ts: qp.tag.ts + 1, host: m.id}
+	diff := m.writeDiff(page, qp.data, lo, n)
+	defer bufpool.Put(diff)
+	qp.setVersion(quorumTag{ts: base.ts + 1, host: m.id}, base, diff)
 	if !splitBrain {
-		if err := m.quorumPush(p, page, qp); err != nil {
+		if err := m.quorumPushDiff(p, page, qp, base, diff); err != nil {
 			return err
 		}
 		m.trace("quorum-write", page)
 	}
 	m.checkpoint("quorum-write", page)
 	return nil
+}
+
+// writeDiff encodes, into a pooled wire buffer, the typed diff a write
+// of image's bytes [lo, lo+n) made: one run of the written span,
+// rounded out to whole elements of the page's type.
+func (m *quorumEngine) writeDiff(page PageNo, image []byte, lo, n int) []byte {
+	mt := m.meta[page]
+	sz := m.cfg.Registry.MustGet(mt.typeID).Size
+	e0, e1 := lo/sz, (lo+n+sz-1)/sz
+	d := conv.Diff{
+		Type: mt.typeID,
+		Runs: []conv.DiffRun{{Elem: uint32(e0), Count: uint32(e1 - e0)}},
+		Data: image[e0*sz : e1*sz],
+	}
+	buf := bufpool.Get(d.EncodedSize())
+	d.EncodeTo(buf)
+	return buf
+}
+
+// viewDiff decodes a received diff for page in place: its payload
+// aliases body.
+func (m *quorumEngine) viewDiff(page PageNo, body []byte) conv.Diff {
+	mt, ok := m.meta[page]
+	if !ok {
+		panic(fmt.Sprintf("dsm: host %d received a diff for page %d with no allocation metadata", m.id, page))
+	}
+	d, err := conv.ViewDiff(mt.typeID, m.cfg.Registry.MustGet(mt.typeID).Size, body)
+	if err != nil {
+		panic(fmt.Sprintf("dsm: host %d decoding a diff for page %d: %v", m.id, page, err))
+	}
+	return d
 }
 
 // quorumCollect runs phase 1 of an SC-ABD operation: query replicas
@@ -244,82 +330,146 @@ func (m *quorumEngine) quorumCollect(p *sim.Proc, page PageNo) (qp *quorumPage, 
 	if maj == 1 {
 		return qp, true, nil // single-host cluster: the replica is the majority
 	}
-	// The query carries this replica's tag, so that only a newer replica
-	// answers with its image: every message of the fan-out shares one
-	// args slice.
-	args := []uint32{qp.tag.ts, uint32(qp.tag.host)}
-	replies, err := m.quorumFanout(p, page, maj-1, func(dst HostID) *proto.Message {
-		return &proto.Message{Kind: proto.KindQuorumRead, Page: uint32(page), Args: args}
-	})
-	if err != nil {
-		return nil, false, err
-	}
-	winner := qp.tag
-	winIdx := -1
-	for i, r := range replies {
-		if r == nil {
-			continue
+	for {
+		// The query carries this replica's tag, so that only a newer
+		// replica answers with a body: every message of the fan-out
+		// shares one args slice.
+		asked := qp.tag
+		args := []uint32{asked.ts, uint32(asked.host)}
+		replies, err := m.quorumFanout(p, page, maj-1, func(dst HostID) *proto.Message {
+			return &proto.Message{Kind: proto.KindQuorumRead, Page: uint32(page), Args: args}
+		})
+		if err != nil {
+			return nil, false, err
 		}
-		t := quorumTag{ts: r.Arg(0), host: HostID(r.Arg(1))}
-		if winner.less(t) {
-			winner = t
-			winIdx = i
+		winner := qp.tag
+		winIdx := -1
+		for i, r := range replies {
+			if r != nil && winner.less(argTag(r, 0)) {
+				winner = argTag(r, 0)
+				winIdx = i
+			}
 		}
-	}
-	if winIdx >= 0 && qp.tag.less(winner) {
-		// A peer holds a newer version: install its image locally,
-		// converting from the peer's native representation. The winner's
-		// tag orders above the one this query carried — the replica's
-		// tags never regress — so its reply carries the image. The replica
-		// is re-checked after the conversion sleep — a concurrent
-		// inbound quorum write may have advanced it past the winner,
-		// and a tag must never regress. The body converts in place: its
-		// wire buffer is this host's until the TakeWire below.
-		r := replies[winIdx]
-		m.convertIn(p, page, r.Data, arch.Kind(r.SrcArch))
-		if qp.tag.less(winner) {
-			qp.unshare(len(r.Data))
-			copy(qp.data, r.Data)
-			qp.tag = winner
-			m.countFetch(page, len(r.Data), "fetch")
+		ok := true
+		if winIdx >= 0 {
+			// A peer holds a newer version: install it locally. The
+			// winner's tag orders above the one this query carried — the
+			// replica's tags never regress — so its reply carries a body:
+			// the image, or the diff from the asked version.
+			r := replies[winIdx]
+			var installed bool
+			installed, ok = m.install(p, page, qp, winner, asked, r.Arg(2) == quorumDiffBody, r.Data, arch.Kind(r.SrcArch))
+			if installed {
+				m.countFetch(page, len(r.Data), "fetch")
+			}
 		}
-	}
-	votes := 0
-	if qp.tag == winner {
-		votes++
-	}
-	for _, r := range replies {
-		if r != nil && (quorumTag{ts: r.Arg(0), host: HostID(r.Arg(1))}) == winner {
+		votes := 0
+		if qp.tag == winner {
 			votes++
 		}
-	}
-	for _, r := range replies {
-		if r != nil {
-			bufpool.Put(r.TakeWire())
+		for _, r := range replies {
+			if r != nil && argTag(r, 0) == winner {
+				votes++
+			}
 		}
+		for _, r := range replies {
+			if r != nil {
+				bufpool.Put(r.TakeWire())
+			}
+		}
+		if ok {
+			return qp, votes >= maj, nil
+		}
+		// The winner came as a diff from the asked version, and a
+		// concurrent install has moved the replica to a version between
+		// the two: ask again from there.
 	}
-	return qp, votes >= maj, nil
 }
 
-// quorumPush runs phase 2 of an SC-ABD operation: store this host's
-// current replica (value and tag) at a majority. The image is
-// snapshotted into a pooled buffer first so retransmissions inside the
-// fan-out cannot pick up concurrent local updates. The caller holds the
-// page's fault lock.
+// install makes a received version of page this replica's, unless the
+// replica already holds it or a newer one. The body — in src's
+// representation, converted in place, so its wire buffer must be this
+// host's — is the version's whole image (allocated prefix), or, when
+// isDiff, the typed diff that produced it from version base. The
+// replica is re-checked after the conversion sleep: a concurrent
+// install may have advanced it, and a tag must never regress. ok is
+// false when the replica can take the version neither way: it holds
+// neither the diff's base nor anything at or above tag.
+func (m *quorumEngine) install(p *sim.Proc, page PageNo, qp *quorumPage, tag, base quorumTag, isDiff bool, body []byte, src arch.Kind) (installed, ok bool) {
+	if !qp.tag.less(tag) {
+		return false, true
+	}
+	if !isDiff {
+		m.convertIn(p, page, body, src)
+		if !qp.tag.less(tag) {
+			return false, true
+		}
+		qp.unshare(len(body))
+		copy(qp.data, body)
+		qp.setVersion(tag, quorumTag{}, nil)
+		return true, true
+	}
+	if qp.tag != base {
+		return false, false
+	}
+	d := m.viewDiff(page, body)
+	m.convertDiff(p, page, &d, src)
+	if qp.tag != base {
+		return false, !qp.tag.less(tag)
+	}
+	qp.unshare(0)
+	if err := m.cfg.Registry.Apply(&d, qp.data); err != nil {
+		panic(fmt.Sprintf("dsm: host %d applying a diff to page %d: %v", m.id, page, err))
+	}
+	qp.setVersion(tag, base, body)
+	return true, true
+}
+
+// quorumPushDiff runs phase 2 of a write: store version qp.tag at a
+// majority by shipping diff, the pooled wire form of the diff that
+// produced it from version base. A replica at base applies it, one at
+// or above the new tag acks without effect, and any other refuses it;
+// a refusal among the majority's answers completes the round with the
+// whole image instead. That image is the replica's current version:
+// this write's, or a newer one installed meanwhile, which stores a tag
+// at or above this write's at a majority just the same. The caller
+// holds the page's fault lock.
+func (m *quorumEngine) quorumPushDiff(p *sim.Proc, page PageNo, qp *quorumPage, base quorumTag, diff []byte) error {
+	maj := quorumMajority(len(m.hosts))
+	if maj == 1 {
+		return nil
+	}
+	args := []uint32{qp.tag.ts, uint32(qp.tag.host), base.ts, uint32(base.host)}
+	replies, err := m.quorumFanout(p, page, maj-1, func(dst HostID) *proto.Message {
+		return &proto.Message{Kind: proto.KindQuorumWrite, Page: uint32(page), Args: args, Data: diff}
+	})
+	if err != nil {
+		return err
+	}
+	for _, r := range replies {
+		if r != nil && r.Arg(0) == quorumNeedImage {
+			return m.quorumPush(p, page, qp)
+		}
+	}
+	m.stats.QuorumDiffPushes++
+	return nil
+}
+
+// quorumPush runs phase 2 of an SC-ABD operation with the whole image:
+// store this host's current replica (value and tag) at a majority. The
+// image is snapshotted into a pooled buffer first so retransmissions
+// inside the fan-out cannot pick up concurrent local updates. The
+// caller holds the page's fault lock.
 func (m *quorumEngine) quorumPush(p *sim.Proc, page PageNo, qp *quorumPage) error {
 	maj := quorumMajority(len(m.hosts))
 	if maj == 1 {
 		return nil
 	}
-	tag := qp.tag
+	m.stats.QuorumImagePushes++
+	args := []uint32{qp.tag.ts, uint32(qp.tag.host)}
 	data := m.servedPrefix(page, qp.data, bufpool.Get)
 	_, err := m.quorumFanout(p, page, maj-1, func(dst HostID) *proto.Message {
-		return &proto.Message{
-			Kind: proto.KindQuorumWrite,
-			Page: uint32(page),
-			Args: []uint32{tag.ts, uint32(tag.host)},
-			Data: data,
-		}
+		return &proto.Message{Kind: proto.KindQuorumWrite, Page: uint32(page), Args: args, Data: data}
 	})
 	bufpool.Put(data)
 	return err
@@ -375,65 +525,71 @@ func (m *quorumEngine) quorumReadCharge(req *proto.Message) (*sim.Resource, sim.
 
 // handleQuorumRead answers a phase-1 query, once quorumReadCharge is
 // paid, with this replica's version: its tag in the args and, when that
-// tag orders above the asker's, its image (allocated prefix, native
-// representation) in the data. An asker that already holds this version
-// or a newer one gets the tag alone. The body is the replica's own
-// image, not a copy: the replica is marked shared, and the reply
-// cache's resend check (remoteop) enforces that nothing changes it
+// tag orders above the asker's, a body in the data. An asker holding
+// exactly the version this one was written over gets the diff that
+// produced it; any other older asker gets the image (allocated prefix),
+// and one that already holds this version or a newer one gets the tag
+// alone. Both bodies are native representation and the replica's own,
+// not copies: the replica marks them shared, and the reply cache's
+// resend check (remoteop) enforces that nothing changes them
 // afterwards. It takes no locks, deliberately: the replica may itself
 // be parked inside a quorum round holding its local fault lock.
 func (m *quorumEngine) handleQuorumRead(req *proto.Message) *proto.Message {
 	page := PageNo(req.Page)
-	asker := quorumTag{ts: req.Arg(0), host: HostID(req.Arg(1))}
+	asker := argTag(req, 0)
 	bufpool.Put(req.TakeWire())
 	qp := m.qrmPageFor(page)
-	reply := &proto.Message{
-		Kind: proto.KindQuorumReadReply,
-		Page: req.Page,
-		Args: []uint32{qp.tag.ts, uint32(qp.tag.host)},
-	}
-	if asker.less(qp.tag) {
+	args := []uint32{qp.tag.ts, uint32(qp.tag.host), quorumDiffBody}
+	reply := &proto.Message{Kind: proto.KindQuorumReadReply, Page: req.Page, Args: args[:2]}
+	switch {
+	case !asker.less(qp.tag):
+	case qp.diff != nil && qp.base == asker:
+		qp.diffShared = true
+		reply.Args = args
+		reply.Data = qp.diff
+	default:
 		qp.shared = true
 		reply.Data = qp.data[:m.meta[page].used]
 	}
 	return reply
 }
 
-// handleQuorumWrite installs a (value, tag) version at this replica if
-// the tag orders above the one it holds — stale and duplicate installs
-// are acknowledged without effect, which is what makes phase 2
-// idempotent under retransmission. Lock-free like handleQuorumRead.
+// handleQuorumWrite installs a phase-2 version — an image, or a diff
+// from the base tag in args 2 and 3 — at this replica if the tag orders
+// above the one it holds. Stale and duplicate installs are acknowledged
+// without effect, which is what makes phase 2 idempotent under
+// retransmission; a diff the replica cannot apply is refused, and the
+// writer sends the image. Lock-free like handleQuorumRead.
 func (m *quorumEngine) handleQuorumWrite(p *sim.Proc, req *proto.Message) {
 	m.exitIfCrashed(p)
 	page := PageNo(req.Page)
-	tag := quorumTag{ts: req.Arg(0), host: HostID(req.Arg(1))}
 	m.protoCPU.Use(p, m.jittered(m.cfg.Params.RemoteOpProcess.Of(m.arch.Kind)))
-	qp := m.qrmPageFor(page)
-	if qp.tag.less(tag) {
-		// The body converts in place in the request's wire buffer.
-		m.convertIn(p, page, req.Data, arch.Kind(req.SrcArch))
-		// Re-check after the conversion sleep: a concurrent install may
-		// have advanced the replica past this version.
-		if qp.tag.less(tag) {
-			qp.unshare(len(req.Data))
-			copy(qp.data, req.Data)
-			qp.tag = tag
-			m.trace("quorum-install", page)
-		}
+	ack := &proto.Message{Kind: proto.KindQuorumWriteAck, Page: req.Page}
+	// The body converts in place in the request's wire buffer.
+	installed, ok := m.install(p, page, m.qrmPageFor(page), argTag(req, 0), argTag(req, 2), len(req.Args) > 2, req.Data, arch.Kind(req.SrcArch))
+	if installed {
+		m.trace("quorum-install", page)
+	} else if !ok {
+		ack.Args = []uint32{quorumNeedImage}
 	}
 	bufpool.Put(req.TakeWire())
 	m.checkpoint("quorum-install", page)
-	m.ep.Reply(p, req, &proto.Message{Kind: proto.KindQuorumWriteAck, Page: req.Page})
+	m.ep.Reply(p, req, ack)
 }
 
 // checkQuorumPage is the quorum engine's declared invariant for one
 // page: every replica buffer is page-sized, every version tag names a
-// known writer, and the replicated allocation metadata is sane. Version
-// agreement is deliberately NOT asserted — replicas legitimately diverge
-// between quorum rounds (only a majority need hold the newest version);
-// the SC trace checker is what audits the values reads actually return.
+// known writer, the replicated allocation metadata is sane, and a tag
+// names one image — two live replicas on compatible machines holding
+// the same written version hold the same allocated prefix, which is
+// what lets a diff applied at its base tag reproduce the writer's
+// image. Version agreement is deliberately NOT asserted — replicas
+// legitimately diverge between quorum rounds (only a majority need hold
+// the newest version); the SC trace checker is what audits the values
+// reads actually return.
 func checkQuorumPage(c *InvariantChecker, point string, page PageNo, writers, holders []HostID) {
 	c.uniqueWriter(point, page, writers)
+	var seen []*Module // the first live holder of each written version, per machine representation
 	for _, mod := range c.mods {
 		if mod.ep.Crashed() {
 			continue
@@ -451,11 +607,30 @@ func checkQuorumPage(c *InvariantChecker, point string, page PageNo, writers, ho
 				mod.id, qp.tag.host)
 		}
 		c.checkMeta(point, page, mod)
+		if qp.tag == (quorumTag{}) {
+			continue
+		}
+		i := slices.IndexFunc(seen, func(o *Module) bool {
+			return o.engine.(*quorumEngine).qrm[page].tag == qp.tag && o.arch.Compatible(mod.arch)
+		})
+		if i < 0 {
+			seen = append(seen, mod)
+			continue
+		}
+		o := seen[i]
+		oq := o.engine.(*quorumEngine).qrm[page]
+		n := min(o.meta[page].used, mod.meta[page].used, len(oq.data), len(qp.data))
+		if !bytes.Equal(oq.data[:n], qp.data[:n]) {
+			c.report(point, page, "hosts %d and %d hold different images of version %v",
+				o.id, mod.id, qp.tag)
+		}
 	}
 }
 
 // hashState is the quorum engine's section of the state fingerprint:
-// each replica's tag plus the allocated prefix of its image.
+// each replica's tag plus the allocated prefix of its image. The stored
+// diff is left out: it decides only how large a later reply is, so
+// when it arrives, and virtual time is no part of a fingerprint either.
 func (m *quorumEngine) hashState(put func(uint32), putBody func([]byte)) {
 	put(0xffff_fffb)
 	for _, pg := range sim.SortedKeys(m.qrm) {

@@ -19,7 +19,7 @@ func TestDFSReportsPinned(t *testing.T) {
 	}{
 		{"basic", 2504, 171, 100, 20621},
 		{"dynamic", 302, 146, 71, 18568},
-		{"quorum", 397, 220, 92, 15577},
+		{"quorum", 397, 60, 72, 12577},
 		{"rc", 642, 38, 40, 15815},
 	}
 	for _, c := range cases {
