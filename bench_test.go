@@ -17,6 +17,7 @@ import (
 	"repro/internal/conv"
 	"repro/internal/dsm"
 	"repro/internal/exp"
+	"repro/internal/sim"
 	"repro/internal/vaxfloat"
 )
 
@@ -237,16 +238,19 @@ func BenchmarkRCMerge(b *testing.B) {
 	b.ReportMetric(float64(op()), "merged_bytes")
 }
 
-// rcMerge is a component-wise merge of two sync payloads — the work a
-// semaphore grant does when its stored release stamp meets the granting
-// host's, sized for an 8-host cluster with 16 pages of notices each. It
-// returns the merged length.
+// rcMerge is the merge a primitive's manager does when a release meets
+// the payload it has accumulated, sized for an 8-host cluster: each
+// payload is one interval's release as the engine encodes it (16 pages
+// of notices, each page's diff carried), and the two overlap on 14
+// pages, which the merge keeps both versions of. It returns the merged
+// length.
 func rcMerge(tb testing.TB) func() int {
-	c, err := cluster.New(cluster.Config{
-		Hosts:  []cluster.HostSpec{{Kind: arch.Sun}, {Kind: arch.Firefly}},
-		Policy: dsm.PolicyRC,
-		Seed:   1,
-	})
+	hosts := make([]cluster.HostSpec, 8)
+	for i := range hosts {
+		hosts[i].Kind = []arch.Kind{arch.Sun, arch.Firefly}[i%2]
+	}
+	const pages, page = 18, 8192
+	c, err := cluster.New(cluster.Config{Hosts: hosts, PageSize: page, Policy: dsm.PolicyRC, Seed: 1})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -254,32 +258,25 @@ func rcMerge(tb testing.TB) func() int {
 	if sync == nil {
 		tb.Fatal("RC cluster has no sync model")
 	}
-	// Canonical payload layout: [u32 nvt][vt…][u32 n][page,ver]×n,
-	// big-endian, notices ascending (see rcEncodePayload).
-	payload := func(salt uint32) []byte {
-		const nvt, n = 8, 16
-		buf := make([]byte, 4+4*nvt+4+8*n)
-		be := func(off int, v uint32) {
-			buf[off] = byte(v >> 24)
-			buf[off+1] = byte(v >> 16)
-			buf[off+2] = byte(v >> 8)
-			buf[off+3] = byte(v)
+	var a, bb []byte
+	c.Run(0, func(p *sim.Proc, h0 *cluster.Host) {
+		base, err := h0.DSM.Alloc(p, conv.Int32, pages*page/4)
+		if err != nil {
+			tb.Fatal(err)
 		}
-		be(0, nvt)
-		for i := uint32(0); i < nvt; i++ {
-			be(int(4+4*i), salt*7+i)
+		release := func(h *cluster.Host, first int) []byte {
+			for pg := first; pg < first+16; pg++ {
+				h.DSM.WriteInt32(p, base+dsm.Addr(pg*page), int32(h.ID)<<8|int32(pg))
+			}
+			payload, err := h.DSM.SyncModel().ReleasePayload(p)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			return payload
 		}
-		off := 4 + 4*nvt
-		be(off, n)
-		off += 4
-		for i := uint32(0); i < n; i++ {
-			be(off, i+salt%3) // page numbers mostly overlap between payloads
-			be(off+4, salt+i)
-			off += 8
-		}
-		return buf
-	}
-	a, bb := payload(5), payload(9)
+		a, bb = release(c.Hosts[0], 0), release(c.Hosts[1], 2)
+	})
+	c.K.Shutdown()
 	return func() int { return len(sync.MergePayload(a, bb)) }
 }
 

@@ -59,3 +59,20 @@ func TestGolden(t *testing.T) {
 		t.Fatalf("output has %d lines, bench_results.txt has %d", len(gl), len(wl))
 	}
 }
+
+// TestGoldenRC pins the by-name `rc` section (the ThrashingRC table),
+// which the default run and so TestGolden leave out: `mermaid-bench
+// -only rc` must equal testdata/rc_results.txt byte for byte.
+func TestGoldenRC(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "rc_results.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := run(&got, "rc"); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("-only rc printed:\n%s\nwant testdata/rc_results.txt:\n%s", got.Bytes(), want)
+	}
+}

@@ -38,8 +38,8 @@ func TestCampaignsPinned(t *testing.T) {
 		{"chaos1:quorum:partition:1", 7264, 6945300800, "t=6.9453008s steps=7264 fetched=0 conv=83 recovered=0 lost=0 dropped=0 cut=100 corrupted=0 duplicated=0 toDead=0"},
 		{"chaos1:quorum:crash:1", 5983, 7009599200, "t=7.0095992s steps=5983 fetched=0 conv=67 recovered=0 lost=0 dropped=0 cut=0 corrupted=0 duplicated=0 toDead=150"},
 		{"chaos1:quorum:mix:1", 5668, 6964801000, "t=6.964801s steps=5668 fetched=1 conv=61 recovered=0 lost=0 dropped=13 cut=85 corrupted=0 duplicated=0 toDead=144"},
-		{"chaos1:rc:drop:1", 1573, 7046506368, "t=7.046506368s steps=1573 fetched=5 conv=17 recovered=0 lost=0 dropped=3 cut=0 corrupted=0 duplicated=0 toDead=0"},
-		{"chaos1:rc:partition:1", 1541, 7046506368, "t=7.046506368s steps=1541 fetched=5 conv=17 recovered=0 lost=0 dropped=0 cut=21 corrupted=0 duplicated=0 toDead=0"},
+		{"chaos1:rc:drop:1", 1595, 7046506368, "t=7.046506368s steps=1595 fetched=5 conv=17 recovered=0 lost=0 dropped=3 cut=0 corrupted=0 duplicated=0 toDead=0"},
+		{"chaos1:rc:partition:1", 1539, 7046506368, "t=7.046506368s steps=1539 fetched=5 conv=17 recovered=0 lost=0 dropped=0 cut=21 corrupted=0 duplicated=0 toDead=0"},
 		{"chaos1:rc:crash:1", 1106, 6949633056, "t=6.949633056s steps=1106 fetched=3 conv=13 recovered=0 lost=0 dropped=0 cut=0 corrupted=0 duplicated=0 toDead=46"},
 		{"chaos1:rc:mix:1", 1107, 6949633056, "t=6.949633056s steps=1107 fetched=3 conv=14 recovered=0 lost=0 dropped=3 cut=12 corrupted=0 duplicated=0 toDead=43"},
 		{"chaos1:slots:drop:1", 2374, 7358147992, "t=7.358147992s steps=2374 fetched=21 conv=20 recovered=0 lost=0 dropped=3 cut=0 corrupted=0 duplicated=0 toDead=0"},

@@ -320,14 +320,16 @@ type Stats struct {
 	// page); RCDiffsSent counts interval diffs pushed to homes and
 	// RCDiffBytes their encoded payload bytes; RCDiffsApplied counts
 	// diffs folded into this host's copy (as home or as puller);
-	// RCPulls counts acquire-time catch-up requests issued; and
-	// RCDiffsRetired counts home log entries dropped past the log cap.
-	// All zero outside PolicyRC.
+	// RCPulls counts acquire-time catch-up requests issued, and
+	// RCGrantDiffs the diffs an acquire applied from those a grant
+	// carried instead; RCDiffsRetired counts home log entries dropped
+	// past the log cap. All zero outside PolicyRC.
 	RCTwins        int
 	RCDiffsSent    int
 	RCDiffBytes    int
 	RCDiffsApplied int
 	RCPulls        int
+	RCGrantDiffs   int
 	RCDiffsRetired int
 	// Messages counts protocol messages sent by this host, by kind —
 	// §3.1's raw material for comparing manager schemes. Snapshot
@@ -371,6 +373,7 @@ func (s *Stats) Add(o Stats) {
 	s.RCDiffBytes += o.RCDiffBytes
 	s.RCDiffsApplied += o.RCDiffsApplied
 	s.RCPulls += o.RCPulls
+	s.RCGrantDiffs += o.RCGrantDiffs
 	s.RCDiffsRetired += o.RCDiffsRetired
 	if o.Messages != nil && s.Messages == nil {
 		s.Messages = make(map[proto.Kind]int, len(o.Messages))

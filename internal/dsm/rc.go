@@ -15,10 +15,18 @@ package dsm
 //     exactly like a page — and pushes the diffs to the pages' homes,
 //     then advances this host's vector timestamp and stamps the
 //     releasing primitive with (timestamp, write notices).
-//   - An acquire merges the grant's stamp and pulls, for each resident
-//     page with an outstanding notice, the home's diff-log suffix this
-//     host has not applied. The home retires log entries past a cap;
-//     a pull reaching behind the log falls back to the whole page.
+//   - The release also attaches the interval's diffs to its payload,
+//     in the writer's representation, as far as they fit the fragments
+//     the payload already fills. The primitive's manager keeps the
+//     newest of them per page and hands each remote grantee only the
+//     ones it has not been sent before.
+//   - An acquire merges the grant's stamp and catches up each resident
+//     page with an outstanding notice: from the diffs the grant carried
+//     when they hold every version this host lacks, converting each
+//     once, writer to acquirer; otherwise by pulling the home's
+//     diff-log suffix this host has not applied. The home retires log
+//     entries past a cap; a pull reaching behind the log falls back to
+//     the whole page.
 //   - A fault fetches the home's current image, which already reflects
 //     every pushed interval, so non-resident pages need no pulling.
 //
@@ -66,6 +74,11 @@ type rcState struct {
 	// home holds the per-page version counter and diff log on the
 	// page's home host; nil entries elsewhere.
 	home map[PageNo]*rcHome
+	// shipped is what this host, as a primitive's manager, has sent
+	// each remote grantee: per grantee, the newest carried version of
+	// each page a grant of its held, in ascending page order. A grant
+	// carries only diffs newer than that (rcGrantPayload).
+	shipped [][]rcNotice
 }
 
 // rcHome is a home's authoritative ordering state for one page.
@@ -92,6 +105,7 @@ func newRCState(nhosts int) *rcState {
 		notices: make(map[PageNo]uint32),
 		applied: make(map[PageNo]uint32),
 		home:    make(map[PageNo]*rcHome),
+		shipped: make([][]rcNotice, nhosts),
 	}
 }
 
@@ -134,15 +148,24 @@ func (s *RCSync) ReleasePayload(p *sim.Proc) ([]byte, error) {
 }
 
 // AcquirePayload merges a grant's payload into this host's timestamp
-// and notices, then pulls the diffs the notices imply for resident
-// pages.
+// and notices, then catches up the resident pages the notices make
+// stale, from the carried diffs or by pulling.
 func (s *RCSync) AcquirePayload(p *sim.Proc, data []byte) error {
 	return s.e.rcAcquire(p, data)
 }
 
+// GrantPayload cuts what a grant to remote host to carries of a
+// primitive's merged payload: the head whole, and the carried diffs
+// this host has not sent to that host before, as far as they fit the
+// fragments the head fills. It records what it ships, so the manager
+// calls it once per grant and retransmissions resend its result.
+func (s *RCSync) GrantPayload(payload []byte, to HostID) []byte {
+	return s.e.rcGrantPayload(payload, to)
+}
+
 // MergePayload folds two payloads component-wise (max of vector
-// timestamps, max of per-page notices). Pure; always returns a fresh
-// slice.
+// timestamps, max of per-page notices, union of the carried diffs up
+// to rcLogCap per page). Pure; always returns a fresh slice.
 func (s *RCSync) MergePayload(a, b []byte) []byte {
 	return rcMergePayload(a, b)
 }
@@ -248,11 +271,13 @@ func (m *rcEngine) rcHomeFor(pg PageNo) *rcHome {
 // rcRelease closes the current interval: push every twinned page's diff
 // to its home (in page order, for determinism), advance this host's
 // vector timestamp, record the Release, and return the encoded
-// (timestamp, notices) payload for the releasing primitive.
+// (timestamp, notices, carried diffs) payload for the releasing
+// primitive.
 func (m *rcEngine) rcRelease(p *sim.Proc) ([]byte, error) {
 	m.exitIfCrashed(p)
 	rc := m.rc
 	lost := false
+	var pushed []rcPushed
 	for _, pg := range sim.SortedKeys(rc.twins) {
 		tw := rc.twins[pg]
 		if tw == nil {
@@ -290,10 +315,62 @@ func (m *rcEngine) rcRelease(p *sim.Proc) ([]byte, error) {
 		}
 		m.stats.RCDiffsSent++
 		m.stats.RCDiffBytes += d.EncodedSize()
+		pushed = append(pushed, rcPushed{page: pg, ver: ver, diff: d})
 	}
 	rc.vt[m.id]++
 	m.recordSyncOp(p, sctrace.Release)
-	return rcEncodePayload(rc.vt, rc.notices), nil
+	return m.rcReleasePayload(pushed), nil
+}
+
+// rcPushed is one diff of a closing interval, logged at its home as
+// version ver.
+type rcPushed struct {
+	page PageNo
+	ver  uint32
+	diff conv.Diff
+}
+
+// rcReleasePayload encodes this host's timestamp and notices, then the
+// interval's pushed diffs (already in page order) that fit the
+// fragments the head needs; a diff that would add a fragment is left
+// out, and acquirers pull it from the home.
+func (m *rcEngine) rcReleasePayload(pushed []rcPushed) []byte {
+	rc := m.rc
+	pages := sim.SortedKeys(rc.notices)
+	size := 8 + 4*len(rc.vt) + 8*len(pages)
+	room := m.rcRoom(size)
+	n := 0
+	for _, d := range pushed {
+		if sz := rcCarryHdr + d.diff.EncodedSize(); size+sz <= room {
+			size += sz
+			pushed[n] = d
+			n++
+		}
+	}
+	buf := freshBuf(size)
+	binary.BigEndian.PutUint32(buf, uint32(len(rc.vt)))
+	off := 4
+	for _, v := range rc.vt {
+		binary.BigEndian.PutUint32(buf[off:], v)
+		off += 4
+	}
+	binary.BigEndian.PutUint32(buf[off:], uint32(len(pages)))
+	off += 4
+	for _, pg := range pages {
+		binary.BigEndian.PutUint32(buf[off:], uint32(pg))
+		binary.BigEndian.PutUint32(buf[off+4:], rc.notices[pg])
+		off += 8
+	}
+	for _, d := range pushed[:n] {
+		binary.BigEndian.PutUint32(buf[off:], uint32(d.page))
+		binary.BigEndian.PutUint32(buf[off+4:], d.ver)
+		binary.BigEndian.PutUint16(buf[off+8:], uint16(m.id))
+		binary.BigEndian.PutUint16(buf[off+10:], uint16(m.arch.Kind))
+		sz := d.diff.EncodeTo(buf[off+rcCarryHdr:])
+		binary.BigEndian.PutUint32(buf[off+12:], uint32(sz))
+		off += rcCarryHdr + sz
+	}
+	return buf
 }
 
 // rcPushDiff delivers one interval diff to the page's home and returns
@@ -343,21 +420,22 @@ func (m *rcEngine) rcLogAppend(hm *rcHome, e rcLogEntry) {
 }
 
 // rcAcquire merges a grant's payload into this host's timestamp and
-// notices, records the Acquire, and pulls the updates the notices imply
-// for pages resident here. A non-resident page needs nothing: its next
-// fault fetches the home's current image, which already contains them.
+// notices, records the Acquire, and catches up the pages resident here
+// that the notices make stale: from the diffs the grant carried when
+// they hold every missing version (rcCatchUp), by a pull otherwise. A
+// non-resident page needs nothing: its next fault fetches the home's
+// current image, which already contains every noticed interval.
 func (m *rcEngine) rcAcquire(p *sim.Proc, data []byte) error {
 	m.exitIfCrashed(p)
 	rc := m.rc
-	vt, notices := rcDecodePayload(data)
-	for i, v := range vt {
-		if i < len(rc.vt) && v > rc.vt[i] {
-			rc.vt[i] = v
-		}
+	vt := rcVT(data)
+	for i := range min(len(vt)/4, len(rc.vt)) {
+		rc.vt[i] = max(rc.vt[i], binary.BigEndian.Uint32(vt[4*i:]))
 	}
-	for _, nt := range notices {
-		if nt.ver > rc.notices[nt.page] {
-			rc.notices[nt.page] = nt.ver
+	for nt := rcNotices(data); len(nt) > 0; nt = nt[8:] {
+		pg, ver := PageNo(binary.BigEndian.Uint32(nt)), binary.BigEndian.Uint32(nt[4:])
+		if ver > rc.notices[pg] {
+			rc.notices[pg] = ver
 		}
 	}
 	m.recordSyncOp(p, sctrace.Acquire)
@@ -365,11 +443,83 @@ func (m *rcEngine) rcAcquire(p *sim.Proc, data []byte) error {
 		return rc.notices[pg] <= rc.applied[pg] || !m.hasAccess(pg, false)
 	})
 	for _, pg := range stale {
+		if m.rcCatchUp(p, pg, data[rcHeadLen(data):]) {
+			continue
+		}
 		if err := m.rcPull(p, pg); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// rcCatchUp brings one stale resident page up to its notice from a
+// grant's carried diffs (tail) when they hold every version from the
+// one after applied up to the notice, and reports whether it did; it
+// changes nothing otherwise, and the caller pulls. Each diff converts
+// once, from its writer's representation straight into this host's,
+// and this host's own diffs are skipped as rcPull skips them: the copy
+// already holds those writes.
+func (m *rcEngine) rcCatchUp(p *sim.Proc, pg PageNo, tail []byte) bool {
+	rc := m.rc
+	if m.dir.home(pg) == m.id {
+		return false // rcPull reads the home's version locally
+	}
+	have, want := rc.applied[pg], rc.notices[pg]
+	if want <= have {
+		return true // a concurrent catch-up got here while an earlier page yielded
+	}
+	if want-have > rcLogCap {
+		return false
+	}
+	// The tail lists a page's versions newest first, so the run needed
+	// is want, want-1, … have+1 in a row.
+	var run [rcLogCap]rcCarried
+	n := 0
+	for len(tail) > 0 && n < int(want-have) {
+		var c rcCarried
+		c, tail = rcNextCarried(tail)
+		if c.page < pg || c.page == pg && c.ver > want {
+			continue
+		}
+		if c.page > pg || c.ver != want-uint32(n) {
+			break
+		}
+		run[n] = c
+		n++
+	}
+	if n != int(want-have) {
+		return false
+	}
+	mt, ok := m.meta[pg]
+	if !ok {
+		panic(fmt.Sprintf("dsm: host %d caught up page %d with no allocation metadata", m.id, pg))
+	}
+	elemSize := m.cfg.Registry.MustGet(mt.typeID).Size
+	for i := n - 1; i >= 0; i-- {
+		c := &run[i]
+		if c.ver <= rc.applied[pg] {
+			continue // a concurrent catch-up or pull on this host got here first
+		}
+		if c.writer != m.id {
+			body := c.rec[rcCarryHdr:]
+			buf := bufpool.Get(len(body)) // the payload may be the manager's own: convert a copy
+			copy(buf, body)
+			d, err := conv.ViewDiff(mt.typeID, elemSize, buf)
+			if err != nil {
+				panic(fmt.Sprintf("dsm: host %d decoding carried diff for page %d: %v", m.id, pg, err))
+			}
+			m.convertDiff(p, pg, &d, c.src)
+			if c.ver > rc.applied[pg] { // the conversion yielded
+				m.rcApplyDiff(pg, &d)
+				m.stats.RCGrantDiffs++
+			}
+			bufpool.Put(buf)
+		}
+		rc.applied[pg] = max(rc.applied[pg], c.ver)
+	}
+	m.trace("rc-grant-diffs", pg)
+	return true
 }
 
 // rcPull brings this host's copy of one resident page up to the home's
@@ -625,92 +775,262 @@ func (m *rcEngine) handleRCPull(p *sim.Proc, req *proto.Message) {
 	m.trace("rc-serve-diffs", pg)
 }
 
-// rcNotice is one decoded (page, home version) write notice.
+// rcNotice is one (page, home version) pair: a write notice, or a
+// grantee's entry in a manager's shipped record.
 type rcNotice struct {
 	page PageNo
 	ver  uint32
 }
 
-// rcEncodePayload encodes a sync payload: [u32 nvt][vt…][u32 n][page,
-// ver]×n, big-endian, notices in ascending page order. The layout is
-// canonical, so payloads merge and compare byte-wise deterministically.
-func rcEncodePayload(vt []uint32, notices map[PageNo]uint32) []byte {
-	pages := sim.SortedKeys(notices)
-	buf := make([]byte, 4+4*len(vt)+4+8*len(pages)) // vet:ignore hot-alloc — the payload escapes into the grant chain
-	binary.BigEndian.PutUint32(buf, uint32(len(vt)))
-	off := 4
-	for _, v := range vt {
-		binary.BigEndian.PutUint32(buf[off:], v)
-		off += 4
-	}
-	binary.BigEndian.PutUint32(buf[off:], uint32(len(pages)))
-	off += 4
-	for _, pg := range pages {
-		binary.BigEndian.PutUint32(buf[off:], uint32(pg))
-		binary.BigEndian.PutUint32(buf[off+4:], notices[pg])
-		off += 8
-	}
-	return buf
+// The sync payload is a head, [u32 nvt][vt…][u32 n][page, ver]×n with
+// the notices in ascending page order, followed by a tail of carried
+// diffs, possibly empty: records [u32 page][u32 ver][u16 writer]
+// [u16 writer's arch][u32 size][size bytes of encoded diff, in the
+// writer's representation], in ascending page order and, within a
+// page, descending version. Every integer is big-endian. The layout is
+// canonical, so payloads merge and cut by one linear walk and compare
+// byte-wise; a payload without carried diffs is the head alone.
+
+// rcCarryHdr is the length of a carried diff record's header.
+const rcCarryHdr = 16
+
+// rcSyncEnvelope is the largest envelope a payload rides in: the
+// message header and a semaphore or event request's two arguments (a
+// grant has none).
+var rcSyncEnvelope = (&proto.Message{Args: make([]uint32, 2)}).EncodedSize()
+
+// rcRoom is the fragment rule: the largest payload that needs no more
+// fragments than a payload of head bytes. A bulk message pays MsgSetup
+// plus FragCost per fragment at each end, so diffs riding in a fragment
+// that is sent anyway cost only their wire bytes.
+func (m *rcEngine) rcRoom(head int) int {
+	par := m.cfg.Params
+	return par.Fragments(rcSyncEnvelope+head)*par.MTUPayload - rcSyncEnvelope
 }
 
-// rcDecodePayload parses a sync payload; nil or empty means "nothing
-// released yet" and decodes to nothing.
-func rcDecodePayload(data []byte) ([]uint32, []rcNotice) {
+// rcHeadLen returns the length of a payload's head; nil or empty means
+// "nothing released yet", a head of length 0.
+func rcHeadLen(data []byte) int {
 	if len(data) < 4 {
-		return nil, nil
+		return 0
 	}
-	nvt := int(binary.BigEndian.Uint32(data))
-	off := 4
-	vt := make([]uint32, nvt)
-	for i := range vt {
-		vt[i] = binary.BigEndian.Uint32(data[off:])
-		off += 4
-	}
-	n := int(binary.BigEndian.Uint32(data[off:]))
-	off += 4
-	notices := make([]rcNotice, n)
-	for i := range notices {
-		notices[i].page = PageNo(binary.BigEndian.Uint32(data[off:]))
-		notices[i].ver = binary.BigEndian.Uint32(data[off+4:])
-		off += 8
-	}
-	return vt, notices
+	off := 4 + 4*int(binary.BigEndian.Uint32(data))
+	return off + 4 + 8*int(binary.BigEndian.Uint32(data[off:]))
 }
 
-// rcMergePayload folds two payloads component-wise: max of vector
-// timestamps, max of per-page notices. Pure, and always returns a fresh
-// slice — the inputs may alias pooled wire buffers.
+// rcCarried is one carried diff record, viewed in place in a payload.
+type rcCarried struct {
+	page   PageNo
+	ver    uint32
+	writer HostID
+	src    arch.Kind
+	// rec is the whole record; rec[rcCarryHdr:] is the encoded diff.
+	rec []byte
+}
+
+// rcNextCarried splits the first record off a payload tail.
+func rcNextCarried(tail []byte) (rcCarried, []byte) {
+	n := rcCarryHdr + int(binary.BigEndian.Uint32(tail[12:]))
+	return rcCarried{
+		page:   PageNo(binary.BigEndian.Uint32(tail)),
+		ver:    binary.BigEndian.Uint32(tail[4:]),
+		writer: HostID(binary.BigEndian.Uint16(tail[8:])),
+		src:    arch.Kind(binary.BigEndian.Uint16(tail[10:])),
+		rec:    tail[:n],
+	}, tail[n:]
+}
+
+// rcMergePayload folds two payloads in one walk: the component-wise
+// maximum of the vector timestamps, of the per-page notices, and the
+// union of the carried diffs, keeping the newest rcLogCap versions of
+// each page (the home log's cap). Two records of one version are the
+// same interval's diff. Pure, and always returns a fresh slice — the
+// inputs may alias pooled wire buffers. The walk writes into pooled
+// scratch sized for both inputs; the result is an exact copy.
 func rcMergePayload(a, b []byte) []byte {
-	avt, an := rcDecodePayload(a)
-	bvt, bn := rcDecodePayload(b)
-	vt := avt
-	if len(bvt) > len(vt) {
-		vt, bvt = bvt, vt
+	scratch := bufpool.Get(len(a) + len(b) + 8)
+	out := scratch[:0]
+	avt, bvt := rcVT(a), rcVT(b)
+	if len(bvt) > len(avt) {
+		avt, bvt = bvt, avt
 	}
-	vt = append([]uint32(nil), vt...)
-	for i, v := range bvt {
-		if v > vt[i] {
-			vt[i] = v
+	out = binary.BigEndian.AppendUint32(out, uint32(len(avt)/4))
+	for i := 0; i < len(avt); i += 4 {
+		v := binary.BigEndian.Uint32(avt[i:])
+		if i < len(bvt) {
+			v = max(v, binary.BigEndian.Uint32(bvt[i:]))
+		}
+		out = binary.BigEndian.AppendUint32(out, v)
+	}
+	count := len(out)
+	out = append(out, 0, 0, 0, 0)
+	an, bn := rcNotices(a), rcNotices(b)
+	n := 0
+	for ; len(an) > 0 || len(bn) > 0; n++ {
+		switch {
+		case len(bn) == 0 || len(an) > 0 && binary.BigEndian.Uint32(an) < binary.BigEndian.Uint32(bn):
+			out, an = append(out, an[:8]...), an[8:]
+		case len(an) == 0 || binary.BigEndian.Uint32(bn) < binary.BigEndian.Uint32(an):
+			out, bn = append(out, bn[:8]...), bn[8:]
+		default:
+			out = append(out, an[:4]...)
+			out = binary.BigEndian.AppendUint32(out, max(binary.BigEndian.Uint32(an[4:]), binary.BigEndian.Uint32(bn[4:])))
+			an, bn = an[8:], bn[8:]
 		}
 	}
-	notices := make(map[PageNo]uint32, len(an)+len(bn))
-	for _, nt := range an {
-		if nt.ver > notices[nt.page] {
-			notices[nt.page] = nt.ver
+	binary.BigEndian.PutUint32(out[count:], uint32(n))
+	// Both tails are canonical and hold at most rcLogCap versions of a
+	// page, so a run of pages one side alone carries is copied whole and
+	// only a page both carry is merged record by record.
+	at, bt := a[rcHeadLen(a):], b[rcHeadLen(b):]
+	for len(at) > 0 && len(bt) > 0 {
+		pa, pb := rcTailPage(at), rcTailPage(bt)
+		switch {
+		case pa < pb:
+			k := rcPagesBelow(at, pb)
+			out, at = append(out, at[:k]...), at[k:]
+		case pb < pa:
+			k := rcPagesBelow(bt, pa)
+			out, bt = append(out, bt[:k]...), bt[k:]
+		default:
+			ka, kb := rcPagesBelow(at, pa+1), rcPagesBelow(bt, pa+1)
+			out = rcMergePage(out, at[:ka], bt[:kb])
+			at, bt = at[ka:], bt[kb:]
 		}
 	}
-	for _, nt := range bn {
-		if nt.ver > notices[nt.page] {
-			notices[nt.page] = nt.ver
+	out = append(append(out, at...), bt...)
+	merged := freshBuf(len(out)) // exactly sized: it rests in the primitive and in grants
+	copy(merged, out)
+	bufpool.Put(scratch)
+	return merged
+}
+
+// rcMergePage appends the merge of two record groups of one page,
+// newest version first, keeping rcLogCap of them. Two records of one
+// version are the same interval's diff.
+func rcMergePage(out, a, b []byte) []byte {
+	for kept := 0; kept < rcLogCap && (len(a) > 0 || len(b) > 0); kept++ {
+		var c rcCarried
+		switch va, vb := rcTailVer(a), rcTailVer(b); {
+		case va > vb:
+			c, a = rcNextCarried(a)
+		case vb > va:
+			c, b = rcNextCarried(b)
+		default:
+			c, a = rcNextCarried(a)
+			_, b = rcNextCarried(b)
+		}
+		out = append(out, c.rec...)
+	}
+	return out
+}
+
+// rcTailPage and rcTailVer read the page and version of a tail's first
+// record; an empty tail's version is 0, below every real one.
+func rcTailPage(tail []byte) PageNo { return PageNo(binary.BigEndian.Uint32(tail)) }
+
+func rcTailVer(tail []byte) uint32 {
+	if len(tail) == 0 {
+		return 0
+	}
+	return binary.BigEndian.Uint32(tail[4:])
+}
+
+// rcPagesBelow returns the length of a tail's leading records for pages
+// below pg, reading record headers only.
+func rcPagesBelow(tail []byte, pg PageNo) int {
+	n := 0
+	for n < len(tail) && rcTailPage(tail[n:]) < pg {
+		n += rcCarryHdr + int(binary.BigEndian.Uint32(tail[n+12:]))
+	}
+	return n
+}
+
+// rcVT returns the vector-timestamp entries of a payload's head.
+func rcVT(data []byte) []byte {
+	if len(data) < 4 {
+		return nil
+	}
+	return data[4 : 4+4*int(binary.BigEndian.Uint32(data))]
+}
+
+// rcNotices returns the (page, version) entries of a payload's head.
+func rcNotices(data []byte) []byte {
+	if len(data) < 4 {
+		return nil
+	}
+	return data[8+len(rcVT(data)) : rcHeadLen(data)]
+}
+
+// rcGrantPayload cuts a grant to remote host to from a primitive's
+// merged payload in one walk: the head whole, and of each page's
+// carried diffs (newest first) those newer than the version this host
+// last shipped to, until one would add a fragment. What it ships
+// becomes the record; the grantee ends every acquire with its resident
+// copies at least as new as every version it was sent (it applies them
+// or pulls past them), and a page it lacks is fetched current.
+func (m *rcEngine) rcGrantPayload(payload []byte, to HostID) []byte {
+	head := rcHeadLen(payload)
+	if len(payload) == head {
+		return payload
+	}
+	room := m.rcRoom(head)
+	rec := m.rc.shipped[to]
+	scratch := bufpool.Get(len(payload))
+	out := append(scratch[:0], payload[:head]...)
+	j := 0
+	for tail := payload[head:]; len(tail) > 0; {
+		page := rcTailPage(tail)
+		k := rcPagesBelow(tail, page+1)
+		group := tail[:k]
+		tail = tail[k:]
+		for j < len(rec) && rec[j].page < page {
+			j++
+		}
+		var sent uint32 // the page's version in the record before this grant
+		if j < len(rec) && rec[j].page == page {
+			sent = rec[j].ver
+		}
+		// Newest first: a catch-up needs every version up to its notice,
+		// so an older diff is useless without all newer ones, and the page
+		// stops at the first one that was sent already or would add a
+		// fragment.
+		var newest uint32
+		for len(group) > 0 && rcTailVer(group) > sent {
+			var c rcCarried
+			c, group = rcNextCarried(group)
+			if len(out)+len(c.rec) > room {
+				break
+			}
+			out = append(out, c.rec...)
+			newest = max(newest, c.ver)
+		}
+		switch {
+		case newest == 0:
+		case sent > 0:
+			rec[j].ver = newest
+		default:
+			rec = slices.Insert(rec, j, rcNotice{page: page, ver: newest})
 		}
 	}
-	return rcEncodePayload(vt, notices)
+	m.rc.shipped[to] = rec
+	cut := payload
+	if len(out) < len(payload) {
+		// A fresh copy, not a prefix of payload: the reply cache keeps
+		// the cut, and a prefix would keep the whole merged payload.
+		cut = freshBuf(len(out))
+		copy(cut, out)
+	}
+	bufpool.Put(scratch)
+	return cut
 }
 
 // hashState is the RC engine's section of the state fingerprint: vector
-// timestamp, applied/noticed versions, live twins, and each home's
+// timestamp, applied/noticed versions, live twins, each home's
 // ordering state (version plus the log's version/writer/shape — the
-// diff bodies are derivable from the page images already hashed).
+// diff bodies are derivable from the page images already hashed), and
+// the shipped record per grantee, which decides what later grants
+// carry.
 // Count-prefixed lists keep the stream unambiguous.
 func (m *rcEngine) hashState(put func(uint32), putBody func([]byte)) {
 	put(0xffff_fffa)
@@ -742,6 +1062,14 @@ func (m *rcEngine) hashState(put func(uint32), putBody func([]byte)) {
 			put(hm.log[i].version)
 			put(uint32(hm.log[i].writer))
 			put(uint32(len(hm.log[i].diff.Runs)))
+		}
+	}
+	put(5)
+	for _, rec := range m.rc.shipped {
+		put(uint32(len(rec)))
+		for _, s := range rec {
+			put(uint32(s.page))
+			put(s.ver)
 		}
 	}
 }

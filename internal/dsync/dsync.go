@@ -96,12 +96,13 @@ func opOf(req *proto.Message) (op, bool) {
 
 // SyncModel is the consistency model's hook into synchronization
 // (implemented by the DSM release-consistency model, attached by the
-// cluster). A release ships an opaque payload (vector timestamp plus
-// write notices) that rides the primitive's messages; the manager folds
-// payloads together with MergePayload and every grant hands the merged
-// payload to the acquirer. With no model attached (every sequentially
-// consistent policy) no payloads exist and the message streams are
-// bit-identical to before this hook existed.
+// cluster). A release ships an opaque payload (vector timestamp, write
+// notices and the diffs that fit) that rides the primitive's messages;
+// the manager folds payloads together with MergePayload, a local grant
+// hands the merged payload to the acquirer, and a remote grant the cut
+// GrantPayload makes of it for the grantee. With no model attached
+// (every sequentially consistent policy) no payloads exist and the
+// message streams are bit-identical to before this hook existed.
 type SyncModel interface {
 	// ReleasePayload runs the model's release action (push pending
 	// updates) and returns the payload to attach to the releasing
@@ -114,6 +115,11 @@ type SyncModel interface {
 	// and always returns a freshly allocated slice, never aliasing its
 	// arguments — incoming payloads alias pooled wire buffers.
 	MergePayload(a, b []byte) []byte
+	// GrantPayload returns what a grant to remote host to carries of
+	// a primitive's merged payload. It may remember what it shipped,
+	// so it is called once per grant sent; a retransmission resends
+	// the reply cache's copy. Its result must not be changed later.
+	GrantPayload(payload []byte, to HostID) []byte
 }
 
 // prim is one primitive. Every host holds its manager; only the
@@ -282,7 +288,17 @@ func (s *Service) release(p *sim.Proc, g grantee, kind proto.Kind, payload []byt
 		s.k.Wake(g.w, sim.WakeSignal)
 		return
 	}
-	s.ep.Reply(p, g.req, &proto.Message{Kind: kind, Data: payload})
+	s.ep.Reply(p, g.req, &proto.Message{Kind: kind, Data: s.granted(payload, g.req)})
+}
+
+// granted is what a grant answering req carries of payload: the
+// model's cut for the requesting host (the payload itself without a
+// model).
+func (s *Service) granted(payload []byte, req *proto.Message) []byte {
+	if s.model == nil || len(payload) == 0 {
+		return payload
+	}
+	return s.model.GrantPayload(payload, HostID(req.From))
 }
 
 // queued reports whether the same remote request (by origin and request
@@ -400,7 +416,7 @@ func (s *Service) handle(p *sim.Proc, req *proto.Message) {
 	}
 	resp := &proto.Message{Kind: families[d.fam].reply}
 	if d.acquires {
-		resp.Data = pr.payload
+		resp.Data = s.granted(pr.payload, req)
 	}
 	s.ep.Reply(p, req, resp)
 }

@@ -376,6 +376,8 @@ func (m *wordModel) MergePayload(a, b []byte) []byte {
 	return binary.LittleEndian.AppendUint32(nil, max(word(a), word(b)))
 }
 
+func (m *wordModel) GrantPayload(payload []byte, _ HostID) []byte { return payload }
+
 // digestChooser takes the first alternative at every choice point — the
 // order a run without a chooser keeps — and folds the instant and every
 // alternative's label into an FNV-64.

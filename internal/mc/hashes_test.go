@@ -20,7 +20,7 @@ func TestDFSReportsPinned(t *testing.T) {
 		{"basic", 2504, 171, 100, 20621},
 		{"dynamic", 302, 146, 71, 18568},
 		{"quorum", 397, 60, 72, 12577},
-		{"rc", 642, 38, 40, 15815},
+		{"rc", 482, 38, 36, 15017},
 	}
 	for _, c := range cases {
 		w, err := Lookup(c.workload)

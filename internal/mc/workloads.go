@@ -138,16 +138,18 @@ func init() {
 // Two protected patterns share the run:
 //
 //   - A semaphore-locked counter (page 0), two increments per worker:
-//     each release pushes the interval's diff, each acquire pulls it, so
-//     a lost diff or a mis-merged twin corrupts the count — and the
-//     happens-before oracle flags the stale read even on schedules
-//     where the final count survives.
+//     each release pushes the interval's diff, each acquire applies it
+//     from the grant or pulls it, so a lost diff or a mis-merged twin
+//     corrupts the count — and the happens-before oracle flags the
+//     stale read even on schedules where the final count survives.
 //   - A staged open-interval acquire (page 1): worker 1 faults the page
 //     in, opens a write interval on element 0 (its twin stays live),
 //     and only then acquires worker 0's released write of element 1 —
-//     forcing a pull to merge into a page WITH a live twin, the one
-//     path MutStaleTwinMerge corrupts (the locked counter never pulls
-//     with an open interval: its writes happen after the acquire).
+//     forcing a diff to merge into a page WITH a live twin, the one
+//     path MutStaleTwinMerge corrupts (page 1's home is host 1, so the
+//     merge is worker 0's push arriving there; the locked counter never
+//     merges with an open interval: its writes happen after the
+//     acquire).
 //
 // Both patterns are fully ordered by semaphores, so the assertions are
 // exact on every schedule of the unmutated protocol.

@@ -94,6 +94,9 @@ func CheckRC(ops []Op) []Violation {
 		return []uint32{}
 	}
 
+	// Each host's recorded releases, in record order, by host.
+	var releases [][][]uint32
+
 	writes := map[uint32][]*rcWrite{}
 	for i := range ops {
 		op := &ops[i]
@@ -109,6 +112,15 @@ func CheckRC(ops []Op) []Violation {
 					})
 					break
 				}
+			}
+			if msg := rcSyncMalformed(op, vt, old, releases); msg != "" {
+				violations = append(violations, Violation{Op: *op, Msg: msg})
+			}
+			if op.Kind == Release {
+				for len(releases) <= op.Host {
+					releases = append(releases, nil)
+				}
+				releases[op.Host] = append(releases[op.Host], vt)
 			}
 			cur[op.Host] = vt
 			stamp[op.Host] = vt
@@ -136,6 +148,43 @@ func CheckRC(ops []Op) []Violation {
 		}
 	}
 	return violations
+}
+
+// rcSyncMalformed checks the two timestamp rules the happens-before
+// reconstruction rests on, beyond monotonicity: a release closes an
+// interval, so it advances its host's own component past old's; and an
+// acquire has merged every release it counts, so its timestamp covers
+// the newest release of each other host whose interval it counts
+// (1 ≤ vtR[a] ≤ vt[a]; earlier ones are covered by that one's
+// monotonicity). The protocol's timestamps obey both. Without them a
+// write could happen-before a read through the releases while its
+// timestamp says the two are concurrent. It returns the violation's
+// message, or "".
+func rcSyncMalformed(op *Op, vt, old []uint32, releases [][][]uint32) string {
+	if op.Kind == Release {
+		if vtAt(vt, op.Host) <= vtAt(old, op.Host) {
+			return "release did not advance its host's interval count"
+		}
+		return ""
+	}
+	for a, rels := range releases {
+		if a == op.Host {
+			continue
+		}
+		for k := len(rels) - 1; k >= 0; k-- {
+			own := vtAt(rels[k], a)
+			if own < 1 || own > vtAt(vt, a) {
+				continue
+			}
+			for h := range rels[k] {
+				if vtAt(vt, h) < rels[k][h] {
+					return "acquire's vector timestamp does not cover a release it counts"
+				}
+			}
+			break
+		}
+	}
+	return ""
 }
 
 // rcByteOK reports whether a read of one byte returning got is
