@@ -9,15 +9,20 @@ import (
 // TestDFSReportsPinned pins the first 150 schedules of the pruned DFS on
 // the four benchmark workloads to the reports recorded before
 // fingerprints stopped being taken in the replayed prefix and page
-// bodies entered them as a digest. Pruning decides what is explored, so
-// a fingerprint that merged or split states differently — or a chooser
-// that skipped one the strategy reads — would move these counters.
+// bodies entered them as a digest, and on crash — the one workload with
+// failure detection, so the one that reaches page recovery, suspect
+// reconciliation and the confirm give-up — to its report when the
+// directory schemes were folded onto one transaction record. Pruning
+// decides what is explored, so a fingerprint that merged or split
+// states differently — or a chooser that skipped one the strategy
+// reads — would move these counters.
 func TestDFSReportsPinned(t *testing.T) {
 	cases := []struct {
 		workload                           string
 		pruned, frontier, maxPoints, steps int
 	}{
 		{"basic", 2504, 171, 100, 20621},
+		{"crash", 450, 426, 256, 43321},
 		{"dynamic", 302, 146, 71, 18568},
 		{"quorum", 397, 60, 72, 12577},
 		{"rc", 482, 38, 36, 15017},
