@@ -84,22 +84,16 @@ type Opts struct {
 // magnitude above that.
 const DefaultMaxSteps = 500_000
 
-// traceLog watches the cluster's DSM trace stream for recovery events.
+// traceLog watches the cluster's DSM trace stream for the first page
+// recovery; every count a run reports comes from dsm.Stats.
 type traceLog struct {
 	firstRecover sim.Time
-	recovers     int
-	lost         int
+	recovered    bool
 }
 
 func (tl *traceLog) observe(ev dsm.TraceEvent) {
-	switch ev.Event {
-	case "recover":
-		if tl.recovers == 0 {
-			tl.firstRecover = ev.Time
-		}
-		tl.recovers++
-	case "page-lost":
-		tl.lost++
+	if ev.Event == "recover" && !tl.recovered {
+		tl.firstRecover, tl.recovered = ev.Time, true
 	}
 }
 
@@ -133,7 +127,7 @@ func Run(w *Workload, class Class, seed int64, o Opts) (*Result, error) {
 		PagesRecovered: total.PagesRecovered,
 		PagesLost:      total.PagesLost,
 	}
-	if inst.Trace.recovers > 0 && len(plan.Crashes) > 0 {
+	if inst.Trace.recovered && len(plan.Crashes) > 0 {
 		res.RecoveryLatency = inst.Trace.firstRecover.Sub(plan.Crashes[0].At)
 	}
 	return res, nil

@@ -58,7 +58,7 @@ type Workload struct {
 // (Main is the coordinator body, run on host 0) plus the recovery log.
 type Instance struct {
 	cluster.Trial
-	// Trace accumulates recovery events from the DSM trace stream.
+	// Trace records the first page recovery from the DSM trace stream.
 	Trace *traceLog
 }
 

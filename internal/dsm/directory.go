@@ -160,22 +160,31 @@ func (d *fixedDirectory) checkPage(c *InvariantChecker, point string, page PageN
 	if owner.ep.Crashed() || mgrMod.deadHost(ent.owner) {
 		return // owner crashed: state is transient until the recovery sweep
 	}
+	c.checkRecords(point, page, "manager", mgrMod.id, owner, ent.copyset, writers, holders)
+}
+
+// checkRecords asserts invariants 2–4 against a page's records, as the
+// directory scheme's record keeper (the fixed manager, or the dynamic
+// owner itself) holds them: the recorded owner holds a copy, any writer
+// is that owner, and every other holder is in the copyset. role and
+// keeper name the record keeper in the messages.
+func (c *InvariantChecker) checkRecords(point string, page PageNo, role string, keeper HostID, owner *Module, copyset map[HostID]struct{}, writers, holders []HostID) {
 	if owner.Access(page) == NoAccess {
-		c.report(point, page, "owner %d holds no copy", ent.owner)
+		c.report(point, page, "owner %d holds no copy", owner.id)
 	}
 	for _, w := range writers {
-		if w != ent.owner {
-			c.report(point, page, "host %d holds the writable copy but manager %d records owner %d",
-				w, mgrMod.id, ent.owner)
+		if w != owner.id {
+			c.report(point, page, "host %d holds the writable copy but %s %d records owner %d",
+				w, role, keeper, owner.id)
 		}
 	}
 	for _, h := range holders {
-		if h == ent.owner {
+		if h == owner.id {
 			continue
 		}
-		if _, in := ent.copyset[h]; !in {
+		if _, in := copyset[h]; !in {
 			c.report(point, page, "host %d holds a copy but is neither owner nor in the copyset %v (stale copy — missed invalidation?)",
-				h, sim.SortedKeys(ent.copyset))
+				h, sim.SortedKeys(copyset))
 		}
 	}
 }

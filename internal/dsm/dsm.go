@@ -232,20 +232,37 @@ type localPage struct {
 	access Access
 }
 
-// mgrEntry is the manager-side state of one managed page.
-type mgrEntry struct {
-	owner   HostID
+// pageTxn is the transaction record both directory schemes keep for a
+// page: the fixed manager in its table entry (mgrEntry), the dynamic
+// owner in its page state (dynPage). The schemes differ only in who
+// keeps it.
+type pageTxn struct {
+	// copyset lists the hosts recorded as holding a read copy.
 	copyset map[HostID]struct{}
-	// lock serializes transfer transactions for the page.
+	// lock serializes the page's transfer transactions: one at a time,
+	// Li's one-request-at-a-time processing per record keeper.
 	lock *sim.Semaphore
-	// confirm handshake: the transaction parks until the requester
-	// confirms installation, keeping the entry consistent.
+	// lost marks a page whose every copy died with crashed hosts;
+	// accesses fail with ErrPageLost (see recovery.go).
+	lost bool
+	// The confirm handshake (awaitConfirm, confirm): a transaction parks
+	// until the requester reports the copy installed, so the next
+	// transaction's invalidation cannot reach the requester mid-install
+	// and be resurrected by it.
 	confirmed    bool
 	confirmArmed bool
 	confirmW     sim.Waiter
-	// lost marks a page whose only copy died with its crashed owner;
-	// accesses fail with ErrPageLost (see recovery.go).
-	lost bool
+}
+
+// newPageTxn returns an empty record with a free transaction lock.
+func newPageTxn(k *sim.Kernel) pageTxn {
+	return pageTxn{copyset: make(map[HostID]struct{}), lock: sim.NewSemaphore(k, 1)}
+}
+
+// mgrEntry is the manager-side state of one managed page.
+type mgrEntry struct {
+	pageTxn
+	owner HostID
 	// suspect marks an entry whose last transfer was never confirmed by
 	// a live requester (the forwarding owner may have crashed with the
 	// page in flight): the bookkeeping may not reflect who really holds
@@ -571,11 +588,7 @@ func (m *Module) mgrEntryFor(page PageNo) *mgrEntry {
 	}
 	ent := m.mgr[page]
 	if ent == nil {
-		ent = &mgrEntry{
-			owner:   0,
-			copyset: make(map[HostID]struct{}),
-			lock:    sim.NewSemaphore(m.k, 1),
-		}
+		ent = &mgrEntry{pageTxn: newPageTxn(m.k)}
 		m.mgr[page] = ent
 		if m.id == 0 {
 			// Manager and allocation manager coincide: ensure the

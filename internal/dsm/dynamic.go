@@ -45,33 +45,20 @@ type dynPage struct {
 	// when owned (absent injected bugs).
 	probOwner HostID
 	// owned marks this host as the page's current owner: it holds the
-	// authoritative copy and the copyset, and serves requests.
+	// authoritative copy, and its pageTxn's copyset is the page's. Every
+	// host's lock queues its own fault and every incoming request.
 	owned bool
-	// copyset lists the read-replica holders (owner side only).
-	copyset map[HostID]struct{}
-	// lock serializes this host's transactions for the page: its own
-	// fault and every incoming request queue here, which is Li's
-	// one-request-at-a-time processing per node.
-	lock *sim.Semaphore
+	// pageTxn's confirm handshake (KindDynConfirm) also arbitrates a
+	// failed write deliver, where only the requester knows whether the
+	// copy landed (see dynOwnerServe).
+	pageTxn
 	// recLock serializes recovery coordination for the page. Separate
 	// from lock on purpose: the coordinator may be asked to recover a
 	// page while its own fault for that page holds lock.
 	recLock *sim.Semaphore
-	// lost marks a page whose every copy died with crashed hosts.
-	lost bool
-	// confirmed/confirmArmed/confirmW let a serve transaction park until
-	// the requester reports the copy installed (KindDynConfirm), and
 	// confirmReq pins the confirmation to this transaction's request ID
-	// so a late confirm from an earlier serve cannot satisfy it. Reads
-	// need the wait so the next write's invalidation cannot reach the
-	// requester mid-install and be resurrected by it (the race the fixed
-	// manager's awaitConfirm prevents); writes need it to arbitrate a
-	// failed deliver, where only the requester knows whether the copy
-	// landed (see dynOwnerServe).
-	confirmed    bool
-	confirmArmed bool
-	confirmReq   uint32
-	confirmW     sim.Waiter
+	// so a late confirm from an earlier serve cannot satisfy it.
+	confirmReq uint32
 }
 
 // dynHopBound caps a forwarding chain. Li & Hudak bound chains by N-1
@@ -92,11 +79,7 @@ const (
 func (m *Module) dynPageFor(page PageNo) *dynPage {
 	dp := m.dyn[page]
 	if dp == nil {
-		dp = &dynPage{
-			copyset: make(map[HostID]struct{}),
-			lock:    sim.NewSemaphore(m.k, 1),
-			recLock: sim.NewSemaphore(m.k, 1),
-		}
+		dp = &dynPage{pageTxn: newPageTxn(m.k), recLock: sim.NewSemaphore(m.k, 1)}
 		m.dyn[page] = dp
 	}
 	return dp
@@ -153,6 +136,9 @@ func (d *dynamicDirectory) hashState(put func(uint32)) {
 	}
 }
 
+// home is unreachable: only the fixed schemes' transactions ask for a
+// manager, Config.Validate admits the dynamic directory only under
+// PolicyMRSW, and Module.Manager documents the panic.
 func (d *dynamicDirectory) home(page PageNo) HostID {
 	panic(fmt.Sprintf("dsm: page %d has no fixed manager under the dynamic directory", page))
 }
@@ -164,10 +150,10 @@ func (d *dynamicDirectory) allocOwned(page PageNo) {
 }
 
 // checkPage asserts the dynamic distributed manager's invariants for one
-// page: there is no manager table, so the ownership and copyset
-// invariants are checked against the owner's own records, and the
-// probable-owner graph replaces invariant 2 — from every live host, the
-// hint chain must reach the owner within N hops (Li & Hudak's bound).
+// page: there is no manager table, so invariants 2–4 (checkRecords) are
+// checked against the owner's own records, and the probable-owner graph
+// adds one — from every live host, the hint chain must reach the owner
+// within N hops (Li & Hudak's bound).
 func (d *dynamicDirectory) checkPage(c *InvariantChecker, point string, page PageNo, writers, holders []HostID) {
 	var owners []*Module
 	busy := false
@@ -210,25 +196,7 @@ func (d *dynamicDirectory) checkPage(c *InvariantChecker, point string, page Pag
 		return
 	}
 	own := owners[0]
-	dp := own.dyn[page]
-	if own.Access(page) == NoAccess {
-		c.report(point, page, "dynamic owner %d holds no copy", own.id)
-	}
-	for _, w := range writers {
-		if w != own.id {
-			c.report(point, page, "host %d holds the writable copy but host %d is the recorded dynamic owner",
-				w, own.id)
-		}
-	}
-	for _, h := range holders {
-		if h == own.id {
-			continue
-		}
-		if _, in := dp.copyset[h]; !in {
-			c.report(point, page, "host %d holds a copy but is neither owner nor in owner %d's copyset %v (stale copy — missed invalidation?)",
-				h, own.id, dynCopysetList(dp, own.id))
-		}
-	}
+	c.checkRecords(point, page, "host", own.id, own, own.dyn[page].copyset, writers, holders)
 	if anyCrashed {
 		return // chains through corpses are repaired lazily on demand
 	}
@@ -276,10 +244,19 @@ func (d *dynamicDirectory) fault(p *sim.Proc, page PageNo, write bool) error {
 		if dp.owned {
 			// Write fault on the owner of a read-shared page: invalidate
 			// the replicas and upgrade in place.
-			return m.dynUpgradeLocal(p, page, dp)
+			if err := m.sendInvalidations(p, page, dynCopysetList(dp, m.id)); err != nil {
+				return err
+			}
+			clear(dp.copyset)
+			m.upgradeLocal(p, page)
+			m.checkpoint("dyn-upgraded", page)
+			return nil
 		}
 		target := dp.probOwner
 		if target == m.id {
+			// Unreachable by the hint invariant: probOwner names this host
+			// exactly when it owns the page (dynPage). Only the
+			// stale-probable-owner mutation breaks it.
 			panic(fmt.Sprintf("dsm: host %d faulting page %d with a self probable-owner hint while not owner", m.id, page))
 		}
 		kind := proto.KindDynGetPage
@@ -327,7 +304,7 @@ func (d *dynamicDirectory) fault(p *sim.Proc, page PageNo, write bool) error {
 		}
 		// Confirm the installation so the server's transaction can close:
 		// a read serve holds the page open until the copy is installed
-		// (see dynAwaitConfirm), and a write serve whose deliver ack was
+		// (awaitConfirm), and a write serve whose deliver ack was
 		// lost needs the confirm to commit the handoff instead of
 		// resurrecting its stale copy.
 		_, cerr := m.ep.Call(p, server, &proto.Message{
@@ -342,22 +319,6 @@ func (d *dynamicDirectory) fault(p *sim.Proc, page PageNo, write bool) error {
 		}
 		return nil
 	}
-}
-
-// dynUpgradeLocal upgrades the owner's read-shared copy to writable:
-// invalidate every replica, then raise the local right. The caller
-// holds dp.lock.
-func (m *Module) dynUpgradeLocal(p *sim.Proc, page PageNo, dp *dynPage) error {
-	if err := m.sendInvalidations(p, page, dynCopysetList(dp, m.id)); err != nil {
-		return err
-	}
-	clear(dp.copyset)
-	lp := m.localPageFor(page)
-	lp.access = WriteAccess
-	m.stats.Upgrades++
-	p.Sleep(m.jittered(m.cfg.Params.InstallCost.Of(m.arch.Kind)))
-	m.checkpoint("dyn-upgraded", page)
-	return nil
 }
 
 // handleDynGetPage receives a requester's first hop: the host it
@@ -385,7 +346,10 @@ func (m *Module) handleDynForward(p *sim.Proc, req *proto.Message) {
 func (m *Module) dynServeOrForward(p *sim.Proc, page PageNo, requester HostID, origReqID uint32, write bool, hops int) {
 	if requester == m.id {
 		// Our own chased request routed back to us: only stale
-		// retransmissions that crossed a recovery can do this.
+		// retransmissions that crossed a recovery can do this. Without
+		// crashes it is unreachable by Li & Hudak's hint invariant: the
+		// probable-owner graph is a tree rooted at the owner (the
+		// checker walks it), so a request never revisits its sender.
 		if m.liveness != nil {
 			return
 		}
@@ -393,6 +357,8 @@ func (m *Module) dynServeOrForward(p *sim.Proc, page PageNo, requester HostID, o
 	}
 	if hops > m.dynHopBound() {
 		if m.liveness == nil {
+			// Unreachable by the same invariant (a chain is at most N-1
+			// hops); the stale-probable-owner mutation trips it.
 			panic(fmt.Sprintf("dsm: page %d forwarding chain exceeded %d hops (probable-owner cycle)", page, m.dynHopBound()))
 		}
 		// A crash can cut the true owner out of the hint graph with
@@ -401,11 +367,7 @@ func (m *Module) dynServeOrForward(p *sim.Proc, page PageNo, requester HostID, o
 		// the cycle detector: bounce the requester to the recovery
 		// coordinator, which rebuilds a live owner (or declares the page
 		// lost with its last copy).
-		bestEffort(m.deliver(p, requester, &proto.Message{
-			Kind: proto.KindPageDeliver,
-			Page: uint32(page),
-			Args: []uint32{flagRetry, origReqID},
-		}))
+		bestEffort(m.deliverFlag(p, requester, page, flagRetry, origReqID))
 		return
 	}
 	dp := m.dynPageFor(page)
@@ -413,16 +375,13 @@ func (m *Module) dynServeOrForward(p *sim.Proc, page PageNo, requester HostID, o
 	defer dp.lock.V()
 	m.exitIfCrashed(p)
 	if dp.lost {
-		bestEffort(m.deliver(p, requester, &proto.Message{
-			Kind: proto.KindPageDeliver,
-			Page: uint32(page),
-			Args: []uint32{flagLost, origReqID},
-		}))
+		bestEffort(m.deliverFlag(p, requester, page, flagLost, origReqID))
 		return
 	}
 	if !dp.owned {
 		next := dp.probOwner
 		if next == m.id {
+			// Unreachable by the hint invariant, as in fault.
 			panic(fmt.Sprintf("dsm: host %d forwarding page %d to itself (probable-owner self-loop)", m.id, page))
 		}
 		if write {
@@ -446,11 +405,7 @@ func (m *Module) dynServeOrForward(p *sim.Proc, page PageNo, requester HostID, o
 			// (who is about to recover a route to the owner) and tell it
 			// to take the recovery path.
 			dp.probOwner = requester
-			bestEffort(m.deliver(p, requester, &proto.Message{
-				Kind: proto.KindPageDeliver,
-				Page: uint32(page),
-				Args: []uint32{flagRetry, origReqID},
-			}))
+			bestEffort(m.deliverFlag(p, requester, page, flagRetry, origReqID))
 		}
 		return
 	}
@@ -478,7 +433,7 @@ func (m *Module) dynOwnerServe(p *sim.Proc, page PageNo, dp *dynPage, requester 
 			return // injected bug: the new reader is never invalidated
 		}
 		dp.copyset[requester] = struct{}{}
-		m.dynAwaitConfirm(p, dp, requester)
+		m.awaitConfirm(p, &dp.pageTxn, requester)
 		m.checkpoint("dyn-transfer", page)
 		return
 	}
@@ -494,11 +449,7 @@ func (m *Module) dynOwnerServe(p *sim.Proc, page PageNo, dp *dynPage, requester 
 		return
 	}
 	if requesterHasCopy {
-		if err := m.deliver(p, requester, &proto.Message{
-			Kind: proto.KindPageDeliver,
-			Page: uint32(page),
-			Args: []uint32{flagUpgrade, origReqID},
-		}); err != nil {
+		if err := m.deliverFlag(p, requester, page, flagUpgrade, origReqID); err != nil {
 			// The grant never landed, but the invalidation round above
 			// (our own copy included) already made the requester's copy
 			// the page: commit the handoff before aborting, exactly as
@@ -516,7 +467,7 @@ func (m *Module) dynOwnerServe(p *sim.Proc, page PageNo, dp *dynPage, requester 
 			// new copy). Only the requester's installation confirmation
 			// can arbitrate; resurrecting our copy after a landed
 			// transfer would roll back witnessed writes.
-			m.dynAwaitConfirm(p, dp, requester)
+			m.awaitConfirm(p, &dp.pageTxn, requester)
 			switch {
 			case dp.confirmed:
 				// The transfer landed; only the acknowledgement was lost.
@@ -541,45 +492,13 @@ func (m *Module) dynOwnerServe(p *sim.Proc, page PageNo, dp *dynPage, requester 
 	m.checkpoint("dyn-transfer", page)
 }
 
-// dynAwaitConfirm parks the read-serve transaction until the requester
-// reports the copy installed, keeping per-page transactions strictly
-// serial — the dynamic twin of the fixed manager's awaitConfirm, with
-// the same bounded patience so a requester that dies mid-install
-// cannot wedge the page's transaction lock.
-func (m *Module) dynAwaitConfirm(p *sim.Proc, dp *dynPage, requester HostID) {
-	for rounds := 0; !dp.confirmed; rounds++ {
-		if m.deadHost(requester) {
-			return // requester died mid-install; its copy died with it
-		}
-		if m.liveness != nil && rounds >= confirmPatience {
-			// Give up: either the confirm is merely late (the requester
-			// is already in the copyset, so a future write still
-			// invalidates it) or the requester is about to be declared
-			// dead.
-			return
-		}
-		dp.confirmW = p.PrepareWait()
-		dp.confirmArmed = true
-		if m.liveness != nil {
-			p.ParkTimeout(m.cfg.Params.SuspicionTimeout)
-		} else {
-			p.Park()
-		}
-		dp.confirmArmed = false
-	}
-}
-
 // handleDynConfirm receives the requester's installation confirmation
 // on the owner that served it. Args[0] echoes the serve's original
 // request ID (matched against confirmReq so a delayed confirm from an
 // earlier transaction is ignored); Args[1] is 1 for a write install.
 func (m *Module) handleDynConfirm(req *proto.Message) *proto.Message {
 	if dp, ok := m.dyn[PageNo(req.Page)]; ok && req.Arg(0) == dp.confirmReq {
-		dp.confirmed = true
-		if dp.confirmArmed {
-			dp.confirmArmed = false
-			m.k.Wake(dp.confirmW, sim.WakeSignal)
-		} else if req.Arg(1) == 1 && dp.owned && HostID(req.From) != m.id {
+		if !m.confirm(&dp.pageTxn) && req.Arg(1) == 1 && dp.owned && HostID(req.From) != m.id {
 			// A write-handoff confirmation that outlived its
 			// transaction's patience: the requester did install, so the
 			// claim we restored meanwhile is the stale one. Commit the
@@ -610,33 +529,27 @@ func (m *Module) dynCommitHandoff(dp *dynPage, requester HostID) {
 // retries.
 func (m *Module) dynRecover(p *sim.Proc, page PageNo, dp *dynPage) error {
 	coord := m.dynCoordinator()
+	var owner HostID
+	var st uint32
 	if coord == m.id {
-		owner, st := m.dynCoordinate(p, page)
-		switch st {
-		case dynRecFound:
-			dp.probOwner = owner
-			return nil
-		case dynRecLost:
-			dp.lost = true
-			return pageLostErr(page)
-		default:
-			return fmt.Errorf("page %d recovery raced a crash; retrying", page)
+		owner, st = m.dynCoordinate(p, page)
+	} else {
+		resp, err := m.ep.Call(p, coord, &proto.Message{Kind: proto.KindDynRecover, Page: uint32(page)})
+		if err != nil {
+			return fmt.Errorf("page %d recovery via coordinator %d: %w", page, coord, err)
+		}
+		st, owner = resp.Arg(0), HostID(resp.Arg(1))
+		bufpool.Put(resp.TakeWire())
+		if st == dynRecLost {
+			m.trace("page-lost", page) // the coordinator traced its own verdict
 		}
 	}
-	resp, err := m.ep.Call(p, coord, &proto.Message{Kind: proto.KindDynRecover, Page: uint32(page)})
-	if err != nil {
-		return fmt.Errorf("page %d recovery via coordinator %d: %w", page, coord, err)
-	}
-	st := resp.Arg(0)
-	owner := HostID(resp.Arg(1))
-	bufpool.Put(resp.TakeWire())
 	switch st {
 	case dynRecFound:
 		dp.probOwner = owner
 		return nil
 	case dynRecLost:
 		dp.lost = true
-		m.trace("page-lost", page)
 		return pageLostErr(page)
 	default:
 		return fmt.Errorf("page %d recovery raced a crash; retrying", page)

@@ -135,6 +135,11 @@ func (m *Module) requiredPages(addr Addr, n int) (first, last PageNo, err error)
 // off, leaving it to recovery) stop here.
 func (m *Module) mustDetect(err error, format string, args ...any) {
 	if m.liveness == nil {
+		// The "no failure detection" contract: a cluster without a
+		// detector is promised no crash and no outage longer than a
+		// call's retransmissions, so a failed call is a simulation bug.
+		// Frame loss or a partition outlasting MaxRetries breaks that
+		// promise and reaches this.
 		panic(fmt.Sprintf("dsm: "+format+": %v", append(args, err)...))
 	}
 }
@@ -236,16 +241,8 @@ func (m *Module) localManagerFault(p *sim.Proc, page PageNo, write bool) error {
 	if m.hasAccess(page, write) {
 		return nil
 	}
-	if ent.suspect {
-		if err := m.reconcileSuspect(p, page, ent); err != nil {
-			return err
-		}
-	}
-	if m.liveness != nil && !ent.lost && ent.owner != m.id && m.liveness.Dead(ent.owner) {
-		m.recoverPage(p, page, ent)
-	}
-	if ent.lost {
-		return pageLostErr(page)
+	if err := m.settle(p, page, ent); err != nil {
+		return err
 	}
 	if m.hasAccess(page, write) {
 		return nil // recovery installed exactly what this fault needed
@@ -257,10 +254,7 @@ func (m *Module) localManagerFault(p *sim.Proc, page PageNo, write bool) error {
 			return err
 		}
 		if ent.owner == m.id || hasCopy {
-			lp := m.localPageFor(page)
-			lp.access = WriteAccess
-			m.stats.Upgrades++
-			p.Sleep(m.jittered(m.cfg.Params.InstallCost.Of(m.arch.Kind)))
+			m.upgradeLocal(p, page)
 		} else {
 			resp, err := m.ep.Call(p, ent.owner, &proto.Message{Kind: proto.KindGetPageWrite, Page: uint32(page)}) // vet:ignore lock-remote — manager transaction: a page's entry lock lives only on its one static manager, which never calls itself
 			if err != nil {
@@ -273,8 +267,8 @@ func (m *Module) localManagerFault(p *sim.Proc, page PageNo, write bool) error {
 	} else {
 		src := m.readSource(ent, m.id)
 		if src == m.id {
-			// Owner-is-me with no access would contradict the owner
-			// invariant (the owner always holds a copy).
+			// Unreachable while invariant 3 holds (check.go: the owner
+			// always holds a copy), and this host holds none.
 			panic(fmt.Sprintf("dsm: manager %d owns page %d but holds no copy", m.id, page))
 		}
 		resp, err := m.ep.Call(p, src, &proto.Message{Kind: proto.KindGetPage, Page: uint32(page)}) // vet:ignore lock-remote — manager transaction: a page's entry lock lives only on its one static manager, which never calls itself
@@ -285,6 +279,14 @@ func (m *Module) localManagerFault(p *sim.Proc, page PageNo, write bool) error {
 		ent.copyset[m.id] = struct{}{}
 	}
 	return nil
+}
+
+// upgradeLocal raises this host's resident copy of the page to writable
+// in place, once every other copy is invalidated.
+func (m *Module) upgradeLocal(p *sim.Proc, page PageNo) {
+	m.localPageFor(page).access = WriteAccess
+	m.stats.Upgrades++
+	p.Sleep(m.jittered(m.cfg.Params.InstallCost.Of(m.arch.Kind)))
 }
 
 // handleGetPage serves KindGetPage and KindGetPageWrite. On the page's
@@ -308,23 +310,13 @@ func (m *Module) handleGetPage(p *sim.Proc, req *proto.Message) {
 	defer m.checkpoint("transfer-complete", page)
 	defer ent.lock.V()
 	m.protoCPU.Use(p, m.jittered(m.cfg.Params.ManagerProcess.Of(m.arch.Kind)))
-	if ent.suspect {
-		if err := m.reconcileSuspect(p, page, ent); err != nil {
-			return // requester times out and re-faults
+	if err := m.settle(p, page, ent); err != nil {
+		if errors.Is(err, ErrPageLost) {
+			// Redeem the requester's call with a lost marker so the fault
+			// fails fast with ErrPageLost instead of timing out.
+			bestEffort(m.deliverFlag(p, requester, page, flagLost, req.ReqID))
 		}
-	}
-	if m.liveness != nil && !ent.lost && ent.owner != m.id && m.liveness.Dead(ent.owner) {
-		m.recoverPage(p, page, ent)
-	}
-	if ent.lost {
-		// Redeem the requester's call with a lost marker so the fault
-		// fails fast with ErrPageLost instead of timing out.
-		bestEffort(m.deliver(p, requester, &proto.Message{
-			Kind: proto.KindPageDeliver,
-			Page: uint32(page),
-			Args: []uint32{flagLost, req.ReqID},
-		}))
-		return
+		return // otherwise the requester times out and re-faults
 	}
 	ent.confirmed = false
 	var err error
@@ -339,7 +331,30 @@ func (m *Module) handleGetPage(p *sim.Proc, req *proto.Message) {
 		// detection and recovery converge.
 		return
 	}
-	m.awaitConfirm(p, ent, requester)
+	if m.awaitConfirm(p, &ent.pageTxn, requester) {
+		ent.suspect = true
+		ent.suspectHost = requester
+	}
+}
+
+// settle brings a manager entry up to date before a transaction trusts
+// it: an unconfirmed last transfer is reconciled with its requester, and
+// a dead recorded owner is replaced by a surviving copy (recovery.go). A
+// page that turns out lost fails with ErrPageLost. The caller holds
+// ent.lock.
+func (m *Module) settle(p *sim.Proc, page PageNo, ent *mgrEntry) error {
+	if ent.suspect {
+		if err := m.reconcileSuspect(p, page, ent); err != nil {
+			return err
+		}
+	}
+	if m.liveness != nil && !ent.lost && ent.owner != m.id && m.liveness.Dead(ent.owner) {
+		m.recoverPage(p, page, ent)
+	}
+	if ent.lost {
+		return pageLostErr(page)
+	}
+	return nil
 }
 
 func (m *Module) readTransaction(p *sim.Proc, req *proto.Message, page PageNo, ent *mgrEntry, requester HostID) error {
@@ -389,53 +404,44 @@ func (m *Module) writeTransaction(p *sim.Proc, req *proto.Message, page PageNo, 
 	if err := m.sendInvalidations(p, page, targets); err != nil {
 		return err
 	}
+	// A failed handoff is committed all the same where the requester may
+	// hold the page: the transaction then aborts with the error.
+	var err error
 	switch {
 	case requesterHasCopy:
 		// The requester's resident copy is current: grant an upgrade
 		// without a transfer (invalidations above removed all others).
-		if err := m.deliver(p, requester, &proto.Message{
-			Kind: proto.KindPageDeliver,
-			Page: uint32(page),
-			Args: []uint32{flagUpgrade, req.ReqID},
-		}); err != nil {
-			// The grant never landed — but the invalidation round above
-			// already destroyed every other copy (the old owner's
-			// included), so the requester's resident copy IS the page
-			// now. Commit the handoff before aborting, or the entry
-			// keeps naming an owner who holds nothing: a live requester
-			// re-faults and upgrades again; a dead one is re-owned or
-			// declared lost by the recovery sweep.
-			if m.cfg.Mutation != MutStaleOwner {
-				ent.owner = requester
-			}
-			clear(ent.copyset)
-			ent.copyset[requester] = struct{}{}
-			return err
-		}
+		// Should the grant never land, the invalidation round already
+		// destroyed every other copy (the old owner's included), so the
+		// requester's resident copy IS the page now: an entry left
+		// naming the old owner would name one who holds nothing. A live
+		// requester re-faults and upgrades again; a dead one is re-owned
+		// or declared lost by the recovery sweep.
+		err = m.deliverFlag(p, requester, page, flagUpgrade, req.ReqID)
 	case ent.owner == m.id:
-		if err := m.serveCopy(p, page, true, requester, req.ReqID); err != nil {
-			if m.deadHost(requester) {
-				// The dead requester may have installed the transfer before
-				// its acknowledgement was lost (see serveCopy, which drops
-				// the possibly-stale local frame in this case). Commit the
-				// handoff so the entry names the corpse and the recovery
-				// sweep re-owns or declares the page lost, instead of
-				// leaving this host as the recorded owner of a frame it no
-				// longer holds — or worse, of stale bytes.
-				if m.cfg.Mutation != MutStaleOwner {
-					ent.owner = requester
-				}
-				clear(ent.copyset)
-				ent.copyset[requester] = struct{}{}
-			}
-			return err
+		err = m.serveCopy(p, page, true, requester, req.ReqID)
+		if err != nil && !m.deadHost(requester) {
+			return err // the transfer never happened; this host keeps the page
 		}
+		// A dead requester may have installed the transfer before its
+		// acknowledgement was lost (see serveCopy, which drops the
+		// possibly-stale local frame in this case). The entry names the
+		// corpse and the recovery sweep re-owns or declares the page
+		// lost, instead of leaving this host as the recorded owner of a
+		// frame it no longer holds — or worse, of stale bytes.
 	default:
 		p.Sleep(m.cfg.Params.ForwardCost.Of(m.arch.Kind))
 		if err := m.forwardServe(p, ent.owner, page, true, requester, req.ReqID); err != nil {
 			return err
 		}
 	}
+	m.commitOwner(ent, requester)
+	return err
+}
+
+// commitOwner records that ownership of the page left for requester,
+// whose copy is now the only one.
+func (m *Module) commitOwner(ent *mgrEntry, requester HostID) {
 	if m.cfg.Mutation != MutStaleOwner {
 		// Injected bug when skipped: the owner field keeps pointing at
 		// the previous owner, whose copy just left with the transfer.
@@ -443,7 +449,6 @@ func (m *Module) writeTransaction(p *sim.Proc, req *proto.Message, page PageNo, 
 	}
 	clear(ent.copyset)
 	ent.copyset[requester] = struct{}{}
-	return nil
 }
 
 // invalidationTargets computes who must drop their copy before a write
@@ -597,6 +602,10 @@ func (m *Module) serveCopy(p *sim.Proc, page PageNo, write bool, requester HostI
 			// requester time out and re-fault after recovery.
 			return fmt.Errorf("host %d asked to serve page %d it does not hold", m.id, page)
 		}
+		// Unreachable without crashes: requests are routed to the
+		// recorded owner, which holds a copy (invariant 3), or to a
+		// copyset member, which keeps its copy until the invalidation
+		// that also drops it from the copyset.
 		panic(fmt.Sprintf("dsm: host %d asked to serve page %d it does not hold (access %v)",
 			m.id, page, m.Access(page)))
 	}
@@ -649,6 +658,16 @@ func (m *Module) serveCopy(p *sim.Proc, page PageNo, write bool, requester HostI
 // drops through one named sink documents each site by construction
 // instead of a per-line vet:ignore err-drop.
 func bestEffort(error) {}
+
+// deliverFlag redeems the requester's fault request reqID with a
+// bodyless delivery: flagUpgrade, flagLost or flagRetry.
+func (m *Module) deliverFlag(p *sim.Proc, requester HostID, page PageNo, flag, reqID uint32) error {
+	return m.deliver(p, requester, &proto.Message{
+		Kind: proto.KindPageDeliver,
+		Page: uint32(page),
+		Args: []uint32{flag, reqID},
+	})
+}
 
 // deliver sends a PageDeliver call and waits for its acknowledgement.
 func (m *Module) deliver(p *sim.Proc, requester HostID, msg *proto.Message) error {
@@ -708,46 +727,64 @@ func (m *Module) installBody(p *sim.Proc, page PageNo, resp *proto.Message, writ
 		}
 		m.countFetch(page, len(resp.Data), "fetch")
 	default:
+		// Unreachable: every page reply is built with flagData or
+		// flagUpgrade, callers act on flagLost and flagRetry before
+		// installing, and a flag word damaged in flight fails the frame
+		// checksum.
 		panic(fmt.Sprintf("dsm: page reply for %d with neither data nor upgrade", page))
 	}
 	m.installed(p, page, resp)
 }
 
-// confirmPatience bounds how many suspicion-timeout rounds a manager
-// transaction waits for the requester's installation confirmation. A
-// live requester can legitimately never confirm: the *forwarding owner*
-// may have crashed after acknowledging the serve order but before
-// delivering the page, so the requester never installed anything and is
-// itself waiting — on the very transaction lock this wait holds. Waiting
-// forever would deadlock the page; after confirmPatience rounds the
-// transaction gives up and marks the entry suspect, and the next
-// transaction reconciles the bookkeeping against reality (recovery.go).
+// confirmPatience bounds how many suspicion-timeout rounds a transaction
+// waits for the requester's installation confirmation. A live requester
+// can legitimately never confirm: under the fixed manager the
+// *forwarding owner* may have crashed after acknowledging the serve
+// order but before delivering the page, so the requester never
+// installed anything and is itself waiting — on the very transaction
+// lock this wait holds. Waiting forever would deadlock the page.
 const confirmPatience = 3
 
-// awaitConfirm parks the manager transaction until the requester reports
-// the page installed, keeping per-page transactions strictly serial.
+// awaitConfirm parks a transaction until the requester reports the copy
+// installed (confirm), keeping per-page transactions strictly serial.
 // Under failure detection the park carries a timeout: a requester that
 // crashes mid-transfer would otherwise wedge the page's transaction
-// lock forever, blocking recovery itself.
-func (m *Module) awaitConfirm(p *sim.Proc, ent *mgrEntry, requester HostID) {
-	for rounds := 0; !ent.confirmed; rounds++ {
+// lock forever, blocking recovery itself. It reports gaveUp when the
+// requester is alive but confirmPatience rounds passed: the fixed
+// manager then marks its entry suspect for the next transaction to
+// reconcile (recovery.go); the dynamic owner has the requester in its
+// copyset already, so a later write still invalidates it.
+func (m *Module) awaitConfirm(p *sim.Proc, t *pageTxn, requester HostID) (gaveUp bool) {
+	for rounds := 0; !t.confirmed; rounds++ {
 		if m.deadHost(requester) {
-			return // requester died mid-transfer; recovery rebuilds the entry
+			return false // requester died mid-transfer; recovery rebuilds the records
 		}
 		if m.liveness != nil && rounds >= confirmPatience {
-			ent.suspect = true
-			ent.suspectHost = requester
-			return
+			return true
 		}
-		ent.confirmW = p.PrepareWait()
-		ent.confirmArmed = true
+		t.confirmW = p.PrepareWait()
+		t.confirmArmed = true
 		if m.liveness != nil {
 			p.ParkTimeout(m.cfg.Params.SuspicionTimeout)
 		} else {
 			p.Park()
 		}
-		ent.confirmArmed = false
+		t.confirmArmed = false
 	}
+	return false
+}
+
+// confirm records the requester's installation confirmation and wakes
+// the transaction parked in awaitConfirm, if one is. woke is false for a
+// confirmation that arrived after its transaction stopped waiting.
+func (m *Module) confirm(t *pageTxn) (woke bool) {
+	t.confirmed = true
+	if !t.confirmArmed {
+		return false
+	}
+	t.confirmArmed = false
+	m.k.Wake(t.confirmW, sim.WakeSignal)
+	return true
 }
 
 // handleOwnerUpdate receives the requester's completion confirmation.
@@ -755,14 +792,10 @@ func (m *Module) handleOwnerUpdate(req *proto.Message) *proto.Message {
 	page := PageNo(req.Page)
 	if m.manager(page) == m.id {
 		ent := m.mgrEntryFor(page)
-		ent.confirmed = true
+		m.confirm(&ent.pageTxn)
 		// A confirmation that arrives after the transaction gave up
 		// waiting settles the doubt: the transfer did land.
 		ent.suspect = false
-		if ent.confirmArmed {
-			ent.confirmArmed = false
-			m.k.Wake(ent.confirmW, sim.WakeSignal)
-		}
 		m.checkpoint("owner-confirmed", page)
 	}
 	return &proto.Message{Kind: proto.KindOwnerUpdateAck, Page: req.Page}

@@ -209,17 +209,17 @@ func (m *Module) installRecovered(p *sim.Proc, page PageNo, resp *proto.Message)
 // handleRecoverPage answers a recovering manager's poll: does this host
 // hold a copy of the page, and with what right? A positive answer
 // carries the page's allocated prefix in this host's native
-// representation — unless the request is a probe (Arg(0)=1, sent by
-// suspect-entry reconciliation), which wants possession only. It takes
-// no locks, deliberately: the polled host may itself be parked inside a
-// page fault holding its local fault lock.
+// representation — unless the request is a probe, which wants
+// possession only: Arg(0)=1 from suspect-entry reconciliation, Arg(0)=2
+// from the dynamic recovery coordinator, which also asks whether this
+// host owns the page. It takes no locks, deliberately: the polled host
+// may itself be parked inside a page fault holding its local fault lock.
 func (m *Module) handleRecoverPage(p *sim.Proc, req *proto.Message) {
 	if m.ep.Crashed() {
 		p.Exit()
 	}
 	page := PageNo(req.Page)
-	probe := req.Arg(0) == 1
-	dynProbe := req.Arg(0) == 2
+	probe := req.Arg(0)
 	lp := m.local[page]
 	if lp == nil || lp.access == NoAccess {
 		m.ep.Reply(p, req, &proto.Message{
@@ -229,25 +229,15 @@ func (m *Module) handleRecoverPage(p *sim.Proc, req *proto.Message) {
 		})
 		return
 	}
-	if probe {
-		m.ep.Reply(p, req, &proto.Message{
-			Kind: proto.KindRecoverPageReply,
-			Page: req.Page,
-			Args: []uint32{1, uint32(lp.access)},
-		})
-		return
-	}
-	if dynProbe {
-		// Dynamic-directory recovery probe (Arg(0)=2): possession plus
-		// whether this host owns the page, still lock-free and data-free.
-		owned := uint32(0)
+	if probe == 1 || probe == 2 {
+		args := []uint32{1, uint32(lp.access), 0}
 		if dp := m.dyn[page]; dp != nil && dp.owned {
-			owned = 1
+			args[2] = 1
 		}
 		m.ep.Reply(p, req, &proto.Message{
 			Kind: proto.KindRecoverPageReply,
 			Page: req.Page,
-			Args: []uint32{1, uint32(lp.access), owned},
+			Args: args[:1+probe], // the ownership word answers the dynamic probe only
 		})
 		return
 	}
