@@ -60,19 +60,26 @@ func TestGolden(t *testing.T) {
 	}
 }
 
-// TestGoldenRC pins the by-name `rc` section (the ThrashingRC table),
-// which the default run and so TestGolden leave out: `mermaid-bench
-// -only rc` must equal testdata/rc_results.txt byte for byte.
-func TestGoldenRC(t *testing.T) {
-	want, err := os.ReadFile(filepath.Join("testdata", "rc_results.txt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got bytes.Buffer
-	if err := run(&got, "rc"); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Bytes(), want) {
-		t.Errorf("-only rc printed:\n%s\nwant testdata/rc_results.txt:\n%s", got.Bytes(), want)
+// TestGoldenByName pins the by-name sections that the default run,
+// and so TestGolden, leaves out: `mermaid-bench -only <name>` must equal
+// testdata/<name>_results.txt byte for byte. `avail` drives central,
+// update and quorum under a partition; `scale` is the 16–256-host
+// directory ablation.
+func TestGoldenByName(t *testing.T) {
+	for _, name := range []string{"rc", "dirs", "avail", "scale"} {
+		t.Run(name, func(t *testing.T) {
+			file := filepath.Join("testdata", name+"_results.txt")
+			want, err := os.ReadFile(file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got bytes.Buffer
+			if err := run(&got, name); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want) {
+				t.Errorf("-only %s printed:\n%s\nwant %s:\n%s", name, got.Bytes(), file, want)
+			}
+		})
 	}
 }

@@ -9,8 +9,6 @@ package dsm
 // companion study cited in §2.1.
 
 import (
-	"fmt"
-
 	"repro/internal/arch"
 	"repro/internal/bufpool"
 	"repro/internal/proto"
@@ -25,14 +23,14 @@ const (
 
 // centralRead fetches length bytes at offset within a page from its
 // server, in this host's representation.
-func (m *centralEngine) centralRead(p *sim.Proc, page PageNo, offset, length int) []byte {
+func (m *centralEngine) centralRead(p *sim.Proc, page PageNo, offset, length int) ([]byte, error) {
 	server := m.manager(page)
 	if server == m.id {
 		m.protoCPU.Use(p, m.cfg.Params.RemoteOpProcess.Of(m.arch.Kind))
 		lp := m.serverPageFor(page)
 		seg := make([]byte, length) // vet:ignore hot-alloc — escapes to the caller's read callback
 		copy(seg, lp.data[offset:offset+length])
-		return seg
+		return seg, nil
 	}
 	m.stats.RemoteReads++
 	resp, err := m.ep.Call(p, server, &proto.Message{
@@ -41,20 +39,20 @@ func (m *centralEngine) centralRead(p *sim.Proc, page PageNo, offset, length int
 		Args: []uint32{uint32(offset), uint32(length)},
 	})
 	if err != nil {
-		panic(fmt.Sprintf("dsm: central read page %d: %v", page, err))
+		return nil, m.hostFailed(err, server, "central read page %d", page)
 	}
-	return resp.Data
+	return resp.Data, nil
 }
 
 // centralWrite stores bytes at offset within a page at its server.
-func (m *centralEngine) centralWrite(p *sim.Proc, page PageNo, offset int, data []byte) {
+func (m *centralEngine) centralWrite(p *sim.Proc, page PageNo, offset int, data []byte) error {
 	server := m.manager(page)
 	if server == m.id {
 		m.protoCPU.Use(p, m.cfg.Params.RemoteOpProcess.Of(m.arch.Kind))
 		lp := m.serverPageFor(page)
 		copy(lp.data[offset:], data)
 		m.checkpoint("central-write", page)
-		return
+		return nil
 	}
 	m.stats.RemoteWrites++
 	if _, err := m.ep.Call(p, server, &proto.Message{
@@ -63,12 +61,13 @@ func (m *centralEngine) centralWrite(p *sim.Proc, page PageNo, offset int, data 
 		Args: []uint32{uint32(offset), remoteOpStore},
 		Data: data,
 	}); err != nil {
-		panic(fmt.Sprintf("dsm: central write page %d: %v", page, err))
+		return m.hostFailed(err, server, "central write page %d", page)
 	}
+	return nil
 }
 
 // centralSwap atomically exchanges an int32 at the server.
-func (m *centralEngine) centralSwap(p *sim.Proc, addr Addr, v int32) int32 {
+func (m *centralEngine) centralSwap(p *sim.Proc, addr Addr, v int32) (int32, error) {
 	page := m.PageOf(addr)
 	offset := int(addr) - int(page)*m.cfg.PageSize
 	server := m.manager(page)
@@ -77,7 +76,7 @@ func (m *centralEngine) centralSwap(p *sim.Proc, addr Addr, v int32) int32 {
 		lp := m.serverPageFor(page)
 		old := int32(m.arch.Order.Binary().Uint32(lp.data[offset:]))
 		m.arch.Order.Binary().PutUint32(lp.data[offset:], uint32(v))
-		return old
+		return old, nil
 	}
 	m.stats.RemoteWrites++
 	buf := bufpool.Get(4)
@@ -88,11 +87,11 @@ func (m *centralEngine) centralSwap(p *sim.Proc, addr Addr, v int32) int32 {
 		Args: []uint32{uint32(offset), remoteOpSwap},
 		Data: buf,
 	})
-	if err != nil {
-		panic(fmt.Sprintf("dsm: central swap page %d: %v", page, err))
-	}
 	bufpool.Put(buf)
-	return int32(resp.Arg(0))
+	if err != nil {
+		return 0, m.hostFailed(err, server, "central swap page %d", page)
+	}
+	return int32(resp.Arg(0)), nil
 }
 
 // serverPageFor returns the server-resident page image (servers always
@@ -157,12 +156,8 @@ func (m *centralEngine) handleRemoteWrite(p *sim.Proc, req *proto.Message) {
 		})
 		return
 	}
-	data := bufpool.Get(len(req.Data))
-	copy(data, req.Data)
+	m.storeRun(p, page, lp.data[offset:], req.Data, arch.Kind(req.SrcArch))
 	bufpool.Put(req.TakeWire())
-	m.convertRegion(p, page, data, m.hosts[req.From], m.arch)
-	copy(lp.data[offset:], data)
-	bufpool.Put(data)
 	m.checkpoint("central-write", page)
 	m.ep.Reply(p, req, &proto.Message{Kind: proto.KindRemoteWriteAck, Page: req.Page})
 }

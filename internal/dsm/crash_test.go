@@ -95,3 +95,86 @@ func TestCrashedHostAnswersNothing(t *testing.T) {
 		t.Errorf("host 0 escalated %q, want 22 times from 1.0142208s to 6.0150304s", escalations)
 	}
 }
+
+// TestRequesterCallsReportHostDown pins one failure contract for the
+// central and update requesters: under failure detection an E-accessor
+// whose server (central) or manager (update) crashed returns
+// ErrHostDown; without detection the same access still panics.
+func TestRequesterCallsReportHostDown(t *testing.T) {
+	cases := []struct {
+		policy Policy
+		op     string
+		access func(m *Module, p *sim.Proc, addr Addr) error
+	}{
+		{PolicyCentral, "ReadInt32E", func(m *Module, p *sim.Proc, addr Addr) error {
+			_, err := m.ReadInt32E(p, addr)
+			return err
+		}},
+		{PolicyCentral, "WriteInt32E", func(m *Module, p *sim.Proc, addr Addr) error { return m.WriteInt32E(p, addr, 7) }},
+		{PolicyCentral, "AtomicSwapInt32E", func(m *Module, p *sim.Proc, addr Addr) error {
+			_, err := m.AtomicSwapInt32E(p, addr, 7)
+			return err
+		}},
+		{PolicyUpdate, "WriteInt32E", func(m *Module, p *sim.Proc, addr Addr) error { return m.WriteInt32E(p, addr, 7) }},
+	}
+	const victim = 1
+	for _, c := range cases {
+		for _, detect := range []bool{true, false} {
+			t.Run(fmt.Sprintf("%v/%s/detect=%v", c.policy, c.op, detect), func(t *testing.T) {
+				r := newRig(t, []arch.Kind{arch.Sun, arch.Firefly, arch.Sun}, withPolicy(c.policy))
+				if detect {
+					for _, m := range r.mods {
+						d := NewDetector(r.k, m.ep, r.cfg.Params, len(r.mods))
+						m.AttachLiveness(d)
+						d.Start()
+					}
+				}
+				done := false
+				r.k.Spawn("main", func(p *sim.Proc) {
+					defer func() { done = true }()
+					// Two full pages: the second is served (central) or
+					// managed (update) by the victim.
+					var addr Addr
+					for range 2 {
+						var err error
+						if addr, err = r.mods[0].Alloc(p, conv.Int32, 2048); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+					if got := r.mods[2].manager(r.mods[2].PageOf(addr)); got != victim {
+						t.Errorf("second page managed by %d, want %d", got, victim)
+						return
+					}
+					// The update writer holds a replica, so its write goes
+					// straight to the sequencing call; the fault's
+					// confirmation reaches the manager before the crash.
+					if _, err := r.mods[2].ReadInt32E(p, addr); err != nil {
+						t.Error(err)
+						return
+					}
+					p.Sleep(time.Second)
+					r.net.SetHostDown(victim, true)
+					r.mods[victim].ep.Crash()
+					if !detect {
+						defer func() {
+							if recover() == nil {
+								t.Errorf("%s without failure detection did not panic", c.op)
+							}
+						}()
+					} else {
+						p.Sleep(4 * time.Second) // the detector declares the victim dead
+					}
+					if err := c.access(r.mods[2], p, addr); !errors.Is(err, ErrHostDown) {
+						t.Errorf("%s with the victim down: err = %v, want ErrHostDown", c.op, err)
+					}
+				})
+				r.k.RunUntil(func() bool { return done })
+				r.k.Shutdown()
+				if !done {
+					t.Fatal("main never finished")
+				}
+			})
+		}
+	}
+}

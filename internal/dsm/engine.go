@@ -134,10 +134,8 @@ func (m *Module) SyncModel() *RCSync {
 // representation; under the quorum engine each page span is one
 // majority operation (walkPages).
 //
-// Under failure detection the page-engine path returns the fault's
-// typed error (ErrHostDown, ErrPageLost). The central engine and the
-// update engine's sequencing calls predate fault tolerance and keep
-// their hard-panic contract on a failed remote call.
+// Under failure detection a failed access returns a typed error:
+// ErrHostDown, or ErrPageLost from a page engine's fault.
 func (m *Module) readRegion(p *sim.Proc, addr Addr, n int, fn func(seg []byte, off int)) error {
 	return m.engine.readRegion(p, addr, n, fn)
 }
@@ -205,7 +203,10 @@ func newCentralEngine(m *Module) (engine, engineDecl) {
 func (e *centralEngine) readRegion(p *sim.Proc, addr Addr, n int, fn func(seg []byte, off int)) error {
 	return e.walkPages(addr, n, func(s span) error {
 		t0 := p.Now()
-		seg := e.centralRead(p, s.page, s.lo, s.n)
+		seg, err := e.centralRead(p, s.page, s.lo, s.n)
+		if err != nil {
+			return err
+		}
 		fn(seg, s.off)
 		e.recordSC(p, sctrace.Read, t0, s.addr, seg)
 		return nil
@@ -219,15 +220,17 @@ func (e *centralEngine) writeRegion(p *sim.Proc, addr Addr, n int, fill func(seg
 		seg := bufpool.Get(s.n)
 		t0 := p.Now()
 		fill(seg, s.off)
-		e.centralWrite(p, s.page, s.lo, seg)
-		e.recordSC(p, sctrace.Write, t0, s.addr, seg)
+		err := e.centralWrite(p, s.page, s.lo, seg)
+		if err == nil {
+			e.recordSC(p, sctrace.Write, t0, s.addr, seg)
+		}
 		bufpool.Put(seg)
-		return nil
+		return err
 	})
 }
 
 func (e *centralEngine) atomicSwap(p *sim.Proc, addr Addr, v int32) (int32, error) {
-	return e.centralSwap(p, addr, v), nil
+	return e.centralSwap(p, addr, v)
 }
 
 // updateEngine is the write-update policy: reads replicate exactly as
@@ -245,9 +248,8 @@ func newUpdateEngine(m *Module) (engine, engineDecl) {
 }
 
 // writeRegion ensures a local replica, then sequences each page span's
-// new bytes through the page's manager. A residency fault that fails
-// under failure detection returns its typed error, as under every
-// paged engine.
+// new bytes through the page's manager. Under failure detection a
+// failed residency fault or sequencing call returns its typed error.
 func (e *updateEngine) writeRegion(p *sim.Proc, addr Addr, n int, fill func(seg []byte, off int)) error {
 	return e.walkPages(addr, n, func(s span) error {
 		t0 := p.Now()
@@ -260,10 +262,12 @@ func (e *updateEngine) writeRegion(p *sim.Proc, addr Addr, n int, fill func(seg 
 		// distributed and recordSC copies what it keeps.
 		seg := bufpool.Get(s.n)
 		fill(seg, s.off)
-		e.sequenceWrite(p, s.page, s.lo, seg)
-		e.recordSC(p, sctrace.Write, t0, s.addr, seg)
+		err := e.sequenceWrite(p, s.page, s.lo, seg)
+		if err == nil {
+			e.recordSC(p, sctrace.Write, t0, s.addr, seg)
+		}
 		bufpool.Put(seg)
-		return nil
+		return err
 	})
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 
-	"repro/internal/arch"
 	"repro/internal/bufpool"
 	"repro/internal/proto"
 	"repro/internal/remoteop"
@@ -152,6 +151,18 @@ func (m *Module) callFailed(err error, format string, args ...any) error {
 	return fmt.Errorf(format+": %w", append(args, err)...)
 }
 
+// hostFailed is callFailed for a call to host that no other host can
+// answer in its place: once the detector has declared host dead, the
+// error is ErrHostDown — the range host serves is unavailable but
+// isolated.
+func (m *Module) hostFailed(err error, host HostID, format string, args ...any) error {
+	err = m.callFailed(err, format, args...)
+	if errors.Is(err, remoteop.ErrPeerDead) {
+		return hostDownErr(host, "%v", err)
+	}
+	return err
+}
+
 // faultPage obtains one DSM page with the requested right. Concurrent
 // threads on the same host faulting on the same page are serialized so
 // the protocol runs once. Under failure detection, transient failures
@@ -204,13 +215,7 @@ func (m *Module) remoteFault(p *sim.Proc, page PageNo, write bool) error {
 	mgrHost := m.manager(page)
 	resp, err := m.ep.Call(p, mgrHost, &proto.Message{Kind: kind, Page: uint32(page)})
 	if err != nil {
-		err = m.callFailed(err, "host %d page %d fault", m.id, page)
-		if errors.Is(err, remoteop.ErrPeerDead) {
-			// The manager itself crashed: its page range is unavailable
-			// but isolated — other ranges keep working.
-			return hostDownErr(mgrHost, "page %d's manager crashed", page)
-		}
-		return err
+		return m.hostFailed(err, mgrHost, "host %d page %d fault", m.id, page)
 	}
 	if resp.Arg(0)&flagLost != 0 {
 		bufpool.Put(resp.TakeWire())
@@ -706,9 +711,9 @@ func (m *Module) handlePageDeliver(req *proto.Message) *proto.Message {
 	return &proto.Message{Kind: proto.KindPageDeliverAck, Page: req.Page}
 }
 
-// installBody applies a PageReply on the requester: convert the body if
-// it comes from an incompatible machine (§2.3), store it, set the access
-// right, and charge the installation cost.
+// installBody applies a PageReply on the requester: an upgrade grants
+// the write right in place, a body takes the image receive step; either
+// way the installation cost is charged.
 func (m *Module) installBody(p *sim.Proc, page PageNo, resp *proto.Message, write bool) {
 	flags := resp.Arg(0)
 	lp := m.localPageFor(page)
@@ -718,14 +723,11 @@ func (m *Module) installBody(p *sim.Proc, page PageNo, resp *proto.Message, writ
 		m.stats.Upgrades++
 		m.trace("upgrade", page)
 	case flags&flagData != 0:
-		m.convertIn(p, page, resp.Data, arch.Kind(resp.SrcArch))
-		copy(lp.data, resp.Data)
+		access := ReadAccess
 		if write {
-			lp.access = WriteAccess
-		} else {
-			lp.access = ReadAccess
+			access = WriteAccess
 		}
-		m.countFetch(page, len(resp.Data), "fetch")
+		m.installImage(p, page, resp, access, "fetch")
 	default:
 		// Unreachable: every page reply is built with flagData or
 		// flagUpgrade, callers act on flagLost and flagRetry before

@@ -305,20 +305,6 @@ func (m *quorumEngine) writeDiff(page PageNo, image []byte, lo, n int) []byte {
 	return buf
 }
 
-// viewDiff decodes a received diff for page in place: its payload
-// aliases body.
-func (m *quorumEngine) viewDiff(page PageNo, body []byte) conv.Diff {
-	mt, ok := m.meta[page]
-	if !ok {
-		panic(fmt.Sprintf("dsm: host %d received a diff for page %d with no allocation metadata", m.id, page))
-	}
-	d, err := conv.ViewDiff(mt.typeID, m.cfg.Registry.MustGet(mt.typeID).Size, body)
-	if err != nil {
-		panic(fmt.Sprintf("dsm: host %d decoding a diff for page %d: %v", m.id, page, err))
-	}
-	return d
-}
-
 // quorumCollect runs phase 1 of an SC-ABD operation: query replicas
 // until a majority (counting this host's own) has answered, adopt the
 // highest tag seen, and report whether that winner is already proven to
@@ -412,15 +398,12 @@ func (m *quorumEngine) install(p *sim.Proc, page PageNo, qp *quorumPage, tag, ba
 	if qp.tag != base {
 		return false, false
 	}
-	d := m.viewDiff(page, body)
-	m.convertDiff(p, page, &d, src)
+	d := m.receiveDiff(p, page, body, src, true)
 	if qp.tag != base {
 		return false, !qp.tag.less(tag)
 	}
 	qp.unshare(0)
-	if err := m.cfg.Registry.Apply(&d, qp.data); err != nil {
-		panic(fmt.Sprintf("dsm: host %d applying a diff to page %d: %v", m.id, page, err))
-	}
+	m.applyDiff(page, &d, qp.data)
 	qp.setVersion(tag, base, body)
 	return true, true
 }

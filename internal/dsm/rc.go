@@ -218,12 +218,8 @@ func (m *rcEngine) rcFaultPage(p *sim.Proc, pg PageNo, _ bool) error {
 // no twin can exist (a twin implies a prior write, which implies
 // residency) and the image lands verbatim.
 func (m *rcEngine) rcInstallPage(p *sim.Proc, pg PageNo, resp *proto.Message) {
-	m.convertIn(p, pg, resp.Data, arch.Kind(resp.SrcArch))
-	lp := m.localPageFor(pg)
-	copy(lp.data, resp.Data)
-	lp.access = WriteAccess
+	m.installImage(p, pg, resp, WriteAccess, "fetch")
 	m.rc.applied[pg] = resp.Arg(0)
-	m.countFetch(pg, len(resp.Data), "fetch")
 	m.installed(p, pg, resp)
 }
 
@@ -283,15 +279,7 @@ func (m *rcEngine) rcRelease(p *sim.Proc) ([]byte, error) {
 		if tw == nil {
 			continue // a concurrent release on this host got here first
 		}
-		mt, ok := m.meta[pg]
-		if !ok {
-			panic(fmt.Sprintf("dsm: host %d releasing page %d with no allocation metadata", m.id, pg))
-		}
-		lp := m.local[pg]
-		d, err := m.cfg.Registry.BuildDiff(mt.typeID, tw[:mt.used], lp.data[:mt.used])
-		if err != nil {
-			panic(fmt.Sprintf("dsm: diffing page %d: %v", pg, err))
-		}
+		d := m.twinDiff(pg, tw, m.local[pg].data)
 		delete(rc.twins, pg) // the interval is closed for this page either way
 		if d.Empty() {
 			continue
@@ -491,11 +479,6 @@ func (m *rcEngine) rcCatchUp(p *sim.Proc, pg PageNo, tail []byte) bool {
 	if n != int(want-have) {
 		return false
 	}
-	mt, ok := m.meta[pg]
-	if !ok {
-		panic(fmt.Sprintf("dsm: host %d caught up page %d with no allocation metadata", m.id, pg))
-	}
-	elemSize := m.cfg.Registry.MustGet(mt.typeID).Size
 	for i := n - 1; i >= 0; i-- {
 		c := &run[i]
 		if c.ver <= rc.applied[pg] {
@@ -505,11 +488,7 @@ func (m *rcEngine) rcCatchUp(p *sim.Proc, pg PageNo, tail []byte) bool {
 			body := c.rec[rcCarryHdr:]
 			buf := bufpool.Get(len(body)) // the payload may be the manager's own: convert a copy
 			copy(buf, body)
-			d, err := conv.ViewDiff(mt.typeID, elemSize, buf)
-			if err != nil {
-				panic(fmt.Sprintf("dsm: host %d decoding carried diff for page %d: %v", m.id, pg, err))
-			}
-			m.convertDiff(p, pg, &d, c.src)
+			d := m.receiveDiff(p, pg, buf, c.src, true)
 			if c.ver > rc.applied[pg] { // the conversion yielded
 				m.rcApplyDiff(pg, &d)
 				m.stats.RCGrantDiffs++
@@ -546,37 +525,24 @@ func (m *rcEngine) rcPull(p *sim.Proc, pg PageNo) error {
 		m.rcInstallWhole(p, pg, resp, version)
 		return nil
 	}
-	mt, ok := m.meta[pg]
-	if !ok {
-		panic(fmt.Sprintf("dsm: host %d pulled diffs for page %d with no allocation metadata", m.id, pg))
-	}
-	typ := m.cfg.Registry.MustGet(mt.typeID)
-	entries := make([]rcLogEntry, 0, count)
+	// The reply's wire is this host's until the loop ends: each diff
+	// converts in place in it.
 	data, src := resp.Data, arch.Kind(resp.SrcArch)
-	off := 0
-	for i := 0; i < int(count); i++ {
+	for off, i := 0, 0; i < int(count); i++ {
 		ver := binary.BigEndian.Uint32(data[off:])
 		writer := HostID(binary.BigEndian.Uint32(data[off+4:]))
-		sz := int(binary.BigEndian.Uint32(data[off+8:]))
-		d, err := conv.DecodeDiff(mt.typeID, typ.Size, data[off+12:off+12+sz])
-		if err != nil {
-			panic(fmt.Sprintf("dsm: host %d decoding pulled diff for page %d: %v", m.id, pg, err))
-		}
-		off += 12 + sz
-		entries = append(entries, rcLogEntry{version: ver, writer: writer, diff: d})
-	}
-	bufpool.Put(resp.TakeWire()) // DecodeDiff copied the payloads
-	for i := range entries {
-		e := &entries[i]
-		if e.version <= rc.applied[pg] {
+		body := data[off+12 : off+12+int(binary.BigEndian.Uint32(data[off+8:]))]
+		off += 12 + len(body)
+		if ver <= rc.applied[pg] {
 			continue // a concurrent pull on this host already applied it
 		}
-		if e.writer != m.id {
-			m.convertDiff(p, pg, &e.diff, src)
-			m.rcApplyDiff(pg, &e.diff)
+		if writer != m.id {
+			d := m.receiveDiff(p, pg, body, src, true)
+			m.rcApplyDiff(pg, &d)
 		}
-		rc.applied[pg] = e.version
+		rc.applied[pg] = ver
 	}
+	bufpool.Put(resp.TakeWire())
 	if version > rc.applied[pg] {
 		rc.applied[pg] = version
 	}
@@ -595,31 +561,21 @@ func (m *rcEngine) rcInstallWhole(p *sim.Proc, pg PageNo, resp *proto.Message, v
 		bufpool.Put(resp.TakeWire()) // a concurrent pull got further; stale image
 		return
 	}
-	mt, ok := m.meta[pg]
-	if !ok {
-		panic(fmt.Sprintf("dsm: host %d re-fetched page %d with no allocation metadata", m.id, pg))
-	}
 	lp := m.localPageFor(pg)
 	var local *conv.Diff
 	if tw := rc.twins[pg]; tw != nil {
-		d, err := m.cfg.Registry.BuildDiff(mt.typeID, tw[:mt.used], lp.data[:mt.used])
-		if err != nil {
-			panic(fmt.Sprintf("dsm: diffing page %d against its twin: %v", pg, err))
-		}
-		if !d.Empty() {
+		if d := m.twinDiff(pg, tw, lp.data); !d.Empty() {
 			local = &d
 		}
 	}
-	m.convertIn(p, pg, resp.Data, arch.Kind(resp.SrcArch))
-	copy(lp.data, resp.Data)
+	m.installImage(p, pg, resp, WriteAccess, "rc-refetch")
 	if tw := rc.twins[pg]; tw != nil {
 		copy(tw, lp.data)
 		if local != nil {
-			m.mustApply(pg, local, lp.data)
+			m.applyDiff(pg, local, lp.data)
 		}
 	}
 	rc.applied[pg] = version
-	m.countFetch(pg, len(resp.Data), "rc-refetch")
 	m.installed(p, pg, resp)
 }
 
@@ -634,21 +590,14 @@ func (m *rcEngine) rcApplyDiff(pg PageNo, d *conv.Diff) {
 		// Injected bug: with a twin live the merge lands only in the
 		// twin — the page itself misses the interval, and synchronized
 		// readers see pre-interval bytes.
-		m.mustApply(pg, d, tw)
+		m.applyDiff(pg, d, tw)
 		return
 	}
-	m.mustApply(pg, d, m.localPageFor(pg).data)
+	m.applyDiff(pg, d, m.localPageFor(pg).data)
 	if tw != nil {
-		m.mustApply(pg, d, tw)
+		m.applyDiff(pg, d, tw)
 	}
 	m.stats.RCDiffsApplied++
-}
-
-// mustApply applies a diff to one buffer; a failure is a protocol bug.
-func (m *rcEngine) mustApply(pg PageNo, d *conv.Diff, dst []byte) {
-	if err := m.cfg.Registry.Apply(d, dst); err != nil {
-		panic(fmt.Sprintf("dsm: host %d applying diff to page %d: %v", m.id, pg, err))
-	}
 }
 
 // recordSyncOp appends an Acquire/Release record carrying this host's
@@ -688,19 +637,10 @@ func (m *rcEngine) handleRCDiff(p *sim.Proc, req *proto.Message) {
 	m.exitIfCrashed(p)
 	pg := PageNo(req.Page)
 	writer := HostID(req.Arg(0))
-	mt, ok := m.meta[pg]
-	if !ok {
-		panic(fmt.Sprintf("dsm: home %d received diff for page %d with no allocation metadata", m.id, pg))
-	}
-	typ := m.cfg.Registry.MustGet(mt.typeID)
-	d, err := conv.DecodeDiff(mt.typeID, typ.Size, req.Data)
-	src := arch.Kind(req.SrcArch)
-	bufpool.Put(req.TakeWire()) // DecodeDiff copied the payload
-	if err != nil {
-		panic(fmt.Sprintf("dsm: home %d decoding diff for page %d: %v", m.id, pg, err))
-	}
 	m.protoCPU.Use(p, m.jittered(m.cfg.Params.OwnerProcess.Of(m.arch.Kind)))
-	m.convertDiff(p, pg, &d, src)
+	// A copy: the log keeps the diff past the request's wire.
+	d := m.receiveDiff(p, pg, req.Data, arch.Kind(req.SrcArch), false)
+	bufpool.Put(req.TakeWire())
 	hm := m.rcHomeFor(pg)
 	m.rcApplyDiff(pg, &d)
 	hm.version++

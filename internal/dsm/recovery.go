@@ -14,7 +14,6 @@ package dsm
 import (
 	"fmt"
 
-	"repro/internal/arch"
 	"repro/internal/bufpool"
 	"repro/internal/proto"
 	"repro/internal/sctrace"
@@ -196,10 +195,7 @@ func (m *Module) recoveryCandidates(ent *mgrEntry, dead HostID) []HostID {
 // ownership gap.
 func (m *Module) installRecovered(p *sim.Proc, page PageNo, resp *proto.Message) {
 	lp := m.localPageFor(page)
-	m.convertIn(p, page, resp.Data, arch.Kind(resp.SrcArch))
-	copy(lp.data, resp.Data)
-	lp.access = ReadAccess
-	m.countFetch(page, len(resp.Data), "fetch")
+	m.installImage(p, page, resp, ReadAccess, "fetch")
 	if n := len(resp.Data); n > 0 {
 		m.recordSC(p, sctrace.Write, p.Now(), Addr(int(page)*m.cfg.PageSize), lp.data[:n])
 	}

@@ -3,13 +3,20 @@ package dsm
 // The steps of a page transfer, each said once. Whatever an engine's
 // protocol decides — who serves, who is invalidated, when a handoff
 // commits — the bytes then take the same few steps: the sender
-// snapshots the page's allocated prefix (servedPrefix), the receiver
-// converts it into its own representation when the sender is an
-// incompatible machine (convertIn, convertDiff for typed diffs — the
-// paper's one conversion hook, §2.3), copies it into place, and closes
-// the install (countFetch, installed). The region walks that turn a
-// typed access into per-group or per-page steps live here too, as does
-// the backoff every retrying round shares.
+// snapshots the page's allocated prefix (servedPrefix), and the
+// receiver takes one receive step per shape of what arrived, each of
+// which converts it into this host's representation when the sender is
+// an incompatible machine (the paper's one conversion hook, §2.3):
+//
+//   - installImage: a whole page image, copied into the resident page;
+//   - receiveDiff: a typed diff, then folded in by applyDiff;
+//   - storeRun: a run of elements, stored into a span of the page.
+//
+// The caller then closes the install (installed). The steps yield for
+// the conversion cost, so each caller re-checks whatever a concurrent
+// install may have moved before it applies what it received. The
+// region walks that turn a typed access into per-group or per-page
+// steps live here too, as does the backoff every retrying round shares.
 
 import (
 	"fmt"
@@ -52,22 +59,29 @@ func (m *Module) converted(page PageNo, rep conv.Report, err error) {
 	m.stats.ConvReport.Add(rep)
 }
 
+// allocMeta returns the allocation metadata of a page whose typed data
+// is converted, decoded or diffed here. Typed data for a page with no
+// allocation metadata cannot be produced by the typed accessors or the
+// prefix snapshots, so it panics rather than pass foreign bytes on
+// silently.
+func (m *Module) allocMeta(page PageNo) pageMeta {
+	mt, ok := m.meta[page]
+	if !ok {
+		panic(fmt.Sprintf("dsm: host %d handling typed data for page %d with no allocation metadata", m.id, page))
+	}
+	return mt
+}
+
 // convertRegion converts data — whole elements of page's one type — in
 // place between two representations, charging this host the
 // per-element cost (Table 3) and rebasing pointers by the difference of
 // the two kinds' DSM bases. An empty body (a never-allocated page) and
-// a compatible pair cost nothing. Non-empty data for a page with no
-// allocation metadata cannot be produced by the typed accessors or the
-// prefix snapshots, so it panics rather than pass foreign bytes on
-// silently.
+// a compatible pair cost nothing.
 func (m *Module) convertRegion(p *sim.Proc, page PageNo, data []byte, from, to arch.Arch) {
 	if len(data) == 0 || !m.foreign(from, to) {
 		return
 	}
-	mt, ok := m.meta[page]
-	if !ok {
-		panic(fmt.Sprintf("dsm: host %d converting data for page %d with no allocation metadata", m.id, page))
-	}
+	mt := m.allocMeta(page)
 	typ := m.cfg.Registry.MustGet(mt.typeID)
 	n := len(data) / typ.Size
 	p.Sleep(m.cfg.Params.RegionConvertCost(m.arch.Kind, typ.Cost, n))
@@ -94,6 +108,75 @@ func (m *Module) convertDiff(p *sim.Proc, page PageNo, d *conv.Diff, srcKind arc
 	p.Sleep(m.cfg.Params.RegionConvertCost(m.arch.Kind, typ.Cost, d.Elements()))
 	rep, err := m.cfg.Registry.ConvertDiff(d, src, m.arch, int32(m.base(m.arch.Kind))-int32(m.base(srcKind)))
 	m.converted(page, rep, err)
+}
+
+// installImage is the receive step of a whole page image: it converts
+// resp's body, copies it into the resident page, grants access and
+// books the fetch as event. The page frame is looked up after the
+// conversion yields; a caller that needs it earlier looks it up itself.
+// The caller keeps its own bookkeeping and closes the install
+// (installed).
+func (m *Module) installImage(p *sim.Proc, page PageNo, resp *proto.Message, access Access, event string) {
+	m.convertIn(p, page, resp.Data, arch.Kind(resp.SrcArch))
+	lp := m.localPageFor(page)
+	copy(lp.data, resp.Data)
+	lp.access = access
+	m.countFetch(page, len(resp.Data), event)
+}
+
+// receiveDiff is the receive step of a typed diff of page from a host
+// of kind src: it decodes body against the page's element type and
+// converts the payload into this host's representation. With view the
+// payload aliases body and converts in place, so body must be this
+// host's and must outlive the diff; otherwise the payload is a fresh
+// copy. The conversion yields: the caller re-checks whatever a
+// concurrent install may have moved before it applies the diff.
+func (m *Module) receiveDiff(p *sim.Proc, page PageNo, body []byte, src arch.Kind, view bool) conv.Diff {
+	mt := m.allocMeta(page)
+	size := m.cfg.Registry.MustGet(mt.typeID).Size
+	var d conv.Diff
+	var err error
+	if view {
+		d, err = conv.ViewDiff(mt.typeID, size, body)
+	} else {
+		d, err = conv.DecodeDiff(mt.typeID, size, body)
+	}
+	if err != nil {
+		panic(fmt.Sprintf("dsm: host %d decoding a diff for page %d: %v", m.id, page, err))
+	}
+	m.convertDiff(p, page, &d, src)
+	return d
+}
+
+// applyDiff folds a diff in this host's representation into dst, a
+// buffer holding page's allocated region; a failure is a protocol bug.
+func (m *Module) applyDiff(page PageNo, d *conv.Diff, dst []byte) {
+	if err := m.cfg.Registry.Apply(d, dst); err != nil {
+		panic(fmt.Sprintf("dsm: host %d applying a diff to page %d: %v", m.id, page, err))
+	}
+}
+
+// twinDiff diffs page's allocated prefix in cur against twin, the copy
+// taken before this interval's first write: the elements written since.
+func (m *Module) twinDiff(page PageNo, twin, cur []byte) conv.Diff {
+	mt := m.allocMeta(page)
+	d, err := m.cfg.Registry.BuildDiff(mt.typeID, twin[:mt.used], cur[:mt.used])
+	if err != nil {
+		panic(fmt.Sprintf("dsm: host %d diffing page %d against its twin: %v", m.id, page, err))
+	}
+	return d
+}
+
+// storeRun is the receive step of a run of elements of page: data, in
+// src's representation, is converted in a pooled copy (data itself may
+// be sent on to other hosts) and stored into dst, the span of the
+// resident page it overwrites.
+func (m *Module) storeRun(p *sim.Proc, page PageNo, dst, data []byte, src arch.Kind) {
+	buf := bufpool.Get(len(data))
+	copy(buf, data)
+	m.convertIn(p, page, buf, src)
+	copy(dst, buf)
+	bufpool.Put(buf)
 }
 
 // freshBuf allocates a buffer that outlives its sender: a reply body is

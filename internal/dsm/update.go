@@ -23,14 +23,14 @@ import (
 
 // sequenceWrite routes one span's bytes through the page's manager and
 // applies them locally once sequenced.
-func (m *updateEngine) sequenceWrite(p *sim.Proc, page PageNo, offset int, data []byte) {
+func (m *updateEngine) sequenceWrite(p *sim.Proc, page PageNo, offset int, data []byte) error {
 	if m.cfg.Mutation == MutUnsequencedUpdate {
 		// Injected bug: apply locally without sequencing through the
 		// manager — no replica ever hears about this write.
 		if lp := m.local[page]; lp != nil && lp.access != NoAccess {
 			copy(lp.data[offset:], data)
 		}
-		return
+		return nil
 	}
 	mgr := m.manager(page)
 	if mgr == m.id {
@@ -43,13 +43,14 @@ func (m *updateEngine) sequenceWrite(p *sim.Proc, page PageNo, offset int, data 
 			Args: []uint32{uint32(offset)},
 			Data: data,
 		}); err != nil {
-			panic(fmt.Sprintf("dsm: host %d update write page %d: %v", m.id, page, err))
+			return m.hostFailed(err, mgr, "host %d update write page %d", m.id, page)
 		}
 	}
 	// Sequenced: apply to the local replica (bytes are already native).
 	if lp := m.local[page]; lp != nil && lp.access != NoAccess {
 		copy(lp.data[offset:], data)
 	}
+	return nil
 }
 
 // handleUpdateWrite sequences a remote writer's update at the manager.
@@ -92,7 +93,7 @@ func (m *updateEngine) sequenceUpdate(p *sim.Proc, page PageNo, offset int, data
 	// representation).
 	if writer != m.id {
 		if lp := m.local[page]; lp != nil && lp.access != NoAccess {
-			m.applyUpdateBytes(p, page, offset, data, writerKind)
+			m.storeRun(p, page, lp.data[offset:], data, writerKind)
 		}
 	} else if lp := m.local[page]; lp != nil && lp.access != NoAccess {
 		copy(lp.data[offset:], data)
@@ -149,21 +150,11 @@ func (m *updateEngine) handleApplyUpdate(p *sim.Proc, req *proto.Message) {
 	m.protoCPU.Use(p, m.jittered(m.cfg.Params.InvalidateProcess.Of(m.arch.Kind)))
 	page := PageNo(req.Page)
 	if lp := m.local[page]; lp != nil && lp.access != NoAccess {
-		m.applyUpdateBytes(p, page, int(req.Arg(0)), req.Data, arch.Kind(req.SrcArch))
+		m.storeRun(p, page, lp.data[req.Arg(0):], req.Data, arch.Kind(req.SrcArch))
 		m.stats.UpdatesApplied++
 		m.trace("apply-update", page)
 	}
 	bufpool.Put(req.TakeWire())
 	m.checkpoint("update-applied", page)
 	m.ep.Reply(p, req, &proto.Message{Kind: proto.KindApplyUpdateAck, Page: req.Page})
-}
-
-// applyUpdateBytes converts update bytes from the writer's
-// representation and stores them into the local replica.
-func (m *updateEngine) applyUpdateBytes(p *sim.Proc, page PageNo, offset int, data []byte, writerKind arch.Kind) {
-	buf := bufpool.Get(len(data))
-	copy(buf, data)
-	m.convertIn(p, page, buf, writerKind)
-	copy(m.local[page].data[offset:], buf)
-	bufpool.Put(buf)
 }
