@@ -32,7 +32,10 @@ func TestScenarioAllocCeilings(t *testing.T) {
 		{"QuorumFanout3Hosts", 3417, func() { quorumFanout(t, 3) }},
 		{"QuorumFanout5Hosts", 5775, func() { quorumFanout(t, 5) }},
 		{"QuorumReadShare", 3481, func() { quorumReadShare(t, 3) }}, // 4 143 when every phase-1 reply copied the replica
-		{"RCMerge", 1, func() { merge() }},                          // 10 when the merge decoded both payloads into a map (notice-only payloads)
+		// One fold of new versions of 16 pages into a full accumulation:
+		// the buffer its kept diffs are copied into. A merge of two whole
+		// payloads took 10 when it decoded both into a map.
+		{"RCMerge", 1, merge},
 	} {
 		// One measured run after AllocsPerRun's warm-up: the simulations
 		// are deterministic, and the whole table stays near 0.3 s.

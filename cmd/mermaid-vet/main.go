@@ -199,16 +199,7 @@ func run(args []string) error {
 	lockFindings, lockGraph := vet.CheckLockOrder(allLockFacts)
 	lockMS := float64(time.Since(lockStart).Nanoseconds()) / 1e6
 	findings = append(findings, lockFindings...)
-	sort.Slice(findings, func(i, j int) bool {
-		a, b := findings[i].Pos, findings[j].Pos
-		if a.Filename != b.Filename {
-			return a.Filename < b.Filename
-		}
-		if a.Line != b.Line {
-			return a.Line < b.Line
-		}
-		return a.Column < b.Column
-	})
+	vet.SortFindings(findings)
 
 	elapsed := time.Since(start)
 	if *jsonOut {

@@ -26,11 +26,7 @@ const (
 func (m *centralEngine) centralRead(p *sim.Proc, page PageNo, offset, length int) ([]byte, error) {
 	server := m.manager(page)
 	if server == m.id {
-		m.protoCPU.Use(p, m.cfg.Params.RemoteOpProcess.Of(m.arch.Kind))
-		lp := m.serverPageFor(page)
-		seg := make([]byte, length) // vet:ignore hot-alloc — escapes to the caller's read callback
-		copy(seg, lp.data[offset:offset+length])
-		return seg, nil
+		return m.serverRead(p, page, offset, length, m.arch), nil
 	}
 	m.stats.RemoteReads++
 	resp, err := m.ep.Call(p, server, &proto.Message{
@@ -48,10 +44,7 @@ func (m *centralEngine) centralRead(p *sim.Proc, page PageNo, offset, length int
 func (m *centralEngine) centralWrite(p *sim.Proc, page PageNo, offset int, data []byte) error {
 	server := m.manager(page)
 	if server == m.id {
-		m.protoCPU.Use(p, m.cfg.Params.RemoteOpProcess.Of(m.arch.Kind))
-		lp := m.serverPageFor(page)
-		copy(lp.data[offset:], data)
-		m.checkpoint("central-write", page)
+		m.serverStore(p, page, offset, data, m.arch.Kind)
 		return nil
 	}
 	m.stats.RemoteWrites++
@@ -72,11 +65,7 @@ func (m *centralEngine) centralSwap(p *sim.Proc, addr Addr, v int32) (int32, err
 	offset := int(addr) - int(page)*m.cfg.PageSize
 	server := m.manager(page)
 	if server == m.id {
-		m.protoCPU.Use(p, m.cfg.Params.RemoteOpProcess.Of(m.arch.Kind))
-		lp := m.serverPageFor(page)
-		old := int32(m.arch.Order.Binary().Uint32(lp.data[offset:]))
-		m.arch.Order.Binary().PutUint32(lp.data[offset:], uint32(v))
-		return old, nil
+		return m.serverSwap(p, page, offset, v), nil
 	}
 	m.stats.RemoteWrites++
 	buf := bufpool.Get(4)
@@ -94,9 +83,37 @@ func (m *centralEngine) centralSwap(p *sim.Proc, addr Addr, v int32) (int32, err
 	return int32(resp.Arg(0)), nil
 }
 
-// serverPageFor returns the server-resident page image (servers always
-// hold their pages; they are created zeroed on first touch).
-func (m *centralEngine) serverPageFor(page PageNo) *localPage {
+// serverRead, serverStore and serverSwap are the three operations at a
+// page's server, for its own accesses and its clients' requests alike.
+// Each charges one server operation on the page's server-resident
+// frame (servers always hold their pages; they are created zeroed on
+// first touch). serverRead returns a copy of length bytes at offset in
+// the representation of to; serverStore stores a run of elements given
+// in the representation of src; serverSwap exchanges the int32 at
+// offset for v and returns the old value.
+func (m *centralEngine) serverRead(p *sim.Proc, page PageNo, offset, length int, to arch.Arch) []byte {
+	lp := m.serverPage(p, page)
+	data := freshBuf(length)
+	copy(data, lp.data[offset:])
+	m.convertRegion(p, page, data, m.arch, to)
+	return data
+}
+
+func (m *centralEngine) serverStore(p *sim.Proc, page PageNo, offset int, data []byte, src arch.Kind) {
+	lp := m.serverPage(p, page)
+	m.storeRun(p, page, lp.data[offset:], data, src)
+	m.checkpoint("central-write", page)
+}
+
+func (m *centralEngine) serverSwap(p *sim.Proc, page PageNo, offset int, v int32) int32 {
+	lp := m.serverPage(p, page)
+	old := int32(m.arch.Order.Binary().Uint32(lp.data[offset:]))
+	m.arch.Order.Binary().PutUint32(lp.data[offset:], uint32(v))
+	return old
+}
+
+func (m *centralEngine) serverPage(p *sim.Proc, page PageNo) *localPage {
+	m.protoCPU.Use(p, m.cfg.Params.RemoteOpProcess.Of(m.arch.Kind))
 	lp := m.localPageFor(page)
 	if lp.access == NoAccess {
 		lp.access = WriteAccess
@@ -107,19 +124,12 @@ func (m *centralEngine) serverPageFor(page PageNo) *localPage {
 // handleRemoteRead serves a central-policy read: convert the requested
 // region to the client's representation and send it.
 func (m *centralEngine) handleRemoteRead(p *sim.Proc, req *proto.Message) {
-	if m.manager(PageNo(req.Page)) != m.id {
-		return // misdirected; client times out
-	}
-	m.protoCPU.Use(p, m.cfg.Params.RemoteOpProcess.Of(m.arch.Kind))
 	page := PageNo(req.Page)
 	offset, length := int(req.Arg(0)), int(req.Arg(1))
-	lp := m.serverPageFor(page)
-	if offset < 0 || offset+length > len(lp.data) {
-		return
+	if m.manager(page) != m.id || offset < 0 || offset+length > m.cfg.PageSize {
+		return // misdirected or malformed; the client times out
 	}
-	data := freshBuf(length)
-	copy(data, lp.data[offset:])
-	m.convertRegion(p, page, data, m.arch, m.hosts[req.From])
+	data := m.serverRead(p, page, offset, length, m.hosts[req.From])
 	m.ep.Reply(p, req, &proto.Message{Kind: proto.KindRemoteReadReply, Page: req.Page, Data: data})
 }
 
@@ -127,39 +137,21 @@ func (m *centralEngine) handleRemoteRead(p *sim.Proc, req *proto.Message) {
 // wire buffer is recycled once its Data has been consumed (or the
 // request rejected).
 func (m *centralEngine) handleRemoteWrite(p *sim.Proc, req *proto.Message) {
-	if m.manager(PageNo(req.Page)) != m.id {
-		bufpool.Put(req.TakeWire())
-		return
-	}
-	m.protoCPU.Use(p, m.cfg.Params.RemoteOpProcess.Of(m.arch.Kind))
 	page := PageNo(req.Page)
 	offset := int(req.Arg(0))
-	lp := m.serverPageFor(page)
-	if offset < 0 || offset+len(req.Data) > len(lp.data) {
+	client, err := arch.ByKind(arch.Kind(req.SrcArch))
+	if m.manager(page) != m.id || offset < 0 || offset+len(req.Data) > m.cfg.PageSize || err != nil {
 		bufpool.Put(req.TakeWire())
-		return
+		return // misdirected or malformed; the client times out
 	}
+	var args []uint32
 	if req.Arg(1) == remoteOpSwap {
-		clientArch, err := arch.ByKind(arch.Kind(req.SrcArch))
-		if err != nil {
-			bufpool.Put(req.TakeWire())
-			return
-		}
-		old := int32(m.arch.Order.Binary().Uint32(lp.data[offset:]))
-		v := int32(clientArch.Order.Binary().Uint32(req.Data))
-		m.arch.Order.Binary().PutUint32(lp.data[offset:], uint32(v))
-		bufpool.Put(req.TakeWire())
-		m.ep.Reply(p, req, &proto.Message{
-			Kind: proto.KindRemoteWriteAck,
-			Page: req.Page,
-			Args: []uint32{uint32(old)},
-		})
-		return
+		args = []uint32{uint32(m.serverSwap(p, page, offset, int32(client.Order.Binary().Uint32(req.Data))))}
+	} else {
+		m.serverStore(p, page, offset, req.Data, client.Kind)
 	}
-	m.storeRun(p, page, lp.data[offset:], req.Data, arch.Kind(req.SrcArch))
 	bufpool.Put(req.TakeWire())
-	m.checkpoint("central-write", page)
-	m.ep.Reply(p, req, &proto.Message{Kind: proto.KindRemoteWriteAck, Page: req.Page})
+	m.ep.Reply(p, req, &proto.Message{Kind: proto.KindRemoteWriteAck, Page: req.Page, Args: args})
 }
 
 // checkCentralPage is the central engine's declared invariant: the page

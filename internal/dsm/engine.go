@@ -68,11 +68,11 @@ type engineDecl struct {
 	// traceCheck is the offline oracle a recorded access trace must
 	// satisfy; nil means sequential consistency (sctrace.Check).
 	traceCheck func(ops []sctrace.Op) []sctrace.Violation
-	// sync carries the payload hooks dsync threads through locks,
+	// sync is the consistency model dsync threads through locks,
 	// events and barriers; nil when the engine propagates at access
 	// time and synchronization carries nothing (nil keeps dsync's
 	// behaviour bit-identical).
-	sync *RCSync
+	sync *rcEngine
 }
 
 // validatePolicy checks the policy-dependent configuration rules. It
@@ -121,7 +121,7 @@ func (m *Module) TraceCheck(ops []sctrace.Op) []sctrace.Violation {
 // dsync.Service.AttachModel, or nil when it declared none. The cluster
 // wires it after building both modules; callers must preserve the nil
 // (attaching a typed nil would enable the payload path).
-func (m *Module) SyncModel() *RCSync {
+func (m *Module) SyncModel() *rcEngine {
 	return m.decl.sync
 }
 

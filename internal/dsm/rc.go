@@ -17,9 +17,11 @@ package dsm
 //     releasing primitive with (timestamp, write notices).
 //   - The release also attaches the interval's diffs to its payload,
 //     in the writer's representation, as far as they fit the fragments
-//     the payload already fills. The primitive's manager keeps the
-//     newest of them per page and hands each remote grantee only the
-//     ones it has not been sent before.
+//     the payload already fills. The engine on the primitive's manager
+//     host folds each arriving payload into the primitive's
+//     accumulation (rcAccum), which keeps the newest of them per page,
+//     and hands each remote grantee only the ones it has not been sent
+//     before.
 //   - An acquire merges the grant's stamp and catches up each resident
 //     page with an outstanding notice: from the diffs the grant carried
 //     when they hold every version this host lacks, converting each
@@ -30,11 +32,13 @@ package dsm
 //   - A fault fetches the home's current image, which already reflects
 //     every pushed interval, so non-resident pages need no pulling.
 //
-// The engine's declaration binds this machinery to dsync via RCSync and
-// names sctrace.CheckRC, the happens-before checker, as its trace
-// oracle.
+// The engine itself is dsync's consistency model (ReleasePayload,
+// AcquirePayload, Released and Grant satisfy dsync.SyncModel
+// structurally; dsm does not import dsync), and its declaration names
+// sctrace.CheckRC, the happens-before checker, as its trace oracle.
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"slices"
@@ -77,8 +81,12 @@ type rcState struct {
 	// shipped is what this host, as a primitive's manager, has sent
 	// each remote grantee: per grantee, the newest carried version of
 	// each page a grant of its held, in ascending page order. A grant
-	// carries only diffs newer than that (rcGrantPayload).
+	// carries only diffs newer than that (Grant).
 	shipped [][]rcNotice
+	// acc holds, per primitive this host manages, what the releases
+	// folded into it have accumulated. dsync names the primitive and
+	// folds Grant's answer for this host into its own state hash.
+	acc map[uint64]*rcAccum
 }
 
 // rcHome is a home's authoritative ordering state for one page.
@@ -106,6 +114,7 @@ func newRCState(nhosts int) *rcState {
 		applied: make(map[PageNo]uint32),
 		home:    make(map[PageNo]*rcHome),
 		shipped: make([][]rcNotice, nhosts),
+		acc:     make(map[uint64]*rcAccum),
 	}
 }
 
@@ -129,45 +138,8 @@ func newRCEngine(mod *Module) (engine, engineDecl) {
 		invariants: func(*InvariantChecker, string, PageNo, []HostID, []HostID) {},
 		hashState:  m.hashState,
 		traceCheck: sctrace.CheckRC,
-		sync:       &RCSync{e: m},
+		sync:       m,
 	}
-}
-
-// RCSync is the RC engine's dsync payload implementation (it satisfies
-// dsync.SyncModel structurally; dsm does not import dsync).
-type RCSync struct {
-	e *rcEngine
-}
-
-// ReleasePayload closes the current interval: push every twinned page's
-// diff to its home, advance this host's vector timestamp, and return
-// the encoded (timestamp, write-notice) payload to ride the releasing
-// primitive.
-func (s *RCSync) ReleasePayload(p *sim.Proc) ([]byte, error) {
-	return s.e.rcRelease(p)
-}
-
-// AcquirePayload merges a grant's payload into this host's timestamp
-// and notices, then catches up the resident pages the notices make
-// stale, from the carried diffs or by pulling.
-func (s *RCSync) AcquirePayload(p *sim.Proc, data []byte) error {
-	return s.e.rcAcquire(p, data)
-}
-
-// GrantPayload cuts what a grant to remote host to carries of a
-// primitive's merged payload: the head whole, and the carried diffs
-// this host has not sent to that host before, as far as they fit the
-// fragments the head fills. It records what it ships, so the manager
-// calls it once per grant and retransmissions resend its result.
-func (s *RCSync) GrantPayload(payload []byte, to HostID) []byte {
-	return s.e.rcGrantPayload(payload, to)
-}
-
-// MergePayload folds two payloads component-wise (max of vector
-// timestamps, max of per-page notices, union of the carried diffs up
-// to rcLogCap per page). Pure; always returns a fresh slice.
-func (s *RCSync) MergePayload(a, b []byte) []byte {
-	return rcMergePayload(a, b)
 }
 
 // Residency is EnsureAccess's fault accounting with the home fetch as
@@ -264,12 +236,12 @@ func (m *rcEngine) rcHomeFor(pg PageNo) *rcHome {
 	return hm
 }
 
-// rcRelease closes the current interval: push every twinned page's diff
-// to its home (in page order, for determinism), advance this host's
-// vector timestamp, record the Release, and return the encoded
-// (timestamp, notices, carried diffs) payload for the releasing
+// ReleasePayload closes the current interval: push every twinned
+// page's diff to its home (in page order, for determinism), advance
+// this host's vector timestamp, record the Release, and return the
+// encoded (timestamp, notices, carried diffs) payload for the releasing
 // primitive.
-func (m *rcEngine) rcRelease(p *sim.Proc) ([]byte, error) {
+func (m *rcEngine) ReleasePayload(p *sim.Proc) ([]byte, error) {
 	m.exitIfCrashed(p)
 	rc := m.rc
 	lost := false
@@ -407,13 +379,14 @@ func (m *rcEngine) rcLogAppend(hm *rcHome, e rcLogEntry) {
 	}
 }
 
-// rcAcquire merges a grant's payload into this host's timestamp and
-// notices, records the Acquire, and catches up the pages resident here
-// that the notices make stale: from the diffs the grant carried when
-// they hold every missing version (rcCatchUp), by a pull otherwise. A
-// non-resident page needs nothing: its next fault fetches the home's
-// current image, which already contains every noticed interval.
-func (m *rcEngine) rcAcquire(p *sim.Proc, data []byte) error {
+// AcquirePayload merges a grant's payload into this host's timestamp
+// and notices, records the Acquire, and catches up the pages resident
+// here that the notices make stale: from the diffs the grant carried
+// when they hold every missing version (rcCatchUp), by a pull
+// otherwise. A non-resident page needs nothing: its next fault fetches
+// the home's current image, which already contains every noticed
+// interval.
+func (m *rcEngine) AcquirePayload(p *sim.Proc, data []byte) error {
 	m.exitIfCrashed(p)
 	rc := m.rc
 	vt := rcVT(data)
@@ -728,7 +701,7 @@ type rcNotice struct {
 // [u16 writer's arch][u32 size][size bytes of encoded diff, in the
 // writer's representation], in ascending page order and, within a
 // page, descending version. Every integer is big-endian. The layout is
-// canonical, so payloads merge and cut by one linear walk and compare
+// canonical, so an accumulation has one encoding and payloads compare
 // byte-wise; a payload without carried diffs is the head alone.
 
 // rcCarryHdr is the length of a carried diff record's header.
@@ -758,7 +731,8 @@ func rcHeadLen(data []byte) int {
 	return off + 4 + 8*int(binary.BigEndian.Uint32(data[off:]))
 }
 
-// rcCarried is one carried diff record, viewed in place in a payload.
+// rcCarried is one carried diff record, viewed in place in a payload
+// or kept in an accumulation.
 type rcCarried struct {
 	page   PageNo
 	ver    uint32
@@ -780,112 +754,6 @@ func rcNextCarried(tail []byte) (rcCarried, []byte) {
 	}, tail[n:]
 }
 
-// rcMergePayload folds two payloads in one walk: the component-wise
-// maximum of the vector timestamps, of the per-page notices, and the
-// union of the carried diffs, keeping the newest rcLogCap versions of
-// each page (the home log's cap). Two records of one version are the
-// same interval's diff. Pure, and always returns a fresh slice — the
-// inputs may alias pooled wire buffers. The walk writes into pooled
-// scratch sized for both inputs; the result is an exact copy.
-func rcMergePayload(a, b []byte) []byte {
-	scratch := bufpool.Get(len(a) + len(b) + 8)
-	out := scratch[:0]
-	avt, bvt := rcVT(a), rcVT(b)
-	if len(bvt) > len(avt) {
-		avt, bvt = bvt, avt
-	}
-	out = binary.BigEndian.AppendUint32(out, uint32(len(avt)/4))
-	for i := 0; i < len(avt); i += 4 {
-		v := binary.BigEndian.Uint32(avt[i:])
-		if i < len(bvt) {
-			v = max(v, binary.BigEndian.Uint32(bvt[i:]))
-		}
-		out = binary.BigEndian.AppendUint32(out, v)
-	}
-	count := len(out)
-	out = append(out, 0, 0, 0, 0)
-	an, bn := rcNotices(a), rcNotices(b)
-	n := 0
-	for ; len(an) > 0 || len(bn) > 0; n++ {
-		switch {
-		case len(bn) == 0 || len(an) > 0 && binary.BigEndian.Uint32(an) < binary.BigEndian.Uint32(bn):
-			out, an = append(out, an[:8]...), an[8:]
-		case len(an) == 0 || binary.BigEndian.Uint32(bn) < binary.BigEndian.Uint32(an):
-			out, bn = append(out, bn[:8]...), bn[8:]
-		default:
-			out = append(out, an[:4]...)
-			out = binary.BigEndian.AppendUint32(out, max(binary.BigEndian.Uint32(an[4:]), binary.BigEndian.Uint32(bn[4:])))
-			an, bn = an[8:], bn[8:]
-		}
-	}
-	binary.BigEndian.PutUint32(out[count:], uint32(n))
-	// Both tails are canonical and hold at most rcLogCap versions of a
-	// page, so a run of pages one side alone carries is copied whole and
-	// only a page both carry is merged record by record.
-	at, bt := a[rcHeadLen(a):], b[rcHeadLen(b):]
-	for len(at) > 0 && len(bt) > 0 {
-		pa, pb := rcTailPage(at), rcTailPage(bt)
-		switch {
-		case pa < pb:
-			k := rcPagesBelow(at, pb)
-			out, at = append(out, at[:k]...), at[k:]
-		case pb < pa:
-			k := rcPagesBelow(bt, pa)
-			out, bt = append(out, bt[:k]...), bt[k:]
-		default:
-			ka, kb := rcPagesBelow(at, pa+1), rcPagesBelow(bt, pa+1)
-			out = rcMergePage(out, at[:ka], bt[:kb])
-			at, bt = at[ka:], bt[kb:]
-		}
-	}
-	out = append(append(out, at...), bt...)
-	merged := freshBuf(len(out)) // exactly sized: it rests in the primitive and in grants
-	copy(merged, out)
-	bufpool.Put(scratch)
-	return merged
-}
-
-// rcMergePage appends the merge of two record groups of one page,
-// newest version first, keeping rcLogCap of them. Two records of one
-// version are the same interval's diff.
-func rcMergePage(out, a, b []byte) []byte {
-	for kept := 0; kept < rcLogCap && (len(a) > 0 || len(b) > 0); kept++ {
-		var c rcCarried
-		switch va, vb := rcTailVer(a), rcTailVer(b); {
-		case va > vb:
-			c, a = rcNextCarried(a)
-		case vb > va:
-			c, b = rcNextCarried(b)
-		default:
-			c, a = rcNextCarried(a)
-			_, b = rcNextCarried(b)
-		}
-		out = append(out, c.rec...)
-	}
-	return out
-}
-
-// rcTailPage and rcTailVer read the page and version of a tail's first
-// record; an empty tail's version is 0, below every real one.
-func rcTailPage(tail []byte) PageNo { return PageNo(binary.BigEndian.Uint32(tail)) }
-
-func rcTailVer(tail []byte) uint32 {
-	if len(tail) == 0 {
-		return 0
-	}
-	return binary.BigEndian.Uint32(tail[4:])
-}
-
-// rcPagesBelow returns the length of a tail's leading records for pages
-// below pg, reading record headers only.
-func rcPagesBelow(tail []byte, pg PageNo) int {
-	n := 0
-	for n < len(tail) && rcTailPage(tail[n:]) < pg {
-		n += rcCarryHdr + int(binary.BigEndian.Uint32(tail[n+12:]))
-	}
-	return n
-}
-
 // rcVT returns the vector-timestamp entries of a payload's head.
 func rcVT(data []byte) []byte {
 	if len(data) < 4 {
@@ -902,28 +770,153 @@ func rcNotices(data []byte) []byte {
 	return data[8+len(rcVT(data)) : rcHeadLen(data)]
 }
 
-// rcGrantPayload cuts a grant to remote host to from a primitive's
-// merged payload in one walk: the head whole, and of each page's
-// carried diffs (newest first) those newer than the version this host
-// last shipped to, until one would add a fragment. What it ships
-// becomes the record; the grantee ends every acquire with its resident
-// copies at least as new as every version it was sent (it applies them
-// or pulls past them), and a page it lacks is fetched current.
-func (m *rcEngine) rcGrantPayload(payload []byte, to HostID) []byte {
-	head := rcHeadLen(payload)
-	if len(payload) == head {
-		return payload
+// rcAccum is what the releases folded into one primitive have
+// accumulated on its manager host: the component-wise maximum of their
+// vector timestamps and of their notices (ascending page order), and
+// the newest rcLogCap of their carried diffs per page (ascending page
+// order, newest version first within a page; two records of one
+// version are the same interval's diff). It only grows, so a barrier's
+// next round keeps it and refolding a retransmitted release changes
+// nothing. enc caches its encoding, the payload layout above, until the
+// next fold.
+type rcAccum struct {
+	vt      []uint32
+	notices []rcNotice
+	carried []rcCarried
+	enc     []byte
+}
+
+// Released folds a release's payload into the accumulation of primitive
+// prim, which this host manages.
+func (m *rcEngine) Released(prim uint64, data []byte) {
+	a := m.rc.acc[prim]
+	if a == nil {
+		a = &rcAccum{}
+		m.rc.acc[prim] = a
 	}
-	room := m.rcRoom(head)
+	a.fold(data)
+}
+
+// fold merges one payload into the accumulation in place. data may
+// alias a pooled wire buffer: the carried diffs the fold keeps are
+// copied into one buffer sized for the payload's tail.
+func (a *rcAccum) fold(data []byte) {
+	a.enc = nil
+	vt := rcVT(data)
+	for i := 0; i < len(vt)/4; i++ {
+		if i == len(a.vt) {
+			a.vt = append(a.vt, 0)
+		}
+		a.vt[i] = max(a.vt[i], binary.BigEndian.Uint32(vt[4*i:]))
+	}
+	for nt := rcNotices(data); len(nt) > 0; nt = nt[8:] {
+		n := rcNotice{page: PageNo(binary.BigEndian.Uint32(nt)), ver: binary.BigEndian.Uint32(nt[4:])}
+		i, found := slices.BinarySearchFunc(a.notices, n.page, func(x rcNotice, pg PageNo) int { return cmp.Compare(x.page, pg) })
+		if found {
+			a.notices[i].ver = max(a.notices[i].ver, n.ver)
+		} else {
+			a.notices = slices.Insert(a.notices, i, n)
+		}
+	}
+	tail := data[rcHeadLen(data):]
+	buf := freshBuf(len(tail))
+	for len(tail) > 0 {
+		var c rcCarried
+		c, tail = rcNextCarried(tail)
+		i, j := rcPageSpan(a.carried, c.page)
+		k := i
+		for k < j && a.carried[k].ver > c.ver {
+			k++
+		}
+		if k-i == rcLogCap || k < j && a.carried[k].ver == c.ver {
+			continue // older than every version kept, or the same interval's diff
+		}
+		w := copy(buf, c.rec)
+		c.rec, buf = buf[:w:w], buf[w:]
+		if j-i == rcLogCap {
+			copy(a.carried[k+1:j], a.carried[k:j-1]) // the oldest retires
+			a.carried[k] = c
+		} else {
+			a.carried = slices.Insert(a.carried, k, c)
+		}
+	}
+}
+
+// rcPageSpan returns the span [i, j) of records of page pg in cs, which
+// is in ascending page order.
+func rcPageSpan(cs []rcCarried, pg PageNo) (int, int) {
+	i, _ := slices.BinarySearchFunc(cs, pg, func(c rcCarried, pg PageNo) int { return cmp.Compare(c.page, pg) })
+	j := i
+	for j < len(cs) && cs[j].page == pg {
+		j++
+	}
+	return i, j
+}
+
+// size returns the length of the accumulation's encoding, and
+// appendHead appends the encoding's head to b.
+func (a *rcAccum) size() int {
+	n := 8 + 4*len(a.vt) + 8*len(a.notices)
+	for _, c := range a.carried {
+		n += len(c.rec)
+	}
+	return n
+}
+
+func (a *rcAccum) appendHead(b []byte) []byte {
+	b = binary.BigEndian.AppendUint32(b, uint32(len(a.vt)))
+	for _, v := range a.vt {
+		b = binary.BigEndian.AppendUint32(b, v)
+	}
+	b = binary.BigEndian.AppendUint32(b, uint32(len(a.notices)))
+	for _, n := range a.notices {
+		b = binary.BigEndian.AppendUint32(binary.BigEndian.AppendUint32(b, uint32(n.page)), n.ver)
+	}
+	return b
+}
+
+// encoding returns the whole accumulation as a payload, encoding it at
+// most once per fold. It rests in grants and reply caches, so it is
+// never written again.
+func (a *rcAccum) encoding() []byte {
+	if a.enc == nil {
+		b := a.appendHead(freshBuf(a.size())[:0])
+		for _, c := range a.carried {
+			b = append(b, c.rec...)
+		}
+		a.enc = b
+	}
+	return a.enc
+}
+
+// Grant returns what a grant of primitive prim to host to carries:
+// nothing before its first release, and the whole accumulation to this
+// host itself. A grant to a remote host carries the head and, of each
+// page's carried diffs (newest first), those newer than the version
+// this host last shipped to, until one would add a fragment. What it
+// ships becomes the record; the grantee ends every acquire with its
+// resident copies at least as new as every version it was sent (it
+// applies them or pulls past them), and a page it lacks is fetched
+// current.
+func (m *rcEngine) Grant(prim uint64, to HostID) []byte {
+	a := m.rc.acc[prim]
+	if a == nil {
+		return nil
+	}
+	if to == m.id || len(a.carried) == 0 {
+		return a.encoding()
+	}
+	size := a.size()
+	scratch := bufpool.Get(size)
+	out := a.appendHead(scratch[:0])
+	room := m.rcRoom(len(out))
 	rec := m.rc.shipped[to]
-	scratch := bufpool.Get(len(payload))
-	out := append(scratch[:0], payload[:head]...)
 	j := 0
-	for tail := payload[head:]; len(tail) > 0; {
-		page := rcTailPage(tail)
-		k := rcPagesBelow(tail, page+1)
-		group := tail[:k]
-		tail = tail[k:]
+	for i := 0; i < len(a.carried); {
+		page := a.carried[i].page
+		_, k := rcPageSpan(a.carried, page)
+		group := a.carried[i:k]
+		i = k
 		for j < len(rec) && rec[j].page < page {
 			j++
 		}
@@ -936,10 +929,8 @@ func (m *rcEngine) rcGrantPayload(payload []byte, to HostID) []byte {
 		// stops at the first one that was sent already or would add a
 		// fragment.
 		var newest uint32
-		for len(group) > 0 && rcTailVer(group) > sent {
-			var c rcCarried
-			c, group = rcNextCarried(group)
-			if len(out)+len(c.rec) > room {
+		for _, c := range group {
+			if c.ver <= sent || len(out)+len(c.rec) > room {
 				break
 			}
 			out = append(out, c.rec...)
@@ -954,14 +945,12 @@ func (m *rcEngine) rcGrantPayload(payload []byte, to HostID) []byte {
 		}
 	}
 	m.rc.shipped[to] = rec
-	cut := payload
-	if len(out) < len(payload) {
-		// A fresh copy, not a prefix of payload: the reply cache keeps
-		// the cut, and a prefix would keep the whole merged payload.
-		cut = freshBuf(len(out))
-		copy(cut, out)
-	}
+	cut := freshBuf(len(out)) // exactly sized: the reply cache keeps it
+	copy(cut, out)
 	bufpool.Put(scratch)
+	if len(cut) == size && a.enc == nil {
+		a.enc = cut // it carries every record: the whole accumulation
+	}
 	return cut
 }
 

@@ -21,10 +21,11 @@ import (
 // acquire through remote grants and pull from a remote home.
 const rcLock = 1
 
-// rcTap is the RC sync model with taps on the release and on the grant
-// cut: when each ran, what each returned, and whom each grant was for.
+// rcTap is the RC engine as dsync's model, with taps on the release
+// and on the grants cut for remote hosts once a release accumulated:
+// when each ran, what each returned, and whom each grant was for.
 type rcTap struct {
-	*RCSync
+	*rcEngine
 	k        *sim.Kernel
 	released [][]byte
 	relAt    []sim.Time
@@ -34,17 +35,19 @@ type rcTap struct {
 }
 
 func (m *rcTap) ReleasePayload(p *sim.Proc) ([]byte, error) {
-	b, err := m.RCSync.ReleasePayload(p)
+	b, err := m.rcEngine.ReleasePayload(p)
 	m.released = append(m.released, b)
 	m.relAt = append(m.relAt, p.Now())
 	return b, err
 }
 
-func (m *rcTap) GrantPayload(payload []byte, to HostID) []byte {
-	m.grantTo = append(m.grantTo, to)
-	m.grantAt = append(m.grantAt, m.k.Now())
-	cut := m.RCSync.GrantPayload(payload, to)
-	m.grants = append(m.grants, cut)
+func (m *rcTap) Grant(prim uint64, to HostID) []byte {
+	cut := m.rcEngine.Grant(prim, to)
+	if to != m.id && cut != nil {
+		m.grantTo = append(m.grantTo, to)
+		m.grantAt = append(m.grantAt, m.k.Now())
+		m.grants = append(m.grants, cut)
+	}
 	return cut
 }
 
@@ -62,7 +65,7 @@ func newRCSyncRig(t *testing.T, reg *conv.Registry, pageSize int, plan *netsim.F
 		withPolicy(PolicyRC), withDirectory(DirCentral), withPageSize(pageSize), withRegistry(reg))}
 	r.net.SetFaultPlan(plan)
 	for _, mod := range r.mods {
-		tap := &rcTap{RCSync: mod.SyncModel(), k: r.k}
+		tap := &rcTap{rcEngine: mod.SyncModel(), k: r.k}
 		s := dsync.New(r.k, mod.ep, mod.arch.Kind, r.cfg.Params)
 		s.AttachModel(tap)
 		s.DefineSemaphore(rcLock, 0, 1)
@@ -327,11 +330,12 @@ func TestRCCarriedDiffsSurviveLostFrames(t *testing.T) {
 	})
 }
 
-// TestRCMergePayloadMatchesNaiveMerge holds the one-walk merge to the
-// obvious one over random canonical payloads: timestamps and notices by
-// maximum, carried diffs by union, sorted by page and newest version
-// first, rcLogCap kept per page. The merge is also commutative, and
-// merging with nothing returns the payload itself.
+// TestRCMergePayloadMatchesNaiveMerge holds the in-place fold to the
+// obvious merge over random canonical payloads: timestamps and notices
+// by maximum, carried diffs by union, sorted by page and newest version
+// first, rcLogCap kept per page. Folding a then b encodes the naive
+// merge, so does b then a, and a alone encodes a itself; none of them
+// keeps a reference to the payload it folded.
 func TestRCMergePayloadMatchesNaiveMerge(t *testing.T) {
 	type carried struct {
 		page PageNo
@@ -431,14 +435,23 @@ func TestRCMergePayloadMatchesNaiveMerge(t *testing.T) {
 		}
 		pa, pb := encode(a.vt, a.notices, a.diffs), encode(b.vt, b.notices, b.diffs)
 		want := encode(vt, notices, diffs)
-		if got := rcMergePayload(pa, pb); !bytes.Equal(got, want) {
-			t.Fatalf("draw %d: merge differs from the naive merge\n got %x\nwant %x", i, got, want)
+		fold := func(payloads ...[]byte) []byte {
+			var acc rcAccum
+			for _, p := range payloads {
+				wire := bytes.Clone(p)
+				acc.fold(wire)
+				clear(wire) // a pooled wire buffer is reused at once
+			}
+			return acc.encoding()
 		}
-		if got := rcMergePayload(pb, pa); !bytes.Equal(got, want) {
-			t.Fatalf("draw %d: merge is not commutative", i)
+		if got := fold(pa, pb); !bytes.Equal(got, want) {
+			t.Fatalf("draw %d: fold differs from the naive merge\n got %x\nwant %x", i, got, want)
 		}
-		if got := rcMergePayload(nil, pa); !bytes.Equal(got, pa) {
-			t.Fatalf("draw %d: merging with nothing changed the payload", i)
+		if got := fold(pb, pa); !bytes.Equal(got, want) {
+			t.Fatalf("draw %d: the fold depends on the order", i)
+		}
+		if got := fold(pa); !bytes.Equal(got, pa) {
+			t.Fatalf("draw %d: folding into nothing changed the payload", i)
 		}
 	}
 }

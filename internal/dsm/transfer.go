@@ -182,10 +182,10 @@ func (m *Module) storeRun(p *sim.Proc, page PageNo, dst, data []byte, src arch.K
 // freshBuf allocates a buffer that outlives its sender: a reply body is
 // retained by the remote-operation layer's dedup cache to answer
 // retransmissions, so it cannot come from the pool. It serves the RC
-// fetch and pull replies and sync payloads (which ride releases and
-// grants and rest in a primitive's record), central-server reads and
-// recovery replies; a quorum read reply carries its replica instead
-// (see quorumPage).
+// fetch and pull replies, sync payloads (which ride releases and
+// grants) and the carried diffs an RC accumulation keeps, central-server
+// reads and recovery replies; a quorum read reply carries its replica
+// instead (see quorumPage).
 func freshBuf(n int) []byte {
 	return make([]byte, n) // vet:ignore hot-alloc — retained by the dedup reply cache
 }

@@ -95,14 +95,14 @@ func opOf(req *proto.Message) (op, bool) {
 }
 
 // SyncModel is the consistency model's hook into synchronization
-// (implemented by the DSM release-consistency model, attached by the
+// (implemented by the DSM release-consistency engine, attached by the
 // cluster). A release ships an opaque payload (vector timestamp, write
-// notices and the diffs that fit) that rides the primitive's messages;
-// the manager folds payloads together with MergePayload, a local grant
-// hands the merged payload to the acquirer, and a remote grant the cut
-// GrantPayload makes of it for the grantee. With no model attached
-// (every sequentially consistent policy) no payloads exist and the
-// message streams are bit-identical to before this hook existed.
+// notices and the diffs that fit) that rides the primitive's messages.
+// The model on the primitive's manager host owns what the releases
+// accumulate: dsync hands it each release's bytes and asks it what
+// each grant carries. With no model attached (every sequentially
+// consistent policy) no payloads exist and the message streams are
+// bit-identical to before this hook existed.
 type SyncModel interface {
 	// ReleasePayload runs the model's release action (push pending
 	// updates) and returns the payload to attach to the releasing
@@ -111,31 +111,34 @@ type SyncModel interface {
 	// AcquirePayload runs the model's acquire action with the payload
 	// delivered by the grant (possibly nil).
 	AcquirePayload(p *sim.Proc, data []byte) error
-	// MergePayload folds two payloads (either may be nil). It is pure
-	// and always returns a freshly allocated slice, never aliasing its
-	// arguments — incoming payloads alias pooled wire buffers.
-	MergePayload(a, b []byte) []byte
-	// GrantPayload returns what a grant to remote host to carries of
-	// a primitive's merged payload. It may remember what it shipped,
-	// so it is called once per grant sent; a retransmission resends
-	// the reply cache's copy. Its result must not be changed later.
-	GrantPayload(payload []byte, to HostID) []byte
+	// Released folds a non-empty release payload into what primitive
+	// prim, managed on this host, has accumulated. data may alias a
+	// pooled wire buffer: the model copies what it keeps. The
+	// accumulation only grows, so a barrier's next round keeps it and
+	// refolding a retransmitted release changes nothing.
+	Released(prim uint64, data []byte)
+	// Grant returns what a grant of primitive prim to host to carries:
+	// nil before prim's first release, and to this host itself the
+	// whole accumulation, which the state hash folds too. A grant to a
+	// remote host may record what it shipped, so it is asked once per
+	// grant sent; a retransmission resends the reply cache's copy. Its
+	// result must not be changed later.
+	Grant(prim uint64, to HostID) []byte
 }
 
 // prim is one primitive. Every host holds its manager; only the
-// manager's copy changes. n is the semaphore's count, the event's set
-// flag (0 or 1) or the barrier's arrivals this round; size is the
-// barrier's participant count.
-//
-// The payload accumulation is monotone: vector timestamps and write
-// notices only grow, so it is never reset — not even when a barrier
-// recycles — and re-merging a retransmitted payload is a no-op.
+// manager's copy changes. key names it to the model; n is the
+// semaphore's count, the event's set flag (0 or 1) or the barrier's
+// arrivals this round; size is the barrier's participant count.
 type prim struct {
+	key     uint64
 	manager HostID
 	n, size int
-	payload []byte
 	waiters []grantee
 }
+
+// primKey is the model's name for primitive id of family f.
+func primKey(f family, id uint32) uint64 { return uint64(f)<<32 | uint64(id) }
 
 // grantee is a parked participant to release later: a remote request
 // awaiting its reply, or (req nil) a local process.
@@ -182,17 +185,17 @@ func New(k *sim.Kernel, ep *remoteop.Endpoint, kind arch.Kind, params *model.Par
 // DefineSemaphore declares semaphore id with its manager host and
 // initial count. Every host must make identical definitions at setup.
 func (s *Service) DefineSemaphore(id uint32, manager HostID, initial int) {
-	s.prims[semaphore][id] = &prim{manager: manager, n: initial}
+	s.prims[semaphore][id] = &prim{key: primKey(semaphore, id), manager: manager, n: initial}
 }
 
 // DefineEvent declares event id with its manager host.
 func (s *Service) DefineEvent(id uint32, manager HostID) {
-	s.prims[event][id] = &prim{manager: manager}
+	s.prims[event][id] = &prim{key: primKey(event, id), manager: manager}
 }
 
 // DefineBarrier declares barrier id for n participants.
 func (s *Service) DefineBarrier(id uint32, manager HostID, n int) {
-	s.prims[barrier][id] = &prim{manager: manager, size: n}
+	s.prims[barrier][id] = &prim{key: primKey(barrier, id), manager: manager, size: n}
 }
 
 // WriteStateHash folds this host's synchronization state — semaphore
@@ -221,13 +224,13 @@ func (s *Service) WriteStateHash(h hash.Hash) {
 			put(id)
 			put(uint32(pr.n))
 			put(uint32(len(pr.waiters)))
-			// Accumulated release payloads are folded only when
-			// present, so the byte stream of every payload-free
-			// (sequentially consistent) run is unchanged by the
-			// consistency-model hook.
-			if len(pr.payload) > 0 {
-				put(uint32(len(pr.payload)))
-				h.Write(pr.payload)
+			// The accumulated release payload, as a local grant
+			// would carry it, is folded only when present, so the
+			// byte stream of every payload-free (sequentially
+			// consistent) run is unchanged by the model hook.
+			if data := s.carried(pr, s.id); len(data) > 0 {
+				put(uint32(len(data)))
+				h.Write(data)
 			}
 		}
 	}
@@ -250,7 +253,7 @@ func (s *Service) apply(p *sim.Proc, o op, pr *prim) (passes bool) {
 		}
 		g := pr.waiters[0]
 		pr.waiters = pr.waiters[1:]
-		s.release(p, g, families[semaphore].reply, pr.payload)
+		s.release(p, g, families[semaphore].reply, pr)
 	case opWait:
 		return pr.n == 1
 	case opSet:
@@ -267,38 +270,37 @@ func (s *Service) apply(p *sim.Proc, o op, pr *prim) (passes bool) {
 	return true
 }
 
-// releaseAll grants the current payload to every waiter queued when it
-// starts, oldest first. A remote grant yields for its send, so a
-// barrier arrival for the next round may queue meanwhile: it stays. A
-// grant loop that overlapped this one (two sets of one event) may have
-// emptied the queue already.
+// releaseAll grants pr to every waiter queued when it starts, oldest
+// first, each grant carrying what the model answers at its turn. A
+// remote grant yields for its send, so a barrier arrival for the next
+// round may queue meanwhile: it stays. A grant loop that overlapped this
+// one (two sets of one event) may have emptied the queue already.
 func (s *Service) releaseAll(p *sim.Proc, pr *prim, kind proto.Kind) {
 	granted := pr.waiters
 	for _, g := range granted {
-		s.release(p, g, kind, pr.payload)
+		s.release(p, g, kind, pr)
 	}
 	pr.waiters = slices.Clone(pr.waiters[min(len(granted), len(pr.waiters)):])
 }
 
-// release unblocks a grantee, delivering the granting payload: wake a
-// local process or answer the remote request.
-func (s *Service) release(p *sim.Proc, g grantee, kind proto.Kind, payload []byte) {
+// release unblocks a grantee of pr, delivering what its grant
+// carries: wake a local process or answer the remote request.
+func (s *Service) release(p *sim.Proc, g grantee, kind proto.Kind, pr *prim) {
 	if g.req == nil {
-		g.got.done, g.got.payload = true, payload
+		g.got.done, g.got.payload = true, s.carried(pr, s.id)
 		s.k.Wake(g.w, sim.WakeSignal)
 		return
 	}
-	s.ep.Reply(p, g.req, &proto.Message{Kind: kind, Data: s.granted(payload, g.req)})
+	s.ep.Reply(p, g.req, &proto.Message{Kind: kind, Data: s.carried(pr, HostID(g.req.From))})
 }
 
-// granted is what a grant answering req carries of payload: the
-// model's cut for the requesting host (the payload itself without a
-// model).
-func (s *Service) granted(payload []byte, req *proto.Message) []byte {
-	if s.model == nil || len(payload) == 0 {
-		return payload
+// carried is what a grant of pr to host to carries: the model's
+// answer, nothing without a model.
+func (s *Service) carried(pr *prim, to HostID) []byte {
+	if s.model == nil {
+		return nil
 	}
-	return s.model.GrantPayload(payload, HostID(req.From))
+	return s.model.Grant(pr.key, to)
 }
 
 // queued reports whether the same remote request (by origin and request
@@ -313,14 +315,12 @@ func queued(list []grantee, req *proto.Message) bool {
 	return false
 }
 
-// mergePayload folds an incoming release payload into a primitive's
-// accumulated payload. Without a model payloads do not exist and the
-// accumulator stays nil.
-func (s *Service) mergePayload(cur *[]byte, in []byte) {
-	if s.model == nil || len(in) == 0 {
-		return
+// released hands a release payload of pr to the model. Without a
+// model payloads do not exist.
+func (s *Service) released(pr *prim, data []byte) {
+	if s.model != nil && len(data) > 0 {
+		s.model.Released(pr.key, data)
 	}
-	*cur = s.model.MergePayload(*cur, in)
 }
 
 // acquired runs the model's acquire action after a grant delivered
@@ -351,12 +351,12 @@ func (s *Service) do(p *sim.Proc, o op, id uint32) error {
 		}
 	}
 	if pr.manager == s.id {
-		s.mergePayload(&pr.payload, data)
+		s.released(pr, data)
 		if s.apply(p, o, pr) {
 			if !d.acquires {
 				return nil
 			}
-			return s.acquired(p, pr.payload)
+			return s.acquired(p, s.carried(pr, s.id))
 		}
 		g := &grant{}
 		pr.waiters = append(pr.waiters, grantee{w: p.PrepareWait(), got: g})
@@ -388,10 +388,10 @@ func (s *Service) do(p *sim.Proc, o op, id uint32) error {
 }
 
 // handle serves the three request kinds at the manager. It drops a
-// retransmission of a request already queued, folds the payload in,
-// recycles the wire buffer and applies the operation, then answers —
-// an acquiring operation with the primitive's payload — or queues the
-// request for a later grant.
+// retransmission of a request already queued, hands the payload to the
+// model, recycles the wire buffer and applies the operation, then
+// answers — an acquiring operation with what its grant carries — or
+// queues the request for a later grant.
 func (s *Service) handle(p *sim.Proc, req *proto.Message) {
 	if s.ep.Crashed() {
 		p.Exit()
@@ -406,7 +406,7 @@ func (s *Service) handle(p *sim.Proc, req *proto.Message) {
 	if pr == nil || pr.manager != s.id || queued(pr.waiters, req) {
 		return // undefined here (the requester is misconfigured and times out), or a retransmission
 	}
-	s.mergePayload(&pr.payload, req.Data)
+	s.released(pr, req.Data)
 	if buf := req.TakeWire(); buf != nil {
 		bufpool.Put(buf)
 	}
@@ -416,7 +416,7 @@ func (s *Service) handle(p *sim.Proc, req *proto.Message) {
 	}
 	resp := &proto.Message{Kind: families[d.fam].reply}
 	if d.acquires {
-		resp.Data = s.granted(pr.payload, req)
+		resp.Data = s.carried(pr, HostID(req.From))
 	}
 	s.ep.Reply(p, req, resp)
 }

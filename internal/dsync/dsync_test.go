@@ -347,12 +347,14 @@ func TestUndefinedPrimitivePanics(t *testing.T) {
 }
 
 // wordModel is a SyncModel whose payload is one little-endian word and
-// whose merge is max, so merged, granted and hashed payloads carry
-// bytes. Each release ships the host's next word, 16·host + releases.
+// whose accumulation is the largest word released, so folded, granted
+// and hashed payloads carry bytes. Each release ships the host's next
+// word, 16·host + releases.
 type wordModel struct {
 	host     int
 	releases uint32
-	acquired uint32 // the word the host's last acquire delivered
+	acquired uint32            // the word the host's last acquire delivered
+	acc      map[uint64]uint32 // per primitive managed here, the largest word released
 }
 
 func word(b []byte) uint32 {
@@ -372,11 +374,17 @@ func (m *wordModel) AcquirePayload(_ *sim.Proc, data []byte) error {
 	return nil
 }
 
-func (m *wordModel) MergePayload(a, b []byte) []byte {
-	return binary.LittleEndian.AppendUint32(nil, max(word(a), word(b)))
+func (m *wordModel) Released(prim uint64, data []byte) {
+	m.acc[prim] = max(m.acc[prim], word(data))
 }
 
-func (m *wordModel) GrantPayload(payload []byte, _ HostID) []byte { return payload }
+func (m *wordModel) Grant(prim uint64, _ HostID) []byte {
+	w, ok := m.acc[prim]
+	if !ok {
+		return nil
+	}
+	return binary.LittleEndian.AppendUint32(nil, w)
+}
 
 // digestChooser takes the first alternative at every choice point — the
 // order a run without a chooser keeps — and folds the instant and every
@@ -406,7 +414,7 @@ func TestSyncTranscriptPinned(t *testing.T) {
 	r.k.SetChooser(ch)
 	models := make([]*wordModel, 4)
 	for i, s := range r.svcs {
-		models[i] = &wordModel{host: i}
+		models[i] = &wordModel{host: i, acc: map[uint64]uint32{}}
 		s.AttachModel(models[i])
 	}
 	r.defineSem(1, 0, 0)
@@ -528,5 +536,71 @@ func TestSyncSurvivesPacketLoss(t *testing.T) {
 	r.k.Run()
 	if granted != 2 {
 		t.Fatalf("%d P's granted under loss, want 2", granted)
+	}
+}
+
+// TestLostFrameCostPinned pins what one lost frame costs an operation
+// at a remote manager, in virtual time over the lossless run: the loss
+// of its request, or of the reply that grants it. A blocking operation
+// (P, EventWait, BarrierArrive) retransmits only every
+// BlockingRetryInterval, so either loss costs it about 5 s; V, the
+// non-blocking control, retransmits after RequestTimeout (500 ms).
+// Every operation passes at once, so the lossless run sends exactly
+// the two frames: the request at the start of the operation and the
+// grant in its second half.
+func TestLostFrameCostPinned(t *testing.T) {
+	const start = sim.Time(time.Second)
+	run := func(op func(*Service, *sim.Proc), plan *netsim.FaultPlan) (sim.Duration, netsim.Stats) {
+		r := newRig(t, 2)
+		r.net.SetFaultPlan(plan)
+		r.defineSem(1, 0, 1)
+		r.defineEvent(5, 0)
+		r.defineBarrier(9, 0, 1)
+		var elapsed sim.Duration
+		r.k.Spawn("set", func(p *sim.Proc) { r.svcs[0].EventSet(p, 5) })
+		r.k.Spawn("op", func(p *sim.Proc) {
+			p.Sleep(start.Sub(0))
+			op(r.svcs[1], p)
+			elapsed = p.Now().Sub(start)
+		})
+		r.k.Run()
+		return elapsed, r.net.Stats()
+	}
+	for _, row := range []struct {
+		name           string
+		op             func(*Service, *sim.Proc)
+		request, grant sim.Duration // the extra time one lost frame costs
+	}{
+		// A lost request costs the retransmission interval and the resent
+		// frame; a lost grant the interval less the manager's handling,
+		// which its reply cache does not repeat.
+		{"P", func(s *Service, p *sim.Proc) { s.P(p, 1) }, 5*time.Second + 73600, 5*time.Second - 726400},
+		{"EventWait", func(s *Service, p *sim.Proc) { s.EventWait(p, 5) }, 5*time.Second + 73600, 5*time.Second - 726400},
+		{"BarrierArrive", func(s *Service, p *sim.Proc) { s.BarrierArrive(p, 9) }, 5*time.Second + 70400, 5*time.Second - 729600},
+		{"V", func(s *Service, p *sim.Proc) { s.V(p, 1) }, 500*time.Millisecond + 73600, 500*time.Millisecond - 726400},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			clean, st := run(row.op, nil)
+			if st.FramesSent != 2 {
+				t.Fatalf("the lossless run sent %d frames, want 2", st.FramesSent)
+			}
+			half, end := start.Add(clean/2), start.Add(clean)
+			for _, c := range []struct {
+				frame  string
+				window netsim.Window
+				want   sim.Duration
+			}{
+				{"request", netsim.Window{From: start, Until: half}, row.request},
+				{"grant", netsim.Window{From: half, Until: end}, row.grant},
+			} {
+				lossy, st := run(row.op, &netsim.FaultPlan{Loss: []netsim.Burst{{Window: c.window, Rate: 1}}})
+				if st.FramesDropped != 1 {
+					t.Errorf("losing the %s dropped %d frames, want 1", c.frame, st.FramesDropped)
+				}
+				if extra := lossy - clean; extra != c.want {
+					t.Errorf("a lost %s cost %v, want %v", c.frame, extra, c.want)
+				}
+			}
+		})
 	}
 }

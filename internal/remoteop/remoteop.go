@@ -789,6 +789,13 @@ func (e *Endpoint) Forward(p *sim.Proc, dst HostID, req *proto.Message) {
 // arguments must let their handlers recognize they are bystanders (and
 // stay silent). Missing acknowledgements are recovered by re-sending
 // the same request to the stragglers individually.
+//
+// Unlike Call and CallQuorum it does not ask the failure detector: a
+// target declared dead is still sent to and waited for. The update
+// engine's push must outlast a partition whose victim was declared
+// dead; failing fast on that target instead makes the push fail with
+// "peer host is down", which the update engine cannot recover from
+// (the partition-availability experiment panics).
 func (e *Endpoint) CallMulticast(p *sim.Proc, targets []HostID, m *proto.Message) ([]*proto.Message, error) {
 	if len(targets) == 0 {
 		return nil, nil

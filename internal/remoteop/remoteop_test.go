@@ -512,8 +512,21 @@ func TestInterleavedBulkMessagesReassembleIndependently(t *testing.T) {
 	}
 }
 
+// TestCallMulticastCollectsTargetAcks also runs with target 3 reported
+// dead by the caller's peer check while it is in fact up: a multicast
+// does not ask the detector (see CallMulticast), so host 3 is still
+// sent to, still answers, and the call succeeds.
 func TestCallMulticastCollectsTargetAcks(t *testing.T) {
+	t.Run("live", func(t *testing.T) { callMulticastCollectsTargetAcks(t, Broadcast) })
+	t.Run("target-declared-dead", func(t *testing.T) { callMulticastCollectsTargetAcks(t, 3) })
+}
+
+// callMulticastCollectsTargetAcks multicasts to hosts 1 and 3 of five,
+// the caller's peer check reporting host dead as dead (Broadcast: no
+// host).
+func callMulticastCollectsTargetAcks(t *testing.T, dead HostID) {
 	r := newRig(t, arch.Sun, arch.Firefly, arch.Firefly, arch.Sun, arch.Sun)
+	r.eps[0].SetPeerCheck(func(h HostID) bool { return h == dead })
 	acked := make(map[HostID]bool)
 	for i := 1; i < 5; i++ {
 		e := r.eps[i]

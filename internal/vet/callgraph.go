@@ -146,11 +146,12 @@ func buildCallGraph(pkg *Package) *callGraph {
 	return g
 }
 
-// sccOrder returns the graph's strongly connected components in
-// bottom-up (callees-first) order, via Tarjan's algorithm: a component
-// is emitted only after every component it calls into.
-func (g *callGraph) sccOrder() [][]int {
-	n := len(g.decls)
+// sccOrder returns the strongly connected components of the graph whose
+// node v has the successors succs[v], in bottom-up (callees-first)
+// order, via Tarjan's algorithm: a component is emitted only after
+// every component it reaches.
+func sccOrder(succs [][]int) [][]int {
+	n := len(succs)
 	index := make([]int, n)
 	low := make([]int, n)
 	onStack := make([]bool, n)
@@ -163,8 +164,10 @@ func (g *callGraph) sccOrder() [][]int {
 
 	// Iterative Tarjan: each frame is (node, position in its succ list).
 	type frame struct{ v, si int }
-	var visit func(root int)
-	visit = func(root int) {
+	for root := 0; root < n; root++ {
+		if index[root] != -1 {
+			continue
+		}
 		frames := []frame{{root, 0}}
 		for len(frames) > 0 {
 			fr := &frames[len(frames)-1]
@@ -177,8 +180,8 @@ func (g *callGraph) sccOrder() [][]int {
 				onStack[v] = true
 			}
 			advanced := false
-			for fr.si < len(g.succs[v]) {
-				w := g.succs[v][fr.si]
+			for fr.si < len(succs[v]) {
+				w := succs[v][fr.si]
 				fr.si++
 				if index[w] == -1 {
 					frames = append(frames, frame{w, 0})
@@ -212,11 +215,6 @@ func (g *callGraph) sccOrder() [][]int {
 					low[p] = low[v]
 				}
 			}
-		}
-	}
-	for i := 0; i < n; i++ {
-		if index[i] == -1 {
-			visit(i)
 		}
 	}
 	return sccs

@@ -115,7 +115,7 @@ func top()    { a(3) }
 func self(n int) { if n > 0 { self(n - 1) } }
 `)
 	g := buildCallGraph(pkg)
-	sccs := g.sccOrder()
+	sccs := sccOrder(g.succs)
 
 	comp := map[string]int{}
 	for ci, scc := range sccs {

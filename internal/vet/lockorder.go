@@ -632,15 +632,32 @@ func CheckLockOrder(all []*LockFacts) ([]Finding, LockGraph) {
 		}
 	}
 
-	// Cycle detection: SCCs of the class graph; every edge inside a
-	// multi-node SCC participates in some cycle.
-	succ := map[string][]string{}
-	for e := range edges {
-		succ[e.from] = append(succ[e.from], e.to)
+	// Cycle detection: SCCs of the class graph, its classes indexed in
+	// name order; every edge inside a multi-node SCC participates in
+	// some cycle.
+	names := make([]string, 0, len(classes))
+	for c := range classes {
+		names = append(names, c)
 	}
-	comp := classSCCs(succ)
+	sort.Strings(names)
+	index := make(map[string]int, len(names))
+	for i, c := range names {
+		index[c] = i
+	}
+	succs := make([][]int, len(names))
+	for e := range edges {
+		succs[index[e.from]] = append(succs[index[e.from]], index[e.to])
+	}
+	comp := make([]int, len(names)) // 1 + the component of a class in a cycle, else 0
+	for i, scc := range sccOrder(succs) {
+		if len(scc) > 1 {
+			for _, v := range scc {
+				comp[v] = i + 1
+			}
+		}
+	}
 	for e, pos := range edges {
-		if comp[e.from] != "" && comp[e.from] == comp[e.to] {
+		if c := comp[index[e.from]]; c != 0 && c == comp[index[e.to]] {
 			findings = append(findings, Finding{
 				Pos:  pos,
 				Rule: "lock-order",
@@ -649,110 +666,6 @@ func CheckLockOrder(all []*LockFacts) ([]Finding, LockGraph) {
 			})
 		}
 	}
-	sort.Slice(findings, func(i, j int) bool {
-		a, b := findings[i].Pos, findings[j].Pos
-		if a.Filename != b.Filename {
-			return a.Filename < b.Filename
-		}
-		if a.Line != b.Line {
-			return a.Line < b.Line
-		}
-		return findings[i].Msg < findings[j].Msg
-	})
+	SortFindings(findings)
 	return findings, LockGraph{Classes: len(classes), Edges: len(edges)}
-}
-
-// classSCCs assigns each node in a multi-node strongly connected
-// component a component label ("" for trivial components), via
-// iterative Tarjan over the string graph.
-func classSCCs(succ map[string][]string) map[string]string {
-	var nodes []string
-	seen := map[string]bool{}
-	for n, ss := range succ {
-		if !seen[n] {
-			seen[n] = true
-			nodes = append(nodes, n)
-		}
-		for _, s := range ss {
-			if !seen[s] {
-				seen[s] = true
-				nodes = append(nodes, s)
-			}
-		}
-	}
-	sort.Strings(nodes)
-	index := map[string]int{}
-	low := map[string]int{}
-	onStack := map[string]bool{}
-	comp := map[string]string{}
-	var stack []string
-	next := 0
-	type frame struct {
-		v  string
-		si int
-	}
-	for _, root := range nodes {
-		if _, ok := index[root]; ok {
-			continue
-		}
-		frames := []frame{{root, 0}}
-		for len(frames) > 0 {
-			fr := &frames[len(frames)-1]
-			v := fr.v
-			if fr.si == 0 {
-				index[v] = next
-				low[v] = next
-				next++
-				stack = append(stack, v)
-				onStack[v] = true
-			}
-			advanced := false
-			for fr.si < len(succ[v]) {
-				w := succ[v][fr.si]
-				fr.si++
-				if _, ok := index[w]; !ok {
-					frames = append(frames, frame{w, 0})
-					advanced = true
-					break
-				}
-				if onStack[w] && index[w] < low[v] {
-					low[v] = index[w]
-				}
-			}
-			if advanced {
-				continue
-			}
-			if low[v] == index[v] {
-				var members []string
-				for {
-					w := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[w] = false
-					members = append(members, w)
-					if w == v {
-						break
-					}
-				}
-				if len(members) > 1 {
-					label := members[0]
-					for _, m := range members {
-						if m < label {
-							label = m
-						}
-					}
-					for _, m := range members {
-						comp[m] = label
-					}
-				}
-			}
-			frames = frames[:len(frames)-1]
-			if len(frames) > 0 {
-				p := frames[len(frames)-1].v
-				if low[v] < low[p] {
-					low[p] = low[v]
-				}
-			}
-		}
-	}
-	return comp
 }

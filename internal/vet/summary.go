@@ -172,7 +172,7 @@ func ComputeSummaries(pkg *Package, cfg *Config, tbl *SummaryTable) int {
 	c := &checker{pkg: pkg, cfg: cfg, summaries: tbl}
 	g := buildCallGraph(pkg)
 	computed := 0
-	for _, scc := range g.sccOrder() {
+	for _, scc := range sccOrder(g.succs) {
 		all := true
 		for _, i := range scc {
 			if !tbl.has(funcKey(g.objs[i])) {

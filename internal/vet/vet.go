@@ -64,6 +64,7 @@
 package vet
 
 import (
+	"cmp"
 	"fmt"
 	"go/ast"
 	"go/constant"
@@ -71,7 +72,6 @@ import (
 	"go/types"
 	"path"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -90,6 +90,14 @@ type Finding struct {
 
 func (f Finding) String() string {
 	return fmt.Sprintf("%s: [%s] %s", f.Pos, f.Rule, f.Msg)
+}
+
+// SortFindings orders findings by file, line, column, then message.
+func SortFindings(fs []Finding) {
+	slices.SortFunc(fs, func(a, b Finding) int {
+		return cmp.Or(cmp.Compare(a.Pos.Filename, b.Pos.Filename), cmp.Compare(a.Pos.Line, b.Pos.Line),
+			cmp.Compare(a.Pos.Column, b.Pos.Column), cmp.Compare(a.Msg, b.Msg))
+	})
 }
 
 // Config scopes the rules to package import paths.
@@ -313,16 +321,7 @@ func CheckWithTable(pkg *Package, cfg *Config, tbl *SummaryTable) ([]Finding, St
 		}
 		timed("enum-switch", func() { c.checkEnumSwitch(f) })
 	}
-	sort.Slice(c.findings, func(i, j int) bool {
-		a, b := c.findings[i].Pos, c.findings[j].Pos
-		if a.Filename != b.Filename {
-			return a.Filename < b.Filename
-		}
-		if a.Line != b.Line {
-			return a.Line < b.Line
-		}
-		return a.Column < b.Column
-	})
+	SortFindings(c.findings)
 	return c.findings, c.stats
 }
 
