@@ -51,8 +51,6 @@ type Config struct {
 	Params *model.Params
 	// Seed drives all simulation randomness.
 	Seed int64
-	// DisableConversion turns data conversion off (ablation).
-	DisableConversion bool
 	// PreferSameKindSource enables the conversion-avoiding read-source
 	// optimization (§2.3).
 	PreferSameKindSource bool
@@ -182,7 +180,6 @@ func New(cfg Config) (c *Cluster, err error) {
 		SpaceSize:            spaceSize,
 		Registry:             registry,
 		Params:               &params,
-		ConversionEnabled:    !cfg.DisableConversion,
 		PreferSameKindSource: cfg.PreferSameKindSource,
 		Directory:            cfg.Directory,
 		Policy:               cfg.Policy,

@@ -11,6 +11,7 @@ import (
 	"repro/internal/conv"
 	"repro/internal/dsm"
 	"repro/internal/netsim"
+	"repro/internal/remoteop"
 	"repro/internal/sctrace"
 	"repro/internal/sim"
 )
@@ -248,6 +249,54 @@ func TestUpdateWriteFaultReturnsHostDown(t *testing.T) {
 	c.Check.CheckAll("teardown")
 }
 
+func TestUpdatePushOutlivesDeadReplica(t *testing.T) {
+	// A replica holder dies just before a write-update push reaches it:
+	// the manager's round fails on the corpse and is sent again to the
+	// survivors once the detector declares it dead, instead of
+	// panicking the manager. Every surviving replica ends with the
+	// written value.
+	c, err := New(Config{
+		Hosts:            []HostSpec{{Kind: arch.Sun}, {Kind: arch.Sun}, {Kind: arch.Sun}, {Kind: arch.Sun}},
+		Seed:             17,
+		Policy:           dsm.PolicyUpdate,
+		FailureDetection: true,
+		InvariantChecks:  true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Run(0, func(p *sim.Proc, h *Host) {
+		addr, err := h.DSM.Alloc(p, conv.Int32, 16)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		var v [1]int32
+		for i := 1; i <= 3; i++ {
+			if err := c.Hosts[i].DSM.ReadInt32sE(p, addr, v[:]); err != nil {
+				t.Errorf("host %d read: %v", i, err)
+				return
+			}
+		}
+		c.CrashHost(1)
+		// The writer's call times out before the manager's round is
+		// sent again, so the write reports an error although it was
+		// sequenced; the writer drops its replica and reads it back.
+		_ = c.Hosts[2].DSM.WriteInt32sE(p, addr, []int32{42})
+		p.Sleep(10 * time.Second)
+		for _, i := range []int{0, 2, 3} {
+			if err := c.Hosts[i].DSM.ReadInt32sE(p, addr, v[:]); err != nil || v[0] != 42 {
+				t.Errorf("host %d read = %d, %v; want 42, nil", i, v[0], err)
+			}
+		}
+	})
+	c.Check.CheckAll("teardown")
+	// Two pushes in the round that failed, one in the round sent again.
+	if n := c.TotalDSMStats().UpdatePushes; n != 3 {
+		t.Errorf("update pushes = %d, want 3", n)
+	}
+}
+
 func TestScriptedCrashPlanIsDeterministic(t *testing.T) {
 	// The same seed and fault plan must produce bit-identical runs:
 	// same virtual duration, same stats, same recovery outcome.
@@ -358,27 +407,39 @@ func TestBadFaultPlanRejectedByNew(t *testing.T) {
 }
 
 func TestDeadSyncManagerSurfacesError(t *testing.T) {
-	// A semaphore whose manager host crashed: PE must return an error
-	// (wrapping the endpoint's fail-fast) instead of blocking forever.
-	c, err := New(Config{
-		Hosts:            []HostSpec{{Kind: arch.Sun}, {Kind: arch.Sun}},
-		Seed:             31,
-		FailureDetection: true,
-	})
-	if err != nil {
-		t.Fatal(err)
+	// A primitive whose manager host crashed: every E-form must return
+	// an error wrapping the endpoint's fail-fast instead of blocking
+	// forever.
+	for _, tc := range []struct {
+		name   string
+		define func(c *Cluster)
+		op     func(h *Host, p *sim.Proc) error
+	}{
+		{"PE", func(c *Cluster) { c.DefineSemaphore(1, 1, 0) }, func(h *Host, p *sim.Proc) error { return h.Sync.PE(p, 1) }},
+		{"VE", func(c *Cluster) { c.DefineSemaphore(1, 1, 0) }, func(h *Host, p *sim.Proc) error { return h.Sync.VE(p, 1) }},
+		{"EventWaitE", func(c *Cluster) { c.DefineEvent(1, 1) }, func(h *Host, p *sim.Proc) error { return h.Sync.EventWaitE(p, 1) }},
+		{"EventSetE", func(c *Cluster) { c.DefineEvent(1, 1) }, func(h *Host, p *sim.Proc) error { return h.Sync.EventSetE(p, 1) }},
+		{"BarrierArriveE", func(c *Cluster) { c.DefineBarrier(1, 1, 2) }, func(h *Host, p *sim.Proc) error { return h.Sync.BarrierArriveE(p, 1) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := New(Config{
+				Hosts:            []HostSpec{{Kind: arch.Sun}, {Kind: arch.Sun}},
+				Seed:             31,
+				FailureDetection: true,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.define(c)
+			c.Run(0, func(p *sim.Proc, h *Host) {
+				c.CrashHost(1)
+				p.Sleep(detectionSettle)
+				if err := tc.op(h, p); !errors.Is(err, remoteop.ErrPeerDead) {
+					t.Errorf("%s on a primitive whose manager died: err = %v, want ErrPeerDead", tc.name, err)
+				}
+			})
+		})
 	}
-	c.DefineSemaphore(1, 1, 0)
-	c.Run(0, func(p *sim.Proc, h *Host) {
-		c.CrashHost(1)
-		p.Sleep(detectionSettle)
-		if err := h.Sync.PE(p, 1); err == nil {
-			t.Error("P on a semaphore whose manager died returned nil")
-		}
-		if err := h.Sync.VE(p, 1); err == nil {
-			t.Error("V on a semaphore whose manager died returned nil")
-		}
-	})
 }
 
 func TestNoFaultRunsUnchangedByDetectionMachinery(t *testing.T) {

@@ -144,9 +144,6 @@ type Config struct {
 	Registry *conv.Registry
 	// Params is the calibrated cost model.
 	Params *model.Params
-	// ConversionEnabled can be cleared to skip data conversion — an
-	// ablation that demonstrates heterogeneous corruption.
-	ConversionEnabled bool
 	// PreferSameKindSource lets the manager serve read faults from a
 	// copyset member of the requester's machine type when one exists,
 	// avoiding a conversion (§2.3's optimization).
@@ -160,9 +157,10 @@ type Config struct {
 	Directory Directory
 	// Policy selects the coherence algorithm (default PolicyMRSW).
 	Policy Policy
-	// UnicastInvalidate sends write invalidations as individual calls
-	// instead of one physical broadcast frame — an ablation of the
-	// paper's multicast invalidation (§2.2).
+	// UnicastInvalidate sends every copyset round (write invalidations
+	// and write-update pushes) as individual calls instead of one
+	// physical broadcast frame — an ablation of the paper's multicast
+	// invalidation (§2.2).
 	UnicastInvalidate bool
 	// Trace, when set, receives one event per notable DSM action
 	// (faults, fetches, serves, invalidations, upgrades) for offline

@@ -25,7 +25,7 @@ type rig struct {
 type rigOpt func(*Config)
 
 func withPageSize(n int) rigOpt      { return func(c *Config) { c.PageSize = n } }
-func withoutConversion() rigOpt      { return func(c *Config) { c.ConversionEnabled = false } }
+func withoutConversion() rigOpt      { return func(c *Config) { c.Mutation = MutSkipConversion } }
 func withSameKindPreference() rigOpt { return func(c *Config) { c.PreferSameKindSource = true } }
 func withRegistry(r *conv.Registry) rigOpt {
 	return func(c *Config) { c.Registry = r }
@@ -36,11 +36,10 @@ func newRig(t *testing.T, kinds []arch.Kind, opts ...rigOpt) *rig {
 	k := sim.NewKernel(1)
 	params := model.Default()
 	cfg := &Config{
-		PageSize:          8192,
-		SpaceSize:         1 << 20,
-		Registry:          conv.NewRegistry(),
-		Params:            &params,
-		ConversionEnabled: true,
+		PageSize:  8192,
+		SpaceSize: 1 << 20,
+		Registry:  conv.NewRegistry(),
+		Params:    &params,
 	}
 	for _, o := range opts {
 		o(cfg)

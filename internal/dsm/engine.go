@@ -173,7 +173,7 @@ func (e *pagedEngine) writeRegion(p *sim.Proc, addr Addr, n int, fill func(seg [
 // atomicSwap holds write ownership from the access check to the store
 // without yielding, which is what makes the exchange atomic.
 func (e *pagedEngine) atomicSwap(p *sim.Proc, addr Addr, v int32) (int32, error) {
-	t0 := p.Now()
+	t0 := e.traceClock()
 	if err := e.EnsureAccess(p, addr, 4, true); err != nil {
 		return 0, err
 	}
@@ -202,7 +202,7 @@ func newCentralEngine(m *Module) (engine, engineDecl) {
 
 func (e *centralEngine) readRegion(p *sim.Proc, addr Addr, n int, fn func(seg []byte, off int)) error {
 	return e.walkPages(addr, n, func(s span) error {
-		t0 := p.Now()
+		t0 := e.traceClock()
 		seg, err := e.centralRead(p, s.page, s.lo, s.n)
 		if err != nil {
 			return err
@@ -218,7 +218,7 @@ func (e *centralEngine) writeRegion(p *sim.Proc, addr Addr, n int, fill func(seg
 		// Pooled staging: centralWrite blocks until the server has
 		// acknowledged and recordSC copies what it keeps.
 		seg := bufpool.Get(s.n)
-		t0 := p.Now()
+		t0 := e.traceClock()
 		fill(seg, s.off)
 		err := e.centralWrite(p, s.page, s.lo, seg)
 		if err == nil {
@@ -252,7 +252,7 @@ func newUpdateEngine(m *Module) (engine, engineDecl) {
 // failed residency fault or sequencing call returns its typed error.
 func (e *updateEngine) writeRegion(p *sim.Proc, addr Addr, n int, fill func(seg []byte, off int)) error {
 	return e.walkPages(addr, n, func(s span) error {
-		t0 := p.Now()
+		t0 := e.traceClock()
 		// The writer keeps a read replica (faulting it in if needed) so
 		// its own copy stays current once the update is sequenced.
 		if err := e.EnsureAccess(p, s.addr, s.n, false); err != nil {

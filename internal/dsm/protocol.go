@@ -472,16 +472,9 @@ func (m *Module) invalidationTargets(ent *mgrEntry, requester HostID, requesterU
 	return targets
 }
 
-// sendInvalidations multicasts invalidation requests and collects every
-// acknowledgement (write-invalidate, §1). By default one physical
-// broadcast frame reaches all hosts and the copyset members answer —
-// "multicast is used for write invalidation" (§2.2); the target list
-// travels in the message so bystanders stay silent. Copysets too large
-// for the argument list (or the unicast ablation) fall back to
-// individual calls. The local copy, if targeted, is dropped directly.
-// Under failure detection, crashed targets are skipped — their copies
-// died with them — including targets that die mid-round, in which case
-// the round is re-issued to the survivors.
+// sendInvalidations invalidates every target's copy of page and
+// collects every acknowledgement (write-invalidate, §1): one copyset
+// round. The local copy, if targeted, is dropped directly.
 func (m *Module) sendInvalidations(p *sim.Proc, page PageNo, targets []HostID) error {
 	if m.cfg.Mutation == MutSkipInvalidation {
 		return nil // injected coherence bug: readers keep stale copies
@@ -496,75 +489,88 @@ func (m *Module) sendInvalidations(p *sim.Proc, page PageNo, targets []HostID) e
 		}
 		remote = append(remote, h)
 	}
+	err := m.copysetRound(p, remote, &m.stats.InvalidationsSent, func() *proto.Message {
+		return &proto.Message{Kind: proto.KindInvalidate, Page: uint32(page)}
+	})
+	if err != nil {
+		return m.callFailed(err, "host %d invalidating page %d", m.id, page)
+	}
+	return nil
+}
+
+// copysetRound sends the request mk builds to every target and collects
+// every acknowledgement: the write-invalidate round and the write-update
+// push are this one round. By default one physical broadcast frame
+// reaches all hosts and the targets answer — "multicast is used for
+// write invalidation" (§2.2). The targets travel after the request's
+// own arguments, so bystanders stay silent (addressed); a target list
+// too long for the argument list travels as a host bitmap in the
+// payload when the request has none of its own, and otherwise (or under
+// the unicast ablation) the round is one call per target. It counts the
+// requests it sends into sent.
+//
+// Under failure detection, targets the detector has declared dead are
+// skipped: their copies died with them. A round already in flight
+// ignores the detector (CallMulticast does not ask it), so a target
+// that dies mid-round fails the round, which is then sent again to the
+// survivors. The error of a round no death explains is returned
+// unclassified; the caller passes it to callFailed.
+func (m *Module) copysetRound(p *sim.Proc, targets []HostID, sent *int, mk func() *proto.Message) error {
 	for {
 		if m.liveness != nil {
-			live := remote[:0]
-			for _, h := range remote {
-				if !m.liveness.Dead(h) {
-					live = append(live, h)
-				}
-			}
-			remote = live
+			targets = slices.DeleteFunc(targets, m.liveness.Dead)
 		}
-		if len(remote) == 0 {
+		if len(targets) == 0 {
 			return nil
 		}
-		m.stats.InvalidationsSent += len(remote)
+		*sent += len(targets)
+		req := mk()
+		fits := len(req.Args)+len(targets) <= proto.MaxArgs
 		var err error
 		switch {
-		case m.cfg.UnicastInvalidate:
-			_, err = m.ep.CallAll(p, remote, func(HostID) *proto.Message {
-				return &proto.Message{Kind: proto.KindInvalidate, Page: uint32(page)}
-			})
-		case len(remote) <= proto.MaxArgs:
-			args := make([]uint32, len(remote))
-			for i, h := range remote {
-				args[i] = uint32(h)
+		case m.cfg.UnicastInvalidate || !fits && len(req.Data) > 0:
+			_, err = m.ep.CallAll(p, targets, func(HostID) *proto.Message { return mk() })
+		case fits:
+			req.Args = slices.Grow(req.Args, len(targets))
+			for _, h := range targets {
+				req.Args = append(req.Args, uint32(h))
 			}
-			_, err = m.ep.CallMulticast(p, remote, &proto.Message{
-				Kind: proto.KindInvalidate,
-				Page: uint32(page),
-				Args: args,
-			})
+			_, err = m.ep.CallMulticast(p, targets, req)
 		default:
-			// Copysets too wide for the argument list travel as a host
-			// bitmap in the bulk payload: still one physical broadcast
-			// (one frame per network segment touched) instead of the
-			// per-member unicast storm this case used to fall back to —
+			// Still one physical broadcast (one frame per network
+			// segment touched) instead of a per-member unicast storm:
 			// the multicast-tree path that makes 1024-host copysets
-			// affordable.
-			// Pooled staging: CallMulticast re-encodes from Data on every
-			// retransmission but is done with it once acknowledged.
+			// affordable. Pooled staging: CallMulticast re-encodes from
+			// Data on every retransmission but is done with it once
+			// acknowledged.
 			bitmap := bufpool.Get((len(m.hosts) + 7) / 8)
 			clear(bitmap)
-			for _, h := range remote {
+			for _, h := range targets {
 				bitmap[int(h)/8] |= 1 << (uint(h) % 8)
 			}
-			_, err = m.ep.CallMulticast(p, remote, &proto.Message{
-				Kind: proto.KindInvalidate,
-				Page: uint32(page),
-				Data: bitmap,
-			})
+			req.Data = bitmap
+			_, err = m.ep.CallMulticast(p, targets, req)
 			bufpool.Put(bitmap)
 		}
-		if err == nil {
-			return nil
-		}
-		err = m.callFailed(err, "host %d invalidating page %d", m.id, page)
-		// A target died mid-round: its copy died with it. Re-filter and
-		// repeat for the survivors; if everyone still looks alive the
-		// failure is real.
-		stillDead := false
-		for _, h := range remote {
-			if m.liveness.Dead(h) {
-				stillDead = true
-				break
-			}
-		}
-		if !stillDead {
+		if err == nil || m.liveness == nil || !slices.ContainsFunc(targets, m.liveness.Dead) {
 			return err
 		}
 	}
+}
+
+// addressed reports whether a copyset round's request names this host.
+// A broadcast frame reaches every host on the medium: the targets follow
+// the request's own arguments, or, when bitmap is set and the request
+// has no arguments beyond its own, fill the payload as a host bitmap.
+// A request naming no targets was sent to this host alone.
+func (m *Module) addressed(req *proto.Message, own int, bitmap bool) bool {
+	if len(req.Args) > own {
+		return slices.Contains(req.Args[own:], uint32(m.id))
+	}
+	if h := int(m.id); bitmap && len(req.Data) > 0 {
+		return h/8 < len(req.Data) && req.Data[h/8]&(1<<(uint(h)%8)) != 0
+	}
+	return true
 }
 
 // readSource picks the host to serve a read copy: the owner, or — with
@@ -803,28 +809,12 @@ func (m *Module) handleOwnerUpdate(req *proto.Message) *proto.Message {
 	return &proto.Message{Kind: proto.KindOwnerUpdateAck, Page: req.Page}
 }
 
-// invalidateCharge prices an invalidation on the protocol CPU. A
-// broadcast invalidation carries its target list — as scalar args for
-// small copysets, as a host bitmap in the payload for wide ones; hosts
-// not on it are bystanders who heard the frame on the shared medium and
-// stay silent.
+// invalidateCharge prices an invalidation on the protocol CPU. Hosts a
+// broadcast invalidation does not address are bystanders who heard the
+// frame on the shared medium and stay silent.
 func (m *Module) invalidateCharge(req *proto.Message) (*sim.Resource, sim.Duration, bool) {
-	if len(req.Args) > 0 {
-		member := false
-		for _, a := range req.Args {
-			if HostID(a) == m.id {
-				member = true
-				break
-			}
-		}
-		if !member {
-			return nil, 0, false
-		}
-	} else if len(req.Data) > 0 {
-		h := int(m.id)
-		if h/8 >= len(req.Data) || req.Data[h/8]&(1<<(uint(h)%8)) == 0 {
-			return nil, 0, false
-		}
+	if !m.addressed(req, 0, true) {
+		return nil, 0, false
 	}
 	return m.protoCPU, m.jittered(m.cfg.Params.InvalidateProcess.Of(m.arch.Kind)), true
 }

@@ -184,7 +184,7 @@ func newQuorumEngine(mod *Module) (engine, engineDecl) {
 
 func (m *quorumEngine) readRegion(p *sim.Proc, addr Addr, n int, fn func(seg []byte, off int)) error {
 	return m.walkPages(addr, n, func(s span) error {
-		t0 := p.Now()
+		t0 := m.traceClock()
 		l := m.faultLockFor(s.page)
 		l.P(p)
 		defer l.V()
@@ -201,7 +201,7 @@ func (m *quorumEngine) readRegion(p *sim.Proc, addr Addr, n int, fn func(seg []b
 
 func (m *quorumEngine) writeRegion(p *sim.Proc, addr Addr, n int, fill func(seg []byte, off int)) error {
 	return m.walkPages(addr, n, func(s span) error {
-		t0 := p.Now()
+		t0 := m.traceClock()
 		l := m.faultLockFor(s.page)
 		l.P(p)
 		defer l.V()
@@ -218,7 +218,7 @@ func (m *quorumEngine) writeRegion(p *sim.Proc, addr Addr, n int, fill func(seg 
 		if err != nil {
 			return err
 		}
-		m.completeSC(p, h)
+		m.completeSC(h)
 		return nil
 	})
 }

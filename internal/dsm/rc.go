@@ -582,7 +582,7 @@ func (m *rcEngine) recordSyncOp(p *sim.Proc, kind sctrace.OpKind) {
 	if rec == nil {
 		return
 	}
-	now := int64(p.Now())
+	now := m.traceClock()
 	rec.Record(kind, int(m.id), p.Name(), now, now, 0, sctrace.EncodeVT(m.rc.vt))
 }
 

@@ -197,7 +197,7 @@ func (m *Module) installRecovered(p *sim.Proc, page PageNo, resp *proto.Message)
 	lp := m.localPageFor(page)
 	m.installImage(p, page, resp, ReadAccess, "fetch")
 	if n := len(resp.Data); n > 0 {
-		m.recordSC(p, sctrace.Write, p.Now(), Addr(int(page)*m.cfg.PageSize), lp.data[:n])
+		m.recordSC(p, sctrace.Write, m.traceClock(), Addr(int(page)*m.cfg.PageSize), lp.data[:n])
 	}
 	m.installed(p, page, resp)
 }

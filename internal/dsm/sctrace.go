@@ -15,11 +15,17 @@ import (
 	"repro/internal/sim"
 )
 
+// traceClock is the clock recorded accesses are stamped with: the
+// kernel's dispatch ordinal, the order the execution really ran in.
+// Virtual time would collapse it into one instant wherever costs are
+// zero (mc), leaving the oracle program order alone.
+func (m *Module) traceClock() int64 { return int64(m.k.Ordinal()) }
+
 // recordSC appends one span access to the attached trace recorder.
-// start is the virtual time the enclosing access began (before any
-// fault it triggered); the end time is the current clock.
-func (m *Module) recordSC(p *sim.Proc, kind sctrace.OpKind, start sim.Time, addr Addr, data []byte) {
-	m.completeSC(p, m.invokeSC(p, kind, start, addr, data))
+// start is the traceClock reading when the enclosing access began
+// (before any fault it triggered); the end is the current reading.
+func (m *Module) recordSC(p *sim.Proc, kind sctrace.OpKind, start int64, addr Addr, data []byte) {
+	m.completeSC(m.invokeSC(p, kind, start, addr, data))
 }
 
 // invokeSC records a span access whose value is fixed but which has not
@@ -28,18 +34,19 @@ func (m *Module) recordSC(p *sim.Proc, kind sctrace.OpKind, start sim.Time, addr
 // write is recorded this way once phase 1 has fixed its value, so a
 // writer that crashes while its value spreads leaves that value
 // admissible.
-func (m *Module) invokeSC(p *sim.Proc, kind sctrace.OpKind, start sim.Time, addr Addr, data []byte) sctrace.Handle {
+func (m *Module) invokeSC(p *sim.Proc, kind sctrace.OpKind, start int64, addr Addr, data []byte) sctrace.Handle {
 	rec := m.cfg.SCRecorder
 	if rec == nil {
 		return 0
 	}
-	return rec.Invoke(kind, int(m.id), p.Name(), int64(start), uint32(addr), m.canonicalBytes(addr, data))
+	return rec.Invoke(kind, int(m.id), p.Name(), start, uint32(addr), m.canonicalBytes(addr, data))
 }
 
-// completeSC stamps an invoked access's completion at the current clock.
-func (m *Module) completeSC(p *sim.Proc, h sctrace.Handle) {
+// completeSC stamps an invoked access's completion at the current
+// traceClock reading.
+func (m *Module) completeSC(h sctrace.Handle) {
 	if rec := m.cfg.SCRecorder; rec != nil {
-		rec.Complete(h, int64(p.Now()))
+		rec.Complete(h, m.traceClock())
 	}
 }
 

@@ -42,11 +42,11 @@ func mustArch(k arch.Kind) arch.Arch {
 
 // foreign reports whether bytes in from's representation must be
 // converted before a host of architecture to may use them. The one
-// guard of the conversion hook: ConversionEnabled (the corruption
-// ablation) and MutSkipConversion (the injected bug: foreign bytes kept
-// verbatim) are honoured by every engine through it.
+// guard of the conversion hook: MutSkipConversion (foreign bytes kept
+// verbatim, the corruption the conversion ablation demonstrates) is
+// honoured by every engine through it.
 func (m *Module) foreign(from, to arch.Arch) bool {
-	return m.cfg.ConversionEnabled && !from.Compatible(to) && m.cfg.Mutation != MutSkipConversion
+	return !from.Compatible(to) && m.cfg.Mutation != MutSkipConversion
 }
 
 // converted books one performed conversion; a routine that fails on
@@ -235,7 +235,7 @@ func (m *Module) walkGroups(p *sim.Proc, addr Addr, n int, kind sctrace.OpKind,
 	end := int(addr) + n
 	for pos, off := int(addr), 0; pos < end; {
 		hi := min(end, (pos/groupBytes+1)*groupBytes)
-		chunk, base, t0 := Addr(pos), off, p.Now()
+		chunk, base, t0 := Addr(pos), off, m.traceClock()
 		if err := ensure(chunk, hi-pos); err != nil {
 			return err
 		}

@@ -11,8 +11,8 @@ import (
 
 // TestConvertInGuardAndCharge pins the one conversion hook's contract,
 // through each receive step that reaches it: a body that needs no
-// conversion — same-kind source, empty, conversion disabled, or the
-// skip-conversion mutation — leaves bytes and virtual time untouched,
+// conversion — same-kind source, empty, or the skip-conversion
+// mutation — leaves bytes and virtual time untouched,
 // and a foreign body charges exactly RegionConvertCost and counts one
 // conversion. convertIn, receiveDiff (a one-run diff of the same
 // elements) and storeRun must agree on the bytes as well.
@@ -27,8 +27,7 @@ func TestConvertInGuardAndCharge(t *testing.T) {
 	}{
 		{"same-kind source", nil, arch.Firefly, elems, false},
 		{"empty body", nil, arch.Sun, 0, false},
-		{"conversion disabled", []rigOpt{withoutConversion()}, arch.Sun, elems, false},
-		{"skip-conversion mutation", []rigOpt{func(c *Config) { c.Mutation = MutSkipConversion }}, arch.Sun, elems, false},
+		{"skip-conversion mutation", []rigOpt{withoutConversion()}, arch.Sun, elems, false},
 		{"foreign body", nil, arch.Sun, elems, true},
 	}
 	// Each step receives data, n doubles in src's representation, for

@@ -12,7 +12,6 @@ package dsm
 // writes, where MRSW would invalidate and re-fault whole pages.
 
 import (
-	"fmt"
 	"slices"
 
 	"repro/internal/arch"
@@ -22,7 +21,10 @@ import (
 )
 
 // sequenceWrite routes one span's bytes through the page's manager and
-// applies them locally once sequenced.
+// applies them locally once sequenced. A writer whose sequencing call
+// fails drops its replica: the write may still have been sequenced, so
+// its next access faults a current copy in instead of reading one that
+// may have missed it.
 func (m *updateEngine) sequenceWrite(p *sim.Proc, page PageNo, offset int, data []byte) error {
 	if m.cfg.Mutation == MutUnsequencedUpdate {
 		// Injected bug: apply locally without sequencing through the
@@ -34,7 +36,9 @@ func (m *updateEngine) sequenceWrite(p *sim.Proc, page PageNo, offset int, data 
 	}
 	mgr := m.manager(page)
 	if mgr == m.id {
-		m.sequenceUpdate(p, page, offset, data, m.id, m.arch.Kind)
+		if err := m.sequenceUpdate(p, page, offset, data, m.id, m.arch.Kind); err != nil {
+			return err
+		}
 	} else {
 		m.stats.UpdateWrites++
 		if _, err := m.ep.Call(p, mgr, &proto.Message{
@@ -43,7 +47,11 @@ func (m *updateEngine) sequenceWrite(p *sim.Proc, page PageNo, offset int, data 
 			Args: []uint32{uint32(offset)},
 			Data: data,
 		}); err != nil {
-			return m.hostFailed(err, mgr, "host %d update write page %d", m.id, page)
+			err = m.hostFailed(err, mgr, "host %d update write page %d", m.id, page)
+			if lp := m.local[page]; lp != nil {
+				lp.access = NoAccess
+			}
+			return err
 		}
 	}
 	// Sequenced: apply to the local replica (bytes are already native).
@@ -54,22 +62,26 @@ func (m *updateEngine) sequenceWrite(p *sim.Proc, page PageNo, offset int, data 
 }
 
 // handleUpdateWrite sequences a remote writer's update at the manager.
+// A round that failed is not acknowledged: the writer's call fails.
 func (m *updateEngine) handleUpdateWrite(p *sim.Proc, req *proto.Message) {
 	page := PageNo(req.Page)
 	if m.manager(page) != m.id {
 		bufpool.Put(req.TakeWire())
 		return // misdirected; the writer times out
 	}
-	m.sequenceUpdate(p, page, int(req.Arg(0)), req.Data, HostID(req.From), arch.Kind(req.SrcArch))
-	// Sequenced and pushed everywhere: the request's wire buffer (which
-	// Data aliases) is spent.
+	err := m.sequenceUpdate(p, page, int(req.Arg(0)), req.Data, HostID(req.From), arch.Kind(req.SrcArch))
+	// Sequenced and pushed everywhere, or given up: the request's wire
+	// buffer (which Data aliases) is spent.
 	bufpool.Put(req.TakeWire())
-	m.ep.Reply(p, req, &proto.Message{Kind: proto.KindUpdateWriteAck, Page: req.Page})
+	if err == nil {
+		m.ep.Reply(p, req, &proto.Message{Kind: proto.KindUpdateWriteAck, Page: req.Page})
+	}
 }
 
 // sequenceUpdate distributes one update to every replica holder, in
-// per-page total order (the manager's page lock).
-func (m *updateEngine) sequenceUpdate(p *sim.Proc, page PageNo, offset int, data []byte, writer HostID, writerKind arch.Kind) {
+// per-page total order (the manager's page lock), with one copyset
+// round.
+func (m *updateEngine) sequenceUpdate(p *sim.Proc, page PageNo, offset int, data []byte, writer HostID, writerKind arch.Kind) error {
 	ent := m.mgrEntryFor(page)
 	ent.lock.P(p)
 	// Deferred before the lock release so it runs after it (LIFO): the
@@ -99,53 +111,26 @@ func (m *updateEngine) sequenceUpdate(p *sim.Proc, page PageNo, offset int, data
 		copy(lp.data[offset:], data)
 	}
 
-	if len(targets) == 0 {
-		return
-	}
-	m.stats.UpdatePushes += len(targets)
-	msg := func() *proto.Message {
+	err := m.copysetRound(p, targets, &m.stats.UpdatePushes, func() *proto.Message {
 		return &proto.Message{
 			Kind:    proto.KindApplyUpdate,
 			Page:    uint32(page),
 			SrcArch: uint8(writerKind),
+			Args:    []uint32{uint32(offset)},
 			Data:    data,
 		}
-	}
-	var err error
-	if len(targets)+1 <= proto.MaxArgs && !m.cfg.UnicastInvalidate {
-		bm := msg()
-		bm.Args = make([]uint32, 0, len(targets)+1)
-		bm.Args = append(bm.Args, uint32(offset))
-		for _, t := range targets {
-			bm.Args = append(bm.Args, uint32(t))
-		}
-		_, err = m.ep.CallMulticast(p, targets, bm)
-	} else {
-		_, err = m.ep.CallAll(p, targets, func(HostID) *proto.Message {
-			um := msg()
-			um.Args = []uint32{uint32(offset)}
-			return um
-		})
-	}
+	})
 	if err != nil {
-		panic(fmt.Sprintf("dsm: host %d pushing update for page %d: %v", m.id, page, err))
+		return m.callFailed(err, "host %d pushing update for page %d", m.id, page)
 	}
+	return nil
 }
 
 // handleApplyUpdate applies a sequenced update at a replica holder.
 func (m *updateEngine) handleApplyUpdate(p *sim.Proc, req *proto.Message) {
-	if len(req.Args) > 1 { // broadcast: membership check
-		member := false
-		for _, a := range req.Args[1:] {
-			if HostID(a) == m.id {
-				member = true
-				break
-			}
-		}
-		if !member {
-			bufpool.Put(req.TakeWire())
-			return
-		}
+	if !m.addressed(req, 1, false) {
+		bufpool.Put(req.TakeWire())
+		return
 	}
 	m.protoCPU.Use(p, m.jittered(m.cfg.Params.InvalidateProcess.Of(m.arch.Kind)))
 	page := PageNo(req.Page)

@@ -1,10 +1,15 @@
 package mc
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"repro/internal/arch"
+	"repro/internal/cluster"
+	"repro/internal/conv"
 	"repro/internal/dsm"
+	"repro/internal/sim"
 )
 
 // TestDefaultScheduleClean runs every workload once under the default
@@ -211,5 +216,82 @@ func TestDropCopysetInvisibleOnBasic(t *testing.T) {
 	}
 	if rep.Violating != nil {
 		t.Errorf("drop-copyset now visible on basic (%s); move its kill plan off ring", rep)
+	}
+}
+
+// lostUpdateProbe is a three-host quorum program no registered workload
+// has: workers on hosts 0 and 1 each write one Int32 and V a semaphore;
+// main on host 2 does P twice and reads both words. The semaphore is
+// not in the trace, so only the execution's real-time order tells the
+// oracle that both writes ended before the reads began. Main returns no
+// verdict of its own, so the probe measures the oracle alone.
+func lostUpdateProbe(samePage bool) *Workload {
+	return &Workload{
+		Name:   "lost-update-probe",
+		Kinds:  []arch.Kind{arch.Sun, arch.Firefly, arch.Sun},
+		Tune:   func(cfg *cluster.Config) { cfg.Policy = dsm.PolicyQuorum },
+		Define: func(c *cluster.Cluster) { c.DefineSemaphore(semDone, 2, 0) },
+		Main: func(p *sim.Proc, c *cluster.Cluster) error {
+			h2 := c.Hosts[2]
+			x, err := h2.DSM.Alloc(p, conv.Int32, pageInts)
+			if err != nil {
+				return err
+			}
+			y := x + 4
+			if !samePage {
+				if y, err = h2.DSM.Alloc(p, conv.Int32, pageInts); err != nil {
+					return err
+				}
+			}
+			for w, addr := range []dsm.Addr{x, y} {
+				host := c.Hosts[w]
+				c.K.Spawn(fmt.Sprintf("probe%d", w), func(p *sim.Proc) {
+					host.DSM.WriteInt32(p, addr, int32(w+1))
+					host.Sync.V(p, semDone)
+				})
+			}
+			h2.Sync.P(p, semDone)
+			h2.Sync.P(p, semDone)
+			h2.DSM.ReadInt32(p, x)
+			h2.DSM.ReadInt32(p, y)
+			return nil
+		},
+	}
+}
+
+// TestLostUpdateProbePinned pins what the SC oracle sees of the probe
+// now that accesses are stamped with the dispatch ordinal. On one page
+// the quorum engine loses a sub-page update (its register is the whole
+// page, so the higher tag's image erases the other writer's word) and
+// the very first DFS schedule is convicted; this row is expected to
+// fail until replicas merge concurrent sub-page writes, and then flips
+// to clean. On two pages the probe
+// must stay clean.
+func TestLostUpdateProbePinned(t *testing.T) {
+	budget := 1500
+	if testing.Short() {
+		budget = 300
+	}
+	for _, tc := range []struct {
+		name      string
+		samePage  bool
+		violation bool
+	}{
+		{"same-page", true, true},
+		{"two-pages", false, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rep, err := RunDFS(lostUpdateProbe(tc.samePage), dsm.MutNone, DFSOpts{MaxSchedules: budget})
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch {
+			case tc.violation && (rep.Violating == nil || rep.Violating.Outcome != SCViolation || rep.Schedules != 1):
+				t.Errorf("want an sc-violation at schedule 1 (the sub-page lost update); got %s", rep)
+			case !tc.violation && rep.Violating != nil:
+				t.Errorf("false positive: %s", rep)
+			}
+			t.Logf("%s", rep)
+		})
 	}
 }

@@ -77,7 +77,10 @@ func (w *rcWrite) hb(host int, seq uint64, vt []uint32) bool {
 }
 
 // CheckRC validates a trace recorded under a release-consistency engine.
-// It returns the violations found (nil for a consistent trace).
+// It returns the violations found (nil for a consistent trace). It
+// orders accesses by the vector timestamps of the recorded sync
+// operations, never by the ops' Start and End, so the clock those are
+// stamped on does not matter to it.
 func CheckRC(ops []Op) []Violation {
 	var violations []Violation
 

@@ -14,7 +14,7 @@
 // the checker judges the groups one at a time.
 //
 // In a deterministic discrete-event simulation the interleaving rarely
-// has to be searched for: the kernel's virtual clock supplies one, the
+// has to be searched for: the kernel's dispatch order supplies one, the
 // order of completion times. Check's witness follows that order and
 // departs from it, greedily, only where a read disagrees (see Check);
 // Exact is the bounded exhaustive search the greedy one is tested
@@ -82,9 +82,11 @@ type Op struct {
 	// Seq is the global record sequence number; it breaks timestamp
 	// ties and preserves program order within a virtual instant.
 	Seq uint64
-	// Start and End are the access's virtual-time interval in
-	// nanoseconds since simulation start. A write that was invoked and
-	// never completed has End == Pending.
+	// Start and End are the access's interval on the execution's clock:
+	// the simulation kernel's dispatch ordinal, which orders accesses
+	// that virtual time would place in one instant. Equal readings
+	// overlap. A write that was invoked and never completed has
+	// End == Pending.
 	Start, End int64
 	// Addr is the DSM address of the first byte accessed.
 	Addr uint32

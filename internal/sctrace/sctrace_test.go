@@ -183,6 +183,29 @@ func TestTornOverlappingReadRejected(t *testing.T) {
 	}
 }
 
+func TestTiedIntervalsHideRealTimeEdge(t *testing.T) {
+	// A writer's access ends, a semaphore the trace does not see hands
+	// control to a reader on another host, and the read returns the old
+	// value: a lost update. With every cost zero, virtual time stamps
+	// both accesses [0, 0]; they overlap, so the read may come first and
+	// the trace is admitted. Stamped with the dispatch ordinal, the
+	// write ends before the read begins and the read is convicted.
+	tied := []Op{
+		w(0, "w0", 1, 0, 0, 100, 1),
+		r(2, "main", 2, 0, 0, 100, 0),
+	}
+	if v := Check(tied); len(v) != 0 {
+		t.Fatalf("tied trace rejected: %s", Report(v, 0))
+	}
+	ordered := []Op{
+		w(0, "w0", 1, 3, 5, 100, 1),
+		r(2, "main", 2, 9, 9, 100, 0),
+	}
+	if v := Check(ordered); len(v) != 1 || v[0].Got != 0 || v[0].Want != 1 {
+		t.Fatalf("ordinal-stamped lost write: got %s, want one violation reading 0 for 1", Report(v, 0))
+	}
+}
+
 func TestReadToReadInversionRejected(t *testing.T) {
 	// Both reads overlap the write of 2, but the first to finish saw it:
 	// a read that starts later may not return the older value.

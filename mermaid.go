@@ -174,9 +174,6 @@ type Config struct {
 	SpaceSize int
 	// Seed makes runs reproducible; equal seeds give identical runs.
 	Seed int64
-	// DisableConversion turns off data conversion (ablation only —
-	// heterogeneous clusters then compute garbage, demonstrably).
-	DisableConversion bool
 	// PreferSameKindSource serves read faults from a same-type holder
 	// when possible, avoiding conversions (§2.3's optimization).
 	PreferSameKindSource bool
@@ -234,7 +231,6 @@ func New(cfg Config) (*Cluster, error) {
 		PageSize:             cfg.PageSize,
 		SpaceSize:            cfg.SpaceSize,
 		Seed:                 cfg.Seed,
-		DisableConversion:    cfg.DisableConversion,
 		PreferSameKindSource: cfg.PreferSameKindSource,
 		Directory:            cfg.DirectoryScheme,
 		Policy:               cfg.Policy,

@@ -202,28 +202,6 @@ func TestRegisterStructAndAccess(t *testing.T) {
 	})
 }
 
-func TestDisableConversionAblation(t *testing.T) {
-	c := twoKindCluster(t, func(cfg *Config) { cfg.DisableConversion = true })
-	c.DefineSemaphore(1, 0, 0)
-	var seen int32
-	worker := c.MustRegisterFunc(func(e *Env, args []uint32) {
-		seen = e.ReadInt32(Addr(args[0]))
-		e.V(1)
-	})
-	c.Run(0, func(e *Env) {
-		addr := e.MustAlloc(Int32, 8)
-		e.WriteInt32(addr, 0x01020304)
-		if _, err := e.CreateThread(1, worker, uint32(addr)); err != nil {
-			t.Error(err)
-			return
-		}
-		e.P(1)
-	})
-	if seen == 0x01020304 {
-		t.Fatal("value survived with conversion disabled; ablation not effective")
-	}
-}
-
 func TestLossyNetworkStillCorrect(t *testing.T) {
 	c := twoKindCluster(t, func(cfg *Config) { cfg.DropRate = 0.15 })
 	c.DefineSemaphore(1, 0, 0)
