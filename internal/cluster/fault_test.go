@@ -253,47 +253,71 @@ func TestUpdatePushOutlivesDeadReplica(t *testing.T) {
 	// A replica holder dies just before a write-update push reaches it:
 	// the manager's round fails on the corpse and is sent again to the
 	// survivors once the detector declares it dead, instead of
-	// panicking the manager. Every surviving replica ends with the
-	// written value.
-	c, err := New(Config{
-		Hosts:            []HostSpec{{Kind: arch.Sun}, {Kind: arch.Sun}, {Kind: arch.Sun}, {Kind: arch.Sun}},
-		Seed:             17,
-		Policy:           dsm.PolicyUpdate,
-		FailureDetection: true,
-		InvariantChecks:  true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Run(0, func(p *sim.Proc, h *Host) {
-		addr, err := h.DSM.Alloc(p, conv.Int32, 16)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		var v [1]int32
-		for i := 1; i <= 3; i++ {
-			if err := c.Hosts[i].DSM.ReadInt32sE(p, addr, v[:]); err != nil {
-				t.Errorf("host %d read: %v", i, err)
-				return
+	// panicking the manager. The writer's call gives up before that, so
+	// the write reports an error although it was sequenced; the writer
+	// keeps its replica, and the manager, sequencing that late, pushes
+	// the update to it as well. Every surviving replica, and a host that
+	// faults the page in afterwards, reads the written value.
+	for _, tc := range []struct {
+		name    string
+		page    int   // the page written, managed by host page
+		readers []int // replica holders before the crash, besides the owner
+		writer  int
+	}{
+		// Page 0's manager is also its owner, host 0.
+		{name: "replica-writes", page: 0, readers: []int{1, 2, 3}, writer: 2},
+		// Update writes never move ownership, so page 3 keeps owner 0,
+		// the allocation manager: the writer holds the copy the manager
+		// routes host 3's read fault to.
+		{name: "owner-writes", page: 3, readers: []int{1, 2}, writer: 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := New(Config{
+				Hosts:            []HostSpec{{Kind: arch.Sun}, {Kind: arch.Sun}, {Kind: arch.Sun}, {Kind: arch.Sun}},
+				Seed:             17,
+				Policy:           dsm.PolicyUpdate,
+				FailureDetection: true,
+				InvariantChecks:  true,
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		c.CrashHost(1)
-		// The writer's call times out before the manager's round is
-		// sent again, so the write reports an error although it was
-		// sequenced; the writer drops its replica and reads it back.
-		_ = c.Hosts[2].DSM.WriteInt32sE(p, addr, []int32{42})
-		p.Sleep(10 * time.Second)
-		for _, i := range []int{0, 2, 3} {
-			if err := c.Hosts[i].DSM.ReadInt32sE(p, addr, v[:]); err != nil || v[0] != 42 {
-				t.Errorf("host %d read = %d, %v; want 42, nil", i, v[0], err)
+			c.Run(0, func(p *sim.Proc, h *Host) {
+				// Full 8 KB pages, the last one the page written.
+				var addr dsm.Addr
+				for i := 0; i <= tc.page; i++ {
+					if addr, err = h.DSM.Alloc(p, conv.Int32, 2048); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				if got := h.DSM.Manager(h.DSM.PageOf(addr)); got != dsm.HostID(tc.page) {
+					t.Errorf("page managed by %d, want %d", got, tc.page)
+					return
+				}
+				var v [1]int32
+				for _, i := range tc.readers {
+					if err := c.Hosts[i].DSM.ReadInt32sE(p, addr, v[:]); err != nil {
+						t.Errorf("host %d read: %v", i, err)
+						return
+					}
+				}
+				c.CrashHost(1)
+				_ = c.Hosts[tc.writer].DSM.WriteInt32sE(p, addr, []int32{42})
+				p.Sleep(10 * time.Second)
+				for _, i := range []int{0, 2, 3} {
+					if err := c.Hosts[i].DSM.ReadInt32sE(p, addr, v[:]); err != nil || v[0] != 42 {
+						t.Errorf("host %d read = %d, %v; want 42, nil", i, v[0], err)
+					}
+				}
+			})
+			c.Check.CheckAll("teardown")
+			// Two pushes in the round that failed, one in the round sent
+			// again, one to the writer.
+			if n := c.TotalDSMStats().UpdatePushes; n != 4 {
+				t.Errorf("update pushes = %d, want 4", n)
 			}
-		}
-	})
-	c.Check.CheckAll("teardown")
-	// Two pushes in the round that failed, one in the round sent again.
-	if n := c.TotalDSMStats().UpdatePushes; n != 3 {
-		t.Errorf("update pushes = %d, want 3", n)
+		})
 	}
 }
 

@@ -16,10 +16,12 @@ import (
 )
 
 // traceClock is the clock recorded accesses are stamped with: the
-// kernel's dispatch ordinal, the order the execution really ran in.
-// Virtual time would collapse it into one instant wherever costs are
-// zero (mc), leaving the oracle program order alone.
-func (m *Module) traceClock() int64 { return int64(m.k.Ordinal()) }
+// kernel's dispatch ordinal (the number of events dispatched so far),
+// the order the execution really ran in. It never runs backwards and
+// advances with every event, so it separates what virtual time lumps
+// into one instant wherever costs are zero (mc), where the oracle would
+// otherwise judge program order alone.
+func (m *Module) traceClock() int64 { return int64(m.k.Counts().Events) }
 
 // recordSC appends one span access to the attached trace recorder.
 // start is the traceClock reading when the enclosing access began

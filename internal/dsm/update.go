@@ -22,9 +22,9 @@ import (
 
 // sequenceWrite routes one span's bytes through the page's manager and
 // applies them locally once sequenced. A writer whose sequencing call
-// fails drops its replica: the write may still have been sequenced, so
-// its next access faults a current copy in instead of reading one that
-// may have missed it.
+// fails keeps its replica, which may be the copy the manager records as
+// the page's owner. If the manager sequences the write all the same, it
+// pushes it to the writer too (sequenceUpdate).
 func (m *updateEngine) sequenceWrite(p *sim.Proc, page PageNo, offset int, data []byte) error {
 	if m.cfg.Mutation == MutUnsequencedUpdate {
 		// Injected bug: apply locally without sequencing through the
@@ -47,11 +47,7 @@ func (m *updateEngine) sequenceWrite(p *sim.Proc, page PageNo, offset int, data 
 			Args: []uint32{uint32(offset)},
 			Data: data,
 		}); err != nil {
-			err = m.hostFailed(err, mgr, "host %d update write page %d", m.id, page)
-			if lp := m.local[page]; lp != nil {
-				lp.access = NoAccess
-			}
-			return err
+			return m.hostFailed(err, mgr, "host %d update write page %d", m.id, page)
 		}
 	}
 	// Sequenced: apply to the local replica (bytes are already native).
@@ -80,8 +76,11 @@ func (m *updateEngine) handleUpdateWrite(p *sim.Proc, req *proto.Message) {
 
 // sequenceUpdate distributes one update to every replica holder, in
 // per-page total order (the manager's page lock), with one copyset
-// round.
+// round. The writer applies its own update when the manager
+// acknowledges, unless sequencing took so long that its call may have
+// given up first: then a second round pushes the update to the writer.
 func (m *updateEngine) sequenceUpdate(p *sim.Proc, page PageNo, offset int, data []byte, writer HostID, writerKind arch.Kind) error {
+	arrived := p.Now()
 	ent := m.mgrEntryFor(page)
 	ent.lock.P(p)
 	// Deferred before the lock release so it runs after it (LIFO): the
@@ -111,7 +110,7 @@ func (m *updateEngine) sequenceUpdate(p *sim.Proc, page PageNo, offset int, data
 		copy(lp.data[offset:], data)
 	}
 
-	err := m.copysetRound(p, targets, &m.stats.UpdatePushes, func() *proto.Message {
+	push := func() *proto.Message {
 		return &proto.Message{
 			Kind:    proto.KindApplyUpdate,
 			Page:    uint32(page),
@@ -119,7 +118,15 @@ func (m *updateEngine) sequenceUpdate(p *sim.Proc, page PageNo, offset int, data
 			Args:    []uint32{uint32(offset)},
 			Data:    data,
 		}
-	})
+	}
+	err := m.copysetRound(p, targets, &m.stats.UpdatePushes, push)
+	if err == nil && writer != m.id && p.Now().Sub(arrived) > sim.Duration(m.cfg.Params.RequestTimeout) {
+		// The writer has been retransmitting its call (a lock wait or a
+		// round that waited out a dead target) and may have given up
+		// before the acknowledgement arrives. Applying the update a
+		// second time writes the same bytes, still under the page lock.
+		err = m.copysetRound(p, []HostID{writer}, &m.stats.UpdatePushes, push)
+	}
 	if err != nil {
 		return m.callFailed(err, "host %d pushing update for page %d", m.id, page)
 	}

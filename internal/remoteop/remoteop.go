@@ -791,11 +791,14 @@ func (e *Endpoint) Forward(p *sim.Proc, dst HostID, req *proto.Message) {
 // the same request to the stragglers individually.
 //
 // Unlike Call and CallQuorum it does not ask the failure detector: a
-// target declared dead is still sent to and waited for. The update
-// engine's push must outlast a partition whose victim was declared
-// dead; failing fast on that target instead makes the push fail with
-// "peer host is down", which the update engine cannot recover from
-// (the partition-availability experiment panics).
+// target declared dead is still sent to and waited for, so a round in
+// flight outlasts a partition whose victim, alive and holding a copy,
+// was declared dead. Failing fast on that target lets the caller send
+// its round again without the victim and complete writes the victim's
+// copy never sees: in the partition-availability experiment's 5 s cut,
+// mrsw then completes 48 writes instead of 0 and update 50 instead of
+// 0, which TestPartitionAvailability rejects. A caller that skips
+// declared-dead targets does so between rounds (dsm's copysetRound).
 func (e *Endpoint) CallMulticast(p *sim.Proc, targets []HostID, m *proto.Message) ([]*proto.Message, error) {
 	if len(targets) == 0 {
 		return nil, nil

@@ -292,12 +292,6 @@ type Counts struct {
 // Counts returns the work counters so far.
 func (k *Kernel) Counts() Counts { return k.counts }
 
-// Ordinal returns the number of events dispatched so far: the
-// execution's own order. It never runs backwards and advances with
-// every event, so it separates what virtual time lumps into one
-// instant.
-func (k *Kernel) Ordinal() uint64 { return k.counts.Events }
-
 // NewKernel creates a kernel whose random source is seeded with seed.
 // The same seed and the same program produce the same execution.
 func NewKernel(seed int64) *Kernel {
