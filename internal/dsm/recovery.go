@@ -48,15 +48,23 @@ func (m *Module) recoverAfterDeath(p *sim.Proc, dead HostID) {
 		if m.ep.Crashed() {
 			p.Exit()
 		}
-		ent := m.mgr[page]
-		ent.lock.P(p)
-		delete(ent.copyset, dead)
-		if !ent.lost && ent.owner == dead {
-			m.protoCPU.Use(p, m.jittered(m.cfg.Params.ManagerProcess.Of(m.arch.Kind)))
-			m.recoverPage(p, page, ent)
-		}
-		ent.lock.V()
-		m.checkpoint("host-death", page)
+		m.recoverEntry(p, page, dead)
+	}
+}
+
+// recoverEntry drops dead from one managed page's copyset under the
+// page's entry lock, and re-owns the page if dead owned it.
+func (m *Module) recoverEntry(p *sim.Proc, page PageNo, dead HostID) {
+	ent := m.mgr[page]
+	ent.lock.P(p)
+	// Deferred before the lock release so it runs after it (LIFO): the
+	// checker audits the entry the sweep leaves behind.
+	defer m.checkpoint("host-death", page)
+	defer ent.lock.V()
+	delete(ent.copyset, dead)
+	if !ent.lost && ent.owner == dead {
+		m.protoCPU.Use(p, m.jittered(m.cfg.Params.ManagerProcess.Of(m.arch.Kind)))
+		m.recoverPage(p, page, ent)
 	}
 }
 

@@ -287,7 +287,7 @@ func (m *Module) walkPages(addr Addr, n int, fn func(s span) error) error {
 func (m *Module) retryPause(p *sim.Proc, backoff sim.Duration) sim.Duration {
 	p.Sleep(backoff + sim.Duration(m.k.Rand().Int63n(int64(backoff/4)+1)))
 	m.exitIfCrashed(p)
-	if limit := sim.Duration(m.cfg.Params.BlockingRetryInterval); backoff < limit {
+	if limit := sim.Duration(m.cfg.Params.BlockingRetryInterval()); backoff < limit {
 		backoff = min(2*backoff, limit)
 	}
 	return backoff

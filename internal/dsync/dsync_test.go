@@ -516,8 +516,8 @@ func TestSyncTranscriptPinned(t *testing.T) {
 func TestSyncSurvivesPacketLoss(t *testing.T) {
 	r := newRig(t, 3)
 	r.net.SetFaultPlan(&netsim.FaultPlan{Loss: []netsim.Burst{{Rate: 0.3}}})
-	r.par.RequestTimeout = 50 * time.Millisecond
-	r.par.BlockingRetryInterval = 100 * time.Millisecond
+	r.par.RequestTimeout = 20 * time.Millisecond
+	r.par.MaxRetries = 5 // blocking calls retransmit every 100 ms
 	r.defineSem(1, 0, 0)
 	granted := 0
 	for i := 1; i < 3; i++ {

@@ -151,10 +151,6 @@ type Params struct {
 	RequestTimeout time.Duration
 	// MaxRetries bounds retransmissions before a call fails.
 	MaxRetries int
-	// BlockingRetryInterval is the retransmission period for calls that
-	// may legitimately block for a long time (P on a semaphore, event
-	// waits, barrier arrivals); these retry forever.
-	BlockingRetryInterval time.Duration
 
 	// --- Failure detection (crash-stop fault tolerance) ---
 
@@ -205,9 +201,8 @@ func Default() Params {
 		SyncProcess:     PerKind{Sun: 800 * time.Microsecond, Firefly: 1000 * time.Microsecond},
 		RemoteOpProcess: PerKind{Sun: 1500 * time.Microsecond, Firefly: 2000 * time.Microsecond},
 
-		RequestTimeout:        500 * time.Millisecond,
-		MaxRetries:            10,
-		BlockingRetryInterval: 5 * time.Second,
+		RequestTimeout: 500 * time.Millisecond,
+		MaxRetries:     10,
 
 		HeartbeatInterval: 250 * time.Millisecond,
 		SuspicionTimeout:  1 * time.Second,
@@ -215,6 +210,15 @@ func Default() Params {
 	p.CPUFactor.Sun = 1.31
 	p.CPUFactor.Firefly = 1.0
 	return p
+}
+
+// BlockingRetryInterval is the retransmission period for calls that
+// may legitimately block for a long time (P on a semaphore, event
+// waits, barrier arrivals), which retry forever, and the cap of the
+// DSM's retry backoff: as patient as one bounded call that spends all
+// its retries, MaxRetries × RequestTimeout (5 s by default).
+func (p *Params) BlockingRetryInterval() time.Duration {
+	return time.Duration(p.MaxRetries) * p.RequestTimeout
 }
 
 // Factor returns the CPU scaling factor for a machine kind.

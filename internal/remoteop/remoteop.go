@@ -669,7 +669,7 @@ func (e *Endpoint) Call(p *sim.Proc, dst HostID, m *proto.Message) (*proto.Messa
 // request absorption at the receiver makes the retransmissions
 // harmless.
 func (e *Endpoint) CallBlocking(p *sim.Proc, dst HostID, m *proto.Message) (*proto.Message, error) {
-	return e.call(p, dst, m, e.params.BlockingRetryInterval, -1)
+	return e.call(p, dst, m, e.params.BlockingRetryInterval(), -1)
 }
 
 // call is the unicast request loop behind Call and CallBlocking: send,

@@ -613,7 +613,8 @@ func TestCallBlockingWaitsThroughRetries(t *testing.T) {
 	// A reply that arrives long after several blocking-retry intervals
 	// must still complete the call exactly once.
 	r := newRig(t, arch.Sun, arch.Firefly)
-	r.par.BlockingRetryInterval = 50 * time.Millisecond
+	r.par.RequestTimeout = 10 * time.Millisecond
+	r.par.MaxRetries = 5 // blocking calls retransmit every 50 ms
 	var firstReq *proto.Message
 	r.eps[1].Handle(proto.KindSemOp, func(p *sim.Proc, req *proto.Message) {
 		if firstReq == nil {

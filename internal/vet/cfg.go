@@ -1,7 +1,8 @@
 package vet
 
-// Control-flow graph construction for the dataflow analyses (buf-own,
-// lock-pairing). The CFG is statement-granular: each basic block holds
+// Control-flow graph construction for the dataflow analysis, buf-own
+// (its one client: lock-pairing is lexical and lock-order walks source
+// order, because every hold is P then defer V). The CFG is statement-granular: each basic block holds
 // an ordered list of ast.Nodes — plain statements, plus bare condition
 // expressions for if/for/switch heads — and edges follow Go control
 // flow through if/else, for/range loops, switch/type-switch/select,
@@ -10,8 +11,8 @@ package vet
 // abstract state so deferred effects apply only on paths that actually
 // ran the defer. Calls that provably never return (panic, a method or
 // function named Exit, runtime unwinding) terminate their block without
-// an edge to the exit, so exit-time checks (leaked buffers, held locks)
-// do not fire on crash paths.
+// an edge to the exit, so exit-time checks (leaked buffers) do not fire
+// on crash paths.
 
 import (
 	"go/ast"
@@ -23,12 +24,6 @@ type cfgBlock struct {
 	id    int
 	nodes []ast.Node
 	succs []*cfgBlock
-	preds []*cfgBlock
-	// isExit marks the function's single synthetic exit block.
-	isExit bool
-	// fellOff marks the exit edge that comes from falling off the end of
-	// the function body (an implicit return).
-	fellOff bool
 }
 
 // funcCFG is the control-flow graph of one function body.
@@ -70,14 +65,12 @@ func buildCFG(body *ast.BlockStmt) *funcCFG {
 		gotos:  map[string][]*cfgBlock{},
 	}
 	b.g.exit = b.newBlock()
-	b.g.exit.isExit = true
 	b.g.entry = b.newBlock()
 	b.cur = b.g.entry
 	b.stmts(body.List)
 	if b.cur != nil {
 		// Control falls off the end: an implicit return.
 		b.cur.nodes = append(b.cur.nodes, returnMarker{pos: body.End()})
-		b.cur.fellOff = true
 		b.edge(b.cur, b.g.exit)
 	}
 	// Patch forward gotos.
@@ -101,7 +94,6 @@ func (b *cfgBuilder) newBlock() *cfgBlock {
 
 func (b *cfgBuilder) edge(from, to *cfgBlock) {
 	from.succs = append(from.succs, to)
-	to.preds = append(to.preds, from)
 }
 
 // startBlock finishes cur (if reachable) with an edge into a fresh

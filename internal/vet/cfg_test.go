@@ -1,212 +1,171 @@
 package vet
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
 
-// The CFG and dataflow engine are exercised end to end through the
-// lock-pairing analysis: each test shapes control flow (branches,
-// loops, switches, defers, crash paths) and checks where a held
-// semaphore is — and is not — reported.
-
-func lockFindings(fs []Finding) []Finding {
-	var out []Finding
-	for _, f := range fs {
-		if f.Rule == "lock-pairing" {
-			out = append(out, f)
-		}
+// The CFG and dataflow engine have one client, buf-own, and are
+// exercised end to end through it: each case shapes control flow
+// (branches, loops, switches, defers, crash paths, closures) around a
+// pooled buffer. A `// want` line must carry a leak finding, anchored
+// at its acquire, and a `// exit` line is the return its message names
+// — the path the CFG must have followed. Every other line stays clean.
+func TestCFGShapesThroughBufOwn(t *testing.T) {
+	cases := []struct{ name, src string }{
+		{"early-return", `
+func earlyReturn(err error) error {
+	buf := bufpool.Get(64) // want
+	if err != nil {
+		return err // exit
 	}
-	return out
+	bufpool.Put(buf)
+	return nil
+}`},
+		{"per-branch-release", `
+func perBranch(cond bool) int {
+	buf := bufpool.Get(64)
+	if cond {
+		bufpool.Put(buf)
+		return 1
+	}
+	bufpool.Put(buf)
+	return 0
 }
 
-const lockFixtureHeader = `
-package dsm
+func viaDefer(err error) error {
+	buf := bufpool.Get(64)
+	defer bufpool.Put(buf)
+	if err != nil {
+		return err
+	}
+	return nil
+}`},
+		{"switch-case", `
+func switchLeak(mode int) int {
+	buf := bufpool.Get(64) // want
+	switch mode {
+	case 0:
+		bufpool.Put(buf)
+		return 0
+	case 1:
+		return 1 // exit
+	default:
+		bufpool.Put(buf)
+		return 2
+	}
+}`},
+		{"balanced-loop", `
+func loopBalanced(n int) {
+	for i := 0; i < n; i++ {
+		buf := bufpool.Get(64)
+		bufpool.Put(buf)
+	}
+}
 
-type sema struct{}
+func loopWithContinue(xs []int) int {
+	total := 0
+	for _, x := range xs {
+		buf := bufpool.Get(64)
+		if x < 0 {
+			bufpool.Put(buf)
+			continue
+		}
+		total += x
+		bufpool.Put(buf)
+	}
+	return total
+}`},
+		{"break-while-held", `
+func breakHeld(xs []int) {
+	for _, x := range xs {
+		buf := bufpool.Get(64) // want
+		if x == 0 {
+			break // held past the loop to the implicit return
+		}
+		bufpool.Put(buf)
+	}
+} // exit`},
+		{"crash-paths", `
+func panics(err error) {
+	buf := bufpool.Get(64)
+	if err != nil {
+		panic("corrupt state") // no edge to the exit: nothing leaks
+	} else {
+		bufpool.Put(buf)
+	}
+}
 
-func (s *sema) P(x int) {}
-func (s *sema) V()      {}
+func exits(p *proc, dead bool) {
+	buf := bufpool.Get(64)
+	if dead {
+		p.Exit()
+	} else {
+		bufpool.Put(buf)
+	}
+}`},
+		{"closure-release", `
+func callback(after func(func())) {
+	buf := bufpool.Get(64)
+	after(func() {
+		bufpool.Put(buf)
+	})
+}`},
+		{"release-without-acquire", `
+func give(buf []byte) {
+	bufpool.Put(buf) // the caller's buffer: a release, not a leak
+}`},
+		{"two-buffers", `
+func two(err error) error {
+	a := bufpool.Get(64) // want
+	b := bufpool.Get(64)
+	if err != nil {
+		bufpool.Put(b)
+		return err // exit
+	}
+	bufpool.Put(a)
+	bufpool.Put(b)
+	return nil
+}`},
+	}
+	const header = `package dsm
+
+import "repro/internal/bufpool"
 
 type proc struct{}
 
 func (p *proc) Exit() {}
 `
-
-func TestLockHeldOnEarlyReturnFlagged(t *testing.T) {
-	fs := lockFindings(analyze(t, "fixture/dsm", map[string]string{"a.go": lockFixtureHeader + `
-func earlyReturn(l *sema, err error) error {
-	l.P(1)
-	if err != nil {
-		return err // l still held here
-	}
-	l.V()
-	return nil
-}
-`}))
-	if len(fs) != 1 || !strings.Contains(fs[0].Msg, "l.P acquired in earlyReturn") {
-		t.Fatalf("want the early-return leak, got %v", fs)
-	}
-}
-
-func TestLockReleasedPerBranchClean(t *testing.T) {
-	fs := lockFindings(analyze(t, "fixture/dsm", map[string]string{"a.go": lockFixtureHeader + `
-func perBranch(l *sema, cond bool) int {
-	l.P(1)
-	if cond {
-		l.V()
-		return 1
-	}
-	l.V()
-	return 0
-}
-
-func viaDefer(l *sema, err error) error {
-	l.P(1)
-	defer l.V()
-	if err != nil {
-		return err
-	}
-	return nil
-}
-`}))
-	if len(fs) != 0 {
-		t.Fatalf("balanced branches must be clean, got %v", fs)
-	}
-}
-
-func TestLockSwitchCaseMissingReleaseFlagged(t *testing.T) {
-	fs := lockFindings(analyze(t, "fixture/dsm", map[string]string{"a.go": lockFixtureHeader + `
-func switchLeak(l *sema, mode int) int {
-	l.P(1)
-	switch mode {
-	case 0:
-		l.V()
-		return 0
-	case 1:
-		return 1 // held
-	default:
-		l.V()
-		return 2
-	}
-}
-`}))
-	if len(fs) != 1 {
-		t.Fatalf("want exactly the case-1 leak, got %v", fs)
-	}
-}
-
-func TestLockLoopBalancedClean(t *testing.T) {
-	fs := lockFindings(analyze(t, "fixture/dsm", map[string]string{"a.go": lockFixtureHeader + `
-func loopBalanced(l *sema, n int) {
-	for i := 0; i < n; i++ {
-		l.P(1)
-		l.V()
-	}
-}
-
-func loopWithContinue(l *sema, xs []int) int {
-	total := 0
-	for _, x := range xs {
-		l.P(1)
-		if x < 0 {
-			l.V()
-			continue
-		}
-		total += x
-		l.V()
-	}
-	return total
-}
-`}))
-	if len(fs) != 0 {
-		t.Fatalf("balanced loops must be clean, got %v", fs)
-	}
-}
-
-func TestLockLoopBreakWhileHeldFlagged(t *testing.T) {
-	fs := lockFindings(analyze(t, "fixture/dsm", map[string]string{"a.go": lockFixtureHeader + `
-func breakHeld(l *sema, xs []int) {
-	for _, x := range xs {
-		l.P(1)
-		if x == 0 {
-			break // held past the loop to the return
-		}
-		l.V()
-	}
-}
-`}))
-	if len(fs) != 1 {
-		t.Fatalf("want the break-while-held leak, got %v", fs)
-	}
-}
-
-func TestLockCrashPathsExempt(t *testing.T) {
-	fs := lockFindings(analyze(t, "fixture/dsm", map[string]string{"a.go": lockFixtureHeader + `
-func panics(l *sema, err error) {
-	l.P(1)
-	if err != nil {
-		panic("corrupt state") // the process is gone, not deadlocked
-	}
-	l.V()
-}
-
-func exits(l *sema, p *proc, dead bool) {
-	l.P(1)
-	if dead {
-		p.Exit()
-	}
-	l.V()
-}
-`}))
-	if len(fs) != 0 {
-		t.Fatalf("crash paths must not count as leaks, got %v", fs)
-	}
-}
-
-func TestLockClosureReleaseExempt(t *testing.T) {
-	// A V issued from a nested function literal (completion callback)
-	// releases at a time the intraprocedural CFG cannot see; such
-	// receivers must not be reported.
-	fs := lockFindings(analyze(t, "fixture/dsm", map[string]string{"a.go": lockFixtureHeader + `
-func callback(l *sema, after func(func())) {
-	l.P(1)
-	after(func() {
-		l.V()
-	})
-}
-`}))
-	if len(fs) != 0 {
-		t.Fatalf("closure-released receivers must be exempt, got %v", fs)
-	}
-}
-
-func TestLockSignallingVWithoutPClean(t *testing.T) {
-	fs := lockFindings(analyze(t, "fixture/dsm", map[string]string{"a.go": lockFixtureHeader + `
-func signal(l *sema) {
-	l.V() // the producer half of a rendezvous: legal
-}
-`}))
-	if len(fs) != 0 {
-		t.Fatalf("V without P is signalling, not a leak: %v", fs)
-	}
-}
-
-func TestLockTwoReceiversTrackedIndependently(t *testing.T) {
-	fs := lockFindings(analyze(t, "fixture/dsm", map[string]string{"a.go": lockFixtureHeader + `
-func two(a, b *sema, err error) error {
-	a.P(1)
-	b.P(1)
-	if err != nil {
-		b.V()
-		return err // a still held
-	}
-	a.V()
-	b.V()
-	return nil
-}
-`}))
-	if len(fs) != 1 || !strings.Contains(fs[0].Msg, "a.P") {
-		t.Fatalf("want only the a leak, got %v", fs)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			src := header + tc.src + "\n"
+			want, exit := map[int]bool{}, 0
+			for i, line := range strings.Split(src, "\n") {
+				if strings.Contains(line, "// want") {
+					want[i+1] = true
+				}
+				if strings.Contains(line, "// exit") {
+					exit = i + 1
+				}
+			}
+			got := map[int]bool{}
+			for _, f := range analyze(t, "fixture/dsm", map[string]string{"a.go": src}) {
+				if f.Rule != "buf-own" {
+					continue
+				}
+				got[f.Pos.Line] = true
+				if !want[f.Pos.Line] {
+					t.Errorf("unexpected finding %v", f)
+				} else if onLine := fmt.Sprintf("return on line %d", exit); !strings.Contains(f.Msg, onLine) {
+					t.Errorf("finding %v does not name the %s", f, onLine)
+				}
+			}
+			for line := range want {
+				if !got[line] {
+					t.Errorf("line %d: leak not reported", line)
+				}
+			}
+		})
 	}
 }

@@ -1,7 +1,7 @@
 package vet
 
-// Forward dataflow over a funcCFG to a fixed point. Analyses implement
-// flowAnalysis: an abstract state type with join/equality, a transfer
+// Forward dataflow over a funcCFG to a fixed point, for buf-own, its
+// one client: an abstract state type with clone/join, a transfer
 // function applied node by node, and a reporting hook. The engine runs
 // twice conceptually: first it iterates transfer over the worklist until
 // the per-block in-states stop changing (joins are unions, so states

@@ -1,8 +1,8 @@
 package vet
 
 // lock-order: module-global deadlock analysis over the simulation's
-// blocking primitives. Per function, a CFG walk tracks the set of lock
-// classes that may be held at each program point and records three
+// blocking primitives. Per function, one source-order walk tracks the
+// set of lock classes held at each program point and records three
 // kinds of facts:
 //
 //   - acquires with the held-set at the acquire site (the classic
@@ -36,11 +36,12 @@ package vet
 // instance-insensitive, the standard deadlock-analysis abstraction.
 // `defer x.V()` keeps the class held to the end of the function (the
 // release happens at exit, so everything after the defer runs under
-// the lock) — the opposite of lock-pairing's model, which only cares
-// that an exit check sees the release. Resource.Use acquires and
-// releases within the callee, so it contributes an edge but no lasting
-// hold. Sites justified by design carry `vet:ignore lock-order` or
-// `vet:ignore lock-remote` and contribute no edges.
+// the lock); lock-pairing makes that the only way a hold is written in
+// the lock packages, which is why source order is enough.
+// Resource.Use acquires and releases within the callee, so it
+// contributes an edge but no lasting hold. Sites justified by design
+// carry `vet:ignore lock-order` or `vet:ignore lock-remote` and
+// contribute no edges.
 //
 // The analysis degrades to silence on package subsets: no facts, no
 // findings.
@@ -192,33 +193,6 @@ func collectHandlerRegs(pkg *Package, f *ast.File, facts *LockFacts) {
 	})
 }
 
-// lockOrderState is the may-held set along one path: class → the
-// acquire position that put it there.
-type lockOrderState struct {
-	held map[string]token.Pos
-}
-
-func (s *lockOrderState) clone() flowState {
-	c := &lockOrderState{held: make(map[string]token.Pos, len(s.held))}
-	for k, v := range s.held {
-		c.held[k] = v
-	}
-	return c
-}
-
-// join is set union: held on any incoming path means may-held.
-func (s *lockOrderState) join(other flowState) bool {
-	o := other.(*lockOrderState)
-	changed := false
-	for k, v := range o.held {
-		if _, ok := s.held[k]; !ok {
-			s.held[k] = v
-			changed = true
-		}
-	}
-	return changed
-}
-
 type lockCollector struct {
 	pkg     *Package
 	ignores map[int][]string
@@ -245,122 +219,89 @@ func (lc *lockCollector) ignored(pos token.Pos, rule string) bool {
 	return false
 }
 
-// collectFunc runs the held-set dataflow over one function and returns
-// its facts (nil when the function touches no locks and makes no
-// calls).
+// collectFunc walks one function body in source order and returns its
+// facts (nil when the function touches no locks and makes no calls).
+// In the lock-pairing packages every hold is `x.P` then `defer x.V()`,
+// a top-level statement of its body (lockpair.go), so it lasts from its
+// P to the end of the function: the held set at a call is the set of
+// acquires above it, and one pass finds it without a CFG. An explicit
+// release (Resource.Use's own, outside that scope) drops the class from
+// then on. Deferred calls run at exit and function literals at some
+// other time, under unknown holds; the walk skips both.
 func (lc *lockCollector) collectFunc(fd *ast.FuncDecl, fn *types.Func) *FuncLockFacts {
 	key := funcKey(fn)
 	ff := &FuncLockFacts{Key: key}
-	g := buildCFG(fd.Body)
+	held := map[string]bool{}
 	seenCall := map[string]bool{}
 
-	heldSnapshot := func(st *lockOrderState) []string {
-		if len(st.held) == 0 {
+	heldSnapshot := func() []string {
+		if len(held) == 0 {
 			return nil
 		}
-		out := make([]string, 0, len(st.held))
-		for k := range st.held {
+		out := make([]string, 0, len(held))
+		for k := range held {
 			out = append(out, k)
 		}
 		sort.Strings(out)
 		return out
 	}
 
-	apply := func(st *lockOrderState, n ast.Node, report bool) {
-		ast.Inspect(n, func(x ast.Node) bool {
-			if _, ok := x.(*ast.FuncLit); ok {
-				return false // runs at some other time, under unknown holds
-			}
-			call, ok := x.(*ast.CallExpr)
-			if !ok {
+	ast.Inspect(fd.Body, func(x ast.Node) bool {
+		switch x.(type) {
+		case *ast.FuncLit, *ast.DeferStmt:
+			return false
+		}
+		call, ok := x.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
+			name := sel.Sel.Name
+			switch {
+			case acquireNames[name], name == "Use":
+				// Resource.Use acquires and releases inside the callee: an
+				// ordering edge with no lasting hold.
+				if class := lc.lockClass(sel.X, key); class != "" {
+					ff.Acquires = append(ff.Acquires, LockAcquire{
+						Class:     class,
+						Held:      heldSnapshot(),
+						Pos:       lc.pkg.Fset.Position(call.Pos()),
+						Ignored:   lc.ignored(call.Pos(), "lock-order"),
+						Transient: name == "Use",
+					})
+					if name != "Use" {
+						held[class] = true
+					}
+				}
+				return true
+			case releaseNames[name]:
+				if class := lc.lockClass(sel.X, key); class != "" {
+					delete(held, class)
+				}
+				return true
+			case remoteCallNames[name] && lc.isEndpoint(sel):
+				ff.Remotes = append(ff.Remotes, LockRemote{
+					Kinds:   lc.callKinds(call, fd),
+					Held:    heldSnapshot(),
+					Pos:     lc.pkg.Fset.Position(call.Pos()),
+					Ignored: lc.ignored(call.Pos(), "lock-remote"),
+				})
 				return true
 			}
-			if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-				name := sel.Sel.Name
-				switch {
-				case acquireNames[name]:
-					if class := lc.lockClass(sel.X, key); class != "" {
-						if report {
-							ff.Acquires = append(ff.Acquires, LockAcquire{
-								Class:   class,
-								Held:    heldSnapshot(st),
-								Pos:     lc.pkg.Fset.Position(call.Pos()),
-								Ignored: lc.ignored(call.Pos(), "lock-order"),
-							})
-						}
-						st.held[class] = call.Pos()
-					}
-					return true
-				case releaseNames[name]:
-					if class := lc.lockClass(sel.X, key); class != "" {
-						delete(st.held, class)
-					}
-					return true
-				case name == "Use":
-					// Resource.Use: acquire+release inside the callee — an
-					// ordering edge with no lasting hold.
-					if class := lc.lockClass(sel.X, key); class != "" && report {
-						ff.Acquires = append(ff.Acquires, LockAcquire{
-							Class:     class,
-							Held:      heldSnapshot(st),
-							Pos:       lc.pkg.Fset.Position(call.Pos()),
-							Ignored:   lc.ignored(call.Pos(), "lock-order"),
-							Transient: true,
-						})
-					}
-					return true
-				case remoteCallNames[name] && lc.isEndpoint(sel):
-					if report {
-						ff.Remotes = append(ff.Remotes, LockRemote{
-							Kinds:   lc.callKinds(call, fd),
-							Held:    heldSnapshot(st),
-							Pos:     lc.pkg.Fset.Position(call.Pos()),
-							Ignored: lc.ignored(call.Pos(), "lock-remote"),
-						})
-					}
-					return true
-				}
-			}
-			if report {
-				callee := lc.calleeKey(call)
-				if callee != "" && callee != key {
-					held := heldSnapshot(st)
-					dk := callee + "|" + strings.Join(held, ",")
-					if !seenCall[dk] {
-						seenCall[dk] = true
-						ff.Calls = append(ff.Calls, LockCallEdge{
-							Callee: callee,
-							Held:   held,
-							Pos:    lc.pkg.Fset.Position(call.Pos()),
-						})
-					}
-				}
-			}
-			return true
-		})
-	}
-
-	transfer := func(fs flowState, blk *cfgBlock, idx int, report bool) {
-		st := fs.(*lockOrderState)
-		switch n := blk.nodes[idx].(type) {
-		case returnMarker:
-		case *ast.DeferStmt:
-			// `defer x.V()` releases at function exit, so the class stays
-			// held for the remainder of the body — record nothing and keep
-			// the hold. Other deferred calls are likewise opaque here.
-		case *ast.ReturnStmt:
-			for _, r := range n.Results {
-				apply(st, r, report)
-			}
-		case rangeHead:
-			apply(st, n.stmt.X, report)
-		case condAssume:
-		default:
-			apply(st, n.(ast.Node), report)
 		}
-	}
-
-	runFlow(g, &lockOrderState{held: map[string]token.Pos{}}, transfer)
+		if callee := lc.calleeKey(call); callee != "" && callee != key {
+			h := heldSnapshot()
+			if dk := callee + "|" + strings.Join(h, ","); !seenCall[dk] {
+				seenCall[dk] = true
+				ff.Calls = append(ff.Calls, LockCallEdge{
+					Callee: callee,
+					Held:   h,
+					Pos:    lc.pkg.Fset.Position(call.Pos()),
+				})
+			}
+		}
+		return true
+	})
 	if len(ff.Acquires) == 0 && len(ff.Calls) == 0 && len(ff.Remotes) == 0 {
 		return nil
 	}

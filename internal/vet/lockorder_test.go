@@ -1,7 +1,10 @@
 package vet
 
 import (
+	"go/ast"
+	"go/parser"
 	"go/token"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -136,5 +139,87 @@ func TestLockOrderSubsetSilence(t *testing.T) {
 	fs, g := CheckLockOrder([]*LockFacts{facts, nil})
 	if len(fs) != 0 || g.Classes != 0 || g.Edges != 0 {
 		t.Fatalf("subset run must be silent and empty, got %v %+v", fs, g)
+	}
+}
+
+// TestLockOrderHeldSetsInHoldShape collects facts from a fixture whose
+// holds are written P then defer V: each hold lasts from its P to the
+// end of the body, so the second acquire, the module call and the
+// Endpoint.Call after both P's all see both classes held. Deferred
+// calls and function literals contribute nothing.
+func TestLockOrderHeldSetsInHoldShape(t *testing.T) {
+	const src = `package dsm
+
+type sema struct{}
+
+func (s *sema) P(x int) {}
+func (s *sema) V()      {}
+
+type Message struct{ Kind int }
+
+const KindGetPage = 1
+
+type Endpoint struct{}
+
+func (e *Endpoint) Call(dst int, m *Message) (*Message, error) { return nil, nil }
+
+type entry struct{ lock sema }
+
+type Module struct {
+	ep      *Endpoint
+	fault   sema
+	entries map[int]*entry
+}
+
+func (m *Module) serve(page int) error {
+	ent := m.entries[page]
+	m.fault.P(1)
+	defer m.fault.V()
+	ent.lock.P(1)
+	defer m.audit(page)
+	defer ent.lock.V()
+	m.settle(page)
+	go func() { m.settle(page + 1) }()
+	_, err := m.ep.Call(0, &Message{Kind: KindGetPage})
+	return err
+}
+
+func (m *Module) settle(page int) {}
+func (m *Module) audit(page int)  {}
+`
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "a.go", src, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkg := NewPackage(fset, "fixture/dsm", []*ast.File{f}, nil)
+	facts := CollectLockFacts(pkg, &Config{LockOrderPackages: []string{"fixture/dsm"}})
+	var serve *FuncLockFacts
+	for _, ff := range facts.Funcs {
+		if bareName(ff.Key) == "serve" {
+			serve = ff
+		}
+	}
+	if serve == nil {
+		t.Fatalf("no facts for serve in %+v", facts.Funcs)
+	}
+	both := []string{"dsm.Module.fault", "dsm.entry.lock"}
+	type acq struct {
+		class string
+		held  []string
+	}
+	var acqs []acq
+	for _, a := range serve.Acquires {
+		acqs = append(acqs, acq{a.Class, a.Held})
+	}
+	if want := []acq{{"dsm.Module.fault", nil}, {"dsm.entry.lock", both[:1]}}; !reflect.DeepEqual(acqs, want) {
+		t.Errorf("acquires = %v, want %v", acqs, want)
+	}
+	if len(serve.Calls) != 1 || bareName(serve.Calls[0].Callee) != "settle" || !reflect.DeepEqual(serve.Calls[0].Held, both) {
+		t.Errorf("calls = %+v, want settle alone under %v", serve.Calls, both)
+	}
+	if len(serve.Remotes) != 1 || !reflect.DeepEqual(serve.Remotes[0].Kinds, []string{"KindGetPage"}) ||
+		!reflect.DeepEqual(serve.Remotes[0].Held, both) {
+		t.Errorf("remotes = %+v, want one KindGetPage call under %v", serve.Remotes, both)
 	}
 }

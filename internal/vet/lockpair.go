@@ -1,198 +1,110 @@
 package vet
 
-// lock-pairing: the CFG generalization of the old lexical pv-pairing
-// rule. Instead of asking "does an x.V(...) appear anywhere in the same
-// function as x.P(...)", it propagates a per-receiver hold count along
-// every control-flow path and reports any return (explicit or falling
-// off the end) reached with a semaphore still held. That catches the
-// early-error-return leak
+// lock-pairing: every semaphore hold is written in one shape,
 //
-//	l.P(p)
-//	if err != nil {
-//		return err // lock-pairing: l still held
-//	}
-//	l.V()
+//	x.P(p)
+//	defer m.checkpoint(...) // any other defers, run after the release
+//	defer x.V()
 //
-// which the lexical rule was blind to. `defer x.V()` releases on every
-// path from the defer onward and is modelled by decrementing the hold
-// count at the defer statement (the deferred call runs at function
-// exit, which is exactly where the count is checked). A V issued from
-// inside a nested function literal (a completion callback, a
-// goroutine) releases at a time the intraprocedural CFG cannot see, so
-// such receivers are exempted from exit checks rather than
-// false-positively reported. V without a preceding P — semaphore
-// signalling, the producer half of a rendezvous — is deliberately not
-// flagged.
+// a top-level statement of a function or function-literal body,
+// followed — after any other defers — by `defer x.V()` on the same
+// receiver. A hold then lasts from its P to the end of that body on
+// every path out of it (returns, panics, a process Exit), so pairing is
+// a lexical fact of the statement list and needs no control-flow
+// analysis. A loop that takes the lock once per iteration moves the
+// hold into a helper or a function literal. The rule accepts only this
+// shape, not every correct one: an explicit V, released per branch or
+// from a completion callback, is reported even when it balances,
+// because telling a balanced one from a leak takes a dataflow proof
+// over every path, and a hold in this shape needs none. V without a
+// P — semaphore signalling, the producer half of a rendezvous — is not
+// a hold and is not checked. Functions named P or V, the semaphore
+// implementations themselves, are exempt.
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 )
 
-// lockHold is the abstract fact for one receiver expression.
-type lockHold struct {
-	// balance counts P's not yet matched by a V on this path, clamped
-	// to [0, lockClampMax] so loops converge.
-	balance int
-	// pos is the most recent P site, where the finding is reported.
-	pos token.Pos
-}
-
-const lockClampMax = 3
-
-// lockState maps a receiver expression (its printed form) to its hold
-// fact.
-type lockState struct {
-	held map[string]lockHold
-}
-
-func (s *lockState) clone() flowState {
-	c := &lockState{held: make(map[string]lockHold, len(s.held))}
-	for k, v := range s.held {
-		c.held[k] = v
-	}
-	return c
-}
-
-// join takes the per-receiver maximum: held on any incoming path means
-// held. Monotone over a finite lattice, so iteration terminates.
-func (s *lockState) join(other flowState) bool {
-	o := other.(*lockState)
-	changed := false
-	for k, ov := range o.held {
-		cur, ok := s.held[k]
-		if !ok || ov.balance > cur.balance {
-			s.held[k] = ov
-			changed = true
-		}
-	}
-	return changed
-}
-
-// checkLockPairing runs the analysis over every function declaration in
-// the file. Functions named P or V — the semaphore implementations
-// themselves — are exempt.
+// checkLockPairing checks every function declaration and function
+// literal body in the file.
 func (c *checker) checkLockPairing(f *ast.File) {
 	for _, decl := range f.Decls {
 		fd, ok := decl.(*ast.FuncDecl)
-		if !ok || fd.Body == nil {
+		if !ok || fd.Body == nil || fd.Name.Name == "P" || fd.Name.Name == "V" {
 			continue
 		}
-		if fd.Name.Name == "P" || fd.Name.Name == "V" {
-			continue
-		}
-		c.lockPairFunc(fd)
+		where := fd.Name.Name
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
+			if lit, ok := n.(*ast.FuncLit); ok {
+				c.lockPairBody(lit.Body, "a function literal in "+where)
+			}
+			return true
+		})
+		c.lockPairBody(fd.Body, where)
 	}
 }
 
-func (c *checker) lockPairFunc(fd *ast.FuncDecl) {
-	// Receivers released inside nested function literals escape the
-	// intraprocedural view; exempt them from exit checks.
-	closureV := map[string]bool{}
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		lit, ok := n.(*ast.FuncLit)
+// lockPairBody checks one body's own statements; nested function
+// literals are checked as bodies of their own.
+func (c *checker) lockPairBody(body *ast.BlockStmt, where string) {
+	top := map[*ast.CallExpr]bool{}
+	for i, st := range body.List {
+		es, ok := st.(*ast.ExprStmt)
 		if !ok {
-			return true
+			continue
 		}
-		ast.Inspect(lit.Body, func(m ast.Node) bool {
-			if call, ok := m.(*ast.CallExpr); ok {
-				if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "V" {
-					closureV[types.ExprString(sel.X)] = true
-				}
-			}
-			return true
-		})
-		return false
-	})
-
-	g := buildCFG(fd.Body)
-	reported := map[string]bool{}
-
-	apply := func(st *lockState, n ast.Node) {
-		ast.Inspect(n, func(x ast.Node) bool {
-			if _, ok := x.(*ast.FuncLit); ok {
-				return false // opaque: runs at some other time
-			}
-			call, ok := x.(*ast.CallExpr)
+		call, _ := es.X.(*ast.CallExpr)
+		recv := semaOp(call, "P")
+		if recv == "" {
+			continue
+		}
+		top[call] = true
+		got := "" // the receiver of the first deferred V after the P
+		for _, next := range body.List[i+1:] {
+			d, ok := next.(*ast.DeferStmt)
 			if !ok {
-				return true
+				break
 			}
-			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok {
-				return true
+			if got = semaOp(d.Call, "V"); got != "" {
+				break
 			}
-			recv := types.ExprString(sel.X)
-			switch sel.Sel.Name {
-			case "P":
-				h := st.held[recv]
-				if h.balance < lockClampMax {
-					h.balance++
-				}
-				h.pos = call.Pos()
-				st.held[recv] = h
-			case "V":
-				h := st.held[recv]
-				if h.balance > 0 {
-					h.balance--
-					st.held[recv] = h
-				}
-			}
-			return true
-		})
-	}
-
-	atExit := func(st *lockState, report bool, where token.Pos) {
-		if !report {
-			return
 		}
-		for recv, h := range st.held {
-			if h.balance == 0 || closureV[recv] {
-				continue
-			}
-			key := recv + "@" + c.pkg.Fset.Position(h.pos).String()
-			if reported[key] {
-				continue
-			}
-			reported[key] = true
-			c.report(h.pos, "lock-pairing",
-				"%s.P acquired in %s but still held at the return on line %d; release it on every path (defer %s.V() right after the P, or V before the return)",
-				recv, fd.Name.Name, c.pkg.Fset.Position(where).Line, recv)
-		}
-	}
-
-	transfer := func(fs flowState, blk *cfgBlock, idx int, report bool) {
-		st := fs.(*lockState)
-		switch n := blk.nodes[idx].(type) {
-		case returnMarker:
-			atExit(st, report, n.Pos())
-		case *ast.ReturnStmt:
-			// Evaluate the return operands first (a `return release()`
-			// pattern), then check.
-			for _, r := range n.Results {
-				apply(st, r)
-			}
-			atExit(st, report, n.Pos())
-		case *ast.DeferStmt:
-			// `defer x.V()` releases at exit — exactly when the exit
-			// check runs — so model it as an immediate release.
-			if sel, ok := n.Call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "V" {
-				recv := types.ExprString(sel.X)
-				h := st.held[recv]
-				if h.balance > 0 {
-					h.balance--
-					st.held[recv] = h
-				}
-			}
-		case rangeHead:
-			apply(st, n.stmt.X)
-		case condAssume:
-			// Branch-polarity marker; the condition's calls were already
-			// applied in the branch head.
+		switch got {
+		case recv:
+		case "":
+			c.report(st.Pos(), "lock-pairing",
+				"%s.P acquired in %s is not followed by defer %s.V(); write the hold as %s.P then defer %s.V() (after any other defers) so it lasts to the end of the body on every path",
+				recv, where, recv, recv, recv)
 		default:
-			apply(st, n.(ast.Node))
+			c.report(st.Pos(), "lock-pairing",
+				"%s.P acquired in %s is followed by defer %s.V(), which releases another semaphore; pair the hold with defer %s.V()",
+				recv, where, got, recv)
 		}
 	}
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch x := n.(type) {
+		case *ast.FuncLit:
+			return false // a body of its own
+		case *ast.CallExpr:
+			if recv := semaOp(x, "P"); recv != "" && !top[x] {
+				c.report(x.Pos(), "lock-pairing",
+					"%s.P in %s is not a top-level statement of its body; move the hold into a helper or function literal written as %s.P then defer %s.V()",
+					recv, where, recv, recv)
+			}
+		}
+		return true
+	})
+}
 
-	runFlow(g, &lockState{held: map[string]lockHold{}}, transfer)
+// semaOp returns the receiver x of a call x.<name>(...), and "" for any
+// other call.
+func semaOp(call *ast.CallExpr, name string) string {
+	if call == nil {
+		return ""
+	}
+	if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == name {
+		return types.ExprString(sel.X)
+	}
+	return ""
 }

@@ -2,12 +2,18 @@
 // analyzer. It enforces invariants the general Go toolchain cannot
 // know about:
 //
-//   - lock-pairing: every semaphore acquisition (`x.P(...)`) in the
-//     DSM, synchronization and thread packages must be released on
-//     every control-flow path out of the function (directly, or via
-//     `defer x.V()`) — the simulation deadlocks silently otherwise.
-//     This is the CFG generalization of the original lexical
-//     pv-pairing rule; see lockpair.go.
+//   - lock-pairing: in the DSM, synchronization and thread packages
+//     every semaphore hold is written one way — `x.P(...)` as a
+//     top-level statement of a function or function-literal body,
+//     followed (after any other defers) by `defer x.V()` — so it is
+//     released on every path out of the body, panics and process exits
+//     included; the simulation deadlocks silently otherwise. The rule
+//     is lexical and accepts only that shape, not every balanced one:
+//     shapes an explicit V balances per branch are reported, because
+//     accepting them takes a dataflow proof over every path. With
+//     every hold lasting from its P to the end of its body, lock-order
+//     finds the held set at each call in one source-order walk, with
+//     no CFG either. See lockpair.go.
 //   - buf-own: flow-sensitive ownership checking for pooled buffers —
 //     double-Put, use-after-Put, leaks on early error returns, and
 //     borrowed wire data escaping without TakeWire; see bufown.go.
@@ -81,7 +87,7 @@ import (
 type Finding struct {
 	// Pos locates the violation.
 	Pos token.Position
-	// Rule names the rule that fired (pv-pairing, time, rand,
+	// Rule names the rule that fired (lock-pairing, time, rand,
 	// map-order, chan-send, select-default, page-buffer, enum-switch).
 	Rule string
 	// Msg explains the violation.
@@ -102,7 +108,7 @@ func SortFindings(fs []Finding) {
 
 // Config scopes the rules to package import paths.
 type Config struct {
-	// PVPackages lists packages subject to the pv-pairing rule.
+	// PVPackages lists packages subject to the lock-pairing rule.
 	PVPackages []string
 	// DeterminismPackages lists packages subject to the time, rand,
 	// map-order, chan-send and select-default rules.

@@ -91,9 +91,13 @@ func (m *mod) twoLocks(a, b *sema, x int) {
 	b.V()
 }
 `})
-	wantRule(t, fs, "lock-pairing", "m.lock.P")
-	if len(fs) != 1 {
-		t.Fatalf("want exactly the one leak, got %v", fs)
+	// twoLocks balances both semaphores only through an explicit V: a
+	// is not followed by its deferred release, and b's is a's.
+	wantRule(t, fs, "lock-pairing", "m.lock.P acquired in leaky")
+	wantRule(t, fs, "lock-pairing", "a.P acquired in twoLocks is not followed by defer a.V()")
+	wantRule(t, fs, "lock-pairing", "b.P acquired in twoLocks is followed by defer a.V()")
+	if len(fs) != 3 {
+		t.Fatalf("want exactly the leak and twoLocks' two holds, got %v", fs)
 	}
 }
 
