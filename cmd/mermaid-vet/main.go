@@ -8,18 +8,13 @@
 // library only, no network, no third-party analysis frameworks — and
 // exits non-zero if any rule fires.
 //
-// The run is three-phased. Phase A parses and type-checks all target
+// The run is two-phased. Phase A parses and type-checks all target
 // packages in parallel (each worker owns a FileSet and gc importer;
-// neither is safe to share). Phase B walks the targets in
-// import-topological order, computing interprocedural function
-// summaries into one shared table — callees before callers, so
-// cross-package call sites see real effect signatures instead of
-// conservative defaults. Phase C runs the per-package rules in
-// parallel against the shared table (per-package summarization is a
-// cache hit by then) and collects each package's lock facts, which
-// the lock-order analysis joins after the fan-in. With -json the findings, coverage statistics, per-analysis
-// timings, and summary-cache statistics are printed as a single JSON
-// object. See internal/vet for the rules.
+// neither is safe to share). Phase B runs the per-package rules in
+// parallel and collects each package's lock facts, which the
+// lock-order analysis joins after the fan-in. With -json the findings,
+// coverage statistics and per-analysis timings are printed as a single
+// JSON object. See internal/vet for the rules.
 package main
 
 import (
@@ -52,7 +47,6 @@ type listedPackage struct {
 	Name       string
 	Export     string
 	GoFiles    []string
-	Imports    []string
 	Standard   bool
 }
 
@@ -60,17 +54,11 @@ type listedPackage struct {
 type report struct {
 	Findings []vet.Finding `json:"findings"`
 	Stats    struct {
-		Packages       int   `json:"packages"`
-		Funcs          int   `json:"funcs_analyzed"`
-		Blocks         int   `json:"cfg_blocks"`
-		Suppressed     int   `json:"suppressed"`
-		Summarized     int   `json:"funcs_summarized"`
-		SummaryEntries int   `json:"summary_entries"`
-		SummaryLookups int   `json:"summary_lookups"`
-		SummaryHits    int   `json:"summary_hits"`
-		LockClasses    int   `json:"lock_classes"`
-		LockEdges      int   `json:"lock_edges"`
-		ElapsedMS      int64 `json:"elapsed_ms"`
+		Packages    int   `json:"packages"`
+		Suppressed  int   `json:"suppressed"`
+		LockClasses int   `json:"lock_classes"`
+		LockEdges   int   `json:"lock_edges"`
+		ElapsedMS   int64 `json:"elapsed_ms"`
 	} `json:"stats"`
 	TimingsMS map[string]float64 `json:"timings_ms"`
 	ByRule    map[string]int     `json:"findings_by_rule"`
@@ -83,7 +71,7 @@ func main() {
 	}
 }
 
-// pkgResult is one worker's phase-C output for one package.
+// pkgResult is one worker's phase-B output for one package.
 type pkgResult struct {
 	findings  []vet.Finding
 	stats     vet.Stats
@@ -132,8 +120,8 @@ func run(args []string) error {
 	// Phase A: parse and type-check every target in parallel. The
 	// exports map is read-only from here on; each worker builds its own
 	// FileSet and gc importer, which are not safe to share. The
-	// resulting vet.Package carries its worker's FileSet, so later
-	// phases can use it from any goroutine.
+	// resulting vet.Package carries its worker's FileSet, so phase B
+	// can use it from any goroutine.
 	loaded := make([]*vet.Package, len(targets))
 	errs := make([]error, len(targets))
 	fanOut(len(targets), func(worker int, indexes <-chan int) {
@@ -155,30 +143,14 @@ func run(args []string) error {
 		}
 	}
 
-	// Phase B: summarize in import-topological order into one shared
-	// table, so every cross-package call site in phase C finds its
-	// callee's inferred effects. Sequential by design — each package's
-	// summaries depend on its imports' being complete.
-	tbl := vet.NewSummaryTable()
-	summarizeStart := time.Now()
-	summarized := 0
-	for _, i := range topoOrder(targets) {
-		if loaded[i] != nil {
-			summarized += vet.ComputeSummaries(loaded[i], cfg, tbl)
-		}
-	}
-	summarizeMS := float64(time.Since(summarizeStart).Nanoseconds()) / 1e6
-
-	// Phase C: run the per-package rules in parallel. With the shared
-	// table pre-populated, each package's own summarization pass is a
-	// cache hit.
+	// Phase B: run the per-package rules in parallel.
 	results := make([]pkgResult, len(targets))
 	fanOut(len(targets), func(worker int, indexes <-chan int) {
 		for i := range indexes {
 			if loaded[i] == nil {
 				continue
 			}
-			findings, stats := vet.CheckWithTable(loaded[i], cfg, tbl)
+			findings, stats := vet.CheckWithStats(loaded[i], cfg)
 			results[i] = pkgResult{
 				findings:  findings,
 				stats:     stats,
@@ -213,15 +185,9 @@ func run(args []string) error {
 		for rule, ns := range stats.RuleNanos {
 			rep.TimingsMS[rule] += float64(ns) / 1e6
 		}
-		rep.TimingsMS["summaries-shared"] = summarizeMS
 		rep.TimingsMS["lock-order-join"] = lockMS
 		rep.Stats.Packages = len(targets)
-		rep.Stats.Funcs = stats.Funcs
-		rep.Stats.Blocks = stats.Blocks
 		rep.Stats.Suppressed = stats.Suppressed
-		rep.Stats.Summarized = summarized + stats.Summarized
-		rep.Stats.SummaryEntries = tbl.Size()
-		rep.Stats.SummaryLookups, rep.Stats.SummaryHits = tbl.CacheStats()
 		rep.Stats.LockClasses = lockGraph.Classes
 		rep.Stats.LockEdges = lockGraph.Edges
 		rep.Stats.ElapsedMS = elapsed.Milliseconds()
@@ -267,35 +233,6 @@ func fanOut(n int, worker func(worker int, indexes <-chan int)) {
 	}
 	close(work)
 	wg.Wait()
-}
-
-// topoOrder returns target indexes in import-topological order:
-// every target after all targets it imports.
-func topoOrder(targets []*listedPackage) []int {
-	index := map[string]int{}
-	for i, t := range targets {
-		index[t.ImportPath] = i
-	}
-	order := make([]int, 0, len(targets))
-	state := make([]int, len(targets)) // 0 unvisited, 1 visiting, 2 done
-	var visit func(i int)
-	visit = func(i int) {
-		if state[i] != 0 {
-			return // a cycle cannot occur (Go forbids import cycles)
-		}
-		state[i] = 1
-		for _, imp := range targets[i].Imports {
-			if j, ok := index[imp]; ok {
-				visit(j)
-			}
-		}
-		state[i] = 2
-		order = append(order, i)
-	}
-	for i := range targets {
-		visit(i)
-	}
-	return order
 }
 
 // loadPackage parses and type-checks one package.

@@ -69,6 +69,7 @@ func (m *centralEngine) centralSwap(p *sim.Proc, addr Addr, v int32) (int32, err
 	}
 	m.stats.RemoteWrites++
 	buf := bufpool.Get(4)
+	defer bufpool.Put(buf)
 	m.arch.Order.Binary().PutUint32(buf, uint32(v))
 	resp, err := m.ep.Call(p, server, &proto.Message{
 		Kind: proto.KindRemoteWrite,
@@ -76,7 +77,6 @@ func (m *centralEngine) centralSwap(p *sim.Proc, addr Addr, v int32) (int32, err
 		Args: []uint32{uint32(offset), remoteOpSwap},
 		Data: buf,
 	})
-	bufpool.Put(buf)
 	if err != nil {
 		return 0, m.hostFailed(err, server, "central swap page %d", page)
 	}

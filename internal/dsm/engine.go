@@ -218,13 +218,13 @@ func (e *centralEngine) writeRegion(p *sim.Proc, addr Addr, n int, fill func(seg
 		// Pooled staging: centralWrite blocks until the server has
 		// acknowledged and recordSC copies what it keeps.
 		seg := bufpool.Get(s.n)
+		defer bufpool.Put(seg)
 		t0 := e.traceClock()
 		fill(seg, s.off)
 		err := e.centralWrite(p, s.page, s.lo, seg)
 		if err == nil {
 			e.recordSC(p, sctrace.Write, t0, s.addr, seg)
 		}
-		bufpool.Put(seg)
 		return err
 	})
 }
@@ -261,12 +261,12 @@ func (e *updateEngine) writeRegion(p *sim.Proc, addr Addr, n int, fill func(seg 
 		// Pooled staging: sequenceWrite blocks until the update is
 		// distributed and recordSC copies what it keeps.
 		seg := bufpool.Get(s.n)
+		defer bufpool.Put(seg)
 		fill(seg, s.off)
 		err := e.sequenceWrite(p, s.page, s.lo, seg)
 		if err == nil {
 			e.recordSC(p, sctrace.Write, t0, s.addr, seg)
 		}
-		bufpool.Put(seg)
 		return err
 	})
 }

@@ -498,6 +498,24 @@ func (m *Module) sendInvalidations(p *sim.Proc, page PageNo, targets []HostID) e
 	return nil
 }
 
+// multicastBitmap sends req to targets named in a host bitmap payload.
+// It is still one physical broadcast (one frame per network segment
+// touched) instead of a per-member unicast storm: the multicast-tree
+// path that makes 1024-host copysets affordable. Pooled staging:
+// CallMulticast re-encodes from Data on every retransmission but is
+// done with it once acknowledged.
+func (m *Module) multicastBitmap(p *sim.Proc, targets []HostID, req *proto.Message) error {
+	bitmap := bufpool.Get((len(m.hosts) + 7) / 8)
+	defer bufpool.Put(bitmap)
+	clear(bitmap)
+	for _, h := range targets {
+		bitmap[int(h)/8] |= 1 << (uint(h) % 8)
+	}
+	req.Data = bitmap
+	_, err := m.ep.CallMulticast(p, targets, req)
+	return err
+}
+
 // copysetRound sends the request mk builds to every target and collects
 // every acknowledgement: the write-invalidate round and the write-update
 // push are this one round. By default one physical broadcast frame
@@ -537,20 +555,7 @@ func (m *Module) copysetRound(p *sim.Proc, targets []HostID, sent *int, mk func(
 			}
 			_, err = m.ep.CallMulticast(p, targets, req)
 		default:
-			// Still one physical broadcast (one frame per network
-			// segment touched) instead of a per-member unicast storm:
-			// the multicast-tree path that makes 1024-host copysets
-			// affordable. Pooled staging: CallMulticast re-encodes from
-			// Data on every retransmission but is done with it once
-			// acknowledged.
-			bitmap := bufpool.Get((len(m.hosts) + 7) / 8)
-			clear(bitmap)
-			for _, h := range targets {
-				bitmap[int(h)/8] |= 1 << (uint(h) % 8)
-			}
-			req.Data = bitmap
-			_, err = m.ep.CallMulticast(p, targets, req)
-			bufpool.Put(bitmap)
+			err = m.multicastBitmap(p, targets, req)
 		}
 		if err == nil || m.liveness == nil || !slices.ContainsFunc(targets, m.liveness.Dead) {
 			return err
@@ -622,9 +627,11 @@ func (m *Module) serveCopy(p *sim.Proc, page PageNo, write bool, requester HostI
 	}
 	m.protoCPU.Use(p, m.jittered(m.cfg.Params.OwnerProcess.Of(m.arch.Kind)))
 	// Staged in a pooled buffer: deliver blocks until the requester has
-	// acknowledged (every retransmission re-encodes from it), so it can
-	// be recycled as soon as deliver returns.
-	data := m.servedPrefix(page, lp.data, bufpool.Get)
+	// acknowledged (every retransmission re-encodes from it), so it is
+	// recycled when serveCopy returns.
+	data := bufpool.Get(m.meta[page].used)
+	defer bufpool.Put(data)
+	copy(data, lp.data[:len(data)])
 	prev := lp.access
 	switch {
 	case m.cfg.Mutation == MutDoubleWriterGrant:
@@ -641,7 +648,6 @@ func (m *Module) serveCopy(p *sim.Proc, page PageNo, write bool, requester HostI
 		Args: []uint32{flagData, origReqID},
 		Data: data,
 	})
-	bufpool.Put(data)
 	if err != nil {
 		if write && m.cfg.Mutation != MutDoubleWriterGrant && m.deadHost(requester) {
 			// A failed WRITE delivery to a requester now declared dead is

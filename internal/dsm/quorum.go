@@ -275,8 +275,10 @@ func (m *quorumEngine) quorumWritePage(p *sim.Proc, page PageNo, lo, n int, muta
 	qp.unshare(0)
 	base := qp.tag
 	mutate(qp)
-	diff := m.writeDiff(page, qp.data, lo, n)
+	d := m.writeDiff(page, qp.data, lo, n)
+	diff := bufpool.Get(d.EncodedSize())
 	defer bufpool.Put(diff)
+	d.EncodeTo(diff)
 	qp.setVersion(quorumTag{ts: base.ts + 1, host: m.id}, base, diff)
 	if !splitBrain {
 		if err := m.quorumPushDiff(p, page, qp, base, diff); err != nil {
@@ -288,21 +290,18 @@ func (m *quorumEngine) quorumWritePage(p *sim.Proc, page PageNo, lo, n int, muta
 	return nil
 }
 
-// writeDiff encodes, into a pooled wire buffer, the typed diff a write
-// of image's bytes [lo, lo+n) made: one run of the written span,
-// rounded out to whole elements of the page's type.
-func (m *quorumEngine) writeDiff(page PageNo, image []byte, lo, n int) []byte {
+// writeDiff is the typed diff a write of image's bytes [lo, lo+n)
+// made: one run of the written span, rounded out to whole elements of
+// the page's type. Its Data aliases image.
+func (m *quorumEngine) writeDiff(page PageNo, image []byte, lo, n int) conv.Diff {
 	mt := m.meta[page]
 	sz := m.cfg.Registry.MustGet(mt.typeID).Size
 	e0, e1 := lo/sz, (lo+n+sz-1)/sz
-	d := conv.Diff{
+	return conv.Diff{
 		Type: mt.typeID,
 		Runs: []conv.DiffRun{{Elem: uint32(e0), Count: uint32(e1 - e0)}},
 		Data: image[e0*sz : e1*sz],
 	}
-	buf := bufpool.Get(d.EncodedSize())
-	d.EncodeTo(buf)
-	return buf
 }
 
 // quorumCollect runs phase 1 of an SC-ABD operation: query replicas
@@ -450,11 +449,12 @@ func (m *quorumEngine) quorumPush(p *sim.Proc, page PageNo, qp *quorumPage) erro
 	}
 	m.stats.QuorumImagePushes++
 	args := []uint32{qp.tag.ts, uint32(qp.tag.host)}
-	data := m.servedPrefix(page, qp.data, bufpool.Get)
+	data := bufpool.Get(m.meta[page].used)
+	defer bufpool.Put(data)
+	copy(data, qp.data[:len(data)])
 	_, err := m.quorumFanout(p, page, maj-1, func(dst HostID) *proto.Message {
 		return &proto.Message{Kind: proto.KindQuorumWrite, Page: uint32(page), Args: args, Data: data}
 	})
-	bufpool.Put(data)
 	return err
 }
 

@@ -351,8 +351,9 @@ func (m *rcEngine) rcPushDiff(p *sim.Proc, pg PageNo, d *conv.Diff) (uint32, err
 	}
 	// Staged in a pooled buffer; Call blocks until the home has
 	// acknowledged (retransmissions re-encode from it), so it recycles
-	// as soon as Call returns.
+	// when rcPushDiff returns.
 	wire := bufpool.Get(d.EncodedSize())
+	defer bufpool.Put(wire)
 	d.EncodeTo(wire)
 	resp, err := m.ep.Call(p, home, &proto.Message{
 		Kind: proto.KindRCDiff,
@@ -360,7 +361,6 @@ func (m *rcEngine) rcPushDiff(p *sim.Proc, pg PageNo, d *conv.Diff) (uint32, err
 		Args: []uint32{uint32(m.id), m.rc.vt[m.id] + 1},
 		Data: wire,
 	})
-	bufpool.Put(wire)
 	if err != nil {
 		return 0, m.callFailed(err, "host %d pushing page %d diff to home %d", m.id, pg, home)
 	}
@@ -458,20 +458,27 @@ func (m *rcEngine) rcCatchUp(p *sim.Proc, pg PageNo, tail []byte) bool {
 			continue // a concurrent catch-up or pull on this host got here first
 		}
 		if c.writer != m.id {
-			body := c.rec[rcCarryHdr:]
-			buf := bufpool.Get(len(body)) // the payload may be the manager's own: convert a copy
-			copy(buf, body)
-			d := m.receiveDiff(p, pg, buf, c.src, true)
-			if c.ver > rc.applied[pg] { // the conversion yielded
-				m.rcApplyDiff(pg, &d)
-				m.stats.RCGrantDiffs++
-			}
-			bufpool.Put(buf)
+			m.rcApplyCarried(p, pg, c)
 		}
 		rc.applied[pg] = max(rc.applied[pg], c.ver)
 	}
 	m.trace("rc-grant-diffs", pg)
 	return true
+}
+
+// rcApplyCarried converts one carried diff of page pg, which another
+// host wrote, and applies it unless a concurrent catch-up or pull got
+// past its version while the conversion yielded.
+func (m *rcEngine) rcApplyCarried(p *sim.Proc, pg PageNo, c *rcCarried) {
+	body := c.rec[rcCarryHdr:]
+	buf := bufpool.Get(len(body)) // the payload may be the manager's own: convert a copy
+	defer bufpool.Put(buf)
+	copy(buf, body)
+	d := m.receiveDiff(p, pg, buf, c.src, true)
+	if c.ver > m.rc.applied[pg] {
+		m.rcApplyDiff(pg, &d)
+		m.stats.RCGrantDiffs++
+	}
 }
 
 // rcPull brings this host's copy of one resident page up to the home's
@@ -597,7 +604,7 @@ func (m *rcEngine) handleRCFetch(p *sim.Proc, req *proto.Message) {
 		Kind: proto.KindRCFetchReply,
 		Page: req.Page,
 		Args: []uint32{hm.version},
-		Data: m.servedPrefix(pg, m.localPageFor(pg).data, freshBuf),
+		Data: m.servedPrefix(pg, m.localPageFor(pg).data),
 	})
 	m.stats.PagesServed++
 	m.trace("serve", pg)
@@ -654,7 +661,7 @@ func (m *rcEngine) handleRCPull(p *sim.Proc, req *proto.Message) {
 			Kind: proto.KindRCPullReply,
 			Page: req.Page,
 			Args: []uint32{hm.version, 0, rcPullWhole},
-			Data: m.servedPrefix(pg, m.localPageFor(pg).data, freshBuf),
+			Data: m.servedPrefix(pg, m.localPageFor(pg).data),
 		})
 		m.stats.PagesServed++
 		m.trace("serve", pg)
@@ -908,6 +915,7 @@ func (m *rcEngine) Grant(prim uint64, to HostID) []byte {
 	}
 	size := a.size()
 	scratch := bufpool.Get(size)
+	defer bufpool.Put(scratch)
 	out := a.appendHead(scratch[:0])
 	room := m.rcRoom(len(out))
 	rec := m.rc.shipped[to]
@@ -947,7 +955,6 @@ func (m *rcEngine) Grant(prim uint64, to HostID) []byte {
 	m.rc.shipped[to] = rec
 	cut := freshBuf(len(out)) // exactly sized: the reply cache keeps it
 	copy(cut, out)
-	bufpool.Put(scratch)
 	if len(cut) == size && a.enc == nil {
 		a.enc = cut // it carries every record: the whole accumulation
 	}

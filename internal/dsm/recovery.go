@@ -250,6 +250,6 @@ func (m *Module) handleRecoverPage(p *sim.Proc, req *proto.Message) {
 		Kind: proto.KindRecoverPageReply,
 		Page: req.Page,
 		Args: []uint32{1, uint32(lp.access)},
-		Data: m.servedPrefix(page, lp.data, freshBuf),
+		Data: m.servedPrefix(page, lp.data),
 	})
 }

@@ -173,10 +173,10 @@ func (m *Module) twinDiff(page PageNo, twin, cur []byte) conv.Diff {
 // resident page it overwrites.
 func (m *Module) storeRun(p *sim.Proc, page PageNo, dst, data []byte, src arch.Kind) {
 	buf := bufpool.Get(len(data))
+	defer bufpool.Put(buf)
 	copy(buf, data)
 	m.convertIn(p, page, buf, src)
 	copy(dst, buf)
-	bufpool.Put(buf)
 }
 
 // freshBuf allocates a buffer that outlives its sender: a reply body is
@@ -190,13 +190,13 @@ func freshBuf(n int) []byte {
 	return make([]byte, n) // vet:ignore hot-alloc — retained by the dedup reply cache
 }
 
-// servedPrefix snapshots what a transfer of page carries: the allocated
-// prefix of image (nothing for a never-allocated page), in this host's
-// representation. alloc is bufpool.Get where the sender blocks until
-// the receiver has acknowledged and then recycles the buffer, freshBuf
-// where the bytes ride a reply.
-func (m *Module) servedPrefix(page PageNo, image []byte, alloc func(int) []byte) []byte {
-	data := alloc(m.meta[page].used)
+// servedPrefix snapshots what a transfer of page carries into a fresh
+// buffer, for a reply: the allocated prefix of image (nothing for a
+// never-allocated page), in this host's representation. A sender that
+// blocks until the receiver has acknowledged stages the same bytes in a
+// body-owned pooled buffer instead.
+func (m *Module) servedPrefix(page PageNo, image []byte) []byte {
+	data := freshBuf(m.meta[page].used)
 	copy(data, image[:len(data)])
 	return data
 }

@@ -381,18 +381,19 @@ func (s *Service) do(p *sim.Proc, o op, id uint32) error {
 		return nil
 	}
 	err = s.acquired(p, resp.Data)
-	if buf := resp.TakeWire(); buf != nil {
-		bufpool.Put(buf)
-	}
+	bufpool.Put(resp.TakeWire())
 	return err
 }
 
 // handle serves the three request kinds at the manager. It drops a
-// retransmission of a request already queued, hands the payload to the
-// model, recycles the wire buffer and applies the operation, then
-// answers — an acquiring operation with what its grant carries — or
-// queues the request for a later grant.
+// malformed request, one for a primitive it does not manage and a
+// retransmission of a request already queued; otherwise it hands the
+// payload to the model and applies the operation, then answers — an
+// acquiring operation with what its grant carries — or queues the
+// request for a later grant. The request's wire buffer goes back to the
+// pool when handle returns, on every path.
 func (s *Service) handle(p *sim.Proc, req *proto.Message) {
+	defer bufpool.Put(req.TakeWire())
 	if s.ep.Crashed() {
 		p.Exit()
 	}
@@ -407,9 +408,6 @@ func (s *Service) handle(p *sim.Proc, req *proto.Message) {
 		return // undefined here (the requester is misconfigured and times out), or a retransmission
 	}
 	s.released(pr, req.Data)
-	if buf := req.TakeWire(); buf != nil {
-		bufpool.Put(buf)
-	}
 	if !s.apply(p, o, pr) {
 		pr.waiters = append(pr.waiters, grantee{req: req})
 		return

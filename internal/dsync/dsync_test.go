@@ -315,6 +315,51 @@ func TestOverlappingEventSetsReleaseEveryWaiter(t *testing.T) {
 	}
 }
 
+// TestHandleReleasesRequestWire drives the manager's request handler
+// down each path that drops a request unserved: a malformed operation,
+// a primitive this host does not define or does not manage, and a
+// retransmission of a request already queued. Each must still hand the
+// request's wire buffer back to the pool rather than leave it on the
+// message for the garbage collector.
+func TestHandleReleasesRequestWire(t *testing.T) {
+	cases := []struct {
+		name string
+		args []uint32
+		pre  int // requests with the same From and ReqID handled first
+	}{
+		{"malformed", []uint32{1, 9}, 0},
+		{"undefined", []uint32{42, 1}, 0},
+		{"not-manager", []uint32{2, 1}, 0},
+		{"queued-retransmission", []uint32{1, 1}, 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newRig(t, 2)
+			r.defineSem(1, 0, 0) // P blocks: the first request queues
+			r.defineSem(2, 1, 1)
+			req := func() *proto.Message {
+				m := &proto.Message{Kind: proto.KindSemOp, From: 1, ReqID: 7, Args: tc.args}
+				m.SetWire(make([]byte, 64))
+				return m
+			}
+			last := req()
+			r.k.Spawn("manager", func(p *sim.Proc) {
+				for i := 0; i < tc.pre; i++ {
+					r.svcs[0].handle(p, req())
+				}
+				r.svcs[0].handle(p, last)
+			})
+			r.k.Run()
+			if n := len(r.svcs[0].prims[semaphore][1].waiters); n != tc.pre {
+				t.Fatalf("%d requests queued, want %d", n, tc.pre)
+			}
+			if w := last.TakeWire(); w != nil {
+				t.Fatalf("handle returned with the request's wire buffer still on the message")
+			}
+		})
+	}
+}
+
 func TestUndefinedPrimitivePanics(t *testing.T) {
 	cases := []struct {
 		name string

@@ -287,11 +287,17 @@ type Message struct {
 
 // SetWire records the underlying wire buffer that Data aliases, for
 // later release via TakeWire. The message does not use it otherwise.
+// The message owns the buffer from here on: it goes in straight from
+// the pool, `m.SetWire(bufpool.Get(n))`, never through a local its
+// body also releases.
 func (m *Message) SetWire(buf []byte) { m.wire = buf }
 
 // TakeWire detaches and returns the recorded wire buffer (nil if none).
-// After TakeWire the caller owns the buffer; Data must no longer be
-// used if it aliased it.
+// The one release idiom takes and releases in one statement,
+// `bufpool.Put(m.TakeWire())` (Put ignores nil), legal on any path;
+// `defer bufpool.Put(m.TakeWire())` detaches at once and keeps Data
+// readable until the body returns. Data must no longer be used once
+// the buffer is back in the pool if it aliased it.
 func (m *Message) TakeWire() []byte {
 	w := m.wire
 	m.wire = nil

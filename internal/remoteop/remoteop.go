@@ -214,9 +214,9 @@ type Endpoint struct {
 	// not just the total.
 	kindSent map[proto.Kind]int
 	started  bool
-	// bulkBuf is the reassembled bulk message whose receive cost is
+	// bulkMsg is the reassembled bulk message whose receive cost is
 	// being charged, held for the bulkTimer event (see pump).
-	bulkBuf   []byte
+	bulkMsg   *reasmBuf
 	bulkTimer string
 
 	// peerDead is the failure detector's liveness predicate; onTimeout
@@ -349,12 +349,12 @@ func (e *Endpoint) pump() {
 			releaseFrag(frag)
 			continue
 		}
-		buf, done := e.reassemble(frag)
+		rb := e.reassemble(frag)
 		total, bulk, srcKind := frag.total, frag.bulk, frag.srcKind
 		// The chunk has been copied out (or dropped); recycle the
 		// fragment and its share of the sender's encode buffer.
 		releaseFrag(frag)
-		if !done {
+		if rb == nil {
 			continue
 		}
 		// Bulk receive processing: reassembly and page copy, plus the
@@ -370,52 +370,57 @@ func (e *Endpoint) pump() {
 		if cost > 0 {
 			// One bulk receive at a time, so the endpoint itself is the
 			// timer's record: nothing to allocate per message.
-			e.bulkBuf = buf
+			e.bulkMsg = rb
 			e.k.AfterNamedArg(e.bulkTimer, cost, bulkDone, e)
 			return
 		}
-		e.deliver(buf)
+		e.deliver(rb)
 	}
 }
 
 func bulkDone(a any) {
 	e := a.(*Endpoint)
-	buf := e.bulkBuf
-	e.bulkBuf = nil
-	e.deliver(buf)
+	rb := e.bulkMsg
+	e.bulkMsg = nil
+	e.deliver(rb)
 	e.pump()
 }
 
-// deliver decodes one reassembled message and dispatches it. It owns buf.
-func (e *Endpoint) deliver(buf []byte) {
+// deliver decodes the message rb reassembled and dispatches it. The
+// message takes rb's buffer as its wire when its Data aliases it;
+// otherwise the buffer goes back to the pool right away. rb itself goes
+// back to its own pool either way.
+func (e *Endpoint) deliver(rb *reasmBuf) {
 	m := &proto.Message{}
-	if err := proto.DecodeBorrowInto(m, buf); err != nil {
-		bufpool.Put(buf)
-		return // corrupt message; sender will retransmit
+	err := proto.DecodeBorrowInto(m, rb.data[:rb.bytes])
+	if err == nil && len(m.Data) > 0 {
+		m.SetWire(rb.data[:rb.bytes])
+	} else {
+		// A corrupt message (the sender will retransmit), or nothing
+		// aliases the wire buffer once the header and args are parsed.
+		bufpool.Put(rb.data)
+	}
+	rb.data = nil
+	reasmPool.Put(rb)
+	if err != nil {
+		return
 	}
 	e.stats.Received++
-	if len(m.Data) == 0 {
-		// Nothing aliases the wire buffer once the header and args
-		// are parsed into the message; recycle it right away.
-		bufpool.Put(buf)
-	} else {
-		m.SetWire(buf)
-	}
 	e.dispatch(m)
 }
 
 // reassemble copies the fragment's chunk into a pooled, receiver-owned
-// buffer and reports whether the message is now complete. The caller
-// releases the fragment afterwards in every path. On done the caller
-// owns the returned buffer and must Put or transfer it; when not done
-// there is no buffer (partial assemblies stay owned by the reasm table);
-// the ownership of the result is inferred interprocedurally, no
-// directive needed.
-func (e *Endpoint) reassemble(frag *fragment) ([]byte, bool) {
+// buffer and returns the reassembly once the message is complete; nil
+// before that and for a duplicate or inconsistent fragment (partial
+// assemblies stay in the reasm table). The buffer lives in the
+// reassembly's data field from its Get until deliver hands it on. The
+// caller releases the fragment afterwards in every path.
+func (e *Endpoint) reassemble(frag *fragment) *reasmBuf {
 	if frag.total == 1 {
-		out := bufpool.Get(len(frag.chunk))
-		copy(out, frag.chunk)
-		return out, true
+		rb := reasmPool.Get().(*reasmBuf)
+		rb.data = bufpool.Get(len(frag.chunk))
+		rb.bytes = copy(rb.data, frag.chunk)
+		return rb
 	}
 	key := reasmKey{src: frag.srcHost, msgID: frag.msgID}
 	buf := e.reasm[key]
@@ -436,20 +441,17 @@ func (e *Endpoint) reassemble(frag *fragment) ([]byte, bool) {
 	}
 	off := frag.idx * e.params.MTUPayload
 	if frag.idx >= len(buf.seen) || buf.seen[frag.idx] || off+len(frag.chunk) > len(buf.data) {
-		return nil, false // duplicate or inconsistent fragment
+		return nil // duplicate or inconsistent fragment
 	}
 	buf.seen[frag.idx] = true
 	copy(buf.data[off:], frag.chunk)
 	buf.have++
 	buf.bytes += len(frag.chunk)
 	if buf.have < len(buf.seen) {
-		return nil, false
+		return nil
 	}
 	delete(e.reasm, key)
-	out := buf.data[:buf.bytes]
-	buf.data = nil
-	reasmPool.Put(buf)
-	return out, true
+	return buf
 }
 
 func (e *Endpoint) dispatch(m *proto.Message) {
@@ -590,12 +592,11 @@ func (e *Endpoint) encode(dst HostID, m *proto.Message) outgoing {
 	if dst == Broadcast {
 		o.buf, err = m.Encode() // vet:ignore hot-alloc — broadcast fragments share one GC-owned buffer
 	} else {
-		// The owner takes the encode buffer in the same branch that
-		// acquires it; the refcount is armed below once the fragment
-		// count is known.
-		o.buf, err = m.AppendEncode(bufpool.Get(m.EncodedSize())[:0])
+		// The owner takes the encode buffer straight from the pool;
+		// the refcount is armed below once the fragment count is known.
 		o.owner = ownerPool.Get().(*encOwner)
-		o.owner.buf = o.buf
+		o.owner.buf, err = m.AppendEncode(bufpool.Get(m.EncodedSize())[:0])
+		o.buf = o.owner.buf
 	}
 	if err != nil {
 		// Encoding errors are programming errors in protocol code.

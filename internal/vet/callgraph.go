@@ -1,21 +1,17 @@
 package vet
 
-// Call-graph construction for the interprocedural layer. Functions are
+// Static call resolution for the lock-order analysis. Functions are
 // identified by stable string keys (import path + receiver + name) so
-// summaries computed in one worker's type universe can be consulted
-// from another's — cmd/mermaid-vet gives every worker its own FileSet
-// and importer, and go/types object identity does not survive that
+// facts collected in one worker's type universe can be joined with
+// another's — cmd/mermaid-vet gives every worker its own FileSet and
+// importer, and go/types object identity does not survive that
 // boundary.
 //
-// Only statically resolvable callees produce edges: direct calls to
+// Only statically resolvable callees are named: direct calls to
 // package functions and concrete-receiver method calls. Calls through
-// interface methods, stored function values, and function literals are
-// dynamic dispatch the graph does not resolve; analyses treat such
-// callees as unknown and degrade conservatively (no inferred effects,
-// not pure). Go forbids import cycles, so recursion — and therefore
-// SCC condensation — is strictly an intra-package affair: processing
-// packages in import-topological order and each package's SCCs
-// bottom-up visits every statically known callee before its callers.
+// interface methods, stored function values and function literals are
+// dynamic dispatch; lock-order resolves interface calls by method name
+// and otherwise treats the callee as unknown.
 
 import (
 	"go/ast"
@@ -96,56 +92,6 @@ func staticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
 	return f
 }
 
-// callGraph is the package-local static call graph over declared
-// function bodies.
-type callGraph struct {
-	decls []*ast.FuncDecl
-	objs  []*types.Func
-	index map[*types.Func]int
-	succs [][]int
-}
-
-// buildCallGraph indexes every function declaration in the package and
-// records same-package static call edges.
-func buildCallGraph(pkg *Package) *callGraph {
-	g := &callGraph{index: map[*types.Func]int{}}
-	for _, f := range pkg.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			fn, ok := pkg.Info.Defs[fd.Name].(*types.Func)
-			if !ok {
-				continue // type checking degraded past use
-			}
-			g.index[fn] = len(g.decls)
-			g.decls = append(g.decls, fd)
-			g.objs = append(g.objs, fn)
-		}
-	}
-	g.succs = make([][]int, len(g.decls))
-	for i, fd := range g.decls {
-		seen := map[int]bool{}
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			callee := staticCallee(pkg.Info, call)
-			if callee == nil {
-				return true
-			}
-			if j, ok := g.index[callee]; ok && !seen[j] {
-				seen[j] = true
-				g.succs[i] = append(g.succs[i], j)
-			}
-			return true
-		})
-	}
-	return g
-}
-
 // sccOrder returns the strongly connected components of the graph whose
 // node v has the successors succs[v], in bottom-up (callees-first)
 // order, via Tarjan's algorithm: a component is emitted only after
@@ -218,14 +164,4 @@ func sccOrder(succs [][]int) [][]int {
 		}
 	}
 	return sccs
-}
-
-// selfRecursive reports whether the single-member SCC {i} calls itself.
-func (g *callGraph) selfRecursive(i int) bool {
-	for _, j := range g.succs[i] {
-		if j == i {
-			return true
-		}
-	}
-	return false
 }

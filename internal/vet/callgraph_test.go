@@ -5,6 +5,7 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"slices"
 	"testing"
 )
 
@@ -106,6 +107,34 @@ func viaLit()            { func() {}() }
 	}
 }
 
+// callGraph is the same-package static call graph of pkg's function
+// declarations: names[i] calls names[j] for every j in succs[i].
+func callGraph(pkg *Package) (names []string, succs [][]int) {
+	index := map[*types.Func]int{}
+	var bodies []*ast.BlockStmt
+	for _, f := range pkg.Files {
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
+				index[pkg.Info.Defs[fd.Name].(*types.Func)] = len(names)
+				names = append(names, fd.Name.Name)
+				bodies = append(bodies, fd.Body)
+			}
+		}
+	}
+	succs = make([][]int, len(names))
+	for i, body := range bodies {
+		ast.Inspect(body, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				if j, ok := index[staticCallee(pkg.Info, call)]; ok {
+					succs[i] = append(succs[i], j)
+				}
+			}
+			return true
+		})
+	}
+	return names, succs
+}
+
 func TestSCCOrderBottomUp(t *testing.T) {
 	pkg := loadInline(t, "fixture/cg", `package cg
 func leaf() {}
@@ -114,20 +143,20 @@ func b(n int) { a(n) }
 func top()    { a(3) }
 func self(n int) { if n > 0 { self(n - 1) } }
 `)
-	g := buildCallGraph(pkg)
-	sccs := sccOrder(g.succs)
+	names, succs := callGraph(pkg)
+	sccs := sccOrder(succs)
 
 	comp := map[string]int{}
 	for ci, scc := range sccs {
 		for _, i := range scc {
-			comp[g.objs[i].Name()] = ci
+			comp[names[i]] = ci
 		}
 	}
 	// Callees-first: every static callee outside a function's SCC must
 	// sit in an earlier component.
-	for i, succs := range g.succs {
-		for _, j := range succs {
-			ni, nj := g.objs[i].Name(), g.objs[j].Name()
+	for i, ss := range succs {
+		for _, j := range ss {
+			ni, nj := names[i], names[j]
 			if comp[ni] != comp[nj] && comp[nj] > comp[ni] {
 				t.Errorf("callee %s (comp %d) emitted after caller %s (comp %d)", nj, comp[nj], ni, comp[ni])
 			}
@@ -142,11 +171,9 @@ func self(n int) { if n > 0 { self(n - 1) } }
 	if comp["top"] <= comp["a"] {
 		t.Errorf("top (comp %d) must follow the a/b component (%d)", comp["top"], comp["a"])
 	}
-
-	for i, fn := range g.objs {
-		wantSelf := fn.Name() == "self"
-		if g.selfRecursive(i) != wantSelf {
-			t.Errorf("selfRecursive(%s) = %v", fn.Name(), !wantSelf)
+	for _, scc := range sccs {
+		if len(scc) == 1 && names[scc[0]] == "self" && !slices.Contains(succs[scc[0]], scc[0]) {
+			t.Error("self's component must carry its self-edge")
 		}
 	}
 }

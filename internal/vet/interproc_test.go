@@ -3,42 +3,21 @@ package vet
 import (
 	"bufio"
 	"fmt"
-	"go/ast"
-	"go/parser"
-	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
 
-// analyzeInterproc parses a fixture package under testdata and runs
-// the full interprocedural pipeline over it the way cmd/mermaid-vet
-// does: summaries + intraprocedural rules, then the lock-order join.
-func analyzeInterproc(t *testing.T, dir, pkgPath string) ([]Finding, Stats) {
+// analyzeInterproc runs the rules over a fixture package the way
+// cmd/mermaid-vet does: the per-package rules, then the lock-order
+// join.
+func analyzeInterproc(t *testing.T, dir, pkgPath string) []Finding {
 	t.Helper()
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-			continue
-		}
-		src, err := os.ReadFile(filepath.Join(dir, e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		f, err := parser.ParseFile(fset, filepath.Join(dir, e.Name()), src, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			t.Fatal(err)
-		}
-		files = append(files, f)
-	}
-	pkg := NewPackage(fset, pkgPath, files, nil)
+	pkg := loadTestdata(t, dir, pkgPath)
 	cfg := &Config{
 		BufOwnPackages:    []string{pkgPath},
 		MapOrderPackages:  []string{pkgPath},
@@ -46,18 +25,20 @@ func analyzeInterproc(t *testing.T, dir, pkgPath string) ([]Finding, Stats) {
 		BufPoolPackage:    "repro/internal/bufpool",
 		ProtoPackage:      "repro/internal/proto",
 	}
-	fs, stats := CheckWithTable(pkg, cfg, NewSummaryTable())
+	fs := Check(pkg, cfg)
 	lofs, _ := CheckLockOrder([]*LockFacts{CollectLockFacts(pkg, cfg)})
-	return append(fs, lofs...), stats
+	return append(fs, lofs...)
 }
 
-var wantMarkerRe = regexp.MustCompile(`want ([a-z][a-z-]*)`)
+var wantMarkerRe = regexp.MustCompile(`want ([a-z][a-z-]*)(?: \(bug (\d+)\))?`)
 
 // wantRuleLines maps file:line → the rule a `want <rule>` marker on
-// that line demands.
-func wantRuleLines(t *testing.T, dir string) map[string]string {
+// that line demands, and lists in order the bug numbers the markers
+// tag (`want <rule> (bug N)`).
+func wantRuleLines(t *testing.T, dir string) (map[string]string, []int) {
 	t.Helper()
 	out := map[string]string{}
+	var bugs []int
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -73,13 +54,19 @@ func wantRuleLines(t *testing.T, dir string) map[string]string {
 		}
 		sc := bufio.NewScanner(f)
 		for line := 1; sc.Scan(); line++ {
-			if m := wantMarkerRe.FindStringSubmatch(sc.Text()); m != nil {
-				out[fmt.Sprintf("%s:%d", name, line)] = m[1]
+			m := wantMarkerRe.FindStringSubmatch(sc.Text())
+			if m == nil {
+				continue
+			}
+			out[fmt.Sprintf("%s:%d", name, line)] = m[1]
+			if n, err := strconv.Atoi(m[2]); err == nil && !slices.Contains(bugs, n) {
+				bugs = append(bugs, n)
 			}
 		}
 		f.Close()
 	}
-	return out
+	slices.Sort(bugs)
+	return out, bugs
 }
 
 // TestInterprocMutationsKilled is the cross-function mutation-kill
@@ -87,52 +74,19 @@ func wantRuleLines(t *testing.T, dir string) map[string]string {
 // its marked line with the marked rule, and nothing else may be.
 func TestInterprocMutationsKilled(t *testing.T) {
 	dir := filepath.Join("testdata", "interbad")
-	fs, _ := analyzeInterproc(t, dir, "fixture/interbad")
-	want := wantRuleLines(t, dir)
-	if len(want) != 8 {
-		t.Fatalf("fixture must carry exactly 8 want markers, found %d", len(want))
+	want, bugs := wantRuleLines(t, dir)
+	if len(want) != 10 || !slices.Equal(bugs, []int{1, 2, 3, 4, 5}) {
+		t.Fatalf("fixture must carry exactly 10 want markers covering buffer bugs 1-5, found %d for bugs %v", len(want), bugs)
 	}
-	got := map[string][]string{}
-	for _, f := range fs {
-		key := fmt.Sprintf("%s:%d", f.Pos.Filename, f.Pos.Line)
-		got[key] = append(got[key], f.Rule)
-	}
-	for key, rule := range want {
-		found := false
-		for _, r := range got[key] {
-			if r == rule {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("injected bug at %s not reported as %s (mutation survived)", key, rule)
-		}
-	}
-	for key, rs := range got {
-		for _, r := range rs {
-			if want[key] != r {
-				t.Errorf("false positive: %s finding at unmarked line %s", r, key)
-			}
-		}
-	}
-	if t.Failed() {
-		t.Logf("findings:")
-		for _, f := range fs {
-			t.Logf("  %v", f)
-		}
-	}
+	checkMarkers(t, analyzeInterproc(t, dir, "fixture/interbad"), want)
 }
 
-// TestInterprocCleanFixtureSilent pins the interprocedural
-// false-positive budget at zero: recursion, method values, interface
-// dispatch, closures, helper releases and a consistent lock order must
-// all stay quiet.
+// TestInterprocCleanFixtureSilent pins the cross-function
+// false-positive budget at zero: loans through recursion, method calls
+// and interface dispatch, a buffer owned by a function literal, and a
+// consistent lock order must all stay quiet.
 func TestInterprocCleanFixtureSilent(t *testing.T) {
-	fs, stats := analyzeInterproc(t, filepath.Join("testdata", "interclean"), "fixture/interclean")
-	if len(fs) != 0 {
+	if fs := analyzeInterproc(t, filepath.Join("testdata", "interclean"), "fixture/interclean"); len(fs) != 0 {
 		t.Fatalf("clean fixture must be silent, got %v", fs)
-	}
-	if stats.Summarized == 0 {
-		t.Fatal("clean fixture produced no summaries; the interprocedural layer did not run")
 	}
 }

@@ -1,8 +1,10 @@
 // Package bufownbad is the mutation-kill fixture for the ownership
-// analysis: eight hand-injected buffer-lifetime bugs, each carrying a
-// marker comment on the line where the finding must anchor. The
-// mutation test asserts every marked line is reported and no unmarked
-// line is.
+// rule: eight hand-injected buffer-lifetime bugs, each carrying a
+// marker comment, tagged with its bug number, on the line where the
+// finding must anchor. None is in an ownership shape: a hold that is
+// not a top-level Get followed by its deferred Put anchors at the Get.
+// The mutation test asserts every marked line is reported, no unmarked
+// line is, and every bug has a marker.
 package bufownbad
 
 import (
@@ -16,24 +18,24 @@ var global []byte
 
 // Bug 1: double-Put on a straight-line path.
 func doublePut() {
-	buf := bufpool.Get(64)
+	buf := bufpool.Get(64) // want buf-own (bug 1)
 	bufpool.Put(buf)
-	bufpool.Put(buf) // want buf-own
+	bufpool.Put(buf)
 }
 
 // Bug 2: conditional Put followed by an unconditional one — double
 // release whenever the branch is taken.
 func branchDoublePut(cond bool) {
-	buf := bufpool.Get(64)
+	buf := bufpool.Get(64) // want buf-own (bug 2)
 	if cond {
 		bufpool.Put(buf)
 	}
-	bufpool.Put(buf) // want buf-own
+	bufpool.Put(buf)
 }
 
 // Bug 3: leak on the early error return.
 func leakOnError(err error) error {
-	buf := bufpool.Get(64) // want buf-own
+	buf := bufpool.Get(64) // want buf-own (bug 3)
 	if err != nil {
 		return err
 	}
@@ -45,7 +47,7 @@ func leakOnError(err error) error {
 // the next iteration re-acquires while the last buffer is still owned.
 func loopLeak(frames []bool) {
 	for _, bad := range frames {
-		buf := bufpool.Get(64) // want buf-own
+		buf := bufpool.Get(64) // want buf-own (bug 4)
 		if bad {
 			continue
 		}
@@ -55,9 +57,9 @@ func loopLeak(frames []bool) {
 
 // Bug 5: read after release.
 func useAfterPut() byte {
-	buf := bufpool.Get(64)
+	buf := bufpool.Get(64) // want buf-own (bug 5)
 	bufpool.Put(buf)
-	return buf[0] // want buf-own
+	return buf[0]
 }
 
 // Bug 6: borrowed wire data stored to a field without TakeWire.
@@ -66,7 +68,7 @@ func borrowEscapeField(s *sink, wire []byte) error {
 	if err != nil {
 		return err
 	}
-	s.buf = m.Data // want buf-own
+	s.buf = m.Data // want buf-own (bug 6)
 	return nil
 }
 
@@ -78,12 +80,12 @@ func borrowEscapeClosure(spawn func(func()), wire []byte) error {
 		return err
 	}
 	spawn(func() {
-		global = append(global, m.Data...) // want buf-own
+		global = append(global, m.Data...) // want buf-own (bug 7)
 	})
 	return nil
 }
 
 // Bug 8: acquire whose result is thrown away — unreleasable.
 func discard() {
-	bufpool.Get(64) // want buf-own
+	bufpool.Get(64) // want buf-own (bug 8)
 }

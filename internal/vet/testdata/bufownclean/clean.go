@@ -1,7 +1,6 @@
-// Package bufownclean exercises every sanctioned buffer-lifecycle
-// pattern on the transfer path. The mutation-kill test asserts the
-// buf-own analysis is silent on all of them — its false-positive
-// budget here is zero.
+// Package bufownclean exercises every sanctioned buffer-ownership shape
+// on the transfer path. The test asserts the buf-own rule is silent on
+// all of them — its false-positive budget here is zero.
 package bufownclean
 
 import (
@@ -11,15 +10,8 @@ import (
 
 type owner struct{ buf []byte }
 
-// Balanced get/put on a straight line.
-func balanced() {
-	buf := bufpool.Get(64)
-	copy(buf, "hello")
-	bufpool.Put(buf)
-}
-
-// Deferred release covers every return, including the early ones, and
-// the buffer stays readable until exit.
+// Owned by its body: the deferred release covers every return,
+// including the early ones, and the buffer stays readable until exit.
 func deferred(err error) error {
 	buf := bufpool.Get(64)
 	defer bufpool.Put(buf)
@@ -30,64 +22,67 @@ func deferred(err error) error {
 	return nil
 }
 
-// Released on each branch separately.
-func branches(cond bool) {
+// Other defers may come between the Get and its deferred Put; they run
+// after the release.
+func otherDefersFirst(done func()) {
 	buf := bufpool.Get(64)
-	if cond {
-		bufpool.Put(buf)
-		return
+	defer done()
+	defer bufpool.Put(buf)
+	copy(buf, "hello")
+}
+
+// A buffer held once per iteration is owned by a function literal.
+func serveLoop(frames [][]byte, deliver func([]byte)) {
+	for _, f := range frames {
+		func() {
+			buf := bufpool.Get(len(f))
+			defer bufpool.Put(buf)
+			copy(buf, f)
+			deliver(buf)
+		}()
 	}
-	bufpool.Put(buf)
-}
-
-// SetWire transfers ownership into the message; its consumer releases
-// via TakeWire.
-func transfer(m *proto.Message) {
-	buf := bufpool.Get(64)
-	m.SetWire(buf)
-}
-
-// The handler detaches the wire buffer it was handed and releases it.
-func takeAndRelease(m *proto.Message) {
-	bufpool.Put(m.TakeWire())
-}
-
-// AppendEncode extends the pooled buffer (the result aliases it);
-// storing the result to a field transfers ownership, the error path
-// releases.
-func fieldTransfer(o *owner, m *proto.Message) error {
-	buf, err := m.AppendEncode(bufpool.Get(64)[:0])
-	if err != nil {
-		bufpool.Put(buf)
-		return err
-	}
-	o.buf = buf
-	return nil
 }
 
 // Call arguments and composite-literal elements are loans: the callee
-// may read the buffer, the caller still releases it.
+// may read the buffer, its body still releases it.
 func loan(send func(*proto.Message) error) error {
 	data := bufpool.Get(64)
-	err := send(&proto.Message{Data: data})
-	bufpool.Put(data)
-	return err
+	defer bufpool.Put(data)
+	return send(&proto.Message{Data: data})
 }
 
-// Serve-style loop: released on the error path, transferred otherwise
-// — no iteration re-acquires while the last buffer is live.
-func serveLoop(frames [][]byte, deliver func(*proto.Message)) {
-	m := &proto.Message{}
-	for _, f := range frames {
-		buf := bufpool.Get(len(f))
-		n := copy(buf, f)
-		if n == 0 {
-			bufpool.Put(buf)
-			continue
-		}
-		m.SetWire(buf)
-		deliver(m)
+// SetWire gives the message the buffer straight from the pool; its
+// consumer releases it with TakeWire.
+func transfer(m *proto.Message) {
+	m.SetWire(bufpool.Get(64))
+}
+
+// The handler detaches the wire buffer it was handed and releases it,
+// on any branch.
+func takeAndRelease(m *proto.Message, drop bool) {
+	if drop {
+		bufpool.Put(m.TakeWire())
+		return
 	}
+	bufpool.Put(m.TakeWire())
+}
+
+// A deferred take keeps Data readable until the body returns.
+func deferredTake(m *proto.Message, use func([]byte)) {
+	defer bufpool.Put(m.TakeWire())
+	use(m.Data)
+}
+
+// Owned by a field: AppendEncode extends the pooled buffer the field
+// takes straight from the pool, and the field is released anywhere.
+func fieldOwned(o *owner, m *proto.Message) error {
+	var err error
+	o.buf, err = m.AppendEncode(bufpool.Get(64)[:0])
+	if err != nil {
+		bufpool.Put(o.buf)
+		o.buf = nil
+	}
+	return err
 }
 
 // Borrowed wire data may escape once TakeWire detaches the buffer.
@@ -100,52 +95,23 @@ func borrowResolved(o *owner, wire []byte) error {
 	return nil
 }
 
-// A crash path is not a leak: the process is gone.
+// Borrowed wire data read in place, and passed to a callee as a loan.
+func borrowRead(wire []byte, use func([]byte)) (int, error) {
+	m, err := proto.DecodeBorrow(wire)
+	if err != nil {
+		return 0, err
+	}
+	use(m.Data)
+	n := len(m.Data)
+	return n, nil
+}
+
+// A crash path is not a leak: the deferred release runs as the process
+// unwinds.
 func panicPath(err error) {
 	buf := bufpool.Get(4)
+	defer bufpool.Put(buf)
 	if err != nil {
 		panic("fatal")
-	}
-	bufpool.Put(buf)
-}
-
-// produce's result transfers ownership to the caller (inferred).
-func produce(n int) []byte {
-	out := bufpool.Get(n)
-	return out
-}
-
-func consume() {
-	buf := produce(8)
-	bufpool.Put(buf)
-}
-
-// tryProduce reports ok = false without a buffer; the analysis pairs
-// the result with the ok variable so the failure branch is not a leak.
-func tryProduce(n int) ([]byte, bool) {
-	if n == 0 {
-		return nil, false
-	}
-	return bufpool.Get(n), true
-}
-
-// The ok-guard idiom: observing ok == false un-acquires the buffer.
-func guarded(n int) {
-	buf, ok := tryProduce(n)
-	if !ok {
-		return
-	}
-	bufpool.Put(buf)
-}
-
-// Same guard inside a loop: the continue on the failure branch must not
-// read as a loop leak.
-func guardedLoop(sizes []int, m *proto.Message) {
-	for _, n := range sizes {
-		buf, ok := tryProduce(n)
-		if !ok {
-			continue
-		}
-		m.SetWire(buf)
 	}
 }

