@@ -88,13 +88,14 @@ mermaid-vet:
 	go run ./cmd/mermaid-vet -json -max-elapsed-ms=5000 ./... > mermaid-vet.json
 
 # Bounded model-checking smoke, two processes: an exhaustive DFS over
-# the four engine/directory workloads (each must stay clean), then the
-# mutation-kill suite at the smoke budget (each of the 14 injected bugs
+# the six engine/directory workloads — MRSW under the fixed and the
+# dynamic directory, quorum, lazy release, migration and central server;
+# each must stay clean — then the mutation-kill suite at the smoke budget (each of the 14 injected bugs
 # must be killed on its planned workload). Budgeted to finish in
 # seconds; the full sweep is mc-deep. `go test ./internal/mc` performs
 # the same runs (TestDFSClean, TestKillSuite).
 mc-smoke:
-	go run ./cmd/mermaid-mc -workload=basic,dynamic,quorum,rc -strategy=dfs -max-schedules=1200
+	go run ./cmd/mermaid-mc -workload=basic,dynamic,quorum,rc,migration,central -strategy=dfs -max-schedules=1200
 	go run ./cmd/mermaid-mc -kill -kill-budget=100
 
 # Chaos smoke: one seed per workload × fault class (28 campaigns), one

@@ -168,10 +168,7 @@ func clusterStateHash(tb testing.TB) func() {
 	})
 	return func() {
 		h := fnv.New64a()
-		for _, host := range c.Hosts {
-			host.DSM.WriteStateHash(h)
-			host.Sync.WriteStateHash(h)
-		}
+		c.WriteStateHash(h)
 		benchSink += h.Sum64()
 	}
 }

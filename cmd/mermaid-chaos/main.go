@@ -22,6 +22,7 @@ import (
 	"os"
 
 	"repro/internal/chaos"
+	"repro/internal/cluster"
 	"repro/internal/dsm"
 	"repro/internal/namelist"
 )
@@ -94,7 +95,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, " — %s", res.Detail)
 		}
 		fmt.Fprintf(stdout, "\n%s\n", res.Fingerprint)
-		if res.Outcome != chaos.OK {
+		if res.Outcome != cluster.OK {
 			return 2
 		}
 		return 0
@@ -138,7 +139,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 // sweepVerified runs each seed of one cell twice and requires
 // bit-identical outcomes.
-func sweepVerified(stdout io.Writer, w *chaos.Workload, cl chaos.Class, seed int64, runs int, opts chaos.Opts) (int, error) {
+func sweepVerified(stdout io.Writer, w *cluster.Workload, cl chaos.Class, seed int64, runs int, opts chaos.Opts) (int, error) {
 	code := 0
 	for i := 0; i < runs; i++ {
 		res, err := chaos.Verify(w, cl, seed+int64(i), opts)
@@ -146,7 +147,7 @@ func sweepVerified(stdout io.Writer, w *chaos.Workload, cl chaos.Class, seed int
 			return 0, err
 		}
 		fmt.Fprintf(stdout, "%s %s (verified deterministic)\n", res.Token, res.Outcome)
-		if res.Outcome != chaos.OK {
+		if res.Outcome != cluster.OK {
 			fmt.Fprintf(stdout, "  %s\n  replay: %s\n", res.Detail, res.Token)
 			code = 2
 		}
@@ -156,7 +157,7 @@ func sweepVerified(stdout io.Writer, w *chaos.Workload, cl chaos.Class, seed int
 
 // sweep runs one cell's seed series and reports it: campaign by
 // campaign, or as a kill verdict when a mutation is injected.
-func sweep(stdout io.Writer, w *chaos.Workload, cl chaos.Class, seed int64, runs int, opts chaos.Opts) (int, error) {
+func sweep(stdout io.Writer, w *cluster.Workload, cl chaos.Class, seed int64, runs int, opts chaos.Opts) (int, error) {
 	series, err := chaos.RunSeries(w, cl, seed, runs, opts)
 	if err != nil {
 		return 0, err
@@ -183,7 +184,7 @@ func sweep(stdout io.Writer, w *chaos.Workload, cl chaos.Class, seed int64, runs
 			fmt.Fprint(stdout, ")")
 		}
 		fmt.Fprintln(stdout)
-		if res.Outcome != chaos.OK {
+		if res.Outcome != cluster.OK {
 			fmt.Fprintf(stdout, "  %s\n  replay: %s\n", res.Detail, res.Token)
 		}
 	}

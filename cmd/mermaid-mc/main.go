@@ -25,6 +25,7 @@ import (
 	"io"
 	"os"
 
+	"repro/internal/cluster"
 	"repro/internal/dsm"
 	"repro/internal/mc"
 	"repro/internal/namelist"
@@ -103,7 +104,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, " — %s", res.Detail)
 		}
 		fmt.Fprintf(stdout, " (%d steps, %d choice points, t=%v)\n", res.Steps, len(res.Choices), res.Now)
-		if res.Outcome != mc.OK {
+		if res.Outcome != cluster.OK {
 			return 2
 		}
 		return 0

@@ -26,24 +26,6 @@ import (
 	"repro/internal/sim"
 )
 
-// Outcome classifies one chaos run; the harnesses share one judge and
-// one set of outcomes (cluster.Trial.Drive).
-type Outcome = cluster.Outcome
-
-// The outcomes a chaos run can end in. Hung means the workload never
-// finished: either the event queue drained (deadlock) or the step
-// budget ran out with background activity still churning (livelock —
-// with heartbeats running the queue never drains, so a wedged workload
-// surfaces this way).
-const (
-	OK                 = cluster.OK
-	InvariantViolation = cluster.InvariantViolation
-	SCViolation        = cluster.SCViolation
-	Panic              = cluster.Panic
-	Hung               = cluster.Hung
-	AppError           = cluster.AppError
-)
-
 // Result records one executed chaos run.
 type Result struct {
 	// Token replays this run exactly (see Replay).
@@ -98,23 +80,36 @@ func (tl *traceLog) observe(ev dsm.TraceEvent) {
 }
 
 // Run executes one chaos run: generate the plan from the seed, build a
-// fresh cluster, drive the workload to completion, judge it.
-func Run(w *Workload, class Class, seed int64, o Opts) (*Result, error) {
-	plan := GeneratePlan(class, seed, w.Hosts)
-	inst, err := w.Build(seed, plan, o.Mut)
+// fresh trial of the workload on the chaos base config — calibrated
+// cost model, the kernel seeded with the run's seed, central manager on
+// never-crashed host 0, failure detection, the fault plan and the
+// recovery trace tap — drive it to completion, judge it.
+func Run(w *cluster.Workload, class Class, seed int64, o Opts) (*Result, error) {
+	plan := GeneratePlan(class, seed, len(w.Kinds))
+	tl := &traceLog{}
+	t, err := w.Trial(cluster.Config{
+		PageSize:         chaosPageSize,
+		SpaceSize:        chaosSpaceSize,
+		Seed:             seed,
+		Directory:        dsm.DirCentral,
+		FailureDetection: true,
+		FaultPlan:        plan,
+		Trace:            tl.observe,
+		Mutation:         o.Mut,
+	})
 	if err != nil {
 		return nil, fmt.Errorf("chaos: building %s: %w", w.Name, err)
 	}
-	c := inst.C
+	c := t.C
 	defer c.Close()
 
 	maxSteps := o.MaxSteps
 	if maxSteps <= 0 {
 		maxSteps = DefaultMaxSteps
 	}
-	v := inst.Drive("chaos-main", maxSteps, "chaos-teardown")
+	v := t.Drive("chaos-main", maxSteps, "chaos-teardown")
 	if v.Outcome == cluster.Deadlock || v.Outcome == cluster.Livelock {
-		v.Outcome = Hung
+		v.Outcome = cluster.Hung
 	}
 
 	total := c.TotalDSMStats()
@@ -127,8 +122,8 @@ func Run(w *Workload, class Class, seed int64, o Opts) (*Result, error) {
 		PagesRecovered: total.PagesRecovered,
 		PagesLost:      total.PagesLost,
 	}
-	if inst.Trace.recovered && len(plan.Crashes) > 0 {
-		res.RecoveryLatency = inst.Trace.firstRecover.Sub(plan.Crashes[0].At)
+	if tl.recovered && len(plan.Crashes) > 0 {
+		res.RecoveryLatency = tl.firstRecover.Sub(plan.Crashes[0].At)
 	}
 	return res, nil
 }
@@ -136,7 +131,7 @@ func Run(w *Workload, class Class, seed int64, o Opts) (*Result, error) {
 // Verify runs the same token twice and errors if the runs diverge in
 // fingerprint, outcome or detail — the determinism guarantee behind
 // replay tokens, checked end to end.
-func Verify(w *Workload, class Class, seed int64, o Opts) (*Result, error) {
+func Verify(w *cluster.Workload, class Class, seed int64, o Opts) (*Result, error) {
 	a, err := Run(w, class, seed, o)
 	if err != nil {
 		return nil, err
@@ -156,10 +151,7 @@ func Verify(w *Workload, class Class, seed int64, o Opts) (*Result, error) {
 // run's fault and protocol counters into a comparable line.
 func fingerprint(c *cluster.Cluster, steps int) string {
 	h := fnv.New64a()
-	for _, host := range c.Hosts {
-		host.DSM.WriteStateHash(h)
-		host.Sync.WriteStateHash(h)
-	}
+	c.WriteStateHash(h)
 	ns := c.Net.Stats()
 	ds := c.TotalDSMStats()
 	return fmt.Sprintf("t=%v steps=%d state=%016x fetched=%d conv=%d recovered=%d lost=%d dropped=%d cut=%d corrupted=%d duplicated=%d toDead=%d",

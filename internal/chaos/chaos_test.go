@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/dsm"
 	"repro/internal/netsim"
 	"repro/internal/sim"
@@ -93,7 +94,7 @@ func TestSmokeSeedsClean(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s/%s/%d: %v", w.Name, class, seed, err)
 				}
-				if res.Outcome != OK {
+				if res.Outcome != cluster.OK {
 					t.Errorf("%s: %s: %s", res.Token, res.Outcome, res.Detail)
 				}
 			}
@@ -213,7 +214,7 @@ func TestChaosCatchesSkipInvalidation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Outcome != OK {
+		if res.Outcome != cluster.OK {
 			caught = true
 		}
 	}
@@ -237,7 +238,7 @@ func TestChaosCatchesLostDiff(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Outcome != OK {
+		if res.Outcome != cluster.OK {
 			caught = true
 		}
 	}
@@ -264,7 +265,7 @@ func TestChaosCatchesForgetRecovery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Outcome != OK {
+		if res.Outcome != cluster.OK {
 			caught = true
 		}
 	}

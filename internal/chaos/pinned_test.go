@@ -4,6 +4,7 @@ import (
 	"regexp"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/sim"
 )
 
@@ -59,7 +60,7 @@ func TestCampaignsPinned(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.token, err)
 		}
-		if res.Outcome != OK {
+		if res.Outcome != cluster.OK {
 			t.Errorf("%s: %s: %s", c.token, res.Outcome, res.Detail)
 		}
 		got := stateWord.ReplaceAllString(res.Fingerprint, "")

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/cluster"
 	"repro/internal/sim"
 )
 
@@ -30,7 +31,7 @@ type Series struct {
 }
 
 // RunSeries executes runs consecutive seeds starting at baseSeed.
-func RunSeries(w *Workload, class Class, baseSeed int64, runs int, o Opts) (*Series, error) {
+func RunSeries(w *cluster.Workload, class Class, baseSeed int64, runs int, o Opts) (*Series, error) {
 	s := &Series{Workload: w.Name, Class: class}
 	var latSum sim.Duration
 	latRuns := 0
@@ -40,7 +41,7 @@ func RunSeries(w *Workload, class Class, baseSeed int64, runs int, o Opts) (*Ser
 			return nil, err
 		}
 		s.Results = append(s.Results, res)
-		if res.Outcome == OK {
+		if res.Outcome == cluster.OK {
 			s.Survived++
 		} else {
 			s.Violations = append(s.Violations, res.Token)

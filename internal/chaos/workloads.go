@@ -37,30 +37,8 @@ import (
 	"repro/internal/dsm"
 	"repro/internal/namelist"
 	"repro/internal/netsim"
-	"repro/internal/sctrace"
 	"repro/internal/sim"
 )
-
-// Workload names a reproducible chaos scenario.
-type Workload struct {
-	// Name is the CLI spelling and the replay-token component.
-	Name string
-	// Desc is a one-line description for listings.
-	Desc string
-	// Hosts is the cluster size (the plan generator needs it before
-	// Build runs).
-	Hosts int
-	// Build constructs a fresh Instance wired to the given fault plan.
-	Build func(seed int64, plan *netsim.FaultPlan, mut dsm.Mutation) (*Instance, error)
-}
-
-// Instance is one freshly built, not-yet-run chaos scenario: the trial
-// (Main is the coordinator body, run on host 0) plus the recovery log.
-type Instance struct {
-	cluster.Trial
-	// Trace records the first page recovery from the DSM trace stream.
-	Trace *traceLog
-}
 
 const (
 	chaosPageSize  = 8192
@@ -83,42 +61,6 @@ const (
 	chaosSemSlot = 4 // +w: the rc workload's per-worker interval brackets
 )
 
-// newInstance assembles the standard chaos cluster — calibrated cost
-// model, central manager on never-crashed host 0, failure detection,
-// invariant checker and SC recorder attached — and hands the config to
-// tune (nil for the standard cluster) for the one or two fields a
-// workload's engine, directory or topology changes. The caller sets
-// Main.
-func newInstance(seed int64, kinds []arch.Kind, plan *netsim.FaultPlan, mut dsm.Mutation, tune func(*cluster.Config)) (*Instance, error) {
-	hosts := make([]cluster.HostSpec, len(kinds))
-	for i, k := range kinds {
-		hosts[i] = cluster.HostSpec{Kind: k}
-	}
-	inst := &Instance{Trial: cluster.Trial{Rec: sctrace.NewRecorder()}, Trace: &traceLog{}}
-	cfg := cluster.Config{
-		Hosts:            hosts,
-		PageSize:         chaosPageSize,
-		SpaceSize:        chaosSpaceSize,
-		Seed:             seed,
-		Directory:        dsm.DirCentral,
-		FailureDetection: true,
-		InvariantChecks:  true,
-		SCTrace:          inst.Rec,
-		FaultPlan:        plan,
-		Trace:            inst.Trace.observe,
-		Mutation:         mut,
-	}
-	if tune != nil {
-		tune(&cfg)
-	}
-	c, err := cluster.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	inst.C = c
-	return inst, nil
-}
-
 // anyDead reports whether host 0's detector has declared any peer dead.
 func anyDead(c *cluster.Cluster) bool {
 	for h := 1; h < len(c.Hosts); h++ {
@@ -136,22 +78,19 @@ func tolerableLost(err error, died bool) bool {
 }
 
 // workloads is the registry, keyed by Name.
-var workloads = namelist.NewRegistry[*Workload]("chaos: unknown workload")
-
-func register(w *Workload) { workloads.Register(w.Name, w) }
+var workloads = namelist.NewRegistry[*cluster.Workload]("chaos: unknown workload")
 
 // Lookup resolves a workload by name.
-func Lookup(name string) (*Workload, error) { return workloads.Lookup(name) }
+func Lookup(name string) (*cluster.Workload, error) { return workloads.Lookup(name) }
 
 // All returns every registered workload in name order.
-func All() []*Workload { return workloads.All() }
+func All() []*cluster.Workload { return workloads.All() }
 
 func init() {
-	for _, s := range []*stampPattern{slotsWorkload, switchedWorkload, quorumWorkload, rcWorkload, forwardWorkload} {
-		register(s.workload())
-	}
-	for _, s := range []*lockedPattern{counterWorkload, handoffWorkload} {
-		register(s.workload())
+	for _, w := range []*cluster.Workload{
+		slotsWorkload, switchedWorkload, quorumWorkload, rcWorkload, forwardWorkload, counterWorkload, handoffWorkload,
+	} {
+		workloads.Register(w.Name, w)
 	}
 }
 
@@ -163,15 +102,9 @@ func init() {
 // a list of final probes must read each slot back mirrored and no newer
 // than its writer's last completed stamp — exact when nobody died and
 // no writer stopped. The fields are the decision points: a workload is
-// a literal stating where it differs.
+// a row (hosts, config and fault-plan edits) plus a literal stating
+// where its program differs. Host 0 is the coordinator.
 type stampPattern struct {
-	name, desc string
-	// kinds lists the hosts' architectures; host 0 is the coordinator.
-	kinds []arch.Kind
-	// tune edits the standard cluster config (see newInstance).
-	tune func(*cluster.Config)
-	// prepare edits the generated fault plan before the cluster is built.
-	prepare func(seed int64, plan *netsim.FaultPlan)
 	// writers places writer w on a host; procName (one %d) names its
 	// simulated process.
 	writers  [3]int
@@ -195,38 +128,28 @@ type stampPattern struct {
 	// probes lists the final reads, in order, once the run has settled.
 	probes func(c *cluster.Cluster) []probe
 	// judge, when set, checks the completion times of the coordinator's
-	// successful polls against the fault plan.
+	// successful polls against the installed fault plan.
 	judge func(plan *netsim.FaultPlan, completions []sim.Time) error
+}
+
+// stamped returns row running the stamp pattern s: s.run as its Main
+// and, under a bracket, the writers' slot semaphores as its Define.
+func stamped(row cluster.Workload, s *stampPattern) *cluster.Workload {
+	if s.bracket {
+		row.Define = func(c *cluster.Cluster) {
+			for w := range s.writers {
+				c.DefineSemaphore(chaosSemSlot+uint32(w), 0, 1)
+			}
+		}
+	}
+	row.Main = s.run
+	return &row
 }
 
 // probe is one final read: reader loads slot.
 type probe struct {
 	reader *cluster.Host
 	slot   int
-}
-
-func (s *stampPattern) workload() *Workload {
-	return &Workload{
-		Name:  s.name,
-		Desc:  s.desc,
-		Hosts: len(s.kinds),
-		Build: func(seed int64, plan *netsim.FaultPlan, mut dsm.Mutation) (*Instance, error) {
-			if s.prepare != nil {
-				s.prepare(seed, plan)
-			}
-			inst, err := newInstance(seed, s.kinds, plan, mut, s.tune)
-			if err != nil {
-				return nil, err
-			}
-			if s.bracket {
-				for w := range s.writers {
-					inst.C.DefineSemaphore(chaosSemSlot+uint32(w), 0, 1)
-				}
-			}
-			inst.Main = func(p *sim.Proc, c *cluster.Cluster) error { return s.run(p, c, plan) }
-			return inst, nil
-		},
-	}
 }
 
 // stamp is one writer round: the mirrored pair i, inside the writer's
@@ -252,7 +175,7 @@ func (s *stampPattern) stamp(wp *sim.Proc, host *cluster.Host, sem uint32, slot 
 	return nil
 }
 
-func (s *stampPattern) run(p *sim.Proc, c *cluster.Cluster, plan *netsim.FaultPlan) error {
+func (s *stampPattern) run(p *sim.Proc, c *cluster.Cluster) error {
 	noun, verb := "slot", "written"
 	if s.onePage {
 		noun = "pair"
@@ -307,7 +230,7 @@ func (s *stampPattern) run(p *sim.Proc, c *cluster.Cluster, plan *netsim.FaultPl
 	}
 	p.Sleep(settlePhase)
 	if s.judge != nil {
-		if err := s.judge(plan, completions); err != nil {
+		if err := s.judge(c.Net.FaultPlan(), completions); err != nil {
 			return err
 		}
 	}
@@ -372,10 +295,11 @@ func survivorProbes(c *cluster.Cluster) []probe {
 // slotsWorkload gives each host a private page it stamps. Each
 // coordinator poll leaves a read replica in the page's copyset, which
 // is exactly what makes the page recoverable when its owner dies.
-var slotsWorkload = &stampPattern{
-	name:     "slots",
-	desc:     "3 hosts, per-host monotone writers + polling coordinator (recovery rollback bounds)",
-	kinds:    []arch.Kind{arch.Sun, arch.Firefly, arch.Firefly},
+var slotsWorkload = stamped(cluster.Workload{
+	Name:  "slots",
+	Desc:  "3 hosts, per-host monotone writers + polling coordinator (recovery rollback bounds)",
+	Kinds: []arch.Kind{arch.Sun, arch.Firefly, arch.Firefly},
+}, &stampPattern{
 	writers:  [3]int{0, 1, 2},
 	procName: "slot-writer%d",
 	rounds:   12,
@@ -385,7 +309,7 @@ var slotsWorkload = &stampPattern{
 	dwell:   2 * workPeriod,
 	stagger: 17 * time.Millisecond,
 	probes:  survivorProbes,
-}
+})
 
 // switchedWorkload is the slots pattern stretched across a switched
 // 3-segment star (two hosts per segment), so fault windows land on
@@ -394,34 +318,35 @@ var slotsWorkload = &stampPattern{
 // every coordinator poll and every recovery exchange crosses
 // inter-segment links (each successful poll leaves a replica on segment
 // 0 that recovery can run on, and the witness forces the final reads
-// back across the star). On top of the class's fault plan, prepare
+// back across the star). On top of the class's fault plan, Tune
 // severs one of the star's uplinks for a fixed window — the switched
 // fabric's native partition, with no host list to enumerate — kept
 // shorter than the failure detector's death threshold, so the protocol
 // must ride the cut out with retries.
-var switchedWorkload = &stampPattern{
-	name:  "switched",
-	desc:  "6 hosts on 3 switched segments, cross-segment writers + polling coordinator (inter-segment link cut)",
-	kinds: []arch.Kind{arch.Sun, arch.Firefly, arch.Firefly, arch.Firefly, arch.Firefly, arch.Firefly},
-	tune:  func(cfg *cluster.Config) { cfg.Topology = netsim.SwitchedStar(3, 2) },
-	prepare: func(seed int64, plan *netsim.FaultPlan) {
+var switchedWorkload = stamped(cluster.Workload{
+	Name:  "switched",
+	Desc:  "6 hosts on 3 switched segments, cross-segment writers + polling coordinator (inter-segment link cut)",
+	Kinds: []arch.Kind{arch.Sun, arch.Firefly, arch.Firefly, arch.Firefly, arch.Firefly, arch.Firefly},
+	Tune: func(cfg *cluster.Config) {
+		cfg.Topology = netsim.SwitchedStar(3, 2)
 		// Sever the uplink to leaf segment 1 or 2, by seed. The 900 ms
 		// window stays under the 1200 ms partition bound. Mix plans
 		// already layer loss, a partition and a crash; stacking the cut
 		// on top pushes a live host's total unreachability past what the
 		// failure detector and the retry budget are calibrated for, so
 		// those runs keep the class's own faults only.
-		if len(plan.Partitions) == 0 || len(plan.Crashes) == 0 {
+		if plan := cfg.FaultPlan; len(plan.Partitions) == 0 || len(plan.Crashes) == 0 {
 			plan.LinkCuts = append(plan.LinkCuts, netsim.LinkCut{
 				Window: netsim.Window{
 					From:  sim.Time(400 * time.Millisecond),
 					Until: sim.Time(1300 * time.Millisecond),
 				},
 				A: 0,
-				B: 1 + int(seed&1),
+				B: 1 + int(cfg.Seed&1),
 			})
 		}
 	},
+}, &stampPattern{
 	// One writer per segment (host h lives on segment h/2).
 	writers:  [3]int{1, 3, 5},
 	procName: "seg-writer%d",
@@ -429,7 +354,7 @@ var switchedWorkload = &stampPattern{
 	dwell:    2 * workPeriod,
 	stagger:  17 * time.Millisecond,
 	probes:   survivorProbes,
-}
+})
 
 // quorumWorkload runs the slots pattern under SC-ABD majority quorum on
 // five hosts: every page is replicated at every host and every
@@ -438,28 +363,30 @@ var switchedWorkload = &stampPattern{
 // heals — the availability oracle the quorum engine exists for
 // (quorumProgress). Five hosts make every generated plan
 // majority-preserving once the partitions are re-aimed at a single
-// victim (prepare): one host cut plus one host crashed still leaves
+// victim (Tune): one host cut plus one host crashed still leaves
 // host 0 in a three-host component, and a majority of three is a quorum
 // of five. Quorum replication has no sole-owner data loss, so unlike
 // the MRSW workloads the final reads must succeed even after a crash —
 // ErrPageLost is never tolerable — and the witness forces a second
 // quorum assembly for each page.
-var quorumWorkload = &stampPattern{
-	name:  "quorum",
-	desc:  "5 hosts, SC-ABD majority quorum: per-host writers + polling coordinator (progress during partitions)",
-	kinds: []arch.Kind{arch.Sun, arch.Firefly, arch.Sun, arch.Firefly, arch.Sun},
-	tune:  func(cfg *cluster.Config) { cfg.Policy = dsm.PolicyQuorum },
-	prepare: func(_ int64, plan *netsim.FaultPlan) {
+var quorumWorkload = stamped(cluster.Workload{
+	Name:  "quorum",
+	Desc:  "5 hosts, SC-ABD majority quorum: per-host writers + polling coordinator (progress during partitions)",
+	Kinds: []arch.Kind{arch.Sun, arch.Firefly, arch.Sun, arch.Firefly, arch.Sun},
+	Tune: func(cfg *cluster.Config) {
+		cfg.Policy = dsm.PolicyQuorum
 		// The generator cuts one host per partition window, but two
 		// windows may overlap on different victims; together with the
 		// mix class's crash that could strand host 0 in a two-host
 		// component — below any quorum. Re-aim every window at the
 		// first victim: the same windows in time, never more than one
 		// host cut at once, majority component guaranteed.
+		plan := cfg.FaultPlan
 		for i := 1; i < len(plan.Partitions); i++ {
 			plan.Partitions[i].Group = plan.Partitions[0].Group
 		}
 	},
+}, &stampPattern{
 	writers:  [3]int{1, 2, 3},
 	procName: "quorum-writer%d",
 	rounds:   12,
@@ -473,7 +400,7 @@ var quorumWorkload = &stampPattern{
 	slack:  1,
 	probes: survivorProbes,
 	judge:  quorumProgress,
-}
+})
 
 // livenessWindow is the shortest partition quorumProgress judges: the
 // coordinator polls every pollPeriod, so a window this long sees
@@ -542,11 +469,12 @@ func quorumProgress(plan *netsim.FaultPlan, completions []sim.Time) error {
 // A worker whose release cannot reach home retires with the error:
 // release consistency has no quietly-degraded mode — an interval is
 // pushed or it never happened.
-var rcWorkload = &stampPattern{
-	name:     "rc",
-	desc:     "3 hosts, lazy release consistency: per-worker interval stamps + unsynchronized polling coordinator",
-	kinds:    []arch.Kind{arch.Sun, arch.Firefly, arch.Firefly},
-	tune:     func(cfg *cluster.Config) { cfg.Policy = dsm.PolicyRC },
+var rcWorkload = stamped(cluster.Workload{
+	Name:  "rc",
+	Desc:  "3 hosts, lazy release consistency: per-worker interval stamps + unsynchronized polling coordinator",
+	Kinds: []arch.Kind{arch.Sun, arch.Firefly, arch.Firefly},
+	Tune:  func(cfg *cluster.Config) { cfg.Policy = dsm.PolicyRC },
+}, &stampPattern{
 	writers:  [3]int{0, 1, 2},
 	procName: "rc-writer%d",
 	rounds:   6,
@@ -570,7 +498,7 @@ var rcWorkload = &stampPattern{
 		}
 		return out
 	},
-}
+})
 
 // forwardWorkload runs under the dynamic distributed directory (Li &
 // Hudak probable-owner forwarding) instead of the central manager:
@@ -584,11 +512,12 @@ var rcWorkload = &stampPattern{
 // directory's lazy chain repair. The witness, holding no replica,
 // proves the page still serves through the (possibly repaired) hint
 // graph after settle.
-var forwardWorkload = &stampPattern{
-	name:     "forward",
-	desc:     "4 hosts, dynamic directory: writers migrate one page through probable-owner chains (crash mid-forward)",
-	kinds:    []arch.Kind{arch.Sun, arch.Firefly, arch.Sun, arch.Firefly},
-	tune:     func(cfg *cluster.Config) { cfg.Directory = dsm.DirDynamic },
+var forwardWorkload = stamped(cluster.Workload{
+	Name:  "forward",
+	Desc:  "4 hosts, dynamic directory: writers migrate one page through probable-owner chains (crash mid-forward)",
+	Kinds: []arch.Kind{arch.Sun, arch.Firefly, arch.Sun, arch.Firefly},
+	Tune:  func(cfg *cluster.Config) { cfg.Directory = dsm.DirDynamic },
+}, &stampPattern{
 	writers:  [3]int{1, 2, 3},
 	procName: "forward-writer%d",
 	rounds:   12,
@@ -598,7 +527,7 @@ var forwardWorkload = &stampPattern{
 	dwell:   workPeriod,
 	stagger: 37 * time.Millisecond,
 	probes:  survivorProbes,
-}
+})
 
 // lockedPattern is the scenario counter and handoff share: workers
 // increment one shared int32 under distributed semaphores while the
@@ -608,12 +537,9 @@ var forwardWorkload = &stampPattern{
 // others — the coordinator never waits on workers, so that is
 // tolerated, not a hang. Final assertions: the exact count when nobody
 // died and no worker stopped; otherwise the value must not exceed the
-// completed increments (recovery may roll it back, never forward).
+// completed increments (recovery may roll it back, never forward). Its
+// run is the Main of a row whose Define declares the semaphores.
 type lockedPattern struct {
-	name, desc string
-	kinds      []arch.Kind
-	// define declares the semaphores.
-	define func(c *cluster.Cluster)
 	// workers places worker w on a host; procName (one %d) names its
 	// simulated process.
 	workers  []int
@@ -625,23 +551,6 @@ type lockedPattern struct {
 	pause time.Duration
 	// noun names the shared value in verdicts.
 	noun string
-}
-
-func (s *lockedPattern) workload() *Workload {
-	return &Workload{
-		Name:  s.name,
-		Desc:  s.desc,
-		Hosts: len(s.kinds),
-		Build: func(seed int64, plan *netsim.FaultPlan, mut dsm.Mutation) (*Instance, error) {
-			inst, err := newInstance(seed, s.kinds, plan, mut, nil)
-			if err != nil {
-				return nil, err
-			}
-			s.define(inst.C)
-			inst.Main = s.run
-			return inst, nil
-		},
-	}
 }
 
 // round is one locked increment.
@@ -718,18 +627,20 @@ func (s *lockedPattern) run(p *sim.Proc, c *cluster.Cluster) error {
 // counterWorkload increments one shared counter from every host under
 // one lock semaphore: exact under message faults, bounded under
 // crashes.
-var counterWorkload = &lockedPattern{
-	name:     "counter",
-	desc:     "3 hosts, semaphore-locked shared counter (exact under message faults, bounded under crashes)",
-	kinds:    []arch.Kind{arch.Sun, arch.Firefly, arch.Sun},
-	define:   func(c *cluster.Cluster) { c.DefineSemaphore(chaosSemLock, 0, 1) },
-	workers:  []int{0, 1, 2},
-	procName: "counter%d",
-	rounds:   6,
-	acquire:  []uint32{chaosSemLock, chaosSemLock, chaosSemLock},
-	release:  []uint32{chaosSemLock, chaosSemLock, chaosSemLock},
-	pause:    workPeriod,
-	noun:     "counter",
+var counterWorkload = &cluster.Workload{
+	Name:   "counter",
+	Desc:   "3 hosts, semaphore-locked shared counter (exact under message faults, bounded under crashes)",
+	Kinds:  []arch.Kind{arch.Sun, arch.Firefly, arch.Sun},
+	Define: func(c *cluster.Cluster) { c.DefineSemaphore(chaosSemLock, 0, 1) },
+	Main: (&lockedPattern{
+		workers:  []int{0, 1, 2},
+		procName: "counter%d",
+		rounds:   6,
+		acquire:  []uint32{chaosSemLock, chaosSemLock, chaosSemLock},
+		release:  []uint32{chaosSemLock, chaosSemLock, chaosSemLock},
+		pause:    workPeriod,
+		noun:     "counter",
+	}).run,
 }
 
 // handoffWorkload ping-pongs ownership of one page between two hosts
@@ -738,18 +649,20 @@ var counterWorkload = &lockedPattern{
 // transfer with conversion and a crash has a wide window to land in
 // the middle of a handoff — the exact scenario the manager's
 // suspect-transfer reconciliation exists for.
-var handoffWorkload = &lockedPattern{
-	name:  "handoff",
-	desc:  "3 hosts, strict ownership ping-pong across architectures (crash mid-handoff)",
-	kinds: []arch.Kind{arch.Sun, arch.Sun, arch.Firefly},
-	define: func(c *cluster.Cluster) {
+var handoffWorkload = &cluster.Workload{
+	Name:  "handoff",
+	Desc:  "3 hosts, strict ownership ping-pong across architectures (crash mid-handoff)",
+	Kinds: []arch.Kind{arch.Sun, arch.Sun, arch.Firefly},
+	Define: func(c *cluster.Cluster) {
 		c.DefineSemaphore(chaosSemPing, 0, 1)
 		c.DefineSemaphore(chaosSemPong, 0, 0)
 	},
-	workers:  []int{1, 2},
-	procName: "handoff%d",
-	rounds:   4,
-	acquire:  []uint32{chaosSemPing, chaosSemPong},
-	release:  []uint32{chaosSemPong, chaosSemPing},
-	noun:     "handoff value",
+	Main: (&lockedPattern{
+		workers:  []int{1, 2},
+		procName: "handoff%d",
+		rounds:   4,
+		acquire:  []uint32{chaosSemPing, chaosSemPong},
+		release:  []uint32{chaosSemPong, chaosSemPing},
+		noun:     "handoff value",
+	}).run,
 }

@@ -8,6 +8,7 @@ package cluster
 
 import (
 	"fmt"
+	"hash"
 
 	"repro/internal/arch"
 	"repro/internal/conv"
@@ -339,6 +340,16 @@ func (c *Cluster) Run(mainHost HostID, main func(p *sim.Proc, h *Host)) sim.Dura
 // still parked so their stacks and page frames can be collected. Read
 // results first; the cluster must not be used afterwards.
 func (c *Cluster) Close() { c.K.Shutdown() }
+
+// WriteStateHash feeds every host's DSM and synchronization state to h,
+// in host order: the cluster part of the model checker's pruning
+// fingerprint and of the chaos harness's end-of-run line.
+func (c *Cluster) WriteStateHash(h hash.Hash) {
+	for _, host := range c.Hosts {
+		host.DSM.WriteStateHash(h)
+		host.Sync.WriteStateHash(h)
+	}
+}
 
 // TotalDSMStats sums DSM statistics across hosts.
 func (c *Cluster) TotalDSMStats() dsm.Stats {

@@ -1,15 +1,17 @@
 package cluster
 
-// One drive-and-judge for the verification harnesses. The model checker
-// (internal/mc) controls schedules and the fault injector
-// (internal/chaos) controls fault plans, but a run of either is the
-// same thing: Cluster.Run with an event budget and the panic recovered,
+// One workload table and one drive-and-judge for the verification
+// harnesses. The model checker (internal/mc) controls schedules and the
+// fault injector (internal/chaos) controls fault plans, but a run of
+// either is the same thing: a Workload row built on the harness's base
+// Config, then Cluster.Run with an event budget and the panic recovered,
 // then every oracle's verdict ranked into one Outcome.
 
 import (
 	"fmt"
 	"strings"
 
+	"repro/internal/arch"
 	"repro/internal/dsm"
 	"repro/internal/sctrace"
 	"repro/internal/sim"
@@ -74,6 +76,54 @@ func (o Outcome) String() string {
 	return fmt.Sprintf("Outcome(%d)", int(o))
 }
 
+// Workload is one verification scenario declared as data: its program
+// (Main) and judge (Main's verdict on the final state), the machines it
+// runs on, and what it changes in the cluster. A harness supplies only
+// the base Config its schedules or faults need and builds a fresh Trial
+// from the row for every run; rows hold no state of their own.
+type Workload struct {
+	// Name is the CLI spelling and the replay-token component.
+	Name string
+	// Desc is a one-line description for listings.
+	Desc string
+	// Kinds lists the machines, host 0 first.
+	Kinds []arch.Kind
+	// Tune, if set, edits the harness's base config before the cluster
+	// is built: the engine, directory, topology or failure detection a
+	// row checks, or an edit of cfg.FaultPlan derived from cfg.Seed.
+	Tune func(*Config)
+	// Define, if set, declares the synchronization primitives Main uses.
+	Define func(c *Cluster)
+	// Main is the body, run as the root simulated process. It returns
+	// the workload's own verdict on the final state (nil = all
+	// application-level assertions passed).
+	Main func(p *sim.Proc, c *Cluster) error
+}
+
+// Trial builds a fresh Trial of w on base: one host per Kinds entry,
+// the invariant checker attached and a new SC recorder wired, then
+// w.Tune, New and w.Define.
+func (w *Workload) Trial(base Config) (*Trial, error) {
+	cfg := base
+	cfg.Hosts = make([]HostSpec, len(w.Kinds))
+	for i, k := range w.Kinds {
+		cfg.Hosts[i] = HostSpec{Kind: k}
+	}
+	rec := sctrace.NewRecorder()
+	cfg.InvariantChecks, cfg.SCTrace = true, rec
+	if w.Tune != nil {
+		w.Tune(&cfg)
+	}
+	c, err := New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if w.Define != nil {
+		w.Define(c)
+	}
+	return &Trial{C: c, Rec: rec, Main: w.Main}, nil
+}
+
 // Trial is one freshly built, not-yet-run verification scenario: a
 // cluster with the invariant checker attached and an SC recorder wired
 // in, plus the workload body. Each run builds a new Trial.
@@ -82,9 +132,7 @@ type Trial struct {
 	C *Cluster
 	// Rec records the run's DSM accesses for the offline trace check.
 	Rec *sctrace.Recorder
-	// Main is the workload body, run as the root simulated process. It
-	// returns the workload's own verdict on the final state (nil = all
-	// application-level assertions passed).
+	// Main is the workload body (Workload.Main).
 	Main func(p *sim.Proc, c *Cluster) error
 }
 

@@ -12,20 +12,24 @@ import (
 // bodies entered them as a digest, and on crash — the one workload with
 // failure detection, so the one that reaches page recovery, suspect
 // reconciliation and the confirm give-up — to its report when the
-// directory schemes were folded onto one transaction record. Pruning
+// directory schemes were folded onto one transaction record. The
+// migration and central rows are pinned as first recorded; central's
+// whole space is 12 schedules. Pruning
 // decides what is explored, so a fingerprint that merged or split
 // states differently — or a chooser that skipped one the strategy
 // reads — would move these counters.
 func TestDFSReportsPinned(t *testing.T) {
 	cases := []struct {
-		workload                           string
-		pruned, frontier, maxPoints, steps int
+		workload                                      string
+		schedules, pruned, frontier, maxPoints, steps int
 	}{
-		{"basic", 2504, 171, 100, 20621},
-		{"crash", 450, 426, 256, 43321},
-		{"dynamic", 302, 146, 71, 18568},
-		{"quorum", 397, 60, 72, 12577},
-		{"rc", 482, 38, 36, 15017},
+		{"basic", 150, 2504, 171, 100, 20621},
+		{"crash", 150, 450, 426, 256, 43321},
+		{"dynamic", 150, 302, 146, 71, 18568},
+		{"quorum", 150, 397, 60, 72, 12577},
+		{"rc", 150, 482, 38, 36, 15017},
+		{"migration", 150, 1579, 59, 44, 9068},
+		{"central", 12, 3, 0, 6, 249},
 	}
 	for _, c := range cases {
 		w, err := Lookup(c.workload)
@@ -39,10 +43,10 @@ func TestDFSReportsPinned(t *testing.T) {
 		if rep.Violating != nil {
 			t.Fatalf("%s: false positive: %s", c.workload, rep)
 		}
-		if rep.Schedules != 150 || rep.Pruned != c.pruned || rep.Frontier != c.frontier ||
+		if rep.Schedules != c.schedules || rep.Pruned != c.pruned || rep.Frontier != c.frontier ||
 			rep.MaxPoints != c.maxPoints || rep.TotalSteps != c.steps {
-			t.Errorf("%s: explored a different space:\n  got  %s\n  want schedules=150 pruned=%d frontier=%d max-points=%d steps=%d",
-				c.workload, rep, c.pruned, c.frontier, c.maxPoints, c.steps)
+			t.Errorf("%s: explored a different space:\n  got  %s\n  want schedules=%d pruned=%d frontier=%d max-points=%d steps=%d",
+				c.workload, rep, c.schedules, c.pruned, c.frontier, c.maxPoints, c.steps)
 		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/cluster"
 	"repro/internal/dsm"
 )
 
@@ -72,7 +73,7 @@ type KillResult struct {
 	// replays it and Outcome/Detail describe how it surfaced.
 	Killed  bool
 	Token   string
-	Outcome Outcome
+	Outcome cluster.Outcome
 	Detail  string
 	// Schedules counts runs executed before the kill (or the budget).
 	Schedules int

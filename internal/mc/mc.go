@@ -26,50 +26,9 @@ import (
 	"math/rand"
 	"strings"
 
-	"repro/internal/arch"
 	"repro/internal/cluster"
 	"repro/internal/dsm"
 	"repro/internal/sim"
-)
-
-// Instance is one freshly built, not-yet-run workload; each exploration
-// run builds a new one.
-type Instance = cluster.Trial
-
-// Workload names a reproducible model-checking scenario, declared as
-// data; Build assembles a fresh cluster from it for every run.
-type Workload struct {
-	// Name is the CLI spelling and the replay-token component.
-	Name string
-	// Desc is a one-line description for listings.
-	Desc string
-	// Kinds lists the machines, host 0 first.
-	Kinds []arch.Kind
-	// Tune, if set, edits the standard cluster config (see Build): the
-	// workloads that check another engine or directory, or that need
-	// failure detection.
-	Tune func(*cluster.Config)
-	// Define, if set, declares the synchronization primitives the body
-	// uses.
-	Define func(c *cluster.Cluster)
-	// Main is the body, run as the root process; it returns the
-	// workload's own verdict on the final state.
-	Main func(p *sim.Proc, c *cluster.Cluster) error
-}
-
-// Outcome classifies one run; the harnesses share one judge and one
-// set of outcomes (cluster.Trial.Drive).
-type Outcome = cluster.Outcome
-
-// The outcomes a model-checking run can end in.
-const (
-	OK                 = cluster.OK
-	InvariantViolation = cluster.InvariantViolation
-	SCViolation        = cluster.SCViolation
-	Panic              = cluster.Panic
-	Deadlock           = cluster.Deadlock
-	Livelock           = cluster.Livelock
-	AppError           = cluster.AppError
 )
 
 // Result is the record of one executed run.
@@ -120,16 +79,25 @@ type execOpts struct {
 // budget, so the exact value only affects how fast that is reported.
 const DefaultMaxSteps = 200_000
 
-// execute builds a fresh instance of the workload with the mutation
-// injected and runs it under the given schedule control.
-func execute(w *Workload, mut dsm.Mutation, o execOpts) (*Result, error) {
-	inst, err := w.Build(mut)
+// execute builds a fresh trial of the workload with the mutation
+// injected — on the model checker's base config: the flattened cost
+// model (mcParams), seed 1, MRSW under the fixed directory — and runs it
+// under the given schedule control.
+func execute(w *cluster.Workload, mut dsm.Mutation, o execOpts) (*Result, error) {
+	params := mcParams()
+	t, err := w.Trial(cluster.Config{
+		PageSize:  workloadPageSize,
+		SpaceSize: workloadSpaceSize,
+		Params:    &params,
+		Seed:      1,
+		Mutation:  mut,
+	})
 	if err != nil {
 		return nil, fmt.Errorf("mc: building %s: %w", w.Name, err)
 	}
-	c := inst.C
-	// Reclaim the instance's goroutines: an exploration executes
-	// thousands of runs, each leaving handlers and workers parked.
+	c := t.C
+	// Reclaim the trial's goroutines: an exploration executes thousands
+	// of runs, each leaving handlers and workers parked.
 	defer c.Close()
 
 	ch := &runChooser{forced: o.forced, rng: o.rng, transcript: o.transcript, hashDepth: o.hashDepth}
@@ -142,7 +110,7 @@ func execute(w *Workload, mut dsm.Mutation, o execOpts) (*Result, error) {
 		o.maxSteps = DefaultMaxSteps
 	}
 	return &Result{
-		Verdict:    inst.Drive("mc-main", o.maxSteps, ""),
+		Verdict:    t.Drive("mc-main", o.maxSteps, ""),
 		Choices:    ch.choices,
 		Widths:     ch.widths,
 		Hashes:     ch.hashes,
@@ -177,9 +145,9 @@ func (c *runChooser) Choose(now sim.Time, n int, label func(i int) string) int {
 	case i < len(c.forced):
 		pick = c.forced[i]
 		if pick < 0 || pick >= n {
-			// A stale token (workload changed since it was minted) may
-			// force an index that no longer exists; clamping keeps the
-			// run deterministic rather than crashing mid-exploration.
+			// Only a replay token can force an index that does not
+			// exist (the strategies extend observed widths); clamping
+			// finishes the run, and Replay rejects it afterwards.
 			pick = n - 1
 		}
 	case c.rng != nil:
@@ -218,10 +186,7 @@ func (c *runChooser) Choose(now sim.Time, n int, label func(i int) string) int {
 // differ, which bounded exploration tolerates.
 func stateHash(c *cluster.Cluster, n int, label func(int) string) uint64 {
 	h := fnv.New64a()
-	for _, host := range c.Hosts {
-		host.DSM.WriteStateHash(h)
-		host.Sync.WriteStateHash(h)
-	}
+	c.WriteStateHash(h)
 	var b [4]byte
 	binary.LittleEndian.PutUint32(b[:], uint32(c.K.LivePending()))
 	h.Write(b[:])

@@ -20,7 +20,7 @@ func TestDefaultScheduleClean(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", w.Name, err)
 		}
-		if res.Outcome != OK {
+		if res.Outcome != cluster.OK {
 			t.Errorf("%s: default schedule: %s: %s", w.Name, res.Outcome, res.Detail)
 		}
 		if res.Steps == 0 || len(res.Choices) == 0 {
@@ -31,16 +31,17 @@ func TestDefaultScheduleClean(t *testing.T) {
 
 // TestDFSClean explores the bounded schedule space of each workload on
 // the unmutated protocol: every schedule must pass every oracle. The
-// small workloads are exhausted outright (frontier 0); "basic" must
-// yield at least 1000 distinct schedules within budget — the smoke
-// guarantee that the chooser actually branches the space open. With
-// TestKillSuite this covers every run `make mc-smoke` performs.
+// small workloads are exhausted outright (frontier 0; barrier's space is
+// 706 schedules, so the short budget covers it too); "basic" must yield
+// at least 1000 distinct schedules within budget — the smoke guarantee
+// that the chooser actually branches the space open. With TestKillSuite
+// this covers every run `make mc-smoke` performs.
 func TestDFSClean(t *testing.T) {
 	budget := 1500
 	if testing.Short() {
-		budget = 300
+		budget = 800
 	}
-	for _, name := range []string{"basic", "sem", "barrier", "update", "rc", "dynamic", "quorum"} {
+	for _, name := range []string{"basic", "sem", "barrier", "update", "rc", "dynamic", "quorum", "migration", "central"} {
 		w, err := Lookup(name)
 		if err != nil {
 			t.Fatal(err)
@@ -58,11 +59,33 @@ func TestDFSClean(t *testing.T) {
 			if !testing.Short() && rep.Schedules < 1000 {
 				t.Errorf("basic: only %d schedules explored, want >= 1000", rep.Schedules)
 			}
-		case "sem", "barrier", "update":
+		case "sem", "barrier", "update", "migration", "central":
 			if rep.Frontier != 0 {
 				t.Errorf("%s: bounded space not exhausted: %d prefixes left", name, rep.Frontier)
 			}
 		}
+	}
+}
+
+// TestSkipConversionCaughtOnEngineRows: the migration and central rows
+// put those engines under the model checker, so the one mutation every
+// engine honours — page bodies installed without conversion — must be
+// convicted on both.
+func TestSkipConversionCaughtOnEngineRows(t *testing.T) {
+	for _, name := range []string{"migration", "central"} {
+		w, err := Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := RunDFS(w, dsm.MutSkipConversion, DFSOpts{MaxSchedules: 200})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Violating == nil {
+			t.Errorf("%s: skip-conversion survived: %s", name, rep)
+			continue
+		}
+		t.Logf("%s", rep)
 	}
 }
 
@@ -160,6 +183,34 @@ func TestTokenRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReplayRejectsImpossibleTokens: a token that forces an index at or
+// beyond a choice point's width, or more choices than the run reaches,
+// names no run of the workload. Replay must say where, not replay some
+// other schedule and report its outcome.
+func TestReplayRejectsImpossibleTokens(t *testing.T) {
+	base, err := Replay("mc1:ring:none:-", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, w0 := len(base.Choices), base.Widths[0]
+	if _, err := Replay(fmt.Sprintf("mc1:ring:none:%d", w0-1), 0); err != nil {
+		t.Errorf("last alternative at choice point #0 rejected: %v", err)
+	}
+	for _, c := range []struct{ token, want string }{
+		{"mc1:ring:none:7.7.7", fmt.Sprintf("forces index 7 at choice point #0, which has %d alternatives", w0)},
+		{fmt.Sprintf("mc1:ring:none:%d", w0), fmt.Sprintf("forces index %d at choice point #0", w0)},
+		{"mc1:ring:none:" + strings.Repeat("0.", n) + "1", fmt.Sprintf("forces %d choices, the run reaches only %d", n+1, n)},
+	} {
+		if res, err := Replay(c.token, 0); err == nil || !strings.Contains(err.Error(), c.want) {
+			var got string
+			if res != nil {
+				got = res.Outcome.String()
+			}
+			t.Errorf("Replay(%s) = %s, %v; want an error containing %q", c.token, got, err, c.want)
+		}
+	}
+}
+
 // TestKillSuite is the headline guarantee: every hand-injected protocol
 // mutation is detected within its bounded exploration, and the reported
 // schedule token replays to a violation of the same class. Short mode
@@ -225,8 +276,8 @@ func TestDropCopysetInvisibleOnBasic(t *testing.T) {
 // not in the trace, so only the execution's real-time order tells the
 // oracle that both writes ended before the reads began. Main returns no
 // verdict of its own, so the probe measures the oracle alone.
-func lostUpdateProbe(samePage bool) *Workload {
-	return &Workload{
+func lostUpdateProbe(samePage bool) *cluster.Workload {
+	return &cluster.Workload{
 		Name:   "lost-update-probe",
 		Kinds:  []arch.Kind{arch.Sun, arch.Firefly, arch.Sun},
 		Tune:   func(cfg *cluster.Config) { cfg.Policy = dsm.PolicyQuorum },
@@ -286,7 +337,7 @@ func TestLostUpdateProbePinned(t *testing.T) {
 				t.Fatal(err)
 			}
 			switch {
-			case tc.violation && (rep.Violating == nil || rep.Violating.Outcome != SCViolation || rep.Schedules != 1):
+			case tc.violation && (rep.Violating == nil || rep.Violating.Outcome != cluster.SCViolation || rep.Schedules != 1):
 				t.Errorf("want an sc-violation at schedule 1 (the sub-page lost update); got %s", rep)
 			case !tc.violation && rep.Violating != nil:
 				t.Errorf("false positive: %s", rep)

@@ -72,7 +72,10 @@ func DecodeToken(token string) (workload string, mut dsm.Mutation, choices []int
 
 // Replay re-executes the run a schedule token describes, collecting a
 // per-choice-point transcript. The token's outcome is whatever the run
-// produces — a violation token reproduces its violation.
+// produces — a violation token reproduces its violation. A token that
+// forces an index at or beyond a choice point's width, or more choices
+// than the run reaches, names no run of this workload (it was minted
+// against another build, or mistyped) and is an error.
 func Replay(token string, maxSteps int) (*Result, error) {
 	name, mut, choices, err := DecodeToken(token)
 	if err != nil {
@@ -82,5 +85,17 @@ func Replay(token string, maxSteps int) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return execute(w, mut, execOpts{forced: choices, maxSteps: maxSteps, transcript: true})
+	res, err := execute(w, mut, execOpts{forced: choices, maxSteps: maxSteps, transcript: true})
+	if err != nil {
+		return nil, err
+	}
+	for i, c := range choices {
+		if i == len(res.Widths) {
+			return nil, fmt.Errorf("mc: token %q forces %d choices, the run reaches only %d", token, len(choices), i)
+		}
+		if c >= res.Widths[i] {
+			return nil, fmt.Errorf("mc: token %q forces index %d at choice point #%d, which has %d alternatives", token, c, i, res.Widths[i])
+		}
+	}
+	return res, nil
 }

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"repro/internal/cluster"
 	"repro/internal/dsm"
 )
 
@@ -73,7 +74,7 @@ type DFSOpts struct {
 // probed prefix ends in a non-default choice, so every executed
 // schedule is distinct by construction. With pruning on, branching
 // points whose state fingerprint was already expanded are skipped.
-func RunDFS(w *Workload, mut dsm.Mutation, o DFSOpts) (*Report, error) {
+func RunDFS(w *cluster.Workload, mut dsm.Mutation, o DFSOpts) (*Report, error) {
 	if o.MaxSchedules <= 0 {
 		o.MaxSchedules = 2000
 	}
@@ -92,7 +93,7 @@ func RunDFS(w *Workload, mut dsm.Mutation, o DFSOpts) (*Report, error) {
 		if len(res.Choices) > rep.MaxPoints {
 			rep.MaxPoints = len(res.Choices)
 		}
-		if res.Outcome != OK {
+		if res.Outcome != cluster.OK {
 			rep.Violating = res
 			rep.Token = EncodeToken(w.Name, mut, res.Choices)
 			rep.Frontier = len(stack)
@@ -138,7 +139,7 @@ type RandomOpts struct {
 // RunRandom fuzzes schedules with seeded uniform choices at every
 // choice point. Schedules counts distinct choice sequences observed
 // (collisions are likely on workloads with few choice points).
-func RunRandom(w *Workload, mut dsm.Mutation, o RandomOpts) (*Report, error) {
+func RunRandom(w *cluster.Workload, mut dsm.Mutation, o RandomOpts) (*Report, error) {
 	if o.Runs <= 0 {
 		o.Runs = 500
 	}
@@ -156,7 +157,7 @@ func RunRandom(w *Workload, mut dsm.Mutation, o RandomOpts) (*Report, error) {
 			rep.MaxPoints = len(res.Choices)
 		}
 		rep.Schedules = len(distinct)
-		if res.Outcome != OK {
+		if res.Outcome != cluster.OK {
 			rep.Violating = res
 			rep.Token = EncodeToken(w.Name, mut, res.Choices)
 			return rep, nil
@@ -182,7 +183,7 @@ type DelayOpts struct {
 // budget d it visits exactly the schedules whose choice indices sum to
 // ≤ d — the delay-bounded heuristic: most ordering bugs need only a
 // couple of deferred deliveries.
-func RunDelayBounded(w *Workload, mut dsm.Mutation, o DelayOpts) (*Report, error) {
+func RunDelayBounded(w *cluster.Workload, mut dsm.Mutation, o DelayOpts) (*Report, error) {
 	if o.MaxDelays <= 0 {
 		o.MaxDelays = 2
 	}
@@ -203,7 +204,7 @@ func RunDelayBounded(w *Workload, mut dsm.Mutation, o DelayOpts) (*Report, error
 		if len(res.Choices) > rep.MaxPoints {
 			rep.MaxPoints = len(res.Choices)
 		}
-		if res.Outcome != OK {
+		if res.Outcome != cluster.OK {
 			rep.Violating = res
 			rep.Token = EncodeToken(w.Name, mut, res.Choices)
 			rep.Frontier = len(queue)

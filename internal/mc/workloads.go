@@ -17,7 +17,6 @@ import (
 	"repro/internal/dsm"
 	"repro/internal/model"
 	"repro/internal/namelist"
-	"repro/internal/sctrace"
 	"repro/internal/sim"
 )
 
@@ -81,54 +80,20 @@ func mcParams() model.Params {
 	return params
 }
 
-// Build constructs a fresh Instance with the given protocol mutation
-// injected (dsm.MutNone for the correct protocol): a small cluster of
-// w.Kinds running MRSW under the fixed directory, invariant checker
-// attached, SC recorder wired, flattened cost model (see mcParams),
-// edited by w.Tune, with w.Define's primitives declared.
-func (w *Workload) Build(mut dsm.Mutation) (*Instance, error) {
-	hosts := make([]cluster.HostSpec, len(w.Kinds))
-	for i, k := range w.Kinds {
-		hosts[i] = cluster.HostSpec{Kind: k}
-	}
-	params := mcParams()
-	rec := sctrace.NewRecorder()
-	cfg := cluster.Config{
-		Hosts:           hosts,
-		PageSize:        workloadPageSize,
-		SpaceSize:       workloadSpaceSize,
-		Params:          &params,
-		Seed:            1,
-		InvariantChecks: true,
-		SCTrace:         rec,
-		Mutation:        mut,
-	}
-	if w.Tune != nil {
-		w.Tune(&cfg)
-	}
-	c, err := cluster.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if w.Define != nil {
-		w.Define(c)
-	}
-	return &Instance{C: c, Rec: rec, Main: w.Main}, nil
-}
-
 // workloads is the registry, keyed by Name.
-var workloads = namelist.NewRegistry[*Workload]("mc: unknown workload")
+var workloads = namelist.NewRegistry[*cluster.Workload]("mc: unknown workload")
 
 // Lookup resolves a workload by name.
-func Lookup(name string) (*Workload, error) { return workloads.Lookup(name) }
+func Lookup(name string) (*cluster.Workload, error) { return workloads.Lookup(name) }
 
 // All returns every registered workload in name order.
-func All() []*Workload { return workloads.All() }
+func All() []*cluster.Workload { return workloads.All() }
 
 func init() {
-	for _, w := range []*Workload{
+	for _, w := range []*cluster.Workload{
 		basicWorkload, matmulWorkload, ringWorkload, updateWorkload, semWorkload,
 		barrierWorkload, crashWorkload, dynamicWorkload, quorumWorkload, rcWorkload,
+		migrationWorkload, centralWorkload,
 	} {
 		workloads.Register(w.Name, w)
 	}
@@ -153,7 +118,7 @@ func init() {
 //
 // Both patterns are fully ordered by semaphores, so the assertions are
 // exact on every schedule of the unmutated protocol.
-var rcWorkload = &Workload{
+var rcWorkload = &cluster.Workload{
 	Name:  "rc",
 	Desc:  "2 hosts (Sun+Firefly), lazy release consistency: locked counter + open-interval pull",
 	Kinds: []arch.Kind{arch.Sun, arch.Firefly},
@@ -229,7 +194,7 @@ var rcWorkload = &Workload{
 // and a schedule that parked the install exposes the old value; under
 // MutSplitBrainWrite a write never leaves its host and any majority read
 // that excludes the writer misses it.
-var quorumWorkload = &Workload{
+var quorumWorkload = &cluster.Workload{
 	Name:  "quorum",
 	Desc:  "3 hosts, SC-ABD majority quorum: cross-host read/write visibility",
 	Kinds: []arch.Kind{arch.Sun, arch.Firefly, arch.Sun},
@@ -266,7 +231,7 @@ var quorumWorkload = &Workload{
 // transition. Under MutStaleProbableOwner the relinquishing owner keeps
 // its self-hint and the next forwarded request trips the self-loop
 // assertion.
-var dynamicWorkload = &Workload{
+var dynamicWorkload = &cluster.Workload{
 	Name:  "dynamic",
 	Desc:  "3 hosts, dynamic distributed manager: ownership chain + forwarded third-party requests",
 	Kinds: []arch.Kind{arch.Sun, arch.Firefly, arch.Sun},
@@ -305,7 +270,7 @@ var dynamicWorkload = &Workload{
 // coordinator) never crashes. The failure detector runs on every host:
 // this workload needs detection and recovery, and no other pays for the
 // heartbeat events.
-var crashWorkload = &Workload{
+var crashWorkload = &cluster.Workload{
 	Name:   "crash",
 	Desc:   "3 hosts, owner crash before/after/during an ownership transfer + copyset recovery",
 	Kinds:  []arch.Kind{arch.Sun, arch.Firefly, arch.Firefly},
@@ -383,7 +348,7 @@ var crashWorkload = &Workload{
 // invalidations; the cross-architecture migrations exercise
 // conversion; the lock and completion semaphores exercise dsync under
 // every wakeup order.
-var basicWorkload = &Workload{
+var basicWorkload = &cluster.Workload{
 	Name:   "basic",
 	Desc:   "2 hosts (Sun+Firefly), 2 pages: semaphore-locked counter + once-written slots",
 	Kinds:  []arch.Kind{arch.Sun, arch.Firefly},
@@ -441,7 +406,7 @@ func lockAndDone(c *cluster.Cluster) {
 // workers start, C's rows are disjoint, so the run is
 // schedule-invariant while still moving three pages between three
 // hosts of two architectures.
-var matmulWorkload = &Workload{
+var matmulWorkload = &cluster.Workload{
 	Name:  "matmul",
 	Desc:  "3 hosts, 2×2 int matmul, one row per worker (3 pages)",
 	Kinds: []arch.Kind{arch.Sun, arch.Firefly, arch.Sun},
@@ -498,7 +463,7 @@ var matmulWorkload = &Workload{
 // replica alive through host 2's write — invisible with only two hosts,
 // where the reader is always the requester or the owner of the
 // transfer.
-var ringWorkload = &Workload{
+var ringWorkload = &cluster.Workload{
 	Name:  "ring",
 	Desc:  "3 hosts, read-replicate then third-party write (copyset accuracy)",
 	Kinds: []arch.Kind{arch.Sun, arch.Sun, arch.Sun},
@@ -522,25 +487,56 @@ var ringWorkload = &Workload{
 // updateWorkload runs the write-update policy: host 1 holds a replica,
 // host 0 writes through the manager's sequencer, host 1 must see the
 // new value in its never-invalidated replica.
-var updateWorkload = &Workload{
+var updateWorkload = &cluster.Workload{
 	Name:  "update",
 	Desc:  "2 hosts, write-update policy: sequenced write reaches the replica",
 	Kinds: []arch.Kind{arch.Sun, arch.Firefly},
 	Tune:  func(cfg *cluster.Config) { cfg.Policy = dsm.PolicyUpdate },
-	Main: func(p *sim.Proc, c *cluster.Cluster) error {
-		x, err := c.Hosts[0].DSM.Alloc(p, conv.Int32, pageInts)
-		if err != nil {
-			return err
-		}
-		if got := c.Hosts[1].DSM.ReadInt32(p, x); got != 0 {
-			return fmt.Errorf("initial read = %d, want 0", got)
-		}
-		c.Hosts[0].DSM.WriteInt32(p, x, 7)
-		if got := c.Hosts[1].DSM.ReadInt32(p, x); got != 7 {
-			return fmt.Errorf("replica read = %d, want 7", got)
-		}
-		return nil
-	},
+	Main:  readWriteReadBack,
+}
+
+// migrationWorkload runs the page-migration policy: the page's one copy
+// moves to whichever host touches it, so host 1's read takes it to the
+// Firefly, host 0's write brings it back to the Sun and host 1's
+// read-back takes it across again — every move after the first touch a
+// cross-architecture conversion of the whole page.
+var migrationWorkload = &cluster.Workload{
+	Name:  "migration",
+	Desc:  "2 hosts (Sun+Firefly), page migration: the single copy converts on every move",
+	Kinds: []arch.Kind{arch.Sun, arch.Firefly},
+	Tune:  func(cfg *cluster.Config) { cfg.Policy = dsm.PolicyMigration },
+	Main:  readWriteReadBack,
+}
+
+// centralWorkload runs the central-server policy: no host caches the
+// page, every access is a remote operation at its server (host 0, a
+// Sun), so the Firefly's reads get their values converted on every
+// reply.
+var centralWorkload = &cluster.Workload{
+	Name:  "central",
+	Desc:  "2 hosts (Sun+Firefly), central server: every remote access converts at the server",
+	Kinds: []arch.Kind{arch.Sun, arch.Firefly},
+	Tune:  func(cfg *cluster.Config) { cfg.Policy = dsm.PolicyCentral },
+	Main:  readWriteReadBack,
+}
+
+// readWriteReadBack is the body of the update, migration and central
+// rows: host 1 reads host 0's fresh allocation across architectures,
+// host 0 writes it, and host 1 must read the new value back. The
+// failure message keeps the update row's wording, "replica read".
+func readWriteReadBack(p *sim.Proc, c *cluster.Cluster) error {
+	x, err := c.Hosts[0].DSM.Alloc(p, conv.Int32, pageInts)
+	if err != nil {
+		return err
+	}
+	if got := c.Hosts[1].DSM.ReadInt32(p, x); got != 0 {
+		return fmt.Errorf("initial read = %d, want 0", got)
+	}
+	c.Hosts[0].DSM.WriteInt32(p, x, 7)
+	if got := c.Hosts[1].DSM.ReadInt32(p, x); got != 7 {
+		return fmt.Errorf("replica read = %d, want 7", got)
+	}
+	return nil
 }
 
 // semWorkload checks distributed semaphore mutual exclusion and
@@ -548,7 +544,7 @@ var updateWorkload = &Workload{
 // entering a critical section twice. The critical-section occupancy
 // check uses plain Go variables, outside DSM, so it cannot be confused
 // by a DSM bug; a lost wakeup surfaces as a deadlock.
-var semWorkload = &Workload{
+var semWorkload = &cluster.Workload{
 	Name:   "sem",
 	Desc:   "2 hosts, dsync semaphore mutual exclusion under adversarial wakeups",
 	Kinds:  []arch.Kind{arch.Sun, arch.Firefly},
@@ -588,7 +584,7 @@ var semWorkload = &Workload{
 // round r, its peer must have entered round r (it may already be in
 // r+1, blocked on the next barrier, but can never lag). A dropped
 // release parks a worker forever and surfaces as a deadlock.
-var barrierWorkload = &Workload{
+var barrierWorkload = &cluster.Workload{
 	Name:  "barrier",
 	Desc:  "2 hosts, dsync barrier, 2 rounds: no lost wakeups, no round skew",
 	Kinds: []arch.Kind{arch.Sun, arch.Firefly},

@@ -44,8 +44,15 @@ func NewRegistry[T any](what string) *Registry[T] {
 	return &Registry[T]{what: what, byName: map[string]T{}}
 }
 
-// Register files v under name, replacing an earlier entry.
-func (r *Registry[T]) Register(name string, v T) { r.byName[name] = v }
+// Register files v under name. A table is filled once at start-up, so a
+// name registered twice is a pasted row that would silently hide the
+// first: it panics.
+func (r *Registry[T]) Register(name string, v T) {
+	if _, dup := r.byName[name]; dup {
+		panic(fmt.Sprintf("namelist: %q registered twice (%s)", name, r.what))
+	}
+	r.byName[name] = v
+}
 
 // Lookup resolves a name; the error for an unknown one lists Names.
 func (r *Registry[T]) Lookup(name string) (T, error) {

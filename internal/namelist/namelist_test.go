@@ -61,3 +61,19 @@ func TestRegistry(t *testing.T) {
 		t.Errorf("Lookup(nope) error = %v, want %s", err, want)
 	}
 }
+
+// A second row under a name already registered must not replace the
+// first without a word.
+func TestRegistryRejectsDuplicateName(t *testing.T) {
+	r := NewRegistry[int]("mc: unknown workload")
+	r.Register("rc", 3)
+	defer func() {
+		if p := recover(); p == nil {
+			t.Errorf("duplicate Register accepted; All() = %v", r.All())
+		}
+		if v, _ := r.Lookup("rc"); v != 3 {
+			t.Errorf("Lookup(rc) = %d after the rejected duplicate, want 3", v)
+		}
+	}()
+	r.Register("rc", 4)
+}

@@ -186,6 +186,9 @@ func (fp *FaultPlan) Empty() bool {
 // be set before traffic starts.
 func (n *Network) SetFaultPlan(fp *FaultPlan) { n.plan = fp }
 
+// FaultPlan returns the installed fault plan (nil when none is).
+func (n *Network) FaultPlan() *FaultPlan { return n.plan }
+
 // SetPayloadHooks registers the payload deep-copy and corruption hooks
 // the duplicate/corrupt faults need. clone must return an independent
 // copy safe to deliver twice (no shared pooled buffers); corrupt must
