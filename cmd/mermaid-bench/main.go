@@ -69,9 +69,8 @@ var sections = []section{
 	{name: "avail", byName: true, print: func(w io.Writer) {
 		show(w, exp.PartitionAvailabilityTable(exp.PartitionAvailability()))
 	}},
-	// scale is the CI smoke sweep (up to 256 hosts, under the check
-	// target's time budget); scale1k is the nightly full sweep with the
-	// 1024-host runs.
+	// scale is the sweep up to 256 hosts; scale1k adds the 1024-host
+	// runs. TestGoldenByName pins both.
 	{name: "scale", byName: true, print: func(w io.Writer) {
 		show(w, exp.DirectoryScalingTable(exp.DirectoryScaling([]int{16, 64, 256})))
 	}},

@@ -64,9 +64,9 @@ func TestGolden(t *testing.T) {
 // and so TestGolden, leaves out: `mermaid-bench -only <name>` must equal
 // testdata/<name>_results.txt byte for byte. `avail` drives central,
 // update and quorum under a partition; `scale` is the 16–256-host
-// directory ablation.
+// directory ablation and `scale1k` the same with the 1024-host runs.
 func TestGoldenByName(t *testing.T) {
-	for _, name := range []string{"rc", "dirs", "avail", "scale"} {
+	for _, name := range []string{"rc", "dirs", "avail", "scale", "scale1k"} {
 		t.Run(name, func(t *testing.T) {
 			file := filepath.Join("testdata", name+"_results.txt")
 			want, err := os.ReadFile(file)
