@@ -1,7 +1,7 @@
 # The check target runs exactly what CI runs: every step of the check
 # job in .github/workflows/ci.yml is `make <target>` of a target below.
 
-.PHONY: check build vet fmt ledger ledger-check test benchmark-check race mermaid-vet mc-smoke mc-deep chaos-smoke chaos-deep scale-deep
+.PHONY: check build vet fmt ledger ledger-check test benchmark-check race mermaid-vet mc-smoke mc-deep chaos-smoke chaos-deep
 
 check: build vet fmt ledger-check test benchmark-check race mermaid-vet mc-smoke chaos-smoke
 
@@ -126,9 +126,3 @@ mc-deep:
 	go run ./cmd/mermaid-mc -workload=all -strategy=dfs -max-schedules=5000
 	go run ./cmd/mermaid-mc -workload=basic -strategy=random -runs=2000
 	go run ./cmd/mermaid-mc -workload=matmul -strategy=delay -delays=3 -max-schedules=5000
-
-# Nightly-depth scaling: the 1024-host cluster ablation on both the
-# one-segment bus and the 32×32 switched fabric. The N∈{16,64,256}
-# ablation (`-only scale`) is pinned by TestGoldenByName.
-scale-deep:
-	go run ./cmd/mermaid-bench -only scale1k

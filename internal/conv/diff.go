@@ -55,6 +55,11 @@ func (d *Diff) Empty() bool { return len(d.Runs) == 0 }
 // lengths must be equal and a multiple of the type's element size. Only
 // whole elements are compared: a single changed byte marks its whole
 // element changed, which is what keeps the payload convertible.
+//
+// Equal bytes are skipped a word at a time up to the first difference;
+// the element holding it opens a run, which extends element by element.
+// The runs gather in a stack buffer and the run list and payload are
+// each allocated once, at their final size.
 func (r *Registry) BuildDiff(id TypeID, old, new []byte) (Diff, error) {
 	t, ok := r.Get(id)
 	if !ok {
@@ -68,20 +73,43 @@ func (r *Registry) BuildDiff(id TypeID, old, new []byte) (Diff, error) {
 	}
 	d := Diff{Type: id}
 	sz := t.Size
-	n := len(old) / sz
-	for e := 0; e < n; e++ {
-		off := e * sz
-		if bytesEqual(old[off:off+sz], new[off:off+sz]) {
-			continue
+	var stack [256]DiffRun
+	runs := stack[:0]
+	elems := 0
+	for i := firstDiff(old, new, 0); i < len(old); i = firstDiff(old, new, i) {
+		start := i / sz
+		end := start + 1
+		for off := end * sz; off < len(old) && !bytesEqual(old[off:off+sz], new[off:off+sz]); off += sz {
+			end++
 		}
-		if k := len(d.Runs); k > 0 && d.Runs[k-1].Elem+d.Runs[k-1].Count == uint32(e) {
-			d.Runs[k-1].Count++
-		} else {
-			d.Runs = append(d.Runs, DiffRun{Elem: uint32(e), Count: 1})
-		}
-		d.Data = append(d.Data, new[off:off+sz]...)
+		runs = append(runs, DiffRun{Elem: uint32(start), Count: uint32(end - start)})
+		elems += end - start
+		i = end * sz
+	}
+	if len(runs) == 0 {
+		return d, nil
+	}
+	d.Runs = make([]DiffRun, len(runs))
+	copy(d.Runs, runs)
+	d.Data = make([]byte, 0, elems*sz)
+	for _, run := range runs {
+		d.Data = append(d.Data, new[int(run.Elem)*sz:int(run.Elem+run.Count)*sz]...)
 	}
 	return d, nil
+}
+
+// firstDiff returns the index of the first byte at or after i where a
+// and b (of equal length) differ, or len(a) if none does. Equal bytes
+// are skipped eight at a time.
+func firstDiff(a, b []byte, i int) int {
+	for ; i+8 <= len(a); i += 8 {
+		if binary.LittleEndian.Uint64(a[i:]) != binary.LittleEndian.Uint64(b[i:]) {
+			break
+		}
+	}
+	for ; i < len(a) && a[i] == b[i]; i++ {
+	}
+	return i
 }
 
 // bytesEqual is bytes.Equal without the import, kept inlineable on the

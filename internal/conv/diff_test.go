@@ -3,6 +3,7 @@ package conv
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/arch"
@@ -94,6 +95,71 @@ func TestDiffCoalesce(t *testing.T) {
 	}
 	if len(d.Data) != 4*4 {
 		t.Fatalf("payload %d bytes, want 16", len(d.Data))
+	}
+}
+
+// elementLoopDiff is BuildDiff as an element-by-element compare: the
+// reference the word-skipping scan must reproduce exactly.
+func elementLoopDiff(id TypeID, sz int, old, new []byte) Diff {
+	d := Diff{Type: id}
+	for e := 0; e < len(old)/sz; e++ {
+		off := e * sz
+		if bytes.Equal(old[off:off+sz], new[off:off+sz]) {
+			continue
+		}
+		if k := len(d.Runs); k > 0 && d.Runs[k-1].Elem+d.Runs[k-1].Count == uint32(e) {
+			d.Runs[k-1].Count++
+		} else {
+			d.Runs = append(d.Runs, DiffRun{Elem: uint32(e), Count: 1})
+		}
+		d.Data = append(d.Data, new[off:off+sz]...)
+	}
+	return d
+}
+
+// TestBuildDiffMatchesElementLoop holds BuildDiff to the element loop,
+// byte for byte in the wire form and run for run: Int32, Float64 and
+// 16-byte record pages, a whole page and one whose length is no multiple
+// of a word, each element changed with odds from 1 in 64 (sparse) to 1
+// in 2 (dense), at a random byte within it.
+func TestBuildDiffMatchesElementLoop(t *testing.T) {
+	r := NewRegistry()
+	rec, err := r.RegisterStruct("diff-record", []Field{{Type: Int32, Count: 2}, {Type: Float64, Count: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sz := r.MustGet(rec).Size; sz != 16 {
+		t.Fatalf("record is %d bytes, want 16", sz)
+	}
+	rng := rand.New(rand.NewSource(5))
+	for _, id := range []TypeID{Int32, Float64, rec} {
+		sz := r.MustGet(id).Size
+		for _, n := range []int{8192, 8192 - 3*sz} {
+			for _, odds := range []int{64, 16, 4, 2} {
+				for trial := 0; trial < 8; trial++ {
+					old := make([]byte, n)
+					fillRandom(t, rng, old)
+					new := append([]byte(nil), old...)
+					for e := 0; e < n/sz; e++ {
+						if rng.Intn(odds) == 0 {
+							new[e*sz+rng.Intn(sz)] ^= byte(1 + rng.Intn(255))
+						}
+					}
+					got, err := r.BuildDiff(id, old, new)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := elementLoopDiff(id, sz, old, new)
+					gw, ww := make([]byte, got.EncodedSize()), make([]byte, want.EncodedSize())
+					got.EncodeTo(gw)
+					want.EncodeTo(ww)
+					if !bytes.Equal(gw, ww) || !slices.Equal(got.Runs, want.Runs) || !bytes.Equal(got.Data, want.Data) {
+						t.Fatalf("type %d, %d bytes, 1 in %d changed: BuildDiff gave %d runs of %d elements, the element loop %d of %d",
+							id, n, odds, len(got.Runs), got.Elements(), len(want.Runs), want.Elements())
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -33,53 +33,61 @@ func newAllocator(cfg *Config) *allocator {
 	return &allocator{cfg: cfg, partial: make(map[conv.TypeID]partialPage)}
 }
 
+// metaRun is the metadata one allocation sets: n consecutive pages
+// from first, all of one type, every page but the last using used bytes
+// and the last lastUsed. Continuing a partially filled page is a run of
+// one.
+type metaRun struct {
+	first          PageNo
+	n              int
+	typeID         conv.TypeID
+	used, lastUsed int
+}
+
+// at returns the metadata of the run's i-th page.
+func (r metaRun) at(i int) pageMeta {
+	if i == r.n-1 {
+		return pageMeta{typeID: r.typeID, used: r.lastUsed}
+	}
+	return pageMeta{typeID: r.typeID, used: r.used}
+}
+
 // assign reserves space for count elements of the given type and
-// returns the starting address plus the per-page metadata updates.
-func (a *allocator) assign(t *conv.Type, count int) (Addr, map[PageNo]pageMeta, error) {
+// returns the starting address plus the run of page metadata it sets.
+func (a *allocator) assign(t *conv.Type, count int) (Addr, metaRun, error) {
 	if count <= 0 {
-		return 0, nil, fmt.Errorf("dsm: allocation of %d elements", count)
+		return 0, metaRun{}, fmt.Errorf("dsm: allocation of %d elements", count)
 	}
 	pageSize := a.cfg.PageSize
 	total := t.Size * count
-	updates := make(map[PageNo]pageMeta)
 
 	// Continue filling a partially used page of the same type when the
 	// request fits in it entirely (keeps allocations contiguous).
 	if pp, ok := a.partial[t.ID]; ok && pp.off+total <= pageSize {
 		addr := Addr(int(pp.page)*pageSize + pp.off)
 		newOff := pp.off + total
-		updates[pp.page] = pageMeta{typeID: t.ID, used: newOff}
 		if newOff == pageSize {
 			delete(a.partial, t.ID)
 		} else {
 			a.partial[t.ID] = partialPage{page: pp.page, off: newOff}
 		}
-		return addr, updates, nil
+		return addr, metaRun{first: pp.page, n: 1, typeID: t.ID, used: newOff, lastUsed: newOff}, nil
 	}
 
 	if pageSize%t.Size != 0 && total > pageSize {
-		return 0, nil, fmt.Errorf("dsm: %s elements (%d bytes) do not divide the page size %d; multi-page arrays of this type would straddle pages",
+		return 0, metaRun{}, fmt.Errorf("dsm: %s elements (%d bytes) do not divide the page size %d; multi-page arrays of this type would straddle pages",
 			t.Name, t.Size, pageSize)
 	}
 	pages := (total + pageSize - 1) / pageSize
 	if int(a.nextPage)+pages > a.cfg.SpaceSize/pageSize {
-		return 0, nil, fmt.Errorf("dsm: out of shared memory (%d bytes requested)", total)
+		return 0, metaRun{}, fmt.Errorf("dsm: out of shared memory (%d bytes requested)", total)
 	}
-	start := a.nextPage
+	run := metaRun{first: a.nextPage, n: pages, typeID: t.ID, used: pageSize, lastUsed: total - (pages-1)*pageSize}
 	a.nextPage += PageNo(pages)
-	addr := Addr(int(start) * pageSize)
-	remaining := total
-	for i := 0; i < pages; i++ {
-		used := min(remaining, pageSize)
-		updates[start+PageNo(i)] = pageMeta{typeID: t.ID, used: used}
-		remaining -= used
+	if run.lastUsed < pageSize {
+		a.partial[t.ID] = partialPage{page: run.first + PageNo(pages-1), off: run.lastUsed}
 	}
-	last := start + PageNo(pages-1)
-	lastUsed := updates[last].used
-	if lastUsed < pageSize {
-		a.partial[t.ID] = partialPage{page: last, off: lastUsed}
-	}
-	return addr, updates, nil
+	return Addr(int(run.first) * pageSize), run, nil
 }
 
 // Alloc reserves count elements of the registered type and returns the
@@ -109,21 +117,21 @@ func (m *Module) allocLocal(p *sim.Proc, typeID conv.TypeID, count int) (Addr, e
 	if !ok {
 		return 0, fmt.Errorf("dsm: type %d not registered", typeID)
 	}
-	addr, updates, err := m.alloc.assign(t, count)
+	addr, run, err := m.alloc.assign(t, count)
 	if err != nil {
 		return 0, err
 	}
-	pages := sim.SortedKeys(updates) // increasing page order keeps the traffic this drives deterministic
-	for _, page := range pages {
-		mt := updates[page]
-		if m.cfg.Mutation == MutAllocOverrun {
-			// Injected bug: record one byte too many as allocated — the
-			// prefix is no longer a whole number of elements and can
-			// reach past the page end.
-			mt.used++
-		}
+	if m.cfg.Mutation == MutAllocOverrun {
+		// Injected bug: record one byte too many as allocated on every
+		// page — the prefix is no longer a whole number of elements and
+		// can reach past the page end.
+		run.used++
+		run.lastUsed++
+	}
+	for i := range run.n {
+		page := run.first + PageNo(i)
 		_, existed := m.meta[page]
-		m.meta[page] = mt
+		m.meta[page] = run.at(i)
 		// First-touch ownership (page policies): the allocation manager
 		// holds every fresh page as a zero-filled writable copy until
 		// someone faults it away. Under the central policy pages live
@@ -142,20 +150,26 @@ func (m *Module) allocLocal(p *sim.Proc, typeID conv.TypeID, count int) (Addr, e
 			m.dir.allocOwned(page)
 		}
 	}
-	if err := m.distributeMeta(p, pages, updates); err != nil {
+	if err := m.distributeMeta(p, run); err != nil {
 		return 0, err
 	}
-	for _, page := range pages {
-		m.checkpoint("allocated", page)
+	for i := range run.n {
+		m.checkpoint("allocated", run.first+PageNo(i))
 	}
 	return addr, nil
 }
 
-// distributeMeta replicates page metadata to every other host and waits
-// for acknowledgements. Pages are announced in increasing page order: a
-// map-ordered walk here once made the metadata message sequence — and
-// with it the whole simulation timeline — vary run to run.
-func (m *Module) distributeMeta(p *sim.Proc, pages []PageNo, updates map[PageNo]pageMeta) error {
+// distributeMeta replicates an allocation's page metadata to every
+// other host and waits for acknowledgements.
+//
+// Up to 16 hosts, host 0 calls every other host once per page, in
+// increasing page order. A larger cluster announces the whole run in one
+// physical broadcast — on a switched topology one frame per segment
+// along the multicast tree instead of a per-host unicast storm — which
+// every host acknowledges once, however many pages the run spans. Its
+// arguments are the type, the bytes used on every page but the last,
+// the page count and the bytes used on the last page.
+func (m *Module) distributeMeta(p *sim.Proc, run metaRun) error {
 	var others []HostID
 	for h := range m.hosts {
 		if HostID(h) != m.id {
@@ -165,27 +179,26 @@ func (m *Module) distributeMeta(p *sim.Proc, pages []PageNo, updates map[PageNo]
 	if len(others) == 0 {
 		return nil
 	}
-	for _, page := range pages {
-		mt := updates[page]
-		msg := func() *proto.Message {
+	if len(others) > proto.MaxArgs {
+		err := m.ep.CallMulticast(p, others, &proto.Message{
+			Kind: proto.KindPageMeta,
+			Page: uint32(run.first),
+			Args: []uint32{uint32(run.typeID), uint32(run.used), uint32(run.n), uint32(run.lastUsed)},
+		})
+		if err != nil {
+			return fmt.Errorf("dsm: distributing metadata for %d pages from page %d: %w", run.n, run.first, err)
+		}
+		return nil
+	}
+	for i := range run.n {
+		page, mt := run.first+PageNo(i), run.at(i)
+		_, err := m.ep.CallAll(p, others, func(HostID) *proto.Message {
 			return &proto.Message{
 				Kind: proto.KindPageMeta,
 				Page: uint32(page),
 				Args: []uint32{uint32(mt.typeID), uint32(mt.used)},
 			}
-		}
-		var err error
-		if len(others) > proto.MaxArgs {
-			// Large clusters announce metadata as one physical broadcast
-			// (every host needs it, so no target filter is required) —
-			// on a switched topology that is one frame per segment along
-			// the multicast tree instead of a per-host unicast storm.
-			// Small clusters keep the original per-host calls so
-			// existing runs stay bit-identical.
-			_, err = m.ep.CallMulticast(p, others, msg())
-		} else {
-			_, err = m.ep.CallAll(p, others, func(HostID) *proto.Message { return msg() })
-		}
+		})
 		if err != nil {
 			return fmt.Errorf("dsm: distributing metadata for page %d: %w", page, err)
 		}
@@ -210,11 +223,16 @@ func (m *Module) handleAlloc(p *sim.Proc, req *proto.Message) {
 	})
 }
 
-// handlePageMeta installs replicated allocation metadata.
+// handlePageMeta installs replicated allocation metadata: one page's
+// type and bytes used, or, with two more arguments, a whole run.
 func (m *Module) handlePageMeta(req *proto.Message) *proto.Message {
-	m.meta[PageNo(req.Page)] = pageMeta{
-		typeID: conv.TypeID(req.Arg(0)),
-		used:   int(req.Arg(1)),
+	used := int(req.Arg(1))
+	run := metaRun{first: PageNo(req.Page), n: 1, typeID: conv.TypeID(req.Arg(0)), used: used, lastUsed: used}
+	if len(req.Args) == 4 {
+		run.n, run.lastUsed = int(req.Arg(2)), int(req.Arg(3))
+	}
+	for i := range run.n {
+		m.meta[run.first+PageNo(i)] = run.at(i)
 	}
 	return &proto.Message{Kind: proto.KindPageMetaAck}
 }

@@ -47,7 +47,7 @@ func TestCrashedHostAnswersNothing(t *testing.T) {
 	multicast := func(name string, m *proto.Message) {
 		r.k.Spawn(name, func(p *sim.Proc) {
 			p.Sleep(14 * time.Millisecond) // the bulk message is on the wire until then
-			_, err := ep(0).CallMulticast(p, []HostID{1, h}, m)
+			err := ep(0).CallMulticast(p, []HostID{1, h}, m)
 			if !errors.Is(err, remoteop.ErrTimeout) {
 				t.Errorf("%s: %v, want a timeout", name, err)
 			}

@@ -2,6 +2,7 @@ package dsm
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 	"testing"
@@ -9,6 +10,7 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/conv"
+	"repro/internal/proto"
 	"repro/internal/sim"
 )
 
@@ -300,6 +302,75 @@ func TestPartialPagePackingAcrossAllocs(t *testing.T) {
 			t.Errorf("packed region read %d, want 42", v[0])
 		}
 	})
+}
+
+// TestPageMetaAnnouncement: up to 16 hosts the manager announces an
+// allocation's metadata to every other host page by page; from 17 hosts
+// on it announces the whole page run in one broadcast request. Either
+// way every host ends with the manager's metadata: the full pages, the
+// partial last page, and a later allocation packed onto that page.
+func TestPageMetaAnnouncement(t *testing.T) {
+	for _, tc := range []struct {
+		hosts int
+		// perAlloc gives the page-meta requests a k-page allocation sends.
+		perAlloc func(k int) int
+	}{
+		{16, func(k int) int { return k * 15 }},
+		{17, func(int) int { return 1 }},
+	} {
+		t.Run(fmt.Sprintf("%d-hosts", tc.hosts), func(t *testing.T) {
+			kinds := make([]arch.Kind, tc.hosts)
+			for i := range kinds {
+				kinds[i] = []arch.Kind{arch.Sun, arch.Firefly}[i%2]
+			}
+			r := newRig(t, kinds)
+			// agree reports whether every host holds want.
+			agree := func(when string, want map[PageNo]pageMeta) bool {
+				for h, m := range r.mods {
+					if !maps.Equal(m.meta, want) {
+						t.Errorf("%s, host %d's metadata %v, want %v", when, h, m.meta, want)
+						return false
+					}
+				}
+				return true
+			}
+			sent := func() int { return r.mods[0].ep.MessageCounts()[proto.KindPageMeta] }
+			r.run("main", func(p *sim.Proc) {
+				// Two full 8 KB pages and 400 bytes of a third.
+				a1, err := r.mods[0].Alloc(p, conv.Int32, 2*2048+100)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if n, want := sent(), tc.perAlloc(3); n != want {
+					t.Errorf("a 3-page allocation sent %d page-meta requests, want %d", n, want)
+				}
+				first := r.mods[0].PageOf(a1)
+				want := map[PageNo]pageMeta{
+					first:     {typeID: conv.Int32, used: 8192},
+					first + 1: {typeID: conv.Int32, used: 8192},
+					first + 2: {typeID: conv.Int32, used: 400},
+				}
+				if !agree("after the 3-page allocation", want) {
+					return
+				}
+				a2, err := r.mods[0].Alloc(p, conv.Int32, 50)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if n, want := sent(), tc.perAlloc(3)+tc.perAlloc(1); n != want {
+					t.Errorf("after packing a 1-page allocation, %d page-meta requests, want %d", n, want)
+				}
+				if last := r.mods[0].PageOf(a2); last != first+2 {
+					t.Errorf("second allocation on page %d, want the partial page %d", last, first+2)
+					return
+				}
+				want[first+2] = pageMeta{typeID: conv.Int32, used: 600}
+				agree("after packing the partial page", want)
+			})
+		})
+	}
 }
 
 func TestAtomicSwapOnDSM(t *testing.T) {

@@ -512,8 +512,7 @@ func (m *Module) multicastBitmap(p *sim.Proc, targets []HostID, req *proto.Messa
 		bitmap[int(h)/8] |= 1 << (uint(h) % 8)
 	}
 	req.Data = bitmap
-	_, err := m.ep.CallMulticast(p, targets, req)
-	return err
+	return m.ep.CallMulticast(p, targets, req)
 }
 
 // copysetRound sends the request mk builds to every target and collects
@@ -553,7 +552,7 @@ func (m *Module) copysetRound(p *sim.Proc, targets []HostID, sent *int, mk func(
 			for _, h := range targets {
 				req.Args = append(req.Args, uint32(h))
 			}
-			_, err = m.ep.CallMulticast(p, targets, req)
+			err = m.ep.CallMulticast(p, targets, req)
 		default:
 			err = m.multicastBitmap(p, targets, req)
 		}

@@ -126,6 +126,9 @@ func newRCState(nhosts int) *rcState {
 type rcEngine struct {
 	*Module
 	rc *rcState
+	// spareTwins are page-sized twins of released intervals, for
+	// rcTwinSpan to take before it allocates one.
+	spareTwins [][]byte
 }
 
 func newRCEngine(mod *Module) (engine, engineDecl) {
@@ -209,7 +212,12 @@ func (m *rcEngine) rcTwinSpan(addr Addr, n int) {
 		if m.rc.twins[pg] != nil {
 			continue
 		}
-		tw := make([]byte, m.cfg.PageSize) // vet:ignore hot-alloc — a twin lives until its interval's release
+		var tw []byte
+		if k := len(m.spareTwins); k > 0 {
+			tw, m.spareTwins = m.spareTwins[k-1], m.spareTwins[:k-1]
+		} else {
+			tw = make([]byte, m.cfg.PageSize) // vet:ignore hot-alloc — a twin lives until its interval's release
+		}
 		copy(tw, m.local[pg].data)
 		m.rc.twins[pg] = tw
 		m.stats.RCTwins++
@@ -237,10 +245,10 @@ func (m *rcEngine) rcHomeFor(pg PageNo) *rcHome {
 }
 
 // ReleasePayload closes the current interval: push every twinned
-// page's diff to its home (in page order, for determinism), advance
-// this host's vector timestamp, record the Release, and return the
-// encoded (timestamp, notices, carried diffs) payload for the releasing
-// primitive.
+// page's diff to its home (in page order, for determinism) and recycle
+// its twin, advance this host's vector timestamp, record the Release,
+// and return the encoded (timestamp, notices, carried diffs) payload
+// for the releasing primitive.
 func (m *rcEngine) ReleasePayload(p *sim.Proc) ([]byte, error) {
 	m.exitIfCrashed(p)
 	rc := m.rc
@@ -253,6 +261,9 @@ func (m *rcEngine) ReleasePayload(p *sim.Proc) ([]byte, error) {
 		}
 		d := m.twinDiff(pg, tw, m.local[pg].data)
 		delete(rc.twins, pg) // the interval is closed for this page either way
+		// Nothing else holds the twin (d is a copy): the next interval's
+		// first write to any page takes it.
+		m.spareTwins = append(m.spareTwins, tw)
 		if d.Empty() {
 			continue
 		}

@@ -455,3 +455,36 @@ func TestRCMergePayloadMatchesNaiveMerge(t *testing.T) {
 		}
 	}
 }
+
+// TestRCRecycledTwinsStayPerPage: a released interval's twins serve the
+// next interval, one page each. Two pages written after a release diff
+// against twins of their own, so each diff carries the one element its
+// interval wrote.
+func TestRCRecycledTwinsStayPerPage(t *testing.T) {
+	r := newRig(t, []arch.Kind{arch.Sun, arch.Firefly}, withPolicy(PolicyRC), withDirectory(DirCentral))
+	w := r.mods[1]
+	r.run("main", func(p *sim.Proc) {
+		a, err := r.mods[0].Alloc(p, conv.Int32, 2*2048)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		b := a + Addr(r.cfg.PageSize)
+		interval := func(off Addr, va, vb int32) {
+			w.WriteInt32(p, a+off, va)
+			w.WriteInt32(p, b+off, vb)
+			if _, err := w.SyncModel().ReleasePayload(p); err != nil {
+				t.Error(err)
+			}
+		}
+		interval(0, 1, 2)
+		before := w.Stats()
+		interval(4, 3, 4)
+		after := w.Stats()
+		// One run of one int32 per page: a 4-byte header, one 8-byte run
+		// entry and the element.
+		if n, bytes := after.RCDiffsSent-before.RCDiffsSent, after.RCDiffBytes-before.RCDiffBytes; n != 2 || bytes != 2*16 {
+			t.Errorf("the second interval sent %d diffs of %d bytes, want 2 of 32", n, bytes)
+		}
+	})
+}

@@ -188,8 +188,10 @@ const (
 	// and Data the page image in the home's native representation.
 	KindRCFetchReply
 
-	// numKinds sizes the kinds table; it stays last.
-	numKinds
+	// NumKinds counts the kinds: it sizes the kinds table here and the
+	// per-kind tables of the remote-operation layer, and stays last. The
+	// protocol defines no kind at or above it.
+	NumKinds
 )
 
 // kinds is the one table of per-kind facts, keyed by constant: the wire
@@ -197,10 +199,10 @@ const (
 // its ReqID names instead of reaching a handler. Everything else is a
 // request, served by whoever registers it with the remote-operation
 // layer (which refuses a handler for a reply or for KindInvalid). A
-// request shares its line with the reply that answers it; numKinds
+// request shares its line with the reply that answers it; NumKinds
 // sizes the array, so a constant added without a row has an empty name
 // and fails the package's tests.
-var kinds = [numKinds]struct {
+var kinds = [NumKinds]struct {
 	name  string
 	reply bool
 }{
@@ -240,7 +242,7 @@ var kinds = [numKinds]struct {
 
 // String names the message kind.
 func (k Kind) String() string {
-	if k < numKinds {
+	if k < NumKinds {
 		return kinds[k].name
 	}
 	return fmt.Sprintf("Kind(%d)", uint8(k))
@@ -248,7 +250,7 @@ func (k Kind) String() string {
 
 // IsReply reports whether the kind is a response that should complete a
 // pending call rather than be dispatched to a handler.
-func (k Kind) IsReply() bool { return k < numKinds && kinds[k].reply }
+func (k Kind) IsReply() bool { return k < NumKinds && kinds[k].reply }
 
 // MaxArgs is the maximum number of scalar arguments per message.
 const MaxArgs = 15

@@ -102,12 +102,12 @@ func TestIsReplyClassification(t *testing.T) {
 		KindDynConfirmAck: true, KindQuorumReadReply: true, KindQuorumWriteAck: true,
 		KindRCDiffAck: true, KindRCPullReply: true, KindRCFetchReply: true,
 	}
-	for k := KindInvalid; k < numKinds; k++ {
+	for k := KindInvalid; k < NumKinds; k++ {
 		if k.IsReply() != replies[k] {
 			t.Errorf("%v: IsReply = %v, want %v", k, k.IsReply(), replies[k])
 		}
 	}
-	if numKinds.IsReply() || Kind(255).IsReply() {
+	if NumKinds.IsReply() || Kind(255).IsReply() {
 		t.Error("a value past the table classified as a reply")
 	}
 }
@@ -116,7 +116,7 @@ func TestIsReplyClassification(t *testing.T) {
 // kind added without its row in the kinds table has an empty one.
 func TestKindStringsAreUnique(t *testing.T) {
 	seen := make(map[string]Kind)
-	for k := KindInvalid; k < numKinds; k++ {
+	for k := KindInvalid; k < NumKinds; k++ {
 		s := k.String()
 		if s == "" {
 			t.Fatalf("kind %d has no row in the kinds table", k)
@@ -126,7 +126,7 @@ func TestKindStringsAreUnique(t *testing.T) {
 		}
 		seen[s] = k
 	}
-	if got := numKinds.String(); got != fmt.Sprintf("Kind(%d)", uint8(numKinds)) {
+	if got := NumKinds.String(); got != fmt.Sprintf("Kind(%d)", uint8(NumKinds)) {
 		t.Errorf("a value past the table is named %q", got)
 	}
 }

@@ -28,7 +28,7 @@ package remoteop
 import (
 	"errors"
 	"fmt"
-	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -165,18 +165,18 @@ type dedupEntry struct {
 
 type pendingCall struct {
 	reply *proto.Message
-	// multi/want are set for multicast calls: replies are collected per
-	// responder until every wanted host has answered.
-	multi map[HostID]*proto.Message
-	want  map[HostID]struct{}
-	w     sim.Waiter
-	armed bool
+	// want is set for multicast calls, indexed by host: true while that
+	// target's acknowledgement is outstanding; missing counts the trues.
+	want    []bool
+	missing int
+	w       sim.Waiter
+	armed   bool
 }
 
 // done reports whether the call has everything it is waiting for.
 func (pc *pendingCall) done() bool {
-	if pc.multi != nil {
-		return len(pc.multi) == len(pc.want)
+	if pc.want != nil {
+		return pc.missing == 0
 	}
 	return pc.reply != nil
 }
@@ -189,7 +189,7 @@ type Endpoint struct {
 	kind    arch.Kind
 	ifc     *netsim.Interface
 	params  *model.Params
-	handler map[proto.Kind]service
+	handler [proto.NumKinds]service
 	// names and resendName cache what dispatch calls the work it starts
 	// ("handler-<host>-<kind>", "resend-<host>"), each formatted at first
 	// use: dispatch runs per message, and names per registered kind up
@@ -212,7 +212,7 @@ type Endpoint struct {
 	// kindSent counts messages sent by protocol kind — the per-scheme
 	// message-count comparison of the paper's §3.1 needs the breakdown,
 	// not just the total.
-	kindSent map[proto.Kind]int
+	kindSent [proto.NumKinds]int
 	started  bool
 	// bulkMsg is the reassembled bulk message whose receive cost is
 	// being charged, held for the bulkTimer event (see pump).
@@ -235,17 +235,15 @@ const dedupCap = 2048
 func New(k *sim.Kernel, ifc *netsim.Interface, kind arch.Kind, params *model.Params) *Endpoint {
 	registerFaultHooks(ifc.Network())
 	return &Endpoint{
-		k:        k,
-		id:       ifc.ID(),
-		kind:     kind,
-		ifc:      ifc,
-		params:   params,
-		handler:  make(map[proto.Kind]service),
-		names:    make(map[proto.Kind]kindNames),
-		pending:  make(map[uint32]*pendingCall),
-		reasm:    make(map[reasmKey]*reasmBuf),
-		dedup:    make(map[dedupKey]dedupEntry),
-		kindSent: make(map[proto.Kind]int),
+		k:       k,
+		id:      ifc.ID(),
+		kind:    kind,
+		ifc:     ifc,
+		params:  params,
+		names:   make(map[proto.Kind]kindNames),
+		pending: make(map[uint32]*pendingCall),
+		reasm:   make(map[reasmKey]*reasmBuf),
+		dedup:   make(map[dedupKey]dedupEntry),
 	}
 }
 
@@ -261,8 +259,9 @@ func (e *Endpoint) Stats() Stats { return e.stats }
 // Handle registers the handler for a request kind, replacing whatever
 // Handle or HandleEvent registered for it before. It must be called
 // before Start. A reply kind completes the pending call its ReqID names
-// and never reaches a handler, and KindInvalid is never sent, so a
-// handler for either would be dead code: registering one panics.
+// and never reaches a handler, KindInvalid is never sent, and the
+// protocol defines no kind from proto.NumKinds on, so a handler for any
+// of them would be dead code: registering one panics.
 func (e *Endpoint) Handle(kind proto.Kind, h Handler) {
 	e.register(kind, service{proc: h})
 }
@@ -274,7 +273,7 @@ type service struct {
 }
 
 func (e *Endpoint) register(kind proto.Kind, s service) {
-	if kind == proto.KindInvalid || kind.IsReply() {
+	if kind == proto.KindInvalid || kind >= proto.NumKinds || kind.IsReply() {
 		panic(fmt.Sprintf("remoteop: Handle(%v): not a request kind", kind))
 	}
 	e.handler[kind] = s
@@ -461,17 +460,15 @@ func (e *Endpoint) dispatch(m *proto.Message) {
 			bufpool.Put(m.TakeWire())
 			return // stale reply
 		}
-		if pc.multi != nil {
-			from := HostID(m.From)
-			if _, wanted := pc.want[from]; !wanted {
-				bufpool.Put(m.TakeWire())
-				return // ack from a bystander or duplicate source
+		if pc.want != nil {
+			// A multicast reads no ack's contents, only who sent it.
+			bufpool.Put(m.TakeWire())
+			from := int(m.From)
+			if from >= len(pc.want) || !pc.want[from] {
+				return // ack from a bystander, or a duplicate
 			}
-			if _, dup := pc.multi[from]; dup {
-				bufpool.Put(m.TakeWire())
-				return
-			}
-			pc.multi[from] = m
+			pc.want[from] = false
+			pc.missing--
 			if pc.done() && pc.armed {
 				pc.armed = false
 				e.k.Wake(pc.w, sim.WakeSignal)
@@ -509,7 +506,10 @@ func (e *Endpoint) dispatch(m *proto.Message) {
 		return // in progress: the original execution will answer
 	}
 	e.remember(key)
-	s := e.handler[m.Kind]
+	var s service
+	if m.Kind < proto.NumKinds {
+		s = e.handler[m.Kind]
+	}
 	switch {
 	case s.ev.Reply != nil:
 		e.serve(s.ev, m)
@@ -647,11 +647,22 @@ func (e *Endpoint) frame(o *outgoing, idx int) netsim.Frame {
 // middle of a send reads the same Stats either way.
 func (e *Endpoint) finish(m *proto.Message) {
 	e.stats.Sent++
-	e.kindSent[m.Kind]++
+	if m.Kind < proto.NumKinds {
+		e.kindSent[m.Kind]++
+	}
 }
 
-// MessageCounts returns a copy of the per-kind sent-message counters.
-func (e *Endpoint) MessageCounts() map[proto.Kind]int { return maps.Clone(e.kindSent) }
+// MessageCounts returns the per-kind sent-message counters, kinds never
+// sent left out.
+func (e *Endpoint) MessageCounts() map[proto.Kind]int {
+	counts := make(map[proto.Kind]int)
+	for k, n := range e.kindSent {
+		if n > 0 {
+			counts[proto.Kind(k)] = n
+		}
+	}
+	return counts
+}
 
 // Call sends a request to dst and blocks until the matching reply
 // arrives (possibly from a different host, if the request was
@@ -800,19 +811,21 @@ func (e *Endpoint) Forward(p *sim.Proc, dst HostID, req *proto.Message) {
 // mrsw then completes 48 writes instead of 0 and update 50 instead of
 // 0, which TestPartitionAvailability rejects. A caller that skips
 // declared-dead targets does so between rounds (dsm's copysetRound).
-func (e *Endpoint) CallMulticast(p *sim.Proc, targets []HostID, m *proto.Message) ([]*proto.Message, error) {
+//
+// The acknowledgements carry nothing but their sender: none is kept.
+func (e *Endpoint) CallMulticast(p *sim.Proc, targets []HostID, m *proto.Message) error {
 	if len(targets) == 0 {
-		return nil, nil
+		return nil
 	}
 	e.nextReq++
 	m.ReqID = e.nextReq
 	m.From = uint32(e.id)
-	pc := &pendingCall{
-		multi: make(map[HostID]*proto.Message, len(targets)),
-		want:  make(map[HostID]struct{}, len(targets)),
-	}
+	pc := &pendingCall{want: make([]bool, int(slices.Max(targets))+1)}
 	for _, t := range targets {
-		pc.want[t] = struct{}{}
+		if !pc.want[t] {
+			pc.want[t] = true
+			pc.missing++
+		}
 	}
 	e.pending[m.ReqID] = pc
 	defer delete(e.pending, m.ReqID)
@@ -831,23 +844,19 @@ func (e *Endpoint) CallMulticast(p *sim.Proc, targets []HostID, m *proto.Message
 			pc.armed = false
 		}
 		if pc.done() {
-			replies := make([]*proto.Message, 0, len(targets))
-			for _, t := range targets {
-				replies = append(replies, pc.multi[t])
-			}
-			return replies, nil
+			return nil
 		}
 		// Chase the stragglers individually (their duplicate caches
 		// absorb re-delivery and resend the lost acks).
 		e.stats.Retransmits++
 		for _, t := range targets {
-			if _, ok := pc.multi[t]; !ok {
+			if pc.want[t] {
 				e.escalate(t)
 				e.send(p, t, m)
 			}
 		}
 	}
-	return nil, fmt.Errorf("%w (multicast to %d hosts)", ErrTimeout, len(targets))
+	return fmt.Errorf("%w (multicast to %d hosts)", ErrTimeout, len(targets))
 }
 
 // Broadcast is the physical broadcast destination.
