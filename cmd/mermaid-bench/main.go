@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	mermaid-bench              # everything (figures take ~30 s)
+//	mermaid-bench              # every section but the by-name ones
 //	mermaid-bench -only t2,f4  # the named sections, in the order given
 package main
 
@@ -69,11 +69,7 @@ var sections = []section{
 	{name: "avail", byName: true, print: func(w io.Writer) {
 		show(w, exp.PartitionAvailabilityTable(exp.PartitionAvailability()))
 	}},
-	// scale is the sweep up to 256 hosts; scale1k adds the 1024-host
-	// runs. TestGoldenByName pins both.
-	{name: "scale", byName: true, print: func(w io.Writer) {
-		show(w, exp.DirectoryScalingTable(exp.DirectoryScaling([]int{16, 64, 256})))
-	}},
+	// scale1k is the directory-scaling sweep from 16 to 1024 hosts.
 	{name: "scale1k", byName: true, print: func(w io.Writer) {
 		show(w, exp.DirectoryScalingTable(exp.DirectoryScaling([]int{16, 64, 256, 1024})))
 	}},

@@ -347,13 +347,13 @@ type Stats struct {
 	RCGrantDiffs   int
 	RCDiffsRetired int
 	// Messages counts protocol messages sent by this host, by kind —
-	// §3.1's raw material for comparing manager schemes. Snapshot
-	// filled by Stats(); nil on the zero value.
-	Messages map[proto.Kind]int
+	// §3.1's raw material for comparing manager schemes, indexed by
+	// kind. Snapshot filled by Stats().
+	Messages [proto.NumKinds]int
 }
 
 // Add folds o into s: counters add, ChainMax is a maximum, message
-// counts merge per kind. Every numeric field of Stats must appear here;
+// counts add per kind. Every numeric field of Stats must appear here;
 // TestStatsAddCoversEveryField fails on a counter that was forgotten.
 func (s *Stats) Add(o Stats) {
 	s.ReadFaults += o.ReadFaults
@@ -390,11 +390,8 @@ func (s *Stats) Add(o Stats) {
 	s.RCPulls += o.RCPulls
 	s.RCGrantDiffs += o.RCGrantDiffs
 	s.RCDiffsRetired += o.RCDiffsRetired
-	if o.Messages != nil && s.Messages == nil {
-		s.Messages = make(map[proto.Kind]int, len(o.Messages))
-	}
-	for _, k := range sim.SortedKeys(o.Messages) {
-		s.Messages[k] += o.Messages[k]
+	for k, n := range o.Messages {
+		s.Messages[k] += n
 	}
 }
 

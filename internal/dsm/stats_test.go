@@ -7,9 +7,9 @@ import (
 	"repro/internal/proto"
 )
 
-// fillStats sets every numeric leaf under v to a distinct non-zero
-// value and gives every map one entry, so a field Add forgets shows up
-// as a zero in the sum.
+// fillStats sets every numeric leaf under v, array elements included,
+// to a distinct non-zero value, so a field Add forgets shows up as a
+// zero in the sum.
 func fillStats(t *testing.T, v reflect.Value, next *int) {
 	switch v.Kind() {
 	case reflect.Int:
@@ -19,9 +19,10 @@ func fillStats(t *testing.T, v reflect.Value, next *int) {
 		for i := 0; i < v.NumField(); i++ {
 			fillStats(t, v.Field(i), next)
 		}
-	case reflect.Map:
-		*next++
-		v.Set(reflect.ValueOf(map[proto.Kind]int{proto.KindInvalidate: *next}))
+	case reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			fillStats(t, v.Index(i), next)
+		}
 	default:
 		t.Fatalf("Stats grew a %s field; teach Add and this test to sum it", v.Kind())
 	}

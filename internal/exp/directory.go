@@ -116,8 +116,8 @@ func runDirectoryScheme(dir dsm.Directory) DirectorySchemeRow {
 		Forwards: total.Forwards,
 		MaxChain: total.ChainMax,
 	}
-	for _, k := range sim.SortedKeys(total.Messages) {
-		row.Messages += total.Messages[k]
+	for _, n := range total.Messages {
+		row.Messages += n
 	}
 	dirKinds := fixedDirKinds
 	if dir == dsm.DirDynamic {

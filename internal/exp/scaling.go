@@ -127,8 +127,8 @@ func runDirectoryScale(n int, topoName string, dir dsm.Directory) ScalingRow {
 		MaxChain:       total.ChainMax,
 		CrossSegFrames: c.Net.Stats().CrossSegmentFrames,
 	}
-	for _, k := range sim.SortedKeys(total.Messages) {
-		row.Messages += total.Messages[k]
+	for _, n := range total.Messages {
+		row.Messages += n
 	}
 	row.MsgsPerHost = float64(row.Messages) / float64(n)
 	return row

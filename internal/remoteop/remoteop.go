@@ -652,17 +652,9 @@ func (e *Endpoint) finish(m *proto.Message) {
 	}
 }
 
-// MessageCounts returns the per-kind sent-message counters, kinds never
-// sent left out.
-func (e *Endpoint) MessageCounts() map[proto.Kind]int {
-	counts := make(map[proto.Kind]int)
-	for k, n := range e.kindSent {
-		if n > 0 {
-			counts[proto.Kind(k)] = n
-		}
-	}
-	return counts
-}
+// MessageCounts returns the per-kind sent-message counters, indexed by
+// kind.
+func (e *Endpoint) MessageCounts() [proto.NumKinds]int { return e.kindSent }
 
 // Call sends a request to dst and blocks until the matching reply
 // arrives (possibly from a different host, if the request was

@@ -115,7 +115,7 @@ func TestOutOfRangeKindIsUnhandled(t *testing.T) {
 	if s := r.eps[1].Stats(); s.Received != 3 || s.Unhandled != 3 {
 		t.Errorf("receiver took %d messages and left %d unhandled, want 3 and 3", s.Received, s.Unhandled)
 	}
-	if s, n := r.eps[0].Stats(), r.eps[0].MessageCounts(); s.Sent != 3 || len(n) != 0 {
+	if s, n := r.eps[0].Stats(), r.eps[0].MessageCounts(); s.Sent != 3 || n != ([proto.NumKinds]int{}) {
 		t.Errorf("sender counted %d sent and %v by kind, want 3 and none", s.Sent, n)
 	}
 }
