@@ -69,15 +69,17 @@ benchmark-check:
 # netsim, remoteop and bufpool hold the only state shared across kernels
 # (netsim's txPool and remoteop's four sync.Pools, the encode buffers'
 # atomic refcount, the size-classed free list), and every call loop runs
-# through them. internal/exp is what
+# through them; matmul's table of reference products, one per N, is the
+# one more. internal/exp is what
 # actually runs kernels side by side (sim.Each, one cluster per worker),
 # so the second line re-checks that list where it matters: Each's own
 # tests, and three exp sweeps at one and at three workers (GOMAXPROCS 1
-# and 4), under the detector. It selects those small tests because the whole exp suite
+# and 4), under the detector, plus the table's first use from every
+# Each worker at once. It selects those small tests because the whole exp suite
 # takes most of a minute under -race.
 race:
 	go test -race ./internal/sim/... ./internal/dsm/... ./internal/dsync/... ./internal/threads/... ./internal/netsim/... ./internal/remoteop/... ./internal/bufpool/...
-	go test -race -run 'Each|AcrossCores' ./internal/sim/... ./internal/exp/...
+	go test -race -run 'Each|AcrossCores|ConcurrentFirstUse' ./internal/sim/... ./internal/exp/... ./internal/apps/matmul
 
 # Two runs: the first warms the build cache (and fails fast on
 # findings), the second emits the JSON coverage report CI archives and

@@ -1,13 +1,17 @@
 package matmul
 
 import (
+	"math/bits"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/arch"
 	"repro/internal/cluster"
 	"repro/internal/dsm"
 	"repro/internal/model"
+	"repro/internal/sim"
 )
 
 func newCluster(t *testing.T, fireflies, cpus int, pageSize int) *cluster.Cluster {
@@ -297,5 +301,109 @@ func TestLastVMPageGroupReachesPastTheAllocation(t *testing.T) {
 		if !res.Correct {
 			t.Errorf("N=%d at %d-byte pages: distributed result differs from local multiplication", tc.n, tc.pageSize)
 		}
+	}
+}
+
+// TestRowStepMultipliesAnyOtherOperands feeds the slave's row step
+// operands that differ from the canonical ones by one word or in
+// dimension: each row must equal rowProduct on the operands given (and
+// differ from the reference row, so a step that answered from the
+// reference is caught). The canonical operands must give the reference
+// product's rows.
+func TestRowStepMultipliesAnyOtherOperands(t *testing.T) {
+	const n, row = 16, 5
+	ref := referenceFor(n)
+	other := referenceFor(n - 4)
+	aRow := func(m *reference, dim int) []int32 { return slices.Clone(m.a[row*dim:][:dim]) }
+	flipB := slices.Clone(ref.b)
+	flipB[7*n+3] ^= 1 << 9
+	flipA := aRow(ref, n)
+	flipA[7] ^= 1 << 9
+	for _, c := range []struct {
+		name string
+		a, b []int32
+	}{
+		{"one word of B flipped", aRow(ref, n), flipB},
+		{"one word of the A row flipped", flipA, ref.b},
+		{"operands of another N", aRow(other, n-4), other.b},
+	} {
+		got := make([]int32, len(c.a))
+		ref.rowStep(c.b)(got, c.a, row)
+		want := make([]int32, len(c.a))
+		rowProduct(want, c.a, c.b)
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: row step differs from rowProduct on the same operands", c.name)
+		}
+		if slices.Equal(want, ref.c[row*n:][:n]) {
+			t.Errorf("%s: the operands' product is the reference row; the case checks nothing", c.name)
+		}
+	}
+	step := ref.rowStep(ref.b)
+	got := make([]int32, n)
+	for i := 0; i < n; i++ {
+		step(got, ref.a[i*n:][:n], i)
+		if !slices.Equal(got, ref.c[i*n:][:n]) {
+			t.Fatalf("canonical row %d differs from the reference product", i)
+		}
+	}
+}
+
+// TestSkippedConversionStillMultiplied runs a Sun master with Firefly
+// slaves under MutSkipConversion: every A and B word reaches the slaves
+// byte-swapped, and their C comes back to the master byte-swapped, so
+// the master must read exactly swap(swap(A) × swap(B)) — the product of
+// what the DSM delivered, not the reference product of the canonical
+// inputs.
+func TestSkippedConversionStillMultiplied(t *testing.T) {
+	const n = 64
+	c, err := cluster.New(cluster.Config{
+		Hosts:    []cluster.HostSpec{{Kind: arch.Sun}, {Kind: arch.Firefly, CPUs: 2}, {Kind: arch.Firefly, CPUs: 2}},
+		Seed:     42,
+		PageSize: 8192,
+		Mutation: dsm.MutSkipConversion,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := Register(c)
+	res, err := r.Run(Config{N: n, Master: 0, Slaves: []cluster.HostID{1, 1, 2, 2}, Verify: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Correct {
+		t.Fatal("skipped conversion verified against the canonical product")
+	}
+	got := make([]int32, n*n)
+	c.Run(0, func(p *sim.Proc, h *cluster.Host) { h.DSM.ReadInt32s(p, r.cur.cm, got) })
+	swap := func(v []int32) []int32 {
+		out := make([]int32, len(v))
+		for i, x := range v {
+			out[i] = int32(bits.ReverseBytes32(uint32(x)))
+		}
+		return out
+	}
+	ref := referenceFor(n)
+	if want := swap(multiplyLocal(swap(ref.a), swap(ref.b), n)); !slices.Equal(got, want) {
+		t.Fatal("C read back is not the byte-swapped product of the byte-swapped inputs")
+	}
+}
+
+// TestReferenceConcurrentFirstUse asks for one N from every sim.Each
+// worker at once, the way concurrent sweeps do: all of them must get
+// the one table, built once.
+func TestReferenceConcurrentFirstUse(t *testing.T) {
+	const n = 40
+	referencesMu.Lock()
+	delete(references, n) // make this the first use
+	referencesMu.Unlock()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	got := sim.Each(12, func(int) *reference { return referenceFor(n) })
+	for i, ref := range got {
+		if ref != got[0] {
+			t.Fatalf("worker %d got a second table for N=%d", i, n)
+		}
+	}
+	if !slices.Equal(got[0].c, multiplyLocal(got[0].a, got[0].b, n)) {
+		t.Fatal("the shared table's product is wrong")
 	}
 }

@@ -130,7 +130,7 @@ func CheckStripe(front, back, flaws []byte, w, h, lo, hi, overlap int) (flawCoun
 	clo := max(0, lo-overlap)
 	chi := min(h, hi+overlap)
 
-	vert := make([]int, w*(chi-clo)) // vertical copper run length per pixel
+	vert := make([]int32, w*(chi-clo)) // vertical copper run length per pixel
 	// Column pass: compute vertical copper extents and spacing gaps.
 	for x := 0; x < w; x++ {
 		runStart := clo
@@ -139,7 +139,7 @@ func CheckStripe(front, back, flaws []byte, w, h, lo, hi, overlap int) (flawCoun
 			runLen := end - runStart
 			if prev == Copper {
 				for y := runStart; y < end; y++ {
-					vert[(y-clo)*w+x] = runLen
+					vert[(y-clo)*w+x] = int32(runLen)
 				}
 			} else if prev == Substrate && runLen < MinSpace && runStart > clo && end < chi {
 				// Gap between copper above and below.

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/docquote"
 	"repro/internal/sim"
 )
 
@@ -14,7 +15,9 @@ import (
 // counter of the fingerprint. The `state=` word is left out — it moves
 // whenever the state hash's encoding does, which is not a change in
 // simulated behaviour; everything else here moving is. The chaos twin
-// of mc.TestDFSReportsPinned.
+// of mc.TestDFSReportsPinned. EXPERIMENTS.md quotes the 28 one-run
+// summary lines (`mermaid-chaos -seed=1 -runs=1`) under this test's
+// name, and a quote that differs fails here.
 func TestCampaignsPinned(t *testing.T) {
 	stateWord := regexp.MustCompile(`state=[0-9a-f]{16} `)
 	cases := []struct {
@@ -55,11 +58,22 @@ func TestCampaignsPinned(t *testing.T) {
 	if want := len(All()) * len(Classes()); len(cases) != want {
 		t.Errorf("%d campaigns pinned, the grid has %d: pin the new workload or class", len(cases), want)
 	}
+	var summaries []string
 	for _, c := range cases {
-		res, err := Replay(c.token, Opts{})
+		name, class, seed, err := DecodeToken(c.token)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		series, err := RunSeries(w, class, seed, 1, Opts{})
 		if err != nil {
 			t.Fatalf("%s: %v", c.token, err)
 		}
+		summaries = append(summaries, series.String())
+		res := series.Results[0]
 		if res.Outcome != cluster.OK {
 			t.Errorf("%s: %s: %s", c.token, res.Outcome, res.Detail)
 		}
@@ -68,5 +82,8 @@ func TestCampaignsPinned(t *testing.T) {
 			t.Errorf("%s: a different run:\n  got  steps=%d elapsed=%d %s\n  want steps=%d elapsed=%d %s",
 				c.token, res.Steps, res.Elapsed, got, c.steps, c.elapsed, c.counters)
 		}
+	}
+	if err := docquote.Check("../../EXPERIMENTS.md", "chaos.TestCampaignsPinned", summaries); err != nil {
+		t.Error(err)
 	}
 }

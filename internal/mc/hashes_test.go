@@ -3,6 +3,7 @@ package mc
 import (
 	"testing"
 
+	"repro/internal/docquote"
 	"repro/internal/dsm"
 )
 
@@ -17,7 +18,8 @@ import (
 // whole space is 12 schedules. Pruning
 // decides what is explored, so a fingerprint that merged or split
 // states differently — or a chooser that skipped one the strategy
-// reads — would move these counters.
+// reads — would move these counters. EXPERIMENTS.md quotes the seven
+// reports under this test's name, and a quote that differs fails here.
 func TestDFSReportsPinned(t *testing.T) {
 	cases := []struct {
 		workload                                      string
@@ -31,6 +33,7 @@ func TestDFSReportsPinned(t *testing.T) {
 		{"migration", 150, 1579, 59, 44, 9068},
 		{"central", 12, 3, 0, 6, 249},
 	}
+	var reports []string
 	for _, c := range cases {
 		w, err := Lookup(c.workload)
 		if err != nil {
@@ -40,6 +43,7 @@ func TestDFSReportsPinned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		reports = append(reports, rep.String())
 		if rep.Violating != nil {
 			t.Fatalf("%s: false positive: %s", c.workload, rep)
 		}
@@ -48,6 +52,9 @@ func TestDFSReportsPinned(t *testing.T) {
 			t.Errorf("%s: explored a different space:\n  got  %s\n  want schedules=%d pruned=%d frontier=%d max-points=%d steps=%d",
 				c.workload, rep, c.schedules, c.pruned, c.frontier, c.maxPoints, c.steps)
 		}
+	}
+	if err := docquote.Check("../../EXPERIMENTS.md", "mc.TestDFSReportsPinned", reports); err != nil {
+		t.Error(err)
 	}
 }
 
