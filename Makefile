@@ -84,7 +84,7 @@ race:
 # Two runs: the first warms the build cache (and fails fast on
 # findings), the second emits the JSON coverage report CI archives and
 # asserts the analyzer's wall-clock budget — a regression that makes
-# a rule or the lock-order join super-linear fails check, not just CI.
+# a rule super-linear fails check, not just CI.
 mermaid-vet:
 	go run ./cmd/mermaid-vet ./...
 	go run ./cmd/mermaid-vet -json -max-elapsed-ms=5000 ./... > mermaid-vet.json

@@ -11,10 +11,9 @@
 // The run is two-phased. Phase A parses and type-checks all target
 // packages in parallel (each worker owns a FileSet and gc importer;
 // neither is safe to share). Phase B runs the per-package rules in
-// parallel and collects each package's lock facts, which the
-// lock-order analysis joins after the fan-in. With -json the findings,
-// coverage statistics and per-analysis timings are printed as a single
-// JSON object. See internal/vet for the rules.
+// parallel. With -json the findings, coverage statistics and per-rule
+// timings are printed as a single JSON object. See internal/vet for
+// the rules.
 package main
 
 import (
@@ -54,11 +53,9 @@ type listedPackage struct {
 type report struct {
 	Findings []vet.Finding `json:"findings"`
 	Stats    struct {
-		Packages    int   `json:"packages"`
-		Suppressed  int   `json:"suppressed"`
-		LockClasses int   `json:"lock_classes"`
-		LockEdges   int   `json:"lock_edges"`
-		ElapsedMS   int64 `json:"elapsed_ms"`
+		Packages   int   `json:"packages"`
+		Suppressed int   `json:"suppressed"`
+		ElapsedMS  int64 `json:"elapsed_ms"`
 	} `json:"stats"`
 	TimingsMS map[string]float64 `json:"timings_ms"`
 	ByRule    map[string]int     `json:"findings_by_rule"`
@@ -73,9 +70,8 @@ func main() {
 
 // pkgResult is one worker's phase-B output for one package.
 type pkgResult struct {
-	findings  []vet.Finding
-	stats     vet.Stats
-	lockFacts *vet.LockFacts
+	findings []vet.Finding
+	stats    vet.Stats
 }
 
 func run(args []string) error {
@@ -151,26 +147,16 @@ func run(args []string) error {
 				continue
 			}
 			findings, stats := vet.CheckWithStats(loaded[i], cfg)
-			results[i] = pkgResult{
-				findings:  findings,
-				stats:     stats,
-				lockFacts: vet.CollectLockFacts(loaded[i], cfg),
-			}
+			results[i] = pkgResult{findings: findings, stats: stats}
 		}
 	})
 
 	var findings []vet.Finding
 	var stats vet.Stats
-	var allLockFacts []*vet.LockFacts
 	for _, r := range results {
 		findings = append(findings, r.findings...)
 		stats.Add(r.stats)
-		allLockFacts = append(allLockFacts, r.lockFacts)
 	}
-	lockStart := time.Now()
-	lockFindings, lockGraph := vet.CheckLockOrder(allLockFacts)
-	lockMS := float64(time.Since(lockStart).Nanoseconds()) / 1e6
-	findings = append(findings, lockFindings...)
 	vet.SortFindings(findings)
 
 	elapsed := time.Since(start)
@@ -185,11 +171,8 @@ func run(args []string) error {
 		for rule, ns := range stats.RuleNanos {
 			rep.TimingsMS[rule] += float64(ns) / 1e6
 		}
-		rep.TimingsMS["lock-order-join"] = lockMS
 		rep.Stats.Packages = len(targets)
 		rep.Stats.Suppressed = stats.Suppressed
-		rep.Stats.LockClasses = lockGraph.Classes
-		rep.Stats.LockEdges = lockGraph.Edges
 		rep.Stats.ElapsedMS = elapsed.Milliseconds()
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")

@@ -289,7 +289,8 @@ func (m *Module) AtomicSwapInt32(p *sim.Proc, addr Addr, v int32) int32 {
 	return old
 }
 
-// AtomicSwapInt32E is AtomicSwapInt32 returning crash errors.
+// AtomicSwapInt32E is AtomicSwapInt32 returning crash errors, and
+// ErrNoAtomics under a policy that defines no atomic operation.
 func (m *Module) AtomicSwapInt32E(p *sim.Proc, addr Addr, v int32) (int32, error) {
 	m.checkTyped(addr, conv.Int32, 4, 1)
 	return m.engine.atomicSwap(p, addr, v)

@@ -230,6 +230,29 @@ type localPage struct {
 	access Access
 }
 
+// The lock order of one host's processes. A process takes these locks
+// only in increasing rank, and sim checks it at every P and Use
+// (sim.Semaphore.Ranked), so within a host no two processes can each
+// hold a lock the other waits for. A fault holds its page's fault lock
+// across the directory's transaction, the transaction holds the page's
+// transaction lock across recovery coordination (a dynamic owner may
+// coordinate its own page), and protocol CPU time is charged under any
+// of them.
+//
+// The order does not reach across hosts, where a process holding a
+// lock waits in ep.Call for a handler. There the argument is the
+// directory's: a page's entry lock lives only on its one static
+// manager, which never calls itself, and a dynamic hop holds only its
+// own host's lock along an acyclic probable-owner chain. A cycle would
+// end in call timeouts: a panic without failure detection, a reported
+// outcome in mc and chaos.
+const (
+	rankFaultLock = 1 + iota // faultLockFor
+	rankPageTxn              // newPageTxn: mgrEntry.lock, dynPage.lock
+	rankRecovery             // dynPage.recLock
+	rankProtoCPU             // Module.protoCPU
+)
+
 // pageTxn is the transaction record both directory schemes keep for a
 // page: the fixed manager in its table entry (mgrEntry), the dynamic
 // owner in its page state (dynPage). The schemes differ only in who
@@ -254,7 +277,7 @@ type pageTxn struct {
 
 // newPageTxn returns an empty record with a free transaction lock.
 func newPageTxn(k *sim.Kernel) pageTxn {
-	return pageTxn{copyset: make(map[HostID]struct{}), lock: sim.NewSemaphore(k, 1)}
+	return pageTxn{copyset: make(map[HostID]struct{}), lock: sim.NewSemaphore(k, 1).Ranked(rankPageTxn, "page-transaction lock")}
 }
 
 // mgrEntry is the manager-side state of one managed page.
@@ -467,7 +490,7 @@ func New(k *sim.Kernel, ep *remoteop.Endpoint, cfg *Config, hosts []arch.Arch) (
 		mgr:         make(map[PageNo]*mgrEntry),
 		meta:        make(map[PageNo]pageMeta),
 		faultLocks:  make(map[PageNo]*sim.Semaphore),
-		protoCPU:    sim.NewResource(k, 1),
+		protoCPU:    sim.NewResource(k, 1).Ranked(rankProtoCPU, "protoCPU"),
 		pageFetches: make(map[PageNo]int),
 	}
 	// The engine and the directory each register the proto.Kind handlers
@@ -602,7 +625,7 @@ func (m *Module) mgrEntryFor(page PageNo) *mgrEntry {
 func (m *Module) faultLockFor(page PageNo) *sim.Semaphore {
 	l := m.faultLocks[page]
 	if l == nil {
-		l = sim.NewSemaphore(m.k, 1)
+		l = sim.NewSemaphore(m.k, 1).Ranked(rankFaultLock, "fault lock")
 		m.faultLocks[page] = l
 	}
 	return l

@@ -79,7 +79,7 @@ const (
 func (m *Module) dynPageFor(page PageNo) *dynPage {
 	dp := m.dyn[page]
 	if dp == nil {
-		dp = &dynPage{pageTxn: newPageTxn(m.k), recLock: sim.NewSemaphore(m.k, 1)}
+		dp = &dynPage{pageTxn: newPageTxn(m.k), recLock: sim.NewSemaphore(m.k, 1).Ranked(rankRecovery, "recovery lock")}
 		m.dyn[page] = dp
 	}
 	return dp
@@ -263,7 +263,10 @@ func (d *dynamicDirectory) fault(p *sim.Proc, page PageNo, write bool) error {
 		if write {
 			kind = proto.KindDynGetPageWrite
 		}
-		resp, err := m.ep.Call(p, target, &proto.Message{Kind: kind, Page: uint32(page)}) // vet:ignore lock-remote — Li transaction: every hop holds only its own host's per-page entry, and the probable-owner chain is acyclic, so the cross-host waits cannot cycle
+		// Li transaction: dp.lock stays held across the call. Every hop
+		// holds only its own host's per-page entry, and the probable-owner
+		// chain is acyclic, so the cross-host waits cannot cycle.
+		resp, err := m.ep.Call(p, target, &proto.Message{Kind: kind, Page: uint32(page)})
 		if err != nil {
 			m.mustDetect(err, "host %d page %d dynamic fault", m.id, page)
 			// A dead first hop, or an unanswered chase: the serving
@@ -395,7 +398,10 @@ func (m *Module) dynServeOrForward(p *sim.Proc, page PageNo, requester HostID, o
 		if write {
 			w = 1
 		}
-		if _, err := m.ep.Call(p, next, &proto.Message{ // vet:ignore lock-remote — Li forward: every hop holds only its own host's per-page entry, and the probable-owner chain is acyclic, so the cross-host waits cannot cycle
+		// Li forward: dp.lock stays held across the call. Every hop
+		// holds only its own host's per-page entry, and the probable-owner
+		// chain is acyclic, so the cross-host waits cannot cycle.
+		if _, err := m.ep.Call(p, next, &proto.Message{
 			Kind: proto.KindDynForward,
 			Page: uint32(page),
 			Args: []uint32{uint32(requester), origReqID, w, uint32(hops + 1)},

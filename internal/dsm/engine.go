@@ -272,5 +272,5 @@ func (e *updateEngine) writeRegion(p *sim.Proc, addr Addr, n int, fill func(seg 
 }
 
 func (e *updateEngine) atomicSwap(p *sim.Proc, addr Addr, v int32) (int32, error) {
-	panic("dsm: atomic operations are not defined under the write-update policy; use the distributed synchronization facility")
+	return 0, noAtomicsErr(PolicyUpdate)
 }

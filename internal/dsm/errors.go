@@ -29,6 +29,16 @@ var ErrHostDown = errors.New("dsm: host is down")
 // ErrPageLost reports that a page's only copy died with its owner.
 var ErrPageLost = errors.New("dsm: page lost")
 
+// ErrNoAtomics reports an atomic operation under a policy that defines
+// none: write-update, quorum and release consistency. Synchronization
+// belongs to the distributed synchronization facility there.
+var ErrNoAtomics = errors.New("dsm: atomic operations are not defined under this policy; use the distributed synchronization facility")
+
+// noAtomicsErr builds a typed ErrNoAtomics naming the policy.
+func noAtomicsErr(pol Policy) error {
+	return fmt.Errorf("%w (policy %s)", ErrNoAtomics, pol)
+}
+
 // hostDownErr builds a typed ErrHostDown with context.
 func hostDownErr(h HostID, format string, args ...any) error {
 	return fmt.Errorf("%w (host %d): %s", ErrHostDown, h, fmt.Sprintf(format, args...))

@@ -385,19 +385,38 @@ func TestUpdatePolicySequencesConcurrentWriters(t *testing.T) {
 	})
 }
 
-func TestUpdatePolicyAtomicSwapPanics(t *testing.T) {
-	r := newRig(t, []arch.Kind{arch.Sun}, withPolicy(PolicyUpdate))
-	r.run("main", func(p *sim.Proc) {
-		addr, err := r.mods[0].Alloc(p, conv.Int32, 1)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		defer func() {
-			if recover() == nil {
-				t.Error("atomic swap under write-update did not panic")
-			}
-		}()
-		r.mods[0].AtomicSwapInt32(p, addr, 1)
-	})
+// TestAtomicSwapWithoutAtomics: the policies that define no atomic
+// operation refuse one. AtomicSwapInt32E returns ErrNoAtomics naming
+// the policy, and AtomicSwapInt32 panics with it through mustOK.
+func TestAtomicSwapWithoutAtomics(t *testing.T) {
+	for _, tc := range []struct {
+		pol  Policy
+		opts []rigOpt
+	}{
+		{PolicyUpdate, nil},
+		{PolicyQuorum, nil},
+		{PolicyRC, []rigOpt{withDirectory(DirCentral)}},
+	} {
+		t.Run(tc.pol.String(), func(t *testing.T) {
+			r := newRig(t, []arch.Kind{arch.Sun, arch.Sun, arch.Sun}, append(tc.opts, withPolicy(tc.pol))...)
+			r.run("main", func(p *sim.Proc) {
+				addr, err := r.mods[0].Alloc(p, conv.Int32, 1)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				_, err = r.mods[0].AtomicSwapInt32E(p, addr, 1)
+				want := fmt.Sprintf("%v (policy %s)", ErrNoAtomics, tc.pol)
+				if !errors.Is(err, ErrNoAtomics) || err.Error() != want {
+					t.Errorf("AtomicSwapInt32E error %v, want %q", err, want)
+				}
+				defer func() {
+					if got, want := recover(), "dsm: host 0: "+want; got != want {
+						t.Errorf("AtomicSwapInt32 panicked with %v, want %q", got, want)
+					}
+				}()
+				r.mods[0].AtomicSwapInt32(p, addr, 1)
+			})
+		})
+	}
 }

@@ -261,7 +261,9 @@ func (m *Module) localManagerFault(p *sim.Proc, page PageNo, write bool) error {
 		if ent.owner == m.id || hasCopy {
 			m.upgradeLocal(p, page)
 		} else {
-			resp, err := m.ep.Call(p, ent.owner, &proto.Message{Kind: proto.KindGetPageWrite, Page: uint32(page)}) // vet:ignore lock-remote — manager transaction: a page's entry lock lives only on its one static manager, which never calls itself
+			// The entry lock stays held across the call: it lives only on
+			// the page's one static manager, which never calls itself.
+			resp, err := m.ep.Call(p, ent.owner, &proto.Message{Kind: proto.KindGetPageWrite, Page: uint32(page)})
 			if err != nil {
 				return m.callFailed(err, "manager %d fetching page %d from owner %d", m.id, page, ent.owner)
 			}
@@ -276,7 +278,9 @@ func (m *Module) localManagerFault(p *sim.Proc, page PageNo, write bool) error {
 			// always holds a copy), and this host holds none.
 			panic(fmt.Sprintf("dsm: manager %d owns page %d but holds no copy", m.id, page))
 		}
-		resp, err := m.ep.Call(p, src, &proto.Message{Kind: proto.KindGetPage, Page: uint32(page)}) // vet:ignore lock-remote — manager transaction: a page's entry lock lives only on its one static manager, which never calls itself
+		// The entry lock stays held across the call: it lives only on
+		// the page's one static manager, which never calls itself.
+		resp, err := m.ep.Call(p, src, &proto.Message{Kind: proto.KindGetPage, Page: uint32(page)})
 		if err != nil {
 			return m.callFailed(err, "manager %d fetching page %d from %d", m.id, page, src)
 		}

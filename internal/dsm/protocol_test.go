@@ -164,3 +164,40 @@ func TestEnsureAccessAcrossPageBoundary(t *testing.T) {
 		}
 	})
 }
+
+// TestLockRankRefusesFaultUnderPageTransaction: a process that holds a
+// page's transaction lock and then faults takes the fault lock (rank
+// 1) under the transaction lock (rank 2) — the inversion that, with a
+// fault on the other page in the opposite order, is a deadlock. sim
+// panics at the fault lock's P, naming the process and both locks.
+func TestLockRankRefusesFaultUnderPageTransaction(t *testing.T) {
+	r := newRig(t, []arch.Kind{arch.Sun, arch.Firefly})
+	r.k.Spawn("main", func(p *sim.Proc) {
+		addr, err := r.mods[0].Alloc(p, conv.Int32, 2*2048)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		m := r.mods[1]
+		for a := addr; a < addr+Addr(2*r.cfg.PageSize); a += Addr(r.cfg.PageSize) {
+			if pg := m.PageOf(a); m.manager(pg) == m.id {
+				ent := m.mgrEntryFor(pg)
+				ent.lock.P(p)
+				defer ent.lock.V()
+				m.ReadInt32s(p, a, make([]int32, 1)) // host 0 owns it: a fault
+				return
+			}
+		}
+		t.Error("host 1 manages neither page")
+	})
+	got := func() (v any) {
+		defer func() { v = recover() }()
+		r.k.Run()
+		return nil
+	}()
+	want := `sim: process "main" panicked: sim: process "main" takes fault lock (rank 1) while holding page-transaction lock (rank 2)`
+	if got != want {
+		t.Fatalf("panic %v, want %q", got, want)
+	}
+	r.k.Shutdown()
+}

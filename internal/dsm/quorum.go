@@ -223,8 +223,10 @@ func (m *quorumEngine) writeRegion(p *sim.Proc, addr Addr, n int, fill func(seg 
 	})
 }
 
+// atomicSwap is refused: majority-replicated registers admit no
+// consensus-free read-modify-write.
 func (m *quorumEngine) atomicSwap(p *sim.Proc, addr Addr, v int32) (int32, error) {
-	panic("dsm: atomic operations are not defined under the quorum policy (majority-replicated registers admit no consensus-free read-modify-write); use the distributed synchronization facility")
+	return 0, noAtomicsErr(PolicyQuorum)
 }
 
 // quorumReadPage is one full SC-ABD read of a page. The caller holds

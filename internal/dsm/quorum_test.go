@@ -169,23 +169,6 @@ func TestQuorumWriteBackConvertsAcrossArchitectures(t *testing.T) {
 	})
 }
 
-func TestQuorumAtomicSwapPanics(t *testing.T) {
-	r := newRig(t, []arch.Kind{arch.Sun, arch.Sun, arch.Sun}, withPolicy(PolicyQuorum))
-	r.run("main", func(p *sim.Proc) {
-		addr, err := r.mods[0].Alloc(p, conv.Int32, 1)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		defer func() {
-			if recover() == nil {
-				t.Error("atomic swap under the quorum policy did not panic")
-			}
-		}()
-		r.mods[0].AtomicSwapInt32(p, addr, 1)
-	})
-}
-
 func TestQuorumStatsCount(t *testing.T) {
 	r := newRig(t, []arch.Kind{arch.Sun, arch.Firefly}, withPolicy(PolicyQuorum))
 	r.run("main", func(p *sim.Proc) {

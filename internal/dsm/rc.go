@@ -160,7 +160,7 @@ func (m *rcEngine) writeRegion(p *sim.Proc, addr Addr, n int, fill func(seg []by
 }
 
 func (m *rcEngine) atomicSwap(p *sim.Proc, addr Addr, v int32) (int32, error) {
-	panic("dsm: atomic operations are not defined under the release-consistency policy; use the distributed synchronization facility")
+	return 0, noAtomicsErr(PolicyRC)
 }
 
 // rcFaultPage obtains one page's current image from its home. The fresh

@@ -40,7 +40,7 @@ func SyncStyles(rounds int) SyncStyleResult {
 // moved.
 func runSyncStyle(rounds int, spinlock bool) FigPoint {
 	hosts := sunsAroundFireflies()
-	c := newCluster(cluster.Config{Hosts: hosts, Seed: 1})
+	c := must(cluster.New(cluster.Config{Hosts: hosts, Seed: 1}))
 	defer c.Close()
 	const (
 		semDone  = 1
@@ -82,17 +82,10 @@ func runSyncStyle(rounds int, spinlock bool) FigPoint {
 
 	var elapsed sim.Duration
 	elapsed = c.Run(0, func(p *sim.Proc, h *cluster.Host) {
-		var err error
 		// Page-filling allocations keep the lock word and the counter
 		// on separate pages, isolating lock traffic from data traffic.
-		lockAddr, err = h.DSM.Alloc(p, conv.Int32, 2048)
-		if err != nil {
-			panic(err)
-		}
-		counterAddr, err = h.DSM.Alloc(p, conv.Int32, 2048)
-		if err != nil {
-			panic(err)
-		}
+		lockAddr = must(h.DSM.Alloc(p, conv.Int32, 2048))
+		counterAddr = must(h.DSM.Alloc(p, conv.Int32, 2048))
 		h.DSM.WriteInt32(p, lockAddr, 0)
 		h.DSM.WriteInt32(p, counterAddr, 0)
 
@@ -140,15 +133,12 @@ func ManagerPlacement() ManagerPlacementResult {
 		// would otherwise let one manager pipeline the request waves.
 		pv := model.Default()
 		pv.ProcessJitterPct = 0.25
-		c := newCluster(cluster.Config{Hosts: sunAndFireflies(nf, 2), Seed: 1, Directory: dir, PageSize: 1024, Params: &pv})
+		c := must(cluster.New(cluster.Config{Hosts: sunAndFireflies(nf, 2), Seed: 1, Directory: dir, PageSize: 1024, Params: &pv}))
 		defer c.Close()
 		var storm sim.Duration
 		c.Run(0, func(p *sim.Proc, h0 *cluster.Host) {
 			const per = 256 // ints per 1 KB page
-			addr, err := h0.DSM.Alloc(p, conv.Int32, per*pagesPer*nf)
-			if err != nil {
-				panic(err)
-			}
+			addr := must(h0.DSM.Alloc(p, conv.Int32, per*pagesPer*nf))
 			// Ownership setup: Firefly i takes its own block.
 			spawnPerHost(c, p, func(h *cluster.Host, wp *sim.Proc) {
 				if h.ID == 0 {
@@ -219,14 +209,11 @@ func InvalidationScaling(sizes []int) []InvalidationRow {
 		for i := range hosts {
 			hosts[i] = cluster.HostSpec{Kind: arch.Sun}
 		}
-		c := newCluster(cluster.Config{Hosts: hosts, Seed: 1, UnicastInvalidate: unicast})
+		c := must(cluster.New(cluster.Config{Hosts: hosts, Seed: 1, UnicastInvalidate: unicast}))
 		defer c.Close()
 		var out cost
 		c.Run(0, func(p *sim.Proc, h0 *cluster.Host) {
-			addr, err := h0.DSM.Alloc(p, conv.Int32, 2048)
-			if err != nil {
-				panic(err)
-			}
+			addr := must(h0.DSM.Alloc(p, conv.Int32, 2048))
 			h0.DSM.WriteInt32s(p, addr, make([]int32, 2048))
 			var v [1]int32
 			for i := 0; i < copyset; i++ {

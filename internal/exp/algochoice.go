@@ -45,7 +45,7 @@ func AlgorithmChoice() []AlgorithmChoiceRow {
 	policies := []dsm.Policy{dsm.PolicyMRSW, dsm.PolicyMigration, dsm.PolicyCentral, dsm.PolicyUpdate}
 	// Per workload: one run under each policy, in that order.
 	secs := sim.Each(len(workloads)*len(policies), func(i int) float64 {
-		c := newCluster(cluster.Config{Hosts: sunsAroundFireflies(), Seed: 1, Policy: policies[i%len(policies)]})
+		c := must(cluster.New(cluster.Config{Hosts: sunsAroundFireflies(), Seed: 1, Policy: policies[i%len(policies)]}))
 		defer c.Close()
 		start := c.K.Now()
 		workloads[i/len(policies)].run(c)
@@ -77,10 +77,7 @@ func spawnPerHost(c *cluster.Cluster, p *sim.Proc, fn func(h *cluster.Host, p *s
 func runReadShared(c *cluster.Cluster) {
 	c.Run(0, func(p *sim.Proc, h0 *cluster.Host) {
 		const n = 16384 // 64 KB of ints
-		addr, err := h0.DSM.Alloc(p, conv.Int32, n)
-		if err != nil {
-			panic(err)
-		}
+		addr := must(h0.DSM.Alloc(p, conv.Int32, n))
 		h0.DSM.WriteInt32s(p, addr, make([]int32, n))
 		spawnPerHost(c, p, func(h *cluster.Host, wp *sim.Proc) {
 			buf := make([]int32, n)
@@ -96,13 +93,8 @@ func runWritePrivate(c *cluster.Cluster) {
 		const per = 2048 // one 8 KB page per host
 		// Padding page so no host's private page happens to be managed
 		// (served) by that host itself.
-		if _, err := h0.DSM.Alloc(p, conv.Int32, per); err != nil {
-			panic(err)
-		}
-		addr, err := h0.DSM.Alloc(p, conv.Int32, per*len(c.Hosts))
-		if err != nil {
-			panic(err)
-		}
+		must(h0.DSM.Alloc(p, conv.Int32, per))
+		addr := must(h0.DSM.Alloc(p, conv.Int32, per*len(c.Hosts)))
 		spawnPerHost(c, p, func(h *cluster.Host, wp *sim.Proc) {
 			base := addr + dsm.Addr(4*per*int(h.ID))
 			buf := make([]int32, per)
@@ -118,10 +110,7 @@ func runWritePrivate(c *cluster.Cluster) {
 
 func runHotspot(c *cluster.Cluster) {
 	c.Run(0, func(p *sim.Proc, h0 *cluster.Host) {
-		addr, err := h0.DSM.Alloc(p, conv.Int32, 64) // one hot page
-		if err != nil {
-			panic(err)
-		}
+		addr := must(h0.DSM.Alloc(p, conv.Int32, 64)) // one hot page
 		h0.DSM.WriteInt32s(p, addr, make([]int32, 64))
 		spawnPerHost(c, p, func(h *cluster.Host, wp *sim.Proc) {
 			slot := addr + dsm.Addr(4*int(h.ID))
@@ -142,10 +131,7 @@ func runHotspot(c *cluster.Cluster) {
 // all readers on each publish and they re-fault whole pages.
 func runProducerConsumer(c *cluster.Cluster) {
 	c.Run(0, func(p *sim.Proc, h0 *cluster.Host) {
-		addr, err := h0.DSM.Alloc(p, conv.Int32, 16)
-		if err != nil {
-			panic(err)
-		}
+		addr := must(h0.DSM.Alloc(p, conv.Int32, 16))
 		h0.DSM.WriteInt32s(p, addr, make([]int32, 16))
 		done := sim.NewSemaphore(c.K, 0)
 		const (

@@ -76,14 +76,11 @@ func runDirectoryScheme(dir dsm.Directory) DirectorySchemeRow {
 		per    = 256
 		rounds = 3
 	)
-	c := newCluster(cluster.Config{Hosts: sunAndFireflies(nf, 0), Seed: 1, PageSize: 1024, Directory: dir})
+	c := must(cluster.New(cluster.Config{Hosts: sunAndFireflies(nf, 0), Seed: 1, PageSize: 1024, Directory: dir}))
 	defer c.Close()
 	var elapsed sim.Duration
 	c.Run(0, func(p *sim.Proc, h0 *cluster.Host) {
-		addr, err := h0.DSM.Alloc(p, conv.Int32, per*pages)
-		if err != nil {
-			panic(err)
-		}
+		addr := must(h0.DSM.Alloc(p, conv.Int32, per*pages))
 		start := p.Now()
 		buf := make([]int32, 8)
 		for r := 0; r < rounds; r++ {

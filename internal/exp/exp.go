@@ -70,15 +70,15 @@ func kindName(k arch.Kind) string {
 	return "Ffly"
 }
 
-// newCluster builds the cluster an experiment runs on. Every
-// configuration in this package is its own literal, so a rejected one
-// is a bug in the experiment, not an input error: panic.
-func newCluster(cfg cluster.Config) *cluster.Cluster {
-	c, err := cluster.New(cfg)
+// must returns v, or panics with err. Every input an experiment builds
+// from is its own literal (a cluster configuration, an allocation, a
+// registered type), so an error is a bug in the experiment, not an
+// input error.
+func must[T any](v T, err error) T {
 	if err != nil {
 		panic(err)
 	}
-	return c
+	return v
 }
 
 // sunAndFireflies is the paper's representative heterogeneous host

@@ -66,20 +66,16 @@ func (r mmRun) run() matmul.Result {
 		pv.ProcessJitterPct = r.jitter
 		params = &pv
 	}
-	c := newCluster(cluster.Config{
+	c := must(cluster.New(cluster.Config{
 		Hosts: r.hosts, PageSize: r.pageSize, Seed: r.seed, Params: params,
 		Policy: r.policy, PreferSameKindSource: r.sameKind,
-	})
+	}))
 	defer c.Close()
-	res, err := matmul.Register(c).Run(matmul.Config{
+	return must(matmul.Register(c).Run(matmul.Config{
 		N: MMSize, Master: 0, Slaves: r.slaves,
 		Assignment: r.assign, JitterPct: r.jitter, WriteChunk: r.chunk,
 		AcquireRelease: r.policy == dsm.PolicyRC,
-	})
-	if err != nil {
-		panic(err)
-	}
-	return res
+	}))
 }
 
 // point is run for the callers that plot only the figure point.
@@ -204,15 +200,12 @@ func Figure5(maxThreads int) []Figure5Point {
 	return sim.Each(max(maxThreads, 0), func(i int) Figure5Point {
 		t := i + 1
 		nf := firefliesFor(t)
-		c := newCluster(cluster.Config{Hosts: sunAndFireflies(nf, fireflyCPUs), Seed: 1})
+		c := must(cluster.New(cluster.Config{Hosts: sunAndFireflies(nf, fireflyCPUs), Seed: 1}))
 		defer c.Close()
-		res, err := pcb.Register(c).Run(pcb.Config{
+		res := must(pcb.Register(c).Run(pcb.Config{
 			W: PCBWidth, H: PCBHeight,
 			Master: 0, Slaves: placeThreads(t, nf), Seed: 5,
-		})
-		if err != nil {
-			panic(err)
-		}
+		}))
 		pt := FigPoint{Threads: t, Seconds: res.Elapsed.Seconds(), Transfers: res.Stats.PagesFetched}
 		return Figure5Point{FigPoint: pt, Speedup: seqSeconds / pt.Seconds}
 	})
@@ -478,21 +471,15 @@ type OverheadResult struct {
 func SingleThreadOverhead() []OverheadResult {
 	runs := []func() OverheadResult{
 		func() OverheadResult { // MM on one Firefly
-			c := newCluster(cluster.Config{Hosts: []cluster.HostSpec{{Kind: arch.Firefly, CPUs: 2}}, Seed: 1})
+			c := must(cluster.New(cluster.Config{Hosts: []cluster.HostSpec{{Kind: arch.Firefly, CPUs: 2}}, Seed: 1}))
 			defer c.Close()
-			res, err := matmul.Register(c).Run(matmul.Config{N: MMSize, Master: 0, Slaves: []cluster.HostID{0}})
-			if err != nil {
-				panic(err)
-			}
+			res := must(matmul.Register(c).Run(matmul.Config{N: MMSize, Master: 0, Slaves: []cluster.HostID{0}}))
 			return OverheadResult{App: "MM", SequentialS: matmul.Sequential(c.Params, arch.Firefly, MMSize).Seconds(), DSMS: res.Elapsed.Seconds()}
 		},
 		func() OverheadResult { // PCB on one Sun
-			c := newCluster(cluster.Config{Hosts: []cluster.HostSpec{{Kind: arch.Sun}}, Seed: 1})
+			c := must(cluster.New(cluster.Config{Hosts: []cluster.HostSpec{{Kind: arch.Sun}}, Seed: 1}))
 			defer c.Close()
-			res, err := pcb.Register(c).Run(pcb.Config{W: PCBWidth, H: PCBHeight, Master: 0, Slaves: []cluster.HostID{0}, Seed: 5, Overlap: 1})
-			if err != nil {
-				panic(err)
-			}
+			res := must(pcb.Register(c).Run(pcb.Config{W: PCBWidth, H: PCBHeight, Master: 0, Slaves: []cluster.HostID{0}, Seed: 5, Overlap: 1}))
 			return OverheadResult{App: "PCB", SequentialS: pcb.Sequential(c.Params, arch.Sun, PCBWidth, PCBHeight, 5).Seconds(), DSMS: res.Elapsed.Seconds()}
 		},
 	}

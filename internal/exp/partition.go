@@ -72,7 +72,7 @@ func PartitionAvailability() []PartitionAvailabilityRow {
 				Group:  []netsim.HostID{1},
 			}},
 		}
-		c := newCluster(cluster.Config{
+		c := must(cluster.New(cluster.Config{
 			Hosts: []cluster.HostSpec{
 				{Kind: arch.Sun},
 				{Kind: arch.Firefly},
@@ -85,7 +85,7 @@ func PartitionAvailability() []PartitionAvailabilityRow {
 			Directory:        dsm.DirCentral,
 			FailureDetection: true,
 			FaultPlan:        plan,
-		})
+		}))
 		inWindow := func() bool {
 			now := c.K.Now()
 			return now >= sim.Time(cutFrom) && now < sim.Time(cutTo)
@@ -98,10 +98,7 @@ func PartitionAvailability() []PartitionAvailabilityRow {
 		c.Run(0, func(p *sim.Proc, h0 *cluster.Host) {
 			var pages [2]dsm.Addr
 			for i := range pages {
-				var err error
-				if pages[i], err = h0.DSM.Alloc(p, conv.Int32, 2); err != nil {
-					panic(err)
-				}
+				pages[i] = must(h0.DSM.Alloc(p, conv.Int32, 2))
 			}
 			done := sim.NewSemaphore(c.K, 0)
 			for w := 0; w < 2; w++ {

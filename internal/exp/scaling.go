@@ -86,14 +86,11 @@ func runDirectoryScale(n int, topoName string, dir dsm.Directory) ScalingRow {
 	if topoName == "switched" {
 		topo = scalingTopology(n)
 	}
-	c := newCluster(cluster.Config{Hosts: sunAndFireflies(n-1, 0), Seed: 1, PageSize: 1024, Directory: dir, Topology: topo})
+	c := must(cluster.New(cluster.Config{Hosts: sunAndFireflies(n-1, 0), Seed: 1, PageSize: 1024, Directory: dir, Topology: topo}))
 	defer c.Close()
 	var elapsed sim.Duration
 	c.Run(0, func(p *sim.Proc, h0 *cluster.Host) {
-		addr, err := h0.DSM.Alloc(p, conv.Int32, per*pages)
-		if err != nil {
-			panic(err)
-		}
+		addr := must(h0.DSM.Alloc(p, conv.Int32, per*pages))
 		start := p.Now()
 		// Phase 1 — migratory ring: every host writes one word to a
 		// rotating page (pages 1..7; page 0 stays clean for phase 2),

@@ -168,9 +168,7 @@ func Table3() []Table3Row {
 			typ := reg.MustGet(id)
 			buf := makeTypedPage(typ, size)
 			n := size / typ.Size
-			if _, err := reg.ConvertRegion(id, buf, arch.SunArch, arch.FireflyArch, 0); err != nil {
-				panic(err)
-			}
+			must(reg.ConvertRegion(id, buf, arch.SunArch, arch.FireflyArch, 0))
 			cost := params.RegionConvertCost(arch.Firefly, typ.Cost, n)
 			paper := paper8[typ.Name]
 			if size == 1024 {
@@ -186,20 +184,15 @@ func Table3() []Table3Row {
 
 	// The §3.1 compound record: 3 ints, 3 floats, 4 shorts; 8 KB page
 	// converted on a Sun3/60 took 19.6 ms.
-	recID, err := reg.RegisterStruct("record", []conv.Field{
+	recID := must(reg.RegisterStruct("record", []conv.Field{
 		{Type: conv.Int32, Count: 3},
 		{Type: conv.Float32, Count: 3},
 		{Type: conv.Int16, Count: 4},
-	})
-	if err != nil {
-		panic(err)
-	}
+	}))
 	rec := reg.MustGet(recID)
 	n := 8192 / rec.Size
 	buf := makeTypedPage(rec, n*rec.Size)
-	if _, err := reg.ConvertRegion(recID, buf, arch.FireflyArch, arch.SunArch, 0); err != nil {
-		panic(err)
-	}
+	must(reg.ConvertRegion(recID, buf, arch.FireflyArch, arch.SunArch, 0))
 	cost := params.RegionConvertCost(arch.Sun, rec.Cost, n)
 	rows = append(rows, Table3Row{
 		TypeName: "record (on Sun)", Size: 8192,
@@ -315,16 +308,13 @@ func measureFaultDelay(reqKind, ownKind arch.Kind, scenario string, write bool) 
 			specs[i].CPUs = 4
 		}
 	}
-	c := newCluster(cluster.Config{Hosts: specs, Seed: 1})
+	c := must(cluster.New(cluster.Config{Hosts: specs, Seed: 1}))
 	defer c.Close()
 	var delayMS float64
 	c.Run(0, func(p *sim.Proc, h *cluster.Host) {
 		var addr dsm.Addr
 		for {
-			a, err := h.DSM.Alloc(p, conv.Int32, 2048)
-			if err != nil {
-				panic(err)
-			}
+			a := must(h.DSM.Alloc(p, conv.Int32, 2048))
 			if int(h.DSM.PageOf(a))%len(kinds) == mgrHost {
 				addr = a
 				break

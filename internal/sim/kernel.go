@@ -740,7 +740,8 @@ type proc struct {
 	epoch       uint64
 	wakePending bool
 	done        bool
-	killed      bool // set by Shutdown; park unwinds via killSentinel
+	killed      bool       // set by Shutdown; park unwinds via killSentinel
+	held        *Semaphore // the ranked lock taken last of those held (Semaphore.Ranked)
 }
 
 // Proc is the handle a process function uses to interact with virtual
@@ -751,9 +752,6 @@ type Proc struct {
 
 // Name returns the process name given at Spawn.
 func (pp *Proc) Name() string { return pp.p.name }
-
-// Kernel returns the kernel this process runs on.
-func (pp *Proc) Kernel() *Kernel { return pp.p.k }
 
 // Now returns the current virtual time.
 func (pp *Proc) Now() Time { return pp.p.k.now }

@@ -2,6 +2,8 @@
 
 package sim
 
+import "fmt"
+
 // This file provides the synchronization primitives used by simulated
 // code: counting semaphores, FIFO message queues, counted resources, and
 // one-shot events. All of them operate purely in virtual time.
@@ -105,6 +107,14 @@ type Semaphore struct {
 	k       *Kernel
 	count   int
 	waiters waitQueue
+	// A ranked semaphore (Ranked) is a lock with a place in its
+	// package's lock order; rank 0 is unranked. holder is the process
+	// that took it with P and below the lock that process held before
+	// it, so a process's held ranked locks form a stack through below.
+	rank   int
+	name   string
+	holder *proc
+	below  *Semaphore
 }
 
 // NewSemaphore creates a semaphore with the given initial count.
@@ -112,17 +122,56 @@ func NewSemaphore(k *Kernel, initial int) *Semaphore {
 	return &Semaphore{k: k, count: initial}
 }
 
+// Ranked places s, a semaphore used as a lock (one token), at rank in a
+// lock order and names it for the report; rank must be positive. A
+// process may then take s with P only while every ranked lock it holds
+// has a lower rank: P panics otherwise, naming the process and both
+// locks. Holding locks only in increasing rank is what rules out a
+// hold-and-wait cycle among the processes of one kernel. PThen and
+// TryP waiters have no process, so they hold no rank. Ranked returns s.
+func (s *Semaphore) Ranked(rank int, name string) *Semaphore {
+	s.rank, s.name = rank, name
+	return s
+}
+
 // Count returns the current token count (not counting parked waiters).
 func (s *Semaphore) Count() int { return s.count }
 
 // P acquires one token, blocking the calling process until available.
 func (s *Semaphore) P(p *Proc) {
+	if s.rank != 0 {
+		s.checkRank(p.p)
+	}
 	if s.count > 0 {
 		s.count--
-		return
+	} else {
+		s.waiters.push(waiter{t: p.token()})
+		p.park()
 	}
-	s.waiters.push(waiter{t: p.token()})
-	p.park()
+	if s.rank != 0 {
+		s.holder, s.below, p.p.held = p.p, p.p.held, s
+	}
+}
+
+// checkRank panics if p holds a ranked lock that does not rank below s.
+// The locks p holds were taken in increasing rank, so the last one
+// taken ranks highest.
+func (s *Semaphore) checkRank(p *proc) {
+	if h := p.held; h != nil && h.rank >= s.rank {
+		panic(fmt.Sprintf("sim: process %q takes %s (rank %d) while holding %s (rank %d)",
+			p.name, s.name, s.rank, h.name, h.rank))
+	}
+}
+
+// release removes a ranked s from its holder's stack of held locks.
+func (s *Semaphore) release() {
+	for l := &s.holder.held; *l != nil; l = &(*l).below {
+		if *l == s {
+			*l = s.below
+			break
+		}
+	}
+	s.holder, s.below = nil, nil
 }
 
 // PThen is P for a waiter with no process. It takes a token now and
@@ -152,6 +201,9 @@ func (s *Semaphore) TryP() bool {
 // V releases one token, handing it directly to the longest-waiting
 // waiter if any.
 func (s *Semaphore) V() {
+	if s.holder != nil {
+		s.release()
+	}
 	if !s.waiters.next(s.k) {
 		s.count++
 	}
@@ -281,6 +333,14 @@ func NewResource(k *Kernel, capacity int) *Resource {
 	return &Resource{sem: NewSemaphore(k, capacity), cap: capacity}
 }
 
+// Ranked places a one-server resource in a lock order, as
+// Semaphore.Ranked does a lock: Acquire and Use check the rank. It
+// returns r.
+func (r *Resource) Ranked(rank int, name string) *Resource {
+	r.sem.Ranked(rank, name)
+	return r
+}
+
 // Capacity returns the total number of servers.
 func (r *Resource) Capacity() int { return r.cap }
 
@@ -308,7 +368,7 @@ func (r *Resource) Use(p *Proc, d Duration) {
 }
 
 // Event is a broadcast flag: processes wait until it is set; setting it
-// wakes all current and future waiters until Reset.
+// wakes all current and future waiters.
 type Event struct {
 	k       *Kernel
 	set     bool
@@ -329,9 +389,6 @@ func (e *Event) Set() {
 	}
 	e.waiters = nil
 }
-
-// Reset clears the event so subsequent Wait calls block again.
-func (e *Event) Reset() { e.set = false }
 
 // Wait blocks the process until the event is set.
 func (e *Event) Wait(p *Proc) {

@@ -12,24 +12,6 @@ import (
 	"testing"
 )
 
-// analyzeInterproc runs the rules over a fixture package the way
-// cmd/mermaid-vet does: the per-package rules, then the lock-order
-// join.
-func analyzeInterproc(t *testing.T, dir, pkgPath string) []Finding {
-	t.Helper()
-	pkg := loadTestdata(t, dir, pkgPath)
-	cfg := &Config{
-		BufOwnPackages:    []string{pkgPath},
-		MapOrderPackages:  []string{pkgPath},
-		LockOrderPackages: []string{pkgPath},
-		BufPoolPackage:    "repro/internal/bufpool",
-		ProtoPackage:      "repro/internal/proto",
-	}
-	fs := Check(pkg, cfg)
-	lofs, _ := CheckLockOrder([]*LockFacts{CollectLockFacts(pkg, cfg)})
-	return append(fs, lofs...)
-}
-
 var wantMarkerRe = regexp.MustCompile(`want ([a-z][a-z-]*)(?: \(bug (\d+)\))?`)
 
 // wantRuleLines maps file:line → the rule a `want <rule>` marker on
@@ -75,18 +57,18 @@ func wantRuleLines(t *testing.T, dir string) (map[string]string, []int) {
 func TestInterprocMutationsKilled(t *testing.T) {
 	dir := filepath.Join("testdata", "interbad")
 	want, bugs := wantRuleLines(t, dir)
-	if len(want) != 10 || !slices.Equal(bugs, []int{1, 2, 3, 4, 5}) {
-		t.Fatalf("fixture must carry exactly 10 want markers covering buffer bugs 1-5, found %d for bugs %v", len(want), bugs)
+	if len(want) != 7 || !slices.Equal(bugs, []int{1, 2, 3, 4, 5}) {
+		t.Fatalf("fixture must carry exactly 7 want markers covering buffer bugs 1-5, found %d for bugs %v", len(want), bugs)
 	}
-	checkMarkers(t, analyzeInterproc(t, dir, "fixture/interbad"), want)
+	checkMarkers(t, analyzeTestdata(t, dir, "fixture/interbad"), want)
 }
 
 // TestInterprocCleanFixtureSilent pins the cross-function
 // false-positive budget at zero: loans through recursion, method calls
-// and interface dispatch, a buffer owned by a function literal, and a
-// consistent lock order must all stay quiet.
+// and interface dispatch, and a buffer owned by a function literal must
+// all stay quiet.
 func TestInterprocCleanFixtureSilent(t *testing.T) {
-	if fs := analyzeInterproc(t, filepath.Join("testdata", "interclean"), "fixture/interclean"); len(fs) != 0 {
+	if fs := analyzeTestdata(t, filepath.Join("testdata", "interclean"), "fixture/interclean"); len(fs) != 0 {
 		t.Fatalf("clean fixture must be silent, got %v", fs)
 	}
 }

@@ -1,10 +1,9 @@
 // Package interbad is the cross-function mutation-kill fixture: buffer
 // bugs split between a caller and a helper, which the ownership rule
-// reports where either side leaves its shape, plus a lock-order
-// inversion and a lock held across a self-reacquiring remote call.
-// Every finding carries a marker comment on its line (a buffer bug's
-// tagged with its number); the mutation test asserts each marked line
-// is reported with the marked rule and no unmarked line is.
+// reports where either side leaves its shape. Every finding carries a
+// marker comment on its line (a buffer bug's tagged with its number);
+// the mutation test asserts each marked line is reported with the
+// marked rule and no unmarked line is.
 package interbad
 
 import (
@@ -85,79 +84,4 @@ func borrowToStoringCallee(wire []byte) error {
 	}
 	keep(m.Data)
 	return nil
-}
-
-// ---- lock fixtures -------------------------------------------------
-
-type sema struct{}
-
-func (s *sema) P() {}
-func (s *sema) V() {}
-
-type locks struct {
-	a sema
-	b sema
-}
-
-// lockB takes b alone — innocent in isolation.
-func (l *locks) lockB() {
-	l.b.P()
-	l.b.V()
-}
-
-// Bug 6: lock-order inversion. abPath holds a and takes b through a
-// helper; baPath holds b and takes a directly. Both edges of the
-// resulting cycle must be reported.
-func (l *locks) abPath() {
-	l.a.P()
-	l.lockB() // want lock-order
-	l.a.V()
-}
-
-func (l *locks) baPath() {
-	l.b.P()
-	l.a.P() // want lock-order
-	l.a.V()
-	l.b.V()
-}
-
-// ---- remote fixtures -----------------------------------------------
-
-// Endpoint mimics the remote-op endpoint by name and shape; the
-// analysis recognizes it by its type name.
-type Endpoint struct{}
-
-// Message mimics the wire message: the Kind field names the handler.
-type Message struct {
-	Kind int
-	Page uint32
-}
-
-const KindServe = 1
-
-func (e *Endpoint) Call(target int, m *Message) {}
-
-func (e *Endpoint) Handle(kind int, h func(*Message)) {}
-
-type node struct {
-	mu sema
-	ep *Endpoint
-}
-
-func (n *node) register() {
-	n.ep.Handle(KindServe, n.handleServe)
-}
-
-// handleServe reacquires the same per-node lock the requester holds.
-func (n *node) handleServe(m *Message) {
-	n.mu.P()
-	n.mu.V()
-}
-
-// Bug 7: lock held across a blocking remote call whose registered
-// handler transitively reacquires the same class.
-func (n *node) requestWithLock() {
-	n.mu.P()
-	n.ep.Call(1, &Message{Kind: KindServe}) // want lock-remote
-	n.mu.V()
 }

@@ -11,9 +11,10 @@
 //     is lexical and accepts only that shape, not every balanced one:
 //     shapes an explicit V balances per branch are reported, because
 //     accepting them takes a dataflow proof over every path. With
-//     every hold lasting from its P to the end of its body, lock-order
-//     finds the held set at each call in one source-order walk, with
-//     no CFG either. See lockpair.go.
+//     every hold lasting from its P to the end of its body, a
+//     process's holds nest, which is what lets sim check a lock order
+//     at run time as a stack of ranks (sim.Semaphore.Ranked). See
+//     lockpair.go.
 //   - buf-own: in the DSM, remote-operation and synchronization
 //     packages every pooled buffer is owned in one of two shapes — by
 //     a body, `x := bufpool.Get(n)` as a top-level statement followed
@@ -146,17 +147,14 @@ type Config struct {
 	// message traffic and reported tables, but they host deliberate
 	// channel use the other determinism rules would drown in.
 	MapOrderPackages []string
-	// LockOrderPackages lists packages participating in the
-	// module-global lock-order analysis (see lockorder.go).
-	LockOrderPackages []string
 	// BufOwnPackages lists packages subject to the buf-own ownership
 	// shape rule.
 	BufOwnPackages []string
 	// BufPoolPackage is the import path of the buffer pool (its Get and
 	// Put are the acquire/release points).
 	BufPoolPackage string
-	// ProtoPackage is the import path of the wire-format package (Kind
-	// constants, borrow-mode decodes, the IsReply classifier).
+	// ProtoPackage is the import path of the wire-format package (its
+	// borrow-mode decodes).
 	ProtoPackage string
 }
 
@@ -177,9 +175,6 @@ func DefaultConfig(module string) *Config {
 		MapOrderPackages: []string{
 			j("internal/dsync"), j("internal/remoteop"), j("internal/mc"),
 			j("internal/chaos"), j("internal/cluster"), j("internal/exp"),
-		},
-		LockOrderPackages: []string{
-			j("internal/dsm"), j("internal/dsync"), j("internal/sim"), j("internal/remoteop"),
 		},
 		BufOwnPackages: []string{j("internal/dsm"), j("internal/remoteop"), j("internal/dsync")},
 		BufPoolPackage: j("internal/bufpool"),
