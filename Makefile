@@ -68,9 +68,10 @@ benchmark-check:
 
 # netsim, remoteop and bufpool hold the only state shared across kernels
 # (netsim's txPool and remoteop's four sync.Pools, the encode buffers'
-# atomic refcount, the size-classed free list), and every call loop runs
-# through them; matmul's table of reference products, one per N, is the
-# one more. internal/exp is what
+# atomic refcount, the size-classed free list that Put scans for a
+# buffer put twice — bufpool's TestConcurrentGetPut runs that scan from
+# four goroutines at once), and every call loop runs through them;
+# matmul's table of reference products, one per N, is the one more. internal/exp is what
 # actually runs kernels side by side (sim.Each, one cluster per worker),
 # so the second line re-checks that list where it matters: Each's own
 # tests, and three exp sweeps at one and at three workers (GOMAXPROCS 1
@@ -84,7 +85,9 @@ race:
 # Two runs: the first warms the build cache (and fails fast on
 # findings), the second emits the JSON coverage report CI archives and
 # asserts the analyzer's wall-clock budget — a regression that makes
-# a rule super-linear fails check, not just CI.
+# a rule super-linear fails check, not just CI. The lock order and
+# pooled-buffer ownership are not vet rules: internal/sim and
+# internal/bufpool check them at run time, under `make test`.
 mermaid-vet:
 	go run ./cmd/mermaid-vet ./...
 	go run ./cmd/mermaid-vet -json -max-elapsed-ms=5000 ./... > mermaid-vet.json

@@ -334,3 +334,45 @@ func BenchmarkExtensionSORScaling(b *testing.B) {
 	b.ReportMetric(one, "s_1thr")
 	b.ReportMetric(four, "s_4thr")
 }
+
+// BenchmarkUpdateWrites and BenchmarkCentralWrites are writeRounds
+// int32 writes by a Firefly to a page a Sun allocated and holds, under
+// the write-update and the central-server engine: the Sun stores every
+// write's run through the pooled staging copy the receive step converts
+// in (dsm's storeRun).
+func BenchmarkUpdateWrites(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		policyWrites(b, Update)
+	}
+}
+
+func BenchmarkCentralWrites(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		policyWrites(b, Central)
+	}
+}
+
+const writeRounds = 100
+
+func policyWrites(tb testing.TB, policy Policy) {
+	c, err := New(Config{Hosts: []HostSpec{{Kind: Sun}, {Kind: Firefly}}, Policy: policy, Seed: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var addr Addr
+	c.Run(0, func(e *Env) {
+		addr = e.MustAlloc(Int32, 1)
+		e.WriteInt32(addr, -1)
+	})
+	c.Run(1, func(e *Env) {
+		for r := int32(0); r < writeRounds; r++ {
+			e.WriteInt32(addr, r)
+		}
+	})
+	c.Run(0, func(e *Env) {
+		if got := e.ReadInt32(addr); got != writeRounds-1 {
+			tb.Fatalf("the Sun reads %d after the last write", got)
+		}
+	})
+	c.Close()
+}

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"testing"
+	"time"
 
 	"repro/internal/arch"
 	"repro/internal/conv"
@@ -210,5 +211,52 @@ func TestDynamicStateHashCoversHints(t *testing.T) {
 	}
 	if a, b := build(false), build(true); a == b {
 		t.Error("state hash ignores dynamic hint/copyset differences")
+	}
+}
+
+// TestDynamicFaultCoordinatesItsOwnRecovery: host 0's read fault finds
+// its probable owner, host 1, crashed, and host 0 — the smallest live
+// host — is the recovery coordinator, so dynCoordinate runs inside
+// host 0's own fault, under the page-transaction lock that fault holds
+// (the recovery lock ranks above it). It rebuilds ownership at host 0
+// from host 2's surviving read copy.
+func TestDynamicFaultCoordinatesItsOwnRecovery(t *testing.T) {
+	r := newRig(t, []arch.Kind{arch.Sun, arch.Firefly, arch.Sun}, withDirectory(DirDynamic))
+	for _, m := range r.mods {
+		d := NewDetector(r.k, m.ep, r.cfg.Params, len(r.mods))
+		m.AttachLiveness(d)
+		d.Start()
+	}
+	done := false
+	r.k.Spawn("main", func(p *sim.Proc) {
+		defer func() { done = true }()
+		x, err := r.mods[0].Alloc(p, conv.Int32, 8)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		page := r.mods[0].PageOf(x)
+		r.mods[1].WriteInt32(p, x, 11) // ownership 0→1: host 0's hint names host 1
+		if got := r.mods[2].ReadInt32(p, x); got != 11 {
+			t.Errorf("host 2 read %d, want 11", got)
+		}
+		p.Sleep(time.Second)
+		r.net.SetHostDown(1, true)
+		r.mods[1].ep.Crash()
+		p.Sleep(4 * time.Second) // the detectors declare host 1 dead
+		if got, err := r.mods[0].ReadInt32E(p, x); err != nil || got != 11 {
+			t.Errorf("host 0 read %d, %v after the owner's crash, want 11, nil", got, err)
+		}
+		if hint, owned := r.mods[0].ProbableOwner(page); !owned || hint != 0 {
+			t.Errorf("host 0 after coordinating: hint=%d owned=%v, want self-owned", hint, owned)
+		}
+		if n := r.mods[0].Stats().PagesRecovered; n != 1 {
+			t.Errorf("host 0 recovered %d pages, want 1", n)
+		}
+	})
+	r.k.RunUntil(func() bool { return done })
+	r.k.Shutdown()
+	if !done {
+		t.Fatal("main never finished")
 	}
 }

@@ -201,3 +201,43 @@ func TestLockRankRefusesFaultUnderPageTransaction(t *testing.T) {
 	}
 	r.k.Shutdown()
 }
+
+// TestFixedManagerWriteFaultFetchesFromOwner: a fixed manager that
+// write-faults on a page it manages while another host owns it, and
+// holds no copy itself, fetches the page with write access from the
+// owner, keeping its entry lock across the call (localManagerFault's
+// KindGetPageWrite branch) — across a Sun/Firefly conversion.
+func TestFixedManagerWriteFaultFetchesFromOwner(t *testing.T) {
+	r := newRig(t, []arch.Kind{arch.Sun, arch.Firefly})
+	r.run("main", func(p *sim.Proc) {
+		// Two full pages: the second is managed by host 1.
+		var addr Addr
+		for range 2 {
+			var err error
+			if addr, err = r.mods[0].Alloc(p, conv.Int32, 2048); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+		mgr := r.mods[1]
+		page := mgr.PageOf(addr)
+		if got := mgr.manager(page); got != 1 {
+			t.Errorf("second page managed by %d, want 1", got)
+			return
+		}
+		r.mods[0].WriteInt32(p, addr, 5)
+		if ent := mgr.mgrEntryFor(page); ent.owner != 0 || mgr.Access(page) != NoAccess {
+			t.Errorf("after host 0's write: owner %d, manager access %v; want owner 0, no copy at the manager", ent.owner, mgr.Access(page))
+			return
+		}
+		mgr.WriteInt32(p, addr+4, 6)
+		if mgr.Access(page) != WriteAccess || r.mods[0].Access(page) != NoAccess {
+			t.Errorf("after the manager's write: access %v at the manager, %v at host 0", mgr.Access(page), r.mods[0].Access(page))
+		}
+		got := make([]int32, 2)
+		r.mods[0].ReadInt32s(p, addr, got)
+		if got[0] != 5 || got[1] != 6 {
+			t.Errorf("host 0 reads %v, want [5 6]", got)
+		}
+	})
+}

@@ -772,9 +772,9 @@ func TestDedupCacheEviction(t *testing.T) {
 	}
 }
 
-// TestUnicastEncodeOwnerArmsRefcount pins the send-path restructure the
-// buf-own analysis forced: the refcounted owner must take the pooled
-// encode buffer in the same branch that acquires it, and its refcount
+// TestUnicastEncodeOwnerArmsRefcount pins the send path's ownership of
+// its encode buffer: the refcounted owner must take the pooled encode
+// buffer in the same branch that acquires it, and its refcount
 // must be armed to the exact fragment count — an unarmed (zero)
 // refcount would make the first release go negative and strand the
 // buffer forever.

@@ -15,16 +15,6 @@
 //     process's holds nest, which is what lets sim check a lock order
 //     at run time as a stack of ranks (sim.Semaphore.Ranked). See
 //     lockpair.go.
-//   - buf-own: in the DSM, remote-operation and synchronization
-//     packages every pooled buffer is owned in one of two shapes — by
-//     a body, `x := bufpool.Get(n)` as a top-level statement followed
-//     (after any other defers) by `defer bufpool.Put(x)`, or by a
-//     field the Get result goes straight into (a message's wire via
-//     SetWire, released by `bufpool.Put(m.TakeWire())`) — so it is
-//     released exactly once on every path. Like lock-pairing the rule
-//     is lexical and accepts only those shapes; it also reports a Put
-//     of a parameter, a returned pooled buffer, and borrowed wire data
-//     escaping without TakeWire. See bufown.go.
 //   - time: wall-clock time (`time.Now` and friends) must not leak
 //     into the simulation packages; all time is the kernel's virtual
 //     clock, and one stray `time.Now` destroys run-to-run determinism.
@@ -69,6 +59,11 @@
 //
 // Findings on a line carrying a `vet:ignore <rule>` comment are
 // suppressed.
+//
+// Two disciplines the code relies on are checked at run time rather
+// than here: the lock order (sim.Semaphore.Ranked) and pooled-buffer
+// ownership (bufpool.Put poisons what it retires and panics on a
+// buffer put twice).
 //
 // The analyzer is built only on the standard library (go/ast,
 // go/parser, go/types): it parses each package from source and
@@ -147,15 +142,6 @@ type Config struct {
 	// message traffic and reported tables, but they host deliberate
 	// channel use the other determinism rules would drown in.
 	MapOrderPackages []string
-	// BufOwnPackages lists packages subject to the buf-own ownership
-	// shape rule.
-	BufOwnPackages []string
-	// BufPoolPackage is the import path of the buffer pool (its Get and
-	// Put are the acquire/release points).
-	BufPoolPackage string
-	// ProtoPackage is the import path of the wire-format package (its
-	// borrow-mode decodes).
-	ProtoPackage string
 }
 
 // DefaultConfig returns the project's rule scoping for the module with
@@ -176,9 +162,6 @@ func DefaultConfig(module string) *Config {
 			j("internal/dsync"), j("internal/remoteop"), j("internal/mc"),
 			j("internal/chaos"), j("internal/cluster"), j("internal/exp"),
 		},
-		BufOwnPackages: []string{j("internal/dsm"), j("internal/remoteop"), j("internal/dsync")},
-		BufPoolPackage: j("internal/bufpool"),
-		ProtoPackage:   j("internal/proto"),
 	}
 }
 
@@ -285,9 +268,6 @@ func CheckWithStats(pkg *Package, cfg *Config) ([]Finding, Stats) {
 		c.ignores = collectIgnores(pkg.Fset, f)
 		if slices.Contains(cfg.PVPackages, pkg.Path) {
 			timed("lock-pairing", func() { c.checkLockPairing(f) })
-		}
-		if slices.Contains(cfg.BufOwnPackages, pkg.Path) {
-			timed("buf-own", func() { c.checkBufOwn(f) })
 		}
 		full := slices.Contains(cfg.DeterminismPackages, pkg.Path)
 		if full || slices.Contains(cfg.MapOrderPackages, pkg.Path) {

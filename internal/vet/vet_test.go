@@ -31,9 +31,6 @@ func analyze(t *testing.T, pkgPath string, sources map[string]string) []Finding 
 		ErrDropPackages:      []string{pkgPath},
 		PolicyBranchPackages: []string{pkgPath},
 		PolicyBranchAllow:    []string{"engine.go"},
-		BufOwnPackages:       []string{pkgPath},
-		BufPoolPackage:       "repro/internal/bufpool",
-		ProtoPackage:         "repro/internal/proto",
 	}
 	return Check(pkg, cfg)
 }

@@ -301,3 +301,53 @@ func TestEnvFieldCodecs(t *testing.T) {
 		}
 	})
 }
+
+// TestAcquireReleaseCounterOnSwitchedStar: threads on the two hosts of
+// a two-segment switched star, a Sun and a Firefly, each increment a
+// shared counter under Acquire/Release of one lock (lazy release
+// consistency), so every increment must see the last one.
+func TestAcquireReleaseCounterOnSwitchedStar(t *testing.T) {
+	c, err := New(Config{
+		Hosts:  []HostSpec{{Kind: Sun}, {Kind: Firefly}},
+		Net:    SwitchedStar(2, 1),
+		Policy: RC,
+		Seed:   1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const lock, done, rounds = 1, 2, 10
+	c.DefineSemaphore(lock, 0, 1)
+	c.DefineSemaphore(done, 0, 0)
+	var counter Addr
+	increment := func(e *Env) {
+		for i := 0; i < rounds; i++ {
+			e.Acquire(lock)
+			e.WriteInt32(counter, e.ReadInt32(counter)+1)
+			e.Compute(100 * time.Microsecond)
+			e.Release(lock)
+		}
+	}
+	worker := c.MustRegisterFunc(func(e *Env, args []uint32) {
+		increment(e)
+		e.V(done)
+	})
+	c.Run(0, func(e *Env) {
+		counter = e.MustAlloc(Int32, 1)
+		if _, err := e.CreateThread(1, worker); err != nil {
+			t.Error(err)
+			return
+		}
+		increment(e)
+		e.P(done)
+		e.Acquire(lock)
+		if got := e.ReadInt32(counter); got != 2*rounds {
+			t.Errorf("counter %d, want %d", got, 2*rounds)
+		}
+		e.Release(lock)
+	})
+	if c.NetStats().CrossSegmentFrames == 0 {
+		t.Error("no frame crossed the switch between the two segments")
+	}
+}
