@@ -352,18 +352,20 @@ func BenchmarkCentralWrites(b *testing.B) {
 	}
 }
 
+// BenchmarkCentralReads is writeRounds int32 reads by a Firefly of a
+// page a Sun allocated and serves under the central-server engine:
+// every read is a remote read whose reply's wire buffer the reader puts
+// back in the pool.
+func BenchmarkCentralReads(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		centralReads(b)
+	}
+}
+
 const writeRounds = 100
 
 func policyWrites(tb testing.TB, policy Policy) {
-	c, err := New(Config{Hosts: []HostSpec{{Kind: Sun}, {Kind: Firefly}}, Policy: policy, Seed: 1})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	var addr Addr
-	c.Run(0, func(e *Env) {
-		addr = e.MustAlloc(Int32, 1)
-		e.WriteInt32(addr, -1)
-	})
+	c, addr := sunWord(tb, policy)
 	c.Run(1, func(e *Env) {
 		for r := int32(0); r < writeRounds; r++ {
 			e.WriteInt32(addr, r)
@@ -375,4 +377,32 @@ func policyWrites(tb testing.TB, policy Policy) {
 		}
 	})
 	c.Close()
+}
+
+func centralReads(tb testing.TB) {
+	c, addr := sunWord(tb, Central)
+	c.Run(1, func(e *Env) {
+		for r := 0; r < writeRounds; r++ {
+			if got := e.ReadInt32(addr); got != -1 {
+				tb.Errorf("the Firefly reads %d, want -1", got)
+				return
+			}
+		}
+	})
+	c.Close()
+}
+
+// sunWord builds a Sun and a Firefly under policy and has the Sun
+// allocate one int32 and set it to -1.
+func sunWord(tb testing.TB, policy Policy) (*Cluster, Addr) {
+	c, err := New(Config{Hosts: []HostSpec{{Kind: Sun}, {Kind: Firefly}}, Policy: policy, Seed: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var addr Addr
+	c.Run(0, func(e *Env) {
+		addr = e.MustAlloc(Int32, 1)
+		e.WriteInt32(addr, -1)
+	})
+	return c, addr
 }

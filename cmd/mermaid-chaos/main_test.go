@@ -17,6 +17,8 @@ func TestExitCodes(t *testing.T) {
 		stderr string // substring
 	}{
 		{"-workload=slots -class=drop -seed=1 -runs=1", 0, "survived=1/1", ""},
+		// One seed of every workload × class, 28 campaigns.
+		{"-workload=all -class=all -seed=1 -runs=1", 0, "chaos1:switched:mix:1 ok", ""},
 		// Runs 1, 2, 4 and 5 each return a stale read; run 3's reads of
 		// the local replica all linearize.
 		{"-workload=quorum -class=mix -seed=1 -runs=5 -mutation=stale-quorum-read", 0, "KILLED: caught in 4/5", ""},

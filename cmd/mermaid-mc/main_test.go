@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -33,12 +34,20 @@ func TestNonPositiveBudgetsAreUsageErrors(t *testing.T) {
 	}
 }
 
+// Each row exits 0 and prints one report line per workload it
+// explores; the kill suite's report ends in its tally line.
 func TestSmallExplorationPrintsOneReport(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-workload=basic", "-max-schedules=5"}, &stdout, &stderr); code != 0 {
-		t.Fatalf("exit %d, stderr %q", code, stderr.String())
-	}
-	if n := strings.Count(stdout.String(), "\n"); n != 1 || !strings.HasPrefix(stdout.String(), "workload=basic ") {
-		t.Errorf("want one report line for basic, got %q", stdout.String())
+	for _, c := range []struct{ args, stdout string }{
+		{"-workload=basic -max-schedules=5", "workload=basic .*\n"},
+		{"-workload=basic,central -max-schedules=5", "workload=basic .*\nworkload=central .*\n"},
+		{"-kill -kill-budget=100", "(?s:.*)\n14/14 mutations killed\n"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(strings.Fields(c.args), &stdout, &stderr); code != 0 {
+			t.Errorf("%s: exit %d, stderr %q", c.args, code, stderr.String())
+		}
+		if !regexp.MustCompile("^" + c.stdout + "$").MatchString(stdout.String()) {
+			t.Errorf("%s: stdout %q, want it to match %q", c.args, stdout.String(), c.stdout)
+		}
 	}
 }

@@ -78,8 +78,8 @@ func TestPlanGeneration(t *testing.T) {
 
 // TestSmokeSeedsClean is the committed smoke matrix: every workload ×
 // every class across the CI seeds must pass every oracle. Seed 1 of
-// the grid is exactly what `make chaos-smoke` runs (one process,
-// -workload=all -class=all); a failure here is either a protocol bug
+// the grid is what `mermaid-chaos -workload=all -class=all -seed=1
+// -runs=1` runs in one process; a failure here is either a protocol bug
 // (the token reproduces it) or a workload assertion that is stricter
 // than crash-stop semantics allow.
 func TestSmokeSeedsClean(t *testing.T) {

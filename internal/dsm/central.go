@@ -22,11 +22,13 @@ const (
 )
 
 // centralRead fetches length bytes at offset within a page from its
-// server, in this host's representation.
-func (m *centralEngine) centralRead(p *sim.Proc, page PageNo, offset, length int) ([]byte, error) {
+// server, in this host's representation. A remote read's bytes alias
+// the reply's wire buffer, returned as wire (nil for a local read): the
+// caller puts it back in the pool once it has consumed the bytes.
+func (m *centralEngine) centralRead(p *sim.Proc, page PageNo, offset, length int) (data, wire []byte, err error) {
 	server := m.manager(page)
 	if server == m.id {
-		return m.serverRead(p, page, offset, length, m.arch), nil
+		return m.serverRead(p, page, offset, length, m.arch), nil, nil
 	}
 	m.stats.RemoteReads++
 	resp, err := m.ep.Call(p, server, &proto.Message{
@@ -35,9 +37,9 @@ func (m *centralEngine) centralRead(p *sim.Proc, page PageNo, offset, length int
 		Args: []uint32{uint32(offset), uint32(length)},
 	})
 	if err != nil {
-		return nil, m.hostFailed(err, server, "central read page %d", page)
+		return nil, nil, m.hostFailed(err, server, "central read page %d", page)
 	}
-	return resp.Data, nil
+	return resp.Data, resp.TakeWire(), nil
 }
 
 // centralWrite stores bytes at offset within a page at its server.

@@ -203,12 +203,13 @@ func newCentralEngine(m *Module) (engine, engineDecl) {
 func (e *centralEngine) readRegion(p *sim.Proc, addr Addr, n int, fn func(seg []byte, off int)) error {
 	return e.walkPages(addr, n, func(s span) error {
 		t0 := e.traceClock()
-		seg, err := e.centralRead(p, s.page, s.lo, s.n)
+		seg, wire, err := e.centralRead(p, s.page, s.lo, s.n)
 		if err != nil {
 			return err
 		}
 		fn(seg, s.off)
 		e.recordSC(p, sctrace.Read, t0, s.addr, seg)
+		bufpool.Put(wire) // recordSC copies what it keeps
 		return nil
 	})
 }

@@ -35,7 +35,7 @@ func TestDefaultScheduleClean(t *testing.T) {
 // 706 schedules, so the short budget covers it too); "basic" must yield
 // at least 1000 distinct schedules within budget — the smoke guarantee
 // that the chooser actually branches the space open. With TestKillSuite
-// this covers every run `make mc-smoke` performs.
+// this is the model-checking smoke; `make mc-deep` is the deep sweep.
 func TestDFSClean(t *testing.T) {
 	budget := 1500
 	if testing.Short() {

@@ -31,7 +31,7 @@ import (
 // the one nondeterminism Go injects into a single-threaded simulation,
 // so every walk that sends, hashes, prints or picks a first match ranges
 // over this instead of the map: same seed, same run, by construction.
-// mermaid-vet's map-order rule infers no exception, so the only
+// The vet map-order rule infers no exception, so the only
 // unordered walks left in the simulation packages are this body and the
 // loops that state on their own line why they cannot use it.
 func SortedKeys[K cmp.Ordered, V any](m map[K]V) []K {

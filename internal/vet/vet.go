@@ -1,6 +1,7 @@
-// Package vet implements mermaid-vet, the project's own static
-// analyzer. It enforces invariants the general Go toolchain cannot
-// know about:
+// Package vet is the project's own static analyzer; its test
+// TestTreeClean runs every rule over the module's packages, so
+// `go test ./...` fails on any finding. It enforces invariants the
+// general Go toolchain cannot know about:
 //
 //   - lock-pairing: in the DSM, synchronization and thread packages
 //     every semaphore hold is written one way — `x.P(...)` as a
@@ -83,7 +84,6 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-	"time"
 )
 
 // Finding is one rule violation.
@@ -228,67 +228,34 @@ func NewPackage(fset *token.FileSet, importPath string, files []*ast.File, imp t
 	return &Package{Fset: fset, Path: importPath, Files: files, Info: info, Types: tpkg}
 }
 
-// Stats counts what one Check call covered, for the analyzer-coverage
-// report.
-type Stats struct {
-	// Suppressed counts findings silenced by vet:ignore directives.
-	Suppressed int
-	// RuleNanos accumulates per-analysis wall time.
-	RuleNanos map[string]int64
-}
-
-// Add accumulates other into s.
-func (s *Stats) Add(other Stats) {
-	s.Suppressed += other.Suppressed
-	for k, v := range other.RuleNanos {
-		if s.RuleNanos == nil {
-			s.RuleNanos = map[string]int64{}
-		}
-		s.RuleNanos[k] += v
-	}
-}
-
 // Check runs every applicable rule over the package.
 func Check(pkg *Package, cfg *Config) []Finding {
-	f, _ := CheckWithStats(pkg, cfg)
-	return f
-}
-
-// CheckWithStats runs every applicable rule over the package and
-// reports what the run covered.
-func CheckWithStats(pkg *Package, cfg *Config) ([]Finding, Stats) {
 	c := &checker{pkg: pkg, cfg: cfg}
-	c.stats.RuleNanos = map[string]int64{}
-	timed := func(name string, fn func()) {
-		t0 := time.Now()
-		fn()
-		c.stats.RuleNanos[name] += time.Since(t0).Nanoseconds()
-	}
 	for _, f := range pkg.Files {
 		c.ignores = collectIgnores(pkg.Fset, f)
 		if slices.Contains(cfg.PVPackages, pkg.Path) {
-			timed("lock-pairing", func() { c.checkLockPairing(f) })
+			c.checkLockPairing(f)
 		}
 		full := slices.Contains(cfg.DeterminismPackages, pkg.Path)
 		if full || slices.Contains(cfg.MapOrderPackages, pkg.Path) {
-			timed("determinism", func() { c.checkDeterminism(f, full) })
+			c.checkDeterminism(f, full)
 		}
 		if slices.Contains(cfg.PageBufferPackages, pkg.Path) {
-			timed("page-buffer", func() { c.checkPageBuffer(f) })
+			c.checkPageBuffer(f)
 		}
 		if slices.Contains(cfg.HotAllocPackages, pkg.Path) {
-			timed("hot-alloc", func() { c.checkHotAlloc(f) })
+			c.checkHotAlloc(f)
 		}
 		if slices.Contains(cfg.ErrDropPackages, pkg.Path) {
-			timed("err-drop", func() { c.checkErrDrop(f) })
+			c.checkErrDrop(f)
 		}
 		if slices.Contains(cfg.PolicyBranchPackages, pkg.Path) {
-			timed("policy-branch", func() { c.checkPolicyBranch(f) })
+			c.checkPolicyBranch(f)
 		}
-		timed("enum-switch", func() { c.checkEnumSwitch(f) })
+		c.checkEnumSwitch(f)
 	}
 	SortFindings(c.findings)
-	return c.findings, c.stats
+	return c.findings
 }
 
 type checker struct {
@@ -296,7 +263,6 @@ type checker struct {
 	cfg      *Config
 	ignores  map[int][]string
 	findings []Finding
-	stats    Stats
 }
 
 // collectIgnores maps line numbers to the vet:ignore directives found
@@ -322,7 +288,6 @@ func (c *checker) report(pos token.Pos, rule, format string, args ...any) {
 	p := c.pkg.Fset.Position(pos)
 	for _, d := range c.ignores[p.Line] {
 		if strings.HasPrefix(d, "vet:ignore "+rule) {
-			c.stats.Suppressed++
 			return
 		}
 	}

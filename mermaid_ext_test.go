@@ -164,10 +164,21 @@ func TestAtomicSwapMutualExclusion(t *testing.T) {
 	c := twoKindCluster(t, nil)
 	c.DefineSemaphore(1, 0, 0)
 	var lock, counter Addr
-	const rounds = 5
+	// A bound on the spin turns a corrupted lock word into a failure
+	// naming its value instead of a hang.
+	const rounds, maxTries = 5, 1000
 	worker := c.MustRegisterFunc(func(e *Env, args []uint32) {
+		defer e.V(1)
 		for i := 0; i < rounds; i++ {
-			for e.AtomicSwapInt32(lock, 1) != 0 {
+			for tries := 1; ; tries++ {
+				w := e.AtomicSwapInt32(lock, 1)
+				if w == 0 {
+					break
+				}
+				if tries == maxTries {
+					t.Errorf("lock word still %d after %d swaps", w, tries)
+					return
+				}
 				e.Compute(time.Millisecond)
 			}
 			v := e.ReadInt32(counter)
@@ -175,7 +186,6 @@ func TestAtomicSwapMutualExclusion(t *testing.T) {
 			e.WriteInt32(counter, v+1)
 			e.AtomicSwapInt32(lock, 0)
 		}
-		e.V(1)
 	})
 	c.Run(0, func(e *Env) {
 		lock = e.MustAlloc(Int32, 2048)    // own page
