@@ -84,7 +84,10 @@ type Config struct {
 	// default — no-fault runs spawn no detector processes and stay
 	// bit-identical to earlier builds.
 	FailureDetection bool
-	// Trace, when set, receives DSM protocol events from every host.
+	// Trace, when set, receives DSM protocol events from every host,
+	// the invariant checker's audit points among them (allocated,
+	// fault-serviced, page-installed, transfer-complete, …; see
+	// dsm.TraceEvent).
 	Trace func(dsm.TraceEvent)
 	// InvariantChecks attaches a dsm.InvariantChecker across all hosts:
 	// every protocol transition is audited against Li's global

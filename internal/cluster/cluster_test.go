@@ -227,6 +227,39 @@ func TestTotalDSMStatsSumsEveryHost(t *testing.T) {
 	}
 }
 
+// The invariant checker audits at every traced transition and nowhere
+// else: the trace stream is the module's one observation tap, so the
+// audit count equals the event count.
+func TestCheckerAuditsEveryTracedEvent(t *testing.T) {
+	cfg := sunAndFireflies(2)
+	cfg.InvariantChecks = true
+	events := 0
+	cfg.Trace = func(dsm.TraceEvent) { events++ }
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Run(0, func(p *sim.Proc, h *Host) {
+		addr, err := h.DSM.Alloc(p, conv.Int32, 4)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		var v [1]int32
+		for i := range 3 {
+			for _, w := range c.Hosts {
+				w.DSM.WriteInt32s(p, addr, []int32{int32(i)})
+				for _, r := range c.Hosts {
+					r.DSM.ReadInt32s(p, addr, v[:])
+				}
+			}
+		}
+	})
+	if events == 0 || c.Check.Checks() != events {
+		t.Errorf("checker ran %d audits for %d traced events (want equal and non-zero)", c.Check.Checks(), events)
+	}
+}
+
 func TestRunPanicsOnDeadlock(t *testing.T) {
 	c, err := New(sunAndFireflies(1))
 	if err != nil {

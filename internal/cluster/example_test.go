@@ -2,9 +2,12 @@ package cluster_test
 
 // Protocol traces as executable documentation: a small heterogeneous
 // matrix multiplication under each directory scheme, its first DSM
-// protocol events and the per-host counters. The outputs pin the
-// simulated behaviour of the write-invalidate transaction, so a refactor
-// of the directory layer that moves any event fails them.
+// protocol events and the per-host counters. The events include the
+// invariant checker's audit points (allocated, fault-serviced,
+// page-installed, transfer-complete, …), which the trace stream carries
+// whether or not a checker is attached. The outputs pin the simulated
+// behaviour of the write-invalidate transaction, so a refactor of the
+// directory layer that moves any event fails them.
 
 import (
 	"fmt"
@@ -30,7 +33,7 @@ func traceMatmul(dir dsm.Directory, maxEvents int) {
 		Seed:      1,
 		Trace: func(ev dsm.TraceEvent) {
 			if events++; events <= maxEvents {
-				fmt.Printf("host %d %9.3fms %-11s page %d\n",
+				fmt.Printf("host %d %9.3fms %-17s page %d\n",
 					ev.Host, ev.Time.Milliseconds(), ev.Event, ev.Page)
 			}
 		},
@@ -63,47 +66,47 @@ func traceMatmul(dir dsm.Directory, maxEvents int) {
 func Example_fixedDirectoryTrace() {
 	traceMatmul(dsm.DirFixed, 40)
 	// Output:
-	// host 1     2.413ms read-fault  page 2
-	// host 2     2.960ms read-fault  page 2
-	// host 1     3.508ms read-fault  page 2
-	// host 2     4.055ms read-fault  page 2
-	// host 0    45.965ms serve       page 2
-	// host 1    56.747ms fetch       page 2
-	// host 1    58.747ms read-fault  page 3
-	// host 1    58.747ms read-fault  page 3
-	// host 0    87.789ms serve       page 2
-	// host 0    98.127ms serve       page 3
-	// host 2    98.571ms fetch       page 2
-	// host 2   100.571ms read-fault  page 3
-	// host 2   100.571ms read-fault  page 3
-	// host 1   108.910ms fetch       page 3
-	// host 1   110.910ms read-fault  page 0
-	// host 1   110.910ms read-fault  page 0
-	// host 0   143.770ms serve       page 3
-	// host 0   150.384ms serve       page 0
-	// host 2   154.552ms fetch       page 3
-	// host 2   156.552ms read-fault  page 0
-	// host 2   156.552ms read-fault  page 0
-	// host 1   161.166ms fetch       page 0
-	// host 1   174.225ms write-fault page 4
-	// host 1   174.225ms write-fault page 4
-	// host 0   195.488ms serve       page 0
-	// host 2   205.992ms fetch       page 0
-	// host 0   209.783ms serve       page 4
-	// host 2   219.051ms write-fault page 4
-	// host 2   219.051ms write-fault page 4
-	// host 1   220.565ms fetch       page 4
-	// host 1   233.624ms write-fault page 4
-	// host 1   233.624ms write-fault page 4
-	// host 2   266.591ms fetch       page 4
-	// host 1   266.709ms serve       page 4
-	// host 2   279.651ms write-fault page 4
-	// host 2   279.651ms write-fault page 4
-	// host 1   306.516ms fetch       page 4
-	// host 2   306.633ms serve       page 4
-	// host 1   319.575ms write-fault page 4
-	// host 1   319.575ms write-fault page 4
-	// 166 events, 1.658442s virtual, correct=true
+	// host 0     0.663ms allocated         page 0
+	// host 0     0.663ms allocated         page 1
+	// host 0     1.326ms allocated         page 2
+	// host 0     1.326ms allocated         page 3
+	// host 0     1.990ms allocated         page 4
+	// host 0     1.990ms allocated         page 5
+	// host 1     2.413ms read-fault        page 2
+	// host 2     2.960ms read-fault        page 2
+	// host 1     3.508ms read-fault        page 2
+	// host 2     4.055ms read-fault        page 2
+	// host 0    45.965ms serve             page 2
+	// host 1    56.747ms fetch             page 2
+	// host 1    58.747ms page-installed    page 2
+	// host 1    58.747ms fault-serviced    page 2
+	// host 1    58.747ms read-fault        page 3
+	// host 1    58.747ms fault-serviced    page 2
+	// host 1    58.747ms read-fault        page 3
+	// host 2    58.864ms owner-confirmed   page 2
+	// host 2    58.864ms transfer-complete page 2
+	// host 0    87.789ms serve             page 2
+	// host 0    98.127ms serve             page 3
+	// host 2    98.571ms fetch             page 2
+	// host 2   100.571ms page-installed    page 2
+	// host 2   100.571ms fault-serviced    page 2
+	// host 2   100.571ms read-fault        page 3
+	// host 2   100.571ms fault-serviced    page 2
+	// host 2   100.571ms read-fault        page 3
+	// host 1   108.910ms fetch             page 3
+	// host 1   110.910ms page-installed    page 3
+	// host 1   110.910ms fault-serviced    page 3
+	// host 1   110.910ms read-fault        page 0
+	// host 1   110.910ms fault-serviced    page 3
+	// host 1   110.910ms read-fault        page 0
+	// host 0   111.027ms owner-confirmed   page 3
+	// host 0   111.027ms transfer-complete page 3
+	// host 0   143.770ms serve             page 3
+	// host 0   150.384ms serve             page 0
+	// host 2   154.552ms fetch             page 3
+	// host 2   156.552ms page-installed    page 3
+	// host 2   156.552ms fault-serviced    page 3
+	// 342 events, 1.658442s virtual, correct=true
 	// host kind    read-fault write-fault fetched served upgrades invalidated conv
 	// 0    Sun              2           0       2     10        0           0    2
 	// 1    Firefly          8          32      20     16        0           0    6
@@ -115,47 +118,47 @@ func Example_fixedDirectoryTrace() {
 func Example_dynamicDirectoryTrace() {
 	traceMatmul(dsm.DirDynamic, 40)
 	// Output:
-	// host 1     2.413ms read-fault  page 2
-	// host 2     2.960ms read-fault  page 2
-	// host 1     3.508ms read-fault  page 2
-	// host 2     4.055ms read-fault  page 2
-	// host 0    41.071ms serve       page 2
-	// host 1    51.853ms fetch       page 2
-	// host 1    54.094ms read-fault  page 3
-	// host 1    54.094ms read-fault  page 3
-	// host 0    86.954ms serve       page 2
-	// host 0    93.568ms serve       page 3
-	// host 2    97.736ms fetch       page 2
-	// host 2    99.977ms read-fault  page 3
-	// host 2    99.977ms read-fault  page 3
-	// host 1   104.350ms fetch       page 3
-	// host 1   106.591ms read-fault  page 0
-	// host 1   106.591ms read-fault  page 0
-	// host 0   139.595ms serve       page 3
-	// host 0   146.209ms serve       page 0
-	// host 2   150.377ms fetch       page 3
-	// host 2   152.618ms read-fault  page 0
-	// host 2   152.618ms read-fault  page 0
-	// host 1   156.991ms fetch       page 0
-	// host 1   170.291ms write-fault page 4
-	// host 1   170.291ms write-fault page 4
-	// host 0   191.276ms serve       page 0
-	// host 2   202.058ms fetch       page 0
-	// host 0   208.849ms serve       page 4
-	// host 2   215.358ms write-fault page 4
-	// host 2   215.358ms write-fault page 4
-	// host 1   219.631ms fetch       page 4
-	// host 0   222.175ms dyn-forward page 4
-	// host 1   232.931ms write-fault page 4
-	// host 1   232.931ms write-fault page 4
-	// host 2   264.996ms fetch       page 4
-	// host 1   265.113ms serve       page 4
-	// host 2   278.296ms write-fault page 4
-	// host 2   278.296ms write-fault page 4
-	// host 1   307.960ms fetch       page 4
-	// host 2   308.077ms serve       page 4
-	// host 1   321.260ms write-fault page 4
-	// 168 events, 1.700286s virtual, correct=true
+	// host 0     0.663ms allocated         page 0
+	// host 0     0.663ms allocated         page 1
+	// host 0     1.326ms allocated         page 2
+	// host 0     1.326ms allocated         page 3
+	// host 0     1.990ms allocated         page 4
+	// host 0     1.990ms allocated         page 5
+	// host 1     2.413ms read-fault        page 2
+	// host 2     2.960ms read-fault        page 2
+	// host 1     3.508ms read-fault        page 2
+	// host 2     4.055ms read-fault        page 2
+	// host 0    41.071ms serve             page 2
+	// host 1    51.853ms fetch             page 2
+	// host 1    53.853ms page-installed    page 2
+	// host 0    53.977ms dyn-confirmed     page 2
+	// host 0    53.977ms dyn-transfer      page 2
+	// host 1    54.094ms fault-serviced    page 2
+	// host 1    54.094ms read-fault        page 3
+	// host 1    54.094ms fault-serviced    page 2
+	// host 1    54.094ms read-fault        page 3
+	// host 0    86.954ms serve             page 2
+	// host 0    93.568ms serve             page 3
+	// host 2    97.736ms fetch             page 2
+	// host 2    99.736ms page-installed    page 2
+	// host 0    99.860ms dyn-confirmed     page 2
+	// host 0    99.860ms dyn-transfer      page 2
+	// host 2    99.977ms fault-serviced    page 2
+	// host 2    99.977ms read-fault        page 3
+	// host 2    99.977ms fault-serviced    page 2
+	// host 2    99.977ms read-fault        page 3
+	// host 1   104.350ms fetch             page 3
+	// host 1   106.350ms page-installed    page 3
+	// host 0   106.474ms dyn-confirmed     page 3
+	// host 0   106.474ms dyn-transfer      page 3
+	// host 1   106.591ms fault-serviced    page 3
+	// host 1   106.591ms read-fault        page 0
+	// host 1   106.591ms fault-serviced    page 3
+	// host 1   106.591ms read-fault        page 0
+	// host 0   139.595ms serve             page 3
+	// host 0   146.209ms serve             page 0
+	// host 2   150.377ms fetch             page 3
+	// 382 events, 1.700286s virtual, correct=true
 	// host kind    read-fault write-fault fetched served upgrades invalidated conv
 	// 0    Sun              2           0       2     10        0           0    2
 	// 1    Firefly          8          32      20     16        0           0    6

@@ -469,9 +469,11 @@ func TestDeadSyncManagerSurfacesError(t *testing.T) {
 func TestNoFaultRunsUnchangedByDetectionMachinery(t *testing.T) {
 	// With FailureDetection off (the default), a cluster built from this
 	// code must behave bit-identically to one built before the fault
-	// work: same virtual duration, same stats. Two runs double as the
+	// work: same virtual duration, same stats (elapsed, pages fetched,
+	// write faults, upgrades), pinned. Two runs double as the
 	// determinism guard.
-	run := func(detect bool) string {
+	const want = "172.453408ms 9 9 0"
+	run := func() string {
 		c, err := New(Config{
 			Hosts: []HostSpec{{Kind: arch.Sun}, {Kind: arch.Firefly}},
 			Seed:  5,
@@ -479,7 +481,6 @@ func TestNoFaultRunsUnchangedByDetectionMachinery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_ = detect
 		elapsed := c.Run(0, func(p *sim.Proc, h *Host) {
 			addr, err := h.DSM.Alloc(p, conv.Int32, 32)
 			if err != nil {
@@ -493,7 +494,11 @@ func TestNoFaultRunsUnchangedByDetectionMachinery(t *testing.T) {
 		s := c.TotalDSMStats()
 		return fmt.Sprintf("%v %d %d %d", elapsed, s.PagesFetched, s.WriteFaults, s.Upgrades)
 	}
-	if a, b := run(false), run(false); a != b {
+	a, b := run(), run()
+	if a != b {
 		t.Fatalf("no-fault runs diverged: %s vs %s", a, b)
+	}
+	if a != want {
+		t.Fatalf("no-fault run = %s, want %s", a, want)
 	}
 }

@@ -154,7 +154,7 @@ func (m *Module) allocLocal(p *sim.Proc, typeID conv.TypeID, count int) (Addr, e
 		return 0, err
 	}
 	for i := range run.n {
-		m.checkpoint("allocated", run.first+PageNo(i))
+		m.trace("allocated", run.first+PageNo(i))
 	}
 	return addr, nil
 }

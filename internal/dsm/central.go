@@ -104,7 +104,7 @@ func (m *centralEngine) serverRead(p *sim.Proc, page PageNo, offset, length int,
 func (m *centralEngine) serverStore(p *sim.Proc, page PageNo, offset int, data []byte, src arch.Kind) {
 	lp := m.serverPage(p, page)
 	m.storeRun(p, page, lp.data[offset:], data, src)
-	m.checkpoint("central-write", page)
+	m.trace("central-write", page)
 }
 
 func (m *centralEngine) serverSwap(p *sim.Proc, page PageNo, offset int, v int32) int32 {

@@ -18,11 +18,13 @@ package dsm
 //      covers exactly the allocated data.
 //
 // An InvariantChecker observes every Module of a cluster and asserts
-// these invariants at each protocol transition (fault serviced, page
-// installed, invalidation processed, transfer confirmed, update
-// sequenced, allocation distributed). It relies on the simulation
-// kernel's one-process-at-a-time execution: a checkpoint sees a
-// globally consistent snapshot without any locking.
+// these invariants at every traced transition: Module.trace, the
+// module's one observation tap, hands each event (a fault taken, a
+// page fetched or installed, an invalidation processed, a transfer
+// confirmed, an update sequenced, an allocation distributed, …) to the
+// checker after Config.Trace. It relies on the simulation kernel's
+// one-process-at-a-time execution: an audit sees a globally consistent
+// snapshot without any locking.
 //
 // This file holds the checker and what every configuration shares:
 // invariant 5 and the page-sized buffers. Invariants 1–4 are the MRSW
@@ -57,7 +59,7 @@ type InvariantChecker struct {
 	mods []*Module
 	// fail handles a violation; the default panics (so tests trip hard).
 	fail func(Violation)
-	// checks counts checkpoints executed (tests assert coverage).
+	// checks counts audits executed (tests assert coverage).
 	checks int
 	// violations counts invariant failures delivered to fail.
 	violations int
@@ -79,7 +81,8 @@ func AttachChecker(mods ...*Module) *InvariantChecker {
 // that deliberately break the protocol and expect the checker to trip.
 func (c *InvariantChecker) SetFailHandler(fn func(Violation)) { c.fail = fn }
 
-// Checks returns the number of checkpoints executed so far.
+// Checks returns the number of audits executed so far: one per traced
+// event, plus one per page of each CheckAll sweep.
 func (c *InvariantChecker) Checks() int { return c.checks }
 
 // Violations returns the number of invariant failures observed.
@@ -101,8 +104,8 @@ func (c *InvariantChecker) report(point string, page PageNo, format string, args
 	c.fail(Violation{Point: point, Page: page, Msg: fmt.Sprintf(format, args...)})
 }
 
-// at is the checkpoint entry, called from Module hooks after each
-// protocol transition concerning page.
+// at is the audit entry, called from Module.trace after each protocol
+// transition concerning page.
 func (c *InvariantChecker) at(point string, page PageNo) {
 	c.checks++
 	c.checkPage(point, page)

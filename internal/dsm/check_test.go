@@ -10,7 +10,7 @@ import (
 )
 
 // TestCheckerCoversHealthyRun asserts the checker actually observes a
-// correct execution (many checkpoints, zero violations) — guarding
+// correct execution (many audits, zero violations) — guarding
 // against the checker silently never firing.
 func TestCheckerCoversHealthyRun(t *testing.T) {
 	r := newRig(t, []arch.Kind{arch.Sun, arch.Firefly, arch.Sun})
@@ -26,7 +26,7 @@ func TestCheckerCoversHealthyRun(t *testing.T) {
 		r.mods[0].ReadInt32s(p, addr, buf)
 	})
 	if r.check.Checks() == 0 {
-		t.Fatal("invariant checker executed no checkpoints")
+		t.Fatal("invariant checker executed no audits")
 	}
 	if r.check.Violations() != 0 {
 		t.Fatalf("healthy run produced %d violations", r.check.Violations())

@@ -24,7 +24,6 @@ package dsm
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/arch"
 	"repro/internal/conv"
@@ -163,8 +162,10 @@ type Config struct {
 	// invalidation (§2.2).
 	UnicastInvalidate bool
 	// Trace, when set, receives one event per notable DSM action
-	// (faults, fetches, serves, invalidations, upgrades) for offline
-	// analysis. It must not block.
+	// (faults, fetches, serves, invalidations, upgrades) and per audit
+	// point of the invariant checker (allocated, fault-serviced,
+	// page-installed, transfer-complete, owner-confirmed, …) for
+	// offline analysis; see TraceEvent.Event. It must not block.
 	Trace func(TraceEvent)
 	// SCRecorder, when set, records every typed access (per page span,
 	// in canonical representation) for offline sequential-consistency
@@ -185,7 +186,12 @@ type TraceEvent struct {
 	// Host is where the event happened.
 	Host HostID
 	// Event names the action: read-fault, write-fault, fetch, serve,
-	// invalidate, upgrade.
+	// invalidate, upgrade and the other protocol steps, and the
+	// checker's audit points — allocated, fault-serviced,
+	// page-installed, transfer-complete, owner-confirmed, host-death,
+	// dyn-upgraded, dyn-transfer, dyn-confirmed, central-write,
+	// update-sequenced, update-applied, quorum-write, quorum-install.
+	// An attached InvariantChecker audits the page at every event.
 	Event string
 	// Page is the DSM page concerned.
 	Page PageNo
@@ -443,12 +449,8 @@ type Module struct {
 	alloc *allocator // non-nil only on the allocation manager (host 0)
 	stats Stats
 	// check, when attached, validates the global protocol invariants at
-	// every protocol transition (see check.go).
+	// every traced protocol transition (see trace and check.go).
 	check *InvariantChecker
-	// pageFetches counts page bodies received, per page — the raw
-	// material of thrashing diagnosis (§3.3's "detailed statistics of
-	// the numbers of page faults and transfers").
-	pageFetches map[PageNo]int
 
 	// engine is the coherence policy's replication strategy, decl what
 	// it declared about itself (invariants, hash section, oracle, sync
@@ -480,18 +482,17 @@ func New(k *sim.Kernel, ep *remoteop.Endpoint, cfg *Config, hosts []arch.Arch) (
 		return nil, fmt.Errorf("dsm: host %d outside cluster of %d", id, len(hosts))
 	}
 	m := &Module{
-		k:           k,
-		id:          id,
-		arch:        hosts[id],
-		ep:          ep,
-		cfg:         cfg,
-		hosts:       hosts,
-		local:       make(map[PageNo]*localPage),
-		mgr:         make(map[PageNo]*mgrEntry),
-		meta:        make(map[PageNo]pageMeta),
-		faultLocks:  make(map[PageNo]*sim.Semaphore),
-		protoCPU:    sim.NewResource(k, 1).Ranked(rankProtoCPU, "protoCPU"),
-		pageFetches: make(map[PageNo]int),
+		k:          k,
+		id:         id,
+		arch:       hosts[id],
+		ep:         ep,
+		cfg:        cfg,
+		hosts:      hosts,
+		local:      make(map[PageNo]*localPage),
+		mgr:        make(map[PageNo]*mgrEntry),
+		meta:       make(map[PageNo]pageMeta),
+		faultLocks: make(map[PageNo]*sim.Semaphore),
+		protoCPU:   sim.NewResource(k, 1).Ranked(rankProtoCPU, "protoCPU"),
 	}
 	// The engine and the directory each register the proto.Kind handlers
 	// they serve; only the kinds every configuration shares — the
@@ -648,18 +649,16 @@ func (m *Module) jittered(d sim.Duration) sim.Duration {
 	return sim.Duration(float64(d) * f)
 }
 
-// trace emits a trace event if tracing is enabled.
+// trace is the module's one observation tap: the protocol transition
+// named event concerning page just completed. It emits the event to
+// Config.Trace, if set, then has the attached invariant checker, if
+// any, audit the page.
 func (m *Module) trace(event string, page PageNo) {
 	if m.cfg.Trace != nil {
 		m.cfg.Trace(TraceEvent{Time: m.k.Now(), Host: m.id, Event: event, Page: page})
 	}
-}
-
-// checkpoint notifies the attached invariant checker, if any, that the
-// protocol transition named point concerning page just completed.
-func (m *Module) checkpoint(point string, page PageNo) {
 	if m.check != nil {
-		m.check.at(point, page)
+		m.check.at(event, page)
 	}
 }
 
@@ -682,27 +681,4 @@ func (m *Module) Access(page PageNo) Access {
 		return lp.access
 	}
 	return NoAccess
-}
-
-// HotPage is a page with its inbound transfer count.
-type HotPage struct {
-	// Page is the DSM page number.
-	Page PageNo
-	// Fetches counts page bodies this host received for it.
-	Fetches int
-}
-
-// HotPages returns this host's n most-fetched pages, busiest first —
-// pages repeatedly refetched are the signature of thrashing (§3.3).
-func (m *Module) HotPages(n int) []HotPage {
-	out := make([]HotPage, 0, len(m.pageFetches))
-	for _, pg := range sim.SortedKeys(m.pageFetches) {
-		out = append(out, HotPage{Page: pg, Fetches: m.pageFetches[pg]})
-	}
-	// Stable, so equally busy pages stay in page order.
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Fetches > out[j].Fetches })
-	if n > 0 && len(out) > n {
-		out = out[:n]
-	}
-	return out
 }

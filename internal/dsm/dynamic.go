@@ -249,7 +249,7 @@ func (d *dynamicDirectory) fault(p *sim.Proc, page PageNo, write bool) error {
 			}
 			clear(dp.copyset)
 			m.upgradeLocal(p, page)
-			m.checkpoint("dyn-upgraded", page)
+			m.trace("dyn-upgraded", page)
 			return nil
 		}
 		target := dp.probOwner
@@ -435,12 +435,12 @@ func (m *Module) dynOwnerServe(p *sim.Proc, page PageNo, dp *dynPage, requester 
 			return // requester times out and re-faults
 		}
 		if m.cfg.Mutation == MutDropCopyset {
-			m.checkpoint("dyn-transfer", page)
+			m.trace("dyn-transfer", page)
 			return // injected bug: the new reader is never invalidated
 		}
 		dp.copyset[requester] = struct{}{}
 		m.awaitConfirm(p, &dp.pageTxn, requester)
-		m.checkpoint("dyn-transfer", page)
+		m.trace("dyn-transfer", page)
 		return
 	}
 	_, requesterHasCopy := dp.copyset[requester]
@@ -478,7 +478,7 @@ func (m *Module) dynOwnerServe(p *sim.Proc, page PageNo, dp *dynPage, requester 
 			case dp.confirmed:
 				// The transfer landed; only the acknowledgement was lost.
 				m.dynCommitHandoff(dp, requester)
-				m.checkpoint("dyn-transfer", page)
+				m.trace("dyn-transfer", page)
 			case m.deadHost(requester):
 				// Unknowable whether the requester's copy became visible
 				// before it crashed: never resurrect ours. Recovery
@@ -495,7 +495,7 @@ func (m *Module) dynOwnerServe(p *sim.Proc, page PageNo, dp *dynPage, requester 
 		}
 	}
 	m.dynCommitHandoff(dp, requester)
-	m.checkpoint("dyn-transfer", page)
+	m.trace("dyn-transfer", page)
 }
 
 // handleDynConfirm receives the requester's installation confirmation
@@ -512,7 +512,7 @@ func (m *Module) handleDynConfirm(req *proto.Message) *proto.Message {
 			m.localPageFor(PageNo(req.Page)).access = NoAccess
 			m.dynCommitHandoff(dp, HostID(req.From))
 		}
-		m.checkpoint("dyn-confirmed", PageNo(req.Page))
+		m.trace("dyn-confirmed", PageNo(req.Page))
 	}
 	return &proto.Message{Kind: proto.KindDynConfirmAck, Page: req.Page}
 }
@@ -685,7 +685,6 @@ func (m *Module) dynCoordinate(p *sim.Proc, page PageNo) (HostID, uint32) {
 	}
 	m.stats.PagesRecovered++
 	m.trace("recover", page)
-	m.checkpoint("dyn-recovered", page)
 	return m.id, dynRecFound
 }
 

@@ -181,7 +181,7 @@ func (m *Module) faultPage(p *sim.Proc, page PageNo, write bool) error {
 	l.P(p)
 	// Deferred before the lock release so it runs after it (LIFO): the
 	// checker sees the page with the fault fully serviced.
-	defer m.checkpoint("fault-serviced", page)
+	defer m.trace("fault-serviced", page)
 	defer l.V()
 	backoff := sim.Duration(m.cfg.Params.RequestTimeout)
 	for attempt := 0; ; attempt++ {
@@ -316,7 +316,7 @@ func (m *Module) handleGetPage(p *sim.Proc, req *proto.Message) {
 	ent.lock.P(p)
 	// Deferred before the lock release so it runs after it (LIFO): the
 	// checker audits the quiescent state each transfer leaves behind.
-	defer m.checkpoint("transfer-complete", page)
+	defer m.trace("transfer-complete", page)
 	defer ent.lock.V()
 	m.protoCPU.Use(p, m.jittered(m.cfg.Params.ManagerProcess.Of(m.arch.Kind)))
 	if err := m.settle(p, page, ent); err != nil {
@@ -357,7 +357,7 @@ func (m *Module) settle(p *sim.Proc, page PageNo, ent *mgrEntry) error {
 			return err
 		}
 	}
-	if m.liveness != nil && !ent.lost && ent.owner != m.id && m.liveness.Dead(ent.owner) {
+	if !ent.lost && ent.owner != m.id && m.deadHost(ent.owner) {
 		m.recoverPage(p, page, ent)
 	}
 	if ent.lost {
@@ -538,9 +538,7 @@ func (m *Module) multicastBitmap(p *sim.Proc, targets []HostID, req *proto.Messa
 // unclassified; the caller passes it to callFailed.
 func (m *Module) copysetRound(p *sim.Proc, targets []HostID, sent *int, mk func() *proto.Message) error {
 	for {
-		if m.liveness != nil {
-			targets = slices.DeleteFunc(targets, m.liveness.Dead)
-		}
+		targets = slices.DeleteFunc(targets, m.deadHost)
 		if len(targets) == 0 {
 			return nil
 		}
@@ -560,7 +558,7 @@ func (m *Module) copysetRound(p *sim.Proc, targets []HostID, sent *int, mk func(
 		default:
 			err = m.multicastBitmap(p, targets, req)
 		}
-		if err == nil || m.liveness == nil || !slices.ContainsFunc(targets, m.liveness.Dead) {
+		if err == nil || !slices.ContainsFunc(targets, m.deadHost) {
 			return err
 		}
 	}
@@ -813,7 +811,7 @@ func (m *Module) handleOwnerUpdate(req *proto.Message) *proto.Message {
 		// A confirmation that arrives after the transaction gave up
 		// waiting settles the doubt: the transfer did land.
 		ent.suspect = false
-		m.checkpoint("owner-confirmed", page)
+		m.trace("owner-confirmed", page)
 	}
 	return &proto.Message{Kind: proto.KindOwnerUpdateAck, Page: req.Page}
 }
@@ -836,7 +834,6 @@ func (m *Module) handleInvalidate(req *proto.Message) *proto.Message {
 	}
 	m.stats.InvalidationsReceived++
 	m.trace("invalidate", PageNo(req.Page))
-	m.checkpoint("invalidated", PageNo(req.Page))
 	if m.cfg.Mutation == MutLostAck {
 		return nil // injected bug: the copy is gone but the ack never leaves
 	}

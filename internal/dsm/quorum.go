@@ -288,7 +288,7 @@ func (m *quorumEngine) quorumWritePage(p *sim.Proc, page PageNo, lo, n int, muta
 		}
 		m.trace("quorum-write", page)
 	}
-	m.checkpoint("quorum-write", page)
+	m.trace("quorum-write", page)
 	return nil
 }
 
@@ -558,7 +558,7 @@ func (m *quorumEngine) handleQuorumWrite(p *sim.Proc, req *proto.Message) {
 		ack.Args = []uint32{quorumNeedImage}
 	}
 	bufpool.Put(req.TakeWire())
-	m.checkpoint("quorum-install", page)
+	m.trace("quorum-install", page)
 	m.ep.Reply(p, req, ack)
 }
 

@@ -169,7 +169,7 @@ func (m *rcEngine) atomicSwap(p *sim.Proc, addr Addr, v int32) (int32, error) {
 func (m *rcEngine) rcFaultPage(p *sim.Proc, pg PageNo, _ bool) error {
 	l := m.faultLockFor(pg)
 	l.P(p)
-	defer m.checkpoint("fault-serviced", pg)
+	defer m.trace("fault-serviced", pg)
 	defer l.V()
 	if m.hasAccess(pg, true) {
 		return nil // another thread faulted it in while we queued
@@ -357,7 +357,6 @@ func (m *rcEngine) rcPushDiff(p *sim.Proc, pg PageNo, d *conv.Diff) (uint32, err
 		hm.version++
 		m.rcLogAppend(hm, rcLogEntry{version: hm.version, writer: m.id, diff: *d})
 		m.trace("rc-diff", pg)
-		m.checkpoint("rc-diff-logged", pg)
 		return hm.version, nil
 	}
 	// Staged in a pooled buffer; Call blocks until the home has
@@ -638,7 +637,6 @@ func (m *rcEngine) handleRCDiff(p *sim.Proc, req *proto.Message) {
 	m.rcLogAppend(hm, rcLogEntry{version: hm.version, writer: writer, diff: d})
 	m.rc.applied[pg] = hm.version
 	m.trace("rc-diff", pg)
-	m.checkpoint("rc-diff-logged", pg)
 	m.ep.Reply(p, req, &proto.Message{
 		Kind: proto.KindRCDiffAck,
 		Page: req.Page,

@@ -59,7 +59,7 @@ func (m *Module) recoverEntry(p *sim.Proc, page PageNo, dead HostID) {
 	ent.lock.P(p)
 	// Deferred before the lock release so it runs after it (LIFO): the
 	// checker audits the entry the sweep leaves behind.
-	defer m.checkpoint("host-death", page)
+	defer m.trace("host-death", page)
 	defer ent.lock.V()
 	delete(ent.copyset, dead)
 	if !ent.lost && ent.owner == dead {

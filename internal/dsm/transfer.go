@@ -205,7 +205,6 @@ func (m *Module) servedPrefix(page PageNo, image []byte) []byte {
 func (m *Module) countFetch(page PageNo, n int, event string) {
 	m.stats.PagesFetched++
 	m.stats.BytesFetched += n
-	m.pageFetches[page]++
 	m.trace(event, page)
 }
 
@@ -218,7 +217,7 @@ func (m *Module) countFetch(page PageNo, n int, event string) {
 func (m *Module) installed(p *sim.Proc, page PageNo, resp *proto.Message) {
 	bufpool.Put(resp.TakeWire())
 	p.Sleep(m.jittered(m.cfg.Params.InstallCost.Of(m.arch.Kind)))
-	m.checkpoint("page-installed", page)
+	m.trace("page-installed", page)
 }
 
 // walkGroups runs a typed region access one native-VM-page group at a

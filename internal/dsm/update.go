@@ -85,7 +85,7 @@ func (m *updateEngine) sequenceUpdate(p *sim.Proc, page PageNo, offset int, data
 	ent.lock.P(p)
 	// Deferred before the lock release so it runs after it (LIFO): the
 	// checker audits the state each sequenced update leaves behind.
-	defer m.checkpoint("update-sequenced", page)
+	defer m.trace("update-sequenced", page)
 	defer ent.lock.V()
 	m.protoCPU.Use(p, m.jittered(m.cfg.Params.ManagerProcess.Of(m.arch.Kind)))
 	ent.copyset[writer] = struct{}{}
@@ -147,6 +147,6 @@ func (m *updateEngine) handleApplyUpdate(p *sim.Proc, req *proto.Message) {
 		m.trace("apply-update", page)
 	}
 	bufpool.Put(req.TakeWire())
-	m.checkpoint("update-applied", page)
+	m.trace("update-applied", page)
 	m.ep.Reply(p, req, &proto.Message{Kind: proto.KindApplyUpdateAck, Page: req.Page})
 }

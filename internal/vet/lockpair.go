@@ -3,7 +3,7 @@ package vet
 // lock-pairing: every semaphore hold is written in one shape,
 //
 //	x.P(p)
-//	defer m.checkpoint(...) // any other defers, run after the release
+//	defer m.trace(...) // any other defers, run after the release
 //	defer x.V()
 //
 // a top-level statement of a function or function-literal body,
