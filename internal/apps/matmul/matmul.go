@@ -4,7 +4,8 @@
 // The two argument matrices A and B are read-shared (and so replicate
 // across hosts); the result matrix C is write-shared. Slave threads each
 // compute a set of rows of C and the master implicitly receives the
-// result through DSM when it reads C at the end.
+// result through DSM when it reads C at the end (package apps runs
+// the master/slave handshake).
 //
 // The compute is charged as calibrated virtual time; the host
 // arithmetic only supplies the bytes that travel through the DSM. Every
@@ -27,6 +28,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/apps"
 	"repro/internal/arch"
 	"repro/internal/cluster"
 	"repro/internal/conv"
@@ -89,16 +91,9 @@ type Config struct {
 	AcquireRelease bool
 }
 
-// Result reports a run's outcome.
-type Result struct {
-	// Elapsed is the virtual response time of the whole computation,
-	// measured at the master as in the paper's figures.
-	Elapsed sim.Duration
-	// Correct is false if verification failed (Verify only).
-	Correct bool
-	// Stats aggregates DSM counters across all hosts.
-	Stats dsm.Stats
-}
+// Result reports a run's outcome; Correct is false only if Verify
+// found a wrong C.
+type Result = apps.Result
 
 // funcID is the registered entry point for slave threads; apps in one
 // process must not collide, so matmul claims 0x4D4D ("MM").
@@ -115,7 +110,6 @@ const semInit uint32 = 0x4D4E
 
 // app carries the shared-run state the slave closure needs.
 type app struct {
-	c        *cluster.Cluster
 	n        int
 	ref      *reference
 	a, b, cm dsm.Addr
@@ -130,11 +124,8 @@ type app struct {
 // a cluster. Call once per cluster before Run.
 func Register(c *cluster.Cluster) *Runner {
 	r := &Runner{c: c}
-	c.DefineSemaphore(semDone, 0, 0)
 	c.DefineSemaphore(semInit, 0, 0)
-	c.Funcs.MustRegister(funcID, func(t *threads.Thread, args []uint32) {
-		r.slave(t, args)
-	})
+	apps.Register(c, funcID, semDone, r.slave)
 	return r
 }
 
@@ -167,10 +158,8 @@ func (st *app) rowsFor(idx int) []int {
 // read A's row, compute it while charging the calibrated MAC cost, and
 // write the result row. The integer arithmetic runs once per distinct
 // input: rows of the canonical inputs come from the reference product.
-func (r *Runner) slave(t *threads.Thread, args []uint32) {
+func (r *Runner) slave(t *threads.Thread, h *cluster.Host, idx int) {
 	st := r.cur
-	idx := int(args[0])
-	h := r.c.Hosts[t.Host()]
 	n := st.n
 
 	if st.bracket {
@@ -205,7 +194,6 @@ func (r *Runner) slave(t *threads.Thread, args []uint32) {
 			h.DSM.WriteInt32s(t.P, st.cm+dsm.Addr(4*(n*row+j0)), cRow[j0:j1])
 		}
 	}
-	h.Sync.V(t.P, semDone)
 }
 
 // Run executes one multiplication and returns its result. The master
@@ -218,35 +206,21 @@ func (r *Runner) Run(cfg Config) (Result, error) {
 		cfg.Assignment = MM1
 	}
 	n := cfg.N
-	var (
-		res    Result
-		runErr error
-	)
-	elapsed := r.c.Run(cfg.Master, func(p *sim.Proc, h *cluster.Host) {
-		aAddr, err := h.DSM.Alloc(p, conv.Int32, n*n)
-		if err != nil {
-			runErr = err
-			return
+	setup := func(p *sim.Proc, h *cluster.Host) error {
+		st := &app{
+			n: n, assign: cfg.Assignment, nslaves: len(cfg.Slaves),
+			jitter: cfg.JitterPct, chunk: cfg.WriteChunk, bracket: cfg.AcquireRelease,
 		}
-		bAddr, err := h.DSM.Alloc(p, conv.Int32, n*n)
-		if err != nil {
-			runErr = err
-			return
+		var err error
+		for _, m := range []*dsm.Addr{&st.a, &st.b, &st.cm} {
+			if *m, err = h.DSM.Alloc(p, conv.Int32, n*n); err != nil {
+				return err
+			}
 		}
-		cAddr, err := h.DSM.Alloc(p, conv.Int32, n*n)
-		if err != nil {
-			runErr = err
-			return
-		}
-		ref := referenceFor(n)
-		r.cur = &app{
-			c: r.c, n: n, ref: ref, a: aAddr, b: bAddr, cm: cAddr,
-			assign: cfg.Assignment, nslaves: len(cfg.Slaves),
-			jitter: cfg.JitterPct, chunk: cfg.WriteChunk,
-			bracket: cfg.AcquireRelease,
-		}
-		h.DSM.WriteInt32s(p, aAddr, ref.a)
-		h.DSM.WriteInt32s(p, bAddr, ref.b)
+		st.ref = referenceFor(n)
+		r.cur = st
+		h.DSM.WriteInt32s(p, st.a, st.ref.a)
+		h.DSM.WriteInt32s(p, st.b, st.ref.b)
 		if cfg.AcquireRelease {
 			// Release the initialized matrices: the first V pushes the
 			// open interval's diffs home; each slave's P acquires them.
@@ -254,27 +228,13 @@ func (r *Runner) Run(cfg Config) (Result, error) {
 				h.Sync.V(p, semInit)
 			}
 		}
-
-		for i, host := range cfg.Slaves {
-			if _, err := h.Threads.Create(p, host, funcID, []uint32{uint32(i)}); err != nil {
-				runErr = err
-				return
-			}
-		}
-		for range cfg.Slaves {
-			h.Sync.P(p, semDone)
-		}
-		got := make([]int32, n*n)
-		h.DSM.ReadInt32s(p, cAddr, got)
-
-		res.Correct = !cfg.Verify || slices.Equal(got, ref.c)
-	})
-	if runErr != nil {
-		return Result{}, runErr
+		return nil
 	}
-	res.Elapsed = elapsed
-	res.Stats = r.c.TotalDSMStats()
-	return res, nil
+	return apps.Run(r.c, cfg.Master, cfg.Slaves, funcID, semDone, setup, func(p *sim.Proc, h *cluster.Host) bool {
+		got := make([]int32, n*n)
+		h.DSM.ReadInt32s(p, r.cur.cm, got)
+		return !cfg.Verify || slices.Equal(got, r.cur.ref.c)
+	})
 }
 
 // reference is the canonical input pair of one N and its product c.

@@ -5,10 +5,11 @@
 // (drilled holes) — are stored as large matrices in shared memory. The
 // checking software verifies geometric design rules (conductor width,
 // spacing, hole placement) and marks violations in a third image. The
-// master thread runs on a Sun workstation, divides the board into
-// stripes, and creates checking threads on the Fireflies; stripes
-// overlap slightly so features on the borders are checked properly, as
-// footnote 4 of the paper describes.
+// master thread runs on a Sun workstation and divides the board into
+// stripes, one per checking thread on the Fireflies (package apps runs
+// the master/slave handshake); stripes overlap slightly so features on
+// the borders are checked properly, as footnote 4 of the paper
+// describes.
 //
 // The paper's camera images are proprietary; this package generates
 // synthetic boards (traces, pads, holes) with seeded rule violations,

@@ -1,9 +1,11 @@
 package pcb
 
 import (
+	"bytes"
 	"fmt"
 	"time"
 
+	"repro/internal/apps"
 	"repro/internal/arch"
 	"repro/internal/cluster"
 	"repro/internal/conv"
@@ -31,16 +33,12 @@ type Config struct {
 	Verify bool
 }
 
-// Result reports a run's outcome.
+// Result reports a run's outcome; Correct is false only if Verify
+// found a flaw image or count that differs from the sequential check.
 type Result struct {
-	// Elapsed is the virtual response time at the master.
-	Elapsed sim.Duration
+	apps.Result
 	// FlawPixels is the number of violation pixels found.
 	FlawPixels int
-	// Correct is false if verification failed (Verify only).
-	Correct bool
-	// Stats aggregates DSM counters across hosts.
-	Stats dsm.Stats
 }
 
 const funcID threads.FuncID = 0x5043 // "PC"
@@ -63,10 +61,7 @@ type Runner struct {
 // Register installs the PCB thread entry point on a cluster.
 func Register(c *cluster.Cluster) *Runner {
 	r := &Runner{c: c}
-	c.DefineSemaphore(semDone, 0, 0)
-	c.Funcs.MustRegister(funcID, func(t *threads.Thread, args []uint32) {
-		r.slave(t, args)
-	})
+	apps.Register(c, funcID, semDone, r.slave)
 	return r
 }
 
@@ -81,10 +76,8 @@ func (st *app) stripeBounds(idx int) (lo, hi int) {
 // slave checks one stripe: read the stripe's context rows of both
 // images through DSM, run the real rule check, charge the calibrated
 // per-pixel cost, and write back the flaw rows and the stripe count.
-func (r *Runner) slave(t *threads.Thread, args []uint32) {
+func (r *Runner) slave(t *threads.Thread, h *cluster.Host, idx int) {
 	st := r.cur
-	idx := int(args[0])
-	h := r.c.Hosts[t.Host()]
 	lo, hi := st.stripeBounds(idx)
 	clo := max(0, lo-st.overlap)
 	chi := min(st.h, hi+st.overlap)
@@ -112,7 +105,6 @@ func (r *Runner) slave(t *threads.Thread, args []uint32) {
 
 	h.DSM.WriteBytes(t.P, st.flaws+dsm.Addr(lo*w), flaws[slo*w:shi*w])
 	h.DSM.WriteInt32s(t.P, st.counts+dsm.Addr(4*idx), []int32{int32(flawCount)})
-	h.Sync.V(t.P, semDone)
 }
 
 // Run executes one inspection and returns its result.
@@ -125,78 +117,40 @@ func (r *Runner) Run(cfg Config) (Result, error) {
 		overlap = RequiredOverlap
 	}
 	board := GenerateBoard(cfg.W, cfg.H, cfg.Seed)
-	var (
-		res    Result
-		runErr error
-	)
-	elapsed := r.c.Run(cfg.Master, func(p *sim.Proc, host *cluster.Host) {
-		n := cfg.W * cfg.H
-		front, err := host.DSM.Alloc(p, conv.Char, n)
-		if err != nil {
-			runErr = err
-			return
-		}
-		back, err := host.DSM.Alloc(p, conv.Char, n)
-		if err != nil {
-			runErr = err
-			return
-		}
-		flaws, err := host.DSM.Alloc(p, conv.Char, n)
-		if err != nil {
-			runErr = err
-			return
-		}
-		counts, err := host.DSM.Alloc(p, conv.Int32, len(cfg.Slaves))
-		if err != nil {
-			runErr = err
-			return
-		}
-		r.cur = &app{
-			w: cfg.W, h: cfg.H, overlap: overlap,
-			front: front, back: back, flaws: flaws, counts: counts,
-			stripes: len(cfg.Slaves),
-		}
-		host.DSM.WriteBytes(p, front, board.Front)
-		host.DSM.WriteBytes(p, back, board.Back)
-
-		for i, sl := range cfg.Slaves {
-			if _, err := host.Threads.Create(p, sl, funcID, []uint32{uint32(i)}); err != nil {
-				runErr = err
-				return
+	n := cfg.W * cfg.H
+	setup := func(p *sim.Proc, host *cluster.Host) error {
+		st := &app{w: cfg.W, h: cfg.H, overlap: overlap, stripes: len(cfg.Slaves)}
+		var err error
+		for _, a := range []*dsm.Addr{&st.front, &st.back, &st.flaws} {
+			if *a, err = host.DSM.Alloc(p, conv.Char, n); err != nil {
+				return err
 			}
 		}
-		for range cfg.Slaves {
-			host.Sync.P(p, semDone)
+		if st.counts, err = host.DSM.Alloc(p, conv.Int32, len(cfg.Slaves)); err != nil {
+			return err
 		}
-
+		r.cur = st
+		host.DSM.WriteBytes(p, st.front, board.Front)
+		host.DSM.WriteBytes(p, st.back, board.Back)
+		return nil
+	}
+	var res Result
+	var err error
+	res.Result, err = apps.Run(r.c, cfg.Master, cfg.Slaves, funcID, semDone, setup, func(p *sim.Proc, host *cluster.Host) bool {
 		got := make([]byte, n)
-		host.DSM.ReadBytes(p, flaws, got)
+		host.DSM.ReadBytes(p, r.cur.flaws, got)
 		cnts := make([]int32, len(cfg.Slaves))
-		host.DSM.ReadInt32s(p, counts, cnts)
+		host.DSM.ReadInt32s(p, r.cur.counts, cnts)
 		for _, c := range cnts {
 			res.FlawPixels += int(c)
 		}
-
-		res.Correct = true
-		if cfg.Verify {
-			want, wantCount, _ := CheckSequential(board)
-			if res.FlawPixels != wantCount {
-				res.Correct = false
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					res.Correct = false
-					break
-				}
-			}
+		if !cfg.Verify {
+			return true
 		}
+		want, wantCount, _ := CheckSequential(board)
+		return res.FlawPixels == wantCount && bytes.Equal(got, want)
 	})
-	if runErr != nil {
-		return Result{}, runErr
-	}
-	res.Elapsed = elapsed
-	res.Stats = r.c.TotalDSMStats()
-	return res, nil
+	return res, err
 }
 
 // Sequential returns the modelled sequential inspection time on one CPU

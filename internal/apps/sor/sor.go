@@ -10,7 +10,8 @@
 // invalidated when their owner rewrites them — a steady, predictable
 // page traffic of 2 boundary rows per thread per iteration, in contrast
 // to MM's bulk replication and the PCB's one-shot distribution. A
-// distributed barrier separates iterations.
+// distributed barrier separates iterations; package apps runs the
+// master/slave handshake around them.
 //
 // Values are float32: on a Firefly they live in memory as VAX
 // F_floating and convert to IEEE on migration, exactly like the paper's
@@ -19,12 +20,15 @@ package sor
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
+	"repro/internal/apps"
 	"repro/internal/arch"
 	"repro/internal/cluster"
 	"repro/internal/conv"
 	"repro/internal/dsm"
+	"repro/internal/model"
 	"repro/internal/sim"
 	"repro/internal/threads"
 )
@@ -48,15 +52,9 @@ type Config struct {
 	Verify bool
 }
 
-// Result reports a run's outcome.
-type Result struct {
-	// Elapsed is the virtual response time.
-	Elapsed sim.Duration
-	// Correct is false if verification failed.
-	Correct bool
-	// Stats aggregates DSM counters.
-	Stats dsm.Stats
-}
+// Result reports a run's outcome; Correct is false only if Verify
+// found a grid that differs from the sequential relaxation.
+type Result = apps.Result
 
 const (
 	funcID  threads.FuncID = 0x534F // "SO"
@@ -81,10 +79,7 @@ type Runner struct {
 // must be followed by exactly one Run per cluster.
 func Register(c *cluster.Cluster) *Runner {
 	r := &Runner{c: c}
-	c.DefineSemaphore(semDone, 0, 0)
-	c.Funcs.MustRegister(funcID, func(t *threads.Thread, args []uint32) {
-		r.slave(t, args)
-	})
+	apps.Register(c, funcID, semDone, r.slave)
 	return r
 }
 
@@ -100,17 +95,14 @@ func (st *app) rowsFor(idx int) (lo, hi int) {
 // slave relaxes its row block: per iteration, read its rows plus the
 // two neighbouring boundary rows from the source grid, compute, write
 // to the destination grid, and synchronize at the barrier.
-func (r *Runner) slave(t *threads.Thread, args []uint32) {
+func (r *Runner) slave(t *threads.Thread, h *cluster.Host, idx int) {
 	st := r.cur
-	idx := int(args[0])
-	h := r.c.Hosts[t.Host()]
 	lo, hi := st.rowsFor(idx)
 	if lo >= hi {
 		// No rows for this thread; it still participates in barriers.
 		for it := 0; it < st.iters; it++ {
 			h.Sync.BarrierArrive(t.P, barIter)
 		}
-		h.Sync.V(t.P, semDone)
 		return
 	}
 	w := st.w
@@ -135,7 +127,6 @@ func (r *Runner) slave(t *threads.Thread, args []uint32) {
 		h.DSM.WriteFloat32s(t.P, to+dsm.Addr(4*lo*w), dst)
 		h.Sync.BarrierArrive(t.P, barIter)
 	}
-	h.Sync.V(t.P, semDone)
 }
 
 // Run executes one relaxation.
@@ -144,56 +135,26 @@ func (r *Runner) Run(cfg Config) (Result, error) {
 		return Result{}, fmt.Errorf("sor: need W,H ≥ 3, Iters ≥ 1, and slaves")
 	}
 	r.c.DefineBarrier(barIter, 0, len(cfg.Slaves))
-	var (
-		res    Result
-		runErr error
-	)
-	elapsed := r.c.Run(cfg.Master, func(p *sim.Proc, h *cluster.Host) {
-		w, ht := cfg.W, cfg.H
-		var grids [2]dsm.Addr
-		for g := range grids {
-			a, err := h.DSM.Alloc(p, conv.Float32, w*ht)
-			if err != nil {
-				runErr = err
-				return
-			}
-			grids[g] = a
-		}
-		r.cur = &app{w: w, h: ht, iters: cfg.Iters, grids: grids, nslaves: len(cfg.Slaves)}
-
-		init := initialGrid(w, ht)
-		h.DSM.WriteFloat32s(p, grids[0], init)
-		h.DSM.WriteFloat32s(p, grids[1], init) // fixed boundaries in both buffers
-
-		for i, host := range cfg.Slaves {
-			if _, err := h.Threads.Create(p, host, funcID, []uint32{uint32(i)}); err != nil {
-				runErr = err
-				return
+	w, ht := cfg.W, cfg.H
+	init := initialGrid(w, ht)
+	setup := func(p *sim.Proc, h *cluster.Host) error {
+		st := &app{w: w, h: ht, iters: cfg.Iters, nslaves: len(cfg.Slaves)}
+		var err error
+		for g := range st.grids {
+			if st.grids[g], err = h.DSM.Alloc(p, conv.Float32, w*ht); err != nil {
+				return err
 			}
 		}
-		for range cfg.Slaves {
-			h.Sync.P(p, semDone)
-		}
-
-		final := make([]float32, w*ht)
-		h.DSM.ReadFloat32s(p, grids[cfg.Iters%2], final)
-		res.Correct = true
-		if cfg.Verify {
-			want := relaxLocal(init, w, ht, cfg.Iters)
-			for i := range want {
-				if final[i] != want[i] {
-					res.Correct = false
-					break
-				}
-			}
-		}
-	})
-	if runErr != nil {
-		return Result{}, runErr
+		r.cur = st
+		h.DSM.WriteFloat32s(p, st.grids[0], init)
+		h.DSM.WriteFloat32s(p, st.grids[1], init) // fixed boundaries in both buffers
+		return nil
 	}
-	res.Elapsed = elapsed
-	res.Stats = r.c.TotalDSMStats()
-	return res, nil
+	return apps.Run(r.c, cfg.Master, cfg.Slaves, funcID, semDone, setup, func(p *sim.Proc, h *cluster.Host) bool {
+		final := make([]float32, w*ht)
+		h.DSM.ReadFloat32s(p, r.cur.grids[cfg.Iters%2], final)
+		return !cfg.Verify || slices.Equal(final, relaxLocal(init, w, ht, cfg.Iters))
+	})
 }
 
 // initialGrid builds the boundary-condition grid: a hot top edge.
@@ -232,8 +193,9 @@ func relaxLocal(init []float32, w, h, iters int) []float32 {
 }
 
 // Sequential returns the modelled sequential relaxation time on one CPU
-// of the given machine kind.
-func (r *Runner) Sequential(k arch.Kind, w, h, iters int) sim.Duration {
+// of the given machine kind (no DSM, no threads, and so no cluster: the
+// cost model is all it reads).
+func Sequential(params *model.Params, kind arch.Kind, w, h, iters int) sim.Duration {
 	cells := time.Duration(w) * time.Duration(h-2) * time.Duration(iters)
-	return r.c.Params.Scale(k, cells*CellCost)
+	return params.Scale(kind, cells*CellCost)
 }

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/cluster"
+	"repro/internal/model"
 )
 
 func newCluster(t *testing.T, fireflies int) *cluster.Cluster {
@@ -114,10 +115,9 @@ func TestConfigValidation(t *testing.T) {
 }
 
 func TestSequentialModel(t *testing.T) {
-	c := newCluster(t, 1)
-	r := Register(c)
-	ff := r.Sequential(arch.Firefly, 100, 102, 10)
-	sun := r.Sequential(arch.Sun, 100, 102, 10)
+	params := model.Default()
+	ff := Sequential(&params, arch.Firefly, 100, 102, 10)
+	sun := Sequential(&params, arch.Sun, 100, 102, 10)
 	if ff <= 0 || sun <= ff {
 		t.Fatalf("sequential model wrong: ff %v sun %v", ff, sun)
 	}

@@ -12,6 +12,7 @@ import (
 	"repro/internal/conv"
 	"repro/internal/dsm"
 	"repro/internal/netsim"
+	"repro/internal/proto"
 	"repro/internal/sim"
 	"repro/internal/threads"
 )
@@ -257,6 +258,41 @@ func TestCheckerAuditsEveryTracedEvent(t *testing.T) {
 	})
 	if events == 0 || c.Check.Checks() != events {
 		t.Errorf("checker ran %d audits for %d traced events (want equal and non-zero)", c.Check.Checks(), events)
+	}
+}
+
+// A quorum write and a phase-2 request are each one traced event: a
+// Trace subscriber counting them reads the write counter and the
+// phase-2 messages sent, once the stragglers the writers stopped
+// waiting for have been drained.
+func TestQuorumTracesEachWriteAndInstallOnce(t *testing.T) {
+	counts := map[string]int{}
+	c, err := New(Config{
+		Hosts:  []HostSpec{{Kind: arch.Sun}, {Kind: arch.Firefly}, {Kind: arch.Sun}},
+		Seed:   1,
+		Policy: dsm.PolicyQuorum,
+		Trace:  func(ev dsm.TraceEvent) { counts[ev.Event]++ },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Run(0, func(p *sim.Proc, h *Host) {
+		addr, err := h.DSM.Alloc(p, conv.Int32, 4)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		for i := range 5 {
+			c.Hosts[i%len(c.Hosts)].DSM.WriteInt32s(p, addr, []int32{int32(i)})
+		}
+	})
+	c.K.Run()
+	total := c.TotalDSMStats()
+	if w := counts["quorum-write"]; w != total.QuorumWrites || w != 5 {
+		t.Errorf("traced %d quorum-write events for %d writes (want 5)", w, total.QuorumWrites)
+	}
+	if n, sent := counts["quorum-install"], total.Messages[proto.KindQuorumWrite]; n != sent || n != 10 {
+		t.Errorf("traced %d quorum-install events for %d phase-2 requests sent (want 10)", n, sent)
 	}
 }
 

@@ -286,7 +286,6 @@ func (m *quorumEngine) quorumWritePage(p *sim.Proc, page PageNo, lo, n int, muta
 		if err := m.quorumPushDiff(p, page, qp, base, diff); err != nil {
 			return err
 		}
-		m.trace("quorum-write", page)
 	}
 	m.trace("quorum-write", page)
 	return nil
@@ -552,9 +551,7 @@ func (m *quorumEngine) handleQuorumWrite(p *sim.Proc, req *proto.Message) {
 	ack := &proto.Message{Kind: proto.KindQuorumWriteAck, Page: req.Page}
 	// The body converts in place in the request's wire buffer.
 	installed, ok := m.install(p, page, m.qrmPageFor(page), argTag(req, 0), argTag(req, 2), len(req.Args) > 2, req.Data, arch.Kind(req.SrcArch))
-	if installed {
-		m.trace("quorum-install", page)
-	} else if !ok {
+	if !installed && !ok {
 		ack.Args = []uint32{quorumNeedImage}
 	}
 	bufpool.Put(req.TakeWire())
