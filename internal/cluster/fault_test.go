@@ -14,6 +14,7 @@ import (
 	"repro/internal/remoteop"
 	"repro/internal/sctrace"
 	"repro/internal/sim"
+	"repro/internal/threads"
 )
 
 // detectionSettle is long enough for heartbeat silence to cross the
@@ -500,5 +501,87 @@ func TestNoFaultRunsUnchangedByDetectionMachinery(t *testing.T) {
 	}
 	if a != want {
 		t.Fatalf("no-fault run = %s, want %s", a, want)
+	}
+}
+
+// TestPartitionWithoutDetectorReturnsHostDown pins the failure contract
+// on a cluster built without FailureDetection: a page fault whose
+// manager stays cut off past every retransmission and fault retry
+// returns ErrHostDown from the E-form, and the plain form panics with
+// that error behind the host prefix.
+func TestPartitionWithoutDetectorReturnsHostDown(t *testing.T) {
+	c, err := New(Config{
+		Hosts: []HostSpec{{Kind: arch.Sun}, {Kind: arch.Sun}},
+		Seed:  41,
+		FaultPlan: &netsim.FaultPlan{Partitions: []netsim.Partition{{
+			Window: netsim.Window{From: sim.Time(time.Second), Until: sim.Time(600 * time.Second)},
+			Group:  []netsim.HostID{0},
+		}}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.Run(1, func(p *sim.Proc, h *Host) {
+		addr, err := h.DSM.Alloc(p, conv.Int32, 16)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if mgr := h.DSM.Manager(h.DSM.PageOf(addr)); mgr != 0 {
+			t.Errorf("page managed by host %d, want 0", mgr)
+			return
+		}
+		p.Sleep(sim.Time(2 * time.Second).Sub(c.K.Now()))
+		buf := make([]int32, 16)
+		err = h.DSM.ReadInt32sE(p, addr, buf)
+		if !errors.Is(err, dsm.ErrHostDown) {
+			t.Errorf("ReadInt32sE across the cut: err = %v, want ErrHostDown", err)
+			return
+		}
+		defer func() {
+			r := recover()
+			perr, ok := r.(error)
+			if !ok || !errors.Is(perr, dsm.ErrHostDown) || !strings.HasPrefix(perr.Error(), "dsm: host 1: ") {
+				t.Errorf("ReadInt32s across the cut panicked with %v, want %q and ErrHostDown", r, "dsm: host 1: ")
+			}
+		}()
+		h.DSM.ReadInt32s(p, addr, buf)
+	})
+}
+
+// TestThreadOutlivesDeadCreator runs a thread whose creator crashes
+// before the thread ends: its exit notification fails, and the run
+// goes on.
+func TestThreadOutlivesDeadCreator(t *testing.T) {
+	c, err := New(Config{
+		Hosts:            []HostSpec{{Kind: arch.Sun}, {Kind: arch.Firefly}},
+		Seed:             43,
+		FailureDetection: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const fn threads.FuncID = 1
+	finished := false
+	if err := c.Funcs.Register(fn, func(t *threads.Thread, _ []uint32) {
+		t.P.Sleep(time.Second)
+		finished = true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	c.Run(0, func(p *sim.Proc, h *Host) {
+		if _, err := h.Threads.Create(p, 1, fn, nil); err != nil {
+			t.Error(err)
+			return
+		}
+		c.CrashHost(0)
+		// Long enough for the notification to run out of retransmissions
+		// or hit the detector's verdict.
+		p.Sleep(20 * time.Second)
+	})
+	if !finished {
+		t.Error("the thread on host 1 never finished")
 	}
 }

@@ -31,13 +31,15 @@ const (
 	// SCViolation means the offline trace check found a read the
 	// policy's consistency model cannot explain.
 	SCViolation
-	// Panic means a simulated process panicked (protocol timeout,
-	// unexpected state) outside the typed-error paths.
+	// Panic means a simulated process panicked: a plain accessor or
+	// primitive whose access failed (its E twin returns the same
+	// error), or a broken invariant.
 	Panic
 	// Unhandled means a request reached a host with no handler
 	// registered for its kind and was dropped (remoteop.Stats.Unhandled):
 	// the configuration sends a kind nobody in it serves. It ranks below
-	// Panic because the requester's timeout usually panics first.
+	// Panic because the requester's timed-out call usually reaches a
+	// plain accessor's panic first.
 	Unhandled
 	// Deadlock means the event queue drained before the workload
 	// finished.

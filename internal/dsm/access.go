@@ -15,52 +15,79 @@ import (
 // big-endian IEEE on a Sun, little-endian VAX-float on a Firefly — and
 // only page migration converts them.
 //
-// Each accessor exists in two forms. The plain form (ReadInt32s,
-// WriteBytes, ...) panics if the access cannot complete — correct for
-// fault-free runs, where any failure is a simulation bug. The E-suffixed
-// form returns an error instead, so applications running under failure
-// detection can observe ErrHostDown / ErrPageLost and continue working
-// on pages that survive.
+// Each accessor exists in two forms, and they share one failure
+// contract. The E-suffixed form (ReadInt32sE, WriteBytesE, ...) returns
+// every failure as an error: a misuse of the accessor (wrong type,
+// unallocated or unaligned bytes, an unregistered struct type), and a
+// failed protocol call, whose typed forms are ErrHostDown and
+// ErrPageLost. The plain form (ReadInt32s, WriteBytes, ...) panics with
+// the same error — the contract of callers that treat any failure as a
+// bug, such as fault-free benchmark runs.
 
-// checkTyped validates that [addr, addr+size*count) lies in pages
-// allocated for the expected type and does not straddle elements across
-// pages. Violations are programming errors in the application and panic.
-func (m *Module) checkTyped(addr Addr, id conv.TypeID, size, count int) {
-	t := m.cfg.Registry.MustGet(id)
-	if t.Size != size {
-		panic(fmt.Sprintf("dsm: type %s has size %d, accessor uses %d", t.Name, t.Size, size))
+// checkTyped validates that [addr, addr+n) lies in pages allocated for
+// type id, spans whole elements of it, and does not straddle an element
+// across pages. A violation is a misuse of the accessor, returned as an
+// error like any other failure of the access.
+func (m *Module) checkTyped(addr Addr, id conv.TypeID, n int) error {
+	t, ok := m.cfg.Registry.Get(id)
+	if !ok {
+		return fmt.Errorf("dsm: type %d not registered", id)
 	}
-	end := int(addr) + size*count
+	if n%t.Size != 0 {
+		return fmt.Errorf("dsm: buffer of %d bytes not a multiple of %s size %d", n, t.Name, t.Size)
+	}
+	end := int(addr) + n
 	if end > m.cfg.SpaceSize {
-		panic(fmt.Sprintf("dsm: access [%d,%d) beyond space of %d bytes", addr, end, m.cfg.SpaceSize))
+		return fmt.Errorf("dsm: access [%d,%d) beyond space of %d bytes", addr, end, m.cfg.SpaceSize)
+	}
+	if n == 0 {
+		return nil // touches no page; at address 0, end-1 would wrap
 	}
 	for pg := m.PageOf(addr); pg <= m.PageOf(Addr(end-1)); pg++ {
 		mt, ok := m.meta[pg]
 		if !ok {
-			panic(fmt.Sprintf("dsm: access to unallocated page %d", pg))
+			return fmt.Errorf("dsm: access to unallocated page %d", pg)
 		}
 		if mt.typeID != id {
-			have := m.cfg.Registry.MustGet(mt.typeID)
-			panic(fmt.Sprintf("dsm: page %d holds %s data, accessed as %s", pg, have.Name, t.Name))
+			have := m.cfg.Registry.MustGet(mt.typeID) // checked by Alloc
+			return fmt.Errorf("dsm: page %d holds %s data, accessed as %s", pg, have.Name, t.Name)
 		}
 		pageStart := int(pg) * m.cfg.PageSize
 		lo := max(int(addr), pageStart)
 		hi := min(end, pageStart+m.cfg.PageSize)
 		if hi > pageStart+mt.used {
-			panic(fmt.Sprintf("dsm: access [%d,%d) beyond the %d allocated bytes of page %d", lo, hi, mt.used, pg))
+			return fmt.Errorf("dsm: access [%d,%d) beyond the %d allocated bytes of page %d", lo, hi, mt.used, pg)
 		}
-		if (lo-pageStart)%size != 0 {
-			panic(fmt.Sprintf("dsm: access at %d not aligned to %s elements", lo, t.Name))
+		if (lo-pageStart)%t.Size != 0 {
+			return fmt.Errorf("dsm: access at %d not aligned to %s elements", lo, t.Name)
 		}
 	}
+	return nil
 }
 
-// mustOK converts an access error into the pre-fault-tolerance panic:
-// the plain accessors keep their historical contract that any failure is
-// a simulation bug.
+// readTyped checks a read of n bytes of type id at addr, then runs it,
+// handing fn each page span.
+func (m *Module) readTyped(p *sim.Proc, addr Addr, id conv.TypeID, n int, fn func(seg []byte, off int)) error {
+	if err := m.checkTyped(addr, id, n); err != nil {
+		return err
+	}
+	return m.readRegion(p, addr, n, fn)
+}
+
+// writeTyped checks a write of n bytes of type id at addr, then runs it,
+// letting fill produce each page span.
+func (m *Module) writeTyped(p *sim.Proc, addr Addr, id conv.TypeID, n int, fill func(seg []byte, off int)) error {
+	if err := m.checkTyped(addr, id, n); err != nil {
+		return err
+	}
+	return m.writeRegion(p, addr, n, fill)
+}
+
+// mustOK is the plain accessors' half of the contract: it panics with
+// the error its E twin returned, prefixed with the host.
 func (m *Module) mustOK(err error) {
 	if err != nil {
-		panic(fmt.Sprintf("dsm: host %d: %v", m.id, err))
+		panic(fmt.Errorf("dsm: host %d: %w", m.id, err))
 	}
 }
 
@@ -85,10 +112,9 @@ func (m *Module) ReadBytes(p *sim.Proc, addr Addr, buf []byte) {
 	m.mustOK(m.ReadBytesE(p, addr, buf))
 }
 
-// ReadBytesE is ReadBytes returning crash errors.
+// ReadBytesE is ReadBytes returning any failure.
 func (m *Module) ReadBytesE(p *sim.Proc, addr Addr, buf []byte) error {
-	m.checkTyped(addr, conv.Char, 1, len(buf))
-	return m.readRegion(p, addr, len(buf), func(seg []byte, off int) {
+	return m.readTyped(p, addr, conv.Char, len(buf), func(seg []byte, off int) {
 		copy(buf[off:], seg)
 	})
 }
@@ -98,10 +124,9 @@ func (m *Module) WriteBytes(p *sim.Proc, addr Addr, data []byte) {
 	m.mustOK(m.WriteBytesE(p, addr, data))
 }
 
-// WriteBytesE is WriteBytes returning crash errors.
+// WriteBytesE is WriteBytes returning any failure.
 func (m *Module) WriteBytesE(p *sim.Proc, addr Addr, data []byte) error {
-	m.checkTyped(addr, conv.Char, 1, len(data))
-	return m.writeRegion(p, addr, len(data), func(seg []byte, off int) {
+	return m.writeTyped(p, addr, conv.Char, len(data), func(seg []byte, off int) {
 		copy(seg, data[off:])
 	})
 }
@@ -113,7 +138,7 @@ func (m *Module) ReadInt32(p *sim.Proc, addr Addr) int32 {
 	return v[0]
 }
 
-// ReadInt32E is ReadInt32 returning crash errors.
+// ReadInt32E is ReadInt32 returning any failure.
 func (m *Module) ReadInt32E(p *sim.Proc, addr Addr) (int32, error) {
 	var v [1]int32
 	err := m.ReadInt32sE(p, addr, v[:])
@@ -125,7 +150,7 @@ func (m *Module) WriteInt32(p *sim.Proc, addr Addr, v int32) {
 	m.WriteInt32s(p, addr, []int32{v})
 }
 
-// WriteInt32E is WriteInt32 returning crash errors.
+// WriteInt32E is WriteInt32 returning any failure.
 func (m *Module) WriteInt32E(p *sim.Proc, addr Addr, v int32) error {
 	return m.WriteInt32sE(p, addr, []int32{v})
 }
@@ -135,10 +160,9 @@ func (m *Module) ReadInt32s(p *sim.Proc, addr Addr, dst []int32) {
 	m.mustOK(m.ReadInt32sE(p, addr, dst))
 }
 
-// ReadInt32sE is ReadInt32s returning crash errors.
+// ReadInt32sE is ReadInt32s returning any failure.
 func (m *Module) ReadInt32sE(p *sim.Proc, addr Addr, dst []int32) error {
-	m.checkTyped(addr, conv.Int32, 4, len(dst))
-	return m.readRegion(p, addr, 4*len(dst), func(seg []byte, off int) {
+	return m.readTyped(p, addr, conv.Int32, 4*len(dst), func(seg []byte, off int) {
 		conv.GetInt32s(m.arch, seg, dst[off/4:])
 	})
 }
@@ -148,10 +172,9 @@ func (m *Module) WriteInt32s(p *sim.Proc, addr Addr, src []int32) {
 	m.mustOK(m.WriteInt32sE(p, addr, src))
 }
 
-// WriteInt32sE is WriteInt32s returning crash errors.
+// WriteInt32sE is WriteInt32s returning any failure.
 func (m *Module) WriteInt32sE(p *sim.Proc, addr Addr, src []int32) error {
-	m.checkTyped(addr, conv.Int32, 4, len(src))
-	return m.writeRegion(p, addr, 4*len(src), func(seg []byte, off int) {
+	return m.writeTyped(p, addr, conv.Int32, 4*len(src), func(seg []byte, off int) {
 		conv.PutInt32s(m.arch, seg, src[off/4:])
 	})
 }
@@ -161,10 +184,9 @@ func (m *Module) ReadInt16s(p *sim.Proc, addr Addr, dst []int16) {
 	m.mustOK(m.ReadInt16sE(p, addr, dst))
 }
 
-// ReadInt16sE is ReadInt16s returning crash errors.
+// ReadInt16sE is ReadInt16s returning any failure.
 func (m *Module) ReadInt16sE(p *sim.Proc, addr Addr, dst []int16) error {
-	m.checkTyped(addr, conv.Int16, 2, len(dst))
-	return m.readRegion(p, addr, 2*len(dst), func(seg []byte, off int) {
+	return m.readTyped(p, addr, conv.Int16, 2*len(dst), func(seg []byte, off int) {
 		conv.GetInt16s(m.arch, seg, dst[off/2:])
 	})
 }
@@ -174,10 +196,9 @@ func (m *Module) WriteInt16s(p *sim.Proc, addr Addr, src []int16) {
 	m.mustOK(m.WriteInt16sE(p, addr, src))
 }
 
-// WriteInt16sE is WriteInt16s returning crash errors.
+// WriteInt16sE is WriteInt16s returning any failure.
 func (m *Module) WriteInt16sE(p *sim.Proc, addr Addr, src []int16) error {
-	m.checkTyped(addr, conv.Int16, 2, len(src))
-	return m.writeRegion(p, addr, 2*len(src), func(seg []byte, off int) {
+	return m.writeTyped(p, addr, conv.Int16, 2*len(src), func(seg []byte, off int) {
 		conv.PutInt16s(m.arch, seg, src[off/2:])
 	})
 }
@@ -187,10 +208,9 @@ func (m *Module) ReadFloat32s(p *sim.Proc, addr Addr, dst []float32) {
 	m.mustOK(m.ReadFloat32sE(p, addr, dst))
 }
 
-// ReadFloat32sE is ReadFloat32s returning crash errors.
+// ReadFloat32sE is ReadFloat32s returning any failure.
 func (m *Module) ReadFloat32sE(p *sim.Proc, addr Addr, dst []float32) error {
-	m.checkTyped(addr, conv.Float32, 4, len(dst))
-	return m.readRegion(p, addr, 4*len(dst), func(seg []byte, off int) {
+	return m.readTyped(p, addr, conv.Float32, 4*len(dst), func(seg []byte, off int) {
 		conv.GetFloat32s(m.arch, seg, dst[off/4:])
 	})
 }
@@ -200,10 +220,9 @@ func (m *Module) WriteFloat32s(p *sim.Proc, addr Addr, src []float32) {
 	m.mustOK(m.WriteFloat32sE(p, addr, src))
 }
 
-// WriteFloat32sE is WriteFloat32s returning crash errors.
+// WriteFloat32sE is WriteFloat32s returning any failure.
 func (m *Module) WriteFloat32sE(p *sim.Proc, addr Addr, src []float32) error {
-	m.checkTyped(addr, conv.Float32, 4, len(src))
-	return m.writeRegion(p, addr, 4*len(src), func(seg []byte, off int) {
+	return m.writeTyped(p, addr, conv.Float32, 4*len(src), func(seg []byte, off int) {
 		conv.PutFloat32s(m.arch, seg, src[off/4:])
 	})
 }
@@ -213,10 +232,9 @@ func (m *Module) ReadFloat64s(p *sim.Proc, addr Addr, dst []float64) {
 	m.mustOK(m.ReadFloat64sE(p, addr, dst))
 }
 
-// ReadFloat64sE is ReadFloat64s returning crash errors.
+// ReadFloat64sE is ReadFloat64s returning any failure.
 func (m *Module) ReadFloat64sE(p *sim.Proc, addr Addr, dst []float64) error {
-	m.checkTyped(addr, conv.Float64, 8, len(dst))
-	return m.readRegion(p, addr, 8*len(dst), func(seg []byte, off int) {
+	return m.readTyped(p, addr, conv.Float64, 8*len(dst), func(seg []byte, off int) {
 		conv.GetFloat64s(m.arch, seg, dst[off/8:])
 	})
 }
@@ -226,10 +244,9 @@ func (m *Module) WriteFloat64s(p *sim.Proc, addr Addr, src []float64) {
 	m.mustOK(m.WriteFloat64sE(p, addr, src))
 }
 
-// WriteFloat64sE is WriteFloat64s returning crash errors.
+// WriteFloat64sE is WriteFloat64s returning any failure.
 func (m *Module) WriteFloat64sE(p *sim.Proc, addr Addr, src []float64) error {
-	m.checkTyped(addr, conv.Float64, 8, len(src))
-	return m.writeRegion(p, addr, 8*len(src), func(seg []byte, off int) {
+	return m.writeTyped(p, addr, conv.Float64, 8*len(src), func(seg []byte, off int) {
 		conv.PutFloat64s(m.arch, seg, src[off/8:])
 	})
 }
@@ -243,11 +260,10 @@ func (m *Module) ReadPointer(p *sim.Proc, addr Addr) (Addr, bool) {
 	return target, ok
 }
 
-// ReadPointerE is ReadPointer returning crash errors.
+// ReadPointerE is ReadPointer returning any failure.
 func (m *Module) ReadPointerE(p *sim.Proc, addr Addr) (Addr, bool, error) {
-	m.checkTyped(addr, conv.Pointer, 4, 1)
 	var raw uint32
-	err := m.readRegion(p, addr, 4, func(seg []byte, _ int) {
+	err := m.readTyped(p, addr, conv.Pointer, 4, func(seg []byte, _ int) {
 		raw = conv.GetPointer(m.arch, seg)
 	})
 	if err != nil || raw == 0 {
@@ -261,14 +277,13 @@ func (m *Module) WritePointer(p *sim.Proc, addr Addr, target Addr, ok bool) {
 	m.mustOK(m.WritePointerE(p, addr, target, ok))
 }
 
-// WritePointerE is WritePointer returning crash errors.
+// WritePointerE is WritePointer returning any failure.
 func (m *Module) WritePointerE(p *sim.Proc, addr Addr, target Addr, ok bool) error {
-	m.checkTyped(addr, conv.Pointer, 4, 1)
 	raw := uint32(0)
 	if ok {
 		raw = m.Base() + uint32(target)
 	}
-	return m.writeRegion(p, addr, 4, func(seg []byte, _ int) {
+	return m.writeTyped(p, addr, conv.Pointer, 4, func(seg []byte, _ int) {
 		conv.PutPointer(m.arch, seg, raw)
 	})
 }
@@ -289,10 +304,12 @@ func (m *Module) AtomicSwapInt32(p *sim.Proc, addr Addr, v int32) int32 {
 	return old
 }
 
-// AtomicSwapInt32E is AtomicSwapInt32 returning crash errors, and
+// AtomicSwapInt32E is AtomicSwapInt32 returning any failure, including
 // ErrNoAtomics under a policy that defines no atomic operation.
 func (m *Module) AtomicSwapInt32E(p *sim.Proc, addr Addr, v int32) (int32, error) {
-	m.checkTyped(addr, conv.Int32, 4, 1)
+	if err := m.checkTyped(addr, conv.Int32, 4); err != nil {
+		return 0, err
+	}
 	return m.engine.atomicSwap(p, addr, v)
 }
 
@@ -303,14 +320,9 @@ func (m *Module) ReadStruct(p *sim.Proc, addr Addr, id conv.TypeID, buf []byte) 
 	m.mustOK(m.ReadStructE(p, addr, id, buf))
 }
 
-// ReadStructE is ReadStruct returning crash errors.
+// ReadStructE is ReadStruct returning any failure.
 func (m *Module) ReadStructE(p *sim.Proc, addr Addr, id conv.TypeID, buf []byte) error {
-	t := m.cfg.Registry.MustGet(id)
-	if len(buf)%t.Size != 0 {
-		panic(fmt.Sprintf("dsm: buffer of %d bytes not a multiple of %s size %d", len(buf), t.Name, t.Size))
-	}
-	m.checkTyped(addr, id, t.Size, len(buf)/t.Size)
-	return m.readRegion(p, addr, len(buf), func(seg []byte, off int) {
+	return m.readTyped(p, addr, id, len(buf), func(seg []byte, off int) {
 		copy(buf[off:], seg)
 	})
 }
@@ -320,14 +332,9 @@ func (m *Module) WriteStruct(p *sim.Proc, addr Addr, id conv.TypeID, data []byte
 	m.mustOK(m.WriteStructE(p, addr, id, data))
 }
 
-// WriteStructE is WriteStruct returning crash errors.
+// WriteStructE is WriteStruct returning any failure.
 func (m *Module) WriteStructE(p *sim.Proc, addr Addr, id conv.TypeID, data []byte) error {
-	t := m.cfg.Registry.MustGet(id)
-	if len(data)%t.Size != 0 {
-		panic(fmt.Sprintf("dsm: buffer of %d bytes not a multiple of %s size %d", len(data), t.Name, t.Size))
-	}
-	m.checkTyped(addr, id, t.Size, len(data)/t.Size)
-	return m.writeRegion(p, addr, len(data), func(seg []byte, off int) {
+	return m.writeTyped(p, addr, id, len(data), func(seg []byte, off int) {
 		copy(seg, data[off:])
 	})
 }

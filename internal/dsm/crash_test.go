@@ -97,32 +97,38 @@ func TestCrashedHostAnswersNothing(t *testing.T) {
 }
 
 // TestRequesterCallsReportHostDown pins one failure contract for the
-// central and update requesters: under failure detection an E-accessor
-// whose server (central) or manager (update) crashed returns
-// ErrHostDown; without detection the same access still panics.
+// central and update requesters: an E-accessor whose server (central)
+// or manager (update) crashed returns ErrHostDown under failure
+// detection, and an error wrapping remoteop.ErrTimeout without it; the
+// plain twin panics with the same error either way.
 func TestRequesterCallsReportHostDown(t *testing.T) {
 	cases := []struct {
 		policy Policy
 		op     string
 		access func(m *Module, p *sim.Proc, addr Addr) error
+		plain  func(m *Module, p *sim.Proc, addr Addr)
 	}{
 		{PolicyCentral, "ReadInt32E", func(m *Module, p *sim.Proc, addr Addr) error {
 			_, err := m.ReadInt32E(p, addr)
 			return err
-		}},
-		{PolicyCentral, "WriteInt32E", func(m *Module, p *sim.Proc, addr Addr) error { return m.WriteInt32E(p, addr, 7) }},
+		}, func(m *Module, p *sim.Proc, addr Addr) { m.ReadInt32(p, addr) }},
+		{PolicyCentral, "WriteInt32E", func(m *Module, p *sim.Proc, addr Addr) error { return m.WriteInt32E(p, addr, 7) },
+			func(m *Module, p *sim.Proc, addr Addr) { m.WriteInt32(p, addr, 7) }},
 		{PolicyCentral, "AtomicSwapInt32E", func(m *Module, p *sim.Proc, addr Addr) error {
 			_, err := m.AtomicSwapInt32E(p, addr, 7)
 			return err
-		}},
-		{PolicyUpdate, "WriteInt32E", func(m *Module, p *sim.Proc, addr Addr) error { return m.WriteInt32E(p, addr, 7) }},
+		}, func(m *Module, p *sim.Proc, addr Addr) { m.AtomicSwapInt32(p, addr, 7) }},
+		{PolicyUpdate, "WriteInt32E", func(m *Module, p *sim.Proc, addr Addr) error { return m.WriteInt32E(p, addr, 7) },
+			func(m *Module, p *sim.Proc, addr Addr) { m.WriteInt32(p, addr, 7) }},
 	}
 	const victim = 1
 	for _, c := range cases {
 		for _, detect := range []bool{true, false} {
 			t.Run(fmt.Sprintf("%v/%s/detect=%v", c.policy, c.op, detect), func(t *testing.T) {
 				r := newRig(t, []arch.Kind{arch.Sun, arch.Firefly, arch.Sun}, withPolicy(c.policy))
+				want := remoteop.ErrTimeout
 				if detect {
+					want = ErrHostDown
 					for _, m := range r.mods {
 						d := NewDetector(r.k, m.ep, r.cfg.Params, len(r.mods))
 						m.AttachLiveness(d)
@@ -156,18 +162,18 @@ func TestRequesterCallsReportHostDown(t *testing.T) {
 					p.Sleep(time.Second)
 					r.net.SetHostDown(victim, true)
 					r.mods[victim].ep.Crash()
-					if !detect {
-						defer func() {
-							if recover() == nil {
-								t.Errorf("%s without failure detection did not panic", c.op)
-							}
-						}()
-					} else {
+					if detect {
 						p.Sleep(4 * time.Second) // the detector declares the victim dead
 					}
-					if err := c.access(r.mods[2], p, addr); !errors.Is(err, ErrHostDown) {
-						t.Errorf("%s with the victim down: err = %v, want ErrHostDown", c.op, err)
+					if err := c.access(r.mods[2], p, addr); !errors.Is(err, want) {
+						t.Errorf("%s with the victim down: err = %v, want %v", c.op, err, want)
 					}
+					defer func() {
+						if err, _ := recover().(error); !errors.Is(err, want) {
+							t.Errorf("plain twin of %s with the victim down panicked with %v, want %v", c.op, err, want)
+						}
+					}()
+					c.plain(r.mods[2], p, addr)
 				})
 				r.k.RunUntil(func() bool { return done })
 				r.k.Shutdown()

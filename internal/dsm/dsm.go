@@ -250,8 +250,8 @@ type localPage struct {
 // directory's: a page's entry lock lives only on its one static
 // manager, which never calls itself, and a dynamic hop holds only its
 // own host's lock along an acyclic probable-owner chain. A cycle would
-// end in call timeouts: a panic without failure detection, a reported
-// outcome in mc and chaos.
+// end in call timeouts: an error from the E-accessors, a panic from the
+// plain ones, a reported outcome in mc and chaos.
 const (
 	rankFaultLock = 1 + iota // faultLockFor
 	rankPageTxn              // newPageTxn: mgrEntry.lock, dynPage.lock
@@ -465,8 +465,8 @@ type Module struct {
 	dyn map[PageNo]*dynPage
 
 	// liveness is the attached failure detector; nil (the default)
-	// means no failure detection: protocol failures panic and the
-	// fault-tolerance paths are unreachable.
+	// means no failure detection: no host is ever declared dead, and a
+	// failed call reaches the application as an error all the same.
 	liveness *Detector
 }
 

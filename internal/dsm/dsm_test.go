@@ -2,6 +2,7 @@ package dsm
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -516,34 +517,193 @@ func TestConcurrentDisjointWritersAllLand(t *testing.T) {
 	})
 }
 
-func TestAccessorPanicsOnTypeMismatch(t *testing.T) {
+// misuseCall runs one accessor form on n bytes at a: id is the struct
+// forms' type, size the element size.
+type misuseCall func(m *Module, p *sim.Proc, a Addr, id conv.TypeID, n, size int) error
+
+// sliceForms adapts a slice accessor's E form and its plain twin to
+// misuseCall (the plain one returns no error of its own).
+func sliceForms[T any](e func(*Module, *sim.Proc, Addr, []T) error, plain func(*Module, *sim.Proc, Addr, []T)) [2]misuseCall {
+	return [2]misuseCall{
+		func(m *Module, p *sim.Proc, a Addr, _ conv.TypeID, n, size int) error {
+			return e(m, p, a, make([]T, n/size))
+		},
+		func(m *Module, p *sim.Proc, a Addr, _ conv.TypeID, n, size int) error {
+			plain(m, p, a, make([]T, n/size))
+			return nil
+		},
+	}
+}
+
+// structForms adapts a struct accessor pair to misuseCall.
+func structForms(e func(*Module, *sim.Proc, Addr, conv.TypeID, []byte) error, plain func(*Module, *sim.Proc, Addr, conv.TypeID, []byte)) [2]misuseCall {
+	return [2]misuseCall{
+		func(m *Module, p *sim.Proc, a Addr, id conv.TypeID, n, _ int) error {
+			return e(m, p, a, id, make([]byte, n))
+		},
+		func(m *Module, p *sim.Proc, a Addr, id conv.TypeID, n, _ int) error {
+			plain(m, p, a, id, make([]byte, n))
+			return nil
+		},
+	}
+}
+
+// oneForms adapts a single-element accessor pair to misuseCall.
+func oneForms(e func(*Module, *sim.Proc, Addr) error, plain func(*Module, *sim.Proc, Addr)) [2]misuseCall {
+	return [2]misuseCall{
+		func(m *Module, p *sim.Proc, a Addr, _ conv.TypeID, _, _ int) error { return e(m, p, a) },
+		func(m *Module, p *sim.Proc, a Addr, _ conv.TypeID, _, _ int) error {
+			plain(m, p, a)
+			return nil
+		},
+	}
+}
+
+// TestAccessorMisuse holds every E accessor to the failure contract on
+// each misuse that applies to it: an error and no panic, and the plain
+// twin panics with that error behind the "dsm: host N: " prefix.
+func TestAccessorMisuse(t *testing.T) {
+	// The struct type under test is typ 0.
+	accessors := []struct {
+		name  string
+		typ   conv.TypeID
+		forms [2]misuseCall // E, plain
+	}{
+		{"ReadBytesE", conv.Char, sliceForms((*Module).ReadBytesE, (*Module).ReadBytes)},
+		{"WriteBytesE", conv.Char, sliceForms((*Module).WriteBytesE, (*Module).WriteBytes)},
+		{"ReadInt32E", conv.Int32, oneForms(func(m *Module, p *sim.Proc, a Addr) error {
+			_, err := m.ReadInt32E(p, a)
+			return err
+		}, func(m *Module, p *sim.Proc, a Addr) { m.ReadInt32(p, a) })},
+		{"WriteInt32E", conv.Int32, oneForms(func(m *Module, p *sim.Proc, a Addr) error { return m.WriteInt32E(p, a, 1) },
+			func(m *Module, p *sim.Proc, a Addr) { m.WriteInt32(p, a, 1) })},
+		{"ReadInt32sE", conv.Int32, sliceForms((*Module).ReadInt32sE, (*Module).ReadInt32s)},
+		{"WriteInt32sE", conv.Int32, sliceForms((*Module).WriteInt32sE, (*Module).WriteInt32s)},
+		{"ReadInt16sE", conv.Int16, sliceForms((*Module).ReadInt16sE, (*Module).ReadInt16s)},
+		{"WriteInt16sE", conv.Int16, sliceForms((*Module).WriteInt16sE, (*Module).WriteInt16s)},
+		{"ReadFloat32sE", conv.Float32, sliceForms((*Module).ReadFloat32sE, (*Module).ReadFloat32s)},
+		{"WriteFloat32sE", conv.Float32, sliceForms((*Module).WriteFloat32sE, (*Module).WriteFloat32s)},
+		{"ReadFloat64sE", conv.Float64, sliceForms((*Module).ReadFloat64sE, (*Module).ReadFloat64s)},
+		{"WriteFloat64sE", conv.Float64, sliceForms((*Module).WriteFloat64sE, (*Module).WriteFloat64s)},
+		{"ReadPointerE", conv.Pointer, oneForms(func(m *Module, p *sim.Proc, a Addr) error {
+			_, _, err := m.ReadPointerE(p, a)
+			return err
+		}, func(m *Module, p *sim.Proc, a Addr) { m.ReadPointer(p, a) })},
+		{"WritePointerE", conv.Pointer, oneForms(func(m *Module, p *sim.Proc, a Addr) error { return m.WritePointerE(p, a, 0, true) },
+			func(m *Module, p *sim.Proc, a Addr) { m.WritePointer(p, a, 0, true) })},
+		{"AtomicSwapInt32E", conv.Int32, oneForms(func(m *Module, p *sim.Proc, a Addr) error {
+			_, err := m.AtomicSwapInt32E(p, a, 1)
+			return err
+		}, func(m *Module, p *sim.Proc, a Addr) { m.AtomicSwapInt32(p, a, 1) })},
+		{"ReadStructE", 0, structForms((*Module).ReadStructE, (*Module).ReadStruct)},
+		{"WriteStructE", 0, structForms((*Module).WriteStructE, (*Module).WriteStruct)},
+	}
+	const (
+		allocated  = 4   // elements allocated of the accessor's type
+		spare      = 100 // a page nothing allocates
+		unregister = 200 // a type ID nothing registers
+	)
+	// env is one accessor's setting: its type and element size, its
+	// allocation, another type's allocation, a page nothing allocates
+	// and the end of the space. A misuse turns it into the address, type
+	// and byte count of a call that must fail with an error containing
+	// want; it applies to every accessor unless it says otherwise.
+	type env struct {
+		typ                     conv.TypeID
+		size                    int
+		base, other, spare, end Addr
+	}
+	type use struct {
+		addr Addr
+		id   conv.TypeID
+		n    int
+	}
+	misuses := []struct {
+		name, want string
+		applies    func(structType bool, size int) bool
+		mk         func(e env) use
+	}{
+		{"wrong-type", "data, accessed as", nil, func(e env) use { return use{e.other, e.typ, 2 * e.size} }},
+		{"unallocated-page", "unallocated page", nil, func(e env) use { return use{e.spare, e.typ, 2 * e.size} }},
+		{"past-the-space", "beyond space", nil, func(e env) use { return use{e.end, e.typ, 2 * e.size} }},
+		{"past-the-allocated-prefix", "allocated bytes of page", nil,
+			func(e env) use { return use{e.base + Addr(allocated*e.size), e.typ, 2 * e.size} }},
+		{"misaligned-element", "not aligned", func(_ bool, size int) bool { return size > 1 },
+			func(e env) use { return use{e.base + 1, e.typ, 2 * e.size} }},
+		{"partial-struct-buffer", "not a multiple", func(structType bool, _ int) bool { return structType },
+			func(e env) use { return use{e.base, e.typ, e.size + 1} }},
+		{"unregistered-struct-type", "not registered", func(structType bool, _ int) bool { return structType },
+			func(e env) use { return use{e.base, unregister, 2 * e.size} }},
+	}
+	for _, acc := range accessors {
+		for _, mu := range misuses {
+			reg := conv.NewRegistry()
+			pair, err := reg.RegisterStruct("pair", []conv.Field{{Type: conv.Int32, Count: 1}, {Type: conv.Int16, Count: 2}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			typ := acc.typ
+			if typ == 0 {
+				typ = pair
+			}
+			size := reg.MustGet(typ).Size
+			if mu.applies != nil && !mu.applies(acc.typ == 0, size) {
+				continue
+			}
+			t.Run(acc.name+"/"+mu.name, func(t *testing.T) {
+				r := newRig(t, []arch.Kind{arch.Sun}, withRegistry(reg))
+				m := r.mods[0]
+				r.run("main", func(p *sim.Proc) {
+					otherType := conv.Char
+					if typ == conv.Char {
+						otherType = conv.Int32
+					}
+					base, err := m.Alloc(p, typ, allocated)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					other, err := m.Alloc(p, otherType, allocated)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					u := mu.mk(env{typ, size, base, other, Addr(spare * m.cfg.PageSize), Addr(m.cfg.SpaceSize)})
+					run := func(c misuseCall) (err error, panicked any) {
+						defer func() { panicked = recover() }()
+						return c(m, p, u.addr, u.id, u.n, size), nil
+					}
+					err, panicked := run(acc.forms[0])
+					if err == nil || !strings.Contains(err.Error(), mu.want) || panicked != nil {
+						t.Errorf("%s: err = %v, panic = %v; want an error containing %q and no panic", acc.name, err, panicked, mu.want)
+						return
+					}
+					_, panicked = run(acc.forms[1])
+					if want := fmt.Sprintf("dsm: host 0: %v", err); fmt.Sprint(panicked) != want {
+						t.Errorf("plain twin of %s panicked with %v, want %q", acc.name, panicked, want)
+					}
+				})
+			})
+		}
+	}
+}
+
+// TestEmptyAccessAtZero: an empty access touches no page, even at
+// address 0, where the last byte it would span lies below the space.
+func TestEmptyAccessAtZero(t *testing.T) {
 	r := newRig(t, []arch.Kind{arch.Sun})
 	r.run("main", func(p *sim.Proc) {
 		addr, err := r.mods[0].Alloc(p, conv.Int32, 4)
-		if err != nil {
-			t.Error(err)
+		if err != nil || addr != 0 {
+			t.Errorf("Alloc = %d, %v; want address 0", addr, err)
 			return
 		}
-		defer func() {
-			if recover() == nil {
-				t.Error("float accessor on int page did not panic")
-			}
-		}()
-		var v [1]float32
-		r.mods[0].ReadFloat32s(p, addr, v[:])
-	})
-}
-
-func TestAccessorPanicsOnUnallocated(t *testing.T) {
-	r := newRig(t, []arch.Kind{arch.Sun})
-	r.run("main", func(p *sim.Proc) {
-		defer func() {
-			if recover() == nil {
-				t.Error("access to unallocated page did not panic")
-			}
-		}()
-		var v [1]int32
-		r.mods[0].ReadInt32s(p, 0, v[:])
+		if err := r.mods[0].ReadInt32sE(p, addr, nil); err != nil {
+			t.Errorf("empty read at 0: %v", err)
+		}
+		if err := r.mods[0].WriteInt32sE(p, addr, nil); err != nil {
+			t.Errorf("empty write at 0: %v", err)
+		}
 	})
 }
 

@@ -29,6 +29,7 @@ package dsm
 // read copy, or declares the page lost.
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 
@@ -268,11 +269,11 @@ func (d *dynamicDirectory) fault(p *sim.Proc, page PageNo, write bool) error {
 		// chain is acyclic, so the cross-host waits cannot cycle.
 		resp, err := m.ep.Call(p, target, &proto.Message{Kind: kind, Page: uint32(page)})
 		if err != nil {
-			m.mustDetect(err, "host %d page %d dynamic fault", m.id, page)
-			// A dead first hop, or an unanswered chase: the serving
-			// transaction died in a crash, or the request cycled through
-			// survivors' stale hints and was dropped. Either way the chain
-			// is broken — rebuild a route through the coordinator.
+			// A dead or unreachable first hop, or an unanswered chase: the
+			// serving transaction died in a crash, or the request cycled
+			// through survivors' stale hints and was dropped. Either way
+			// the chain is broken — rebuild a route through the
+			// coordinator.
 			if rerr := m.dynRecover(p, page, dp); rerr != nil {
 				return rerr
 			}
@@ -315,11 +316,11 @@ func (d *dynamicDirectory) fault(p *sim.Proc, page PageNo, write bool) error {
 			Page: uint32(page),
 			Args: []uint32{reqid, w},
 		})
-		if cerr != nil {
-			// Under liveness a failed confirm means the server just died;
-			// its transaction died with it and recovery owns the page now.
-			m.mustDetect(cerr, "host %d confirming page %d to owner %d", m.id, page, server)
-		}
+		// A server that does not acknowledge the confirm died (its
+		// transaction died with it and recovery owns the page now) or is
+		// cut off (awaitConfirm decides what its transaction does). The
+		// page is installed here either way.
+		bestEffort(cerr)
 		return nil
 	}
 }
@@ -406,10 +407,9 @@ func (m *Module) dynServeOrForward(p *sim.Proc, page PageNo, requester HostID, o
 			Page: uint32(page),
 			Args: []uint32{uint32(requester), origReqID, w, uint32(hops + 1)},
 		}); err != nil {
-			m.mustDetect(err, "host %d forwarding page %d to %d", m.id, page, next)
-			// The next hop is a corpse: point the chain at the requester
-			// (who is about to recover a route to the owner) and tell it
-			// to take the recovery path.
+			// The next hop is dead or unreachable: point the chain at the
+			// requester (who is about to recover a route to the owner) and
+			// tell it to take the recovery path.
 			dp.probOwner = requester
 			bestEffort(m.deliverFlag(p, requester, page, flagRetry, origReqID))
 		}
@@ -617,8 +617,13 @@ func (m *Module) dynCoordinate(p *sim.Proc, page PageNo) (HostID, uint32) {
 			Page: uint32(page),
 			Args: []uint32{2}, // dynamic possession probe: access + ownership, no data
 		})
+		if errors.Is(err, remoteop.ErrPeerDead) {
+			continue // declared dead mid-probe; its copy died with it
+		}
 		if err != nil {
-			continue // crashed mid-probe; its copy died with it
+			// Unreachable but not declared dead: its copy may be the
+			// page's only one, so this round proves nothing.
+			return 0, dynRecRetry
 		}
 		has := resp.Arg(0) != 0
 		acc := Access(resp.Arg(1))

@@ -260,3 +260,42 @@ func TestDynamicFaultCoordinatesItsOwnRecovery(t *testing.T) {
 		t.Fatal("main never finished")
 	}
 }
+
+// TestDynamicCoordinatorWaitsForAVerdict cuts the owner off on a
+// cluster with no failure detector: the coordinator's probe of it times
+// out, which proves nothing, so coordination neither declares the page
+// lost nor rebuilds ownership from a surviving read copy while the
+// owner may still write it.
+func TestDynamicCoordinatorWaitsForAVerdict(t *testing.T) {
+	for _, reader := range []bool{false, true} {
+		t.Run(fmt.Sprintf("reader=%v", reader), func(t *testing.T) {
+			r := newRig(t, []arch.Kind{arch.Sun, arch.Firefly, arch.Sun}, withDirectory(DirDynamic))
+			done := false
+			r.k.Spawn("main", func(p *sim.Proc) {
+				defer func() { done = true }()
+				x, err := r.mods[0].Alloc(p, conv.Int32, 8)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				page := r.mods[0].PageOf(x)
+				r.mods[1].WriteInt32(p, x, 11) // host 1 owns the page
+				if reader {
+					r.mods[2].ReadInt32(p, x)
+				}
+				r.net.SetHostDown(1, true) // cut off, not crashed
+				if owner, st := r.mods[0].dynCoordinate(p, page); st != dynRecRetry {
+					t.Errorf("coordination with the owner cut off = (%d, %d), want a retry", owner, st)
+				}
+				if s := r.mods[0].Stats(); s.PagesLost != 0 || s.PagesRecovered != 0 {
+					t.Errorf("coordinator lost %d and recovered %d pages, want none", s.PagesLost, s.PagesRecovered)
+				}
+			})
+			r.k.RunUntil(func() bool { return done })
+			r.k.Shutdown()
+			if !done {
+				t.Fatal("main never finished")
+			}
+		})
+	}
+}

@@ -1,22 +1,23 @@
 package dsm
 
-// Typed crash-stop failure errors. When the cluster runs with failure
-// detection enabled, DSM operations that cannot complete because of a
-// host crash return these through the public API instead of retrying
-// forever or panicking; errors.Is distinguishes the two outcomes the
-// protocol can prove:
+// Typed failure errors. A DSM operation that cannot complete because a
+// host it depends on crashed or stayed unreachable returns these through
+// the E-accessors instead of retrying forever, with or without failure
+// detection; errors.Is distinguishes the two outcomes the protocol can
+// prove:
 //
 //   - ErrHostDown: a host the operation depends on (the page's manager,
-//     or the only host that could answer) has been declared dead. The
-//     page range it managed is unavailable but isolated — accesses to
-//     other ranges proceed normally.
+//     or the only host that could answer) has been declared dead, or a
+//     page fault kept failing through its bounded retries. The page
+//     range it managed is unavailable but isolated — accesses to other
+//     ranges proceed normally.
 //   - ErrPageLost: the page's only copy died with its owner. The page's
 //     manager is alive and has proven, by polling every survivor, that
 //     no copy exists anywhere; the loss is permanent.
 //
-// Without failure detection (the default, and every no-fault
-// configuration) these errors are unreachable: protocol failures remain
-// hard panics, as a deterministic simulation bug should be.
+// A central or update request that ran out of retransmissions before
+// any detector spoke wraps remoteop.ErrTimeout instead. The plain
+// accessors panic with whatever their E twins return (access.go).
 
 import (
 	"errors"

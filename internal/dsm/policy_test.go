@@ -411,7 +411,8 @@ func TestAtomicSwapWithoutAtomics(t *testing.T) {
 					t.Errorf("AtomicSwapInt32E error %v, want %q", err, want)
 				}
 				defer func() {
-					if got, want := recover(), "dsm: host 0: "+want; got != want {
+					got, _ := recover().(error)
+					if want := "dsm: host 0: " + want; !errors.Is(got, ErrNoAtomics) || got.Error() != want {
 						t.Errorf("AtomicSwapInt32 panicked with %v, want %q", got, want)
 					}
 				}()

@@ -127,27 +127,13 @@ func (m *Module) requiredPages(addr Addr, n int) (first, last PageNo, err error)
 	return first, last, nil
 }
 
-// mustDetect is the first half of classifying a protocol call failure:
-// without failure detection it is a simulation bug and panics, exactly
-// as before the fault-tolerance work. Call sites that answer a
-// tolerated failure by other means than an error (re-routing, backing
-// off, leaving it to recovery) stop here.
-func (m *Module) mustDetect(err error, format string, args ...any) {
-	if m.liveness == nil {
-		// The "no failure detection" contract: a cluster without a
-		// detector is promised no crash and no outage longer than a
-		// call's retransmissions, so a failed call is a simulation bug.
-		// Frame loss or a partition outlasting MaxRetries breaks that
-		// promise and reaches this.
-		panic(fmt.Sprintf("dsm: "+format+": %v", append(args, err)...))
-	}
-}
-
-// callFailed classifies a protocol call failure: a panic without
-// failure detection (mustDetect); with it, an error the fault machinery
-// retries or aborts on.
+// callFailed wraps a protocol call failure with the step that made the
+// call. A call that exhausted its retransmissions is an ordinary outcome
+// of the unreliable network, with or without a failure detector: the
+// requester returns it (faultPage retries it a bounded number of times
+// before reporting ErrHostDown), and a fire-and-forget sender drops it
+// through bestEffort.
 func (m *Module) callFailed(err error, format string, args ...any) error {
-	m.mustDetect(err, format, args...)
 	return fmt.Errorf(format+": %w", append(args, err)...)
 }
 
@@ -165,11 +151,12 @@ func (m *Module) hostFailed(err error, host HostID, format string, args ...any) 
 
 // faultPage obtains one DSM page with the requested right. Concurrent
 // threads on the same host faulting on the same page are serialized so
-// the protocol runs once. Under failure detection, transient failures
-// (a transaction aborted by a mid-transfer crash) are retried a bounded
-// number of times before the page is reported down, with capped
-// exponential backoff between attempts: the first retry waits one
-// request timeout (detection and recovery need at least that long to
+// the protocol runs once. A failed attempt (a call that ran out of
+// retransmissions, a transaction aborted by a mid-transfer crash) is
+// retried a bounded number of times, with or without failure
+// detection, before the page is reported down. Capped exponential
+// backoff separates the attempts: the first retry waits one request
+// timeout (detection and recovery need at least that long to
 // converge), later ones double it up to the blocking retry interval, so
 // a recovery that takes several suspicion periods is met with patience
 // rather than a premature ErrHostDown. The jitter desynchronizes hosts
@@ -223,12 +210,12 @@ func (m *Module) remoteFault(p *sim.Proc, page PageNo, write bool) error {
 	}
 	m.installBody(p, page, resp, write)
 	m.k.Spawn(fmt.Sprintf("confirm-%d-p%d", m.id, page), func(cp *sim.Proc) {
-		if _, err := m.ep.Call(cp, mgrHost, &proto.Message{Kind: proto.KindOwnerUpdate, Page: uint32(page)}); err != nil {
-			// The manager died before hearing the confirmation; the
-			// recovery sweep rebuilds its successor state, so the loss
-			// is harmless.
-			m.mustDetect(err, "host %d confirming page %d", m.id, page)
-		}
+		_, err := m.ep.Call(cp, mgrHost, &proto.Message{Kind: proto.KindOwnerUpdate, Page: uint32(page)})
+		// A manager that does not acknowledge the confirmation died (the
+		// recovery sweep rebuilds its successor state) or is cut off
+		// (awaitConfirm decides what its open transaction does). The
+		// page is installed here either way.
+		bestEffort(err)
 	})
 	return nil
 }

@@ -484,14 +484,11 @@ func (m *quorumEngine) quorumFanout(p *sim.Proc, page PageNo, need int, mk func(
 			return nil, m.callFailed(fmt.Errorf("%w: page %d has no live quorum: %v", ErrHostDown, page, err),
 				"host %d quorum round for page %d", m.id, page)
 		}
-		// Without failure detection a quorum timeout is a protocol bug,
-		// exactly like any other unanswered call.
-		m.mustDetect(err, "host %d quorum round for page %d", m.id, page)
 		// A majority is alive but unreachable this instant — the
-		// partition case quorum replication exists for. Back off and
-		// retry: exponential, capped at the blocking retry interval,
-		// with jitter from the seeded RNG (drawn only on this path, so
-		// fault-free runs never consume it).
+		// partition case quorum replication exists for, with or without
+		// a failure detector. Back off and retry: exponential, capped at
+		// the blocking retry interval, with jitter from the seeded RNG
+		// (drawn only on this path, so fault-free runs never consume it).
 		m.stats.QuorumRetries++
 		m.trace("quorum-retry", page)
 		backoff = m.retryPause(p, backoff)

@@ -341,7 +341,7 @@ func (s *Service) do(p *sim.Proc, o op, id uint32) error {
 	d, f := &ops[o], &families[ops[o].fam]
 	pr := s.prims[d.fam][id]
 	if pr == nil {
-		panic(fmt.Sprintf("dsync: %s %d not defined", f.name, id))
+		return fmt.Errorf("dsync: %s %d not defined", f.name, id)
 	}
 	var data []byte
 	if d.releases && s.model != nil {
@@ -422,39 +422,41 @@ func (s *Service) handle(p *sim.Proc, req *proto.Message) {
 // P acquires one unit of semaphore id, blocking until granted.
 func (s *Service) P(p *sim.Proc, id uint32) { s.must(p, opP, id) }
 
-// PE is P returning an error when the semaphore's manager host has
-// crashed (the primitive is gone with it) instead of blocking forever.
+// PE is P returning any failure: an undefined semaphore, or a manager
+// host that crashed (the primitive is gone with it) instead of blocking
+// forever.
 func (s *Service) PE(p *sim.Proc, id uint32) error { return s.do(p, opP, id) }
 
 // V releases one unit of semaphore id, waking the oldest waiter.
 func (s *Service) V(p *sim.Proc, id uint32) { s.must(p, opV, id) }
 
-// VE is V returning crash errors.
+// VE is V returning any failure.
 func (s *Service) VE(p *sim.Proc, id uint32) error { return s.do(p, opV, id) }
 
 // EventWait blocks until event id is set.
 func (s *Service) EventWait(p *sim.Proc, id uint32) { s.must(p, opWait, id) }
 
-// EventWaitE is EventWait returning crash errors.
+// EventWaitE is EventWait returning any failure.
 func (s *Service) EventWaitE(p *sim.Proc, id uint32) error { return s.do(p, opWait, id) }
 
 // EventSet sets event id, releasing all waiters.
 func (s *Service) EventSet(p *sim.Proc, id uint32) { s.must(p, opSet, id) }
 
-// EventSetE is EventSet returning crash errors.
+// EventSetE is EventSet returning any failure.
 func (s *Service) EventSetE(p *sim.Proc, id uint32) error { return s.do(p, opSet, id) }
 
 // BarrierArrive announces arrival at barrier id and blocks until all
 // participants have arrived; the barrier then resets for reuse.
 func (s *Service) BarrierArrive(p *sim.Proc, id uint32) { s.must(p, opArrive, id) }
 
-// BarrierArriveE is BarrierArrive returning crash errors.
+// BarrierArriveE is BarrierArrive returning any failure.
 func (s *Service) BarrierArriveE(p *sim.Proc, id uint32) error { return s.do(p, opArrive, id) }
 
-// must keeps the plain primitives' historical contract: without failure
-// detection a synchronization failure is a simulation bug.
+// must is the plain primitives' half of the failure contract: each
+// panics with the error its E twin returns, an undefined primitive or a
+// failed call alike.
 func (s *Service) must(p *sim.Proc, o op, id uint32) {
 	if err := s.do(p, o, id); err != nil {
-		panic(fmt.Sprintf("dsync: %s(%d): %v", ops[o].name, id, err))
+		panic(fmt.Errorf("dsync: %s(%d): %w", ops[o].name, id, err))
 	}
 }

@@ -362,30 +362,40 @@ func TestHandleReleasesRequestWire(t *testing.T) {
 
 func TestUndefinedPrimitivePanics(t *testing.T) {
 	cases := []struct {
-		name string
-		op   func(s *Service, p *sim.Proc, id uint32)
-		want string
+		name  string
+		plain func(s *Service, p *sim.Proc, id uint32)
+		e     func(s *Service, p *sim.Proc, id uint32) error
+		want  string // the E form's error; the plain form panics with it wrapped
 	}{
-		{"P", (*Service).P, "dsync: semaphore 42 not defined"},
-		{"V", (*Service).V, "dsync: semaphore 42 not defined"},
-		{"EventWait", (*Service).EventWait, "dsync: event 42 not defined"},
-		{"EventSet", (*Service).EventSet, "dsync: event 42 not defined"},
-		{"BarrierArrive", (*Service).BarrierArrive, "dsync: barrier 42 not defined"},
+		{"P", (*Service).P, (*Service).PE, "dsync: semaphore 42 not defined"},
+		{"V", (*Service).V, (*Service).VE, "dsync: semaphore 42 not defined"},
+		{"EventWait", (*Service).EventWait, (*Service).EventWaitE, "dsync: event 42 not defined"},
+		{"EventSet", (*Service).EventSet, (*Service).EventSetE, "dsync: event 42 not defined"},
+		{"BarrierArrive", (*Service).BarrierArrive, (*Service).BarrierArriveE, "dsync: barrier 42 not defined"},
 	}
 	for _, tc := range cases {
+		t.Run(tc.name+"E", func(t *testing.T) {
+			r := newRig(t, 1)
+			var err error
+			r.k.Spawn("main", func(p *sim.Proc) { err = tc.e(r.svcs[0], p, 42) })
+			r.k.Run()
+			if err == nil || err.Error() != tc.want {
+				t.Fatalf("%sE on an undefined primitive: err = %v, want %q", tc.name, err, tc.want)
+			}
+		})
 		t.Run(tc.name, func(t *testing.T) {
 			r := newRig(t, 1)
 			var got any
 			r.k.Spawn("main", func(p *sim.Proc) {
 				defer func() { got = recover() }()
-				tc.op(r.svcs[0], p, 42)
+				tc.plain(r.svcs[0], p, 42)
 			})
 			func() {
 				defer func() { _ = recover() }() // kernel re-panics; absorb
 				r.k.Run()
 			}()
-			if got != tc.want {
-				t.Fatalf("%s on an undefined primitive: recovered %v, want %q", tc.name, got, tc.want)
+			if want := fmt.Sprintf("dsync: %s(42): %s", tc.name, tc.want); fmt.Sprint(got) != want {
+				t.Fatalf("%s on an undefined primitive: recovered %v, want %q", tc.name, got, want)
 			}
 		})
 	}

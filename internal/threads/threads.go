@@ -255,15 +255,21 @@ func (m *Manager) spawn(fn FuncID, args []uint32, creator HostID) ThreadID {
 			ev.Set()
 			return
 		}
-		if _, err := end.ep.Call(p, creator, &proto.Message{
+		_, err := end.ep.Call(p, creator, &proto.Message{
 			Kind: proto.KindThreadExited,
 			Args: []uint32{uint32(tid)},
-		}); err != nil {
-			panic(fmt.Sprintf("threads: notifying creator %d of thread %d exit: %v", creator, tid, err))
-		}
+		})
+		unjoined(err)
 	})
 	return tid
 }
+
+// unjoined consumes the error of a thread's exit notification to its
+// creator. Only the creator can join the thread, so a creator that is
+// dead leaves nobody to tell, and the thread's work is done either way;
+// a creator cut off for longer than the call's retransmissions misses
+// the exit, and its Join does not return.
+func unjoined(error) {}
 
 // handleCreate serves a remote thread-creation request.
 func (m *Manager) handleCreate(p *sim.Proc, req *proto.Message) {
