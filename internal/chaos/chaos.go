@@ -79,24 +79,31 @@ func (tl *traceLog) observe(ev dsm.TraceEvent) {
 	}
 }
 
-// Run executes one chaos run: generate the plan from the seed, build a
-// fresh trial of the workload on the chaos base config — calibrated
-// cost model, the kernel seeded with the run's seed, central manager on
-// never-crashed host 0, failure detection, the fault plan and the
-// recovery trace tap — drive it to completion, judge it.
-func Run(w *cluster.Workload, class Class, seed int64, o Opts) (*Result, error) {
-	plan := GeneratePlan(class, seed, len(w.Kinds))
-	tl := &traceLog{}
-	t, err := w.Trial(cluster.Config{
+// baseConfig is the chaos base config of one run: calibrated cost
+// model, the kernel seeded with the run's seed, central manager on
+// never-crashed host 0, failure detection, and the fault plan generated
+// from class and seed for a cluster of hosts.
+func baseConfig(class Class, seed int64, hosts int, o Opts) cluster.Config {
+	return cluster.Config{
 		PageSize:         chaosPageSize,
 		SpaceSize:        chaosSpaceSize,
 		Seed:             seed,
 		Directory:        dsm.DirCentral,
 		FailureDetection: true,
-		FaultPlan:        plan,
-		Trace:            tl.observe,
+		FaultPlan:        GeneratePlan(class, seed, hosts),
 		Mutation:         o.Mut,
-	})
+	}
+}
+
+// Run executes one chaos run: build a fresh trial of the workload on
+// the chaos base config plus the recovery trace tap, drive it to
+// completion, judge it.
+func Run(w *cluster.Workload, class Class, seed int64, o Opts) (*Result, error) {
+	cfg := baseConfig(class, seed, len(w.Kinds), o)
+	plan := cfg.FaultPlan
+	tl := &traceLog{}
+	cfg.Trace = tl.observe
+	t, err := w.Trial(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("chaos: building %s: %w", w.Name, err)
 	}

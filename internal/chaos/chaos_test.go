@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
@@ -99,6 +100,43 @@ func TestSmokeSeedsClean(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestNoDetectorCampaignsSafe runs every workload under the drop and
+// partition classes on the chaos base config with failure detection
+// off, seeds 1–25. The DSM takes the same steps with or without a
+// detector, and the workloads' death queries read "nobody is known
+// dead" without one, so no campaign may panic or break an oracle. The
+// one known failure is pinned by name: counter:drop:12 ends in
+// app-error, as a lost sync frame costs a whole blocking retry interval
+// (ROADMAP, Owed 1(b)).
+func TestNoDetectorCampaignsSafe(t *testing.T) {
+	var failed []string
+	for _, w := range All() {
+		for _, class := range []Class{ClassDrop, ClassPartition} {
+			for seed := int64(1); seed <= 25; seed++ {
+				cfg := baseConfig(class, seed, len(w.Kinds), Opts{})
+				cfg.FailureDetection = false
+				tr, err := w.Trial(cfg)
+				if err != nil {
+					t.Fatalf("%s/%s/%d: %v", w.Name, class, seed, err)
+				}
+				v := tr.Drive("chaos-main", DefaultMaxSteps, "chaos-teardown")
+				tr.C.Close()
+				token := EncodeToken(w.Name, class, seed)
+				switch v.Outcome {
+				case cluster.OK:
+				case cluster.Panic, cluster.InvariantViolation, cluster.SCViolation:
+					t.Errorf("%s without a detector: %s: %s", token, v.Outcome, v.Detail)
+				default:
+					failed = append(failed, token+" "+v.Outcome.String())
+				}
+			}
+		}
+	}
+	if got, want := strings.Join(failed, ", "), "chaos1:counter:drop:12 app-error"; got != want {
+		t.Errorf("campaigns failing without a detector: %q, want %q", got, want)
 	}
 }
 

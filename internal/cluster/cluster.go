@@ -79,10 +79,12 @@ type Config struct {
 	FaultPlan *netsim.FaultPlan
 	// FailureDetection runs a failure detector on every host (virtual-
 	// time heartbeats plus call-timeout escalation) and enables
-	// copyset-based page recovery: crashes then surface as typed errors
-	// (dsm.ErrHostDown, dsm.ErrPageLost) instead of hangs. Off by
-	// default — no-fault runs spawn no detector processes and stay
-	// bit-identical to earlier builds.
+	// copyset-based page recovery: a crashed owner's pages are re-owned
+	// from surviving copies or declared lost (dsm.ErrPageLost). Without
+	// it a host that stops answering surfaces as dsm.ErrHostDown once
+	// calls run out of retransmissions. Off by default — no-fault runs
+	// spawn no detector processes and stay bit-identical to earlier
+	// builds.
 	FailureDetection bool
 	// Trace, when set, receives DSM protocol events from every host,
 	// the invariant checker's audit points among them (allocated,
@@ -117,6 +119,7 @@ type Host struct {
 	// Sync is the distributed synchronization service.
 	Sync *dsync.Service
 	// Detect is the failure detector (nil unless Config.FailureDetection).
+	// A nil detector reports no host dead, so Detect.Dead needs no guard.
 	Detect *dsm.Detector
 }
 

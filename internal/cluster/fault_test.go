@@ -550,6 +550,55 @@ func TestPartitionWithoutDetectorReturnsHostDown(t *testing.T) {
 	})
 }
 
+// TestDynamicOwnerCutOffFailsWithoutPanic cuts a dynamic page's owner
+// off and writes the page from a survivor, with and without a failure
+// detector. Without one, the forwarder whose next hop timed out points
+// its hint at the requester, so the request comes home; the write ends
+// in faultPage's bounded retry with ErrHostDown. With one, the owner is
+// declared dead and recovery finds no other copy: ErrPageLost. Neither
+// run may panic.
+func TestDynamicOwnerCutOffFailsWithoutPanic(t *testing.T) {
+	for _, tt := range []struct {
+		detect bool
+		want   error
+		within time.Duration
+	}{
+		{detect: false, want: dsm.ErrHostDown, within: 60 * time.Second},
+		{detect: true, want: dsm.ErrPageLost, within: 2 * time.Second},
+	} {
+		t.Run(fmt.Sprintf("detect=%v", tt.detect), func(t *testing.T) {
+			c, err := New(Config{
+				Hosts:            []HostSpec{{Kind: arch.Sun}, {Kind: arch.Sun}, {Kind: arch.Sun}},
+				Seed:             47,
+				Directory:        dsm.DirDynamic,
+				FailureDetection: tt.detect,
+				FaultPlan: &netsim.FaultPlan{Partitions: []netsim.Partition{{
+					Window: netsim.Window{From: sim.Time(time.Second), Until: sim.Time(600 * time.Second)},
+					Group:  []netsim.HostID{2},
+				}}},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			c.Run(1, func(p *sim.Proc, h *Host) {
+				addr, err := h.DSM.Alloc(p, conv.Int32, 16)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				c.Hosts[2].DSM.WriteInt32(p, addr, 7)
+				p.Sleep(sim.Time(2 * time.Second).Sub(c.K.Now()))
+				start := c.K.Now()
+				err = h.DSM.WriteInt32E(p, addr, 8)
+				if took := c.K.Now().Sub(start); !errors.Is(err, tt.want) || took > tt.within {
+					t.Errorf("WriteInt32E with the owner cut off: err = %v after %v, want %v within %v", err, took, tt.want, tt.within)
+				}
+			})
+		})
+	}
+}
+
 // TestThreadOutlivesDeadCreator runs a thread whose creator crashes
 // before the thread ends: its exit notification fails, and the run
 // goes on.

@@ -157,7 +157,7 @@ func (d *fixedDirectory) checkPage(c *InvariantChecker, point string, page PageN
 		c.report(point, page, "manager %d records unknown owner %d", mgrMod.id, ent.owner)
 		return
 	}
-	if owner.ep.Crashed() || mgrMod.deadHost(ent.owner) {
+	if owner.ep.Crashed() || mgrMod.liveness.Dead(ent.owner) {
 		return // owner crashed: state is transient until the recovery sweep
 	}
 	c.checkRecords(point, page, "manager", mgrMod.id, owner, ent.copyset, writers, holders)

@@ -805,6 +805,7 @@ func measureFault(t *testing.T, reqKind, ownKind arch.Kind, scenario string, wri
 	}
 	r := newRig(t, kinds)
 	var delay time.Duration
+	finished := false
 	r.run("main", func(p *sim.Proc) {
 		// Find a full page managed by mgrHost: allocate pages until one
 		// has the right manager. Each 2048-int allocation is one page.
@@ -831,9 +832,11 @@ func measureFault(t *testing.T, reqKind, ownKind arch.Kind, scenario string, wri
 			var v [1]int32
 			r.mods[1].ReadInt32s(p, addr, v[:])
 		}
-		delay = start.Sub(start) // placeholder; recompute below
-		delay = p.Now().Sub(start)
+		delay, finished = p.Now().Sub(start), true
 	})
+	if !finished {
+		t.Fatalf("%s fault (write %v) on host 1 never finished", scenario, write)
+	}
 	return delay
 }
 

@@ -349,28 +349,21 @@ func (m *Module) handleDynForward(p *sim.Proc, req *proto.Message) {
 // about to become owner.
 func (m *Module) dynServeOrForward(p *sim.Proc, page PageNo, requester HostID, origReqID uint32, write bool, hops int) {
 	if requester == m.id {
-		// Our own chased request routed back to us: only stale
-		// retransmissions that crossed a recovery can do this. Without
-		// crashes it is unreachable by Li & Hudak's hint invariant: the
-		// probable-owner graph is a tree rooted at the owner (the
-		// checker walks it), so a request never revisits its sender.
-		if m.liveness != nil {
-			return
-		}
-		panic(fmt.Sprintf("dsm: host %d received its own dynamic request for page %d", m.id, page))
+		// Our own chased request routed back to us. Li & Hudak's hint
+		// invariant (the probable-owner graph is a tree rooted at the
+		// owner; the checker walks it) rules this out on a healthy run;
+		// a failed hop can break it — the forwarder whose next hop timed
+		// out points its hint at the requester, so a stale retransmission
+		// comes home. The requester's own fault is already retrying.
+		return
 	}
 	if hops > m.dynHopBound() {
-		if m.liveness == nil {
-			// Unreachable by the same invariant (a chain is at most N-1
-			// hops); the stale-probable-owner mutation trips it.
-			panic(fmt.Sprintf("dsm: page %d forwarding chain exceeded %d hops (probable-owner cycle)", page, m.dynHopBound()))
-		}
-		// A crash can cut the true owner out of the hint graph with
-		// requests in flight, leaving the survivors' hints in a cycle —
-		// every hop alive, so no dead-peer error ever fires. The bound is
-		// the cycle detector: bounce the requester to the recovery
-		// coordinator, which rebuilds a live owner (or declares the page
-		// lost with its last copy).
+		// A chain longer than N-1 hops has hit a hint cycle. A crash or
+		// a cut can leave one by removing the true owner from the hint
+		// graph with requests in flight — every hop alive, so no failed
+		// call ever fires. The bound is the cycle detector: bounce the
+		// requester to the recovery coordinator, which rebuilds a live
+		// owner (or declares the page lost with its last copy).
 		bestEffort(m.deliverFlag(p, requester, page, flagRetry, origReqID))
 		return
 	}
@@ -479,7 +472,7 @@ func (m *Module) dynOwnerServe(p *sim.Proc, page PageNo, dp *dynPage, requester 
 				// The transfer landed; only the acknowledgement was lost.
 				m.dynCommitHandoff(dp, requester)
 				m.trace("dyn-transfer", page)
-			case m.deadHost(requester):
+			case m.liveness.Dead(requester):
 				// Unknowable whether the requester's copy became visible
 				// before it crashed: never resurrect ours. Recovery
 				// rebuilds from surviving read copies or declares the
@@ -568,7 +561,7 @@ func (m *Module) dynRecover(p *sim.Proc, page PageNo, dp *dynPage) error {
 func (m *Module) dynCoordinator() HostID {
 	for i := range m.hosts {
 		h := HostID(i)
-		if h == m.id || !m.deadHost(h) {
+		if h == m.id || !m.liveness.Dead(h) {
 			return h
 		}
 	}
@@ -609,7 +602,7 @@ func (m *Module) dynCoordinate(p *sim.Proc, page PageNo) (HostID, uint32) {
 	}
 	for i := range m.hosts {
 		h := HostID(i)
-		if h == m.id || m.deadHost(h) {
+		if h == m.id || m.liveness.Dead(h) {
 			continue
 		}
 		resp, err := m.ep.Call(p, h, &proto.Message{

@@ -134,8 +134,8 @@ func (m *Module) SyncModel() *rcEngine {
 // representation; under the quorum engine each page span is one
 // majority operation (walkPages).
 //
-// Under failure detection a failed access returns a typed error:
-// ErrHostDown, or ErrPageLost from a page engine's fault.
+// A failed access returns a typed error: ErrHostDown, or ErrPageLost
+// from a page engine's fault.
 func (m *Module) readRegion(p *sim.Proc, addr Addr, n int, fn func(seg []byte, off int)) error {
 	return m.engine.readRegion(p, addr, n, fn)
 }
@@ -249,8 +249,8 @@ func newUpdateEngine(m *Module) (engine, engineDecl) {
 }
 
 // writeRegion ensures a local replica, then sequences each page span's
-// new bytes through the page's manager. Under failure detection a
-// failed residency fault or sequencing call returns its typed error.
+// new bytes through the page's manager. A failed residency fault or
+// sequencing call returns its error.
 func (e *updateEngine) writeRegion(p *sim.Proc, addr Addr, n int, fill func(seg []byte, off int)) error {
 	return e.walkPages(addr, n, func(s span) error {
 		t0 := e.traceClock()

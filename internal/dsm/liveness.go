@@ -96,9 +96,10 @@ func (d *Detector) Start() {
 // that does).
 func (d *Detector) OnDeath(fn func(h HostID)) { d.onDeath = append(d.onDeath, fn) }
 
-// Dead reports whether h has been declared crashed.
+// Dead reports whether h has been declared crashed. A nil detector (a
+// host run without failure detection) declares no host dead.
 func (d *Detector) Dead(h HostID) bool {
-	return int(h) >= 0 && int(h) < len(d.state) && d.state[h] == StateDead
+	return d != nil && int(h) >= 0 && int(h) < len(d.state) && d.state[h] == StateDead
 }
 
 // State returns the detector's opinion of h.

@@ -42,10 +42,10 @@ const faultRetries = 3
 // (including one whose addr+n wraps the 32-bit address) is rejected
 // with an error before any protocol traffic.
 //
-// Under failure detection, a fault that cannot complete because of a
-// host crash returns a typed error: ErrHostDown when the page's
-// manager (or every possible source) has crashed, ErrPageLost when the
-// page's only copy died with its owner.
+// A fault that cannot complete returns a typed error: ErrHostDown when
+// the page's manager (or every possible source) is dead or out of
+// reach, ErrPageLost when the detector has declared dead the owner
+// that held the page's only copy.
 //
 // The loop re-checks after fetching because a page obtained early in a
 // multi-page fault can be stolen while later ones are fetched; repeated
@@ -127,22 +127,12 @@ func (m *Module) requiredPages(addr Addr, n int) (first, last PageNo, err error)
 	return first, last, nil
 }
 
-// callFailed wraps a protocol call failure with the step that made the
-// call. A call that exhausted its retransmissions is an ordinary outcome
-// of the unreliable network, with or without a failure detector: the
-// requester returns it (faultPage retries it a bounded number of times
-// before reporting ErrHostDown), and a fire-and-forget sender drops it
-// through bestEffort.
-func (m *Module) callFailed(err error, format string, args ...any) error {
-	return fmt.Errorf(format+": %w", append(args, err)...)
-}
-
-// hostFailed is callFailed for a call to host that no other host can
-// answer in its place: once the detector has declared host dead, the
-// error is ErrHostDown — the range host serves is unavailable but
-// isolated.
+// hostFailed wraps a failed call to host, which no other host can
+// answer in its place, with the step that made it: once the detector
+// has declared host dead, the error is ErrHostDown — the range host
+// serves is unavailable but isolated.
 func (m *Module) hostFailed(err error, host HostID, format string, args ...any) error {
-	err = m.callFailed(err, format, args...)
+	err = fmt.Errorf(format+": %w", append(args, err)...)
 	if errors.Is(err, remoteop.ErrPeerDead) {
 		return hostDownErr(host, "%v", err)
 	}
@@ -151,10 +141,13 @@ func (m *Module) hostFailed(err error, host HostID, format string, args ...any) 
 
 // faultPage obtains one DSM page with the requested right. Concurrent
 // threads on the same host faulting on the same page are serialized so
-// the protocol runs once. A failed attempt (a call that ran out of
-// retransmissions, a transaction aborted by a mid-transfer crash) is
-// retried a bounded number of times, with or without failure
-// detection, before the page is reported down. Capped exponential
+// the protocol runs once. A call that exhausted its retransmissions is
+// an ordinary outcome of the unreliable network, with or without a
+// failure detector: each protocol step wraps it with the step that made
+// the call and returns it (a fire-and-forget sender drops it through
+// bestEffort). A failed attempt (such a call, a transaction aborted by
+// a mid-transfer crash) is retried a bounded number of times before the
+// page is reported down with ErrHostDown. Capped exponential
 // backoff separates the attempts: the first retry waits one request
 // timeout (detection and recovery need at least that long to
 // converge), later ones double it up to the blocking retry interval, so
@@ -252,7 +245,7 @@ func (m *Module) localManagerFault(p *sim.Proc, page PageNo, write bool) error {
 			// the page's one static manager, which never calls itself.
 			resp, err := m.ep.Call(p, ent.owner, &proto.Message{Kind: proto.KindGetPageWrite, Page: uint32(page)})
 			if err != nil {
-				return m.callFailed(err, "manager %d fetching page %d from owner %d", m.id, page, ent.owner)
+				return fmt.Errorf("manager %d fetching page %d from owner %d: %w", m.id, page, ent.owner, err)
 			}
 			m.installBody(p, page, resp, true)
 		}
@@ -269,7 +262,7 @@ func (m *Module) localManagerFault(p *sim.Proc, page PageNo, write bool) error {
 		// the page's one static manager, which never calls itself.
 		resp, err := m.ep.Call(p, src, &proto.Message{Kind: proto.KindGetPage, Page: uint32(page)})
 		if err != nil {
-			return m.callFailed(err, "manager %d fetching page %d from %d", m.id, page, src)
+			return fmt.Errorf("manager %d fetching page %d from %d: %w", m.id, page, src, err)
 		}
 		m.installBody(p, page, resp, false)
 		ent.copyset[m.id] = struct{}{}
@@ -344,7 +337,7 @@ func (m *Module) settle(p *sim.Proc, page PageNo, ent *mgrEntry) error {
 			return err
 		}
 	}
-	if !ent.lost && ent.owner != m.id && m.deadHost(ent.owner) {
+	if !ent.lost && ent.owner != m.id && m.liveness.Dead(ent.owner) {
 		m.recoverPage(p, page, ent)
 	}
 	if ent.lost {
@@ -386,7 +379,7 @@ func (m *Module) forwardServe(p *sim.Proc, src HostID, page PageNo, write bool, 
 		Page: uint32(page),
 		Args: []uint32{uint32(requester), origReqID, w},
 	}); err != nil {
-		return m.callFailed(err, "manager %d forwarding page %d to %d", m.id, page, src)
+		return fmt.Errorf("manager %d forwarding page %d to %d: %w", m.id, page, src, err)
 	}
 	return nil
 }
@@ -416,7 +409,7 @@ func (m *Module) writeTransaction(p *sim.Proc, req *proto.Message, page PageNo, 
 		err = m.deliverFlag(p, requester, page, flagUpgrade, req.ReqID)
 	case ent.owner == m.id:
 		err = m.serveCopy(p, page, true, requester, req.ReqID)
-		if err != nil && !m.deadHost(requester) {
+		if err != nil && !m.liveness.Dead(requester) {
 			return err // the transfer never happened; this host keeps the page
 		}
 		// A dead requester may have installed the transfer before its
@@ -484,7 +477,7 @@ func (m *Module) sendInvalidations(p *sim.Proc, page PageNo, targets []HostID) e
 		return &proto.Message{Kind: proto.KindInvalidate, Page: uint32(page)}
 	})
 	if err != nil {
-		return m.callFailed(err, "host %d invalidating page %d", m.id, page)
+		return fmt.Errorf("host %d invalidating page %d: %w", m.id, page, err)
 	}
 	return nil
 }
@@ -517,15 +510,15 @@ func (m *Module) multicastBitmap(p *sim.Proc, targets []HostID, req *proto.Messa
 // the unicast ablation) the round is one call per target. It counts the
 // requests it sends into sent.
 //
-// Under failure detection, targets the detector has declared dead are
-// skipped: their copies died with them. A round already in flight
-// ignores the detector (CallMulticast does not ask it), so a target
-// that dies mid-round fails the round, which is then sent again to the
-// survivors. The error of a round no death explains is returned
-// unclassified; the caller passes it to callFailed.
+// Targets the detector has declared dead are skipped: their copies
+// died with them. A round already in flight ignores the detector
+// (CallMulticast does not ask it), so a target that dies mid-round
+// fails the round, which is then sent again to the survivors. The
+// error of a round no death explains is returned unclassified; the
+// caller wraps it with its step.
 func (m *Module) copysetRound(p *sim.Proc, targets []HostID, sent *int, mk func() *proto.Message) error {
 	for {
-		targets = slices.DeleteFunc(targets, m.deadHost)
+		targets = slices.DeleteFunc(targets, m.liveness.Dead)
 		if len(targets) == 0 {
 			return nil
 		}
@@ -545,7 +538,7 @@ func (m *Module) copysetRound(p *sim.Proc, targets []HostID, sent *int, mk func(
 		default:
 			err = m.multicastBitmap(p, targets, req)
 		}
-		if err == nil || !slices.ContainsFunc(targets, m.deadHost) {
+		if err == nil || !slices.ContainsFunc(targets, m.liveness.Dead) {
 			return err
 		}
 	}
@@ -582,7 +575,7 @@ func (m *Module) readSource(ent *mgrEntry, requester HostID) HostID {
 		if h == requester || m.hosts[h].Kind != want {
 			continue
 		}
-		if m.deadHost(h) {
+		if m.liveness.Dead(h) {
 			break // only the lowest same-kind member is a candidate
 		}
 		return h
@@ -600,18 +593,13 @@ func (m *Module) readSource(ent *mgrEntry, requester HostID) HostID {
 func (m *Module) serveCopy(p *sim.Proc, page PageNo, write bool, requester HostID, origReqID uint32) error {
 	lp := m.local[page]
 	if lp == nil || lp.access == NoAccess {
-		if m.liveness != nil {
-			// An aborted transfer or a crash-truncated invalidation can
-			// leave the manager pointing here without a copy; let the
-			// requester time out and re-fault after recovery.
-			return fmt.Errorf("host %d asked to serve page %d it does not hold", m.id, page)
-		}
-		// Unreachable without crashes: requests are routed to the
-		// recorded owner, which holds a copy (invariant 3), or to a
-		// copyset member, which keeps its copy until the invalidation
-		// that also drops it from the copyset.
-		panic(fmt.Sprintf("dsm: host %d asked to serve page %d it does not hold (access %v)",
-			m.id, page, m.Access(page)))
+		// Requests go to the recorded owner, which holds a copy
+		// (invariant 3), or to a copyset member, which keeps its copy
+		// until the invalidation that also drops it from the copyset.
+		// An aborted transfer or a failed invalidation can leave the
+		// manager pointing here without one: let the requester time out
+		// and re-fault after recovery.
+		return fmt.Errorf("host %d asked to serve page %d it does not hold", m.id, page)
 	}
 	m.protoCPU.Use(p, m.jittered(m.cfg.Params.OwnerProcess.Of(m.arch.Kind)))
 	// Staged in a pooled buffer: deliver blocks until the requester has
@@ -637,7 +625,7 @@ func (m *Module) serveCopy(p *sim.Proc, page PageNo, write bool, requester HostI
 		Data: data,
 	})
 	if err != nil {
-		if write && m.cfg.Mutation != MutDoubleWriterGrant && m.deadHost(requester) {
+		if write && m.cfg.Mutation != MutDoubleWriterGrant && m.liveness.Dead(requester) {
 			// A failed WRITE delivery to a requester now declared dead is
 			// ambiguous: only the final acknowledgement may have been lost,
 			// in which case the requester installed the page and wrote to
@@ -677,7 +665,7 @@ func (m *Module) deliverFlag(p *sim.Proc, requester HostID, page PageNo, flag, r
 // deliver sends a PageDeliver call and waits for its acknowledgement.
 func (m *Module) deliver(p *sim.Proc, requester HostID, msg *proto.Message) error {
 	if _, err := m.ep.Call(p, requester, msg); err != nil {
-		return m.callFailed(err, "host %d delivering page %d to %d", m.id, msg.Page, requester)
+		return fmt.Errorf("host %d delivering page %d to %d: %w", m.id, msg.Page, requester, err)
 	}
 	return nil
 }
@@ -749,28 +737,24 @@ const confirmPatience = 3
 
 // awaitConfirm parks a transaction until the requester reports the copy
 // installed (confirm), keeping per-page transactions strictly serial.
-// Under failure detection the park carries a timeout: a requester that
-// crashes mid-transfer would otherwise wedge the page's transaction
-// lock forever, blocking recovery itself. It reports gaveUp when the
-// requester is alive but confirmPatience rounds passed: the fixed
-// manager then marks its entry suspect for the next transaction to
-// reconcile (recovery.go); the dynamic owner has the requester in its
-// copyset already, so a later write still invalidates it.
+// The park carries a timeout: a requester that crashes or is cut off
+// mid-transfer would otherwise wedge the page's transaction lock
+// forever, blocking recovery itself. It reports gaveUp when the
+// requester is not declared dead but confirmPatience rounds passed: the
+// fixed manager then marks its entry suspect for the next transaction
+// to reconcile (recovery.go); the dynamic owner has the requester in
+// its copyset already, so a later write still invalidates it.
 func (m *Module) awaitConfirm(p *sim.Proc, t *pageTxn, requester HostID) (gaveUp bool) {
 	for rounds := 0; !t.confirmed; rounds++ {
-		if m.deadHost(requester) {
+		if m.liveness.Dead(requester) {
 			return false // requester died mid-transfer; recovery rebuilds the records
 		}
-		if m.liveness != nil && rounds >= confirmPatience {
+		if rounds >= confirmPatience {
 			return true
 		}
 		t.confirmW = p.PrepareWait()
 		t.confirmArmed = true
-		if m.liveness != nil {
-			p.ParkTimeout(m.cfg.Params.SuspicionTimeout)
-		} else {
-			p.Park()
-		}
+		p.ParkTimeout(m.cfg.Params.SuspicionTimeout)
 		t.confirmArmed = false
 	}
 	return false

@@ -206,9 +206,14 @@ func TestLockRankRefusesFaultUnderPageTransaction(t *testing.T) {
 // write-faults on a page it manages while another host owns it, and
 // holds no copy itself, fetches the page with write access from the
 // owner, keeping its entry lock across the call (localManagerFault's
-// KindGetPageWrite branch) — across a Sun/Firefly conversion.
+// KindGetPageWrite branch) — across a Sun/Firefly conversion. The fault
+// takes one round trip and no retransmission: a call sent to the
+// manager itself waits on the entry lock its caller holds until it
+// times out, and faultPage's retry can hide that from a test of final
+// values alone.
 func TestFixedManagerWriteFaultFetchesFromOwner(t *testing.T) {
 	r := newRig(t, []arch.Kind{arch.Sun, arch.Firefly})
+	finished := false
 	r.run("main", func(p *sim.Proc) {
 		// Two full pages: the second is managed by host 1.
 		var addr Addr
@@ -230,7 +235,11 @@ func TestFixedManagerWriteFaultFetchesFromOwner(t *testing.T) {
 			t.Errorf("after host 0's write: owner %d, manager access %v; want owner 0, no copy at the manager", ent.owner, mgr.Access(page))
 			return
 		}
+		sent := mgr.ep.Stats().Retransmits
 		mgr.WriteInt32(p, addr+4, 6)
+		if n := mgr.ep.Stats().Retransmits - sent; n != 0 {
+			t.Errorf("the manager's write fault retransmitted %d time(s), want 0", n)
+		}
 		if mgr.Access(page) != WriteAccess || r.mods[0].Access(page) != NoAccess {
 			t.Errorf("after the manager's write: access %v at the manager, %v at host 0", mgr.Access(page), r.mods[0].Access(page))
 		}
@@ -239,5 +248,9 @@ func TestFixedManagerWriteFaultFetchesFromOwner(t *testing.T) {
 		if got[0] != 5 || got[1] != 6 {
 			t.Errorf("host 0 reads %v, want [5 6]", got)
 		}
+		finished = true
 	})
+	if !finished {
+		t.Fatal("the run stopped before host 0 read the page back")
+	}
 }

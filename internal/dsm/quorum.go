@@ -481,8 +481,8 @@ func (m *quorumEngine) quorumFanout(p *sim.Proc, page PageNo, need int, mk func(
 		if errors.Is(err, remoteop.ErrPeerDead) {
 			// The detector has declared so many replicas dead that no
 			// majority can ever answer: permanent, not a partition.
-			return nil, m.callFailed(fmt.Errorf("%w: page %d has no live quorum: %v", ErrHostDown, page, err),
-				"host %d quorum round for page %d", m.id, page)
+			return nil, fmt.Errorf("host %d quorum round for page %d: %w: page %d has no live quorum: %v",
+				m.id, page, ErrHostDown, page, err)
 		}
 		// A majority is alive but unreachable this instant — the
 		// partition case quorum replication exists for, with or without

@@ -183,7 +183,7 @@ func (m *rcEngine) rcFaultPage(p *sim.Proc, pg PageNo, _ bool) error {
 	}
 	resp, err := m.ep.Call(p, home, &proto.Message{Kind: proto.KindRCFetch, Page: uint32(pg)})
 	if err != nil {
-		return m.callFailed(err, "host %d fetching page %d from home %d", m.id, pg, home)
+		return fmt.Errorf("host %d fetching page %d from home %d: %w", m.id, pg, home, err)
 	}
 	m.rcInstallPage(p, pg, resp)
 	return nil
@@ -372,7 +372,7 @@ func (m *rcEngine) rcPushDiff(p *sim.Proc, pg PageNo, d *conv.Diff) (uint32, err
 		Data: wire,
 	})
 	if err != nil {
-		return 0, m.callFailed(err, "host %d pushing page %d diff to home %d", m.id, pg, home)
+		return 0, fmt.Errorf("host %d pushing page %d diff to home %d: %w", m.id, pg, home, err)
 	}
 	ver := resp.Arg(0)
 	bufpool.Put(resp.TakeWire())
@@ -508,7 +508,7 @@ func (m *rcEngine) rcPull(p *sim.Proc, pg PageNo) error {
 		Args: []uint32{rc.applied[pg]},
 	})
 	if err != nil {
-		return m.callFailed(err, "host %d pulling page %d diffs from home %d", m.id, pg, home)
+		return fmt.Errorf("host %d pulling page %d diffs from home %d: %w", m.id, pg, home, err)
 	}
 	version, count, flags := resp.Arg(0), resp.Arg(1), resp.Arg(2)
 	if flags&rcPullWhole != 0 {

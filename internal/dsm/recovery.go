@@ -20,12 +20,6 @@ import (
 	"repro/internal/sim"
 )
 
-// deadHost reports whether the failure detector (if any) has declared
-// h crashed.
-func (m *Module) deadHost(h HostID) bool {
-	return m.liveness != nil && m.liveness.Dead(h)
-}
-
 // onHostDeath is registered with the failure detector. It must not
 // block: it discards doomed partial reassemblies and spawns the
 // recovery sweep as its own process.
@@ -132,7 +126,7 @@ func (m *Module) recoverPage(p *sim.Proc, page PageNo, ent *mgrEntry) {
 // ent.lock.
 func (m *Module) reconcileSuspect(p *sim.Proc, page PageNo, ent *mgrEntry) error {
 	r := ent.suspectHost
-	if r == m.id || m.deadHost(r) {
+	if r == m.id || m.liveness.Dead(r) {
 		// Our own state is directly visible; a corpse's copies died with
 		// it. Either way the dead-owner gate after us resolves ownership.
 		ent.suspect = false
@@ -147,7 +141,7 @@ func (m *Module) reconcileSuspect(p *sim.Proc, page PageNo, ent *mgrEntry) error
 		Args: []uint32{1}, // probe: report possession, send no data
 	})
 	if err != nil {
-		return m.callFailed(err, "manager %d reconciling page %d with host %d", m.id, page, r)
+		return fmt.Errorf("manager %d reconciling page %d with host %d: %w", m.id, page, r, err)
 	}
 	has := resp.Arg(0) != 0
 	bufpool.Put(resp.TakeWire())
@@ -177,14 +171,14 @@ func (m *Module) reconcileSuspect(p *sim.Proc, page PageNo, ent *mgrEntry) error
 func (m *Module) recoveryCandidates(ent *mgrEntry, dead HostID) []HostID {
 	out := make([]HostID, 0, len(m.hosts))
 	for _, h := range sim.SortedKeys(ent.copyset) {
-		if h == m.id || h == dead || m.deadHost(h) {
+		if h == m.id || h == dead || m.liveness.Dead(h) {
 			continue
 		}
 		out = append(out, h)
 	}
 	for i := range m.hosts {
 		h := HostID(i)
-		if h == m.id || h == dead || m.deadHost(h) {
+		if h == m.id || h == dead || m.liveness.Dead(h) {
 			continue
 		}
 		if _, in := ent.copyset[h]; in {

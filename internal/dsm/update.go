@@ -12,6 +12,7 @@ package dsm
 // writes, where MRSW would invalidate and re-fault whole pages.
 
 import (
+	"fmt"
 	"slices"
 
 	"repro/internal/arch"
@@ -128,7 +129,7 @@ func (m *updateEngine) sequenceUpdate(p *sim.Proc, page PageNo, offset int, data
 		err = m.copysetRound(p, []HostID{writer}, &m.stats.UpdatePushes, push)
 	}
 	if err != nil {
-		return m.callFailed(err, "host %d pushing update for page %d", m.id, page)
+		return fmt.Errorf("host %d pushing update for page %d: %w", m.id, page, err)
 	}
 	return nil
 }
